@@ -9,6 +9,12 @@ may move to, ending the play.
 This module also hosts the two graph primitives everything else is built
 on: player attractors (with ranks and an attracting strategy) and the
 detection of nodes lying on cycles whose maximum color has a given parity.
+The latter is one top-color decomposition: split into strongly connected
+components, keep those whose top color has the wanted parity, and split
+the others again below their top.  Node sets, witness strategies and
+preprocessing all read its pieces; it costs O(depth * (n + m)), where
+depth is how deeply components topped by the other parity nest, instead
+of one pass per color.
 """
 
 from __future__ import annotations
@@ -347,28 +353,54 @@ def _sccs(order: Iterable[int], succ: Mapping[int, tuple[int, ...]],
                 component_stack.append(v)
 
 
-def find_dominated_cycle_nodes(view: GraphView, parity: int) -> frozenset[int]:
-    """Nodes lying on some cycle whose maximum color has the given parity.
+def _dominated_pieces(view: GraphView,
+                      parity: int) -> Iterator[tuple[int, list[int]]]:
+    """Maximal node sets on which every node lies on a cycle whose top
+    color has the given parity, each paired with that top color.
 
-    For each color c of that parity, from highest to lowest, the subgraph
-    of nodes colored <= c is decomposed into strongly connected components;
-    every component that contains a node of color c and at least one edge
-    (two nodes, or a self-loop) consists entirely of such cycle nodes.
-    Nodes absent from `view.color` cannot lie on a cycle and are skipped.
+    Top-color decomposition with a worklist: a piece is trimmed to the
+    nodes at or below its highest color of the wanted parity (a piece
+    with none is dropped) and split into strongly connected components.
+    A component with at least one edge whose top color has the wanted
+    parity is yielded whole; one topped by the other parity goes back
+    on the worklist, where the trim removes its top.  A yielded piece
+    is the component of the subgraph colored <= its top that contains
+    it.  Pieces on the worklist are disjoint, so every level of nesting
+    costs O(n + m) and the whole O(depth * (n + m)), depth being how
+    deeply components topped by the other parity nest.  A worklist, not
+    recursion, because that nesting grows with the node count.
+    Nodes absent from `view.color` are never part of a piece.
     """
-    colored = [v for v in view.nodes if v in view.color]
-    wanted = sorted({view.color[v] for v in colored if view.color[v] % 2 == parity},
-                    reverse=True)
-    result: set[int] = set()
-    for c in wanted:
-        allowed_order = [v for v in colored if view.color[v] <= c]
-        allowed = set(allowed_order)
-        for comp in _sccs(allowed_order, view.succ, allowed):
-            if len(comp) == 1 and comp[0] not in view.succ[comp[0]]:
+    color, succ = view.color, view.succ
+    work = [[v for v in view.nodes if v in color]]
+    while work:
+        piece = work.pop()
+        top = max([c for c in map(color.__getitem__, piece)
+                   if c % 2 == parity], default=-1)
+        if top < 0:
+            continue
+        order = [v for v in piece if color[v] <= top]
+        for comp in _sccs(order, succ, set(order)):
+            if len(comp) == 1 and comp[0] not in succ[comp[0]]:
                 continue
-            if any(view.color[v] == c for v in comp):
-                result.update(comp)
-    return frozenset(result)
+            high = max(map(color.__getitem__, comp))
+            if high % 2 == parity:
+                yield high, comp
+            else:
+                work.append(comp)
+
+
+def find_dominated_cycle_nodes(view: GraphView, parity: int) -> frozenset[int]:
+    """Nodes lying on some cycle whose maximum color has the given parity:
+    the union of the pieces of the top-color decomposition, which costs
+    O(depth * (n + m)) for depth the nesting of components topped by the
+    other parity.  Nodes absent from `view.color` cannot lie on a cycle
+    and are skipped.
+    """
+    nodes: set[int] = set()
+    for _, piece in _dominated_pieces(view, parity):
+        nodes.update(piece)
+    return frozenset(nodes)
 
 
 def find_one_dominated_cycle_nodes(view: GraphView) -> frozenset[int]:
@@ -379,49 +411,36 @@ def find_one_dominated_cycle_nodes(view: GraphView) -> frozenset[int]:
 def dominated_cycle_strategy(view: GraphView) -> dict[int, int]:
     """One edge per odd-cycle node that keeps every resulting cycle odd.
 
-    Within each marked component a witness node of the stage color is
-    fixed; other members follow a shortest path towards the witness and
-    the witness re-enters the component.  Any cycle the chosen edges can
-    form then passes through a witness and stays below its color, so its
-    maximum color is that odd stage color.
+    Per piece of the odd top-color decomposition the smallest-id node of
+    the piece's top color is the witness; every other member moves to
+    its smallest-id successor one step closer to the witness along a
+    shortest path inside the piece, and the witness moves to its
+    smallest-id successor in the piece.  Any cycle the chosen edges can
+    form stays in one piece and passes through its witness, so its
+    maximum color is the piece's odd top.  Pieces are disjoint, so the
+    cost is one BFS per piece on top of the decomposition.
     """
-    colored = [v for v in view.nodes if v in view.color]
-    odd_colors = sorted({view.color[v] for v in colored if view.color[v] % 2 == 1},
-                        reverse=True)
-    assigned: dict[int, int] = {}
-    for c in odd_colors:
-        allowed_order = [v for v in colored if view.color[v] <= c]
-        allowed = set(allowed_order)
-        for comp in _sccs(allowed_order, view.succ, allowed):
-            comp_set = set(comp)
-            if len(comp) == 1 and comp[0] not in view.succ[comp[0]]:
-                continue
-            witnesses = sorted(v for v in comp if view.color[v] == c)
-            if not witnesses:
-                continue
-            x = witnesses[0]
-            rpred: dict[int, list[int]] = {v: [] for v in comp_set}
-            for v in sorted(comp_set):
-                for t in view.succ[v]:
-                    if t in comp_set:
-                        rpred[t].append(v)
-            dist = {x: 0}
-            queue = deque([x])
-            while queue:
-                u = queue.popleft()
-                for v in rpred[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        queue.append(v)
-            for v in sorted(comp_set):
-                if v in assigned:
-                    continue
-                if v == x:
-                    assigned[v] = min(t for t in view.succ[v] if t in comp_set)
-                else:
-                    assigned[v] = min(t for t in view.succ[v]
-                                      if t in comp_set and dist[t] == dist[v] - 1)
-    return assigned
+    strategy: dict[int, int] = {}
+    for top, piece in _dominated_pieces(view, 1):
+        members = set(piece)
+        x = min(v for v in piece if view.color[v] == top)
+        rpred: dict[int, list[int]] = {v: [] for v in piece}
+        for v in piece:
+            for t in view.succ[v]:
+                if t in members:
+                    rpred[t].append(v)
+        dist = {x: 0}
+        queue = deque([x])
+        while queue:
+            u = queue.popleft()
+            for v in rpred[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        for v in piece:
+            strategy[v] = min(t for t in view.succ[v] if t in members
+                              and (v == x or dist[t] == dist[v] - 1))
+    return strategy
 
 
 @dataclass(frozen=True)
@@ -445,7 +464,8 @@ def preprocess(arena: EscapeArena) -> PreprocessResult:
     game), are removed.  The remaining arena has no odd-dominated cycle
     among player-1 nodes, which the function asserts.
     """
-    dominated = find_one_dominated_cycle_nodes(arena.player1_view())
+    dom_strategy = dominated_cycle_strategy(arena.player1_view())
+    dominated = frozenset(dom_strategy)
     att = attractor(arena.game_view(), 1, sorted(dominated))
     pre_won = att.members
     reduced = arena.restrict(v for v in arena.nodes if v not in pre_won)
@@ -454,7 +474,6 @@ def preprocess(arena: EscapeArena) -> PreprocessResult:
             raise InvariantViolation("surviving player-1 node %d lost all successors" % v)
     if find_one_dominated_cycle_nodes(reduced.player1_view()):
         raise InvariantViolation("reduced arena still has an odd player-1 cycle")
-    dom_strategy = dominated_cycle_strategy(arena.player1_view()) if dominated else {}
     return PreprocessResult(reduced, pre_won, dominated, att, dom_strategy)
 
 

@@ -1,7 +1,7 @@
 """Command-line front end: solve, gen, bench, check, trace.
 
 Exit codes: 0 success, 1 cross-check mismatch, 2 usage or input errors,
-3 internal solver errors.
+3 internal errors (never a traceback).
 """
 
 from __future__ import annotations
@@ -26,8 +26,11 @@ from .valuation import improvements, initial_strategy, valuate_bellman_ford
 DEG2_BASE = 1.724
 
 
-def _random_game(rng: random.Random, nodes: int, degree: int, colors: int,
-                 p0_fraction: float) -> ParityGame:
+def random_game(rng: random.Random, nodes: int, degree: int, colors: int,
+                p0_fraction: float = 0.5) -> ParityGame:
+    """Draw a game from `rng`: per node a player-0 owner with probability
+    `p0_fraction`, a color below `colors` and between 1 and `degree`
+    distinct successors."""
     owner = []
     color = []
     successors = []
@@ -46,8 +49,8 @@ def generate_game(nodes: int, degree: int, colors: int,
     `degree` distinct successors."""
     if nodes < 1 or degree < 1 or colors < 1:
         raise ValueError("nodes, degree and colors must be positive")
-    return _random_game(random.Random(seed), nodes, degree, colors,
-                        p0_fraction)
+    return random_game(random.Random(seed), nodes, degree, colors,
+                       p0_fraction)
 
 
 def fuzz_game(seed: int) -> ParityGame:
@@ -56,7 +59,7 @@ def fuzz_game(seed: int) -> ParityGame:
     nodes = rng.randint(1, 8)
     colors = rng.randint(1, 4)
     degree = rng.randint(1, 3)
-    return _random_game(rng, nodes, degree, colors, 0.5)
+    return random_game(rng, nodes, degree, colors)
 
 
 def _read_game(path: str) -> ParityGame:
@@ -316,20 +319,15 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except FormatError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except InstanceTooLarge as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FormatError, ValueError, InstanceTooLarge, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except SolverError as exc:
         print("internal error: %s" % exc, file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
         return 3
 
 

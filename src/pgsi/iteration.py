@@ -337,6 +337,7 @@ def replay_verify(game: ParityGame, result: SolveResult) -> None:
     for player, won, strategy, bad_parity in (
             (0, result.w0, result.strategy0, 1),
             (1, result.w1, result.strategy1, 0)):
+        won = set(won)
         succ = {}
         for v in range(game.n):
             if game.owner[v] == player and v in won:

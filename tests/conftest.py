@@ -1,5 +1,3 @@
-import random
-
 from hypothesis import strategies as st
 
 from pgsi import ParityGame
@@ -17,14 +15,4 @@ def parity_games(draw, max_nodes=8, max_colors=4, max_degree=3):
         k = draw(st.integers(1, min(max_degree, n)))
         succ.append(tuple(draw(st.lists(st.integers(0, n - 1), min_size=k,
                                         max_size=k, unique=True))))
-    return ParityGame(tuple(owner), tuple(color), tuple(succ))
-
-
-def random_game(rng: random.Random, nodes, degree, colors, p0=0.5) -> ParityGame:
-    owner, color, succ = [], [], []
-    for _ in range(nodes):
-        owner.append(0 if rng.random() < p0 else 1)
-        color.append(rng.randrange(colors))
-        k = rng.randint(1, min(degree, nodes))
-        succ.append(tuple(rng.sample(range(nodes), k)))
     return ParityGame(tuple(owner), tuple(color), tuple(succ))

@@ -16,11 +16,10 @@ from pgsi import (build_escape_arena, enumerate_direct_improvements,
                   policy_by_name, preprocess, replay_verify, serialize_pgsolver,
                   solve, valuate_bellman_ford, valuate_dijkstra_update,
                   zero_profile)
-from pgsi.cli import DEG2_BASE, generate_game, main
+from pgsi.cli import DEG2_BASE, generate_game, main, random_game
 from pgsi.iteration import BACKENDS, POLICY_NAMES
 from pgsi.profiles import ColorProfile, NEG_INFINITY, POS_INFINITY
 
-from conftest import random_game
 
 CORPUS_SIZE = 1000
 RANDOM_POLICY_SEED = 5

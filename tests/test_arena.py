@@ -1,5 +1,7 @@
 """Game representation, file format, attractors, cycle analysis."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -230,13 +232,35 @@ def _dominated_by_closure(view, parity):
     return frozenset(out)
 
 
-@given(parity_games(max_nodes=6))
+@given(parity_games(max_nodes=6), parity_games(max_nodes=6, max_colors=12))
 @settings(max_examples=300)
-def test_cycle_finder_matches_reachability_oracle(game):
-    view = build_escape_arena(game).game_view()
-    for parity in (0, 1):
-        assert find_dominated_cycle_nodes(view, parity) == \
-            _dominated_by_closure(view, parity)
+def test_cycle_finder_matches_reachability_oracle(game, many_colors):
+    # the second draw spreads colors so that wrong-parity tops nest
+    for g in (game, many_colors):
+        view = build_escape_arena(g).game_view()
+        for parity in (0, 1):
+            assert find_dominated_cycle_nodes(view, parity) == \
+                _dominated_by_closure(view, parity)
+
+
+def test_cycle_finder_handles_nesting_beyond_recursion_limit():
+    # spine e_i (even color 2i+2) as a two-way path, tooth t_i (odd color
+    # 2i+1) on a two-cycle with e_i; each level's even top must be peeled
+    # before the next tooth can be examined, and only the bottom tooth
+    # has a cycle of its own
+    k = sys.getrecursionlimit() + 50
+    spine, tooth = range(k), range(k, 2 * k)
+    succ = {}
+    for i in range(k):
+        succ[spine[i]] = tuple(spine[j] for j in (i - 1, i + 1) if 0 <= j < k) \
+            + (tooth[i],)
+        succ[tooth[i]] = (spine[i],)
+    succ[tooth[0]] += (tooth[0],)
+    color = {**{spine[i]: 2 * i + 2 for i in range(k)},
+             **{tooth[i]: 2 * i + 1 for i in range(k)}}
+    view = _view(range(2 * k), succ, {v: 1 for v in succ}, color)
+    assert find_one_dominated_cycle_nodes(view) == frozenset((tooth[0],))
+    assert dominated_cycle_strategy(view) == {tooth[0]: tooth[0]}
 
 
 @given(parity_games(max_nodes=7))

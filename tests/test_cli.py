@@ -108,6 +108,15 @@ def test_internal_failures_exit_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert err == "internal error: boom\n"
 
+    # an exception from outside the package is reported, not a traceback
+    def overflow(*args, **kwargs):
+        raise OverflowError("too big")
+
+    monkeypatch.setattr("pgsi.cli.solve", overflow)
+    code, _, err = run(capsys, "solve", path)
+    assert code == 3
+    assert err == "internal error: OverflowError: too big\n"
+
 
 # ------------------------------------------------------------------- usage
 

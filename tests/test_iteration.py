@@ -10,10 +10,11 @@ from pgsi import (AllSwitches, ColorProfile, DeterministicAll, POS_INFINITY,
                   enumerate_direct_improvements, extract_deterministic,
                   improvements, initial_strategy, policy_by_name, preprocess,
                   replay_verify, solve, valuate_bellman_ford, zero_profile)
+from pgsi.cli import random_game
 from pgsi.errors import EnumerationTooLarge, InvariantViolation
 from pgsi.iteration import BACKENDS, POLICY_NAMES, _step_bound
 
-from conftest import parity_games, random_game
+from conftest import parity_games
 
 EVEN_LOOP = ParityGame((0,), (0,), ((0,),))
 ODD_LOOP = ParityGame((0,), (1,), ((0,),))

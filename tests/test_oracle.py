@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from pgsi import (CrosscheckReport, GraphView, ParityGame, crosscheck,
                   find_one_dominated_cycle_nodes, oracle_solve,
                   policy_by_name, solve)
+from pgsi.cli import random_game
 from pgsi.errors import InstanceTooLarge
 from pgsi.iteration import BACKENDS
 
-from conftest import parity_games, random_game
+from conftest import parity_games
 
 
 def test_oracle_two_node_alternation():

@@ -12,9 +12,10 @@ from pgsi import (ColorProfile, POS_INFINITY, ParityGame, Strategy, attractor,
                   response_strategy, unit_profile, valuate_bellman_ford,
                   valuate_dijkstra, valuate_dijkstra_update, valuation_to_json,
                   zero_profile)
+from pgsi.cli import random_game
 from pgsi.errors import InvariantViolation, ReasonablenessError
 
-from conftest import parity_games, random_game
+from conftest import parity_games
 
 
 def fin(*counts):
