@@ -26,6 +26,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .errors import FormatError, InvariantViolation
+from .profiles import ColorProfile, ProfileBasis
 
 
 @dataclass(frozen=True)
@@ -200,6 +201,19 @@ class EscapeArena:
     @cached_property
     def player1_nodes(self) -> tuple[int, ...]:
         return tuple(v for v in self.nodes if self.game.owner[v] == 1)
+
+    @cached_property
+    def basis(self) -> ProfileBasis:
+        """Zero and unit profiles at the digit width this arena's values
+        need; every valuation of the arena is built from them."""
+        return ProfileBasis(self.d, len(self.nodes))
+
+    @cached_property
+    def unit(self) -> dict[int, ColorProfile]:
+        """Per node, the profile of one visit to its color."""
+        unit = self.basis.unit
+        color = self.game.color
+        return {v: unit(color[v]) for v in self.nodes}
 
     @cached_property
     def escape_choices(self) -> dict[int, tuple[int, ...]]:

@@ -11,6 +11,7 @@ valuation.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ from typing import Callable, Iterator
 from .arena import (EscapeArena, GraphView, ParityGame, build_escape_arena,
                     find_dominated_cycle_nodes, preprocess, reachable)
 from .errors import EnumerationTooLarge, InvariantViolation
-from .profiles import POS_INFINITY, unit_profile
+from .profiles import POS_INFINITY
 from .valuation import (ImprovementSets, Strategy, Valuation, improvements,
                         initial_strategy, is_reasonable, response_strategy,
                         valuate_bellman_ford, valuate_dijkstra)
@@ -143,19 +144,24 @@ class SolveResult:
 def _step_bound(n: int, d: int) -> float:
     """Ceiling on the number of improvement steps any policy can take:
     each step strictly raises one of at most n node values, each of which
-    climbs through at most (n/d + 1)^d distinct finite profiles."""
-    return n * (n / d + 1.0) ** d if n else 0.0
+    climbs through at most (n/d + 1)^d distinct finite profiles.  The
+    bound saturates to infinity where it overflows a float."""
+    if not n:
+        return 0.0
+    try:
+        return n * (n / d + 1.0) ** d
+    except OverflowError:
+        return math.inf
 
 
 def extract_deterministic(arena: EscapeArena, strategy: Strategy,
                           valuation: Valuation) -> Strategy:
     """Pick, per player-0 node, one strategy edge realizing the valuation
     (smallest target id).  Revaluating the result reproduces `valuation`."""
-    d = arena.d
     choices = {}
     for v in arena.player0_nodes:
         here = valuation[v]
-        unit = unit_profile(arena.game.color[v], d)
+        unit = arena.unit[v]
         picked = None
         for t in strategy.choices[v]:
             if here == unit + valuation[t]:

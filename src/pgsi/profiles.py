@@ -7,19 +7,86 @@ keeps winning forever.  Profiles of the same dimension are ordered by the
 highest color at which they differ: more visits to an even color is better
 for player 0, more visits to an odd color is worse.
 
-Finite profiles store their counts in a parity-folded key (highest color
-first, odd-color counts negated) so that this game order coincides with
-plain tuple comparison.  All values are immutable and safe to share.
+Encoding.  A finite profile of dimension d is stored as one int, its key,
+written in base 2^b with signed digits: digit c is the count of color c,
+negated when c is odd, and the highest color takes the most significant
+digit::
+
+    key = f_0 + f_1 * 2^b + ... + f_(d-1) * 2^(b(d-1))
+
+While every digit stays below 2^(b-1) in magnitude, two digits differ by
+at most 2^b - 2, so everything below the highest differing digit adds up
+to less than one unit of that digit.  The key therefore determines the
+digits, keys order like the game order, and adding or subtracting two
+profiles is adding or subtracting their keys.  The arithmetic does not
+check that bound; the width b is chosen so that it holds.
+
+Width.  The width is part of a profile.  ``ColorProfile.finite``,
+``zero_profile``, ``unit_profile`` and ``path_value`` use 64-bit digits,
+so their sums stay exact up to counts of 2^63.  The solver takes its zero
+and unit profiles from a :class:`ProfileBasis` built once per arena, at
+``digit_width(n)`` bits for an arena of n nodes (the sink not counted).
+That width covers every digit the two valuation routes form:
+
+- a fixpoint value is the profile of a simple path into the sink, so each
+  digit is at most n;
+- the Dijkstra update forms weights unit[v] + old[t] - old[v] and, along
+  any path, candidates that telescope to unit[s] + new[v] - old[s], so its
+  digits are at most 2n + 1;
+- Bellman-Ford on an unreasonable strategy makes at most (n + 1) * n
+  in-place updates before it raises, each one unit plus another node's
+  value, so no digit passes n(n + 1).
+
+n(n + 2) bounds all three for n >= 1, and ``digit_width`` keeps one spare
+bit above it.  This is the bounded finite profile space that the paper's
+termination argument rests on, read as a size: it fixes how many bits a
+count can need.
+
+An operation on two profiles of different widths re-encodes the narrower
+one at the wider width first: exact, but slower.  All values are
+immutable and safe to share.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, ProfileArithmeticError
 
-_NEG, _FIN, _POS = -1, 0, 1
+# Digit width of the profiles the public constructors build.
+_WIDE_DIGITS = 64
+
+_new = object.__new__
+
+
+def digit_width(n: int) -> int:
+    """Bits per digit that fit every value the solver forms on an arena of
+    n nodes (see the module docstring)."""
+    return (n * (n + 2)).bit_length() + 2
+
+
+def _bias(d: int, b: int) -> int:
+    # the key whose d digits are all 2^(b-1)
+    return int(("1" + "0" * (b - 1)) * d, 2)
+
+
+def _pack(digits: Sequence[int], b: int) -> int:
+    """Key of signed digits given highest color first."""
+    half = 1 << (b - 1)
+    for f in digits:
+        if not -half < f < half:
+            raise DimensionError(
+                "count %d does not fit a %d-bit digit" % (abs(f), b))
+    spec = "0%db" % b
+    return int("".join([format(f + half, spec) for f in digits]), 2) \
+        - _bias(len(digits), b)
+
+
+def _unpack(key: int, d: int, b: int) -> tuple[int, ...]:
+    """Signed digits of a key, highest color first."""
+    half = 1 << (b - 1)
+    bits = format(key + _bias(d, b), "0%db" % (b * d))
+    return tuple([int(bits[i:i + b], 2) - half for i in range(0, b * d, b)])
 
 
 class ColorProfile:
@@ -33,118 +100,181 @@ class ColorProfile:
     profiles only.
     """
 
-    __slots__ = ("_sign", "_key")
+    # A finite profile holds its key and its form, the pair (dimension,
+    # digit width); profiles made together share one form object, which
+    # is what the fast paths test.  An infinity has form None and its
+    # sign, +1 or -1, as key.
+    __slots__ = ("_key", "_form")
 
-    def __init__(self, sign: int, key: tuple[int, ...]):
-        # Internal: use finite()/zero_profile()/unit_profile() or the two
-        # module-level infinity constants instead.
-        self._sign = sign
+    def __init__(self, key: int, form: tuple[int, int] | None):
+        # Internal: use finite()/zero_profile()/unit_profile(), a
+        # ProfileBasis or the two module-level infinity constants instead.
         self._key = key
+        self._form = form
 
     @classmethod
     def finite(cls, counts: Sequence[int]) -> "ColorProfile":
-        """Build a finite profile from per-color counts, lowest color first."""
+        """Build a finite profile from per-color counts, lowest color first.
+
+        Raises DimensionError for an empty sequence and for a count of
+        2^63 or more in magnitude."""
         counts = tuple(counts)
         if not counts:
             raise DimensionError("a finite profile needs at least one color")
         d = len(counts)
-        key = tuple(counts[k] if k % 2 == 0 else -counts[k] for k in range(d - 1, -1, -1))
-        return cls(_FIN, key)
+        digits = [counts[k] if k % 2 == 0 else -counts[k]
+                  for k in range(d - 1, -1, -1)]
+        return cls(_pack(digits, _WIDE_DIGITS), (d, _WIDE_DIGITS))
 
     @property
     def is_finite(self) -> bool:
-        return self._sign == _FIN
+        return self._form is not None
 
     @property
     def dimension(self) -> int | None:
         """Number of colors, or None for an infinity."""
-        return len(self._key) if self._sign == _FIN else None
+        return self._form[0] if self._form is not None else None
+
+    def _digits(self) -> tuple[int, ...]:
+        return _unpack(self._key, *self._form)
 
     @property
     def counts(self) -> tuple[int, ...]:
         """Per-color counts, lowest color first.  Finite profiles only."""
-        if self._sign != _FIN:
+        if self._form is None:
             raise ProfileArithmeticError("an infinite profile has no counts")
-        key = self._key
-        d = len(key)
-        return tuple(key[d - 1 - k] if k % 2 == 0 else -key[d - 1 - k] for k in range(d))
+        digits = self._digits()
+        d = len(digits)
+        return tuple(digits[d - 1 - k] if k % 2 == 0 else -digits[d - 1 - k]
+                     for k in range(d))
 
-    def _require_same_dimension(self, other: "ColorProfile") -> None:
-        if len(self._key) != len(other._key):
+    def _aligned(self, other: "ColorProfile") -> tuple[int, int, tuple]:
+        """Keys of two finite profiles of one dimension at a common width,
+        and the form of that width."""
+        a, b = self._form, other._form
+        if a[0] != b[0]:
             raise DimensionError(
-                "profile dimensions differ: %d vs %d" % (len(self._key), len(other._key))
-            )
+                "profile dimensions differ: %d vs %d" % (a[0], b[0]))
+        if a[1] == b[1]:
+            return self._key, other._key, a
+        if a[1] > b[1]:
+            return self._key, _pack(other._digits(), a[1]), a
+        return _pack(self._digits(), b[1]), other._key, b
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, ColorProfile):
+        form = self._form
+        try:
+            if form is other._form:
+                return self._key == other._key
+        except AttributeError:
             return NotImplemented
-        return self._sign == other._sign and self._key == other._key
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
+        if form is None or other._form is None \
+                or form[0] != other._form[0]:
+            return False
+        a, b, _ = self._aligned(other)
+        return a == b
 
     def __hash__(self) -> int:
-        return hash((self._sign, self._key))
+        if self._form is None:
+            return hash(self._key)
+        return hash(self._digits())
 
     def __lt__(self, other: "ColorProfile") -> bool:
-        if not isinstance(other, ColorProfile):
+        form = self._form
+        try:
+            if form is other._form and form is not None:
+                return self._key < other._key
+        except AttributeError:
             return NotImplemented
-        if self._sign or other._sign:
-            return self._sign < other._sign
-        self._require_same_dimension(other)
-        return self._key < other._key
+        if form is None or other._form is None:
+            # an infinity's key is its sign; a finite profile sits at 0
+            return ((0 if form else self._key)
+                    < (0 if other._form else other._key))
+        a, b, _ = self._aligned(other)
+        return a < b
 
     def __le__(self, other: "ColorProfile") -> bool:
         if not isinstance(other, ColorProfile):
             return NotImplemented
-        if self._sign or other._sign:
-            return self._sign <= other._sign
-        self._require_same_dimension(other)
-        return self._key <= other._key
+        return not other < self
 
     def __gt__(self, other: "ColorProfile") -> bool:
-        lt = other.__lt__(self)
-        return lt
+        return other.__lt__(self)
 
     def __ge__(self, other: "ColorProfile") -> bool:
         return other.__le__(self)
 
     def __add__(self, other: "ColorProfile") -> "ColorProfile":
-        if not isinstance(other, ColorProfile):
+        form = self._form
+        try:
+            if form is other._form and form is not None:
+                out = _new(ColorProfile)
+                out._key = self._key + other._key
+                out._form = form
+                return out
+        except AttributeError:
             return NotImplemented
-        if self._sign or other._sign:
-            if self._sign and other._sign and self._sign != other._sign:
+        if form is None or other._form is None:
+            if form is None and other._form is None \
+                    and self._key != other._key:
                 raise ProfileArithmeticError("+inf plus -inf is undefined")
-            return self if self._sign else other
-        self._require_same_dimension(other)
-        a, b = self._key, other._key
-        return ColorProfile(_FIN, tuple(a[i] + b[i] for i in range(len(a))))
+            return self if form is None else other
+        a, b, form = self._aligned(other)
+        return ColorProfile(a + b, form)
 
     def __sub__(self, other: "ColorProfile") -> "ColorProfile":
-        if not isinstance(other, ColorProfile):
+        form = self._form
+        try:
+            if form is other._form and form is not None:
+                out = _new(ColorProfile)
+                out._key = self._key - other._key
+                out._form = form
+                return out
+        except AttributeError:
             return NotImplemented
-        if self._sign or other._sign:
+        if form is None or other._form is None:
             raise ProfileArithmeticError("subtraction needs two finite profiles")
-        self._require_same_dimension(other)
-        a, b = self._key, other._key
-        return ColorProfile(_FIN, tuple(a[i] - b[i] for i in range(len(a))))
+        a, b, form = self._aligned(other)
+        return ColorProfile(a - b, form)
 
     def __str__(self) -> str:
-        if self._sign == _NEG:
-            return "-inf"
-        if self._sign == _POS:
-            return "+inf"
+        if self._form is None:
+            return "+inf" if self._key > 0 else "-inf"
         return "(%s)" % ",".join(str(c) for c in self.counts)
 
     def __repr__(self) -> str:
         return "ColorProfile(%s)" % self
 
 
-NEG_INFINITY = ColorProfile(_NEG, ())
-POS_INFINITY = ColorProfile(_POS, ())
+NEG_INFINITY = ColorProfile(-1, None)
+POS_INFINITY = ColorProfile(1, None)
+
+
+class ProfileBasis:
+    """The zero profile and the unit profiles of one d-color arena of n
+    nodes, all at ``digit_width(n)`` bits and sharing one form, so the
+    values built from them take the fast paths."""
+
+    __slots__ = ("zero", "_form", "_units")
+
+    def __init__(self, d: int, n: int):
+        if d < 1:
+            raise DimensionError("dimension must be at least 1, got %d" % d)
+        self._form = (d, digit_width(n))
+        self.zero = ColorProfile(0, self._form)
+        self._units: dict[int, ColorProfile] = {}
+
+    def unit(self, color: int) -> ColorProfile:
+        """The profile of a single visit to `color`."""
+        found = self._units.get(color)
+        if found is None:
+            d, b = self._form
+            if not 0 <= color < d:
+                raise DimensionError("color %d outside [0, %d)" % (color, d))
+            step = 1 << (b * color)
+            found = ColorProfile(-step if color % 2 else step, self._form)
+            self._units[color] = found
+        return found
 
 
 def compare(a: ColorProfile, b: ColorProfile) -> int:
@@ -154,15 +284,13 @@ def compare(a: ColorProfile, b: ColorProfile) -> int:
     return -1 if a < b else 1
 
 
-@lru_cache(maxsize=None)
 def zero_profile(d: int) -> ColorProfile:
     """The all-zero profile of dimension d: the value of the empty play."""
     if d < 1:
         raise DimensionError("dimension must be at least 1, got %d" % d)
-    return ColorProfile.finite((0,) * d)
+    return ColorProfile(0, (d, _WIDE_DIGITS))
 
 
-@lru_cache(maxsize=None)
 def unit_profile(color: int, d: int) -> ColorProfile:
     """The profile of a single visit to `color` in a d-color game."""
     if d < 1:

@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Mapping
 
 from .arena import EscapeArena, attractor, find_one_dominated_cycle_nodes
 from .errors import InvariantViolation, ReasonablenessError
-from .profiles import ColorProfile, POS_INFINITY, unit_profile, zero_profile
+from .profiles import ColorProfile, POS_INFINITY
 
 Valuation = dict  # node id -> ColorProfile
 
@@ -81,16 +81,11 @@ def is_reasonable(arena: EscapeArena, strategy: Strategy) -> bool:
     return not find_one_dominated_cycle_nodes(view)
 
 
-def _unit_map(arena: EscapeArena) -> dict[int, ColorProfile]:
-    d = arena.d
-    return {v: unit_profile(arena.game.color[v], d) for v in arena.nodes}
-
-
 def apply_operator(arena: EscapeArena, strategy: Strategy,
                    valuation: Valuation) -> Valuation:
     """One simultaneous application of the valuation operator."""
-    unit = _unit_map(arena)
-    out = {arena.sink: zero_profile(arena.d)}
+    unit = arena.unit
+    out = {arena.sink: arena.basis.zero}
     owner_of = arena.game.owner
     for v in arena.nodes:
         if owner_of[v] == 1:
@@ -115,13 +110,12 @@ def valuate_bellman_ford(arena: EscapeArena, strategy: Strategy,
     `on_update` receives (sweep number, node, old value, new value) for
     every change, in the order they are applied.
     """
-    d = arena.d
-    vals: Valuation = {arena.sink: zero_profile(d)}
+    vals: Valuation = {arena.sink: arena.basis.zero}
     for v in arena.nodes:
         vals[v] = POS_INFINITY
 
     owner_of = arena.game.owner
-    unit = _unit_map(arena)
+    unit = arena.unit
     rows = []
     for v in reversed(arena.nodes):
         if owner_of[v] == 1:
@@ -184,7 +178,7 @@ def improvements(arena: EscapeArena, strategy: Strategy,
     between top-valued nodes would be harmless for the valuation but could
     close odd-dominated cycles, which later consistency checks reject.
     """
-    unit = _unit_map(arena)
+    unit = arena.unit
     improving: dict[int, tuple[int, ...]] = {}
     strict: dict[int, tuple[int, ...]] = {}
     for v in arena.player0_nodes:
@@ -227,8 +221,7 @@ def valuate_dijkstra(arena: EscapeArena, strategy: Strategy,
     successors are settled, at the maximum over them.  Ties settle the
     smallest node id first.  Off that region the value is unbounded.
     """
-    d = arena.d
-    zero = zero_profile(d)
+    zero = arena.basis.zero
     sink = arena.sink
     view = arena.strategy_view(strategy.choices)
     members = attractor(view, 1, (sink,)).members
@@ -243,7 +236,7 @@ def valuate_dijkstra(arena: EscapeArena, strategy: Strategy,
                 "node %d is infinite in the base valuation but lies in the "
                 "sink region of the improved strategy" % v)
 
-    unit = _unit_map(arena)
+    unit = arena.unit
     owner_of = arena.game.owner
     weight: dict[tuple[int, int], ColorProfile] = {}
     preds: dict[int, list[int]] = {v: [] for v in members}
@@ -310,7 +303,7 @@ def response_strategy(arena: EscapeArena, strategy: Strategy,
     """Player-1 edges that realize the valuation: for each player-1 node
     the targets whose value plus the node's color equals the node's value.
     Every player-1 node keeps at least one such edge."""
-    unit = _unit_map(arena)
+    unit = arena.unit
     tau: dict[int, tuple[int, ...]] = {}
     for v in arena.player1_nodes:
         here = valuation[v]

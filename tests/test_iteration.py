@@ -1,5 +1,6 @@
 """The improvement loop: policies, solving, extraction, replay checks."""
 
+import math
 import random
 
 import pytest
@@ -213,6 +214,23 @@ def test_step_bound_values():
     assert _step_bound(0, 3) == 0.0
     assert _step_bound(4, 2) == 4 * 3.0 ** 2
     assert _step_bound(6, 3) == 6 * 3.0 ** 3
+    assert _step_bound(933, 2000) == math.inf
+
+
+def test_solve_where_the_step_bound_overflows_a_float():
+    game = random_game(random.Random(2), 1200, 4, 1200, 0.6)
+    arena = preprocess(build_escape_arena(game)).arena
+    assert _step_bound(len(arena.nodes), arena.d) == math.inf
+    result = solve(game)
+    assert result.w0 and result.w1
+    replay_verify(game, result)
+
+
+@pytest.mark.slow
+def test_solve_and_replay_at_100k_nodes():
+    game = random_game(random.Random(100_000), 100_000, 4, 6)
+    result = solve(game)
+    replay_verify(game, result)
 
 
 # -------------------------------------------------------------- extraction

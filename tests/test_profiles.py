@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from pgsi import (NEG_INFINITY, POS_INFINITY, ColorProfile, compare,
                   path_value, unit_profile, zero_profile)
 from pgsi.errors import DimensionError, ProfileArithmeticError
+from pgsi.profiles import ProfileBasis, digit_width
 
 
 def fin(*counts):
@@ -169,6 +170,91 @@ def test_cycle_value_sign_matches_top_color_parity(case):
         assert value > zero_profile(d)
     else:
         assert value < zero_profile(d)
+
+
+# --------------------------------------------------------- packed encoding
+
+# The basis of a 4-color, 2-node arena: 6-bit digits, the largest TOP.
+SMALL = ProfileBasis(4, 2)
+TOP = 2 ** (digit_width(2) - 1) - 1
+
+
+def at_small_width(counts):
+    # built by unit steps from the basis, as the solver builds its values
+    p = SMALL.zero
+    for color, k in enumerate(counts):
+        unit = SMALL.unit(color)
+        for _ in range(abs(k)):
+            p = p + unit if k > 0 else p - unit
+    return p
+
+
+small_counts = st.lists(
+    st.one_of(st.sampled_from((-TOP, TOP)), st.integers(-TOP, TOP)),
+    min_size=4, max_size=4)
+
+
+@st.composite
+def fitting_pairs(draw):
+    """Two count vectors whose sum and difference still fit the width."""
+    a = draw(small_counts)
+    b = [draw(st.integers(-(TOP - abs(x)), TOP - abs(x))) for x in a]
+    return a, b
+
+
+def test_digit_width_of_small_arenas():
+    assert [digit_width(n) for n in range(4)] == [2, 4, 6, 6]
+    assert TOP == 31
+
+
+@given(small_counts, small_counts)
+def test_packed_order_matches_reference_at_extreme_digits(a, b):
+    pa, pb = at_small_width(a), at_small_width(b)
+    assert pa.counts == tuple(a)
+    assert compare(pa, pb) == reference_compare(tuple(a), tuple(b))
+
+
+@given(fitting_pairs())
+def test_packed_arithmetic_is_componentwise_at_extreme_digits(pair):
+    a, b = pair
+    pa, pb = at_small_width(a), at_small_width(b)
+    assert (pa + pb).counts == tuple(x + y for x, y in zip(a, b))
+    assert (pa - pb).counts == tuple(x - y for x, y in zip(a, b))
+    assert compare(pa + pb, pa - pb) == reference_compare(
+        tuple(x + y for x, y in zip(a, b)), tuple(x - y for x, y in zip(a, b)))
+
+
+def test_finite_refuses_counts_beyond_the_digit_width():
+    top = 2 ** 63 - 1
+    assert fin(top, -top).counts == (top, -top)
+    for count in (top + 1, -top - 1):
+        with pytest.raises(DimensionError):
+            fin(0, count)
+
+
+def test_equal_profiles_of_different_widths():
+    narrow = at_small_width([3, -2, 0, 5])
+    wide = fin(3, -2, 0, 5)
+    assert narrow == wide and wide == narrow
+    assert not narrow != wide
+    assert hash(narrow) == hash(wide)
+    assert len({narrow, wide}) == 1
+    assert narrow != at_small_width([3, -2, 0, 4])
+    assert narrow != fin(3, -2, 5)
+    assert narrow + wide == fin(6, -4, 0, 10)
+    assert wide - narrow == zero_profile(4)
+    assert narrow < wide + unit_profile(0, 4)
+    assert not narrow < wide and narrow <= wide
+    with pytest.raises(DimensionError):
+        narrow < fin(3, -2, 5)
+
+
+def test_unit_profiles_at_the_solver_width():
+    assert SMALL.unit(0) == unit_profile(0, 4)
+    assert SMALL.unit(3) == unit_profile(3, 4)
+    assert SMALL.zero == zero_profile(4)
+    with pytest.raises(DimensionError):
+        SMALL.unit(4)
 
 
 # ---------------------------------------------------------------- plumbing

@@ -127,6 +127,38 @@ def test_unreasonable_strategy_is_rejected():
         valuate_bellman_ford(arena, strategy)
 
 
+def test_unreasonable_strategy_is_rejected_within_the_digit_width():
+    # A player-1 cycle of color 1 whose edges all lead to higher ids but
+    # one: each descending sweep carries the decrease once around the
+    # whole cycle, so the color-1 count nears the n(n + 1) that the
+    # arena's digit width is sized for.  A wide-digit shadow run checks
+    # every update.
+    k = 40
+    game = ParityGame((1,) * k + (0,), (1,) * k + (0,),
+                      tuple(((i + 1) % k, k) for i in range(k)) + ((0,),))
+    arena = arena_of(game)
+    strategy = initial_strategy(arena)
+    wide_unit = {v: unit_profile(arena.game.color[v], arena.d)
+                 for v in arena.nodes}
+    shadow = {arena.sink: zero_profile(arena.d)}
+    shadow.update((v, POS_INFINITY) for v in arena.nodes)
+    peak = 0
+
+    def check(sweep, v, old, new):
+        nonlocal peak
+        if game.owner[v] == 1:
+            best = min(shadow[t] for t in arena.succ[v])
+        else:
+            best = max(shadow[t] for t in strategy.choices[v])
+        shadow[v] = wide_unit[v] + best
+        assert new == shadow[v]
+        peak = max(peak, *map(abs, new.counts))
+
+    with pytest.raises(ReasonablenessError):
+        valuate_bellman_ford(arena, strategy, on_update=check)
+    assert peak >= k * k
+
+
 @settings(max_examples=150, deadline=None)
 @given(parity_games())
 def test_valuation_is_an_operator_fixpoint(game):
