@@ -6,45 +6,23 @@ better edges until no strict improvement remains; the unbounded nodes
 are then exactly player 0's winning set.
 """
 
-from .arena import (AttractorResult, EscapeArena, GraphView, ParityGame,
-                    PreprocessResult, attractor, build_escape_arena,
-                    dominated_cycle_strategy, find_dominated_cycle_nodes,
-                    find_one_dominated_cycle_nodes, parse_pgsolver,
-                    preprocess, serialize_pgsolver)
+from .arena import ParityGame, parse_pgsolver, serialize_pgsolver
 from .errors import (DimensionError, EnumerationTooLarge, FormatError,
                      InstanceTooLarge, InvariantViolation,
                      ProfileArithmeticError, ReasonablenessError, SolverError)
-from .iteration import (AllSwitches, DeterministicAll, IterationRecord,
-                        SingleRandom, SolveResult, enumerate_direct_improvements,
-                        extract_deterministic, policy_by_name, replay_verify,
-                        solve)
-from .oracle import (CrosscheckReport, OracleResult, crosscheck, oracle_solve)
-from .profiles import (NEG_INFINITY, POS_INFINITY, ColorProfile, compare,
-                       path_value, unit_profile, zero_profile)
-from .valuation import (ImprovementSets, Strategy, Valuation, apply_operator,
-                        improvements, initial_strategy, is_reasonable,
-                        response_strategy, valuate_bellman_ford,
-                        valuate_dijkstra, valuate_dijkstra_update,
-                        valuation_to_json)
+from .iteration import (AllSwitches, DeterministicAll, SingleRandom,
+                        SolveResult, policy_by_name, replay_verify, solve)
+from .oracle import crosscheck, oracle_solve
+from .profiles import NEG_INFINITY, POS_INFINITY, ColorProfile
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllSwitches", "AttractorResult", "ColorProfile", "CrosscheckReport",
-    "DeterministicAll", "DimensionError", "EnumerationTooLarge",
-    "EscapeArena", "FormatError", "GraphView", "ImprovementSets",
-    "InstanceTooLarge", "InvariantViolation", "IterationRecord",
-    "NEG_INFINITY", "OracleResult", "POS_INFINITY", "ParityGame",
-    "PreprocessResult", "ProfileArithmeticError", "ReasonablenessError",
-    "SingleRandom", "SolveResult", "SolverError", "Strategy", "Valuation",
-    "apply_operator", "attractor", "build_escape_arena", "compare",
-    "crosscheck",
-    "dominated_cycle_strategy", "enumerate_direct_improvements",
-    "extract_deterministic", "find_dominated_cycle_nodes",
-    "find_one_dominated_cycle_nodes", "improvements", "initial_strategy",
-    "is_reasonable", "oracle_solve", "parse_pgsolver", "path_value",
-    "policy_by_name", "preprocess", "replay_verify", "response_strategy",
-    "serialize_pgsolver", "solve", "unit_profile", "valuate_bellman_ford",
-    "valuate_dijkstra", "valuate_dijkstra_update", "valuation_to_json",
-    "zero_profile",
+    "AllSwitches", "ColorProfile", "DeterministicAll", "DimensionError",
+    "EnumerationTooLarge", "FormatError", "InstanceTooLarge",
+    "InvariantViolation", "NEG_INFINITY", "POS_INFINITY", "ParityGame",
+    "ProfileArithmeticError", "ReasonablenessError", "SingleRandom",
+    "SolveResult", "SolverError", "crosscheck", "oracle_solve",
+    "parse_pgsolver", "policy_by_name", "replay_verify",
+    "serialize_pgsolver", "solve",
 ]

@@ -188,12 +188,6 @@ class EscapeArena:
     def d(self) -> int:
         return self.game.d
 
-    def owner(self, v: int) -> int:
-        return 0 if v == self.sink else self.game.owner[v]
-
-    def color(self, v: int) -> int:
-        return self.game.color[v]
-
     @cached_property
     def player0_nodes(self) -> tuple[int, ...]:
         return tuple(v for v in self.nodes if self.game.owner[v] == 0)
@@ -463,7 +457,6 @@ class PreprocessResult:
 
     arena: EscapeArena
     pre_won: frozenset[int]
-    dominated: frozenset[int]
     attractor: AttractorResult
     dominated_strategy: dict[int, int]
 
@@ -479,8 +472,7 @@ def preprocess(arena: EscapeArena) -> PreprocessResult:
     among player-1 nodes, which the function asserts.
     """
     dom_strategy = dominated_cycle_strategy(arena.player1_view())
-    dominated = frozenset(dom_strategy)
-    att = attractor(arena.game_view(), 1, sorted(dominated))
+    att = attractor(arena.game_view(), 1, sorted(dom_strategy))
     pre_won = att.members
     reduced = arena.restrict(v for v in arena.nodes if v not in pre_won)
     for v in reduced.player1_nodes:
@@ -488,7 +480,7 @@ def preprocess(arena: EscapeArena) -> PreprocessResult:
             raise InvariantViolation("surviving player-1 node %d lost all successors" % v)
     if find_one_dominated_cycle_nodes(reduced.player1_view()):
         raise InvariantViolation("reduced arena still has an odd player-1 cycle")
-    return PreprocessResult(reduced, pre_won, dominated, att, dom_strategy)
+    return PreprocessResult(reduced, pre_won, att, dom_strategy)
 
 
 def reachable(succ: Mapping[int, tuple[int, ...]], starts: Iterable[int]) -> set[int]:

@@ -13,13 +13,11 @@ import random
 import sys
 import time
 
-from .arena import (ParityGame, build_escape_arena, parse_pgsolver,
-                    preprocess, serialize_pgsolver)
+from .arena import ParityGame, parse_pgsolver, serialize_pgsolver
 from .errors import FormatError, InstanceTooLarge, SolverError
-from .iteration import (BACKENDS, POLICY_NAMES, _step_bound, policy_by_name,
-                        solve)
+from .iteration import (BACKEND_BELLMAN_FORD, BACKENDS, POLICY_NAMES,
+                        _step_bound, policy_by_name, solve)
 from .oracle import DEFAULT_CAP, crosscheck
-from .valuation import improvements, initial_strategy, valuate_bellman_ford
 
 # Observed growth base for the all-switches policy on out-degree-2 games;
 # bench reports how far below `3 * base ** |V0|` measured runs stay.
@@ -209,41 +207,45 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    """Print every valuation of a `solve` run on the reference backend.
+
+    The escape sink is node `game.n`, after every game node, so a sorted
+    valuation lists the arena nodes first and the sink ("bot") last.
+    Lines are buffered because the pre-won line, known only once `solve`
+    returns, comes first; they are printed even if `solve` fails.
+    """
     game = _read_game(args.file)
     policy = policy_by_name(args.policy, args.seed)
-    prep = preprocess(build_escape_arena(game))
-    arena = prep.arena
-    if prep.pre_won:
-        print("pre-won by player 1: %s" % _format_ids(sorted(prep.pre_won)))
-    if not arena.nodes:
-        print("iterations: 0")
-        return 0
+    sink = game.n
+    lines: list[str] = []
 
     def label(v: int) -> str:
-        return "bot" if v == arena.sink else str(v)
+        return "bot" if v == sink else str(v)
 
-    hook = None
+    def on_iteration(iteration, strategy, vals, imps):
+        lines.append("iteration %d" % iteration)
+        for v in sorted(vals):
+            lines.append("  %s: %s" % (label(v), vals[v]))
+        strict = " ".join("%d->%s" % (v, label(t))
+                          for v, t in imps.strict_edges())
+        lines.append("  strict: %s" % (strict or "(none)"))
+
+    on_update = None
     if args.updates:
-        def hook(sweep, v, old, new):
-            print("  sweep %d: %s: %s -> %s" % (sweep, label(v), old, new))
+        def on_update(sweep, v, old, new):
+            lines.append("  sweep %d: %s: %s -> %s"
+                         % (sweep, label(v), old, new))
 
-    sigma = initial_strategy(arena)
-    iteration = 0
-    while True:
-        vals = valuate_bellman_ford(arena, sigma, on_update=hook)
-        iteration += 1
-        print("iteration %d" % iteration)
-        for v in arena.nodes:
-            print("  %d: %s" % (v, vals[v]))
-        print("  bot: %s" % vals[arena.sink])
-        imps = improvements(arena, sigma, vals)
-        if not imps.has_strict:
-            print("  strict: (none)")
-            break
-        print("  strict: %s" % " ".join(
-            "%d->%s" % (v, label(t)) for v, t in imps.strict_edges()))
-        sigma = policy.pick(arena, sigma, vals, imps)
-    print("iterations: %d" % iteration)
+    try:
+        result = solve(game, policy, backend=BACKEND_BELLMAN_FORD,
+                       on_iteration=on_iteration, on_update=on_update)
+        pre_won = sorted(set(range(game.n)) - result.valuation.keys())
+        if pre_won:
+            lines.insert(0, "pre-won by player 1: %s" % _format_ids(pre_won))
+        lines.append("iterations: %d" % result.iterations)
+    finally:
+        for line in lines:
+            print(line)
     return 0
 
 
@@ -251,7 +253,6 @@ def _add_policy_options(sub) -> None:
     sub.add_argument("--policy", choices=POLICY_NAMES, default=POLICY_NAMES[0])
     sub.add_argument("--seed", type=int, default=None,
                      help="seed for the single-random policy")
-    sub.add_argument("--backend", choices=BACKENDS, default=BACKENDS[0])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve one game file")
     p_solve.add_argument("file", help="game file in pgsolver format, - for stdin")
     _add_policy_options(p_solve)
+    p_solve.add_argument("--backend", choices=BACKENDS, default=BACKENDS[0])
     p_solve.add_argument("--audit-every", type=int, default=16,
                          help="cross-check the fast valuation every N "
                               "iterations (0 disables)")

@@ -22,9 +22,10 @@ from .arena import (EscapeArena, GraphView, ParityGame, build_escape_arena,
                     find_dominated_cycle_nodes, preprocess, reachable)
 from .errors import EnumerationTooLarge, InvariantViolation
 from .profiles import POS_INFINITY
-from .valuation import (ImprovementSets, Strategy, Valuation, improvements,
-                        initial_strategy, is_reasonable, response_strategy,
-                        valuate_bellman_ford, valuate_dijkstra)
+from .valuation import (ImprovementSets, Strategy, UpdateHook, Valuation,
+                        improvements, initial_strategy, is_reasonable,
+                        response_strategy, valuate_bellman_ford,
+                        valuate_dijkstra)
 
 BACKEND_DIJKSTRA = "dijkstra"
 BACKEND_BELLMAN_FORD = "bellman-ford"
@@ -108,12 +109,9 @@ class IterationRecord:
     strict_sources: int
     wall_time: float
 
-    def to_json(self, include_wall_time: bool = False) -> dict:
-        record = {"iteration": self.iteration, "strict_edges": self.strict_edges,
-                  "strict_sources": self.strict_sources}
-        if include_wall_time:
-            record["wall_time"] = self.wall_time
-        return record
+    def to_json(self) -> dict:
+        return {"iteration": self.iteration, "strict_edges": self.strict_edges,
+                "strict_sources": self.strict_sources}
 
 
 @dataclass
@@ -129,7 +127,7 @@ class SolveResult:
     policy: str
     stats: list[IterationRecord] = field(default_factory=list)
 
-    def to_json(self, include_wall_time: bool = False) -> dict:
+    def to_json(self) -> dict:
         return {
             "w0": list(self.w0),
             "w1": list(self.w1),
@@ -137,7 +135,7 @@ class SolveResult:
             "strategy1": dict(self.strategy1),
             "iterations": self.iterations,
             "policy": self.policy,
-            "stats": [r.to_json(include_wall_time) for r in self.stats],
+            "stats": [r.to_json() for r in self.stats],
         }
 
 
@@ -235,7 +233,8 @@ def _check_progress(prev: Valuation, new: Valuation, switched: set[int]) -> None
 
 def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
           audit_every: int = 16,
-          on_iteration: IterationHook | None = None) -> SolveResult:
+          on_iteration: IterationHook | None = None,
+          on_update: UpdateHook | None = None) -> SolveResult:
     """Solve a parity game: winning sets for both players, a deterministic
     winning strategy each, the final valuation and per-iteration stats.
 
@@ -243,7 +242,8 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
     iteration; with the fast path every `audit_every`-th iteration is
     recomputed by the reference route and compared bit for bit (0
     disables auditing).  `on_iteration` sees every (iteration, strategy,
-    valuation, improvement sets) tuple as the run unfolds.
+    valuation, improvement sets) tuple as the run unfolds; `on_update`
+    is handed to every reference valuation and sees its single updates.
     """
     if backend not in BACKENDS:
         raise ValueError("unknown backend %r" % backend)
@@ -265,11 +265,13 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
         while True:
             started = time.perf_counter()
             if current is None or backend == BACKEND_BELLMAN_FORD:
-                new_vals = valuate_bellman_ford(arena, sigma)
+                new_vals = valuate_bellman_ford(arena, sigma,
+                                                on_update=on_update)
             else:
                 new_vals = valuate_dijkstra(arena, sigma, current)
                 if audit_every and (iterations + 1) % audit_every == 0:
-                    audit = valuate_bellman_ford(arena, sigma)
+                    audit = valuate_bellman_ford(arena, sigma,
+                                                 on_update=on_update)
                     if audit != new_vals:
                         raise InvariantViolation(
                             "accelerated valuation disagrees with the "
@@ -320,7 +322,7 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
                 strategy1[v] = tau[v][0]
     for v in sorted(prep.pre_won):
         if game.owner[v] == 1:
-            if v in prep.dominated:
+            if v in prep.dominated_strategy:
                 strategy1[v] = prep.dominated_strategy[v]
             else:
                 strategy1[v] = prep.attractor.strategy[v]

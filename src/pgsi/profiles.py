@@ -277,13 +277,6 @@ class ProfileBasis:
         return found
 
 
-def compare(a: ColorProfile, b: ColorProfile) -> int:
-    """Three-way comparison in the game order: -1, 0 or +1."""
-    if a == b:
-        return 0
-    return -1 if a < b else 1
-
-
 def zero_profile(d: int) -> ColorProfile:
     """The all-zero profile of dimension d: the value of the empty play."""
     if d < 1:

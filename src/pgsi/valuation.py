@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 from .arena import EscapeArena, attractor, find_one_dominated_cycle_nodes
 from .errors import InvariantViolation, ReasonablenessError
@@ -50,20 +50,9 @@ class Strategy:
             choices[v] = targets
         return cls(choices)
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for v in sorted(self.choices):
-            for t in self.choices[v]:
-                yield v, t
-
-    def has_edge(self, v: int, t: int) -> bool:
-        return t in self.choices.get(v, ())
-
     @property
     def is_deterministic(self) -> bool:
         return all(len(ts) == 1 for ts in self.choices.values())
-
-    def edge_count(self) -> int:
-        return sum(len(ts) for ts in self.choices.values())
 
 
 def initial_strategy(arena: EscapeArena) -> Strategy:
@@ -238,37 +227,39 @@ def valuate_dijkstra(arena: EscapeArena, strategy: Strategy,
 
     unit = arena.unit
     owner_of = arena.game.owner
-    weight: dict[tuple[int, int], ColorProfile] = {}
     preds: dict[int, list[int]] = {v: [] for v in members}
     pending: dict[int, int] = {}
     for v in sorted(members):
         if v == sink:
             continue
-        base = base_valuation[v]
         targets = [t for t in view.succ[v] if t in members]
         if owner_of[v] == 0:
             # all kept successors of an attracted player-0 node are attracted
             pending[v] = len(targets)
         for t in targets:
-            w = (unit[v] + base_valuation[t]) - base
-            if w < zero:
-                raise InvariantViolation(
-                    "edge (%d,%d) has negative weight; the strategy is not a "
-                    "direct improvement over the base valuation" % (v, t))
-            weight[(v, t)] = w
             preds[t].append(v)
 
-    growth: dict[int, ColorProfile] = {}
+    # Every member settles, so each edge's weight is formed and checked
+    # exactly once, when its target settles.
+    settled: set[int] = set()
     tentative: dict[int, ColorProfile] = {}
     best: dict[int, ColorProfile] = {}
     heap: list[tuple[ColorProfile, int]] = [(zero, sink)]
     while heap:
         dv, v = heapq.heappop(heap)
-        if v in growth:
+        if v in settled:
             continue
-        growth[v] = dv
+        settled.add(v)
+        there = base_valuation[v]
+        if v != sink:
+            out[v] = there + dv
         for s in preds[v]:
-            cand = weight[(s, v)] + dv
+            w = (unit[s] + there) - base_valuation[s]
+            if w < zero:
+                raise InvariantViolation(
+                    "edge (%d,%d) has negative weight; the strategy is not a "
+                    "direct improvement over the base valuation" % (s, v))
+            cand = w + dv
             if owner_of[s] == 1:
                 cur = tentative.get(s)
                 if cur is None or cand < cur:
@@ -281,21 +272,9 @@ def valuate_dijkstra(arena: EscapeArena, strategy: Strategy,
                 pending[s] -= 1
                 if pending[s] == 0:
                     heapq.heappush(heap, (best[s], s))
-    if len(growth) != len(members):
+    if len(settled) != len(members):
         raise InvariantViolation("Dijkstra sweep failed to settle the sink region")
-
-    for v in members:
-        if v != sink:
-            out[v] = base_valuation[v] + growth[v]
     return out
-
-
-def valuate_dijkstra_update(arena: EscapeArena, strategy: Strategy,
-                            valuation: Valuation) -> Valuation:
-    """Valuation of the full improving edge set of `strategy`, derived from
-    `strategy`'s own valuation by the accelerated sweep."""
-    imps = improvements(arena, strategy, valuation)
-    return valuate_dijkstra(arena, imps.improving, valuation)
 
 
 def response_strategy(arena: EscapeArena, strategy: Strategy,
@@ -315,8 +294,3 @@ def response_strategy(arena: EscapeArena, strategy: Strategy,
                 "is not a fixpoint" % v)
         tau[v] = tuple(sorted(picks))
     return tau
-
-
-def valuation_to_json(valuation: Valuation) -> dict[str, str]:
-    """Render a valuation as a JSON-friendly {node id: profile text} map."""
-    return {str(v): str(valuation[v]) for v in sorted(valuation)}

@@ -10,15 +10,17 @@ import time
 
 import pytest
 
-from pgsi import (build_escape_arena, enumerate_direct_improvements,
-                  extract_deterministic, improvements, initial_strategy,
-                  is_reasonable, oracle_solve, parse_pgsolver, path_value,
-                  policy_by_name, preprocess, replay_verify, serialize_pgsolver,
-                  solve, valuate_bellman_ford, valuate_dijkstra_update,
-                  zero_profile)
+from pgsi import (oracle_solve, parse_pgsolver, policy_by_name, replay_verify,
+                  serialize_pgsolver, solve)
+from pgsi.arena import build_escape_arena, preprocess
 from pgsi.cli import DEG2_BASE, generate_game, main, random_game
-from pgsi.iteration import BACKENDS, POLICY_NAMES
-from pgsi.profiles import ColorProfile, NEG_INFINITY, POS_INFINITY
+from pgsi.iteration import (BACKENDS, POLICY_NAMES,
+                            enumerate_direct_improvements,
+                            extract_deterministic)
+from pgsi.profiles import (ColorProfile, NEG_INFINITY, POS_INFINITY,
+                           path_value, zero_profile)
+from pgsi.valuation import (improvements, initial_strategy, is_reasonable,
+                            valuate_bellman_ford, valuate_dijkstra)
 
 
 CORPUS_SIZE = 1000
@@ -127,7 +129,7 @@ def reference_walks(corpus):
         valuation = checked_bellman_ford(strategy)
         for _ in range(4096):
             imps = improvements(arena, strategy, valuation)
-            fast = valuate_dijkstra_update(arena, strategy, valuation)
+            fast = valuate_dijkstra(arena, imps.improving, valuation)
             reference = checked_bellman_ford(imps.improving)
             comparisons += 1
             if fast != reference:

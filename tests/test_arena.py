@@ -5,10 +5,10 @@ import sys
 import pytest
 from hypothesis import given, settings
 
-from pgsi import (GraphView, ParityGame, attractor, build_escape_arena,
-                  dominated_cycle_strategy, find_dominated_cycle_nodes,
-                  find_one_dominated_cycle_nodes, oracle_solve,
-                  parse_pgsolver, preprocess, serialize_pgsolver)
+from pgsi import ParityGame, oracle_solve, parse_pgsolver, serialize_pgsolver
+from pgsi.arena import (GraphView, attractor, build_escape_arena,
+                        dominated_cycle_strategy, find_dominated_cycle_nodes,
+                        find_one_dominated_cycle_nodes, preprocess)
 from pgsi.errors import FormatError, InvariantViolation
 
 from conftest import parity_games
@@ -96,7 +96,7 @@ def test_escape_arena_shape():
     assert arena.nodes == (0, 1, 2)
     assert sorted(arena.escape_choices) == [0, 2]  # only player-0 escapes
     assert arena.escape_choices[0] == (1, 3)
-    assert arena.owner(3) == 0
+    assert arena.strategy_view(arena.escape_choices).owner[3] == 0
     assert arena.succ[1] == (2,)  # base edges untouched
 
 
@@ -301,7 +301,6 @@ def test_preprocess_removes_odd_player1_loop():
     prep = preprocess(build_escape_arena(ParityGame((1,), (1,), ((0,),))))
     assert prep.pre_won == frozenset((0,))
     assert prep.arena.nodes == ()
-    assert prep.dominated == frozenset((0,))
     assert prep.dominated_strategy == {0: 0}
 
 

@@ -5,14 +5,20 @@ import json
 
 import pytest
 
-from pgsi import CrosscheckReport, ParityGame, parse_pgsolver, serialize_pgsolver
+from pgsi import (ParityGame, parse_pgsolver, policy_by_name,
+                  serialize_pgsolver, solve)
 from pgsi.cli import fuzz_game, generate_game, main
 from pgsi.errors import InvariantViolation
+from pgsi.oracle import CrosscheckReport
 
 TWO_NODE = ParityGame((0, 1), (1, 2), ((1,), (0,)))
 ODD_LOOP = ParityGame((0,), (1,), ((0,),))
 EVEN_LOOP2 = ParityGame((0,), (2,), ((0,),))
 ODD_TRAP = ParityGame((1,), (1,), ((0,),))
+# node 0 is a player-1 odd loop, won before iterating; player-0 node 1
+# escapes the trap by its even loop, 2 follows it, 3 is stuck on an odd loop
+TRAP_AND_LOOPS = ParityGame((1, 0, 0, 0), (1, 2, 0, 1),
+                            ((0,), (0, 1), (1,), (3,)))
 
 
 def write_game(tmp_path, game, name="game.gm"):
@@ -315,3 +321,61 @@ def test_trace_updates_flag_shows_sweeps(tmp_path, capsys):
     code, out, _ = run(capsys, "trace", path, "--updates")
     assert code == 0
     assert "  sweep 1: 0: +inf -> (0,0,1)\n" in out
+
+
+def test_trace_pre_won_then_iterations(tmp_path, capsys):
+    path = write_game(tmp_path, TRAP_AND_LOOPS)
+    code, out, err = run(capsys, "trace", path, "--updates")
+    assert code == 0 and err == ""
+    assert out == ("pre-won by player 1: 0\n"
+                   "  sweep 1: 3: +inf -> (0,1,0)\n"
+                   "  sweep 1: 2: +inf -> (1,0,0)\n"
+                   "  sweep 1: 1: +inf -> (0,0,1)\n"
+                   "iteration 1\n"
+                   "  1: (0,0,1)\n"
+                   "  2: (1,0,0)\n"
+                   "  3: (0,1,0)\n"
+                   "  bot: (0,0,0)\n"
+                   "  strict: 1->1 2->1\n"
+                   "  sweep 1: 3: +inf -> (0,1,0)\n"
+                   "iteration 2\n"
+                   "  1: +inf\n"
+                   "  2: +inf\n"
+                   "  3: (0,1,0)\n"
+                   "  bot: (0,0,0)\n"
+                   "  strict: (none)\n"
+                   "iterations: 2\n")
+
+
+def test_trace_counts_the_iterations_of_solve(tmp_path, capsys):
+    for seed in range(30):
+        game = fuzz_game(seed)
+        path = write_game(tmp_path, game)
+        for policy in ("all-switches", "deterministic-all", "single-random"):
+            code, out, _ = run(capsys, "trace", path, "--policy", policy,
+                               "--seed", str(seed))
+            assert code == 0
+            expected = solve(game, policy_by_name(policy, seed),
+                             backend="bellman-ford").iterations
+            assert out.splitlines()[-1] == "iterations: %d" % expected
+
+
+def test_trace_prints_iterations_of_a_rejected_run(tmp_path, capsys,
+                                                   monkeypatch):
+    # a policy that switches nothing is rejected after the first iteration
+    monkeypatch.setattr("pgsi.iteration.AllSwitches.pick",
+                        lambda self, arena, strategy, vals, imps: strategy)
+    path = write_game(tmp_path, EVEN_LOOP2)
+    code, out, err = run(capsys, "trace", path)
+    assert code == 3
+    assert out == ("iteration 1\n"
+                   "  0: (0,0,1)\n"
+                   "  bot: (0,0,0)\n"
+                   "  strict: 0->0\n")
+    assert err == "internal error: policy applied no strict improvement\n"
+
+
+def test_trace_has_no_backend_option(tmp_path, capsys):
+    path = write_game(tmp_path, EVEN_LOOP2)
+    code, _, _ = run(capsys, "trace", path, "--backend", "dijkstra")
+    assert code == 2

@@ -7,13 +7,17 @@ import pytest
 from hypothesis import given, settings
 
 from pgsi import (AllSwitches, ColorProfile, DeterministicAll, POS_INFINITY,
-                  ParityGame, SingleRandom, Strategy, build_escape_arena,
-                  enumerate_direct_improvements, extract_deterministic,
-                  improvements, initial_strategy, policy_by_name, preprocess,
-                  replay_verify, solve, valuate_bellman_ford, zero_profile)
+                  ParityGame, SingleRandom, policy_by_name, replay_verify,
+                  solve)
+from pgsi.arena import build_escape_arena, preprocess
 from pgsi.cli import random_game
 from pgsi.errors import EnumerationTooLarge, InvariantViolation
-from pgsi.iteration import BACKENDS, POLICY_NAMES, _step_bound
+from pgsi.iteration import (BACKENDS, POLICY_NAMES, _step_bound,
+                            enumerate_direct_improvements,
+                            extract_deterministic)
+from pgsi.profiles import zero_profile
+from pgsi.valuation import (Strategy, improvements, initial_strategy,
+                            valuate_bellman_ford)
 
 from conftest import parity_games
 
@@ -329,5 +333,3 @@ def test_result_json_shape():
     assert len(data["stats"]) == result.iterations
     for record in data["stats"]:
         assert set(record) == {"iteration", "strict_edges", "strict_sources"}
-    timed = result.to_json(include_wall_time=True)
-    assert all("wall_time" in record for record in timed["stats"])

@@ -5,12 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from pgsi import (CrosscheckReport, GraphView, ParityGame, crosscheck,
-                  find_one_dominated_cycle_nodes, oracle_solve,
-                  policy_by_name, solve)
+from pgsi import ParityGame, crosscheck, oracle_solve, policy_by_name, solve
+from pgsi.arena import GraphView, find_one_dominated_cycle_nodes
 from pgsi.cli import random_game
 from pgsi.errors import InstanceTooLarge
 from pgsi.iteration import BACKENDS
+from pgsi.oracle import CrosscheckReport
 
 from conftest import parity_games
 

@@ -3,10 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pgsi import (NEG_INFINITY, POS_INFINITY, ColorProfile, compare,
-                  path_value, unit_profile, zero_profile)
+from pgsi import NEG_INFINITY, POS_INFINITY, ColorProfile
 from pgsi.errors import DimensionError, ProfileArithmeticError
-from pgsi.profiles import ProfileBasis, digit_width
+from pgsi.profiles import (ProfileBasis, digit_width, path_value, unit_profile,
+                           zero_profile)
 
 
 def fin(*counts):
@@ -50,7 +50,8 @@ def test_negative_infinity_below_everything():
 
 def test_equal_profiles():
     assert fin(2, 7, 1) == fin(2, 7, 1)
-    assert compare(fin(2, 7, 1), fin(2, 7, 1)) == 0
+    a, b = fin(2, 7, 1), fin(2, 7, 1)
+    assert (a > b) - (a < b) == 0
 
 
 def test_compare_mismatched_dimensions_rejected():
@@ -60,14 +61,14 @@ def test_compare_mismatched_dimensions_rejected():
 
 @given(finite_counts, finite_counts)
 def test_order_matches_reference(a, b):
-    got = compare(fin(*a), fin(*b))
-    assert got == reference_compare(tuple(a), tuple(b))
+    pa, pb = fin(*a), fin(*b)
+    assert (pa > pb) - (pa < pb) == reference_compare(tuple(a), tuple(b))
 
 
 @given(profiles3, profiles3, profiles3)
 def test_total_order_axioms(a, b, c):
-    assert (compare(a, b) == 0) == (a == b)
-    assert compare(a, b) == -compare(b, a)
+    assert ((a > b) - (a < b) == 0) == (a == b)
+    assert (a > b) - (a < b) == -((b > a) - (b < a))
     if a <= b and b <= c:
         assert a <= c
     assert a < b or b < a or a == b
@@ -211,7 +212,7 @@ def test_digit_width_of_small_arenas():
 def test_packed_order_matches_reference_at_extreme_digits(a, b):
     pa, pb = at_small_width(a), at_small_width(b)
     assert pa.counts == tuple(a)
-    assert compare(pa, pb) == reference_compare(tuple(a), tuple(b))
+    assert (pa > pb) - (pa < pb) == reference_compare(tuple(a), tuple(b))
 
 
 @given(fitting_pairs())
@@ -220,7 +221,8 @@ def test_packed_arithmetic_is_componentwise_at_extreme_digits(pair):
     pa, pb = at_small_width(a), at_small_width(b)
     assert (pa + pb).counts == tuple(x + y for x, y in zip(a, b))
     assert (pa - pb).counts == tuple(x - y for x, y in zip(a, b))
-    assert compare(pa + pb, pa - pb) == reference_compare(
+    total, diff = pa + pb, pa - pb
+    assert (total > diff) - (total < diff) == reference_compare(
         tuple(x + y for x, y in zip(a, b)), tuple(x - y for x, y in zip(a, b)))
 
 
