@@ -160,7 +160,8 @@ class GraphView:
     """A concrete directed-graph slice handed to attractor/cycle analyses.
 
     `succ` maps every node of `nodes` to its successor tuple inside the
-    view.  `color` may omit nodes that cannot lie on a cycle (the sink).
+    view.  `owner` and `color` may also hold nodes outside the view, and
+    `color` may omit nodes that cannot lie on a cycle (the sink).
     """
 
     nodes: tuple[int, ...]
@@ -214,6 +215,35 @@ class EscapeArena:
         """Per player-0 node: its game successors plus the sink."""
         return {v: self.succ[v] + (self.sink,) for v in self.player0_nodes}
 
+    @cached_property
+    def preds(self) -> dict[int, tuple[int, ...]]:
+        """Per node and the sink, the sources of its incoming arena edges,
+        ascending: game edges of surviving nodes and escape edges."""
+        preds: dict[int, list[int]] = {v: [] for v in self.nodes}
+        preds[self.sink] = []
+        owner_of = self.game.owner
+        for v in self.nodes:
+            for t in self.succ[v]:
+                preds[t].append(v)
+            if owner_of[v] == 0:
+                preds[self.sink].append(v)
+        return {v: tuple(sources) for v, sources in preds.items()}
+
+    @cached_property
+    def _owner(self) -> dict[int, int]:
+        # owners of the surviving nodes and of the sink, shared by all views
+        owner_of = self.game.owner
+        owner = {v: owner_of[v] for v in self.nodes}
+        owner[self.sink] = 0
+        return owner
+
+    @cached_property
+    def _color(self) -> dict[int, int]:
+        # colors of the surviving nodes, shared by all views; the sink has
+        # none because it lies on no cycle
+        color = self.game.color
+        return {v: color[v] for v in self.nodes}
+
     def restrict(self, keep: Iterable[int]) -> "EscapeArena":
         kept = set(keep)
         nodes = tuple(v for v in self.nodes if v in kept)
@@ -227,26 +257,19 @@ class EscapeArena:
         succ = {v: self.succ[v] if owner_of[v] == 1 else tuple(choices[v])
                 for v in self.nodes}
         succ[self.sink] = ()
-        owner = {v: owner_of[v] for v in self.nodes}
-        owner[self.sink] = 0
-        color = {v: self.game.color[v] for v in self.nodes}
-        return GraphView(self.nodes + (self.sink,), succ, owner, color)
+        return GraphView(self.nodes + (self.sink,), succ, self._owner,
+                         self._color)
 
     def player1_view(self) -> GraphView:
         """The subgraph induced by player-1 nodes (no sink, no escapes)."""
-        owner_of = self.game.owner
         nodes = self.player1_nodes
         member = set(nodes)
         succ = {v: tuple(t for t in self.succ[v] if t in member) for v in nodes}
-        owner = {v: 1 for v in nodes}
-        color = {v: self.game.color[v] for v in nodes}
-        return GraphView(nodes, succ, owner, color)
+        return GraphView(nodes, succ, self._owner, self._color)
 
     def game_view(self) -> GraphView:
         """The plain game graph of the surviving nodes: no sink, no escapes."""
-        owner = {v: self.game.owner[v] for v in self.nodes}
-        color = {v: self.game.color[v] for v in self.nodes}
-        return GraphView(self.nodes, dict(self.succ), owner, color)
+        return GraphView(self.nodes, dict(self.succ), self._owner, self._color)
 
 
 def build_escape_arena(game: ParityGame) -> EscapeArena:
@@ -326,7 +349,8 @@ def _sccs(order: Iterable[int], succ: Mapping[int, tuple[int, ...]],
     lowlink: dict[int, int] = {}
     done: set[int] = set()
     component_stack: list[int] = []
-    pending = {v: iter(succ[v]) for v in order}
+    # successor iterators of the nodes on the DFS stack only
+    pending: dict[int, Iterator[int]] = {}
     counter = 0
     for source in order:
         if source in done:
@@ -337,6 +361,7 @@ def _sccs(order: Iterable[int], succ: Mapping[int, tuple[int, ...]],
             if v not in preorder:
                 counter += 1
                 preorder[v] = counter
+                pending[v] = iter(succ[v])
             descend = False
             for t in pending[v]:
                 if t in allowed and t not in preorder:
@@ -351,6 +376,7 @@ def _sccs(order: Iterable[int], succ: Mapping[int, tuple[int, ...]],
                     low = min(low, lowlink[t] if preorder[t] > preorder[v] else preorder[t])
             lowlink[v] = low
             stack.pop()
+            del pending[v]
             if low == preorder[v]:
                 comp = [v]
                 while component_stack and preorder[component_stack[-1]] > preorder[v]:

@@ -286,8 +286,8 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
             imps = improvements(arena, sigma, current)
             iterations += 1
             stats.append(IterationRecord(
-                iterations, len(imps.strict_edges()), len(imps.sources),
-                time.perf_counter() - started))
+                iterations, sum(map(len, imps.strict.values())),
+                len(imps.strict), time.perf_counter() - started))
             if on_iteration is not None:
                 on_iteration(iterations, sigma, current, imps)
             if not imps.has_strict:

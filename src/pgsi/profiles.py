@@ -45,11 +45,19 @@ count can need.
 An operation on two profiles of different widths re-encodes the narrower
 one at the wider width first: exact, but slower.  All values are
 immutable and safe to share.
+
+Code that does many additions and comparisons on one arena's values, such
+as the Dijkstra update, may work on the keys themselves:
+``ProfileBasis.key`` and ``ProfileBasis.keys`` give a profile's key at the
+basis width, re-encoding exactly a profile of another width, and
+``ProfileBasis.from_key`` turns a key back into a profile.  Keys add,
+subtract and compare like the profiles they encode; the zero profile's
+key is 0.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, ProfileArithmeticError
 
@@ -263,6 +271,37 @@ class ProfileBasis:
         self._form = (d, digit_width(n))
         self.zero = ColorProfile(0, self._form)
         self._units: dict[int, ColorProfile] = {}
+
+    def key(self, value: ColorProfile) -> int | None:
+        """The key of `value` at this basis's width, or None for an
+        infinity.  A finite profile of another width is re-encoded exactly;
+        DimensionError if its dimension differs or a count does not fit
+        the width."""
+        form = value._form
+        if form is self._form:
+            return value._key
+        if form is None:
+            return None
+        d, b = self._form
+        if form[0] != d:
+            raise DimensionError(
+                "profile dimensions differ: %d vs %d" % (form[0], d))
+        if form[1] == b:
+            return value._key
+        return _pack(value._digits(), b)
+
+    def keys(self, values: Mapping[int, ColorProfile]) -> dict[int, int | None]:
+        """:meth:`key` of every value of a mapping, under the same keys."""
+        form, key = self._form, self.key
+        return {v: p._key if p._form is form else key(p)
+                for v, p in values.items()}
+
+    def from_key(self, key: int) -> ColorProfile:
+        """The finite profile of this basis's form with the given key."""
+        out = _new(ColorProfile)
+        out._key = key
+        out._form = self._form
+        return out
 
     def unit(self, color: int) -> ColorProfile:
         """The profile of a single visit to `color`."""

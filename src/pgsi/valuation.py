@@ -12,7 +12,9 @@ and takes the order-minimum over player-1 edges respectively the
 order-maximum over the strategy's edges.  Two routes compute it: repeated
 fixpoint sweeps (the reference) and, given the valuation of a strategy the
 new one directly improves, a Dijkstra-style sweep over non-negative edge
-weights (the fast path).  Both return bit-identical results.
+weights (the fast path).  The sweep finds the region of finite values, the
+nodes player 1 can force into the sink, on its own and checks afterwards
+that the region is closed.  Both routes return bit-identical results.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .arena import EscapeArena, attractor, find_one_dominated_cycle_nodes
+from .arena import EscapeArena, find_one_dominated_cycle_nodes
+from .arena import attractor  # noqa: F401  (benchmark/layers.py wraps this name)
 from .errors import InvariantViolation, ReasonablenessError
 from .profiles import ColorProfile, POS_INFINITY
 
@@ -204,77 +207,109 @@ def valuate_dijkstra(arena: EscapeArena, strategy: Strategy,
     non-negative weight (target value plus the source color, minus the
     source value).  On the region player 1 can still drag into the sink,
     the value growth per node is then the min-max distance from the sink
-    over those weights, computed by a Dijkstra sweep along reversed edges:
-    player-1 nodes are settled greedily at their minimal tentative growth,
-    while a player-0 node becomes eligible only once all its kept
-    successors are settled, at the maximum over them.  Ties settle the
-    smallest node id first.  Off that region the value is unbounded.
+    over those weights.  One Dijkstra sweep along the arena's reversed
+    edges computes it and finds the region on the way: a player-1 node is
+    reached from its first settled successor and settles at its minimal
+    tentative growth, while a player-0 node becomes eligible only once
+    all its kept successors are settled, at the maximum over them.  Ties
+    settle the smallest node id first.  The settled nodes are therefore
+    the player-1 attractor of the sink; off it the value is unbounded.
+    A closure pass after the sweep confirms that no unsettled player-1
+    node has a settled successor and no unsettled player-0 node has all
+    its kept successors settled.  Growths, weights and heap entries are
+    packed profile keys of the arena's basis (see profiles.py).
+
+    Raises InvariantViolation when a node of the region has an infinite
+    base value, an edge inside it has a negative weight, or the closure
+    pass fails.
     """
-    zero = arena.basis.zero
+    basis = arena.basis
     sink = arena.sink
-    view = arena.strategy_view(strategy.choices)
-    members = attractor(view, 1, (sink,)).members
+    base = basis.keys(base_valuation)
+    if base[sink] is None:
+        raise _infinite_in_region(sink)
 
-    out: Valuation = {sink: zero}
-    for v in arena.nodes:
-        out[v] = POS_INFINITY
-
-    for v in members:
-        if v != sink and not base_valuation[v].is_finite:
-            raise InvariantViolation(
-                "node %d is infinite in the base valuation but lies in the "
-                "sink region of the improved strategy" % v)
-
-    unit = arena.unit
     owner_of = arena.game.owner
-    preds: dict[int, list[int]] = {v: [] for v in members}
+    choices = strategy.choices
+    # built per call: cached on the arena it would raise the peak memory
+    unit = basis.keys(arena.unit)
+    preds = arena.preds
+    # growth over the base value per settled node; every weight inside
+    # the region is formed and checked once: for a player-1 source when
+    # its target settles, for a player-0 source when it becomes eligible
+    grown: dict[int, int] = {}
+    tentative: dict[int, int] = {}
     pending: dict[int, int] = {}
-    for v in sorted(members):
-        if v == sink:
-            continue
-        targets = [t for t in view.succ[v] if t in members]
-        if owner_of[v] == 0:
-            # all kept successors of an attracted player-0 node are attracted
-            pending[v] = len(targets)
-        for t in targets:
-            preds[t].append(v)
-
-    # Every member settles, so each edge's weight is formed and checked
-    # exactly once, when its target settles.
-    settled: set[int] = set()
-    tentative: dict[int, ColorProfile] = {}
-    best: dict[int, ColorProfile] = {}
-    heap: list[tuple[ColorProfile, int]] = [(zero, sink)]
+    heap: list[tuple[int, int]] = [(0, sink)]
     while heap:
-        dv, v = heapq.heappop(heap)
-        if v in settled:
+        g, v = heapq.heappop(heap)
+        if v in grown:
             continue
-        settled.add(v)
-        there = base_valuation[v]
-        if v != sink:
-            out[v] = there + dv
+        grown[v] = g
+        there = base[v]
         for s in preds[v]:
-            w = (unit[s] + there) - base_valuation[s]
-            if w < zero:
-                raise InvariantViolation(
-                    "edge (%d,%d) has negative weight; the strategy is not a "
-                    "direct improvement over the base valuation" % (s, v))
-            cand = w + dv
             if owner_of[s] == 1:
+                here = base[s]
+                if here is None:
+                    raise _infinite_in_region(s)
+                w = unit[s] + there - here
+                if w < 0:
+                    raise _negative_weight(s, v)
+                cand = w + g
                 cur = tentative.get(s)
                 if cur is None or cand < cur:
                     tentative[s] = cand
                     heapq.heappush(heap, (cand, s))
-            else:
-                cur = best.get(s)
-                if cur is None or cur < cand:
-                    best[s] = cand
-                pending[s] -= 1
-                if pending[s] == 0:
-                    heapq.heappush(heap, (best[s], s))
-    if len(settled) != len(members):
-        raise InvariantViolation("Dijkstra sweep failed to settle the sink region")
+                continue
+            kept = choices[s]
+            if v not in kept:
+                continue
+            left = pending.get(s, len(kept)) - 1
+            pending[s] = left
+            if left:
+                continue
+            here = base[s]
+            if here is None:
+                raise _infinite_in_region(s)
+            step = unit[s] - here
+            best = None
+            for t in kept:
+                w = step + base[t]
+                if w < 0:
+                    raise _negative_weight(s, t)
+                cand = w + grown[t]
+                if best is None or best < cand:
+                    best = cand
+            heapq.heappush(heap, (best, s))
+
+    settled = grown.__contains__
+    from_key = basis.from_key
+    succ = arena.succ
+    out: Valuation = {sink: basis.zero}
+    for v in arena.nodes:
+        g = grown.get(v)
+        if g is not None:
+            out[v] = from_key(base[v] + g)
+        elif (any(map(settled, succ[v])) if owner_of[v] == 1
+              else all(map(settled, choices[v]))):
+            raise InvariantViolation(
+                "Dijkstra sweep failed to settle the sink region: node %d "
+                "is attracted to it but unsettled" % v)
+        else:
+            out[v] = POS_INFINITY
     return out
+
+
+def _infinite_in_region(v: int) -> InvariantViolation:
+    return InvariantViolation(
+        "node %d is infinite in the base valuation but lies in the sink "
+        "region of the improved strategy" % v)
+
+
+def _negative_weight(s: int, t: int) -> InvariantViolation:
+    return InvariantViolation(
+        "edge (%d,%d) has negative weight; the strategy is not a direct "
+        "improvement over the base valuation" % (s, t))
 
 
 def response_strategy(arena: EscapeArena, strategy: Strategy,

@@ -259,6 +259,27 @@ def test_unit_profiles_at_the_solver_width():
         SMALL.unit(4)
 
 
+def test_basis_keys_add_and_order_like_profiles():
+    a, b = at_small_width([3, -2, 0, 5]), at_small_width([1, 4, -7, 5])
+    ka, kb = SMALL.key(a), SMALL.key(b)
+    assert SMALL.key(SMALL.zero) == 0
+    assert SMALL.from_key(ka) == a
+    assert SMALL.from_key(ka + kb) == a + b
+    assert SMALL.from_key(ka - kb) == a - b
+    assert (ka < kb) == (a < b) and (kb < ka) == (b < a)
+
+
+def test_basis_key_re_encodes_other_widths_exactly():
+    wide = fin(3, -2, 0, 5)
+    assert SMALL.key(wide) == SMALL.key(at_small_width([3, -2, 0, 5]))
+    assert SMALL.keys({0: wide, 1: POS_INFINITY, 2: NEG_INFINITY}) == {
+        0: SMALL.key(wide), 1: None, 2: None}
+    with pytest.raises(DimensionError):
+        SMALL.key(fin(3, -2, 5))
+    with pytest.raises(DimensionError):
+        SMALL.key(fin(0, 0, 0, TOP + 1))
+
+
 # ---------------------------------------------------------------- plumbing
 
 def test_rendering():

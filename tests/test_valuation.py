@@ -10,6 +10,7 @@ from pgsi import POS_INFINITY, ColorProfile, ParityGame
 from pgsi.arena import attractor, build_escape_arena, preprocess
 from pgsi.cli import random_game
 from pgsi.errors import InvariantViolation, ReasonablenessError
+from pgsi.iteration import AllSwitches, SingleRandom
 from pgsi.profiles import unit_profile, zero_profile
 from pgsi.valuation import (Strategy, apply_operator, improvements,
                             initial_strategy, is_reasonable,
@@ -426,6 +427,73 @@ def test_update_matches_reference_on_random_games():
             strategy, valuation = imps.improving, reference
         else:
             raise AssertionError("improvement iteration failed to stop")
+
+
+def test_update_matches_reference_at_scale():
+    # sink regions of hundreds of nodes, many colours in the first game,
+    # every iterate of two policies compared with the reference
+    rng = random.Random(2718)
+    compared = largest = 0
+    for i in range(30):
+        nodes = (250, 400)[i] if i < 2 else rng.randint(100, 200)
+        colors = 240 if i == 0 else rng.randint(2, 12)
+        game = random_game(rng, nodes, rng.randint(2, 4), colors,
+                           0.7 if i == 0 else 0.5)
+        arena = preprocess(arena_of(game)).arena
+        for policy in (AllSwitches(), SingleRandom(i)):
+            strategy = initial_strategy(arena)
+            valuation = valuate_bellman_ford(arena, strategy)
+            while True:
+                imps = improvements(arena, strategy, valuation)
+                if not imps.has_strict:
+                    break
+                strategy = policy.pick(arena, strategy, valuation, imps)
+                fast = valuate_dijkstra(arena, strategy, valuation)
+                assert fast == valuate_bellman_ford(arena, strategy)
+                compared += 1
+                largest = max(largest, sum(
+                    value.is_finite for value in fast.values()))
+                valuation = fast
+    assert compared >= 2000
+    assert largest >= 300
+
+
+def test_update_keeps_node_with_a_kept_edge_off_the_region_unbounded():
+    # node 0 keeps one edge into the sink region (node 2) and one onto the
+    # even self-loop of node 1, which never reaches the sink
+    game = ParityGame((0, 0, 0), (0, 2, 1), ((1, 2), (1,), (2,)))
+    arena = arena_of(game)
+    base = valuate_bellman_ford(arena, initial_strategy(arena))
+    strategy = Strategy.of({0: (1, 2), 1: (1,), 2: (3,)})
+    updated = valuate_dijkstra(arena, strategy, base)
+    assert updated == {0: POS_INFINITY, 1: POS_INFINITY, 2: fin(0, 1, 0),
+                       3: zero_profile(3)}
+    assert updated == valuate_bellman_ford(arena, strategy)
+
+
+def test_update_accepts_a_base_at_the_public_width():
+    rng = random.Random(61)
+    compared = 0
+    while compared < 100:
+        game = random_game(rng, rng.randint(2, 30), 3, rng.randint(1, 6))
+        arena = preprocess(arena_of(game)).arena
+        for strategy, valuation in improvement_iterates(arena):
+            imps = improvements(arena, strategy, valuation)
+            wide = {v: fin(*value.counts) if value.is_finite else value
+                    for v, value in valuation.items()}
+            assert valuate_dijkstra(arena, imps.improving, wide) \
+                == valuate_dijkstra(arena, imps.improving, valuation)
+            compared += 1
+
+
+def test_update_rejects_strategy_edge_outside_the_arena():
+    # node 1 keeps an edge to node 0 that the game does not have: the sweep
+    # walks arena edges only, so the closure pass must catch it
+    game = ParityGame((0, 0), (0, 0), ((1,), (1,)))
+    arena = arena_of(game)
+    base = valuate_bellman_ford(arena, initial_strategy(arena))
+    with pytest.raises(InvariantViolation):
+        valuate_dijkstra(arena, Strategy.of({0: (2,), 1: (0,)}), base)
 
 
 # ---------------------------------------------------------------- response
