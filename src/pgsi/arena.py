@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .errors import FormatError, InvariantViolation
-from .profiles import ColorProfile, ProfileBasis
+from .profiles import ProfileBasis
 
 
 @dataclass(frozen=True)
@@ -199,21 +199,27 @@ class EscapeArena:
 
     @cached_property
     def basis(self) -> ProfileBasis:
-        """Zero and unit profiles at the digit width this arena's values
-        need; every valuation of the arena is built from them."""
+        """The key encoding at the digit width this arena's values need;
+        every valuation of the arena is a list of its keys."""
         return ProfileBasis(self.d, len(self.nodes))
 
     @cached_property
-    def unit(self) -> dict[int, ColorProfile]:
-        """Per node, the profile of one visit to its color."""
-        unit = self.basis.unit
+    def unit_keys(self) -> list[int]:
+        """Per node id, the key of one visit to its color; 0 at the sink
+        and at nodes the arena does not keep."""
+        unit_key = self.basis.unit_key
         color = self.game.color
-        return {v: unit(color[v]) for v in self.nodes}
+        keys = [0] * (self.sink + 1)
+        for v in self.nodes:
+            keys[v] = unit_key(color[v])
+        return keys
 
     @cached_property
     def escape_choices(self) -> dict[int, tuple[int, ...]]:
-        """Per player-0 node: its game successors plus the sink."""
-        return {v: self.succ[v] + (self.sink,) for v in self.player0_nodes}
+        """Per player-0 node: its game successors, ascending, then the
+        sink, whose id is the largest."""
+        return {v: tuple(sorted(self.succ[v])) + (self.sink,)
+                for v in self.player0_nodes}
 
     @cached_property
     def preds(self) -> dict[int, tuple[int, ...]]:

@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--backend", choices=BACKENDS, default=BACKENDS[0])
     p_solve.add_argument("--audit-every", type=int, default=16,
                          help="cross-check the fast valuation every N "
-                              "iterations (0 disables)")
+                              "iterations (N >= 0, 0 disables)")
     p_solve.add_argument("--json", action="store_true")
     p_solve.set_defaults(func=_cmd_solve)
 

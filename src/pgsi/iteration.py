@@ -12,26 +12,28 @@ valuation.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Mapping
 
 from .arena import (EscapeArena, GraphView, ParityGame, build_escape_arena,
                     find_dominated_cycle_nodes, preprocess, reachable)
 from .errors import EnumerationTooLarge, InvariantViolation
-from .profiles import POS_INFINITY
+from .profiles import INF_KEY, ColorProfile
 from .valuation import (ImprovementSets, Strategy, UpdateHook, Valuation,
                         improvements, initial_strategy, is_reasonable,
-                        response_strategy, valuate_bellman_ford,
+                        response_strategy, to_profiles, valuate_bellman_ford,
                         valuate_dijkstra)
 
 BACKEND_DIJKSTRA = "dijkstra"
 BACKEND_BELLMAN_FORD = "bellman-ford"
 BACKENDS = (BACKEND_DIJKSTRA, BACKEND_BELLMAN_FORD)
 
-IterationHook = Callable[[int, Strategy, Valuation, ImprovementSets], None]
+IterationHook = Callable[
+    [int, Strategy, Mapping[int, ColorProfile], ImprovementSets], None]
 
 
 class AllSwitches:
@@ -79,8 +81,9 @@ class SingleRandom:
 
     def pick(self, arena, strategy, valuation, imps):
         choices = {}
+        improving = imps.improving.choices
         for v in arena.player0_nodes:
-            kept = set(imps.improving.choices[v])
+            kept = improving[v]
             choices[v] = tuple(t for t in strategy.choices[v] if t in kept)
         v, t = self._rng.choice(imps.strict_edges())
         choices[v] = (t,)
@@ -122,7 +125,7 @@ class SolveResult:
     w1: tuple[int, ...]
     strategy0: dict[int, int]
     strategy1: dict[int, int]
-    valuation: Valuation
+    valuation: dict[int, ColorProfile]
     iterations: int
     policy: str
     stats: list[IterationRecord] = field(default_factory=list)
@@ -156,13 +159,14 @@ def extract_deterministic(arena: EscapeArena, strategy: Strategy,
                           valuation: Valuation) -> Strategy:
     """Pick, per player-0 node, one strategy edge realizing the valuation
     (smallest target id).  Revaluating the result reproduces `valuation`."""
+    unit = arena.unit_keys
     choices = {}
     for v in arena.player0_nodes:
         here = valuation[v]
-        unit = arena.unit[v]
+        want = here if here == INF_KEY else here - unit[v]
         picked = None
         for t in strategy.choices[v]:
-            if here == unit + valuation[t]:
+            if valuation[t] == want:
                 picked = t
                 break
         if picked is None:
@@ -196,19 +200,19 @@ def _check_step(next_strategy: Strategy, imps: ImprovementSets) -> set[int]:
     """Validate a policy's output: inside the improving set, at least one
     strict edge taken.  Returns the switched source nodes."""
     applied = set()
+    improving, strict = imps.improving.choices, imps.strict
     for v, targets in next_strategy.choices.items():
-        kept = imps.improving.choices.get(v)
+        kept = improving.get(v)
         if kept is None:
             raise InvariantViolation("policy kept unknown node %d" % v)
-        kept = set(kept)
-        stricts = set(imps.strict.get(v, ()))
+        stricts = strict.get(v, ())
         for t in targets:
             if t not in kept:
                 raise InvariantViolation(
                     "policy chose non-improving edge (%d,%d)" % (v, t))
             if t in stricts:
                 applied.add(v)
-    if len(next_strategy.choices) != len(imps.improving.choices):
+    if len(next_strategy.choices) != len(improving):
         raise InvariantViolation("policy dropped a player-0 node")
     if imps.has_strict and not applied:
         raise InvariantViolation("policy applied no strict improvement")
@@ -216,14 +220,13 @@ def _check_step(next_strategy: Strategy, imps: ImprovementSets) -> set[int]:
 
 
 def _check_progress(prev: Valuation, new: Valuation, switched: set[int]) -> None:
-    grew = False
-    for v, before in prev.items():
-        after = new[v]
-        if after < before:
-            raise InvariantViolation("valuation shrank at node %d" % v)
-        if before < after:
-            grew = True
-    if switched and not grew:
+    """Values never shrink, +inf included, grow somewhere after a switch
+    and grow strictly at every switched node."""
+    if any(map(operator.gt, prev, new)):
+        v = next(v for v, (before, after) in enumerate(zip(prev, new))
+                 if before > after)
+        raise InvariantViolation("valuation shrank at node %d" % v)
+    if switched and not any(map(operator.lt, prev, new)):
         raise InvariantViolation("improvement step did not grow the valuation")
     for v in switched:
         if not prev[v] < new[v]:
@@ -241,12 +244,19 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
     `backend` selects how strategies are revalued after the first
     iteration; with the fast path every `audit_every`-th iteration is
     recomputed by the reference route and compared bit for bit (0
-    disables auditing).  `on_iteration` sees every (iteration, strategy,
-    valuation, improvement sets) tuple as the run unfolds; `on_update`
-    is handed to every reference valuation and sees its single updates.
+    disables auditing; a negative value raises ValueError).
+    `on_iteration` sees every (iteration, strategy, valuation,
+    improvement sets) tuple as the run unfolds; `on_update` is handed to
+    every reference valuation and sees its single updates.  The loop
+    itself works on key lists (see valuation.py); the hooks and the
+    result still receive values as ColorProfiles: a node -> profile
+    mapping of the arena nodes and the sink, decoded only when a hook is
+    attached, and the old and new profile of each update.
     """
     if backend not in BACKENDS:
         raise ValueError("unknown backend %r" % backend)
+    if audit_every < 0:
+        raise ValueError("audit_every must be >= 0, got %d" % audit_every)
     if policy is None:
         policy = AllSwitches()
 
@@ -254,11 +264,14 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
     arena = prep.arena
     stats: list[IterationRecord] = []
     iterations = 0
-    vals: Valuation = {}
     imps = None
     sigma = initial_strategy(arena)
     switched: set[int] = set()
     bound = _step_bound(len(arena.nodes), arena.d)
+    strategy0: dict[int, int] = {}
+    strategy1: dict[int, int] = {}
+    valuation: dict[int, ColorProfile] = {}
+    won: set[int] = set()
 
     if arena.nodes:
         current: Valuation | None = None
@@ -289,7 +302,8 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
                 iterations, sum(map(len, imps.strict.values())),
                 len(imps.strict), time.perf_counter() - started))
             if on_iteration is not None:
-                on_iteration(iterations, sigma, current, imps)
+                on_iteration(iterations, sigma, to_profiles(arena, current),
+                             imps)
             if not imps.has_strict:
                 break
             if iterations - 1 > bound:
@@ -299,27 +313,21 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
             next_sigma = policy.pick(arena, sigma, current, imps)
             switched = _check_step(next_sigma, imps)
             sigma = next_sigma
-        vals = current
 
-    w0 = tuple(v for v in arena.nodes if vals[v] == POS_INFINITY)
-    w1 = tuple(sorted(set(prep.pre_won)
-                      | {v for v in arena.nodes if vals[v] != POS_INFINITY}))
-
-    strategy0: dict[int, int] = {}
-    strategy1: dict[int, int] = {}
-    if arena.nodes:
-        extracted = extract_deterministic(arena, imps.improving, vals)
+        won = {v for v in arena.nodes if current[v] == INF_KEY}
+        extracted = extract_deterministic(arena, imps.improving, current)
         for v in arena.player0_nodes:
-            if vals[v] == POS_INFINITY:
+            if v in won:
                 target = extracted.choices[v][0]
                 if target == arena.sink:
                     raise InvariantViolation(
                         "extracted strategy escapes from won node %d" % v)
                 strategy0[v] = target
-        tau = response_strategy(arena, sigma, vals)
+        tau = response_strategy(arena, sigma, current)
         for v in arena.player1_nodes:
-            if vals[v] != POS_INFINITY:
+            if v not in won:
                 strategy1[v] = tau[v][0]
+        valuation = to_profiles(arena, current)
     for v in sorted(prep.pre_won):
         if game.owner[v] == 1:
             if v in prep.dominated_strategy:
@@ -327,7 +335,10 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
             else:
                 strategy1[v] = prep.attractor.strategy[v]
 
-    return SolveResult(w0, w1, strategy0, strategy1, vals, iterations,
+    w0 = tuple(v for v in arena.nodes if v in won)
+    w1 = tuple(sorted(set(prep.pre_won)
+                      | {v for v in arena.nodes if v not in won}))
+    return SolveResult(w0, w1, strategy0, strategy1, valuation, iterations,
                        policy.name, stats)
 
 

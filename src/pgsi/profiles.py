@@ -23,10 +23,10 @@ check that bound; the width b is chosen so that it holds.
 
 Width.  The width is part of a profile.  ``ColorProfile.finite``,
 ``zero_profile``, ``unit_profile`` and ``path_value`` use 64-bit digits,
-so their sums stay exact up to counts of 2^63.  The solver takes its zero
-and unit profiles from a :class:`ProfileBasis` built once per arena, at
+so their sums stay exact up to counts of 2^63.  The solver takes its unit
+keys from a :class:`ProfileBasis` built once per arena, at
 ``digit_width(n)`` bits for an arena of n nodes (the sink not counted).
-That width covers every digit the two valuation routes form:
+That width covers every digit the solver forms:
 
 - a fixpoint value is the profile of a simple path into the sink, so each
   digit is at most n;
@@ -35,7 +35,9 @@ That width covers every digit the two valuation routes form:
   digits are at most 2n + 1;
 - Bellman-Ford on an unreasonable strategy makes at most (n + 1) * n
   in-place updates before it raises, each one unit plus another node's
-  value, so no digit passes n(n + 1).
+  value, so no digit passes n(n + 1);
+- the edge classifications compare a target's value with a node's value
+  minus its unit, whose digits are at most n + 1.
 
 n(n + 2) bounds all three for n >= 1, and ``digit_width`` keeps one spare
 bit above it.  This is the bounded finite profile space that the paper's
@@ -46,18 +48,22 @@ An operation on two profiles of different widths re-encodes the narrower
 one at the wider width first: exact, but slower.  All values are
 immutable and safe to share.
 
-Code that does many additions and comparisons on one arena's values, such
-as the Dijkstra update, may work on the keys themselves:
-``ProfileBasis.key`` and ``ProfileBasis.keys`` give a profile's key at the
-basis width, re-encoding exactly a profile of another width, and
-``ProfileBasis.from_key`` turns a key back into a profile.  Keys add,
-subtract and compare like the profiles they encode; the zero profile's
-key is 0.
+Inside ``solve`` a valuation is not a mapping of profiles but a list of
+keys indexed by node id, the escape sink last, all at the width of the
+arena's :class:`ProfileBasis`, with :data:`INF_KEY` standing for +inf.
+Every valuation route, check and classification adds and compares these
+ints directly; ``ProfileBasis.key`` and ``ProfileBasis.from_key``
+translate between keys and profiles at the edges (the result's
+valuation and the hooks).  ``INF_KEY`` is the float infinity: Python
+compares an int with it exactly whatever the int's size, so ``<``,
+``==``, ``min`` and ``max`` treat it as the top value, and the solver
+never adds anything to it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+import math
+from typing import Iterable, Sequence
 
 from .errors import DimensionError, ProfileArithmeticError
 
@@ -257,23 +263,27 @@ class ColorProfile:
 NEG_INFINITY = ColorProfile(-1, None)
 POS_INFINITY = ColorProfile(1, None)
 
+# The key of POS_INFINITY in a valuation's key list (see the module
+# docstring); -INF_KEY is the key of NEG_INFINITY.
+INF_KEY = math.inf
+
 
 class ProfileBasis:
-    """The zero profile and the unit profiles of one d-color arena of n
-    nodes, all at ``digit_width(n)`` bits and sharing one form, so the
-    values built from them take the fast paths."""
+    """The key encoding of one d-color arena of n nodes: every key is
+    written at ``digit_width(n)`` bits, so the keys of one arena's
+    values add and compare like the profiles they stand for.  The solver
+    works on these keys and turns them into profiles only at its edges."""
 
-    __slots__ = ("zero", "_form", "_units")
+    __slots__ = ("_form", "_units")
 
     def __init__(self, d: int, n: int):
         if d < 1:
             raise DimensionError("dimension must be at least 1, got %d" % d)
         self._form = (d, digit_width(n))
-        self.zero = ColorProfile(0, self._form)
-        self._units: dict[int, ColorProfile] = {}
+        self._units: dict[int, int] = {}
 
-    def key(self, value: ColorProfile) -> int | None:
-        """The key of `value` at this basis's width, or None for an
+    def key(self, value: ColorProfile) -> int | float:
+        """The key of `value` at this basis's width, or +-INF_KEY for an
         infinity.  A finite profile of another width is re-encoded exactly;
         DimensionError if its dimension differs or a count does not fit
         the width."""
@@ -281,7 +291,7 @@ class ProfileBasis:
         if form is self._form:
             return value._key
         if form is None:
-            return None
+            return INF_KEY if value._key > 0 else -INF_KEY
         d, b = self._form
         if form[0] != d:
             raise DimensionError(
@@ -290,29 +300,28 @@ class ProfileBasis:
             return value._key
         return _pack(value._digits(), b)
 
-    def keys(self, values: Mapping[int, ColorProfile]) -> dict[int, int | None]:
-        """:meth:`key` of every value of a mapping, under the same keys."""
-        form, key = self._form, self.key
-        return {v: p._key if p._form is form else key(p)
-                for v, p in values.items()}
-
-    def from_key(self, key: int) -> ColorProfile:
-        """The finite profile of this basis's form with the given key."""
+    def from_key(self, key: int | float) -> ColorProfile:
+        """The profile of this basis's form with the given key; +-INF_KEY
+        gives the infinities."""
+        if key == INF_KEY:
+            return POS_INFINITY
+        if key == -INF_KEY:
+            return NEG_INFINITY
         out = _new(ColorProfile)
         out._key = key
         out._form = self._form
         return out
 
-    def unit(self, color: int) -> ColorProfile:
-        """The profile of a single visit to `color`."""
+    def unit_key(self, color: int) -> int:
+        """The key of a single visit to `color`: one int per color, shared
+        by every node of that color."""
         found = self._units.get(color)
         if found is None:
             d, b = self._form
             if not 0 <= color < d:
                 raise DimensionError("color %d outside [0, %d)" % (color, d))
             step = 1 << (b * color)
-            found = ColorProfile(-step if color % 2 else step, self._form)
-            self._units[color] = found
+            found = self._units[color] = -step if color % 2 else step
         return found
 
 

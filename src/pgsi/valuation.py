@@ -15,6 +15,13 @@ new one directly improves, a Dijkstra-style sweep over non-negative edge
 weights (the fast path).  The sweep finds the region of finite values, the
 nodes player 1 can force into the sink, on its own and checks afterwards
 that the region is closed.  Both routes return bit-identical results.
+
+Inside ``solve`` a valuation is a list of packed profile keys indexed by
+node id, with the sink at index n and ``INF_KEY`` for +inf (see
+profiles.py); nodes the arena does not keep hold ``INF_KEY`` too.  Both
+routes produce such lists, and every classification here compares their
+ints.  :func:`to_profiles` turns one into the node -> ColorProfile
+mapping that results and hooks speak.
 """
 
 from __future__ import annotations
@@ -26,9 +33,9 @@ from typing import Callable, Mapping
 from .arena import EscapeArena, find_one_dominated_cycle_nodes
 from .arena import attractor  # noqa: F401  (benchmark/layers.py wraps this name)
 from .errors import InvariantViolation, ReasonablenessError
-from .profiles import ColorProfile, POS_INFINITY
+from .profiles import INF_KEY, ColorProfile
 
-Valuation = dict  # node id -> ColorProfile
+Valuation = list  # node id -> key; sink at index n, INF_KEY for +inf
 
 UpdateHook = Callable[[int, int, ColorProfile, ColorProfile], None]
 
@@ -76,15 +83,16 @@ def is_reasonable(arena: EscapeArena, strategy: Strategy) -> bool:
 def apply_operator(arena: EscapeArena, strategy: Strategy,
                    valuation: Valuation) -> Valuation:
     """One simultaneous application of the valuation operator."""
-    unit = arena.unit
-    out = {arena.sink: arena.basis.zero}
+    unit = arena.unit_keys
+    out = [INF_KEY] * (arena.sink + 1)
+    out[arena.sink] = 0
     owner_of = arena.game.owner
     for v in arena.nodes:
         if owner_of[v] == 1:
             best = min(valuation[t] for t in arena.succ[v])
         else:
             best = max(valuation[t] for t in strategy.choices[v])
-        out[v] = unit[v] + best
+        out[v] = best if best == INF_KEY else unit[v] + best
     return out
 
 
@@ -100,14 +108,14 @@ def valuate_bellman_ford(arena: EscapeArena, strategy: Strategy,
     ReasonablenessError is raised.
 
     `on_update` receives (sweep number, node, old value, new value) for
-    every change, in the order they are applied.
+    every change, in the order they are applied, the values as profiles.
     """
-    vals: Valuation = {arena.sink: arena.basis.zero}
-    for v in arena.nodes:
-        vals[v] = POS_INFINITY
+    sink = arena.sink
+    vals: Valuation = [INF_KEY] * (sink + 1)
+    vals[sink] = 0
 
     owner_of = arena.game.owner
-    unit = arena.unit
+    unit = arena.unit_keys
     rows = []
     for v in reversed(arena.nodes):
         if owner_of[v] == 1:
@@ -116,6 +124,7 @@ def valuate_bellman_ford(arena: EscapeArena, strategy: Strategy,
             rows.append((v, unit[v], strategy.choices[v], False))
 
     get = vals.__getitem__
+    from_key = arena.basis.from_key
     for sweep in range(1, len(arena.nodes) + 2):
         changed = False
         for v, step, targets, minimize in rows:
@@ -123,10 +132,10 @@ def valuate_bellman_ford(arena: EscapeArena, strategy: Strategy,
                 best = min(map(get, targets))
             else:
                 best = max(map(get, targets))
-            new = step + best
+            new = best if best == INF_KEY else step + best
             if new != vals[v]:
                 if on_update is not None:
-                    on_update(sweep, v, vals[v], new)
+                    on_update(sweep, v, from_key(vals[v]), from_key(new))
                 vals[v] = new
                 changed = True
         if not changed:
@@ -134,6 +143,16 @@ def valuate_bellman_ford(arena: EscapeArena, strategy: Strategy,
     raise ReasonablenessError(
         "valuation did not stabilize within %d sweeps; the strategy admits "
         "an odd-dominated cycle" % len(arena.nodes))
+
+
+def to_profiles(arena: EscapeArena,
+                valuation: Valuation) -> dict[int, ColorProfile]:
+    """The sink and every arena node mapped to its value as a profile."""
+    from_key = arena.basis.from_key
+    out = {arena.sink: from_key(valuation[arena.sink])}
+    for v in arena.nodes:
+        out[v] = from_key(valuation[v])
+    return out
 
 
 @dataclass(frozen=True)
@@ -170,31 +189,31 @@ def improvements(arena: EscapeArena, strategy: Strategy,
     between top-valued nodes would be harmless for the valuation but could
     close odd-dominated cycles, which later consistency checks reject.
     """
-    unit = arena.unit
+    unit = arena.unit_keys
+    escape_choices = arena.escape_choices
+    choices = strategy.choices
     improving: dict[int, tuple[int, ...]] = {}
     strict: dict[int, tuple[int, ...]] = {}
     for v in arena.player0_nodes:
         here = valuation[v]
-        step = unit[v]
-        keep, better = [], []
-        if here == POS_INFINITY:
-            keep = [t for t in strategy.choices[v]
-                    if valuation[t] == POS_INFINITY]
+        if here == INF_KEY:
+            keep = tuple(sorted([t for t in choices[v]
+                                 if valuation[t] == INF_KEY]))
+            better = ()
         else:
-            for t in arena.escape_choices[v]:
-                there = step + valuation[t]
-                if here == there:
-                    keep.append(t)
-                elif here < there:
-                    keep.append(t)
-                    better.append(t)
+            # edge (v, t) improves iff unit[v] + valuation[t] >= here;
+            # escape choices are ascending, so both tuples are too
+            need = here - unit[v]
+            keep = tuple([t for t in escape_choices[v]
+                          if valuation[t] >= need])
+            better = tuple([t for t in keep if valuation[t] != need])
         if not keep:
             raise InvariantViolation(
                 "node %d has no improving edge; the valuation does not "
                 "belong to the given strategy" % v)
-        improving[v] = tuple(sorted(keep))
+        improving[v] = keep
         if better:
-            strict[v] = tuple(sorted(better))
+            strict[v] = better
     return ImprovementSets(Strategy(improving), strict)
 
 
@@ -216,23 +235,21 @@ def valuate_dijkstra(arena: EscapeArena, strategy: Strategy,
     the player-1 attractor of the sink; off it the value is unbounded.
     A closure pass after the sweep confirms that no unsettled player-1
     node has a settled successor and no unsettled player-0 node has all
-    its kept successors settled.  Growths, weights and heap entries are
-    packed profile keys of the arena's basis (see profiles.py).
+    its kept successors settled.  Values, growths, weights and heap
+    entries are all keys of the arena's basis.
 
     Raises InvariantViolation when a node of the region has an infinite
     base value, an edge inside it has a negative weight, or the closure
     pass fails.
     """
-    basis = arena.basis
     sink = arena.sink
-    base = basis.keys(base_valuation)
-    if base[sink] is None:
+    base = base_valuation
+    if base[sink] == INF_KEY:
         raise _infinite_in_region(sink)
 
     owner_of = arena.game.owner
     choices = strategy.choices
-    # built per call: cached on the arena it would raise the peak memory
-    unit = basis.keys(arena.unit)
+    unit = arena.unit_keys
     preds = arena.preds
     # growth over the base value per settled node; every weight inside
     # the region is formed and checked once: for a player-1 source when
@@ -250,7 +267,7 @@ def valuate_dijkstra(arena: EscapeArena, strategy: Strategy,
         for s in preds[v]:
             if owner_of[s] == 1:
                 here = base[s]
-                if here is None:
+                if here == INF_KEY:
                     raise _infinite_in_region(s)
                 w = unit[s] + there - here
                 if w < 0:
@@ -269,7 +286,7 @@ def valuate_dijkstra(arena: EscapeArena, strategy: Strategy,
             if left:
                 continue
             here = base[s]
-            if here is None:
+            if here == INF_KEY:
                 raise _infinite_in_region(s)
             step = unit[s] - here
             best = None
@@ -283,20 +300,17 @@ def valuate_dijkstra(arena: EscapeArena, strategy: Strategy,
             heapq.heappush(heap, (best, s))
 
     settled = grown.__contains__
-    from_key = basis.from_key
     succ = arena.succ
-    out: Valuation = {sink: basis.zero}
+    out: Valuation = [INF_KEY] * (sink + 1)
+    for v, g in grown.items():
+        out[v] = base[v] + g
     for v in arena.nodes:
-        g = grown.get(v)
-        if g is not None:
-            out[v] = from_key(base[v] + g)
-        elif (any(map(settled, succ[v])) if owner_of[v] == 1
-              else all(map(settled, choices[v]))):
+        if v not in grown and (any(map(settled, succ[v]))
+                               if owner_of[v] == 1
+                               else all(map(settled, choices[v]))):
             raise InvariantViolation(
                 "Dijkstra sweep failed to settle the sink region: node %d "
                 "is attracted to it but unsettled" % v)
-        else:
-            out[v] = POS_INFINITY
     return out
 
 
@@ -317,12 +331,12 @@ def response_strategy(arena: EscapeArena, strategy: Strategy,
     """Player-1 edges that realize the valuation: for each player-1 node
     the targets whose value plus the node's color equals the node's value.
     Every player-1 node keeps at least one such edge."""
-    unit = arena.unit
+    unit = arena.unit_keys
     tau: dict[int, tuple[int, ...]] = {}
     for v in arena.player1_nodes:
         here = valuation[v]
-        step = unit[v]
-        picks = tuple(t for t in arena.succ[v] if here == step + valuation[t])
+        want = here if here == INF_KEY else here - unit[v]
+        picks = tuple(t for t in arena.succ[v] if valuation[t] == want)
         if not picks:
             raise InvariantViolation(
                 "player-1 node %d realizes none of its edges; the valuation "

@@ -13,10 +13,11 @@ import time
 
 import pytest
 
-from pgsi import (oracle_solve, parse_pgsolver, policy_by_name, replay_verify,
-                  serialize_pgsolver, solve)
+from pgsi import (SolveResult, oracle_solve, parse_pgsolver, policy_by_name,
+                  replay_verify, serialize_pgsolver, solve)
 from pgsi.arena import build_escape_arena, preprocess
 from pgsi.cli import DEG2_BASE, generate_game, main, random_game
+from pgsi.errors import InvariantViolation
 from pgsi.iteration import (BACKENDS, POLICY_NAMES,
                             enumerate_direct_improvements,
                             extract_deterministic)
@@ -342,9 +343,21 @@ def test_acceptance_9_scale_smoke(tmp_path, capsys):
     elapsed = time.perf_counter() - started
     data = json.loads(capsys.readouterr().out)
     partitioned = sorted(data["w0"] + data["w1"]) == list(range(game.n))
-    verdict(capsys, 9, code == 0 and partitioned and elapsed < 10,
-            "10000 nodes solved in %.2fs, exit %d, partition %s"
-            % (elapsed, code, "ok" if partitioned else "BROKEN"))
+    # certify the CLI's own output: JSON object keys are strings
+    printed = SolveResult(
+        tuple(data["w0"]), tuple(data["w1"]),
+        {int(v): t for v, t in data["strategy0"].items()},
+        {int(v): t for v, t in data["strategy1"].items()},
+        {}, data["iterations"], data["policy"])
+    try:
+        replay_verify(game, printed)
+        replayed = "ok"
+    except InvariantViolation as exc:
+        replayed = "FAILED: %s" % exc
+    verdict(capsys, 9, code == 0 and partitioned and elapsed < 10
+            and replayed == "ok",
+            "10000 nodes solved in %.2fs, exit %d, partition %s, replay %s"
+            % (elapsed, code, "ok" if partitioned else "BROKEN", replayed))
 
 
 HANDWRITTEN = [

@@ -104,6 +104,15 @@ def test_solve_rejects_missing_file(capsys):
     assert err.startswith("error:")
 
 
+def test_solve_rejects_negative_audit_every(tmp_path, capsys):
+    path = write_game(tmp_path, TWO_NODE)
+    code, out, err = run(capsys, "solve", path, "--audit-every", "-2")
+    assert code == 2 and out == ""
+    assert err == "error: audit_every must be >= 0, got -2\n"
+    code, _, _ = run(capsys, "solve", path, "--audit-every", "0")
+    assert code == 0
+
+
 def test_internal_failures_exit_3(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise InvariantViolation("boom")

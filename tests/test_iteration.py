@@ -12,12 +12,12 @@ from pgsi import (AllSwitches, ColorProfile, DeterministicAll, POS_INFINITY,
 from pgsi.arena import build_escape_arena, preprocess
 from pgsi.cli import random_game
 from pgsi.errors import EnumerationTooLarge, InvariantViolation
-from pgsi.iteration import (BACKENDS, POLICY_NAMES, _step_bound,
-                            enumerate_direct_improvements,
+from pgsi.iteration import (BACKENDS, POLICY_NAMES, _check_progress,
+                            _step_bound, enumerate_direct_improvements,
                             extract_deterministic)
-from pgsi.profiles import zero_profile
-from pgsi.valuation import (Strategy, improvements, initial_strategy,
-                            valuate_bellman_ford)
+from pgsi.profiles import INF_KEY, zero_profile
+from pgsi.valuation import (ImprovementSets, Strategy, improvements,
+                            initial_strategy, valuate_bellman_ford)
 
 from conftest import parity_games
 
@@ -97,6 +97,13 @@ def test_solve_rejects_unknown_backend():
         solve(EVEN_LOOP, backend="fastest")
 
 
+def test_solve_rejects_negative_audit_every():
+    for audit_every in (-1, -16):
+        with pytest.raises(ValueError):
+            solve(EVEN_LOOP, audit_every=audit_every)
+    assert solve(EVEN_LOOP, audit_every=0).w0 == (0,)
+
+
 # ---------------------------------------------------------------- policies
 
 def test_policy_names_resolve():
@@ -142,6 +149,18 @@ def test_single_random_is_reproducible():
     assert a.valuation == b.valuation
     c = solve(game, policy=SingleRandom(43))
     assert c.w0 == a.w0
+
+
+def test_deterministic_policy_prefers_an_unbounded_strict_target():
+    # node 0 may switch to node 1 (finite, far above the rest) or to
+    # node 2 (+inf); the larger id must win because +inf is the top
+    game = ParityGame((0, 1, 1), (0, 0, 2), ((1, 2), (1,), (2,)))
+    arena = build_escape_arena(game)
+    valuation = [0, 1 << 200, INF_KEY, 0]
+    imps = ImprovementSets(Strategy({0: (1, 2, 3)}), {0: (1, 2)})
+    picked = DeterministicAll().pick(arena, Strategy({0: (3,)}), valuation,
+                                     imps)
+    assert picked.choices == {0: (2,)}
 
 
 def test_stalling_policy_is_rejected():
@@ -201,6 +220,46 @@ def test_valuations_grow_and_strictly_so_at_switches(backend):
             assert record.strict_edges == len(imps.strict_edges())
             assert record.strict_sources == len(imps.sources)
             assert (record.strict_edges == 0) == (k == len(trail) - 1)
+
+
+def test_progress_check_on_unbounded_values():
+    # finite -> +inf is growth, also strict growth at a switched node
+    _check_progress([5, 0], [INF_KEY, 0], {0})
+    _check_progress([INF_KEY, 5, 0], [INF_KEY, INF_KEY, 0], {1})
+    # +inf -> finite is a shrink, whatever happens elsewhere
+    with pytest.raises(InvariantViolation, match="shrank at node 0"):
+        _check_progress([INF_KEY, 5, 0], [1 << 300, INF_KEY, 0], {1})
+    # +inf -> +inf at the switched node is no strict growth there
+    with pytest.raises(InvariantViolation, match="switched node 0"):
+        _check_progress([INF_KEY, 5, 0], [INF_KEY, 6, 0], {0})
+    with pytest.raises(InvariantViolation, match="did not grow"):
+        _check_progress([INF_KEY, 5, 0], [INF_KEY, 5, 0], {0})
+
+
+def test_solve_runs_on_keys_without_profile_operators(monkeypatch):
+    # with no hook attached, no ColorProfile operator runs inside solve:
+    # the loop, its checks and the audits compare packed keys only
+    game = random_game(random.Random(8), 300, 3, 6)
+
+    def runs():
+        return [solve(game, policy=policy, backend=backend, audit_every=4)
+                for backend in BACKENDS
+                for policy in (AllSwitches(), DeterministicAll(),
+                               SingleRandom(8))]
+
+    expected = runs()
+    assert min(r.iterations for r in expected) >= 4
+
+    def refuse(*args):
+        raise AssertionError("ColorProfile operator called inside solve")
+
+    for dunder in ("__add__", "__lt__", "__eq__", "__sub__"):
+        monkeypatch.setattr(ColorProfile, dunder, refuse)
+    results = runs()
+    monkeypatch.undo()
+    for result, reference in zip(results, expected):
+        assert result.to_json() == reference.to_json()
+        assert result.valuation == reference.valuation
 
 
 def test_iteration_count_stays_below_the_step_bound():
@@ -264,8 +323,8 @@ def test_extraction_needs_a_realizing_edge():
     arena = build_escape_arena(EVEN_LOOP)
     with pytest.raises(InvariantViolation):
         extract_deterministic(arena, Strategy.of({0: (1,)}),
-                              {0: ColorProfile.finite((5,)),
-                               1: zero_profile(1)})
+                              [arena.basis.key(ColorProfile.finite((5,))),
+                               arena.basis.key(zero_profile(1))])
 
 
 # ------------------------------------------------------------- enumeration

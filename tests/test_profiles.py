@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from pgsi import NEG_INFINITY, POS_INFINITY, ColorProfile
 from pgsi.errors import DimensionError, ProfileArithmeticError
-from pgsi.profiles import (ProfileBasis, digit_width, path_value, unit_profile,
-                           zero_profile)
+from pgsi.profiles import (INF_KEY, ProfileBasis, digit_width, path_value,
+                           unit_profile, zero_profile)
 
 
 def fin(*counts):
@@ -181,13 +181,14 @@ TOP = 2 ** (digit_width(2) - 1) - 1
 
 
 def at_small_width(counts):
-    # built by unit steps from the basis, as the solver builds its values
-    p = SMALL.zero
+    # built by unit steps on the basis's keys, as the solver builds its
+    # values
+    key = 0
     for color, k in enumerate(counts):
-        unit = SMALL.unit(color)
+        unit = SMALL.unit_key(color)
         for _ in range(abs(k)):
-            p = p + unit if k > 0 else p - unit
-    return p
+            key = key + unit if k > 0 else key - unit
+    return SMALL.from_key(key)
 
 
 small_counts = st.lists(
@@ -252,17 +253,17 @@ def test_equal_profiles_of_different_widths():
 
 
 def test_unit_profiles_at_the_solver_width():
-    assert SMALL.unit(0) == unit_profile(0, 4)
-    assert SMALL.unit(3) == unit_profile(3, 4)
-    assert SMALL.zero == zero_profile(4)
+    assert SMALL.from_key(SMALL.unit_key(0)) == unit_profile(0, 4)
+    assert SMALL.from_key(SMALL.unit_key(3)) == unit_profile(3, 4)
+    assert SMALL.from_key(0) == zero_profile(4)
     with pytest.raises(DimensionError):
-        SMALL.unit(4)
+        SMALL.unit_key(4)
 
 
 def test_basis_keys_add_and_order_like_profiles():
     a, b = at_small_width([3, -2, 0, 5]), at_small_width([1, 4, -7, 5])
     ka, kb = SMALL.key(a), SMALL.key(b)
-    assert SMALL.key(SMALL.zero) == 0
+    assert SMALL.key(zero_profile(4)) == 0
     assert SMALL.from_key(ka) == a
     assert SMALL.from_key(ka + kb) == a + b
     assert SMALL.from_key(ka - kb) == a - b
@@ -272,12 +273,25 @@ def test_basis_keys_add_and_order_like_profiles():
 def test_basis_key_re_encodes_other_widths_exactly():
     wide = fin(3, -2, 0, 5)
     assert SMALL.key(wide) == SMALL.key(at_small_width([3, -2, 0, 5]))
-    assert SMALL.keys({0: wide, 1: POS_INFINITY, 2: NEG_INFINITY}) == {
-        0: SMALL.key(wide), 1: None, 2: None}
+    assert SMALL.key(POS_INFINITY) == INF_KEY
+    assert SMALL.key(NEG_INFINITY) == -INF_KEY
+    assert SMALL.from_key(INF_KEY) is POS_INFINITY
+    assert SMALL.from_key(-INF_KEY) is NEG_INFINITY
     with pytest.raises(DimensionError):
         SMALL.key(fin(3, -2, 5))
     with pytest.raises(DimensionError):
         SMALL.key(fin(0, 0, 0, TOP + 1))
+
+
+def test_inf_key_is_exactly_above_every_key():
+    # valuations hold INF_KEY among int keys of any size: comparisons,
+    # min and max must treat it as the top value without rounding
+    for key in (0, 1, -1, TOP, 1 << 48000, -(1 << 48000), (1 << 48000) - 1):
+        assert key < INF_KEY and not INF_KEY < key and key != INF_KEY
+        assert -INF_KEY < key
+        assert max(key, INF_KEY) == INF_KEY == max(INF_KEY, key)
+        assert min(key, INF_KEY) == key == min(INF_KEY, key)
+    assert (1 << 48000) - 1 < 1 << 48000 < INF_KEY
 
 
 # ---------------------------------------------------------------- plumbing

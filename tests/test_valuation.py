@@ -11,11 +11,11 @@ from pgsi.arena import attractor, build_escape_arena, preprocess
 from pgsi.cli import random_game
 from pgsi.errors import InvariantViolation, ReasonablenessError
 from pgsi.iteration import AllSwitches, SingleRandom
-from pgsi.profiles import unit_profile, zero_profile
+from pgsi.profiles import INF_KEY, unit_profile, zero_profile
 from pgsi.valuation import (Strategy, apply_operator, improvements,
                             initial_strategy, is_reasonable,
-                            response_strategy, valuate_bellman_ford,
-                            valuate_dijkstra)
+                            response_strategy, to_profiles,
+                            valuate_bellman_ford, valuate_dijkstra)
 
 from conftest import parity_games
 
@@ -26,6 +26,14 @@ def fin(*counts):
 
 def arena_of(game):
     return build_escape_arena(game)
+
+
+def keys_of(arena, values):
+    """The key list of a node -> profile mapping; absent nodes are +inf."""
+    keys = [INF_KEY] * (arena.sink + 1)
+    for v, value in values.items():
+        keys[v] = arena.basis.key(value)
+    return keys
 
 
 def self_loop_arena(color):
@@ -90,20 +98,21 @@ def test_reasonableness_of_chosen_self_loops():
 def test_valuation_of_escape_only_self_loop():
     arena = self_loop_arena(1)
     vals = valuate_bellman_ford(arena, initial_strategy(arena))
-    assert vals == {0: fin(0, 1), 1: zero_profile(2)}
+    assert to_profiles(arena, vals) == {0: fin(0, 1), 1: zero_profile(2)}
 
 
 def test_valuation_of_unforced_even_self_loop():
     arena = self_loop_arena(2)
     vals = valuate_bellman_ford(arena, Strategy.of({0: (0, 1)}))
-    assert vals == {0: POS_INFINITY, 1: zero_profile(3)}
+    assert to_profiles(arena, vals) == {0: POS_INFINITY, 1: zero_profile(3)}
 
 
 def test_valuation_of_two_node_escape():
     game = ParityGame((0, 1), (1, 2), ((1,), (0,)))
     arena = arena_of(game)
     vals = valuate_bellman_ford(arena, initial_strategy(arena))
-    assert vals == {0: fin(0, 1, 0), 1: fin(0, 1, 1), 2: zero_profile(3)}
+    assert to_profiles(arena, vals) == {0: fin(0, 1, 0), 1: fin(0, 1, 1),
+                                        2: zero_profile(3)}
 
 
 def test_sink_value_is_always_empty():
@@ -112,7 +121,7 @@ def test_sink_value_is_always_empty():
         game = random_game(rng, rng.randint(1, 7), 3, 4)
         arena = preprocess(arena_of(game)).arena
         vals = valuate_bellman_ford(arena, initial_strategy(arena))
-        assert vals[arena.sink] == zero_profile(arena.d)
+        assert to_profiles(arena, vals)[arena.sink] == zero_profile(arena.d)
 
 
 def test_unreasonable_strategy_is_rejected():
@@ -198,7 +207,7 @@ def test_valuation_never_drops_below_empty_play(game):
     if not arena.nodes:
         return
     for _, valuation in improvement_iterates(arena):
-        for value in valuation.values():
+        for value in to_profiles(arena, valuation).values():
             assert value == POS_INFINITY or value.is_finite
 
 
@@ -213,7 +222,7 @@ def test_finite_value_iff_pulled_to_sink(game):
         view = arena.strategy_view(strategy.choices)
         region = attractor(view, 1, (arena.sink,)).members
         for v in arena.nodes:
-            assert (valuation[v] != POS_INFINITY) == (v in region)
+            assert (valuation[v] != INF_KEY) == (v in region)
 
 
 # --------------------------------------------------------- operator order
@@ -253,8 +262,8 @@ def test_operator_is_monotone_in_the_valuation():
         hi = {v: val if val == POS_INFINITY
               else val + _nonnegative_bump(rng, arena.d)
               for v, val in lo.items()}
-        out_lo = apply_operator(arena, strategy, lo)
-        out_hi = apply_operator(arena, strategy, hi)
+        out_lo = apply_operator(arena, strategy, keys_of(arena, lo))
+        out_hi = apply_operator(arena, strategy, keys_of(arena, hi))
         for v in arena.nodes:
             assert out_lo[v] <= out_hi[v]
 
@@ -268,7 +277,7 @@ def test_operator_is_monotone_in_the_strategy():
         small = Strategy.of({
             v: rng.sample(ts, rng.randint(1, len(ts)))
             for v, ts in big.choices.items()})
-        valuation = _random_valuation(rng, arena)
+        valuation = keys_of(arena, _random_valuation(rng, arena))
         out_small = apply_operator(arena, small, valuation)
         out_big = apply_operator(arena, big, valuation)
         for v in arena.nodes:
@@ -313,7 +322,7 @@ def test_improvements_even_self_loop_is_a_strict_gain():
     arena = self_loop_arena(2)
     strategy = initial_strategy(arena)
     vals = valuate_bellman_ford(arena, strategy)
-    assert vals[0] == fin(0, 0, 1)
+    assert to_profiles(arena, vals)[0] == fin(0, 0, 1)
     imps = improvements(arena, strategy, vals)
     assert imps.improving.choices == {0: (0, 1)}
     assert imps.strict == {0: (0,)}
@@ -325,17 +334,30 @@ def test_improvements_at_top_value_keep_only_top_strategy_edges():
     arena = self_loop_arena(2)
     strategy = Strategy.of({0: (0, 1)})
     vals = valuate_bellman_ford(arena, strategy)
-    assert vals[0] == POS_INFINITY
+    assert vals[0] == INF_KEY
     imps = improvements(arena, strategy, vals)
     assert imps.improving.choices == {0: (0,)}
     assert not imps.has_strict
+
+
+def test_improvements_edge_to_an_unbounded_target_is_strict():
+    # node 1 keeps its even self-loop and never reaches the sink; node 0
+    # still escapes, so its edge onto node 1 is a strict improvement
+    game = ParityGame((0, 0), (0, 2), ((1,), (1,)))
+    arena = arena_of(game)
+    strategy = Strategy.of({0: (2,), 1: (1,)})
+    vals = valuate_bellman_ford(arena, strategy)
+    assert vals[0] != INF_KEY and vals[1] == INF_KEY
+    imps = improvements(arena, strategy, vals)
+    assert imps.improving.choices == {0: (1, 2), 1: (1,)}
+    assert imps.strict == {0: (1,)}
 
 
 def test_improvements_reject_foreign_valuation():
     arena = self_loop_arena(1)
     with pytest.raises(InvariantViolation):
         improvements(arena, initial_strategy(arena),
-                     {0: fin(5, 0), 1: zero_profile(2)})
+                     keys_of(arena, {0: fin(5, 0), 1: zero_profile(2)}))
 
 
 @settings(max_examples=150, deadline=None)
@@ -348,6 +370,7 @@ def test_improvement_sets_are_consistent(game):
     unit = {v: unit_profile(arena.game.color[v], arena.d) for v in arena.nodes}
     for strategy, valuation in improvement_iterates(arena):
         imps = improvements(arena, strategy, valuation)
+        valuation = to_profiles(arena, valuation)
         for v in arena.player0_nodes:
             kept = imps.improving.choices[v]
             assert kept
@@ -384,14 +407,16 @@ def test_update_moves_unforced_node_to_top():
     vals = valuate_bellman_ford(arena, strategy)
     imps = improvements(arena, strategy, vals)
     updated = valuate_dijkstra(arena, imps.improving, vals)
-    assert updated == {0: POS_INFINITY, 1: zero_profile(3)}
+    assert to_profiles(arena, updated) == {0: POS_INFINITY,
+                                           1: zero_profile(3)}
 
 
 def test_update_rejects_negative_edge_weight():
     game = ParityGame((0, 0), (0, 1), ((1,), (0,)))
     arena = arena_of(game)
     base = valuate_bellman_ford(arena, initial_strategy(arena))
-    assert base == {0: fin(1, 0), 1: fin(0, 1), 2: zero_profile(2)}
+    assert to_profiles(arena, base) == {0: fin(1, 0), 1: fin(0, 1),
+                                        2: zero_profile(2)}
     # 0 -> 1 loses value, so the chosen edges are not an improvement
     with pytest.raises(InvariantViolation):
         valuate_dijkstra(arena, Strategy.of({0: (1,), 1: (2,)}), base)
@@ -399,7 +424,7 @@ def test_update_rejects_negative_edge_weight():
 
 def test_update_rejects_infinite_base_inside_sink_region():
     arena = self_loop_arena(1)
-    base = {0: POS_INFINITY, 1: zero_profile(2)}
+    base = keys_of(arena, {0: POS_INFINITY, 1: zero_profile(2)})
     with pytest.raises(InvariantViolation):
         valuate_dijkstra(arena, Strategy.of({0: (1,)}), base)
 
@@ -452,7 +477,7 @@ def test_update_matches_reference_at_scale():
                 assert fast == valuate_bellman_ford(arena, strategy)
                 compared += 1
                 largest = max(largest, sum(
-                    value.is_finite for value in fast.values()))
+                    value != INF_KEY for value in fast))
                 valuation = fast
     assert compared >= 2000
     assert largest >= 300
@@ -466,8 +491,9 @@ def test_update_keeps_node_with_a_kept_edge_off_the_region_unbounded():
     base = valuate_bellman_ford(arena, initial_strategy(arena))
     strategy = Strategy.of({0: (1, 2), 1: (1,), 2: (3,)})
     updated = valuate_dijkstra(arena, strategy, base)
-    assert updated == {0: POS_INFINITY, 1: POS_INFINITY, 2: fin(0, 1, 0),
-                       3: zero_profile(3)}
+    assert to_profiles(arena, updated) == {
+        0: POS_INFINITY, 1: POS_INFINITY, 2: fin(0, 1, 0),
+        3: zero_profile(3)}
     assert updated == valuate_bellman_ford(arena, strategy)
 
 
@@ -479,8 +505,11 @@ def test_update_accepts_a_base_at_the_public_width():
         arena = preprocess(arena_of(game)).arena
         for strategy, valuation in improvement_iterates(arena):
             imps = improvements(arena, strategy, valuation)
-            wide = {v: fin(*value.counts) if value.is_finite else value
-                    for v, value in valuation.items()}
+            # the same values built at 64-bit digits, then re-encoded
+            wide = keys_of(arena, {
+                v: fin(*value.counts) if value.is_finite else value
+                for v, value in to_profiles(arena, valuation).items()})
+            assert wide == valuation
             assert valuate_dijkstra(arena, imps.improving, wide) \
                 == valuate_dijkstra(arena, imps.improving, valuation)
             compared += 1
@@ -503,8 +532,9 @@ def test_response_picks_the_minimal_successor():
     arena = arena_of(game)
     strategy = initial_strategy(arena)
     vals = valuate_bellman_ford(arena, strategy)
-    assert vals[1] == fin(0, 1) and vals[2] == fin(1, 0)
-    assert vals[0] == fin(1, 1)
+    values = to_profiles(arena, vals)
+    assert values[1] == fin(0, 1) and values[2] == fin(1, 0)
+    assert values[0] == fin(1, 1)
     assert response_strategy(arena, strategy, vals) == {0: (1,)}
 
 
@@ -513,7 +543,7 @@ def test_response_keeps_top_valued_edges():
     arena = arena_of(game)
     strategy = Strategy.of({1: (1,)})
     vals = valuate_bellman_ford(arena, strategy)
-    assert vals[0] == POS_INFINITY and vals[1] == POS_INFINITY
+    assert vals[0] == INF_KEY and vals[1] == INF_KEY
     assert response_strategy(arena, strategy, vals) == {0: (1,)}
 
 
@@ -534,6 +564,7 @@ def test_response_realizes_the_valuation(game):
         return
     for strategy, valuation in improvement_iterates(arena):
         tau = response_strategy(arena, strategy, valuation)
+        valuation = to_profiles(arena, valuation)
         assert set(tau) == set(arena.player1_nodes)
         for v, ts in tau.items():
             assert ts
