@@ -81,10 +81,25 @@ class ParityGame:
         return tuple(v for v in range(self.n) if self.owner[v] == player)
 
 
-_HEADER_RE = re.compile(r"^\s*parity\s+(\d+)\s*;\s*$")
+_HEADER_RE = re.compile(r"^\s*parity\s+([0-9]+)\s*;\s*$")
+# The successor list starts and ends with a digit, and one run of
+# whitespace separates it from the name and the semicolon: with
+# overlapping optional runs, a failing match backtracks in cubic time,
+# a minute on a line of 4000 blanks.
 _NODE_RE = re.compile(
-    r'^\s*(\d+)\s+(\d+)\s+([01])\s+([0-9][0-9,\s]*?)\s*(?:"([^"]*)")?\s*;\s*$'
+    r'^\s*([0-9]+)\s+([0-9]+)\s+([01])\s+([0-9](?:[0-9,\s]*[0-9])?)'
+    r'\s*(?:"([^"]*)"\s*)?;\s*$'
 )
+
+
+def _number(text: str, lineno: int) -> int:
+    """An id, color or successor as an int; FormatError for a piece that
+    is not one number or has more digits than CPython converts."""
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError("line %d: malformed or oversized number %.40r"
+                          % (lineno, text)) from None
 
 
 def parse_pgsolver(text: str) -> ParityGame:
@@ -93,8 +108,10 @@ def parse_pgsolver(text: str) -> ParityGame:
     The format is line based: an optional ``parity <maxid>;`` header
     followed by one ``<id> <color> <owner> <succ>,<succ>,... ["name"];``
     statement per line.  Input is whitespace-tolerant; blank lines are
-    skipped.  Raises FormatError on malformed lines, duplicate or gapped
-    node ids, and successors that name no declared node.
+    skipped.  Numbers are ASCII digits; the header's is not read.  Raises
+    FormatError on malformed lines, numbers with more digits than CPython
+    converts to int, duplicate or gapped node ids, and successors that
+    name no declared node.
     """
     entries: dict[int, tuple[int, int, tuple[int, ...], str | None]] = {}
     header_allowed = True
@@ -108,7 +125,7 @@ def parse_pgsolver(text: str) -> ParityGame:
         m = _NODE_RE.match(line)
         if not m:
             raise FormatError("line %d: malformed node line: %r" % (lineno, line.strip()))
-        node = int(m.group(1))
+        node = _number(m.group(1), lineno)
         if node in entries:
             raise FormatError("line %d: duplicate node id %d" % (lineno, node))
         succs = []
@@ -116,9 +133,10 @@ def parse_pgsolver(text: str) -> ParityGame:
             piece = piece.strip()
             if not piece:
                 raise FormatError("line %d: empty successor entry" % lineno)
-            succs.append(int(piece))
+            succs.append(_number(piece, lineno))
         name = m.group(5) or None
-        entries[node] = (int(m.group(2)), int(m.group(3)), tuple(succs), name)
+        entries[node] = (_number(m.group(2), lineno), int(m.group(3)),
+                         tuple(succs), name)
 
     n = len(entries)
     for node in entries:
@@ -265,6 +283,16 @@ class EscapeArena:
         succ[self.sink] = ()
         return GraphView(self.nodes + (self.sink,), succ, self._owner,
                          self._color)
+
+    def induced_strategy_view(self, choices: Mapping[int, tuple[int, ...]],
+                              nodes: set[int]) -> GraphView:
+        """The subgraph of ``strategy_view(choices)`` induced by a set of
+        arena nodes, built without the full view."""
+        owner_of = self.game.owner
+        succ = {v: tuple([t for t in (self.succ[v] if owner_of[v] == 1
+                                      else choices[v]) if t in nodes])
+                for v in nodes}
+        return GraphView(tuple(nodes), succ, self._owner, self._color)
 
     def player1_view(self) -> GraphView:
         """The subgraph induced by player-1 nodes (no sink, no escapes)."""

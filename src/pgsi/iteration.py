@@ -25,8 +25,8 @@ from .errors import EnumerationTooLarge, InvariantViolation
 from .profiles import INF_KEY, ColorProfile
 from .valuation import (ImprovementSets, Strategy, UpdateHook, Valuation,
                         improvements, initial_strategy, is_reasonable,
-                        response_strategy, to_profiles, valuate_bellman_ford,
-                        valuate_dijkstra)
+                        is_reasonable_step, response_strategy, to_profiles,
+                        valuate_bellman_ford, valuate_dijkstra)
 
 BACKEND_DIJKSTRA = "dijkstra"
 BACKEND_BELLMAN_FORD = "bellman-ford"
@@ -244,7 +244,12 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
     `backend` selects how strategies are revalued after the first
     iteration; with the fast path every `audit_every`-th iteration is
     recomputed by the reference route and compared bit for bit (0
-    disables auditing; a negative value raises ValueError).
+    disables auditing; a negative value raises ValueError).  Every
+    strategy is checked for reasonableness.  The first iteration and, on
+    the reference backend, every iteration run the full check; other
+    iterations of the fast path check only the region where an edge the
+    step added can close a cycle (``is_reasonable_step``), and audit
+    iterations run both checks and require the same verdict.
     `on_iteration` sees every (iteration, strategy, valuation,
     improvement sets) tuple as the run unfolds; `on_update` is handed to
     every reference valuation and sees its single updates.  The loop
@@ -280,8 +285,10 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
             if current is None or backend == BACKEND_BELLMAN_FORD:
                 new_vals = valuate_bellman_ford(arena, sigma,
                                                 on_update=on_update)
+                reasonable = is_reasonable(arena, sigma)
             else:
                 new_vals = valuate_dijkstra(arena, sigma, current)
+                reasonable = is_reasonable_step(arena, previous, sigma)
                 if audit_every and (iterations + 1) % audit_every == 0:
                     audit = valuate_bellman_ford(arena, sigma,
                                                  on_update=on_update)
@@ -289,7 +296,12 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
                         raise InvariantViolation(
                             "accelerated valuation disagrees with the "
                             "reference at iteration %d" % (iterations + 1))
-            if not is_reasonable(arena, sigma):
+                    if is_reasonable(arena, sigma) != reasonable:
+                        raise InvariantViolation(
+                            "incremental reasonableness check disagrees "
+                            "with the full one at iteration %d"
+                            % (iterations + 1))
+            if not reasonable:
                 raise InvariantViolation(
                     "iteration %d produced an unreasonable strategy"
                     % (iterations + 1))
@@ -312,7 +324,7 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
                     % bound)
             next_sigma = policy.pick(arena, sigma, current, imps)
             switched = _check_step(next_sigma, imps)
-            sigma = next_sigma
+            previous, sigma = sigma, next_sigma
 
         won = {v for v in arena.nodes if current[v] == INF_KEY}
         extracted = extract_deterministic(arena, imps.improving, current)
@@ -345,9 +357,10 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
 def replay_verify(game: ParityGame, result: SolveResult) -> None:
     """Check the winning strategies by replay on the plain game graph.
 
-    Restricting won player-0 nodes to their strategy edge must leave no
-    odd-dominated cycle reachable from the player-0 winning set, and
-    symmetrically for player 1.  Raises InvariantViolation otherwise.
+    Every strategy edge must be an edge of the game, and restricting won
+    player-0 nodes to their strategy edge must leave no odd-dominated
+    cycle reachable from the player-0 winning set, and symmetrically for
+    player 1.  Raises InvariantViolation otherwise.
     """
     if set(result.w0) | set(result.w1) != set(range(game.n)) \
             or set(result.w0) & set(result.w1):
@@ -363,6 +376,11 @@ def replay_verify(game: ParityGame, result: SolveResult) -> None:
                 if v not in strategy:
                     raise InvariantViolation(
                         "player-%d strategy misses won node %d" % (player, v))
+                if strategy[v] not in game.successors[v]:
+                    raise InvariantViolation(
+                        "player-%d strategy moves from node %d along "
+                        "(%d,%r), which is not an edge of the game"
+                        % (player, v, v, strategy[v]))
                 succ[v] = (strategy[v],)
             else:
                 succ[v] = game.successors[v]

@@ -16,6 +16,13 @@ weights (the fast path).  The sweep finds the region of finite values, the
 nodes player 1 can force into the sink, on its own and checks afterwards
 that the region is closed.  Both routes return bit-identical results.
 
+Reasonableness has two checks too.  :func:`is_reasonable` decomposes the
+whole strategy view; :func:`is_reasonable_step`, given a reasonable
+strategy the new one replaces, decomposes only the region where an added
+edge can close a cycle.  ``solve`` runs the full check on its first
+iteration, on every iteration of the reference backend and on every audit
+iteration, where both must agree, and the step check on the rest.
+
 Inside ``solve`` a valuation is a list of packed profile keys indexed by
 node id, with the sink at index n and ``INF_KEY`` for +inf (see
 profiles.py); nodes the arena does not keep hold ``INF_KEY`` too.  Both
@@ -78,6 +85,53 @@ def is_reasonable(arena: EscapeArena, strategy: Strategy) -> bool:
     """True iff the strategy-restricted arena has no odd-dominated cycle."""
     view = arena.strategy_view(strategy.choices)
     return not find_one_dominated_cycle_nodes(view)
+
+
+def is_reasonable_step(arena: EscapeArena, old: Strategy,
+                       new: Strategy) -> bool:
+    """``is_reasonable(arena, new)`` for a `new` strategy over the same
+    player-0 nodes as a reasonable `old` one, with every edge inside the
+    arena's escape choices.
+
+    Every cycle of the new strategy view that keeps to old edges is a
+    cycle of the old view and so not odd-dominated.  An odd-dominated
+    cycle therefore runs through an added edge (v, t), t kept by `new`
+    but not by `old` and not the sink, which lies on no cycle; each of
+    its nodes is reachable from t and reaches v in the new view.  The
+    check decomposes only the subgraph induced by that region: the nodes
+    that reach an added source, walked backwards along the arena's
+    predecessor table (a player-0 predecessor only where `new` keeps the
+    edge), and of those the ones an added target reaches.  Every node on
+    a path from a target to a source reaches that source, so the second
+    walk never needs to leave the first set.
+    """
+    sink = arena.sink
+    prior, choices = old.choices, new.choices
+    added = [(v, t) for v, targets in choices.items() if targets != prior[v]
+             for t in targets if t != sink and t not in prior[v]]
+    if not added:
+        return True
+    owner_of = arena.game.owner
+    preds = arena.preds
+    reach = {v for v, _ in added}
+    stack = list(reach)
+    while stack:
+        t = stack.pop()
+        for s in preds[t]:
+            if s not in reach and (owner_of[s] == 1 or t in choices[s]):
+                reach.add(s)
+                stack.append(s)
+    succ = arena.succ
+    region = {t for _, t in added if t in reach}
+    stack = list(region)
+    while stack:
+        v = stack.pop()
+        for t in succ[v] if owner_of[v] == 1 else choices[v]:
+            if t in reach and t not in region:
+                region.add(t)
+                stack.append(t)
+    return not region or not find_one_dominated_cycle_nodes(
+        arena.induced_strategy_view(choices, region))
 
 
 def apply_operator(arena: EscapeArena, strategy: Strategy,

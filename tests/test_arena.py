@@ -1,9 +1,11 @@
 """Game representation, file format, attractors, cycle analysis."""
 
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgsi import ParityGame, oracle_solve, parse_pgsolver, serialize_pgsolver
 from pgsi.arena import (GraphView, attractor, build_escape_arena,
@@ -64,11 +66,53 @@ def test_parse_names_and_whitespace():
     "1 1 0 1;\n",           # ids must start at 0
     "0 1 2 0;\n",           # owner out of range
     "0 1 0 0,;\n",          # empty successor entry
+    "0 1 0 0 0;\n",         # successors without a comma between them
+    "\uff10 1 0 0;\n",      # fullwidth digit zero
+    "0 \u0661 0 0;\n",      # Arabic-Indic digit one
+    "0 1 0 \u0660;\n",
+    "parity \uff11;\n0 1 0 0;\n",
     "nonsense\n",
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(FormatError):
         parse_pgsolver(text)
+
+
+def test_parse_long_blank_runs_in_linear_time():
+    # overlapping optional blank runs in the node pattern would make a
+    # failing match backtrack in cubic time: a minute at 4000 blanks
+    blanks = " " * 50_000
+    started = time.perf_counter()
+    for text in ("0 0 0 0" + blanks + "x;\n", "0" + blanks + "x\n",
+                 "0 0 0 0" + " ,0" * 20_000 + blanks + '"a;\n'):
+        with pytest.raises(FormatError):
+            parse_pgsolver(text)
+    game = parse_pgsolver("0 0 0 0" + blanks + '"a"' + blanks + ";\n")
+    assert game.names == ("a",)
+    assert time.perf_counter() - started < 5
+
+
+@pytest.fixture
+def int_digit_limit():
+    """CPython's default limit on the digits of an int read from text,
+    set for the test and restored afterwards."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("line", [
+    "{big} 1 0 0;", "1 {big} 0 0;", "1 1 0 {big};", "1 1 0 0,{big};",
+    "1 1 0 {zeros};"])
+def test_parse_refuses_numbers_past_the_digit_limit(line, int_digit_limit):
+    big, zeros = "9" * (int_digit_limit + 1), "0" * (int_digit_limit + 1)
+    text = "0 1 0 0;\n" + line.format(big=big, zeros=zeros) + "\n"
+    with pytest.raises(FormatError, match="^line 2: "):
+        parse_pgsolver(text)
+    widest = "9" * int_digit_limit
+    game = parse_pgsolver("parity %s;\n0 %s 0 0;\n" % (big, widest))
+    assert game.color == (int(widest),)
 
 
 def test_serialize_canonical_form():
@@ -85,6 +129,80 @@ def test_round_trip_is_stable():
 @given(parity_games())
 def test_round_trip_random_games(game):
     assert parse_pgsolver(serialize_pgsolver(game)) == game
+
+
+# numbers a file may hold: past CPython's default int-conversion limit,
+# padded, or with non-ASCII digits, next to the valid ones
+COLORS = st.one_of(st.integers(0, 6).map(str),
+                   st.integers(0, 2 ** 63).map(str), st.just("9" * 4300))
+NUMBERS = st.one_of(
+    COLORS,
+    st.sampled_from(["9" * 4301, "1" + "0" * 4300, "0" * 4301, "007"]),
+    st.text(alphabet="01\uff10\uff11\u0660\u0661\u0966", min_size=1,
+            max_size=3),
+)
+GAPS = st.text(alphabet=" \t\u00a0\u2003\u3000", min_size=1, max_size=2)
+NAMES = st.text(alphabet=st.sampled_from("ab ,;\t'\u00e9\u4e00"),
+                max_size=6)
+NEWLINES = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028",
+                            "\n \n"])
+FLAWS = (None, None, None, "id", "number", "separator", "owner", "name",
+         "ending")
+
+
+@st.composite
+def pgsolver_texts(draw):
+    """Text in or near the PGSolver format: a game with node ids 0..n-1
+    in any order, colors up to 2^63 and 4300 digits, odd whitespace and
+    line endings, and names with quotes, commas and semicolons; at most
+    one kind of flaw per text (extra duplicate, gapped or huge ids, bad
+    numbers, separators, owners, names or line ends)."""
+    flaw = draw(st.sampled_from(FLAWS))
+
+    def field(clean, flawed, kind):
+        return draw(st.one_of(clean, flawed) if flaw == kind else clean)
+
+    n = draw(st.integers(0, 5))
+    ids = [str(v) for v in draw(st.permutations(range(n)))]
+    if flaw == "id":
+        ids += draw(st.lists(NUMBERS, min_size=1, max_size=2))
+    lines = []
+    if draw(st.booleans()):
+        lines.append("parity%s%s;" % (draw(GAPS),
+                                      field(COLORS, NUMBERS, "number")))
+    targets = st.integers(0, max(n - 1, 0)).map(str)
+    for node in draw(st.permutations(ids)):
+        succs = field(st.lists(targets, min_size=1, max_size=3),
+                      st.lists(NUMBERS, max_size=3), "number")
+        comma = field(st.sampled_from([",", ", ", " ,"]),
+                      st.sampled_from([",,", " ", ""]), "separator")
+        line = "%s%s%s%s%s%s%s%s" % (
+            draw(st.sampled_from(["", " ", "\t"])), node, draw(GAPS),
+            field(COLORS, NUMBERS, "number"),
+            field(GAPS, st.sampled_from(["", ",", ";"]), "separator"),
+            field(st.sampled_from("01"), st.sampled_from(["2", "x", ""]),
+                  "owner"),
+            draw(GAPS), comma.join(succs))
+        name = draw(st.one_of(st.none(), NAMES))
+        if name is not None:
+            line += '%s"%s"' % (draw(GAPS), field(
+                st.just(name), st.just(name + '"'), "name"))
+        lines.append(line + field(st.sampled_from([";", " ;", ";\t"]),
+                                  st.sampled_from(["", ";;", "; x"]),
+                                  "ending"))
+    return "".join(line + draw(NEWLINES) for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(pgsolver_texts(), st.text(max_size=40)))
+def test_parse_fuzz_gives_a_game_or_format_error(text):
+    try:
+        game = parse_pgsolver(text)
+    except FormatError:
+        return
+    canonical = serialize_pgsolver(game)
+    assert parse_pgsolver(canonical) == game
+    assert serialize_pgsolver(parse_pgsolver(canonical)) == canonical
 
 
 # ------------------------------------------------------------ escape arena

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 
 from pgsi import (AllSwitches, ColorProfile, DeterministicAll, POS_INFINITY,
-                  ParityGame, SingleRandom, policy_by_name, replay_verify,
-                  solve)
+                  ParityGame, SingleRandom, SolveResult, parse_pgsolver,
+                  iteration, policy_by_name, replay_verify, solve)
 from pgsi.arena import build_escape_arena, preprocess
 from pgsi.cli import random_game
 from pgsi.errors import EnumerationTooLarge, InvariantViolation
-from pgsi.iteration import (BACKENDS, POLICY_NAMES, _check_progress,
-                            _step_bound, enumerate_direct_improvements,
+from pgsi.iteration import (BACKEND_BELLMAN_FORD, BACKEND_DIJKSTRA, BACKENDS,
+                            POLICY_NAMES, _check_progress, _step_bound,
+                            enumerate_direct_improvements,
                             extract_deterministic)
 from pgsi.profiles import INF_KEY, zero_profile
 from pgsi.valuation import (ImprovementSets, Strategy, improvements,
@@ -262,6 +263,50 @@ def test_solve_runs_on_keys_without_profile_operators(monkeypatch):
         assert result.valuation == reference.valuation
 
 
+@pytest.mark.parametrize("backend, audit_every", [
+    (BACKEND_DIJKSTRA, 4), (BACKEND_DIJKSTRA, 0), (BACKEND_BELLMAN_FORD, 4)])
+def test_full_reasonableness_check_runs_on_its_cadence(monkeypatch, backend,
+                                                        audit_every):
+    # the fast path checks iteration 1 and every audit iteration in full
+    # and the others incrementally; the reference backend checks in full
+    calls = {"full": 0, "step": 0}
+
+    def counted(name, check):
+        def run(*args):
+            calls[name] += 1
+            return check(*args)
+        return run
+
+    monkeypatch.setattr(iteration, "is_reasonable",
+                        counted("full", iteration.is_reasonable))
+    monkeypatch.setattr(iteration, "is_reasonable_step",
+                        counted("step", iteration.is_reasonable_step))
+    game = random_game(random.Random(12), 120, 3, 6)
+    n = solve(game, SingleRandom(3), backend, audit_every).iterations
+    assert n >= 20
+    if backend == BACKEND_BELLMAN_FORD:
+        assert calls == {"full": n, "step": 0}
+    else:
+        audits = n // audit_every if audit_every else 0
+        assert calls == {"full": 1 + audits, "step": n - 1}
+
+
+def test_audit_catches_a_wrong_incremental_reasonableness_verdict(
+        monkeypatch):
+    real = iteration.is_reasonable_step
+    monkeypatch.setattr(iteration, "is_reasonable_step",
+                        lambda arena, old, new: not real(arena, old, new))
+    game = random_game(random.Random(12), 120, 3, 6)
+    with pytest.raises(InvariantViolation, match="incremental "
+                       "reasonableness check disagrees with the full one "
+                       "at iteration 2$"):
+        solve(game, SingleRandom(3), audit_every=2)
+    # without audits the incremental verdict alone rejects the strategy
+    with pytest.raises(InvariantViolation,
+                       match="iteration 2 produced an unreasonable strategy"):
+        solve(game, SingleRandom(3), audit_every=0)
+
+
 def test_iteration_count_stays_below_the_step_bound():
     rng = random.Random(41)
     for _ in range(25):
@@ -378,6 +423,27 @@ def test_replay_rejects_losing_strategy_edge():
                           result.stats)
     with pytest.raises(InvariantViolation):
         replay_verify(game, broken)
+
+
+# player 1 wins nodes 0 and 1 through the odd self-loop on 1; player 0
+# wins node 2 through its even self-loop
+NON_EDGE_GAME = parse_pgsolver("0 0 0 1;\n1 1 1 1;\n2 2 0 2;\n")
+
+
+@pytest.mark.parametrize("w0, w1, strategy0, strategy1", [
+    ((0, 2), (1,), {0: 2, 2: 2}, {1: 1}),   # 0 -> 2 is no edge
+    ((2,), (0, 1), {2: 2}, {1: 0}),          # 1 -> 0 is no edge
+    ((2,), (0, 1), {2: 3}, {1: 1}),          # 3 is no node
+    ((2,), (0, 1), {2: -1}, {1: 1}),
+    ((2,), (0, 1), {2: 2}, {1: 7}),
+], ids=["player0-non-edge", "player1-non-edge", "player0-past-n",
+        "player0-negative", "player1-past-n"])
+def test_replay_rejects_strategy_edges_outside_the_game(w0, w1, strategy0,
+                                                       strategy1):
+    assert solve(NON_EDGE_GAME).w0 == (2,)
+    forged = SolveResult(w0, w1, strategy0, strategy1, {}, 1, "x")
+    with pytest.raises(InvariantViolation, match="not an edge of the game"):
+        replay_verify(NON_EDGE_GAME, forged)
 
 
 # ----------------------------------------------------------------- output

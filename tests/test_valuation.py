@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgsi import POS_INFINITY, ColorProfile, ParityGame
-from pgsi.arena import attractor, build_escape_arena, preprocess
+from pgsi.arena import (attractor, build_escape_arena,
+                        find_one_dominated_cycle_nodes, preprocess)
 from pgsi.cli import random_game
 from pgsi.errors import InvariantViolation, ReasonablenessError
 from pgsi.iteration import AllSwitches, SingleRandom
 from pgsi.profiles import INF_KEY, unit_profile, zero_profile
 from pgsi.valuation import (Strategy, apply_operator, improvements,
                             initial_strategy, is_reasonable,
-                            response_strategy, to_profiles,
+                            is_reasonable_step, response_strategy, to_profiles,
                             valuate_bellman_ford, valuate_dijkstra)
 
 from conftest import parity_games
@@ -91,6 +92,50 @@ def test_reasonableness_of_chosen_self_loops():
     assert not is_reasonable(odd, Strategy.of({0: (0,)}))
     even = self_loop_arena(0)
     assert is_reasonable(even, Strategy.of({0: (0,)}))
+
+
+@st.composite
+def reasonable_steps(draw):
+    """A preprocessed arena, a reasonable strategy on it and any strategy
+    inside its escape choices that agrees with it at some nodes."""
+    arena = preprocess(arena_of(draw(parity_games(max_colors=5)))).arena
+    escape = arena.escape_choices
+
+    def pick(v):
+        return tuple(sorted(draw(st.sets(st.sampled_from(escape[v]),
+                                         min_size=1))))
+
+    old = {v: pick(v) for v in arena.player0_nodes}
+    # every odd cycle has a player-0 node, because preprocessing leaves
+    # none among player-1 nodes; moving those nodes to the sink cuts them
+    for v in find_one_dominated_cycle_nodes(arena.strategy_view(old)):
+        if v in old:
+            old[v] = (arena.sink,)
+    new = {v: old[v] if draw(st.booleans()) else pick(v) for v in old}
+    return arena, Strategy(old), Strategy(new)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reasonable_steps())
+def test_reasonable_step_agrees_with_the_full_check(step):
+    arena, old, new = step
+    assert is_reasonable(arena, old)
+    assert is_reasonable_step(arena, old, new) == is_reasonable(arena, new)
+
+
+@pytest.mark.parametrize("owner, color, succ, new", [
+    # 0 -> 1 closes an odd cycle through the player-1 node 1
+    ((0, 1), (0, 1), ((1,), (0,)), {0: (1,)}),
+    # three added edges; only the middle one, 2 -> 1, closes an odd cycle
+    ((0, 1, 0, 0), (0, 1, 0, 2), ((0,), (2,), (1,), (3,)),
+     {0: (0,), 2: (1,), 3: (3,)}),
+], ids=["player1-predecessor", "second-of-three-edges"])
+def test_reasonable_step_finds_the_cycle_an_added_edge_closes(owner, color,
+                                                              succ, new):
+    arena = preprocess(arena_of(ParityGame(owner, color, succ))).arena
+    old, new = initial_strategy(arena), Strategy.of(new)
+    assert not is_reasonable(arena, new)
+    assert not is_reasonable_step(arena, old, new)
 
 
 # ------------------------------------------------- fixpoint valuation
@@ -456,7 +501,8 @@ def test_update_matches_reference_on_random_games():
 
 def test_update_matches_reference_at_scale():
     # sink regions of hundreds of nodes, many colours in the first game,
-    # every iterate of two policies compared with the reference
+    # every iterate of two policies compared with the reference, and its
+    # incremental reasonableness check with the full one
     rng = random.Random(2718)
     compared = largest = 0
     for i in range(30):
@@ -472,7 +518,10 @@ def test_update_matches_reference_at_scale():
                 imps = improvements(arena, strategy, valuation)
                 if not imps.has_strict:
                     break
-                strategy = policy.pick(arena, strategy, valuation, imps)
+                step = policy.pick(arena, strategy, valuation, imps)
+                assert is_reasonable_step(arena, strategy, step) \
+                    == is_reasonable(arena, step)
+                strategy = step
                 fast = valuate_dijkstra(arena, strategy, valuation)
                 assert fast == valuate_bellman_ford(arena, strategy)
                 compared += 1
