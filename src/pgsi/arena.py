@@ -34,7 +34,9 @@ class ParityGame:
     """Immutable parity game with nodes indexed 0..n-1.
 
     Successor lists keep their input order but duplicates are collapsed,
-    so edges form a set.  Every node has at least one successor.
+    so edges form a set.  Every node has at least one successor.  A name
+    holds no ``"`` and no line break, so that it survives PGSolver text;
+    an empty name is stored as None, as the parser reads it.
     """
 
     owner: tuple[int, ...]
@@ -50,6 +52,15 @@ class ParityGame:
             object.__setattr__(self, "names", (None,) * n)
         elif len(self.names) != n:
             raise ValueError("names must have one entry per node")
+        elif self.names.count(None) < n:
+            for v, name in enumerate(self.names):
+                if name and ('"' in name
+                             or "".join(name.splitlines()) != name):
+                    raise ValueError(
+                        "node %d has name %r, which holds a quote or a line "
+                        "break" % (v, name))
+            object.__setattr__(self, "names", tuple(
+                name if name else None for name in self.names))
         deduped = []
         for v in range(n):
             if self.owner[v] not in (0, 1):

@@ -16,7 +16,7 @@ import operator
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import compress, product
 from typing import Callable, Iterator, Mapping
 
 from .arena import (EscapeArena, GraphView, ParityGame, build_escape_arena,
@@ -234,6 +234,25 @@ def _check_progress(prev: Valuation, new: Valuation, switched: set[int]) -> None
                 "no strict growth at switched node %d" % v)
 
 
+def _stale_entries(arena: EscapeArena, old: Strategy, new: Strategy,
+                   before: Valuation, after: Valuation) -> set[int]:
+    """The player-0 nodes whose improvement-set entry a step from `old`
+    to `new` can change: those whose choices changed, whose value changed
+    or one of whose escape successors changed value.  An entry reads
+    nothing else.  Every value that changes lies in
+    ``switch_region(arena, old, new)``, so these nodes are player-0 nodes
+    of that region and player-0 predecessors of it."""
+    prior = old.choices
+    stale = [v for v, targets in new.choices.items() if targets != prior[v]]
+    preds = arena.preds
+    for v in compress(range(len(after)), map(operator.ne, before, after)):
+        stale.append(v)
+        stale.extend(preds[v])
+    # the keys of the escape choices are the player-0 nodes
+    player0 = arena.escape_choices
+    return {v for v in stale if v in player0}
+
+
 def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
           audit_every: int = 16,
           on_iteration: IterationHook | None = None,
@@ -242,14 +261,21 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
     winning strategy each, the final valuation and per-iteration stats.
 
     `backend` selects how strategies are revalued after the first
-    iteration; with the fast path every `audit_every`-th iteration is
-    recomputed by the reference route and compared bit for bit (0
-    disables auditing; a negative value raises ValueError).  Every
-    strategy is checked for reasonableness.  The first iteration and, on
-    the reference backend, every iteration run the full check; other
-    iterations of the fast path check only the region where an edge the
-    step added can close a cycle (``is_reasonable_step``), and audit
-    iterations run both checks and require the same verdict.
+    iteration.  The first iteration and, on the reference backend, every
+    iteration valuate the whole arena by fixpoint sweeps and classify
+    every player-0 node.  Later iterations of the fast path revalue only
+    the nodes a switch can reach (``valuate_dijkstra``) and reclassify
+    only the player-0 nodes whose choices, value or successor values
+    changed, carrying the other improvement-set entries over.  Every
+    `audit_every`-th iteration of the fast path is recomputed by the
+    reference route and compared bit for bit, and so are its improvement
+    sets with a classification of every node (0 disables auditing; a
+    negative value raises ValueError).  Every strategy is checked for
+    reasonableness.  The first iteration and, on the reference backend,
+    every iteration run the full check; other iterations of the fast
+    path check only the region where an edge the step added can close a
+    cycle (``is_reasonable_step``), and audit iterations run both checks
+    and require the same verdict.
     `on_iteration` sees every (iteration, strategy, valuation,
     improvement sets) tuple as the run unfolds; `on_update` is handed to
     every reference valuation and sees its single updates.  The loop
@@ -282,33 +308,45 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
         current: Valuation | None = None
         while True:
             started = time.perf_counter()
-            if current is None or backend == BACKEND_BELLMAN_FORD:
+            incremental = (current is not None
+                           and backend == BACKEND_DIJKSTRA)
+            audit = (incremental and audit_every
+                     and (iterations + 1) % audit_every == 0)
+            if incremental:
+                new_vals = valuate_dijkstra(arena, previous, sigma, current)
+                reasonable = is_reasonable_step(arena, previous, sigma)
+            else:
                 new_vals = valuate_bellman_ford(arena, sigma,
                                                 on_update=on_update)
                 reasonable = is_reasonable(arena, sigma)
-            else:
-                new_vals = valuate_dijkstra(arena, sigma, current)
-                reasonable = is_reasonable_step(arena, previous, sigma)
-                if audit_every and (iterations + 1) % audit_every == 0:
-                    audit = valuate_bellman_ford(arena, sigma,
-                                                 on_update=on_update)
-                    if audit != new_vals:
-                        raise InvariantViolation(
-                            "accelerated valuation disagrees with the "
-                            "reference at iteration %d" % (iterations + 1))
-                    if is_reasonable(arena, sigma) != reasonable:
-                        raise InvariantViolation(
-                            "incremental reasonableness check disagrees "
-                            "with the full one at iteration %d"
-                            % (iterations + 1))
+            if audit:
+                if valuate_bellman_ford(arena, sigma,
+                                        on_update=on_update) != new_vals:
+                    raise InvariantViolation(
+                        "accelerated valuation disagrees with the "
+                        "reference at iteration %d" % (iterations + 1))
+                if is_reasonable(arena, sigma) != reasonable:
+                    raise InvariantViolation(
+                        "incremental reasonableness check disagrees "
+                        "with the full one at iteration %d"
+                        % (iterations + 1))
             if not reasonable:
                 raise InvariantViolation(
                     "iteration %d produced an unreasonable strategy"
                     % (iterations + 1))
             if current is not None:
                 _check_progress(current, new_vals, switched)
+            if incremental:
+                imps = improvements(
+                    arena, sigma, new_vals, imps,
+                    _stale_entries(arena, previous, sigma, current, new_vals))
+            else:
+                imps = improvements(arena, sigma, new_vals)
+            if audit and improvements(arena, sigma, new_vals) != imps:
+                raise InvariantViolation(
+                    "incremental improvement sets disagree with the full "
+                    "ones at iteration %d" % (iterations + 1))
             current = new_vals
-            imps = improvements(arena, sigma, current)
             iterations += 1
             stats.append(IterationRecord(
                 iterations, sum(map(len, imps.strict.values())),

@@ -10,18 +10,25 @@ value player 0 can still guarantee: the least fixpoint, above the
 everything-unknown start, of an operator that adds the node's own color
 and takes the order-minimum over player-1 edges respectively the
 order-maximum over the strategy's edges.  Two routes compute it: repeated
-fixpoint sweeps (the reference) and, given the valuation of a strategy the
-new one directly improves, a Dijkstra-style sweep over non-negative edge
-weights (the fast path).  The sweep finds the region of finite values, the
-nodes player 1 can force into the sink, on its own and checks afterwards
-that the region is closed.  Both routes return bit-identical results.
+fixpoint sweeps (the reference) and, given a strategy the new one
+directly improves and its valuation, a Dijkstra-style sweep over
+non-negative edge weights (the fast path).  The sweep revalues only the
+switch region, the nodes that reach a player-0 node whose choices
+changed (:func:`switch_region`); every other node keeps its value.
+Inside the region it finds the nodes player 1 can still force into the
+sink on its own and checks afterwards that they are closed.  Both routes
+return bit-identical results.  :func:`improvements` likewise classifies
+either every player-0 node or, carrying the rest over from the sets of
+the previous step, only the nodes whose inputs changed.
 
 Reasonableness has two checks too.  :func:`is_reasonable` decomposes the
 whole strategy view; :func:`is_reasonable_step`, given a reasonable
 strategy the new one replaces, decomposes only the region where an added
 edge can close a cycle.  ``solve`` runs the full check on its first
 iteration, on every iteration of the reference backend and on every audit
-iteration, where both must agree, and the step check on the rest.
+iteration, where both must agree, and the step check on the rest.  Audit
+iterations compare the revaluation and the carried-over improvement sets
+with their whole-arena counterparts in the same way.
 
 Inside ``solve`` a valuation is a list of packed profile keys indexed by
 node id, with the sink at index n and ``INF_KEY`` for +inf (see
@@ -35,7 +42,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .arena import EscapeArena, find_one_dominated_cycle_nodes
 from .arena import attractor  # noqa: F401  (benchmark/layers.py wraps this name)
@@ -111,16 +118,8 @@ def is_reasonable_step(arena: EscapeArena, old: Strategy,
              for t in targets if t != sink and t not in prior[v]]
     if not added:
         return True
+    reach = _reaching(arena, choices, {v for v, _ in added})
     owner_of = arena.game.owner
-    preds = arena.preds
-    reach = {v for v, _ in added}
-    stack = list(reach)
-    while stack:
-        t = stack.pop()
-        for s in preds[t]:
-            if s not in reach and (owner_of[s] == 1 or t in choices[s]):
-                reach.add(s)
-                stack.append(s)
     succ = arena.succ
     region = {t for _, t in added if t in reach}
     stack = list(region)
@@ -230,8 +229,9 @@ class ImprovementSets:
 
 
 def improvements(arena: EscapeArena, strategy: Strategy,
-                 valuation: Valuation) -> ImprovementSets:
-    """Classify every player-0 arena edge against the valuation.
+                 valuation: Valuation, prior: ImprovementSets | None = None,
+                 nodes: Iterable[int] = ()) -> ImprovementSets:
+    """Classify player-0 arena edges against the valuation.
 
     An edge improves when its own color plus the target value is at least
     the source value; strictly when it is greater.  Edges the strategy's
@@ -242,13 +242,24 @@ def improvements(arena: EscapeArena, strategy: Strategy,
     their strategy edges onto top-valued targets.  Adding further edges
     between top-valued nodes would be harmless for the valuation but could
     close odd-dominated cycles, which later consistency checks reject.
+
+    Without `prior` every player-0 node is classified.  With the sets of
+    an earlier strategy and valuation as `prior`, only the player-0 nodes
+    in `nodes` are; every other entry is carried over unchanged, which is
+    exact when their choices, own values and successor values are the
+    same as then.
     """
     unit = arena.unit_keys
     escape_choices = arena.escape_choices
     choices = strategy.choices
-    improving: dict[int, tuple[int, ...]] = {}
-    strict: dict[int, tuple[int, ...]] = {}
-    for v in arena.player0_nodes:
+    if prior is None:
+        improving: dict[int, tuple[int, ...]] = {}
+        strict: dict[int, tuple[int, ...]] = {}
+        nodes = arena.player0_nodes
+    else:
+        improving = dict(prior.improving.choices)
+        strict = dict(prior.strict)
+    for v in nodes:
         here = valuation[v]
         if here == INF_KEY:
             keep = tuple(sorted([t for t in choices[v]
@@ -268,50 +279,101 @@ def improvements(arena: EscapeArena, strategy: Strategy,
         improving[v] = keep
         if better:
             strict[v] = better
+        else:
+            strict.pop(v, None)
     return ImprovementSets(Strategy(improving), strict)
 
 
-def valuate_dijkstra(arena: EscapeArena, strategy: Strategy,
+def switch_region(arena: EscapeArena, old: Strategy,
+                  new: Strategy) -> set[int]:
+    """The nodes whose value a step from `old` to `new` can change.
+
+    A node's value depends only on the part of the strategy view it
+    reaches.  A node that reaches no player-0 node whose choices changed
+    reaches the same subgraph in the old and the new view, so it keeps its
+    value bit for bit.  The region is the rest: the changed nodes and the
+    nodes that reach one in the new view, walked backwards along the
+    arena's predecessor table (a player-0 predecessor only where `new`
+    keeps the edge).
+    """
+    prior, choices = old.choices, new.choices
+    return _reaching(arena, choices, {v for v, targets in choices.items()
+                                      if targets != prior[v]})
+
+
+def _reaching(arena: EscapeArena, choices: Mapping[int, tuple[int, ...]],
+              seeds: set[int]) -> set[int]:
+    """`seeds`, grown in place by every node that reaches one of them in
+    the strategy view of `choices`: walked backwards along the arena's
+    predecessor table, a player-0 predecessor only where `choices` keeps
+    the edge."""
+    owner_of = arena.game.owner
+    preds = arena.preds
+    stack = list(seeds)
+    while stack:
+        t = stack.pop()
+        for s in preds[t]:
+            if s not in seeds and (owner_of[s] == 1 or t in choices[s]):
+                seeds.add(s)
+                stack.append(s)
+    return seeds
+
+
+def valuate_dijkstra(arena: EscapeArena, old: Strategy, new: Strategy,
                      base_valuation: Valuation) -> Valuation:
-    """Valuation of a strategy that directly improves another one, computed
-    from the old strategy's valuation.
+    """Valuation of a strategy `new` that directly improves `old`,
+    computed from the old strategy's valuation.
 
-    Relative to the old valuation, every edge the new strategy keeps has a
-    non-negative weight (target value plus the source color, minus the
-    source value).  On the region player 1 can still drag into the sink,
-    the value growth per node is then the min-max distance from the sink
-    over those weights.  One Dijkstra sweep along the arena's reversed
-    edges computes it and finds the region on the way: a player-1 node is
-    reached from its first settled successor and settles at its minimal
-    tentative growth, while a player-0 node becomes eligible only once
-    all its kept successors are settled, at the maximum over them.  Ties
-    settle the smallest node id first.  The settled nodes are therefore
-    the player-1 attractor of the sink; off it the value is unbounded.
-    A closure pass after the sweep confirms that no unsettled player-1
-    node has a settled successor and no unsettled player-0 node has all
-    its kept successors settled.  Values, growths, weights and heap
-    entries are all keys of the arena's basis.
+    Only the nodes of ``switch_region(arena, old, new)`` are revalued;
+    every other node keeps its base value, so the result is a copy of the
+    base with the region overwritten.  Relative to the base, every edge
+    the new strategy keeps has a non-negative weight (target value plus
+    the source color, minus the source value).  Inside the region, the
+    value growth per node is the min-max distance over those weights
+    from the nodes outside it, whose growth is 0.  One Dijkstra sweep
+    along the arena's reversed edges computes it.  It starts from the
+    frontier: the finite nodes outside the region that a kept edge out of
+    it reaches, the sink included.  It relaxes only predecessors inside
+    the region, and finds on the way the part player 1 can still drag
+    into the sink: a player-1 node is reached from its first settled
+    successor and settles at its minimal tentative growth, while a
+    player-0 node becomes eligible only once all its kept successors are
+    settled, at the maximum over them.  Ties settle the smallest node id
+    first.  Nodes of the region the sweep does not settle are unbounded.
+    A closure pass over the region after the sweep confirms that no
+    unsettled player-1 node has a settled successor and no unsettled
+    player-0 node has all its kept successors settled.  Values, growths,
+    weights and heap entries are all keys of the arena's basis.
 
-    Raises InvariantViolation when a node of the region has an infinite
-    base value, an edge inside it has a negative weight, or the closure
-    pass fails.
+    Raises InvariantViolation when a node the sweep reaches has an
+    infinite base value, a kept edge into a settled node has a negative
+    weight, or the closure pass fails.
     """
     sink = arena.sink
     base = base_valuation
     if base[sink] == INF_KEY:
         raise _infinite_in_region(sink)
+    out: Valuation = list(base)
+    region = switch_region(arena, old, new)
+    if not region:
+        return out
 
     owner_of = arena.game.owner
-    choices = strategy.choices
+    choices = new.choices
+    succ = arena.succ
     unit = arena.unit_keys
     preds = arena.preds
-    # growth over the base value per settled node; every weight inside
-    # the region is formed and checked once: for a player-1 source when
-    # its target settles, for a player-0 source when it becomes eligible
+    # growth over the base value per settled node, the frontier at 0;
+    # every weight into a settled node is formed and checked once: for a
+    # player-1 source when its target settles, for a player-0 source when
+    # it becomes eligible
+    heap: list[tuple[int, int]] = sorted({
+        (0, t) for v in region
+        for t in (succ[v] if owner_of[v] == 1 else choices[v])
+        if t not in region and base[t] != INF_KEY})
     grown: dict[int, int] = {}
     tentative: dict[int, int] = {}
     pending: dict[int, int] = {}
-    heap: list[tuple[int, int]] = [(0, sink)]
     while heap:
         g, v = heapq.heappop(heap)
         if v in grown:
@@ -319,6 +381,8 @@ def valuate_dijkstra(arena: EscapeArena, strategy: Strategy,
         grown[v] = g
         there = base[v]
         for s in preds[v]:
+            if s not in region:
+                continue
             if owner_of[s] == 1:
                 here = base[s]
                 if here == INF_KEY:
@@ -354,17 +418,17 @@ def valuate_dijkstra(arena: EscapeArena, strategy: Strategy,
             heapq.heappush(heap, (best, s))
 
     settled = grown.__contains__
-    succ = arena.succ
-    out: Valuation = [INF_KEY] * (sink + 1)
-    for v, g in grown.items():
-        out[v] = base[v] + g
-    for v in arena.nodes:
-        if v not in grown and (any(map(settled, succ[v]))
-                               if owner_of[v] == 1
-                               else all(map(settled, choices[v]))):
+    for v in region:
+        g = grown.get(v)
+        if g is not None:
+            out[v] = base[v] + g
+        elif (any(map(settled, succ[v])) if owner_of[v] == 1
+              else all(map(settled, choices[v]))):
             raise InvariantViolation(
                 "Dijkstra sweep failed to settle the sink region: node %d "
                 "is attracted to it but unsettled" % v)
+        else:
+            out[v] = INF_KEY
     return out
 
 

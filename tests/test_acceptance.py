@@ -133,7 +133,8 @@ def reference_walks(corpus):
         valuation = checked_bellman_ford(strategy)
         for _ in range(4096):
             imps = improvements(arena, strategy, valuation)
-            fast = valuate_dijkstra(arena, imps.improving, valuation)
+            fast = valuate_dijkstra(arena, strategy, imps.improving,
+                                    valuation)
             reference = checked_bellman_ford(imps.improving)
             comparisons += 1
             if fast != reference:

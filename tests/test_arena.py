@@ -126,6 +126,23 @@ def test_round_trip_is_stable():
     assert serialize_pgsolver(parse_pgsolver(once)) == once
 
 
+@pytest.mark.parametrize("name", [
+    "a;b", "semi;colon;", " padded ", "comma,1,2", "tab\there", "ünï",
+    "'single'", "\\", "0 1 0 0;"])
+def test_round_trip_keeps_api_built_names(name):
+    game = ParityGame((0, 1), (1, 0), ((1,), (0,)), names=(name, ""))
+    assert game.names == (name, None)
+    assert parse_pgsolver(serialize_pgsolver(game)) == game
+
+
+@pytest.mark.parametrize("name", [
+    'a"b', '"', "a\nb", "a\r", "\r\nb", "a\x0bb", "a\x0cb", "a\x1cb",
+    "a\x85b", "a\u2028b", "a\u2029b"])
+def test_game_refuses_names_that_text_cannot_hold(name):
+    with pytest.raises(ValueError, match="^node 0 has name "):
+        ParityGame((0,), (0,), ((0,),), names=(name,))
+
+
 @given(parity_games())
 def test_round_trip_random_games(game):
     assert parse_pgsolver(serialize_pgsolver(game)) == game

@@ -20,7 +20,7 @@ from pgsi.profiles import INF_KEY, zero_profile
 from pgsi.valuation import (ImprovementSets, Strategy, improvements,
                             initial_strategy, valuate_bellman_ford)
 
-from conftest import parity_games
+from conftest import parity_games, scale_games
 
 EVEN_LOOP = ParityGame((0,), (0,), ((0,),))
 ODD_LOOP = ParityGame((0,), (1,), ((0,),))
@@ -305,6 +305,33 @@ def test_audit_catches_a_wrong_incremental_reasonableness_verdict(
     with pytest.raises(InvariantViolation,
                        match="iteration 2 produced an unreasonable strategy"):
         solve(game, SingleRandom(3), audit_every=0)
+
+
+def test_audit_catches_wrong_incremental_improvement_sets(monkeypatch):
+    real = iteration.improvements
+
+    def stale(arena, strategy, valuation, prior=None, nodes=()):
+        # the incremental route carries every entry over unchanged
+        return real(arena, strategy, valuation, prior)
+
+    monkeypatch.setattr(iteration, "improvements", stale)
+    game = random_game(random.Random(12), 120, 3, 6)
+    with pytest.raises(InvariantViolation, match="incremental improvement "
+                       "sets disagree with the full ones at iteration 2$"):
+        solve(game, SingleRandom(3), audit_every=2)
+
+
+def test_every_iteration_audited_on_the_scale_games():
+    # with audit_every=1 each step of the fast path compares its
+    # valuation, reasonableness verdict and improvement sets with the
+    # whole-arena ones
+    iterations = 0
+    for i, game in enumerate(scale_games()):
+        results = [solve(game, policy, audit_every=1) for policy in
+                   (AllSwitches(), DeterministicAll(), SingleRandom(i))]
+        assert len({(r.w0, r.w1) for r in results}) == 1
+        iterations += sum(r.iterations for r in results)
+    assert iterations >= 2500
 
 
 def test_iteration_count_stays_below_the_step_bound():

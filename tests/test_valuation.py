@@ -11,14 +11,15 @@ from pgsi.arena import (attractor, build_escape_arena,
                         find_one_dominated_cycle_nodes, preprocess)
 from pgsi.cli import random_game
 from pgsi.errors import InvariantViolation, ReasonablenessError
-from pgsi.iteration import AllSwitches, SingleRandom
+from pgsi.iteration import AllSwitches, SingleRandom, _stale_entries
 from pgsi.profiles import INF_KEY, unit_profile, zero_profile
 from pgsi.valuation import (Strategy, apply_operator, improvements,
                             initial_strategy, is_reasonable,
-                            is_reasonable_step, response_strategy, to_profiles,
-                            valuate_bellman_ford, valuate_dijkstra)
+                            is_reasonable_step, response_strategy,
+                            switch_region, to_profiles, valuate_bellman_ford,
+                            valuate_dijkstra)
 
-from conftest import parity_games
+from conftest import parity_games, scale_games
 
 
 def fin(*counts):
@@ -443,7 +444,7 @@ def test_update_of_stalled_strategy_changes_nothing():
     strategy = initial_strategy(arena)
     vals = valuate_bellman_ford(arena, strategy)
     imps = improvements(arena, strategy, vals)
-    assert valuate_dijkstra(arena, imps.improving, vals) == vals
+    assert valuate_dijkstra(arena, strategy, imps.improving, vals) == vals
 
 
 def test_update_moves_unforced_node_to_top():
@@ -451,7 +452,7 @@ def test_update_moves_unforced_node_to_top():
     strategy = initial_strategy(arena)
     vals = valuate_bellman_ford(arena, strategy)
     imps = improvements(arena, strategy, vals)
-    updated = valuate_dijkstra(arena, imps.improving, vals)
+    updated = valuate_dijkstra(arena, strategy, imps.improving, vals)
     assert to_profiles(arena, updated) == {0: POS_INFINITY,
                                            1: zero_profile(3)}
 
@@ -464,14 +465,71 @@ def test_update_rejects_negative_edge_weight():
                                         2: zero_profile(2)}
     # 0 -> 1 loses value, so the chosen edges are not an improvement
     with pytest.raises(InvariantViolation):
-        valuate_dijkstra(arena, Strategy.of({0: (1,), 1: (2,)}), base)
+        valuate_dijkstra(arena, initial_strategy(arena),
+                         Strategy.of({0: (1,), 1: (2,)}), base)
 
 
 def test_update_rejects_infinite_base_inside_sink_region():
+    # node 0 leaves a self-loop the base values at +inf for the sink
     arena = self_loop_arena(1)
     base = keys_of(arena, {0: POS_INFINITY, 1: zero_profile(2)})
     with pytest.raises(InvariantViolation):
-        valuate_dijkstra(arena, Strategy.of({0: (1,)}), base)
+        valuate_dijkstra(arena, Strategy.of({0: (0,)}),
+                         Strategy.of({0: (1,)}), base)
+
+
+def test_switch_region_walks_kept_edges_back_from_every_changed_node():
+    # nodes 0 and 4 change their choices; player-1 nodes 1 and 5 and
+    # node 2, which keeps its edge to 1, reach them; node 3 has an edge
+    # to 1 but does not keep it, and node 6 reaches nothing that changed
+    game = ParityGame((0, 1, 0, 0, 0, 1, 0), (0,) * 7,
+                      ((1,), (0,), (1,), (1, 6), (5,), (4,), (6,)))
+    arena = arena_of(game)
+    old = Strategy.of({0: (7,), 2: (1,), 3: (6,), 4: (7,), 6: (6,)})
+    new = Strategy.of({0: (1,), 2: (1,), 3: (6,), 4: (5,), 6: (6,)})
+    assert switch_region(arena, old, new) == {0, 1, 2, 4, 5}
+    assert switch_region(arena, new, new) == set()
+
+
+def test_update_without_a_changed_choice_copies_the_base():
+    game = ParityGame((0, 1), (1, 2), ((1,), (0, 1)))
+    arena = arena_of(game)
+    strategy = initial_strategy(arena)
+    base = valuate_bellman_ford(arena, strategy)
+    updated = valuate_dijkstra(arena, strategy, Strategy(strategy.choices),
+                               base)
+    assert updated == base
+    assert updated is not base
+
+
+def test_update_sends_a_region_node_and_its_player1_predecessor_to_top():
+    # node 0 switches from the sink to its even self-loop; player-1 node
+    # 1 can only follow it, node 2 keeps its own escape
+    game = ParityGame((0, 1, 0), (2, 0, 1), ((0,), (0,), (1,)))
+    arena = arena_of(game)
+    old = initial_strategy(arena)
+    base = valuate_bellman_ford(arena, old)
+    assert INF_KEY not in base
+    new = Strategy.of({0: (0,), 2: (3,)})
+    assert switch_region(arena, old, new) == {0, 1}
+    updated = valuate_dijkstra(arena, old, new, base)
+    assert updated[0] == updated[1] == INF_KEY
+    assert updated[2] == base[2]
+    assert updated == valuate_bellman_ford(arena, new)
+
+
+def test_update_keeps_a_region_node_with_an_unbounded_kept_target_on_top():
+    # node 0 adds the escape to its edge onto node 1, whose even
+    # self-loop stays +inf outside the region
+    game = ParityGame((0, 0), (0, 2), ((1,), (1,)))
+    arena = arena_of(game)
+    old = Strategy.of({0: (1,), 1: (1,)})
+    base = valuate_bellman_ford(arena, old)
+    assert base[0] == base[1] == INF_KEY
+    new = Strategy.of({0: (1, 2), 1: (1,)})
+    assert switch_region(arena, old, new) == {0}
+    updated = valuate_dijkstra(arena, old, new, base)
+    assert updated == base == valuate_bellman_ford(arena, new)
 
 
 def test_update_matches_reference_on_random_games():
@@ -489,7 +547,8 @@ def test_update_matches_reference_on_random_games():
         valuation = valuate_bellman_ford(arena, strategy)
         for _ in range(64):
             imps = improvements(arena, strategy, valuation)
-            fast = valuate_dijkstra(arena, imps.improving, valuation)
+            fast = valuate_dijkstra(arena, strategy, imps.improving,
+                                    valuation)
             reference = valuate_bellman_ford(arena, imps.improving)
             assert fast == reference
             if not imps.has_strict:
@@ -500,36 +559,39 @@ def test_update_matches_reference_on_random_games():
 
 
 def test_update_matches_reference_at_scale():
-    # sink regions of hundreds of nodes, many colours in the first game,
-    # every iterate of two policies compared with the reference, and its
-    # incremental reasonableness check with the full one
-    rng = random.Random(2718)
-    compared = largest = 0
-    for i in range(30):
-        nodes = (250, 400)[i] if i < 2 else rng.randint(100, 200)
-        colors = 240 if i == 0 else rng.randint(2, 12)
-        game = random_game(rng, nodes, rng.randint(2, 4), colors,
-                           0.7 if i == 0 else 0.5)
+    # sink regions of hundreds of nodes, many colours in the first game;
+    # at every step of two policies the revaluation on the switch region,
+    # the improvement sets carried over from step to step and the
+    # incremental reasonableness check each equal their whole-arena
+    # counterpart, and no value outside the switch region changes
+    compared = largest = restricted = 0
+    for i, game in enumerate(scale_games()):
         arena = preprocess(arena_of(game)).arena
         for policy in (AllSwitches(), SingleRandom(i)):
             strategy = initial_strategy(arena)
             valuation = valuate_bellman_ford(arena, strategy)
-            while True:
-                imps = improvements(arena, strategy, valuation)
-                if not imps.has_strict:
-                    break
+            imps = improvements(arena, strategy, valuation)
+            while imps.has_strict:
                 step = policy.pick(arena, strategy, valuation, imps)
                 assert is_reasonable_step(arena, strategy, step) \
                     == is_reasonable(arena, step)
-                strategy = step
-                fast = valuate_dijkstra(arena, strategy, valuation)
-                assert fast == valuate_bellman_ford(arena, strategy)
+                fast = valuate_dijkstra(arena, strategy, step, valuation)
+                assert fast == valuate_bellman_ford(arena, step)
+                region = switch_region(arena, strategy, step)
+                assert all(fast[v] == valuation[v]
+                           for v in range(len(fast)) if v not in region)
+                restricted += len(region) < len(arena.nodes)
+                imps = improvements(
+                    arena, step, fast, imps,
+                    _stale_entries(arena, strategy, step, valuation, fast))
+                assert imps == improvements(arena, step, fast)
                 compared += 1
                 largest = max(largest, sum(
                     value != INF_KEY for value in fast))
-                valuation = fast
+                strategy, valuation = step, fast
     assert compared >= 2000
     assert largest >= 300
+    assert restricted >= compared * 9 // 10
 
 
 def test_update_keeps_node_with_a_kept_edge_off_the_region_unbounded():
@@ -539,7 +601,8 @@ def test_update_keeps_node_with_a_kept_edge_off_the_region_unbounded():
     arena = arena_of(game)
     base = valuate_bellman_ford(arena, initial_strategy(arena))
     strategy = Strategy.of({0: (1, 2), 1: (1,), 2: (3,)})
-    updated = valuate_dijkstra(arena, strategy, base)
+    updated = valuate_dijkstra(arena, initial_strategy(arena), strategy,
+                               base)
     assert to_profiles(arena, updated) == {
         0: POS_INFINITY, 1: POS_INFINITY, 2: fin(0, 1, 0),
         3: zero_profile(3)}
@@ -559,8 +622,9 @@ def test_update_accepts_a_base_at_the_public_width():
                 v: fin(*value.counts) if value.is_finite else value
                 for v, value in to_profiles(arena, valuation).items()})
             assert wide == valuation
-            assert valuate_dijkstra(arena, imps.improving, wide) \
-                == valuate_dijkstra(arena, imps.improving, valuation)
+            assert valuate_dijkstra(arena, strategy, imps.improving, wide) \
+                == valuate_dijkstra(arena, strategy, imps.improving,
+                                    valuation)
             compared += 1
 
 
@@ -571,7 +635,8 @@ def test_update_rejects_strategy_edge_outside_the_arena():
     arena = arena_of(game)
     base = valuate_bellman_ford(arena, initial_strategy(arena))
     with pytest.raises(InvariantViolation):
-        valuate_dijkstra(arena, Strategy.of({0: (2,), 1: (0,)}), base)
+        valuate_dijkstra(arena, initial_strategy(arena),
+                         Strategy.of({0: (2,), 1: (0,)}), base)
 
 
 # ---------------------------------------------------------------- response
