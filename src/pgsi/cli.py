@@ -1,4 +1,4 @@
-"""Command-line front end: solve, gen, bench, check, trace.
+"""Command-line front end: solve, gen, check, trace.
 
 Exit codes: 0 success, 1 cross-check mismatch, 2 usage or input errors,
 3 internal errors (never a traceback).
@@ -11,17 +11,12 @@ import json
 import os
 import random
 import sys
-import time
 
 from .arena import ParityGame, parse_pgsolver, serialize_pgsolver
 from .errors import FormatError, InstanceTooLarge, SolverError
 from .iteration import (BACKEND_BELLMAN_FORD, BACKENDS, POLICY_NAMES,
-                        _step_bound, policy_by_name, solve)
+                        policy_by_name, solve)
 from .oracle import DEFAULT_CAP, crosscheck
-
-# Observed growth base for the all-switches policy on out-degree-2 games;
-# bench reports how far below `3 * base ** |V0|` measured runs stay.
-DEG2_BASE = 1.724
 
 
 def random_game(rng: random.Random, nodes: int, degree: int, colors: int,
@@ -103,64 +98,6 @@ def _cmd_gen(args) -> int:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    all_name, det_name = POLICY_NAMES[0], POLICY_NAMES[1]
-    records = []
-    for i in range(args.count):
-        seed = args.seed + i
-        game = generate_game(args.nodes, args.degree, args.colors,
-                             args.p0_fraction, seed)
-        row = {"seed": seed, "nodes": game.n, "colors": game.d,
-               "p0_nodes": len(game.player_nodes(0))}
-        for name in (all_name, det_name):
-            started = time.perf_counter()
-            try:
-                result = solve(game, policy=policy_by_name(name),
-                               backend=args.backend)
-            except SolverError as exc:
-                print("bench: seed %d: %s" % (seed, exc), file=sys.stderr)
-                return 3
-            row[name] = {"iterations": result.iterations,
-                         "wall_time": time.perf_counter() - started,
-                         "w0_size": len(result.w0)}
-        if args.degree <= 2:
-            limit = 3 * DEG2_BASE ** row["p0_nodes"]
-            if row[all_name]["iterations"] > limit:
-                print("bench: seed %d: %d iterations exceed the degree-2 "
-                      "growth bound %.2f" % (seed, row[all_name]["iterations"],
-                                             limit), file=sys.stderr)
-                return 3
-        records.append(row)
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            for row in records:
-                handle.write(json.dumps(row) + "\n")
-
-    if not records:
-        print("instances: 0")
-        return 0
-
-    max_iters = max(r[all_name]["iterations"] for r in records)
-    step_ratios = []
-    for r in records:
-        bound = _step_bound(r["nodes"], r["colors"])
-        if bound:
-            step_ratios.append((r[all_name]["iterations"] - 1) / bound)
-    le_det = sum(r[all_name]["iterations"] <= r[det_name]["iterations"]
-                 for r in records)
-    print("instances: %d" % len(records))
-    print("max iterations (%s): %d" % (all_name, max_iters))
-    print("max step ratio vs termination bound: %.6f"
-          % (max(step_ratios) if step_ratios else 0.0))
-    if args.degree <= 2:
-        growth = max(r[all_name]["iterations"] / (3 * DEG2_BASE ** r["p0_nodes"])
-                     for r in records)
-        print("max iteration ratio vs degree-2 growth bound: %.6f" % growth)
-    print("%s <= %s: %d/%d" % (all_name, det_name, le_det, len(records)))
     return 0
 
 
@@ -278,18 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", default=None)
     p_gen.set_defaults(func=_cmd_gen)
-
-    p_bench = sub.add_parser("bench", help="time policies on random games")
-    p_bench.add_argument("--count", type=int, default=20)
-    p_bench.add_argument("--nodes", type=int, default=16)
-    p_bench.add_argument("--degree", type=int, default=2)
-    p_bench.add_argument("--colors", type=int, default=4)
-    p_bench.add_argument("--p0-fraction", type=float, default=0.5)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--backend", choices=BACKENDS, default=BACKENDS[0])
-    p_bench.add_argument("--out", default=None,
-                         help="write one JSON record per instance")
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_check = sub.add_parser("check",
                              help="cross-check against brute-force search")

@@ -16,17 +16,17 @@ import operator
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import compress, product
-from typing import Callable, Iterator, Mapping
+from itertools import chain, compress, product
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .arena import (EscapeArena, GraphView, ParityGame, build_escape_arena,
                     find_dominated_cycle_nodes, preprocess, reachable)
 from .errors import EnumerationTooLarge, InvariantViolation
 from .profiles import INF_KEY, ColorProfile
 from .valuation import (ImprovementSets, Strategy, UpdateHook, Valuation,
-                        improvements, initial_strategy, is_reasonable,
-                        is_reasonable_step, response_strategy, to_profiles,
-                        valuate_bellman_ford, valuate_dijkstra)
+                        changed_nodes, improvements, initial_strategy,
+                        is_reasonable, is_reasonable_step, response_strategy,
+                        to_profiles, valuate_bellman_ford, valuate_dijkstra)
 
 BACKEND_DIJKSTRA = "dijkstra"
 BACKEND_BELLMAN_FORD = "bellman-ford"
@@ -46,32 +46,51 @@ class AllSwitches:
         return imps.improving
 
 
+def _narrowed(strategy: Strategy, imps: ImprovementSets) -> dict:
+    """A copy of the strategy's choices with every entry `imps`
+    reclassified cut down to its improving edges.
+
+    This equals cutting down every entry: a node that was not
+    reclassified kept its choices and its improving entry since the
+    previous step, whose check found those choices inside that entry.
+    """
+    choices = strategy.choices.copy()
+    improving = imps.improving.choices
+    for v in imps.reclassified:
+        kept = improving[v]
+        choices[v] = tuple([t for t in choices[v] if t in kept])
+    return choices
+
+
 class DeterministicAll:
     """Per improvable node the single best strict target (largest target
-    value, then smallest id); other nodes keep one edge realizing the
-    current value.  Produces deterministic strategies only."""
+    value, then smallest id); other nodes keep their one edge, which
+    realizes the current value.  Deterministic strategies go in and come
+    out, starting from the always-escape one.
+
+    Only the reclassified entries (see `_narrowed`) and the strict
+    sources are visited; every other node keeps its edge unchanged."""
 
     name = "deterministic-all"
 
     def pick(self, arena, strategy, valuation, imps):
-        choices = {}
-        for v in arena.player0_nodes:
-            stricts = imps.strict.get(v)
-            if stricts:
-                best = stricts[0]
-                for t in stricts[1:]:
-                    if valuation[best] < valuation[t]:
-                        best = t
-                choices[v] = (best,)
-            else:
-                kept = imps.improving.choices[v]
-                choices[v] = (next(t for t in kept if t in strategy.choices[v]),)
+        choices = _narrowed(strategy, imps)
+        for v, stricts in imps.strict.items():
+            best = stricts[0]
+            for t in stricts[1:]:
+                if valuation[best] < valuation[t]:
+                    best = t
+            choices[v] = (best,)
         return Strategy(choices)
 
 
 class SingleRandom:
     """Apply exactly one strict improvement per step, chosen by a seeded
-    generator; all other nodes keep their value-realizing edges."""
+    generator; all other nodes keep their value-realizing edges.
+
+    Only the reclassified entries are cut down to their improving edges
+    (see `_narrowed`), so a step costs what the last one changed rather
+    than the number of player-0 nodes."""
 
     name = "single-random"
 
@@ -80,11 +99,7 @@ class SingleRandom:
         self._rng = random.Random(seed)
 
     def pick(self, arena, strategy, valuation, imps):
-        choices = {}
-        improving = imps.improving.choices
-        for v in arena.player0_nodes:
-            kept = improving[v]
-            choices[v] = tuple(t for t in strategy.choices[v] if t in kept)
+        choices = _narrowed(strategy, imps)
         v, t = self._rng.choice(imps.strict_edges())
         choices[v] = (t,)
         return Strategy(choices)
@@ -142,6 +157,11 @@ class SolveResult:
         }
 
 
+# Observed growth base for the all-switches policy on out-degree-2 games:
+# acceptance 6 checks that runs stay below `3 * DEG2_BASE ** |V0|`.
+DEG2_BASE = 1.724
+
+
 def _step_bound(n: int, d: int) -> float:
     """Ceiling on the number of improvement steps any policy can take:
     each step strictly raises one of at most n node values, each of which
@@ -196,15 +216,32 @@ def enumerate_direct_improvements(improving: Strategy,
     return generate()
 
 
-def _check_step(next_strategy: Strategy, imps: ImprovementSets) -> set[int]:
-    """Validate a policy's output: inside the improving set, at least one
-    strict edge taken.  Returns the switched source nodes."""
+def _check_step(next_strategy: Strategy, imps: ImprovementSets,
+                nodes: Iterable[int]) -> set[int]:
+    """Validate a policy's output at `nodes`: each is a known player-0
+    node that keeps a move and every edge it keeps lies in the improving
+    set.  The strategy must have one entry per player-0 node and take at
+    least one strict edge.  Returns the switched source nodes.
+
+    Given every entry of `next_strategy` as `nodes`, this is the full
+    check.  Between steps it suffices to give the nodes whose choices
+    changed, ``changed_nodes(strategy, next_strategy)``, followed by the
+    entries `imps` reclassified, by induction over the steps: every other
+    node kept its choices and its improving entry since the previous
+    step, whose check passed; and a node that takes a strict edge has
+    changed, because strict edges are never part of the current
+    strategy."""
     applied = set()
     improving, strict = imps.improving.choices, imps.strict
-    for v, targets in next_strategy.choices.items():
+    choices = next_strategy.choices
+    for v in nodes:
         kept = improving.get(v)
         if kept is None:
             raise InvariantViolation("policy kept unknown node %d" % v)
+        targets = choices.get(v)
+        if not targets:
+            raise InvariantViolation(
+                "policy left player-0 node %d without a move" % v)
         stricts = strict.get(v, ())
         for t in targets:
             if t not in kept:
@@ -212,7 +249,7 @@ def _check_step(next_strategy: Strategy, imps: ImprovementSets) -> set[int]:
                     "policy chose non-improving edge (%d,%d)" % (v, t))
             if t in stricts:
                 applied.add(v)
-    if len(next_strategy.choices) != len(improving):
+    if len(choices) != len(improving):
         raise InvariantViolation("policy dropped a player-0 node")
     if imps.has_strict and not applied:
         raise InvariantViolation("policy applied no strict improvement")
@@ -234,16 +271,15 @@ def _check_progress(prev: Valuation, new: Valuation, switched: set[int]) -> None
                 "no strict growth at switched node %d" % v)
 
 
-def _stale_entries(arena: EscapeArena, old: Strategy, new: Strategy,
+def _stale_entries(arena: EscapeArena, changed: Iterable[int],
                    before: Valuation, after: Valuation) -> set[int]:
-    """The player-0 nodes whose improvement-set entry a step from `old`
-    to `new` can change: those whose choices changed, whose value changed
-    or one of whose escape successors changed value.  An entry reads
-    nothing else.  Every value that changes lies in
-    ``switch_region(arena, old, new)``, so these nodes are player-0 nodes
-    of that region and player-0 predecessors of it."""
-    prior = old.choices
-    stale = [v for v, targets in new.choices.items() if targets != prior[v]]
+    """The player-0 nodes whose improvement-set entry a step can change:
+    the nodes `changed` whose choices it changed, and those whose value
+    changed from `before` to `after` or one of whose escape successors
+    did.  An entry reads nothing else.  Every value that changes lies in
+    ``switch_region(arena, new, changed)``, so these nodes are player-0
+    nodes of that region and player-0 predecessors of it."""
+    stale = list(changed)
     preds = arena.preds
     for v in compress(range(len(after)), map(operator.ne, before, after)):
         stale.append(v)
@@ -266,16 +302,23 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
     every player-0 node.  Later iterations of the fast path revalue only
     the nodes a switch can reach (``valuate_dijkstra``) and reclassify
     only the player-0 nodes whose choices, value or successor values
-    changed, carrying the other improvement-set entries over.  Every
-    `audit_every`-th iteration of the fast path is recomputed by the
-    reference route and compared bit for bit, and so are its improvement
-    sets with a classification of every node (0 disables auditing; a
-    negative value raises ValueError).  Every strategy is checked for
-    reasonableness.  The first iteration and, on the reference backend,
-    every iteration run the full check; other iterations of the fast
-    path check only the region where an edge the step added can close a
-    cycle (``is_reasonable_step``), and audit iterations run both checks
-    and require the same verdict.
+    changed, carrying the other improvement-set entries over.  After
+    each pick the player-0 nodes whose choices changed are listed once
+    (``changed_nodes``); that list feeds the step check and the
+    revaluation, reasonableness check and reclassification of the next
+    iteration.  The step check (``_check_step``) visits every node on
+    the iterations that classify every node, else only the changed
+    nodes and the reclassified entries, so that a step of the fast path
+    costs what it touches.  Every `audit_every`-th iteration of the fast
+    path is recomputed by the reference route and compared bit for bit,
+    its improvement sets with a classification of every node, and its
+    step check with one over every node (0 disables auditing; a negative
+    value raises ValueError).  Every strategy is
+    checked for reasonableness.  The first iteration and, on the
+    reference backend, every iteration run the full check; other
+    iterations of the fast path check only the region where an edge the
+    step added can close a cycle (``is_reasonable_step``), and audit
+    iterations run both checks and require the same verdict.
     `on_iteration` sees every (iteration, strategy, valuation,
     improvement sets) tuple as the run unfolds; `on_update` is handed to
     every reference valuation and sees its single updates.  The loop
@@ -313,8 +356,9 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
             audit = (incremental and audit_every
                      and (iterations + 1) % audit_every == 0)
             if incremental:
-                new_vals = valuate_dijkstra(arena, previous, sigma, current)
-                reasonable = is_reasonable_step(arena, previous, sigma)
+                new_vals = valuate_dijkstra(arena, sigma, changed, current)
+                reasonable = is_reasonable_step(arena, previous, sigma,
+                                                changed)
             else:
                 new_vals = valuate_bellman_ford(arena, sigma,
                                                 on_update=on_update)
@@ -339,7 +383,7 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
             if incremental:
                 imps = improvements(
                     arena, sigma, new_vals, imps,
-                    _stale_entries(arena, previous, sigma, current, new_vals))
+                    _stale_entries(arena, changed, current, new_vals))
             else:
                 imps = improvements(arena, sigma, new_vals)
             if audit and improvements(arena, sigma, new_vals) != imps:
@@ -361,7 +405,15 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
                     "improvement steps exceeded the termination bound %.0f"
                     % bound)
             next_sigma = policy.pick(arena, sigma, current, imps)
-            switched = _check_step(next_sigma, imps)
+            changed = changed_nodes(sigma, next_sigma)
+            checked = (chain(changed, imps.reclassified) if incremental
+                       else next_sigma.choices)
+            switched = _check_step(next_sigma, imps, checked)
+            if audit and _check_step(next_sigma, imps,
+                                     next_sigma.choices) != switched:
+                raise InvariantViolation(
+                    "incremental step check disagrees with the full one "
+                    "at iteration %d" % iterations)
             previous, sigma = sigma, next_sigma
 
         won = {v for v in arena.nodes if current[v] == INF_KEY}

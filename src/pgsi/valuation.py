@@ -19,7 +19,14 @@ Inside the region it finds the nodes player 1 can still force into the
 sink on its own and checks afterwards that they are closed.  Both routes
 return bit-identical results.  :func:`improvements` likewise classifies
 either every player-0 node or, carrying the rest over from the sets of
-the previous step, only the nodes whose inputs changed.
+the previous step, only the nodes whose inputs changed, and records
+which entries it classified so that the switch policies and the step
+check of ``solve`` visit only those.
+
+The player-0 nodes whose choices a step changed are listed once per
+step, by :func:`changed_nodes`; the fast valuation, the step check of
+reasonableness and the choice of the entries to reclassify all take
+that list.
 
 Reasonableness has two checks too.  :func:`is_reasonable` decomposes the
 whole strategy view; :func:`is_reasonable_step`, given a reasonable
@@ -41,8 +48,8 @@ mapping that results and hooks speak.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Collection, Iterable, Mapping
 
 from .arena import EscapeArena, find_one_dominated_cycle_nodes
 from .arena import attractor  # noqa: F401  (benchmark/layers.py wraps this name)
@@ -79,6 +86,13 @@ class Strategy:
         return all(len(ts) == 1 for ts in self.choices.values())
 
 
+def changed_nodes(old: Strategy, new: Strategy) -> list[int]:
+    """The nodes of `new` whose choices differ from those of `old`, in the
+    order of `new`; a node `old` does not have counts as changed."""
+    prior = old.choices.get
+    return [v for v, targets in new.choices.items() if targets != prior(v)]
+
+
 def initial_strategy(arena: EscapeArena) -> Strategy:
     """The always-escape strategy: every player-0 node moves to the sink.
 
@@ -94,11 +108,11 @@ def is_reasonable(arena: EscapeArena, strategy: Strategy) -> bool:
     return not find_one_dominated_cycle_nodes(view)
 
 
-def is_reasonable_step(arena: EscapeArena, old: Strategy,
-                       new: Strategy) -> bool:
+def is_reasonable_step(arena: EscapeArena, old: Strategy, new: Strategy,
+                       changed: Iterable[int]) -> bool:
     """``is_reasonable(arena, new)`` for a `new` strategy over the same
     player-0 nodes as a reasonable `old` one, with every edge inside the
-    arena's escape choices.
+    arena's escape choices; `changed` is ``changed_nodes(old, new)``.
 
     Every cycle of the new strategy view that keeps to old edges is a
     cycle of the old view and so not odd-dominated.  An odd-dominated
@@ -114,8 +128,8 @@ def is_reasonable_step(arena: EscapeArena, old: Strategy,
     """
     sink = arena.sink
     prior, choices = old.choices, new.choices
-    added = [(v, t) for v, targets in choices.items() if targets != prior[v]
-             for t in targets if t != sink and t not in prior[v]]
+    added = [(v, t) for v in changed for t in choices[v]
+             if t != sink and t not in prior[v]]
     if not added:
         return True
     reach = _reaching(arena, choices, {v for v, _ in added})
@@ -211,10 +225,17 @@ def to_profiles(arena: EscapeArena,
 @dataclass(frozen=True)
 class ImprovementSets:
     """Player-0 edges at least as good as the current valuation (a strategy
-    in its own right) and the strictly better subset, per source node."""
+    in its own right) and the strictly better subset, per source node.
+
+    `reclassified` names the entries the building :func:`improvements`
+    call classified: every player-0 node on a full classification, else
+    the nodes it was given; every other entry was carried over unchanged.
+    It takes no part in ``==``, which compares the sets alone.
+    """
 
     improving: Strategy
     strict: dict[int, tuple[int, ...]]
+    reclassified: Collection[int] = field(compare=False, repr=False)
 
     @property
     def sources(self) -> tuple[int, ...]:
@@ -230,7 +251,7 @@ class ImprovementSets:
 
 def improvements(arena: EscapeArena, strategy: Strategy,
                  valuation: Valuation, prior: ImprovementSets | None = None,
-                 nodes: Iterable[int] = ()) -> ImprovementSets:
+                 nodes: Collection[int] = ()) -> ImprovementSets:
     """Classify player-0 arena edges against the valuation.
 
     An edge improves when its own color plus the target value is at least
@@ -247,7 +268,8 @@ def improvements(arena: EscapeArena, strategy: Strategy,
     an earlier strategy and valuation as `prior`, only the player-0 nodes
     in `nodes` are; every other entry is carried over unchanged, which is
     exact when their choices, own values and successor values are the
-    same as then.
+    same as then.  The result records the nodes classified as its
+    `reclassified`.
     """
     unit = arena.unit_keys
     escape_choices = arena.escape_choices
@@ -281,24 +303,23 @@ def improvements(arena: EscapeArena, strategy: Strategy,
             strict[v] = better
         else:
             strict.pop(v, None)
-    return ImprovementSets(Strategy(improving), strict)
+    return ImprovementSets(Strategy(improving), strict, nodes)
 
 
-def switch_region(arena: EscapeArena, old: Strategy,
-                  new: Strategy) -> set[int]:
-    """The nodes whose value a step from `old` to `new` can change.
+def switch_region(arena: EscapeArena, new: Strategy,
+                  changed: Iterable[int]) -> set[int]:
+    """The nodes whose value a step to `new` that changes the choices of
+    the player-0 nodes `changed` can change.
 
     A node's value depends only on the part of the strategy view it
-    reaches.  A node that reaches no player-0 node whose choices changed
-    reaches the same subgraph in the old and the new view, so it keeps its
-    value bit for bit.  The region is the rest: the changed nodes and the
-    nodes that reach one in the new view, walked backwards along the
-    arena's predecessor table (a player-0 predecessor only where `new`
-    keeps the edge).
+    reaches.  A node that reaches no changed node reaches the same
+    subgraph in the old and the new view, so it keeps its value bit for
+    bit.  The region is the rest: the changed nodes and the nodes that
+    reach one in the new view, walked backwards along the arena's
+    predecessor table (a player-0 predecessor only where `new` keeps the
+    edge).
     """
-    prior, choices = old.choices, new.choices
-    return _reaching(arena, choices, {v for v, targets in choices.items()
-                                      if targets != prior[v]})
+    return _reaching(arena, new.choices, set(changed))
 
 
 def _reaching(arena: EscapeArena, choices: Mapping[int, tuple[int, ...]],
@@ -319,12 +340,14 @@ def _reaching(arena: EscapeArena, choices: Mapping[int, tuple[int, ...]],
     return seeds
 
 
-def valuate_dijkstra(arena: EscapeArena, old: Strategy, new: Strategy,
+def valuate_dijkstra(arena: EscapeArena, new: Strategy,
+                     changed: Iterable[int],
                      base_valuation: Valuation) -> Valuation:
-    """Valuation of a strategy `new` that directly improves `old`,
-    computed from the old strategy's valuation.
+    """Valuation of a strategy `new` that directly improves an old one,
+    computed from the old strategy's valuation; `changed` lists the
+    player-0 nodes whose choices differ, ``changed_nodes(old, new)``.
 
-    Only the nodes of ``switch_region(arena, old, new)`` are revalued;
+    Only the nodes of ``switch_region(arena, new, changed)`` are revalued;
     every other node keeps its base value, so the result is a copy of the
     base with the region overwritten.  Relative to the base, every edge
     the new strategy keeps has a non-negative weight (target value plus
@@ -354,7 +377,7 @@ def valuate_dijkstra(arena: EscapeArena, old: Strategy, new: Strategy,
     if base[sink] == INF_KEY:
         raise _infinite_in_region(sink)
     out: Valuation = list(base)
-    region = switch_region(arena, old, new)
+    region = switch_region(arena, new, changed)
     if not region:
         return out
 

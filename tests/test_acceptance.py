@@ -16,15 +16,16 @@ import pytest
 from pgsi import (SolveResult, oracle_solve, parse_pgsolver, policy_by_name,
                   replay_verify, serialize_pgsolver, solve)
 from pgsi.arena import build_escape_arena, preprocess
-from pgsi.cli import DEG2_BASE, generate_game, main, random_game
+from pgsi.cli import generate_game, main, random_game
 from pgsi.errors import InvariantViolation
-from pgsi.iteration import (BACKENDS, POLICY_NAMES,
+from pgsi.iteration import (BACKENDS, DEG2_BASE, POLICY_NAMES,
                             enumerate_direct_improvements,
                             extract_deterministic)
 from pgsi.profiles import (ColorProfile, NEG_INFINITY, POS_INFINITY,
                            path_value, zero_profile)
-from pgsi.valuation import (improvements, initial_strategy, is_reasonable,
-                            valuate_bellman_ford, valuate_dijkstra)
+from pgsi.valuation import (changed_nodes, improvements, initial_strategy,
+                            is_reasonable, valuate_bellman_ford,
+                            valuate_dijkstra)
 
 
 CORPUS_SIZE = 1000
@@ -133,8 +134,9 @@ def reference_walks(corpus):
         valuation = checked_bellman_ford(strategy)
         for _ in range(4096):
             imps = improvements(arena, strategy, valuation)
-            fast = valuate_dijkstra(arena, strategy, imps.improving,
-                                    valuation)
+            fast = valuate_dijkstra(
+                arena, imps.improving,
+                changed_nodes(strategy, imps.improving), valuation)
             reference = checked_bellman_ford(imps.improving)
             comparisons += 1
             if fast != reference:

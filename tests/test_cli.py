@@ -196,45 +196,6 @@ def test_fuzz_game_is_small_and_seed_stable():
         assert serialize_pgsolver(game) == serialize_pgsolver(fuzz_game(seed))
 
 
-# ------------------------------------------------------------------- bench
-
-def test_bench_report_and_records(tmp_path, capsys):
-    out_path = tmp_path / "bench.jsonl"
-    code, out, _ = run(capsys, "bench", "--count", "3", "--nodes", "8",
-                       "--degree", "2", "--seed", "5", "--out", str(out_path))
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "instances: 3"
-    assert lines[1].startswith("max iterations (all-switches): ")
-    assert lines[2].startswith("max step ratio vs termination bound: ")
-    assert lines[3].startswith("max iteration ratio vs degree-2 growth bound: ")
-    assert lines[4].startswith("all-switches <= deterministic-all: ")
-    assert float(lines[2].rsplit(" ", 1)[1]) <= 1.0
-    assert float(lines[3].rsplit(" ", 1)[1]) <= 1.0
-
-    rows = [json.loads(line) for line in
-            out_path.read_text(encoding="utf-8").splitlines()]
-    assert [row["seed"] for row in rows] == [5, 6, 7]
-    for row in rows:
-        assert set(row) == {"seed", "nodes", "colors", "p0_nodes",
-                            "all-switches", "deterministic-all"}
-        for name in ("all-switches", "deterministic-all"):
-            assert set(row[name]) == {"iterations", "wall_time", "w0_size"}
-
-
-def test_bench_without_degree2_growth_line(capsys):
-    code, out, _ = run(capsys, "bench", "--count", "2", "--nodes", "6",
-                       "--degree", "3", "--seed", "1")
-    assert code == 0
-    assert "degree-2 growth bound" not in out
-
-
-def test_bench_count_zero(capsys):
-    code, out, _ = run(capsys, "bench", "--count", "0")
-    assert code == 0
-    assert out == "instances: 0\n"
-
-
 # ------------------------------------------------------------------- check
 
 def test_check_passes_on_files(tmp_path, capsys):

@@ -17,8 +17,9 @@ from pgsi.iteration import (BACKEND_BELLMAN_FORD, BACKEND_DIJKSTRA, BACKENDS,
                             enumerate_direct_improvements,
                             extract_deterministic)
 from pgsi.profiles import INF_KEY, zero_profile
-from pgsi.valuation import (ImprovementSets, Strategy, improvements,
-                            initial_strategy, valuate_bellman_ford)
+from pgsi.valuation import (ImprovementSets, Strategy, changed_nodes,
+                            improvements, initial_strategy,
+                            valuate_bellman_ford)
 
 from conftest import parity_games, scale_games
 
@@ -158,7 +159,7 @@ def test_deterministic_policy_prefers_an_unbounded_strict_target():
     game = ParityGame((0, 1, 1), (0, 0, 2), ((1, 2), (1,), (2,)))
     arena = build_escape_arena(game)
     valuation = [0, 1 << 200, INF_KEY, 0]
-    imps = ImprovementSets(Strategy({0: (1, 2, 3)}), {0: (1, 2)})
+    imps = ImprovementSets(Strategy({0: (1, 2, 3)}), {0: (1, 2)}, (0,))
     picked = DeterministicAll().pick(arena, Strategy({0: (3,)}), valuation,
                                      imps)
     assert picked.choices == {0: (2,)}
@@ -186,6 +187,18 @@ def test_node_dropping_policy_is_rejected():
         solve(EVEN_LOOP, policy=Drop())
 
 
+def test_node_emptying_policy_is_rejected():
+    class Empty:
+        name = "empty"
+
+        def pick(self, arena, strategy, valuation, imps):
+            return Strategy({0: ()})
+
+    with pytest.raises(InvariantViolation,
+                       match="left player-0 node 0 without a move"):
+        solve(EVEN_LOOP, policy=Empty())
+
+
 def test_worsening_policy_is_rejected():
     # the self-loop at node 0 is strictly below its current value
     game = ParityGame((0, 1), (1, 2), ((0, 1), (0,)))
@@ -198,6 +211,83 @@ def test_worsening_policy_is_rejected():
 
     with pytest.raises(InvariantViolation):
         solve(game, policy=Wild())
+
+
+class Rogue:
+    """SingleRandom, except that from the third pick on `tamper` may
+    rewrite the choices of the first node that the last classification
+    did not visit and that has no strict edge; `tampered` records each
+    node it rewrote."""
+
+    name = "rogue"
+
+    def __init__(self, tamper):
+        self.inner = SingleRandom(1)
+        self.tamper = tamper
+        self.picks = 0
+        self.tampered = []
+
+    def pick(self, arena, strategy, valuation, imps):
+        step = self.inner.pick(arena, strategy, valuation, imps)
+        self.picks += 1
+        if self.picks < 3:
+            return step
+        choices = dict(step.choices)
+        for v in arena.player0_nodes:
+            if (v not in imps.reclassified and v not in imps.strict
+                    and self.tamper(arena, imps, choices, v)):
+                self.tampered.append(v)
+                break
+        return Strategy(choices)
+
+
+def swap_for_unknown(arena, imps, choices, v):
+    # same dict size: node v goes, an id the arena does not have comes
+    choices[arena.sink + 7] = choices.pop(v)
+    return True
+
+
+def move_off_the_improving_set(arena, imps, choices, v):
+    worse = [t for t in arena.escape_choices[v]
+             if t not in imps.improving.choices[v]]
+    if worse:
+        choices[v] = (worse[0],)
+    return bool(worse)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (swap_for_unknown, "policy kept unknown node"),
+    (move_off_the_improving_set, "policy chose non-improving edge"),
+], ids=["unknown-node", "non-improving-edge"])
+def test_rogue_step_caught_by_the_narrowed_check(tamper, message):
+    # with audits off only the step check at the changed and reclassified
+    # entries stands between the rogue step and the valuation
+    game = random_game(random.Random(12), 300, 3, 8)
+    policy = Rogue(tamper)
+    with pytest.raises(InvariantViolation, match=message):
+        solve(game, policy, audit_every=0)
+    assert len(policy.tampered) == 1
+
+
+def test_step_keeping_a_stale_edge_is_rejected():
+    # each step adds one strict edge and keeps every old one, so the old
+    # edge of a switched node stops improving once its value grows; that
+    # node is reclassified at the next step but not changed again
+    class Lazy:
+        name = "lazy"
+
+        def __init__(self):
+            self.rng = random.Random(1)
+
+        def pick(self, arena, strategy, valuation, imps):
+            v, t = self.rng.choice(imps.strict_edges())
+            return Strategy.of({**strategy.choices,
+                                v: strategy.choices[v] + (t,)})
+
+    game = random_game(random.Random(12), 300, 3, 8)
+    with pytest.raises(InvariantViolation,
+                       match="policy chose non-improving edge"):
+        solve(game, Lazy(), audit_every=0)
 
 
 # ------------------------------------------------------------- progression
@@ -295,7 +385,8 @@ def test_audit_catches_a_wrong_incremental_reasonableness_verdict(
         monkeypatch):
     real = iteration.is_reasonable_step
     monkeypatch.setattr(iteration, "is_reasonable_step",
-                        lambda arena, old, new: not real(arena, old, new))
+                        lambda arena, old, new, changed:
+                        not real(arena, old, new, changed))
     game = random_game(random.Random(12), 120, 3, 6)
     with pytest.raises(InvariantViolation, match="incremental "
                        "reasonableness check disagrees with the full one "
@@ -319,6 +410,88 @@ def test_audit_catches_wrong_incremental_improvement_sets(monkeypatch):
     with pytest.raises(InvariantViolation, match="incremental improvement "
                        "sets disagree with the full ones at iteration 2$"):
         solve(game, SingleRandom(3), audit_every=2)
+
+
+def test_audit_catches_a_wrong_narrowed_step_check(monkeypatch):
+    real = iteration._check_step
+
+    def dropping(next_strategy, imps, nodes):
+        switched = real(next_strategy, imps, nodes)
+        if nodes is not next_strategy.choices:
+            # the narrowed check, not the full one, loses a switched node
+            switched.discard(max(switched))
+        return switched
+
+    monkeypatch.setattr(iteration, "_check_step", dropping)
+    game = random_game(random.Random(12), 120, 3, 6)
+    with pytest.raises(InvariantViolation, match="incremental step check "
+                       "disagrees with the full one at iteration 2$"):
+        solve(game, SingleRandom(3), audit_every=2)
+    # nothing else notices a switched node too few
+    assert solve(game, SingleRandom(3), audit_every=0).iterations >= 20
+
+
+def test_step_bookkeeping_visits_only_what_the_step_touched(monkeypatch):
+    # a guard against whole-arena work per step: on a long-walk-shaped
+    # game, pick and the step check each look up at most one improving
+    # entry per reclassified entry and per changed node, plus one
+    lookups = [0]
+
+    class Counted(dict):
+        def __getitem__(self, key):
+            lookups[0] += 1
+            return dict.__getitem__(self, key)
+
+        def get(self, key, default=None):
+            lookups[0] += 1
+            return dict.get(self, key, default)
+
+        def __contains__(self, key):
+            lookups[0] += 1
+            return dict.__contains__(self, key)
+
+    real_improvements = iteration.improvements
+    real_check = iteration._check_step
+
+    def counted_improvements(*args):
+        imps = real_improvements(*args)
+        return ImprovementSets(Strategy(Counted(imps.improving.choices)),
+                               imps.strict, imps.reclassified)
+
+    steps = []
+
+    class Counting:
+        name = "counting"
+
+        def __init__(self):
+            self.inner = SingleRandom(1)
+
+        def pick(self, arena, strategy, valuation, imps):
+            lookups[0] = 0
+            step = self.inner.pick(arena, strategy, valuation, imps)
+            budget = (len(imps.reclassified)
+                      + len(changed_nodes(strategy, step)) + 1)
+            steps.append([budget, lookups[0], None,
+                          len(imps.improving.choices)])
+            return step
+
+    def counted_check(next_strategy, imps, nodes):
+        lookups[0] = 0
+        switched = real_check(next_strategy, imps, nodes)
+        steps[-1][2] = lookups[0]
+        return switched
+
+    monkeypatch.setattr(iteration, "improvements", counted_improvements)
+    monkeypatch.setattr(iteration, "_check_step", counted_check)
+    game = random_game(random.Random(300), 300, 3, 8)
+    solve(game, Counting(), audit_every=0)
+    assert len(steps) >= 50
+    for budget, picked, checked, _ in steps:
+        assert 0 < picked <= budget
+        assert 0 < checked <= budget
+    # the bound is far below a walk over every player-0 node
+    small = sum(budget * 4 < player0 for budget, _, _, player0 in steps)
+    assert small >= len(steps) * 9 // 10
 
 
 def test_every_iteration_audited_on_the_scale_games():

@@ -1,6 +1,7 @@
 """Strategies, fixpoint valuations, improvement sets, the fast update."""
 
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,11 @@ from pgsi.arena import (attractor, build_escape_arena,
                         find_one_dominated_cycle_nodes, preprocess)
 from pgsi.cli import random_game
 from pgsi.errors import InvariantViolation, ReasonablenessError
-from pgsi.iteration import AllSwitches, SingleRandom, _stale_entries
+from pgsi.iteration import (AllSwitches, DeterministicAll, SingleRandom,
+                            _check_step, _stale_entries)
 from pgsi.profiles import INF_KEY, unit_profile, zero_profile
-from pgsi.valuation import (Strategy, apply_operator, improvements,
-                            initial_strategy, is_reasonable,
+from pgsi.valuation import (Strategy, apply_operator, changed_nodes,
+                            improvements, initial_strategy, is_reasonable,
                             is_reasonable_step, response_strategy,
                             switch_region, to_profiles, valuate_bellman_ford,
                             valuate_dijkstra)
@@ -28,6 +30,16 @@ def fin(*counts):
 
 def arena_of(game):
     return build_escape_arena(game)
+
+
+def update(arena, old, new, base):
+    """The fast revaluation of a step from `old` to `new`."""
+    return valuate_dijkstra(arena, new, changed_nodes(old, new), base)
+
+
+def region_of(arena, old, new):
+    """The switch region of a step from `old` to `new`."""
+    return switch_region(arena, new, changed_nodes(old, new))
 
 
 def keys_of(arena, values):
@@ -121,7 +133,8 @@ def reasonable_steps(draw):
 def test_reasonable_step_agrees_with_the_full_check(step):
     arena, old, new = step
     assert is_reasonable(arena, old)
-    assert is_reasonable_step(arena, old, new) == is_reasonable(arena, new)
+    assert is_reasonable_step(arena, old, new, changed_nodes(old, new)) \
+        == is_reasonable(arena, new)
 
 
 @pytest.mark.parametrize("owner, color, succ, new", [
@@ -136,7 +149,8 @@ def test_reasonable_step_finds_the_cycle_an_added_edge_closes(owner, color,
     arena = preprocess(arena_of(ParityGame(owner, color, succ))).arena
     old, new = initial_strategy(arena), Strategy.of(new)
     assert not is_reasonable(arena, new)
-    assert not is_reasonable_step(arena, old, new)
+    assert not is_reasonable_step(arena, old, new,
+                                  changed_nodes(old, new))
 
 
 # ------------------------------------------------- fixpoint valuation
@@ -444,7 +458,7 @@ def test_update_of_stalled_strategy_changes_nothing():
     strategy = initial_strategy(arena)
     vals = valuate_bellman_ford(arena, strategy)
     imps = improvements(arena, strategy, vals)
-    assert valuate_dijkstra(arena, strategy, imps.improving, vals) == vals
+    assert update(arena, strategy, imps.improving, vals) == vals
 
 
 def test_update_moves_unforced_node_to_top():
@@ -452,7 +466,7 @@ def test_update_moves_unforced_node_to_top():
     strategy = initial_strategy(arena)
     vals = valuate_bellman_ford(arena, strategy)
     imps = improvements(arena, strategy, vals)
-    updated = valuate_dijkstra(arena, strategy, imps.improving, vals)
+    updated = update(arena, strategy, imps.improving, vals)
     assert to_profiles(arena, updated) == {0: POS_INFINITY,
                                            1: zero_profile(3)}
 
@@ -465,8 +479,8 @@ def test_update_rejects_negative_edge_weight():
                                         2: zero_profile(2)}
     # 0 -> 1 loses value, so the chosen edges are not an improvement
     with pytest.raises(InvariantViolation):
-        valuate_dijkstra(arena, initial_strategy(arena),
-                         Strategy.of({0: (1,), 1: (2,)}), base)
+        update(arena, initial_strategy(arena),
+               Strategy.of({0: (1,), 1: (2,)}), base)
 
 
 def test_update_rejects_infinite_base_inside_sink_region():
@@ -474,8 +488,7 @@ def test_update_rejects_infinite_base_inside_sink_region():
     arena = self_loop_arena(1)
     base = keys_of(arena, {0: POS_INFINITY, 1: zero_profile(2)})
     with pytest.raises(InvariantViolation):
-        valuate_dijkstra(arena, Strategy.of({0: (0,)}),
-                         Strategy.of({0: (1,)}), base)
+        update(arena, Strategy.of({0: (0,)}), Strategy.of({0: (1,)}), base)
 
 
 def test_switch_region_walks_kept_edges_back_from_every_changed_node():
@@ -487,8 +500,8 @@ def test_switch_region_walks_kept_edges_back_from_every_changed_node():
     arena = arena_of(game)
     old = Strategy.of({0: (7,), 2: (1,), 3: (6,), 4: (7,), 6: (6,)})
     new = Strategy.of({0: (1,), 2: (1,), 3: (6,), 4: (5,), 6: (6,)})
-    assert switch_region(arena, old, new) == {0, 1, 2, 4, 5}
-    assert switch_region(arena, new, new) == set()
+    assert region_of(arena, old, new) == {0, 1, 2, 4, 5}
+    assert region_of(arena, new, new) == set()
 
 
 def test_update_without_a_changed_choice_copies_the_base():
@@ -496,8 +509,7 @@ def test_update_without_a_changed_choice_copies_the_base():
     arena = arena_of(game)
     strategy = initial_strategy(arena)
     base = valuate_bellman_ford(arena, strategy)
-    updated = valuate_dijkstra(arena, strategy, Strategy(strategy.choices),
-                               base)
+    updated = update(arena, strategy, Strategy(strategy.choices), base)
     assert updated == base
     assert updated is not base
 
@@ -511,8 +523,8 @@ def test_update_sends_a_region_node_and_its_player1_predecessor_to_top():
     base = valuate_bellman_ford(arena, old)
     assert INF_KEY not in base
     new = Strategy.of({0: (0,), 2: (3,)})
-    assert switch_region(arena, old, new) == {0, 1}
-    updated = valuate_dijkstra(arena, old, new, base)
+    assert region_of(arena, old, new) == {0, 1}
+    updated = update(arena, old, new, base)
     assert updated[0] == updated[1] == INF_KEY
     assert updated[2] == base[2]
     assert updated == valuate_bellman_ford(arena, new)
@@ -527,8 +539,8 @@ def test_update_keeps_a_region_node_with_an_unbounded_kept_target_on_top():
     base = valuate_bellman_ford(arena, old)
     assert base[0] == base[1] == INF_KEY
     new = Strategy.of({0: (1, 2), 1: (1,)})
-    assert switch_region(arena, old, new) == {0}
-    updated = valuate_dijkstra(arena, old, new, base)
+    assert region_of(arena, old, new) == {0}
+    updated = update(arena, old, new, base)
     assert updated == base == valuate_bellman_ford(arena, new)
 
 
@@ -547,8 +559,7 @@ def test_update_matches_reference_on_random_games():
         valuation = valuate_bellman_ford(arena, strategy)
         for _ in range(64):
             imps = improvements(arena, strategy, valuation)
-            fast = valuate_dijkstra(arena, strategy, imps.improving,
-                                    valuation)
+            fast = update(arena, strategy, imps.improving, valuation)
             reference = valuate_bellman_ford(arena, imps.improving)
             assert fast == reference
             if not imps.has_strict:
@@ -558,32 +569,90 @@ def test_update_matches_reference_on_random_games():
             raise AssertionError("improvement iteration failed to stop")
 
 
+def whole_arena_pick(policy, rng, arena, strategy, valuation, imps):
+    """What `policy` picks, computed by rebuilding the entry of every
+    player-0 node; `rng` draws in step with a SingleRandom's own."""
+    improving = imps.improving.choices
+    if isinstance(policy, AllSwitches):
+        return dict(improving)
+    choices = {}
+    for v in arena.player0_nodes:
+        stricts = imps.strict.get(v)
+        if isinstance(policy, DeterministicAll) and stricts:
+            best = stricts[0]
+            for t in stricts[1:]:
+                if valuation[best] < valuation[t]:
+                    best = t
+            choices[v] = (best,)
+        elif isinstance(policy, DeterministicAll):
+            choices[v] = (next(t for t in improving[v]
+                               if t in strategy.choices[v]),)
+        else:
+            choices[v] = tuple(t for t in strategy.choices[v]
+                               if t in improving[v])
+    if isinstance(policy, SingleRandom):
+        v, t = rng.choice(imps.strict_edges())
+        choices[v] = (t,)
+    return choices
+
+
+def check_outcome(step, imps, nodes):
+    """The switched nodes `_check_step` returns, or None if it rejects."""
+    try:
+        return _check_step(step, imps, nodes)
+    except InvariantViolation:
+        return None
+
+
 def test_update_matches_reference_at_scale():
     # sink regions of hundreds of nodes, many colours in the first game;
-    # at every step of two policies the revaluation on the switch region,
-    # the improvement sets carried over from step to step and the
-    # incremental reasonableness check each equal their whole-arena
-    # counterpart, and no value outside the switch region changes
-    compared = largest = restricted = 0
+    # at every step of the three policies, and of AllSwitches and
+    # SingleRandom taking turns (so that SingleRandom starts from
+    # strategies that are not deterministic), the narrowed pick, the
+    # changed list, the narrowed step check, the revaluation on the
+    # switch region, the improvement sets carried over from step to step
+    # and the incremental reasonableness check each equal their
+    # whole-arena counterpart, and no value outside the switch region
+    # changes.  The step check is also compared on a step that keeps
+    # every old edge outside the switched nodes, which it must reject
+    # wherever a kept edge stopped improving.
+    compared = largest = restricted = rejected = 0
     for i, game in enumerate(scale_games()):
         arena = preprocess(arena_of(game)).arena
-        for policy in (AllSwitches(), SingleRandom(i)):
+        for turns in ([AllSwitches()], [DeterministicAll()],
+                      [SingleRandom(i)], [AllSwitches(), SingleRandom(i)]):
+            rng = random.Random(i)
             strategy = initial_strategy(arena)
             valuation = valuate_bellman_ford(arena, strategy)
             imps = improvements(arena, strategy, valuation)
             while imps.has_strict:
+                policy = turns[compared % len(turns)]
                 step = policy.pick(arena, strategy, valuation, imps)
-                assert is_reasonable_step(arena, strategy, step) \
+                assert step.choices == whole_arena_pick(
+                    policy, rng, arena, strategy, valuation, imps)
+                changed = changed_nodes(strategy, step)
+                assert changed == [v for v in arena.player0_nodes
+                                   if step.choices[v] != strategy.choices[v]]
+                switched = _check_step(step, imps,
+                                       chain(changed, imps.reclassified))
+                assert switched == _check_step(step, imps, step.choices)
+                lazy = Strategy({**strategy.choices,
+                                 **{v: step.choices[v] for v in switched}})
+                outcome = check_outcome(lazy, imps, chain(
+                    changed_nodes(strategy, lazy), imps.reclassified))
+                assert outcome == check_outcome(lazy, imps, lazy.choices)
+                rejected += outcome is None
+                assert is_reasonable_step(arena, strategy, step, changed) \
                     == is_reasonable(arena, step)
-                fast = valuate_dijkstra(arena, strategy, step, valuation)
+                fast = valuate_dijkstra(arena, step, changed, valuation)
                 assert fast == valuate_bellman_ford(arena, step)
-                region = switch_region(arena, strategy, step)
+                region = switch_region(arena, step, changed)
                 assert all(fast[v] == valuation[v]
                            for v in range(len(fast)) if v not in region)
                 restricted += len(region) < len(arena.nodes)
                 imps = improvements(
                     arena, step, fast, imps,
-                    _stale_entries(arena, strategy, step, valuation, fast))
+                    _stale_entries(arena, changed, valuation, fast))
                 assert imps == improvements(arena, step, fast)
                 compared += 1
                 largest = max(largest, sum(
@@ -592,6 +661,7 @@ def test_update_matches_reference_at_scale():
     assert compared >= 2000
     assert largest >= 300
     assert restricted >= compared * 9 // 10
+    assert rejected >= 100
 
 
 def test_update_keeps_node_with_a_kept_edge_off_the_region_unbounded():
@@ -601,8 +671,7 @@ def test_update_keeps_node_with_a_kept_edge_off_the_region_unbounded():
     arena = arena_of(game)
     base = valuate_bellman_ford(arena, initial_strategy(arena))
     strategy = Strategy.of({0: (1, 2), 1: (1,), 2: (3,)})
-    updated = valuate_dijkstra(arena, initial_strategy(arena), strategy,
-                               base)
+    updated = update(arena, initial_strategy(arena), strategy, base)
     assert to_profiles(arena, updated) == {
         0: POS_INFINITY, 1: POS_INFINITY, 2: fin(0, 1, 0),
         3: zero_profile(3)}
@@ -622,9 +691,8 @@ def test_update_accepts_a_base_at_the_public_width():
                 v: fin(*value.counts) if value.is_finite else value
                 for v, value in to_profiles(arena, valuation).items()})
             assert wide == valuation
-            assert valuate_dijkstra(arena, strategy, imps.improving, wide) \
-                == valuate_dijkstra(arena, strategy, imps.improving,
-                                    valuation)
+            assert update(arena, strategy, imps.improving, wide) \
+                == update(arena, strategy, imps.improving, valuation)
             compared += 1
 
 
@@ -635,8 +703,8 @@ def test_update_rejects_strategy_edge_outside_the_arena():
     arena = arena_of(game)
     base = valuate_bellman_ford(arena, initial_strategy(arena))
     with pytest.raises(InvariantViolation):
-        valuate_dijkstra(arena, initial_strategy(arena),
-                         Strategy.of({0: (2,), 1: (0,)}), base)
+        update(arena, initial_strategy(arena),
+               Strategy.of({0: (2,), 1: (0,)}), base)
 
 
 # ---------------------------------------------------------------- response
