@@ -389,47 +389,63 @@ def attractor(view: GraphView, player: int, target: Iterable[int]) -> AttractorR
 def _sccs(order: Iterable[int], succ: Mapping[int, tuple[int, ...]],
           allowed: set[int]) -> Iterator[list[int]]:
     """Strongly connected components of the subgraph induced by `allowed`,
-    explored in the given root order.  Iterative Tarjan variant."""
+    explored in the given root order.  Iterative Tarjan variant that reads
+    each allowed edge once: an edge to an unvisited node descends, and the
+    child's low-link is folded into its parent's when the child returns;
+    an edge to a visited node whose component is still open lowers the
+    low-link to that node's preorder number.  A node is pushed on the
+    component stack when it returns without being a root, so a component
+    lists its root first, then its other members in reverse return order.
+    """
     preorder: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
+    seen_at = preorder.get
     done: set[int] = set()
     component_stack: list[int] = []
-    # successor iterators of the nodes on the DFS stack only
-    pending: dict[int, Iterator[int]] = {}
+    # the DFS path and, per node on it, its low-link so far and the
+    # iterator over its successors
+    path: list[int] = []
+    lows: list[int] = []
+    pending: list[Iterator[int]] = []
     counter = 0
     for source in order:
         if source in done:
             continue
-        stack = [source]
-        while stack:
-            v = stack[-1]
-            if v not in preorder:
-                counter += 1
-                preorder[v] = counter
-                pending[v] = iter(succ[v])
-            descend = False
-            for t in pending[v]:
-                if t in allowed and t not in preorder:
-                    stack.append(t)
-                    descend = True
+        counter += 1
+        preorder[source] = counter
+        path.append(source)
+        lows.append(counter)
+        pending.append(iter(succ[source]))
+        while path:
+            low = lows[-1]
+            for t in pending[-1]:
+                if t not in allowed:
+                    continue
+                seen = seen_at(t)
+                if seen is None:
+                    lows[-1] = low
+                    counter += 1
+                    preorder[t] = counter
+                    path.append(t)
+                    lows.append(counter)
+                    pending.append(iter(succ[t]))
                     break
-            if descend:
-                continue
-            low = preorder[v]
-            for t in succ[v]:
-                if t in allowed and t not in done:
-                    low = min(low, lowlink[t] if preorder[t] > preorder[v] else preorder[t])
-            lowlink[v] = low
-            stack.pop()
-            del pending[v]
-            if low == preorder[v]:
-                comp = [v]
-                while component_stack and preorder[component_stack[-1]] > preorder[v]:
-                    comp.append(component_stack.pop())
-                done.update(comp)
-                yield comp
+                if seen < low and t not in done:
+                    low = seen
             else:
-                component_stack.append(v)
+                v = path.pop()
+                lows.pop()
+                pending.pop()
+                if low == preorder[v]:
+                    comp = [v]
+                    while component_stack \
+                            and preorder[component_stack[-1]] > low:
+                        comp.append(component_stack.pop())
+                    done.update(comp)
+                    yield comp
+                else:
+                    component_stack.append(v)
+                    if low < lows[-1]:
+                        lows[-1] = low
 
 
 def _dominated_pieces(view: GraphView,

@@ -42,6 +42,9 @@ def generate_game(nodes: int, degree: int, colors: int,
     `degree` distinct successors."""
     if nodes < 1 or degree < 1 or colors < 1:
         raise ValueError("nodes, degree and colors must be positive")
+    if not 0 <= p0_fraction <= 1:
+        raise ValueError("p0_fraction must lie in [0, 1], got %r"
+                         % p0_fraction)
     return random_game(random.Random(seed), nodes, degree, colors,
                        p0_fraction)
 
@@ -102,7 +105,14 @@ def _cmd_gen(args) -> int:
 
 
 def _oracle_cap() -> int:
-    return int(os.environ.get("SOLVER_ORACLE_CAP", DEFAULT_CAP))
+    text = os.environ.get("SOLVER_ORACLE_CAP")
+    if text is None:
+        return DEFAULT_CAP
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("SOLVER_ORACLE_CAP must be an integer, got %r"
+                         % text) from None
 
 
 def _write_mismatch(label: str, game: ParityGame, report) -> None:
@@ -118,6 +128,10 @@ def _cmd_check(args) -> int:
     failures = 0
     jobs = []
     if args.fuzz is not None:
+        if args.fuzz < 0:
+            print("check: --fuzz must be >= 0, got %d" % args.fuzz,
+                  file=sys.stderr)
+            return 2
         base = args.seed
         jobs = [("seed %d" % (base + i), str(base + i),
                  fuzz_game(base + i)) for i in range(args.fuzz)]

@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import chain, compress, product
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .arena import (EscapeArena, GraphView, ParityGame, build_escape_arena,
                     find_dominated_cycle_nodes, preprocess, reachable)
@@ -26,7 +26,8 @@ from .profiles import INF_KEY, ColorProfile
 from .valuation import (ImprovementSets, Strategy, UpdateHook, Valuation,
                         changed_nodes, improvements, initial_strategy,
                         is_reasonable, is_reasonable_step, response_strategy,
-                        to_profiles, valuate_bellman_ford, valuate_dijkstra)
+                        switch_region, to_profiles, valuate_bellman_ford,
+                        valuate_dijkstra)
 
 BACKEND_DIJKSTRA = "dijkstra"
 BACKEND_BELLMAN_FORD = "bellman-ford"
@@ -256,32 +257,51 @@ def _check_step(next_strategy: Strategy, imps: ImprovementSets,
     return applied
 
 
-def _check_progress(prev: Valuation, new: Valuation, switched: set[int]) -> None:
+def _check_progress(prev: Valuation, new: Valuation, switched: set[int],
+                    nodes: Collection[int] | None = None) -> None:
     """Values never shrink, +inf included, grow somewhere after a switch
-    and grow strictly at every switched node."""
-    if any(map(operator.gt, prev, new)):
-        v = next(v for v, (before, after) in enumerate(zip(prev, new))
-                 if before > after)
+    and grow strictly at every switched node.
+
+    Without `nodes` both lists are compared in full.  Given the switch
+    region A of the step as `nodes`, only A is compared, one C-level
+    pass over it; this is exact because outside A the new list is a copy
+    of the old one, and the switched nodes lie in A.  Growth somewhere
+    follows from strict growth at a switched node, so the whole lists
+    are scanned for growth only to word the error when a switched node
+    did not grow."""
+    if nodes is None:
+        shrank = any(map(operator.gt, prev, new))
+    else:
+        shrank = any(map(operator.gt, map(prev.__getitem__, nodes),
+                         map(new.__getitem__, nodes)))
+    if shrank:
+        v = next(v for v in (range(len(new)) if nodes is None else nodes)
+                 if prev[v] > new[v])
         raise InvariantViolation("valuation shrank at node %d" % v)
-    if switched and not any(map(operator.lt, prev, new)):
-        raise InvariantViolation("improvement step did not grow the valuation")
     for v in switched:
         if not prev[v] < new[v]:
+            if not any(map(operator.lt, prev, new)):
+                raise InvariantViolation(
+                    "improvement step did not grow the valuation")
             raise InvariantViolation(
                 "no strict growth at switched node %d" % v)
 
 
 def _stale_entries(arena: EscapeArena, changed: Iterable[int],
-                   before: Valuation, after: Valuation) -> set[int]:
+                   before: Valuation, after: Valuation,
+                   nodes: Collection[int]) -> set[int]:
     """The player-0 nodes whose improvement-set entry a step can change:
     the nodes `changed` whose choices it changed, and those whose value
     changed from `before` to `after` or one of whose escape successors
-    did.  An entry reads nothing else.  Every value that changes lies in
-    ``switch_region(arena, new, changed)``, so these nodes are player-0
-    nodes of that region and player-0 predecessors of it."""
+    did.  An entry reads nothing else.  Only the values at `nodes` are
+    compared: every value that changes lies in the switch region A,
+    ``switch_region(arena, new, changed)``, so `nodes` is A, or
+    ``range(len(after))`` for the whole lists, and the result holds
+    player-0 nodes of A and player-0 predecessors of it."""
     stale = list(changed)
     preds = arena.preds
-    for v in compress(range(len(after)), map(operator.ne, before, after)):
+    for v in compress(nodes, map(operator.ne, map(before.__getitem__, nodes),
+                                 map(after.__getitem__, nodes))):
         stale.append(v)
         stale.extend(preds[v])
     # the keys of the escape choices are the player-0 nodes
@@ -299,26 +319,30 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
     `backend` selects how strategies are revalued after the first
     iteration.  The first iteration and, on the reference backend, every
     iteration valuate the whole arena by fixpoint sweeps and classify
-    every player-0 node.  Later iterations of the fast path revalue only
-    the nodes a switch can reach (``valuate_dijkstra``) and reclassify
-    only the player-0 nodes whose choices, value or successor values
-    changed, carrying the other improvement-set entries over.  After
-    each pick the player-0 nodes whose choices changed are listed once
-    (``changed_nodes``); that list feeds the step check and the
-    revaluation, reasonableness check and reclassification of the next
-    iteration.  The step check (``_check_step``) visits every node on
-    the iterations that classify every node, else only the changed
-    nodes and the reclassified entries, so that a step of the fast path
-    costs what it touches.  Every `audit_every`-th iteration of the fast
-    path is recomputed by the reference route and compared bit for bit,
-    its improvement sets with a classification of every node, and its
-    step check with one over every node (0 disables auditing; a negative
-    value raises ValueError).  Every strategy is
-    checked for reasonableness.  The first iteration and, on the
-    reference backend, every iteration run the full check; other
-    iterations of the fast path check only the region where an edge the
-    step added can close a cycle (``is_reasonable_step``), and audit
-    iterations run both checks and require the same verdict.
+    every player-0 node.  Later iterations of the fast path derive once
+    the switch region A, the nodes a switch can reach
+    (``switch_region``), revalue only A (``valuate_dijkstra``), check
+    that values grow only on A (``_check_progress``) and reclassify only
+    the player-0 nodes whose choices, value or successor values changed,
+    found among A (``_stale_entries``), carrying the other
+    improvement-set entries over.  After each pick the player-0 nodes
+    whose choices changed are listed once (``changed_nodes``); that list
+    feeds the step check and A, the reasonableness check and the
+    reclassification of the next iteration.  The step check
+    (``_check_step``) visits every node on the iterations that classify
+    every node, else only the changed nodes and the reclassified
+    entries, so that a step of the fast path costs what it touches.
+    Every `audit_every`-th iteration of the fast path is recomputed by
+    the reference route and compared bit for bit, its growth checked
+    over every node, its improvement sets compared with a
+    classification of every node, and its step check with one over
+    every node (0 disables auditing; a negative value raises
+    ValueError).  Every strategy is checked for reasonableness.  The
+    first iteration and, on the reference backend, every iteration run
+    the full check; other iterations of the fast path check only the
+    region where an edge the step added can close a cycle
+    (``is_reasonable_step``), and audit iterations run both checks and
+    require the same verdict.
     `on_iteration` sees every (iteration, strategy, valuation,
     improvement sets) tuple as the run unfolds; `on_update` is handed to
     every reference valuation and sees its single updates.  The loop
@@ -356,7 +380,8 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
             audit = (incremental and audit_every
                      and (iterations + 1) % audit_every == 0)
             if incremental:
-                new_vals = valuate_dijkstra(arena, sigma, changed, current)
+                region = switch_region(arena, sigma, changed)
+                new_vals = valuate_dijkstra(arena, sigma, region, current)
                 reasonable = is_reasonable_step(arena, previous, sigma,
                                                 changed)
             else:
@@ -379,11 +404,14 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
                     "iteration %d produced an unreasonable strategy"
                     % (iterations + 1))
             if current is not None:
-                _check_progress(current, new_vals, switched)
+                _check_progress(current, new_vals, switched,
+                                region if incremental and not audit
+                                else None)
             if incremental:
                 imps = improvements(
                     arena, sigma, new_vals, imps,
-                    _stale_entries(arena, changed, current, new_vals))
+                    _stale_entries(arena, changed, current, new_vals,
+                                   region))
             else:
                 imps = improvements(arena, sigma, new_vals)
             if audit and improvements(arena, sigma, new_vals) != imps:

@@ -12,10 +12,12 @@ and takes the order-minimum over player-1 edges respectively the
 order-maximum over the strategy's edges.  Two routes compute it: repeated
 fixpoint sweeps (the reference) and, given a strategy the new one
 directly improves and its valuation, a Dijkstra-style sweep over
-non-negative edge weights (the fast path).  The sweep revalues only the
-switch region, the nodes that reach a player-0 node whose choices
-changed (:func:`switch_region`); every other node keeps its value.
-Inside the region it finds the nodes player 1 can still force into the
+non-negative edge weights (the fast path).  The fixpoint sweeps
+re-evaluate, after the first, only the nodes that read a value which
+changed since they were last evaluated.  The Dijkstra sweep revalues
+only the switch region A, the nodes that reach a player-0 node whose
+choices changed (:func:`switch_region`); every other node keeps its
+value.  Inside A it finds the nodes player 1 can still force into the
 sink on its own and checks afterwards that they are closed.  Both routes
 return bit-identical results.  :func:`improvements` likewise classifies
 either every player-0 node or, carrying the rest over from the sets of
@@ -24,9 +26,10 @@ which entries it classified so that the switch policies and the step
 check of ``solve`` visit only those.
 
 The player-0 nodes whose choices a step changed are listed once per
-step, by :func:`changed_nodes`; the fast valuation, the step check of
-reasonableness and the choice of the entries to reclassify all take
-that list.
+step, by :func:`changed_nodes`; A, the step check of reasonableness and
+the choice of the entries to reclassify all take that list, and A is
+derived once per step and handed to the fast valuation and to the
+checks of ``solve`` that look only at A.
 
 Reasonableness has two checks too.  :func:`is_reasonable` decomposes the
 whole strategy view; :func:`is_reasonable_step`, given a reasonable
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Collection, Iterable, Mapping
 
 from .arena import EscapeArena, find_one_dominated_cycle_nodes
@@ -168,11 +172,21 @@ def valuate_bellman_ford(arena: EscapeArena, strategy: Strategy,
     """Valuation of a reasonable strategy by fixpoint iteration.
 
     Starts from sink=empty-play, everything else unbounded, and sweeps
-    nodes in descending id order, updating in place, until a full sweep
+    nodes in descending id order, updating in place, until a sweep
     changes nothing.  A reasonable strategy stabilizes within one sweep
     per arena node; the extra sweep certifies the fixpoint.  If the limit
     is exceeded the strategy admits an odd-dominated cycle and
     ReasonablenessError is raised.
+
+    The first sweep evaluates every node's row; later ones evaluate only
+    the rows that read a value which changed since their last
+    evaluation, because any other row would recompute its current value.
+    After an update to v each row reading v is queued: into this sweep
+    if it comes later in the descending order, else (v itself included)
+    into the next.  A player-1 row reads its arena successors, a
+    player-0 row the strategy's choices, which need not be arena edges.
+    Updates, their order and their sweep numbers are those of sweeps
+    that evaluate every row.
 
     `on_update` receives (sweep number, node, old value, new value) for
     every change, in the order they are applied, the values as profiles.
@@ -182,31 +196,50 @@ def valuate_bellman_ford(arena: EscapeArena, strategy: Strategy,
     vals[sink] = 0
 
     owner_of = arena.game.owner
+    succ = arena.succ
+    choices = strategy.choices
     unit = arena.unit_keys
-    rows = []
-    for v in reversed(arena.nodes):
+    # per node id the function that folds its row and the targets the row
+    # reads; per target the rows that read it; per node id whether its
+    # row is due in this sweep
+    fold: list = [None] * sink
+    reads: list = [()] * sink
+    readers: list[list[int]] = [[] for _ in range(sink + 1)]
+    due = bytearray(sink)
+    for v in arena.nodes:
         if owner_of[v] == 1:
-            rows.append((v, unit[v], arena.succ[v], True))
+            fold[v], targets = min, succ[v]
         else:
-            rows.append((v, unit[v], strategy.choices[v], False))
+            fold[v], targets = max, choices[v]
+        reads[v] = targets
+        for t in targets:
+            readers[t].append(v)
+        due[v] = 1
 
     get = vals.__getitem__
     from_key = arena.basis.from_key
+    descending = range(sink - 1, -1, -1)
     for sweep in range(1, len(arena.nodes) + 2):
         changed = False
-        for v, step, targets, minimize in rows:
-            if minimize:
-                best = min(map(get, targets))
-            else:
-                best = max(map(get, targets))
-            new = best if best == INF_KEY else step + best
+        later = bytearray(sink)
+        # compress reads `due` one flag at a time, so a row queued into
+        # this sweep after the walk started is still visited
+        for v in compress(descending, reversed(due)):
+            best = fold[v](map(get, reads[v]))
+            new = best if best == INF_KEY else unit[v] + best
             if new != vals[v]:
                 if on_update is not None:
                     on_update(sweep, v, from_key(vals[v]), from_key(new))
                 vals[v] = new
                 changed = True
+                for r in readers[v]:
+                    if r < v:
+                        due[r] = 1
+                    else:
+                        later[r] = 1
         if not changed:
             return vals
+        due = later
     raise ReasonablenessError(
         "valuation did not stabilize within %d sweeps; the strategy admits "
         "an odd-dominated cycle" % len(arena.nodes))
@@ -341,17 +374,20 @@ def _reaching(arena: EscapeArena, choices: Mapping[int, tuple[int, ...]],
 
 
 def valuate_dijkstra(arena: EscapeArena, new: Strategy,
-                     changed: Iterable[int],
+                     region: set[int],
                      base_valuation: Valuation) -> Valuation:
     """Valuation of a strategy `new` that directly improves an old one,
-    computed from the old strategy's valuation; `changed` lists the
-    player-0 nodes whose choices differ, ``changed_nodes(old, new)``.
+    computed from the old strategy's valuation; `region` is the switch
+    region A of the step, ``switch_region(arena, new, changed)`` for
+    ``changed = changed_nodes(old, new)``, which the caller derives once
+    and hands on to the checks that follow.
 
-    Only the nodes of ``switch_region(arena, new, changed)`` are revalued;
-    every other node keeps its base value, so the result is a copy of the
-    base with the region overwritten.  Relative to the base, every edge
-    the new strategy keeps has a non-negative weight (target value plus
-    the source color, minus the source value).  Inside the region, the
+    Only the nodes of A are revalued; every other node keeps its base
+    value, so the result is a copy of the base with A overwritten.  The
+    copy is the call's one O(n) pass, at C level.  Relative to the
+    base, every edge the new strategy keeps has a non-negative weight
+    (target value plus the source color, minus the source value).
+    Inside the region, the
     value growth per node is the min-max distance over those weights
     from the nodes outside it, whose growth is 0.  One Dijkstra sweep
     along the arena's reversed edges computes it.  It starts from the
@@ -377,7 +413,6 @@ def valuate_dijkstra(arena: EscapeArena, new: Strategy,
     if base[sink] == INF_KEY:
         raise _infinite_in_region(sink)
     out: Valuation = list(base)
-    region = switch_region(arena, new, changed)
     if not region:
         return out
 

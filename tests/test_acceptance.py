@@ -24,8 +24,8 @@ from pgsi.iteration import (BACKENDS, DEG2_BASE, POLICY_NAMES,
 from pgsi.profiles import (ColorProfile, NEG_INFINITY, POS_INFINITY,
                            path_value, zero_profile)
 from pgsi.valuation import (changed_nodes, improvements, initial_strategy,
-                            is_reasonable, valuate_bellman_ford,
-                            valuate_dijkstra)
+                            is_reasonable, switch_region,
+                            valuate_bellman_ford, valuate_dijkstra)
 
 
 CORPUS_SIZE = 1000
@@ -136,7 +136,9 @@ def reference_walks(corpus):
             imps = improvements(arena, strategy, valuation)
             fast = valuate_dijkstra(
                 arena, imps.improving,
-                changed_nodes(strategy, imps.improving), valuation)
+                switch_region(arena, imps.improving,
+                              changed_nodes(strategy, imps.improving)),
+                valuation)
             reference = checked_bellman_ford(imps.improving)
             comparisons += 1
             if fast != reference:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgsi import ParityGame, oracle_solve, parse_pgsolver, serialize_pgsolver
-from pgsi.arena import (GraphView, attractor, build_escape_arena,
+from pgsi.arena import (GraphView, _sccs, attractor, build_escape_arena,
                         dominated_cycle_strategy, find_dominated_cycle_nodes,
                         find_one_dominated_cycle_nodes, preprocess)
 from pgsi.errors import FormatError, InvariantViolation
@@ -324,6 +324,70 @@ def test_even_self_loop_is_not_dominated():
 def test_two_cycle_max_color_decides():
     view = _view([0, 1], {0: (1,), 1: (0,)}, {0: 1, 1: 1}, {0: 1, 1: 2})
     assert find_one_dominated_cycle_nodes(view) == frozenset()
+
+
+def two_pass_sccs(order, succ, allowed):
+    """Reference Tarjan: descend along unvisited allowed successors, and
+    once a node has none left read its successors a second time for the
+    low-link; components as `_sccs` yields them."""
+    preorder, lowlink, done = {}, {}, set()
+    component_stack, pending = [], {}
+    counter = 0
+    for source in order:
+        if source in done:
+            continue
+        stack = [source]
+        while stack:
+            v = stack[-1]
+            if v not in preorder:
+                counter += 1
+                preorder[v] = counter
+                pending[v] = iter(succ[v])
+            child = next((t for t in pending[v]
+                          if t in allowed and t not in preorder), None)
+            if child is not None:
+                stack.append(child)
+                continue
+            low = preorder[v]
+            for t in succ[v]:
+                if t in allowed and t not in done:
+                    low = min(low, lowlink[t] if preorder[t] > preorder[v]
+                              else preorder[t])
+            lowlink[v] = low
+            stack.pop()
+            if low == preorder[v]:
+                comp = [v]
+                while component_stack \
+                        and preorder[component_stack[-1]] > preorder[v]:
+                    comp.append(component_stack.pop())
+                done.update(comp)
+                yield comp
+            else:
+                component_stack.append(v)
+
+
+@st.composite
+def rooted_graphs(draw):
+    """A digraph on 0..n-1 with self-loops and edges to nodes outside
+    the allowed set, an allowed subset, and a root order over part or
+    all of that subset."""
+    n = draw(st.integers(1, 14))
+    node = st.integers(0, n - 1)
+    succ = {v: tuple(draw(st.lists(node, max_size=4, unique=True)))
+            for v in range(n)}
+    allowed = draw(st.sets(node, min_size=1))
+    order = draw(st.permutations(sorted(allowed)))
+    return order[:draw(st.integers(1, len(order)))], succ, allowed
+
+
+@settings(max_examples=500, deadline=None)
+@given(rooted_graphs())
+def test_sccs_match_the_two_pass_reference(graph):
+    # the same component lists, members in the same order, yielded in
+    # the same order
+    order, succ, allowed = graph
+    assert list(_sccs(order, succ, allowed)) \
+        == list(two_pass_sccs(order, succ, allowed))
 
 
 def _closure_with_step(nodes, succ):

@@ -183,6 +183,14 @@ def test_gen_rejects_bad_ranges(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("fraction", ["2", "-0.5", "nan"])
+def test_gen_rejects_a_p0_fraction_outside_the_unit_interval(capsys,
+                                                              fraction):
+    code, out, err = run(capsys, "gen", "--p0-fraction", fraction)
+    assert code == 2 and out == ""
+    assert err.startswith("error: p0_fraction must lie in [0, 1]")
+
+
 def test_generate_game_helper_matches_cli(capsys):
     _, out, _ = run(capsys, "gen", "--nodes", "7", "--seed", "11")
     assert serialize_pgsolver(generate_game(7, 3, 4, 0.5, 11)) == out
@@ -217,6 +225,12 @@ def test_check_fuzz_campaign(capsys):
     assert lines[4].startswith("seed 14: ok")
 
 
+def test_check_rejects_a_negative_fuzz_count(capsys):
+    code, out, err = run(capsys, "check", "--fuzz", "-1")
+    assert code == 2 and out == ""
+    assert "--fuzz must be >= 0, got -1" in err
+
+
 def test_check_needs_input(capsys):
     code, _, err = run(capsys, "check")
     assert code == 2
@@ -230,6 +244,14 @@ def test_check_honors_oracle_cap(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "check", path)
     assert code == 2
     assert "error:" in err and "cap" in err
+
+
+def test_check_rejects_an_oracle_cap_that_is_no_integer(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setenv("SOLVER_ORACLE_CAP", "x")
+    code, out, err = run(capsys, "check", write_game(tmp_path, TWO_NODE))
+    assert code == 2 and out == ""
+    assert err == "error: SOLVER_ORACLE_CAP must be an integer, got 'x'\n"
 
 
 def test_check_mismatch_writes_artifacts(tmp_path, capsys, monkeypatch):

@@ -431,6 +431,51 @@ def test_audit_catches_a_wrong_narrowed_step_check(monkeypatch):
     assert solve(game, SingleRandom(3), audit_every=0).iterations >= 20
 
 
+def lowering_one_value(monkeypatch, pick):
+    """Make the first fast revaluation set the node that
+    `pick(arena, region, base)` chooses one below its finite base value;
+    returns the list that records the node lowered."""
+    real = iteration.valuate_dijkstra
+    lowered = []
+
+    def lowering(arena, new, region, base):
+        out = real(arena, new, region, base)
+        if not lowered:
+            v = pick(arena, region, base)
+            out[v] = base[v] - 1
+            lowered.append(v)
+        return out
+
+    monkeypatch.setattr(iteration, "valuate_dijkstra", lowering)
+    return lowered
+
+
+def test_audit_catches_a_value_lowered_outside_the_switch_region(
+        monkeypatch):
+    # the progress check and the stale entries of a fast step look at A
+    # only, so a value lowered outside A at iteration 2 goes unseen until
+    # the first audit, which compares the whole list
+    lowering_one_value(monkeypatch, lambda arena, region, base:
+                       max(v for v in arena.nodes
+                           if v not in region and base[v] != INF_KEY))
+    game = random_game(random.Random(12), 120, 3, 6)
+    with pytest.raises(InvariantViolation, match="accelerated valuation "
+                       "disagrees with the reference at iteration 8$"):
+        solve(game, SingleRandom(3), audit_every=8)
+
+
+def test_narrowed_progress_check_catches_a_value_lowered_in_the_region(
+        monkeypatch):
+    # with no audit, the check on A alone rejects a value lowered in A
+    lowered = lowering_one_value(monkeypatch, lambda arena, region, base:
+                                 min(v for v in region
+                                     if base[v] != INF_KEY))
+    game = random_game(random.Random(12), 120, 3, 6)
+    with pytest.raises(InvariantViolation) as caught:
+        solve(game, SingleRandom(3), audit_every=0)
+    assert str(caught.value) == "valuation shrank at node %d" % lowered[0]
+
+
 def test_step_bookkeeping_visits_only_what_the_step_touched(monkeypatch):
     # a guard against whole-arena work per step: on a long-walk-shaped
     # game, pick and the step check each look up at most one improving

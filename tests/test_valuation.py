@@ -13,7 +13,8 @@ from pgsi.arena import (attractor, build_escape_arena,
 from pgsi.cli import random_game
 from pgsi.errors import InvariantViolation, ReasonablenessError
 from pgsi.iteration import (AllSwitches, DeterministicAll, SingleRandom,
-                            _check_step, _stale_entries)
+                            _check_progress, _check_step, _stale_entries,
+                            solve)
 from pgsi.profiles import INF_KEY, unit_profile, zero_profile
 from pgsi.valuation import (Strategy, apply_operator, changed_nodes,
                             improvements, initial_strategy, is_reasonable,
@@ -32,14 +33,14 @@ def arena_of(game):
     return build_escape_arena(game)
 
 
-def update(arena, old, new, base):
-    """The fast revaluation of a step from `old` to `new`."""
-    return valuate_dijkstra(arena, new, changed_nodes(old, new), base)
-
-
 def region_of(arena, old, new):
     """The switch region of a step from `old` to `new`."""
     return switch_region(arena, new, changed_nodes(old, new))
+
+
+def update(arena, old, new, base):
+    """The fast revaluation of a step from `old` to `new`."""
+    return valuate_dijkstra(arena, new, region_of(arena, old, new), base)
 
 
 def keys_of(arena, values):
@@ -155,6 +156,118 @@ def test_reasonable_step_finds_the_cycle_an_added_edge_closes(owner, color,
 
 # ------------------------------------------------- fixpoint valuation
 
+def every_row_bellman_ford(arena, strategy, on_update=None):
+    """Reference sweeps: every row in each sweep, in descending id order,
+    updating in place, until a sweep changes nothing; ReasonablenessError
+    once the arena's node count plus one sweeps all changed a value."""
+    vals = [INF_KEY] * (arena.sink + 1)
+    vals[arena.sink] = 0
+    unit = arena.unit_keys
+    owner_of = arena.game.owner
+    from_key = arena.basis.from_key
+    for sweep in range(1, len(arena.nodes) + 2):
+        changed = False
+        for v in reversed(arena.nodes):
+            if owner_of[v] == 1:
+                best = min(vals[t] for t in arena.succ[v])
+            else:
+                best = max(vals[t] for t in strategy.choices[v])
+            new = best if best == INF_KEY else unit[v] + best
+            if new != vals[v]:
+                if on_update is not None:
+                    on_update(sweep, v, from_key(vals[v]), from_key(new))
+                vals[v] = new
+                changed = True
+        if not changed:
+            return vals
+    raise ReasonablenessError("no fixpoint within %d sweeps"
+                              % len(arena.nodes))
+
+
+def sweep_outcome(valuate, arena, strategy):
+    """The values, or the error, and the update stream of one valuation."""
+    stream = []
+    try:
+        result = valuate(arena, strategy, on_update=lambda *update:
+                         stream.append(update))
+    except ReasonablenessError as exc:
+        result = type(exc)
+    return result, stream
+
+
+def assert_same_sweeps(arena, strategy):
+    assert sweep_outcome(valuate_bellman_ford, arena, strategy) \
+        == sweep_outcome(every_row_bellman_ford, arena, strategy)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parity_games(max_nodes=10, max_colors=5))
+def test_bellman_ford_matches_every_row_sweeps(game):
+    # the same values and the same (sweep, node, old, new) stream at
+    # every iterate of the all-improvements walk
+    arena = preprocess(arena_of(game)).arena
+    for strategy, _ in improvement_iterates(arena):
+        assert_same_sweeps(arena, strategy)
+
+
+def test_bellman_ford_matches_every_row_sweeps_off_the_arena():
+    # a player-0 row reads its strategy's choices, which need not be
+    # arena edges: node 1 keeps an edge to node 0 that the game lacks
+    arena = arena_of(ParityGame((0, 0), (0, 0), ((1,), (1,))))
+    strategy = Strategy.of({0: (2,), 1: (0,)})
+    values, stream = sweep_outcome(valuate_bellman_ford, arena, strategy)
+    assert values[1] != INF_KEY and [u[:2] for u in stream] == [(1, 0), (2, 1)]
+    assert_same_sweeps(arena, strategy)
+    # strategies over any targets, reasonable or not, on random games
+    rng = random.Random(71)
+    for _ in range(300):
+        game = random_game(rng, rng.randint(1, 9), 3, rng.randint(1, 5))
+        arena = arena_of(game)
+        targets = range(arena.sink + 1)
+        assert_same_sweeps(arena, Strategy.of({
+            v: rng.sample(targets, rng.randint(1, 2))
+            for v in arena.player0_nodes}))
+
+
+def test_bellman_ford_evaluates_only_rows_whose_inputs_changed(monkeypatch):
+    # a guard against sweeping every row: on a long-walk-shaped game at
+    # a strategy half way along a SingleRandom walk, the rows evaluated
+    # (counted as calls of min and max) are at most one per node plus
+    # one per row that reads an updated value, per update
+    game = random_game(random.Random(300), 300, 3, 8)
+    walk = []
+    solve(game, SingleRandom(1),
+          on_iteration=lambda i, strategy, vals, imps: walk.append(strategy))
+    arena = preprocess(arena_of(game)).arena
+    strategy = walk[len(walk) // 2]
+    evaluated = [0]
+
+    def counted(fold):
+        def evaluate(values):
+            evaluated[0] += 1
+            return fold(values)
+        return evaluate
+
+    monkeypatch.setattr("pgsi.valuation.min", counted(min), raising=False)
+    monkeypatch.setattr("pgsi.valuation.max", counted(max), raising=False)
+    sweeps = []
+    values = valuate_bellman_ford(arena, strategy, on_update=lambda sweep, v,
+                                  old, new: sweeps.append((sweep, v)))
+    monkeypatch.undo()
+    assert values == every_row_bellman_ford(arena, strategy)
+    readers = dict.fromkeys(range(arena.sink + 1), 0)
+    for v in arena.nodes:
+        for t in (arena.succ[v] if game.owner[v] == 1
+                  else strategy.choices[v]):
+            readers[t] += 1
+    assert max(sweep for sweep, _ in sweeps) > 2
+    assert len(arena.nodes) <= evaluated[0] \
+        <= len(arena.nodes) + sum(readers[v] for _, v in sweeps)
+    # sweeping every row would take one pass more than the last update
+    assert evaluated[0] * 2 < len(arena.nodes) * (sweeps[-1][0] + 1)
+
+
+
 def test_valuation_of_escape_only_self_loop():
     arena = self_loop_arena(1)
     vals = valuate_bellman_ford(arena, initial_strategy(arena))
@@ -225,6 +338,7 @@ def test_unreasonable_strategy_is_rejected_within_the_digit_width():
     with pytest.raises(ReasonablenessError):
         valuate_bellman_ford(arena, strategy, on_update=check)
     assert peak >= k * k
+    assert_same_sweeps(arena, strategy)
 
 
 @settings(max_examples=150, deadline=None)
@@ -604,14 +718,24 @@ def check_outcome(step, imps, nodes):
         return None
 
 
+def progress_outcome(prev, new, switched, nodes):
+    """The message `_check_progress` raises, or None if it passes."""
+    try:
+        _check_progress(prev, new, switched, nodes)
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
 def test_update_matches_reference_at_scale():
     # sink regions of hundreds of nodes, many colours in the first game;
     # at every step of the three policies, and of AllSwitches and
     # SingleRandom taking turns (so that SingleRandom starts from
     # strategies that are not deterministic), the narrowed pick, the
     # changed list, the narrowed step check, the revaluation on the
-    # switch region, the improvement sets carried over from step to step
-    # and the incremental reasonableness check each equal their
+    # switch region, the stale entries and the progress check found on
+    # the switch region, the improvement sets carried over from step to
+    # step and the incremental reasonableness check each equal their
     # whole-arena counterpart, and no value outside the switch region
     # changes.  The step check is also compared on a step that keeps
     # every old edge outside the switched nodes, which it must reject
@@ -644,15 +768,31 @@ def test_update_matches_reference_at_scale():
                 rejected += outcome is None
                 assert is_reasonable_step(arena, strategy, step, changed) \
                     == is_reasonable(arena, step)
-                fast = valuate_dijkstra(arena, step, changed, valuation)
-                assert fast == valuate_bellman_ford(arena, step)
                 region = switch_region(arena, step, changed)
+                fast = valuate_dijkstra(arena, step, region, valuation)
+                assert fast == valuate_bellman_ford(arena, step)
                 assert all(fast[v] == valuation[v]
                            for v in range(len(fast)) if v not in region)
                 restricted += len(region) < len(arena.nodes)
-                imps = improvements(
-                    arena, step, fast, imps,
-                    _stale_entries(arena, changed, valuation, fast))
+                everything = range(len(fast))
+                stale = _stale_entries(arena, changed, valuation, fast,
+                                       region)
+                assert stale == _stale_entries(arena, changed, valuation,
+                                               fast, everything)
+                # the progress check on A agrees with the whole-list one
+                # on the step, on a value lowered at a switched node and
+                # on the switched nodes held at their old values
+                lowered, held = list(fast), list(fast)
+                lowered[min(switched)] = valuation[min(switched)] - 1
+                for v in switched:
+                    held[v] = valuation[v]
+                for after in (fast, lowered, held):
+                    verdict = progress_outcome(valuation, after, switched,
+                                               region)
+                    assert verdict == progress_outcome(valuation, after,
+                                                       switched, None)
+                    assert (verdict is None) == (after is fast)
+                imps = improvements(arena, step, fast, imps, stale)
                 assert imps == improvements(arena, step, fast)
                 compared += 1
                 largest = max(largest, sum(
