@@ -4,7 +4,9 @@ The game graph is a finite directed graph whose nodes carry an owner
 (player 0 or 1) and a non-negative color.  Player 0 wins a play iff the
 maximum color seen infinitely often is even.  The solver works on the
 *escape arena*: the game plus a fresh sink node that every player-0 node
-may move to, ending the play.
+may move to, ending the play.  `preprocess` first removes, working on
+the game's own tuples, the nodes player 1 wins whatever player 0 does,
+and then builds the one escape arena of a solve over the nodes left.
 
 This module also hosts the two graph primitives everything else is built
 on: player attractors (with ranks and an attracting strategy) and the
@@ -23,7 +25,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import FormatError, InvariantViolation
 from .profiles import ProfileBasis
@@ -188,24 +190,30 @@ def serialize_pgsolver(game: ParityGame) -> str:
 class GraphView:
     """A concrete directed-graph slice handed to attractor/cycle analyses.
 
-    `succ` maps every node of `nodes` to its successor tuple inside the
-    view.  `owner` and `color` may also hold nodes outside the view, and
-    `color` may omit nodes that cannot lie on a cycle (the sink).
+    `succ` gives the successor tuple of every node of `nodes`, and
+    `owner` and `color` give each node's owner and color; all three are
+    indexed by node id.  In every view the package builds, `owner` and
+    `color` are the game's own tuples, and `succ` is the game's
+    successor tuple or a dict over the view's nodes.  The escape sink is
+    never a view node: it has no outgoing edges, so it lies on no cycle.
+    The cycle analyses skip successors outside `nodes`, such as escape
+    edges; `attractor` needs a view no edge leaves.
     """
 
     nodes: tuple[int, ...]
-    succ: dict[int, tuple[int, ...]]
-    owner: dict[int, int]
-    color: dict[int, int]
+    succ: Mapping[int, tuple[int, ...]] | tuple[tuple[int, ...], ...]
+    owner: tuple[int, ...]
+    color: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class EscapeArena:
-    """A parity game extended with an escape sink, possibly restricted.
+    """A parity game extended with an escape sink, over the game nodes
+    preprocessing keeps.
 
-    `nodes` lists the surviving game nodes (ascending, original ids) and
-    `succ` their surviving game successors.  The sink has id `game.n`, is
-    owned by player 0 and has no outgoing edges; every surviving player-0
+    `nodes` lists the kept game nodes (ascending, original ids) and
+    `succ` their successors among them.  The sink has id `game.n`, is
+    owned by player 0 and has no outgoing edges; every kept player-0
     node has an implicit extra edge to it.
     """
 
@@ -253,7 +261,7 @@ class EscapeArena:
     @cached_property
     def preds(self) -> dict[int, tuple[int, ...]]:
         """Per node and the sink, the sources of its incoming arena edges,
-        ascending: game edges of surviving nodes and escape edges."""
+        ascending: game edges of kept nodes and escape edges."""
         preds: dict[int, list[int]] = {v: [] for v in self.nodes}
         preds[self.sink] = []
         owner_of = self.game.owner
@@ -264,36 +272,14 @@ class EscapeArena:
                 preds[self.sink].append(v)
         return {v: tuple(sources) for v, sources in preds.items()}
 
-    @cached_property
-    def _owner(self) -> dict[int, int]:
-        # owners of the surviving nodes and of the sink, shared by all views
-        owner_of = self.game.owner
-        owner = {v: owner_of[v] for v in self.nodes}
-        owner[self.sink] = 0
-        return owner
-
-    @cached_property
-    def _color(self) -> dict[int, int]:
-        # colors of the surviving nodes, shared by all views; the sink has
-        # none because it lies on no cycle
-        color = self.game.color
-        return {v: color[v] for v in self.nodes}
-
-    def restrict(self, keep: Iterable[int]) -> "EscapeArena":
-        kept = set(keep)
-        nodes = tuple(v for v in self.nodes if v in kept)
-        succ = {v: tuple(t for t in self.succ[v] if t in kept) for v in nodes}
-        return EscapeArena(self.game, self.sink, nodes, succ)
-
     def strategy_view(self, choices: Mapping[int, tuple[int, ...]]) -> GraphView:
         """The arena restricted to a player-0 edge set: player-1 nodes keep
-        all their edges, player-0 nodes keep exactly `choices[v]`."""
+        all their edges, player-0 nodes keep exactly `choices[v]`, which
+        may include an escape edge."""
         owner_of = self.game.owner
         succ = {v: self.succ[v] if owner_of[v] == 1 else tuple(choices[v])
                 for v in self.nodes}
-        succ[self.sink] = ()
-        return GraphView(self.nodes + (self.sink,), succ, self._owner,
-                         self._color)
+        return GraphView(self.nodes, succ, owner_of, self.game.color)
 
     def induced_strategy_view(self, choices: Mapping[int, tuple[int, ...]],
                               nodes: set[int]) -> GraphView:
@@ -303,24 +289,29 @@ class EscapeArena:
         succ = {v: tuple([t for t in (self.succ[v] if owner_of[v] == 1
                                       else choices[v]) if t in nodes])
                 for v in nodes}
-        return GraphView(tuple(nodes), succ, self._owner, self._color)
-
-    def player1_view(self) -> GraphView:
-        """The subgraph induced by player-1 nodes (no sink, no escapes)."""
-        nodes = self.player1_nodes
-        member = set(nodes)
-        succ = {v: tuple(t for t in self.succ[v] if t in member) for v in nodes}
-        return GraphView(nodes, succ, self._owner, self._color)
-
-    def game_view(self) -> GraphView:
-        """The plain game graph of the surviving nodes: no sink, no escapes."""
-        return GraphView(self.nodes, dict(self.succ), self._owner, self._color)
+        return GraphView(tuple(nodes), succ, owner_of, self.game.color)
 
 
-def build_escape_arena(game: ParityGame) -> EscapeArena:
-    """Wrap a game in its escape arena; the sink gets id `game.n`."""
-    nodes = tuple(range(game.n))
-    return EscapeArena(game, game.n, nodes, {v: game.successors[v] for v in nodes})
+def build_escape_arena(game: ParityGame,
+                       removed: Collection[int] = frozenset()) -> EscapeArena:
+    """The escape arena of a game without the nodes `removed` and the
+    edges into them; the sink gets id `game.n`."""
+    successors = game.successors
+    nodes = tuple(v for v in range(game.n) if v not in removed)
+    succ = {v: tuple([t for t in successors[v] if t not in removed])
+            for v in nodes}
+    return EscapeArena(game, game.n, nodes, succ)
+
+
+def player1_view(game: ParityGame, nodes: Iterable[int]) -> GraphView:
+    """The subgraph of the plain game induced by the player-1 nodes among
+    `nodes`: no sink, no escapes."""
+    owner = game.owner
+    kept = tuple(v for v in nodes if owner[v] == 1)
+    member = set(kept)
+    succ = {v: tuple([t for t in game.successors[v] if t in member])
+            for v in kept}
+    return GraphView(kept, succ, owner, game.color)
 
 
 @dataclass(frozen=True)
@@ -340,7 +331,11 @@ def attractor(view: GraphView, player: int, target: Iterable[int]) -> AttractorR
     with some successor of rank <= r and opponent nodes whose successors
     all have rank <= r.  Opponent dead ends count as attracted.  For each
     attracting-player member of positive rank the strategy picks the
-    smallest-id successor of strictly smaller rank.
+    smallest-id successor of strictly smaller rank.  It is recorded as
+    the node is attracted: a member of rank r has no successor of rank
+    below r - 1, or it would have been attracted earlier, and each level
+    walks the previous one in ascending order, so the first node that
+    attracts it is that successor.
     """
     node_set = set(view.nodes)
     rank: dict[int, int] = {}
@@ -349,13 +344,15 @@ def attractor(view: GraphView, player: int, target: Iterable[int]) -> AttractorR
             raise ValueError("target node %d is not in the view" % t)
         rank[t] = 0
 
+    owner = view.owner
     preds: dict[int, list[int]] = {v: [] for v in view.nodes}
     for v in view.nodes:
         for t in view.succ[v]:
             preds[t].append(v)
     remaining = {v: len(view.succ[v]) for v in view.nodes
-                 if view.owner[v] != player and v not in rank}
+                 if owner[v] != player and v not in rank}
 
+    strategy: dict[int, int] = {}
     current = sorted(rank)
     level = 0
     while True:
@@ -367,8 +364,9 @@ def attractor(view: GraphView, player: int, target: Iterable[int]) -> AttractorR
             for v in preds[u]:
                 if v in rank or v in fresh:
                     continue
-                if view.owner[v] == player:
+                if owner[v] == player:
                     fresh.add(v)
+                    strategy[v] = u
                 else:
                     remaining[v] -= 1
                     if remaining[v] == 0:
@@ -378,11 +376,6 @@ def attractor(view: GraphView, player: int, target: Iterable[int]) -> AttractorR
         for v in fresh:
             rank[v] = level
         current = sorted(fresh)
-
-    strategy: dict[int, int] = {}
-    for v, r in rank.items():
-        if r > 0 and view.owner[v] == player:
-            strategy[v] = min(t for t in view.succ[v] if rank.get(t, r) < r)
     return AttractorResult(frozenset(rank), rank, strategy)
 
 
@@ -464,10 +457,9 @@ def _dominated_pieces(view: GraphView,
     costs O(n + m) and the whole O(depth * (n + m)), depth being how
     deeply components topped by the other parity nest.  A worklist, not
     recursion, because that nesting grows with the node count.
-    Nodes absent from `view.color` are never part of a piece.
     """
     color, succ = view.color, view.succ
-    work = [[v for v in view.nodes if v in color]]
+    work = [list(view.nodes)]
     while work:
         piece = work.pop()
         top = max([c for c in map(color.__getitem__, piece)
@@ -489,8 +481,7 @@ def find_dominated_cycle_nodes(view: GraphView, parity: int) -> frozenset[int]:
     """Nodes lying on some cycle whose maximum color has the given parity:
     the union of the pieces of the top-color decomposition, which costs
     O(depth * (n + m)) for depth the nesting of components topped by the
-    other parity.  Nodes absent from `view.color` cannot lie on a cycle
-    and are skipped.
+    other parity.
     """
     nodes: set[int] = set()
     for _, piece in _dominated_pieces(view, parity):
@@ -540,7 +531,8 @@ def dominated_cycle_strategy(view: GraphView) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class PreprocessResult:
-    """Reduced arena plus everything needed to win on the removed part."""
+    """The escape arena over the nodes left, plus everything needed to win
+    on the removed part."""
 
     arena: EscapeArena
     pre_won: frozenset[int]
@@ -548,26 +540,32 @@ class PreprocessResult:
     dominated_strategy: dict[int, int]
 
 
-def preprocess(arena: EscapeArena) -> PreprocessResult:
-    """Strip the part of the arena player 1 wins without seeing a single
-    player-0 choice.
+def preprocess(game: ParityGame) -> PreprocessResult:
+    """Remove the part of the game player 1 wins without seeing a single
+    player-0 choice, and build the escape arena over the rest.
 
-    Nodes on odd-dominated cycles of the player-1 subgraph, together with
-    their player-1 attractor in the plain game graph (escape edges do not
-    help player 0 here: they only end the play, which loses the original
-    game), are removed.  The remaining arena has no odd-dominated cycle
-    among player-1 nodes, which the function asserts.
+    Both steps work on the game's own tuples.  Nodes on odd-dominated
+    cycles of the player-1 subgraph are removed, together with their
+    player-1 attractor in the plain game graph.  Escape edges cannot
+    save these nodes: escaping ends the play at a finite value, which is
+    no win for player 0, so the attractor is taken without them.
+    Player 1 wins the removed part with `dominated_strategy` on the
+    cycle nodes and the attractor's strategy elsewhere.  The one escape
+    arena of a solve is built over the remaining nodes; it has no
+    odd-dominated cycle among player-1 nodes, which the function asserts.
     """
-    dom_strategy = dominated_cycle_strategy(arena.player1_view())
-    att = attractor(arena.game_view(), 1, sorted(dom_strategy))
+    every = range(game.n)
+    dom_strategy = dominated_cycle_strategy(player1_view(game, every))
+    att = attractor(GraphView(tuple(every), game.successors, game.owner,
+                              game.color), 1, sorted(dom_strategy))
     pre_won = att.members
-    reduced = arena.restrict(v for v in arena.nodes if v not in pre_won)
-    for v in reduced.player1_nodes:
-        if not reduced.succ[v]:
+    arena = build_escape_arena(game, pre_won)
+    for v in arena.player1_nodes:
+        if not arena.succ[v]:
             raise InvariantViolation("surviving player-1 node %d lost all successors" % v)
-    if find_one_dominated_cycle_nodes(reduced.player1_view()):
+    if find_one_dominated_cycle_nodes(player1_view(game, arena.nodes)):
         raise InvariantViolation("reduced arena still has an odd player-1 cycle")
-    return PreprocessResult(reduced, pre_won, att, dom_strategy)
+    return PreprocessResult(arena, pre_won, att, dom_strategy)
 
 
 def reachable(succ: Mapping[int, tuple[int, ...]], starts: Iterable[int]) -> set[int]:

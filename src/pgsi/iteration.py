@@ -14,14 +14,13 @@ from __future__ import annotations
 import math
 import operator
 import random
-import time
 from dataclasses import dataclass, field
-from itertools import chain, compress, product
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from itertools import chain, compress
+from typing import Callable, Collection, Iterable, Mapping
 
-from .arena import (EscapeArena, GraphView, ParityGame, build_escape_arena,
+from .arena import (EscapeArena, GraphView, ParityGame,
                     find_dominated_cycle_nodes, preprocess, reachable)
-from .errors import EnumerationTooLarge, InvariantViolation
+from .errors import InvariantViolation
 from .profiles import INF_KEY, ColorProfile
 from .valuation import (ImprovementSets, Strategy, UpdateHook, Valuation,
                         changed_nodes, improvements, initial_strategy,
@@ -126,7 +125,6 @@ class IterationRecord:
     iteration: int
     strict_edges: int
     strict_sources: int
-    wall_time: float
 
     def to_json(self) -> dict:
         return {"iteration": self.iteration, "strict_edges": self.strict_edges,
@@ -195,26 +193,6 @@ def extract_deterministic(arena: EscapeArena, strategy: Strategy,
                 "node %d realizes none of its strategy edges" % v)
         choices[v] = (picked,)
     return Strategy(choices)
-
-
-def enumerate_direct_improvements(improving: Strategy,
-                                  cap: int = 4096) -> Iterator[Strategy]:
-    """All deterministic strategies inside an improving edge set, in
-    lexicographic node/target order.  Raises EnumerationTooLarge before
-    yielding anything if there are more than `cap`."""
-    nodes = sorted(improving.choices)
-    total = 1
-    for v in nodes:
-        total *= len(improving.choices[v])
-        if total > cap:
-            raise EnumerationTooLarge(
-                "more than %d deterministic selections" % cap)
-
-    def generate():
-        for combo in product(*(improving.choices[v] for v in nodes)):
-            yield Strategy({v: (t,) for v, t in zip(nodes, combo)})
-
-    return generate()
 
 
 def _check_step(next_strategy: Strategy, imps: ImprovementSets,
@@ -358,7 +336,7 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
     if policy is None:
         policy = AllSwitches()
 
-    prep = preprocess(build_escape_arena(game))
+    prep = preprocess(game)
     arena = prep.arena
     stats: list[IterationRecord] = []
     iterations = 0
@@ -374,7 +352,6 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
     if arena.nodes:
         current: Valuation | None = None
         while True:
-            started = time.perf_counter()
             incremental = (current is not None
                            and backend == BACKEND_DIJKSTRA)
             audit = (incremental and audit_every
@@ -422,7 +399,7 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
             iterations += 1
             stats.append(IterationRecord(
                 iterations, sum(map(len, imps.strict.values())),
-                len(imps.strict), time.perf_counter() - started))
+                len(imps.strict)))
             if on_iteration is not None:
                 on_iteration(iterations, sigma, to_profiles(arena, current),
                              imps)
@@ -503,9 +480,8 @@ def replay_verify(game: ParityGame, result: SolveResult) -> None:
             else:
                 succ[v] = game.successors[v]
         region = reachable(succ, won)
-        view = GraphView(tuple(sorted(region)), succ,
-                         {v: game.owner[v] for v in region},
-                         {v: game.color[v] for v in region})
+        view = GraphView(tuple(sorted(region)), succ, game.owner,
+                         game.color)
         offenders = find_dominated_cycle_nodes(view, bad_parity)
         if offenders:
             raise InvariantViolation(

@@ -30,9 +30,7 @@ class OracleResult:
 def _losers(game: ParityGame, succ: dict[int, tuple[int, ...]]) -> set[int]:
     """Nodes from which the fixed-strategy graph reaches a cycle whose
     top color is odd: player 1 wins exactly these once player 0 commits."""
-    view = GraphView(tuple(range(game.n)), succ,
-                     {v: game.owner[v] for v in range(game.n)},
-                     {v: game.color[v] for v in range(game.n)})
+    view = GraphView(tuple(range(game.n)), succ, game.owner, game.color)
     bad = find_one_dominated_cycle_nodes(view)
     preds: dict[int, list[int]] = {v: [] for v in range(game.n)}
     for v in range(game.n):

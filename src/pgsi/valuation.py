@@ -85,10 +85,6 @@ class Strategy:
             choices[v] = targets
         return cls(choices)
 
-    @property
-    def is_deterministic(self) -> bool:
-        return all(len(ts) == 1 for ts in self.choices.values())
-
 
 def changed_nodes(old: Strategy, new: Strategy) -> list[int]:
     """The nodes of `new` whose choices differ from those of `old`, in the
@@ -149,22 +145,6 @@ def is_reasonable_step(arena: EscapeArena, old: Strategy, new: Strategy,
                 stack.append(t)
     return not region or not find_one_dominated_cycle_nodes(
         arena.induced_strategy_view(choices, region))
-
-
-def apply_operator(arena: EscapeArena, strategy: Strategy,
-                   valuation: Valuation) -> Valuation:
-    """One simultaneous application of the valuation operator."""
-    unit = arena.unit_keys
-    out = [INF_KEY] * (arena.sink + 1)
-    out[arena.sink] = 0
-    owner_of = arena.game.owner
-    for v in arena.nodes:
-        if owner_of[v] == 1:
-            best = min(valuation[t] for t in arena.succ[v])
-        else:
-            best = max(valuation[t] for t in strategy.choices[v])
-        out[v] = best if best == INF_KEY else unit[v] + best
-    return out
 
 
 def valuate_bellman_ford(arena: EscapeArena, strategy: Strategy,

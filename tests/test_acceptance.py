@@ -15,17 +15,18 @@ import pytest
 
 from pgsi import (SolveResult, oracle_solve, parse_pgsolver, policy_by_name,
                   replay_verify, serialize_pgsolver, solve)
-from pgsi.arena import build_escape_arena, preprocess
+from pgsi.arena import preprocess
 from pgsi.cli import generate_game, main, random_game
 from pgsi.errors import InvariantViolation
 from pgsi.iteration import (BACKENDS, DEG2_BASE, POLICY_NAMES,
-                            enumerate_direct_improvements,
                             extract_deterministic)
 from pgsi.profiles import (ColorProfile, NEG_INFINITY, POS_INFINITY,
                            path_value, zero_profile)
 from pgsi.valuation import (changed_nodes, improvements, initial_strategy,
                             is_reasonable, switch_region,
                             valuate_bellman_ford, valuate_dijkstra)
+
+from helpers import enumerate_direct_improvements, is_deterministic
 
 
 CORPUS_SIZE = 1000
@@ -89,7 +90,7 @@ def solver_runs(corpus):
         for backend in BACKENDS:
             bucket = []
             for game in corpus["games"]:
-                arena = preprocess(build_escape_arena(game)).arena
+                arena = preprocess(game).arena
                 auditor = StepAuditor(arena)
                 result = solve(game, policy=policy_by_name(
                     name, RANDOM_POLICY_SEED), backend=backend,
@@ -114,7 +115,7 @@ def reference_walks(corpus):
     sweep_violations = 0
     finals = []
     for game in corpus["games"]:
-        arena = preprocess(build_escape_arena(game)).arena
+        arena = preprocess(game).arena
         if not arena.nodes:
             finals.append(None)
             continue
@@ -200,7 +201,7 @@ def test_acceptance_5_local_optimality(capsys):
     while games_done < 200:
         game = random_game(rng, rng.randint(2, 6), rng.randint(1, 2),
                            rng.randint(1, 4), 0.5)
-        arena = preprocess(build_escape_arena(game)).arena
+        arena = preprocess(game).arena
         if not arena.nodes:
             continue
         games_done += 1
@@ -272,7 +273,7 @@ def test_acceptance_7_extraction_and_replay(corpus, solver_runs,
         arena, imps, valuation = final
         extractions += 1
         extracted = extract_deterministic(arena, imps.improving, valuation)
-        if not extracted.is_deterministic:
+        if not is_deterministic(extracted):
             failures += 1
         if valuate_bellman_ford(arena, extracted) != valuation:
             failures += 1

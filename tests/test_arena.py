@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from pgsi import ParityGame, oracle_solve, parse_pgsolver, serialize_pgsolver
 from pgsi.arena import (GraphView, _sccs, attractor, build_escape_arena,
                         dominated_cycle_strategy, find_dominated_cycle_nodes,
-                        find_one_dominated_cycle_nodes, preprocess)
+                        find_one_dominated_cycle_nodes, player1_view,
+                        preprocess)
 from pgsi.errors import FormatError, InvariantViolation
 
 from conftest import parity_games
@@ -231,7 +232,11 @@ def test_escape_arena_shape():
     assert arena.nodes == (0, 1, 2)
     assert sorted(arena.escape_choices) == [0, 2]  # only player-0 escapes
     assert arena.escape_choices[0] == (1, 3)
-    assert arena.strategy_view(arena.escape_choices).owner[3] == 0
+    # the sink lies on no cycle, so no view holds it, not even one whose
+    # choices escape to it
+    view = arena.strategy_view(arena.escape_choices)
+    assert view.nodes == (0, 1, 2) and 3 not in view.succ
+    assert view.succ[0] == (1, 3)
     assert arena.succ[1] == (2,)  # base edges untouched
 
 
@@ -244,6 +249,12 @@ def test_escape_arena_player1_gets_no_escape():
 
 def _view(nodes, succ, owner, color):
     return GraphView(tuple(nodes), dict(succ), dict(owner), dict(color))
+
+
+def game_graph(game):
+    """The plain game graph: every node, no sink, no escapes."""
+    return GraphView(tuple(range(game.n)), game.successors, game.owner,
+                     game.color)
 
 
 def test_attractor_of_empty_target():
@@ -291,7 +302,7 @@ def test_attractor_rejects_foreign_target():
 
 @given(parity_games(max_nodes=6))
 def test_attractor_monotone_and_idempotent(game):
-    view = build_escape_arena(game).game_view()
+    view = game_graph(game)
     half = [v for v in view.nodes if v % 2 == 0]
     small = attractor(view, 1, half[:1] if half else [])
     big = attractor(view, 1, half)
@@ -302,10 +313,16 @@ def test_attractor_monotone_and_idempotent(game):
 
 @given(parity_games(max_nodes=6))
 def test_attractor_strategy_decreases_rank(game):
-    view = build_escape_arena(game).game_view()
+    view = game_graph(game)
     res = attractor(view, 0, [v for v in view.nodes if game.color[v] == 0])
     for v, t in res.strategy.items():
         assert view.owner[v] == 0 and res.rank[t] < res.rank[v]
+        # the smallest-id successor of smaller rank
+        assert t == min(u for u in view.succ[v]
+                        if res.rank.get(u, res.rank[v]) < res.rank[v])
+    # one edge for every attracting-player member of positive rank
+    assert set(res.strategy) == {v for v, r in res.rank.items()
+                                 if r > 0 and view.owner[v] == 0}
 
 
 # ---------------------------------------------------------- cycle analysis
@@ -436,7 +453,7 @@ def _dominated_by_closure(view, parity):
 def test_cycle_finder_matches_reachability_oracle(game, many_colors):
     # the second draw spreads colors so that wrong-parity tops nest
     for g in (game, many_colors):
-        view = build_escape_arena(g).game_view()
+        view = game_graph(g)
         for parity in (0, 1):
             assert find_dominated_cycle_nodes(view, parity) == \
                 _dominated_by_closure(view, parity)
@@ -465,7 +482,7 @@ def test_cycle_finder_handles_nesting_beyond_recursion_limit():
 @given(parity_games(max_nodes=7))
 def test_dominated_cycle_strategy_is_safe(game):
     # following the assigned edges must never close an even-dominated cycle
-    view = build_escape_arena(game).player1_view()
+    view = player1_view(game, range(game.n))
     marked = find_one_dominated_cycle_nodes(view)
     strat = dominated_cycle_strategy(view)
     assert set(strat) == set(marked)
@@ -491,13 +508,13 @@ def test_dominated_cycle_strategy_is_safe(game):
 
 def test_preprocess_keeps_clean_games():
     g = ParityGame((0, 1), (1, 2), ((1,), (0,)))
-    prep = preprocess(build_escape_arena(g))
+    prep = preprocess(g)
     assert prep.pre_won == frozenset()
     assert prep.arena.nodes == (0, 1)
 
 
 def test_preprocess_removes_odd_player1_loop():
-    prep = preprocess(build_escape_arena(ParityGame((1,), (1,), ((0,),))))
+    prep = preprocess(ParityGame((1,), (1,), ((0,),)))
     assert prep.pre_won == frozenset((0,))
     assert prep.arena.nodes == ()
     assert prep.dominated_strategy == {0: 0}
@@ -506,7 +523,7 @@ def test_preprocess_removes_odd_player1_loop():
 def test_preprocess_attracts_committed_predecessor():
     # u's only move feeds the odd loop at v, so u is lost with it
     g = ParityGame((1, 1), (0, 1), ((1,), (1,)))
-    prep = preprocess(build_escape_arena(g))
+    prep = preprocess(g)
     assert prep.pre_won == frozenset((0, 1))
     assert prep.attractor.rank[0] == 1
 
@@ -515,17 +532,30 @@ def test_preprocess_ignores_escape_edges():
     # the lost player-0 node could flee to the sink, but the plain game
     # offers no way out, so preprocessing may not spare it
     g = ParityGame((0, 1), (0, 1), ((1,), (1,)))
-    prep = preprocess(build_escape_arena(g))
+    prep = preprocess(g)
     assert prep.pre_won == frozenset((0, 1))
+
+
+def test_preprocess_builds_the_arena_over_the_nodes_left():
+    # 0 is an odd player-1 loop and 1 may move into it; 2 survives and
+    # loses its edge into 1, but keeps its escape
+    g = ParityGame((1, 1, 0), (1, 0, 2), ((0,), (0, 2), (1, 2)))
+    prep = preprocess(g)
+    assert prep.pre_won == frozenset((0, 1))
+    assert prep.attractor.strategy == {1: 0}
+    assert prep.arena.nodes == (2,)
+    assert prep.arena.succ == {2: (2,)}
+    assert prep.arena.escape_choices == {2: (2, 3)}
 
 
 @given(parity_games())
 @settings(max_examples=300)
 def test_preprocess_soundness(game):
-    prep = preprocess(build_escape_arena(game))
+    prep = preprocess(game)
     arena = prep.arena
     # nothing 1-dominated survives among player-1 nodes
-    assert find_one_dominated_cycle_nodes(arena.player1_view()) == frozenset()
+    assert find_one_dominated_cycle_nodes(
+        player1_view(game, arena.nodes)) == frozenset()
     for v in arena.player1_nodes:
         assert arena.succ[v]
     # pre-won nodes are truly lost

@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from pgsi import (AllSwitches, ColorProfile, DeterministicAll, POS_INFINITY,
                   ParityGame, SingleRandom, SolveResult, parse_pgsolver,
                   iteration, policy_by_name, replay_verify, solve)
-from pgsi.arena import build_escape_arena, preprocess
+from pgsi.arena import EscapeArena, build_escape_arena, preprocess
 from pgsi.cli import random_game
 from pgsi.errors import EnumerationTooLarge, InvariantViolation
 from pgsi.iteration import (BACKEND_BELLMAN_FORD, BACKEND_DIJKSTRA, BACKENDS,
                             POLICY_NAMES, _check_progress, _step_bound,
-                            enumerate_direct_improvements,
                             extract_deterministic)
 from pgsi.profiles import INF_KEY, zero_profile
 from pgsi.valuation import (ImprovementSets, Strategy, changed_nodes,
@@ -22,6 +21,7 @@ from pgsi.valuation import (ImprovementSets, Strategy, changed_nodes,
                             valuate_bellman_ford)
 
 from conftest import parity_games, scale_games
+from helpers import enumerate_direct_improvements, is_deterministic
 
 EVEN_LOOP = ParityGame((0,), (0,), ((0,),))
 ODD_LOOP = ParityGame((0,), (1,), ((0,),))
@@ -106,6 +106,31 @@ def test_solve_rejects_negative_audit_every():
     assert solve(EVEN_LOOP, audit_every=0).w0 == (0,)
 
 
+def test_solve_builds_one_escape_arena(monkeypatch):
+    # preprocessing works on the game itself and builds the arena of the
+    # solve once, over the nodes it keeps
+    built = []
+    init = EscapeArena.__init__
+
+    def counted(self, game, sink, nodes, succ):
+        built.append(nodes)
+        init(self, game, sink, nodes, succ)
+
+    monkeypatch.setattr(EscapeArena, "__init__", counted)
+    # node 0 is an odd player-1 self-loop, node 1 is attracted to it,
+    # node 2 survives
+    trap = ParityGame((1, 1, 0), (1, 0, 2), ((0,), (0, 2), (1, 2)))
+    for game in (trap, random_game(random.Random(9), 40, 3, 4)):
+        for backend in BACKENDS:
+            built.clear()
+            result = solve(game, backend=backend)
+            assert len(built) == 1
+            replay_verify(game, result)
+    built.clear()
+    assert solve(trap).w1 == (0, 1)
+    assert built == [(2,)]
+
+
 # ---------------------------------------------------------------- policies
 
 def test_policy_names_resolve():
@@ -140,7 +165,7 @@ def test_deterministic_policy_keeps_singleton_strategies():
         seen = []
         solve(game, policy=DeterministicAll(),
               on_iteration=lambda i, s, v, imps: seen.append(s))
-        assert seen and all(s.is_deterministic for s in seen)
+        assert seen and all(is_deterministic(s) for s in seen)
 
 
 def test_single_random_is_reproducible():
@@ -557,7 +582,7 @@ def test_iteration_count_stays_below_the_step_bound():
     for _ in range(25):
         game = random_game(rng, rng.randint(1, 9), 3, 5)
         result = solve(game)
-        arena = preprocess(build_escape_arena(game)).arena
+        arena = preprocess(game).arena
         if arena.nodes:
             assert result.iterations - 1 <= _step_bound(len(arena.nodes),
                                                         arena.d)
@@ -572,7 +597,7 @@ def test_step_bound_values():
 
 def test_solve_where_the_step_bound_overflows_a_float():
     game = random_game(random.Random(2), 1200, 4, 1200, 0.6)
-    arena = preprocess(build_escape_arena(game)).arena
+    arena = preprocess(game).arena
     assert _step_bound(len(arena.nodes), arena.d) == math.inf
     result = solve(game)
     assert result.w0 and result.w1
@@ -591,7 +616,7 @@ def test_solve_and_replay_at_100k_nodes():
 @settings(max_examples=100, deadline=None)
 @given(parity_games())
 def test_extracted_strategy_reproduces_the_valuation(game):
-    prep = preprocess(build_escape_arena(game))
+    prep = preprocess(game)
     arena = prep.arena
     if not arena.nodes:
         return
@@ -605,7 +630,7 @@ def test_extracted_strategy_reproduces_the_valuation(game):
     else:
         raise AssertionError("improvement iteration failed to stop")
     extracted = extract_deterministic(arena, imps.improving, valuation)
-    assert extracted.is_deterministic
+    assert is_deterministic(extracted)
     assert valuate_bellman_ford(arena, extracted) == valuation
 
 
@@ -625,7 +650,7 @@ def test_enumerate_deterministic_selections():
     found = list(enumerate_direct_improvements(
         Strategy.of({0: (1, 2), 1: (0, 2, 3)})))
     assert len(found) == 6
-    assert all(s.is_deterministic for s in found)
+    assert all(is_deterministic(s) for s in found)
     assert len({tuple(s.choices.items()) for s in found}) == 6
 
 

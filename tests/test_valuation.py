@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgsi import POS_INFINITY, ColorProfile, ParityGame
-from pgsi.arena import (attractor, build_escape_arena,
+from pgsi.arena import (GraphView, attractor, build_escape_arena,
                         find_one_dominated_cycle_nodes, preprocess)
 from pgsi.cli import random_game
 from pgsi.errors import InvariantViolation, ReasonablenessError
@@ -16,13 +16,14 @@ from pgsi.iteration import (AllSwitches, DeterministicAll, SingleRandom,
                             _check_progress, _check_step, _stale_entries,
                             solve)
 from pgsi.profiles import INF_KEY, unit_profile, zero_profile
-from pgsi.valuation import (Strategy, apply_operator, changed_nodes,
+from pgsi.valuation import (Strategy, changed_nodes,
                             improvements, initial_strategy, is_reasonable,
                             is_reasonable_step, response_strategy,
                             switch_region, to_profiles, valuate_bellman_ford,
                             valuate_dijkstra)
 
 from conftest import parity_games, scale_games
+from helpers import apply_operator, is_deterministic
 
 
 def fin(*counts):
@@ -74,8 +75,8 @@ def improvement_iterates(arena, max_rounds=64):
 def test_strategy_normalizes_targets():
     s = Strategy.of({0: [2, 1, 2], 1: (3,)})
     assert s.choices == {0: (1, 2), 1: (3,)}
-    assert not s.is_deterministic
-    assert Strategy.of({0: (1,)}).is_deterministic
+    assert not is_deterministic(s)
+    assert is_deterministic(Strategy.of({0: (1,)}))
 
 
 def test_strategy_rejects_empty_choice():
@@ -97,7 +98,7 @@ def test_initial_strategy_empty_without_player0_nodes():
 @settings(max_examples=100, deadline=None)
 @given(parity_games())
 def test_initial_strategy_is_reasonable(game):
-    prep = preprocess(arena_of(game))
+    prep = preprocess(game)
     assert is_reasonable(prep.arena, initial_strategy(prep.arena))
 
 
@@ -112,7 +113,7 @@ def test_reasonableness_of_chosen_self_loops():
 def reasonable_steps(draw):
     """A preprocessed arena, a reasonable strategy on it and any strategy
     inside its escape choices that agrees with it at some nodes."""
-    arena = preprocess(arena_of(draw(parity_games(max_colors=5)))).arena
+    arena = preprocess(draw(parity_games(max_colors=5))).arena
     escape = arena.escape_choices
 
     def pick(v):
@@ -147,7 +148,7 @@ def test_reasonable_step_agrees_with_the_full_check(step):
 ], ids=["player1-predecessor", "second-of-three-edges"])
 def test_reasonable_step_finds_the_cycle_an_added_edge_closes(owner, color,
                                                               succ, new):
-    arena = preprocess(arena_of(ParityGame(owner, color, succ))).arena
+    arena = preprocess(ParityGame(owner, color, succ)).arena
     old, new = initial_strategy(arena), Strategy.of(new)
     assert not is_reasonable(arena, new)
     assert not is_reasonable_step(arena, old, new,
@@ -205,7 +206,7 @@ def assert_same_sweeps(arena, strategy):
 def test_bellman_ford_matches_every_row_sweeps(game):
     # the same values and the same (sweep, node, old, new) stream at
     # every iterate of the all-improvements walk
-    arena = preprocess(arena_of(game)).arena
+    arena = preprocess(game).arena
     for strategy, _ in improvement_iterates(arena):
         assert_same_sweeps(arena, strategy)
 
@@ -238,7 +239,7 @@ def test_bellman_ford_evaluates_only_rows_whose_inputs_changed(monkeypatch):
     walk = []
     solve(game, SingleRandom(1),
           on_iteration=lambda i, strategy, vals, imps: walk.append(strategy))
-    arena = preprocess(arena_of(game)).arena
+    arena = preprocess(game).arena
     strategy = walk[len(walk) // 2]
     evaluated = [0]
 
@@ -292,7 +293,7 @@ def test_sink_value_is_always_empty():
     rng = random.Random(7)
     for _ in range(25):
         game = random_game(rng, rng.randint(1, 7), 3, 4)
-        arena = preprocess(arena_of(game)).arena
+        arena = preprocess(game).arena
         vals = valuate_bellman_ford(arena, initial_strategy(arena))
         assert to_profiles(arena, vals)[arena.sink] == zero_profile(arena.d)
 
@@ -344,7 +345,7 @@ def test_unreasonable_strategy_is_rejected_within_the_digit_width():
 @settings(max_examples=150, deadline=None)
 @given(parity_games())
 def test_valuation_is_an_operator_fixpoint(game):
-    prep = preprocess(arena_of(game))
+    prep = preprocess(game)
     arena = prep.arena
     if not arena.nodes:
         return
@@ -355,7 +356,7 @@ def test_valuation_is_an_operator_fixpoint(game):
 @settings(max_examples=150, deadline=None)
 @given(parity_games())
 def test_valuation_stabilizes_within_node_count_sweeps(game):
-    prep = preprocess(arena_of(game))
+    prep = preprocess(game)
     arena = prep.arena
     if not arena.nodes:
         return
@@ -376,7 +377,7 @@ def test_valuation_stabilizes_within_node_count_sweeps(game):
 @settings(max_examples=150, deadline=None)
 @given(parity_games())
 def test_valuation_never_drops_below_empty_play(game):
-    prep = preprocess(arena_of(game))
+    prep = preprocess(game)
     arena = prep.arena
     if not arena.nodes:
         return
@@ -388,13 +389,21 @@ def test_valuation_never_drops_below_empty_play(game):
 @settings(max_examples=150, deadline=None)
 @given(parity_games())
 def test_finite_value_iff_pulled_to_sink(game):
-    prep = preprocess(arena_of(game))
+    prep = preprocess(game)
     arena = prep.arena
     if not arena.nodes:
         return
+    # the strategy view plus the sink, which no GraphView of the package
+    # holds
+    sink = arena.sink
+    nodes = arena.nodes + (sink,)
+    owner = game.owner + (0,)
+    color = game.color + (0,)
     for strategy, valuation in improvement_iterates(arena):
-        view = arena.strategy_view(strategy.choices)
-        region = attractor(view, 1, (arena.sink,)).members
+        succ = dict(arena.strategy_view(strategy.choices).succ)
+        succ[sink] = ()
+        region = attractor(GraphView(nodes, succ, owner, color), 1,
+                           (sink,)).members
         for v in arena.nodes:
             assert (valuation[v] != INF_KEY) == (v in region)
 
@@ -463,7 +472,7 @@ def test_sub_strategy_valuation_is_pointwise_smaller():
     checked = 0
     while checked < 200:
         game = random_game(rng, rng.randint(2, 7), 3, 4)
-        prep = preprocess(arena_of(game))
+        prep = preprocess(game)
         arena = prep.arena
         if not arena.nodes:
             continue
@@ -537,7 +546,7 @@ def test_improvements_reject_foreign_valuation():
 @settings(max_examples=150, deadline=None)
 @given(parity_games())
 def test_improvement_sets_are_consistent(game):
-    prep = preprocess(arena_of(game))
+    prep = preprocess(game)
     arena = prep.arena
     if not arena.nodes:
         return
@@ -664,7 +673,7 @@ def test_update_matches_reference_on_random_games():
     while games < 300:
         game = random_game(rng, rng.randint(1, 8),
                            rng.randint(1, 3), rng.randint(1, 4))
-        prep = preprocess(arena_of(game))
+        prep = preprocess(game)
         arena = prep.arena
         if not arena.nodes:
             continue
@@ -742,7 +751,7 @@ def test_update_matches_reference_at_scale():
     # wherever a kept edge stopped improving.
     compared = largest = restricted = rejected = 0
     for i, game in enumerate(scale_games()):
-        arena = preprocess(arena_of(game)).arena
+        arena = preprocess(game).arena
         for turns in ([AllSwitches()], [DeterministicAll()],
                       [SingleRandom(i)], [AllSwitches(), SingleRandom(i)]):
             rng = random.Random(i)
@@ -823,7 +832,7 @@ def test_update_accepts_a_base_at_the_public_width():
     compared = 0
     while compared < 100:
         game = random_game(rng, rng.randint(2, 30), 3, rng.randint(1, 6))
-        arena = preprocess(arena_of(game)).arena
+        arena = preprocess(game).arena
         for strategy, valuation in improvement_iterates(arena):
             imps = improvements(arena, strategy, valuation)
             # the same values built at 64-bit digits, then re-encoded
@@ -880,7 +889,7 @@ def test_response_empty_without_player1_nodes():
 @settings(max_examples=100, deadline=None)
 @given(parity_games())
 def test_response_realizes_the_valuation(game):
-    prep = preprocess(arena_of(game))
+    prep = preprocess(game)
     arena = prep.arena
     if not arena.nodes:
         return
