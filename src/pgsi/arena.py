@@ -236,9 +236,11 @@ class EscapeArena:
 
     @cached_property
     def basis(self) -> ProfileBasis:
-        """The key encoding at the digit width this arena's values need;
-        every valuation of the arena is a list of its keys."""
-        return ProfileBasis(self.d, len(self.nodes))
+        """The key encoding at the digit width this arena's values need,
+        with one digit per color its nodes carry; every valuation of the
+        arena is a list of its keys."""
+        return ProfileBasis.over(self.d, map(self.game.color.__getitem__,
+                                             self.nodes), len(self.nodes))
 
     @cached_property
     def unit_keys(self) -> list[int]:

@@ -8,11 +8,17 @@ highest color at which they differ: more visits to an even color is better
 for player 0, more visits to an odd color is worse.
 
 Encoding.  A finite profile of dimension d is stored as one int, its key,
-written in base 2^b with signed digits: digit c is the count of color c,
-negated when c is odd, and the highest color takes the most significant
-digit::
+written in base 2^b with signed digits over the colors the profile's form
+counts, ascending: digit i is the count of the i-th of those colors,
+negated when that color is odd, and the highest of them takes the most
+significant digit.  With all d colors counted that is::
 
     key = f_0 + f_1 * 2^b + ... + f_(d-1) * 2^(b(d-1))
+
+A color the form does not count has count 0.  Profiles are ordered by
+the highest color at which they differ, and two profiles with count 0 at
+a color never differ there, so leaving it out keeps the order: the
+solver's keys count only the colors its arena's nodes carry.
 
 While every digit stays below 2^(b-1) in magnitude, two digits differ by
 at most 2^b - 2, so everything below the highest differing digit adds up
@@ -22,11 +28,12 @@ profiles is adding or subtracting their keys.  The arithmetic does not
 check that bound; the width b is chosen so that it holds.
 
 Width.  The width is part of a profile.  ``ColorProfile.finite``,
-``zero_profile``, ``unit_profile`` and ``path_value`` use 64-bit digits,
-so their sums stay exact up to counts of 2^63.  The solver takes its unit
-keys from a :class:`ProfileBasis` built once per arena, at
-``digit_width(n)`` bits for an arena of n nodes (the sink not counted).
-That width covers every digit the solver forms:
+``zero_profile``, ``unit_profile`` and ``path_value`` use 64-bit digits
+over every color, so their sums stay exact up to counts of 2^63.  The
+solver takes its unit keys from a :class:`ProfileBasis` built once per
+arena, over the colors the arena's nodes carry, at ``digit_width(n)``
+bits for an arena of n nodes (the sink not counted).  That width covers
+every digit the solver forms:
 
 - a fixpoint value is the profile of a simple path into the sink, so each
   digit is at most n;
@@ -44,20 +51,24 @@ bit above it.  This is the bounded finite profile space that the paper's
 termination argument rests on, read as a size: it fixes how many bits a
 count can need.
 
-An operation on two profiles of different widths re-encodes the narrower
-one at the wider width first: exact, but slower.  All values are
-immutable and safe to share.
+An operation on two profiles of different forms re-encodes both over the
+colors either counts, at the wider width, first: exact, but slower.
+Whatever its form, a profile speaks the game's colors: its dimension is
+the game's d, and ``counts``, ``str``, ``==`` and ``hash`` read every
+color, a color the form does not count as 0.  All values are immutable
+and safe to share.
 
 Inside ``solve`` a valuation is not a mapping of profiles but a list of
-keys indexed by node id, the escape sink last, all at the width of the
+keys indexed by node id, the escape sink last, all in the form of the
 arena's :class:`ProfileBasis`, with :data:`INF_KEY` standing for +inf.
 Every valuation route, check and classification adds and compares these
 ints directly; ``ProfileBasis.key`` and ``ProfileBasis.from_key``
 translate between keys and profiles at the edges (the result's
-valuation and the hooks).  ``INF_KEY`` is the float infinity: Python
-compares an int with it exactly whatever the int's size, so ``<``,
-``==``, ``min`` and ``max`` treat it as the top value, and the solver
-never adds anything to it.
+valuation and the hooks); ``from_key`` only wraps the key, so a profile
+spells out its counts over all d colors only when asked.  ``INF_KEY`` is
+the float infinity: Python compares an int with it exactly whatever the
+int's size, so ``<``, ``==``, ``min`` and ``max`` treat it as the top
+value, and the solver never adds anything to it.
 """
 
 from __future__ import annotations
@@ -86,6 +97,8 @@ def _bias(d: int, b: int) -> int:
 
 def _pack(digits: Sequence[int], b: int) -> int:
     """Key of signed digits given highest color first."""
+    if not digits:
+        return 0
     half = 1 << (b - 1)
     for f in digits:
         if not -half < f < half:
@@ -98,9 +111,31 @@ def _pack(digits: Sequence[int], b: int) -> int:
 
 def _unpack(key: int, d: int, b: int) -> tuple[int, ...]:
     """Signed digits of a key, highest color first."""
+    if not d:
+        return ()
     half = 1 << (b - 1)
     bits = format(key + _bias(d, b), "0%db" % (b * d))
     return tuple([int(bits[i:i + b], 2) - half for i in range(0, b * d, b)])
+
+
+def _encode(value: "ColorProfile", form: tuple) -> int:
+    """Key of a finite profile in another form of its dimension.
+    DimensionError if a count does not fit the form's width or the
+    profile counts a visit to a color the form does not count."""
+    _, own_width, own_colors = value._form
+    _, b, colors = form
+    if own_colors == colors:
+        if own_width == b:
+            return value._key
+        return _pack(value._digits(), b)
+    counted = dict(zip(reversed(own_colors), value._digits()))
+    digits = [counted.pop(c, 0) for c in reversed(colors)]
+    for c, f in counted.items():
+        if f:
+            raise DimensionError(
+                "count %d at color %d, which the form does not count"
+                % (-f if c % 2 else f, c))
+    return _pack(digits, b)
 
 
 class ColorProfile:
@@ -114,13 +149,14 @@ class ColorProfile:
     profiles only.
     """
 
-    # A finite profile holds its key and its form, the pair (dimension,
-    # digit width); profiles made together share one form object, which
-    # is what the fast paths test.  An infinity has form None and its
-    # sign, +1 or -1, as key.
+    # A finite profile holds its key and its form, the triple (dimension,
+    # digit width, colors its digits count): range(d) for every color, or
+    # an ascending tuple.  Profiles made together share one form object,
+    # which is what the fast paths test.  An infinity has form None and
+    # its sign, +1 or -1, as key.
     __slots__ = ("_key", "_form")
 
-    def __init__(self, key: int, form: tuple[int, int] | None):
+    def __init__(self, key: int, form: tuple[int, int, Sequence[int]] | None):
         # Internal: use finite()/zero_profile()/unit_profile(), a
         # ProfileBasis or the two module-level infinity constants instead.
         self._key = key
@@ -138,7 +174,7 @@ class ColorProfile:
         d = len(counts)
         digits = [counts[k] if k % 2 == 0 else -counts[k]
                   for k in range(d - 1, -1, -1)]
-        return cls(_pack(digits, _WIDE_DIGITS), (d, _WIDE_DIGITS))
+        return cls(_pack(digits, _WIDE_DIGITS), (d, _WIDE_DIGITS, range(d)))
 
     @property
     def is_finite(self) -> bool:
@@ -150,30 +186,34 @@ class ColorProfile:
         return self._form[0] if self._form is not None else None
 
     def _digits(self) -> tuple[int, ...]:
-        return _unpack(self._key, *self._form)
+        _, b, colors = self._form
+        return _unpack(self._key, len(colors), b)
 
     @property
     def counts(self) -> tuple[int, ...]:
         """Per-color counts, lowest color first.  Finite profiles only."""
         if self._form is None:
             raise ProfileArithmeticError("an infinite profile has no counts")
-        digits = self._digits()
-        d = len(digits)
-        return tuple(digits[d - 1 - k] if k % 2 == 0 else -digits[d - 1 - k]
-                     for k in range(d))
+        counts = [0] * self._form[0]
+        for c, f in zip(reversed(self._form[2]), self._digits()):
+            counts[c] = -f if c % 2 else f
+        return tuple(counts)
 
     def _aligned(self, other: "ColorProfile") -> tuple[int, int, tuple]:
-        """Keys of two finite profiles of one dimension at a common width,
-        and the form of that width."""
+        """Keys of two finite profiles of one dimension in a common form,
+        and that form: the wider width, over the colors either counts."""
         a, b = self._form, other._form
         if a[0] != b[0]:
             raise DimensionError(
                 "profile dimensions differ: %d vs %d" % (a[0], b[0]))
-        if a[1] == b[1]:
-            return self._key, other._key, a
-        if a[1] > b[1]:
-            return self._key, _pack(other._digits(), a[1]), a
-        return _pack(self._digits(), b[1]), other._key, b
+        if a[2] == b[2]:
+            form = a if a[1] >= b[1] else b
+        else:
+            colors = set(a[2]).union(b[2])
+            colors = (range(a[0]) if len(colors) == a[0]
+                      else tuple(sorted(colors)))
+            form = (a[0], max(a[1], b[1]), colors)
+        return _encode(self, form), _encode(other, form), form
 
     def __eq__(self, other) -> bool:
         form = self._form
@@ -191,7 +231,9 @@ class ColorProfile:
     def __hash__(self) -> int:
         if self._form is None:
             return hash(self._key)
-        return hash(self._digits())
+        # the nonzero digits with their colors, whatever the form
+        return hash(tuple([(c, f) for c, f in zip(reversed(self._form[2]),
+                                                  self._digits()) if f]))
 
     def __lt__(self, other: "ColorProfile") -> bool:
         form = self._form
@@ -269,36 +311,63 @@ INF_KEY = math.inf
 
 
 class ProfileBasis:
-    """The key encoding of one d-color arena of n nodes: every key is
-    written at ``digit_width(n)`` bits, so the keys of one arena's
-    values add and compare like the profiles they stand for.  The solver
-    works on these keys and turns them into profiles only at its edges."""
+    """The key encoding of one arena of n nodes in a d-color game: every
+    key is written at ``digit_width(n)`` bits, one digit per color the
+    basis counts, so the keys of one arena's values add and compare like
+    the profiles they stand for.  ``ProfileBasis(d, n)`` counts the
+    colors 0..d-1; :meth:`over` counts only the colors an arena's nodes
+    carry, which is all any of its values can count.  The solver works
+    on these keys and turns them into profiles, of dimension d, only at
+    its edges."""
 
     __slots__ = ("_form", "_units")
 
     def __init__(self, d: int, n: int):
         if d < 1:
             raise DimensionError("dimension must be at least 1, got %d" % d)
-        self._form = (d, digit_width(n))
+        self._form = (d, digit_width(n), range(d))
         self._units: dict[int, int] = {}
 
+    @classmethod
+    def over(cls, d: int, colors: Iterable[int], n: int) -> "ProfileBasis":
+        """The basis of an n-node arena of a d-color game whose nodes
+        carry `colors` (repeats allowed): digit i counts the i-th of them
+        in ascending order, and each has its unit key ready."""
+        colors = sorted(set(colors))
+        if d < 1 or colors and not 0 <= colors[0] <= colors[-1] < d:
+            raise DimensionError("colors outside [0, %d): %r" % (d, colors))
+        basis = _new(cls)
+        b = digit_width(n)
+        basis._form = (d, b, range(d) if len(colors) == d else tuple(colors))
+        basis._units = units = {}
+        shift = 0
+        for c in colors:
+            units[c] = -(1 << shift) if c % 2 else 1 << shift
+            shift += b
+        return basis
+
+    @property
+    def colors(self) -> Sequence[int]:
+        """The game colors the digits count, ascending: digit i counts
+        ``colors[i]``."""
+        return self._form[2]
+
     def key(self, value: ColorProfile) -> int | float:
-        """The key of `value` at this basis's width, or +-INF_KEY for an
-        infinity.  A finite profile of another width is re-encoded exactly;
-        DimensionError if its dimension differs or a count does not fit
-        the width."""
+        """The key of `value` in this basis, or +-INF_KEY for an
+        infinity.  A finite profile of another form is re-encoded
+        exactly; DimensionError if its dimension differs, a count does
+        not fit the width or it counts a visit to a color the basis does
+        not count."""
         form = value._form
         if form is self._form:
             return value._key
         if form is None:
             return INF_KEY if value._key > 0 else -INF_KEY
-        d, b = self._form
+        d = self._form[0]
         if form[0] != d:
             raise DimensionError(
                 "profile dimensions differ: %d vs %d" % (form[0], d))
-        if form[1] == b:
-            return value._key
-        return _pack(value._digits(), b)
+        return _encode(value, self._form)
 
     def from_key(self, key: int | float) -> ColorProfile:
         """The profile of this basis's form with the given key; +-INF_KEY
@@ -313,11 +382,14 @@ class ProfileBasis:
         return out
 
     def unit_key(self, color: int) -> int:
-        """The key of a single visit to `color`: one int per color, shared
-        by every node of that color."""
+        """The key of a single visit to the game color `color`: one int
+        per color, shared by every node of that color."""
         found = self._units.get(color)
         if found is None:
-            d, b = self._form
+            d, b, colors = self._form
+            if not isinstance(colors, range):
+                raise DimensionError("color %d is not counted by the basis"
+                                     % color)
             if not 0 <= color < d:
                 raise DimensionError("color %d outside [0, %d)" % (color, d))
             step = 1 << (b * color)
@@ -329,7 +401,7 @@ def zero_profile(d: int) -> ColorProfile:
     """The all-zero profile of dimension d: the value of the empty play."""
     if d < 1:
         raise DimensionError("dimension must be at least 1, got %d" % d)
-    return ColorProfile(0, (d, _WIDE_DIGITS))
+    return ColorProfile(0, (d, _WIDE_DIGITS, range(d)))
 
 
 def unit_profile(color: int, d: int) -> ColorProfile:

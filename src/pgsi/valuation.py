@@ -179,33 +179,28 @@ def valuate_bellman_ford(arena: EscapeArena, strategy: Strategy,
     succ = arena.succ
     choices = strategy.choices
     unit = arena.unit_keys
-    # per node id the function that folds its row and the targets the row
-    # reads; per target the rows that read it; per node id whether its
-    # row is due in this sweep
-    fold: list = [None] * sink
-    reads: list = [()] * sink
+    # per target the rows that read it
     readers: list[list[int]] = [[] for _ in range(sink + 1)]
-    due = bytearray(sink)
     for v in arena.nodes:
-        if owner_of[v] == 1:
-            fold[v], targets = min, succ[v]
-        else:
-            fold[v], targets = max, choices[v]
-        reads[v] = targets
-        for t in targets:
+        for t in succ[v] if owner_of[v] == 1 else choices[v]:
             readers[t].append(v)
-        due[v] = 1
 
     get = vals.__getitem__
     from_key = arena.basis.from_key
     descending = range(sink - 1, -1, -1)
+    # the first sweep evaluates every row, so the flags it sets in `due`
+    # go unread; after it, `due` holds per node id whether its row is due
+    # in this sweep
+    rows = reversed(arena.nodes)
+    due = bytearray(sink)
     for sweep in range(1, len(arena.nodes) + 2):
         changed = False
         later = bytearray(sink)
-        # compress reads `due` one flag at a time, so a row queued into
-        # this sweep after the walk started is still visited
-        for v in compress(descending, reversed(due)):
-            best = fold[v](map(get, reads[v]))
+        for v in rows:
+            if owner_of[v] == 1:
+                best = min(map(get, succ[v]))
+            else:
+                best = max(map(get, choices[v]))
             new = best if best == INF_KEY else unit[v] + best
             if new != vals[v]:
                 if on_update is not None:
@@ -220,6 +215,9 @@ def valuate_bellman_ford(arena: EscapeArena, strategy: Strategy,
         if not changed:
             return vals
         due = later
+        # compress reads `due` one flag at a time, so a row queued into
+        # this sweep after the walk started is still visited
+        rows = compress(descending, reversed(due))
     raise ReasonablenessError(
         "valuation did not stabilize within %d sweeps; the strategy admits "
         "an odd-dominated cycle" % len(arena.nodes))

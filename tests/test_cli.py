@@ -2,14 +2,19 @@
 
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
 from pgsi import (ParityGame, parse_pgsolver, policy_by_name,
                   serialize_pgsolver, solve)
 from pgsi.cli import fuzz_game, generate_game, main
-from pgsi.errors import InvariantViolation
+from pgsi.errors import FormatError, InvariantViolation
 from pgsi.oracle import CrosscheckReport
+
+from conftest import fuzz_texts
 
 TWO_NODE = ParityGame((0, 1), (1, 2), ((1,), (0,)))
 ODD_LOOP = ParityGame((0,), (1,), ((0,),))
@@ -131,6 +136,33 @@ def test_internal_failures_exit_3(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "solve", path)
     assert code == 3
     assert err == "internal error: OverflowError: too big\n"
+
+
+def test_solve_a_game_with_a_huge_color(tmp_path, capsys):
+    # keys count only the colors in use, so color 10^12 takes one digit
+    path = tmp_path / "huge.gm"
+    path.write_text("0 1000000000000 0 0;\n", encoding="utf-8")
+    code, out, err = run(capsys, "solve", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:3] == ["W0: 0", "W1: (empty)",
+                                    "strategy0: 0->0"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_texts)
+def test_solve_fuzz_gives_a_result_or_an_input_error(text):
+    # the CLI half of the parser fuzz: a text that parses solves (exit
+    # 0), any other exits 2; an internal error (3) never shows
+    try:
+        parse_pgsolver(text)
+        expected = 0
+    except FormatError:
+        expected = 2
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = main(["solve", "-"])
+    assert code == expected, err.getvalue()
 
 
 # ------------------------------------------------------------------- usage

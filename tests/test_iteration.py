@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgsi import (AllSwitches, ColorProfile, DeterministicAll, POS_INFINITY,
                   ParityGame, SingleRandom, SolveResult, parse_pgsolver,
@@ -602,6 +603,56 @@ def test_solve_where_the_step_bound_overflows_a_float():
     result = solve(game)
     assert result.w0 and result.w1
     replay_verify(game, result)
+
+
+def test_solve_a_game_with_a_huge_color():
+    # keys count only the colors in use: color 10^12 takes one digit,
+    # while the profiles of the result keep the game's dimension
+    game = parse_pgsolver("0 1000000000000 0 0;\n")
+    assert preprocess(game).arena.basis.colors == (10 ** 12,)
+    result = solve(game)
+    replay_verify(game, result)
+    assert (result.w0, result.strategy0) == ((0,), {0: 0})
+    assert result.valuation[0] == POS_INFINITY
+    assert result.valuation[1].dimension == 10 ** 12 + 1
+
+
+@st.composite
+def stretched_games(draw):
+    """A small game and a copy whose colors go through a strictly
+    increasing, parity-preserving map, with that map."""
+    game = draw(parity_games(max_colors=6))
+    steps = draw(st.lists(st.integers(0, 40), min_size=game.d,
+                          max_size=game.d))
+    stretch = [2 * steps[0]]
+    for k in range(1, game.d):
+        stretch.append(stretch[-1] + 1 + 2 * steps[k])
+    copy = ParityGame(game.owner, tuple(stretch[c] for c in game.color),
+                      game.successors)
+    return game, copy, stretch
+
+
+@settings(max_examples=100, deadline=None)
+@given(stretched_games())
+def test_stretched_colors_solve_alike(case):
+    game, copy, stretch = case
+    for name in POLICY_NAMES:
+        a = solve(game, policy_by_name(name, 5), audit_every=2)
+        b = solve(copy, policy_by_name(name, 5), audit_every=2)
+        assert (b.w0, b.w1, b.strategy0, b.strategy1, b.iterations) \
+            == (a.w0, a.w1, a.strategy0, a.strategy1, a.iterations)
+        assert b.valuation.keys() == a.valuation.keys()
+        for v, value in a.valuation.items():
+            if not value.is_finite:
+                assert b.valuation[v] == value
+                continue
+            counts = [0] * copy.d
+            for c, k in enumerate(value.counts):
+                counts[stretch[c]] = k
+            assert b.valuation[v].counts == tuple(counts)
+    arena = preprocess(copy).arena
+    assert list(arena.basis.colors) \
+        == sorted({copy.color[v] for v in arena.nodes})
 
 
 @pytest.mark.slow

@@ -1,5 +1,7 @@
 """Color-profile arithmetic and ordering."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -317,3 +319,108 @@ def test_infinities_are_singletons_of_any_dimension():
     assert POS_INFINITY + fin(1, 1) == POS_INFINITY + fin(1, 1, 1, 1)
     assert not POS_INFINITY.is_finite
     assert fin(0, 0).is_finite
+
+
+# ------------------------------------------------- one digit per color in use
+
+# An arena of 3 nodes in a 1000-color game whose nodes carry 0, 599, 999.
+GAPPED = ProfileBasis.over(1000, (999, 0, 599, 599), 3)
+
+
+def sparse(d, counts):
+    # a 64-bit-digit profile of dimension d with the given nonzero counts
+    full = [0] * d
+    for color, k in counts.items():
+        full[color] = k
+    return ColorProfile.finite(full)
+
+
+def test_basis_over_counts_only_the_colors_in_use():
+    assert tuple(GAPPED.colors) == (0, 599, 999)
+    b = digit_width(3)
+    assert GAPPED.unit_key(0) == 1
+    assert GAPPED.unit_key(599) == -(1 << b)
+    assert GAPPED.unit_key(999) == -(1 << 2 * b)
+    for color in (1, 598, 1000):
+        with pytest.raises(DimensionError):
+            GAPPED.unit_key(color)
+    # every color in use keeps the full basis of ProfileBasis(d, n)
+    full = ProfileBasis.over(4, (3, 1, 0, 2), 2)
+    assert list(full.colors) == [0, 1, 2, 3]
+    assert all(full.unit_key(c) == SMALL.unit_key(c) for c in range(4))
+    with pytest.raises(DimensionError):
+        ProfileBasis.over(4, (4,), 2)
+
+
+def test_gapped_keys_decode_to_profiles_in_game_colors():
+    key = 3 * GAPPED.unit_key(0) + 2 * GAPPED.unit_key(999) \
+        - GAPPED.unit_key(599)
+    value = GAPPED.from_key(key)
+    assert value.dimension == 1000
+    expected = sparse(1000, {0: 3, 599: -1, 999: 2})
+    assert value.counts == expected.counts
+    assert str(value) == str(expected)
+    assert value == expected and expected == value
+    assert hash(value) == hash(expected)
+    assert len({value, expected}) == 1
+    assert GAPPED.key(expected) == key
+    assert GAPPED.key(value) == key
+
+
+def test_gapped_keys_order_and_add_like_profiles_in_game_colors():
+    units = [GAPPED.unit_key(c) for c in (0, 599, 999)]
+    rng = random.Random(3)
+    for _ in range(200):
+        ka = sum(rng.randint(-3, 3) * u for u in units)
+        kb = sum(rng.randint(-3, 3) * u for u in units)
+        a, b = GAPPED.from_key(ka), GAPPED.from_key(kb)
+        assert (a < b) == (ka < kb) == (reference_compare(a.counts, b.counts)
+                                        < 0)
+        assert GAPPED.from_key(ka + kb) == a + b
+        # mixed forms: one side at 64-bit digits over every color
+        wide_b = ColorProfile.finite(b.counts)
+        assert (a < wide_b) == (ka < kb) and (wide_b < a) == (kb < ka)
+        assert (a + wide_b).counts == (a + b).counts
+        assert (a - wide_b).counts == (a - b).counts
+        assert (a == wide_b) == (ka == kb)
+
+
+def test_gapped_profiles_of_two_bases_mix():
+    other = ProfileBasis.over(1000, (5, 599), 3)
+    a = GAPPED.from_key(GAPPED.unit_key(999) + GAPPED.unit_key(599))
+    b = other.from_key(other.unit_key(5) + other.unit_key(599))
+    total = a + b
+    assert total.counts == sparse(1000, {5: 1, 599: 2, 999: 1}).counts
+    assert total - b == a
+    # they differ highest at the odd color 999, which only a visits
+    assert a < b and not b < a
+    assert a != b and hash(a) != hash(b)
+
+
+def test_basis_key_refuses_a_visit_to_a_color_not_in_use():
+    with pytest.raises(DimensionError):
+        GAPPED.key(sparse(1000, {1: 1}))
+    with pytest.raises(DimensionError):
+        GAPPED.key(fin(1, 0, 0))
+    assert GAPPED.key(zero_profile(1000)) == 0
+    assert GAPPED.key(sparse(1000, {599: 2})) == 2 * GAPPED.unit_key(599)
+    assert GAPPED.from_key(INF_KEY) is POS_INFINITY
+
+
+def test_basis_over_no_colors():
+    # an arena with no node left: only the sink, whose value is 0
+    empty = ProfileBasis.over(3, (), 0)
+    assert tuple(empty.colors) == ()
+    assert empty.from_key(0) == zero_profile(3)
+    assert str(empty.from_key(0)) == "(0,0,0)"
+
+
+def test_huge_color_keys_stay_small():
+    d = 10 ** 12 + 1
+    basis = ProfileBasis.over(d, (10 ** 12,), 1)
+    unit = basis.unit_key(10 ** 12)
+    assert unit == 1
+    value = basis.from_key(5 * unit)
+    assert value.dimension == d
+    assert value + value == basis.from_key(10 * unit)
+    assert basis.from_key(0) < value

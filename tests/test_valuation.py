@@ -11,11 +11,11 @@ from pgsi import POS_INFINITY, ColorProfile, ParityGame
 from pgsi.arena import (GraphView, attractor, build_escape_arena,
                         find_one_dominated_cycle_nodes, preprocess)
 from pgsi.cli import random_game
-from pgsi.errors import InvariantViolation, ReasonablenessError
+from pgsi.errors import DimensionError, InvariantViolation, ReasonablenessError
 from pgsi.iteration import (AllSwitches, DeterministicAll, SingleRandom,
                             _check_progress, _check_step, _stale_entries,
                             solve)
-from pgsi.profiles import INF_KEY, unit_profile, zero_profile
+from pgsi.profiles import INF_KEY, digit_width, unit_profile, zero_profile
 from pgsi.valuation import (Strategy, changed_nodes,
                             improvements, initial_strategy, is_reasonable,
                             is_reasonable_step, response_strategy,
@@ -269,6 +269,30 @@ def test_bellman_ford_evaluates_only_rows_whose_inputs_changed(monkeypatch):
 
 
 
+def test_keys_have_one_digit_per_color_in_use(monkeypatch):
+    # a guard against keys as wide as the largest color: on a game that
+    # uses six colors up to 999, every key the fast valuation returns
+    # inside solve fits six digits, and some use the sixth
+    palette = (0, 199, 400, 599, 800, 999)
+    base = random_game(random.Random(9), 12, 3, 6)
+    game = ParityGame(base.owner, tuple(palette[c] for c in base.color),
+                      base.successors)
+    keys = []
+
+    def recording(*args):
+        values = valuate_dijkstra(*args)
+        keys.extend(k for k in values if k != INF_KEY)
+        return values
+
+    monkeypatch.setattr("pgsi.iteration.valuate_dijkstra", recording)
+    solve(game)
+    arena = preprocess(game).arena
+    assert tuple(arena.basis.colors) == palette
+    width = digit_width(len(arena.nodes))
+    assert keys
+    assert 5 * width < max(k.bit_length() for k in keys) <= 6 * width + 1
+
+
 def test_valuation_of_escape_only_self_loop():
     arena = self_loop_arena(1)
     vals = valuate_bellman_ford(arena, initial_strategy(arena))
@@ -418,21 +442,28 @@ def _random_strategy(rng, arena):
     return Strategy.of(choices)
 
 
+def _in_use(arena, counts):
+    # the arena's keys count only the colors its nodes carry
+    carried = {arena.game.color[v] for v in arena.nodes}
+    return fin(*(k if c in carried else 0 for c, k in enumerate(counts)))
+
+
 def _random_valuation(rng, arena):
     vals = {arena.sink: zero_profile(arena.d)}
     for v in arena.nodes:
         if rng.random() < 0.2:
             vals[v] = POS_INFINITY
         else:
-            vals[v] = fin(*(rng.randint(0, 3) for _ in range(arena.d)))
+            vals[v] = _in_use(arena, [rng.randint(0, 3)
+                                      for _ in range(arena.d)])
     return vals
 
 
-def _nonnegative_bump(rng, d):
+def _nonnegative_bump(rng, arena):
     # Positive entries only at even indices keep the profile at or above
     # the empty play, so adding it can only raise a value.
-    counts = [rng.randint(0, 2) if k % 2 == 0 else 0 for k in range(d)]
-    return fin(*counts)
+    counts = [rng.randint(0, 2) if k % 2 == 0 else 0 for k in range(arena.d)]
+    return _in_use(arena, counts)
 
 
 def test_operator_is_monotone_in_the_valuation():
@@ -443,7 +474,7 @@ def test_operator_is_monotone_in_the_valuation():
         strategy = _random_strategy(rng, arena)
         lo = _random_valuation(rng, arena)
         hi = {v: val if val == POS_INFINITY
-              else val + _nonnegative_bump(rng, arena.d)
+              else val + _nonnegative_bump(rng, arena)
               for v, val in lo.items()}
         out_lo = apply_operator(arena, strategy, keys_of(arena, lo))
         out_hi = apply_operator(arena, strategy, keys_of(arena, hi))
@@ -538,9 +569,13 @@ def test_improvements_edge_to_an_unbounded_target_is_strict():
 
 def test_improvements_reject_foreign_valuation():
     arena = self_loop_arena(1)
+    # a value above every play of the arena
     with pytest.raises(InvariantViolation):
         improvements(arena, initial_strategy(arena),
-                     keys_of(arena, {0: fin(5, 0), 1: zero_profile(2)}))
+                     keys_of(arena, {0: fin(0, -5), 1: zero_profile(2)}))
+    # a visit to a color no node of the arena carries has no key
+    with pytest.raises(DimensionError):
+        keys_of(arena, {0: fin(5, 0), 1: zero_profile(2)})
 
 
 @settings(max_examples=150, deadline=None)
