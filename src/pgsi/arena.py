@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Collection, Iterable, Iterator, Mapping
 
@@ -215,12 +215,33 @@ class EscapeArena:
     `succ` their successors among them.  The sink has id `game.n`, is
     owned by player 0 and has no outgoing edges; every kept player-0
     node has an implicit extra edge to it.
+
+    `basis` is the key encoding at the digit width this arena's values
+    need, with one digit per color its nodes carry; every valuation of
+    the arena is a list of its keys.  `unit_keys` holds per node id the
+    key of one visit to its color, 0 at the sink and at nodes the arena
+    does not keep.
     """
 
     game: ParityGame
     sink: int
     nodes: tuple[int, ...]
     succ: dict[int, tuple[int, ...]]
+    basis: ProfileBasis = field(init=False, compare=False, repr=False)
+    unit_keys: list[int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # built with the arena, which every solve makes once: a cached
+        # property would cost more than the keys of a tiny arena
+        color = self.game.color
+        basis = ProfileBasis.over(self.game.d, {color[v] for v in self.nodes},
+                                  len(self.nodes))
+        unit_key = basis.unit_key
+        keys = [0] * (self.sink + 1)
+        for v in self.nodes:
+            keys[v] = unit_key(color[v])
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "unit_keys", keys)
 
     @property
     def d(self) -> int:
@@ -233,25 +254,6 @@ class EscapeArena:
     @cached_property
     def player1_nodes(self) -> tuple[int, ...]:
         return tuple(v for v in self.nodes if self.game.owner[v] == 1)
-
-    @cached_property
-    def basis(self) -> ProfileBasis:
-        """The key encoding at the digit width this arena's values need,
-        with one digit per color its nodes carry; every valuation of the
-        arena is a list of its keys."""
-        return ProfileBasis.over(self.d, map(self.game.color.__getitem__,
-                                             self.nodes), len(self.nodes))
-
-    @cached_property
-    def unit_keys(self) -> list[int]:
-        """Per node id, the key of one visit to its color; 0 at the sink
-        and at nodes the arena does not keep."""
-        unit_key = self.basis.unit_key
-        color = self.game.color
-        keys = [0] * (self.sink + 1)
-        for v in self.nodes:
-            keys[v] = unit_key(color[v])
-        return keys
 
     @cached_property
     def escape_choices(self) -> dict[int, tuple[int, ...]]:

@@ -323,28 +323,31 @@ class ProfileBasis:
     __slots__ = ("_form", "_units")
 
     def __init__(self, d: int, n: int):
-        if d < 1:
-            raise DimensionError("dimension must be at least 1, got %d" % d)
-        self._form = (d, digit_width(n), range(d))
-        self._units: dict[int, int] = {}
+        self._count(d, range(d), n)
 
     @classmethod
     def over(cls, d: int, colors: Iterable[int], n: int) -> "ProfileBasis":
         """The basis of an n-node arena of a d-color game whose nodes
         carry `colors` (repeats allowed): digit i counts the i-th of them
-        in ascending order, and each has its unit key ready."""
-        colors = sorted(set(colors))
-        if d < 1 or colors and not 0 <= colors[0] <= colors[-1] < d:
-            raise DimensionError("colors outside [0, %d): %r" % (d, colors))
+        in ascending order."""
         basis = _new(cls)
+        basis._count(d, sorted(set(colors)), n)
+        return basis
+
+    def _count(self, d: int, colors: Sequence[int], n: int) -> None:
+        # digit i counts colors[i], which ascend; every unit key is made
+        # here, so unit_key only looks one up
+        if d < 1:
+            raise DimensionError("dimension must be at least 1, got %d" % d)
+        if colors and not 0 <= colors[0] <= colors[-1] < d:
+            raise DimensionError("colors outside [0, %d): %r" % (d, colors))
         b = digit_width(n)
-        basis._form = (d, b, range(d) if len(colors) == d else tuple(colors))
-        basis._units = units = {}
+        self._form = (d, b, range(d) if len(colors) == d else tuple(colors))
+        self._units = units = {}
         shift = 0
         for c in colors:
             units[c] = -(1 << shift) if c % 2 else 1 << shift
             shift += b
-        return basis
 
     @property
     def colors(self) -> Sequence[int]:
@@ -383,18 +386,13 @@ class ProfileBasis:
 
     def unit_key(self, color: int) -> int:
         """The key of a single visit to the game color `color`: one int
-        per color, shared by every node of that color."""
-        found = self._units.get(color)
-        if found is None:
-            d, b, colors = self._form
-            if not isinstance(colors, range):
-                raise DimensionError("color %d is not counted by the basis"
-                                     % color)
-            if not 0 <= color < d:
-                raise DimensionError("color %d outside [0, %d)" % (color, d))
-            step = 1 << (b * color)
-            found = self._units[color] = -step if color % 2 else step
-        return found
+        per color, shared by every node of that color.  DimensionError if
+        the basis does not count `color`."""
+        try:
+            return self._units[color]
+        except KeyError:
+            raise DimensionError("color %r is not counted by the basis"
+                                 % (color,)) from None
 
 
 def zero_profile(d: int) -> ColorProfile:
