@@ -197,7 +197,9 @@ class GraphView:
     successor tuple or a dict over the view's nodes.  The escape sink is
     never a view node: it has no outgoing edges, so it lies on no cycle.
     The cycle analyses skip successors outside `nodes`, such as escape
-    edges; `attractor` needs a view no edge leaves.
+    edges, so a view may list a node's whole successor tuple: the step
+    check of reasonableness relies on that for the part of the strategy
+    view it walks.  `attractor` needs a view no edge leaves.
     """
 
     nodes: tuple[int, ...]
@@ -284,16 +286,6 @@ class EscapeArena:
         succ = {v: self.succ[v] if owner_of[v] == 1 else tuple(choices[v])
                 for v in self.nodes}
         return GraphView(self.nodes, succ, owner_of, self.game.color)
-
-    def induced_strategy_view(self, choices: Mapping[int, tuple[int, ...]],
-                              nodes: set[int]) -> GraphView:
-        """The subgraph of ``strategy_view(choices)`` induced by a set of
-        arena nodes, built without the full view."""
-        owner_of = self.game.owner
-        succ = {v: tuple([t for t in (self.succ[v] if owner_of[v] == 1
-                                      else choices[v]) if t in nodes])
-                for v in nodes}
-        return GraphView(tuple(nodes), succ, owner_of, self.game.color)
 
 
 def build_escape_arena(game: ParityGame,

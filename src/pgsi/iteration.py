@@ -317,10 +317,12 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
     every node (0 disables auditing; a negative value raises
     ValueError).  Every strategy is checked for reasonableness.  The
     first iteration and, on the reference backend, every iteration run
-    the full check; other iterations of the fast path check only the
-    region where an edge the step added can close a cycle
-    (``is_reasonable_step``), and audit iterations run both checks and
-    require the same verdict.
+    the full check; other iterations of the fast path walk forward from
+    the targets of the edges the step added, inside A, where every cycle
+    such an edge closes lies, and check only the nodes they walk
+    (``is_reasonable_step``), so finding A is the one backward walk of
+    a fast step; audit iterations run both checks and require the same
+    verdict.
     `on_iteration` sees every (iteration, strategy, valuation,
     improvement sets) tuple as the run unfolds; `on_update` is handed to
     every reference valuation and sees its single updates.  The loop
@@ -360,7 +362,7 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
                 region = switch_region(arena, sigma, changed)
                 new_vals = valuate_dijkstra(arena, sigma, region, current)
                 reasonable = is_reasonable_step(arena, previous, sigma,
-                                                changed)
+                                                changed, region)
             else:
                 new_vals = valuate_bellman_ford(arena, sigma,
                                                 on_update=on_update)

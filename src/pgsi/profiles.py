@@ -51,12 +51,15 @@ bit above it.  This is the bounded finite profile space that the paper's
 termination argument rests on, read as a size: it fixes how many bits a
 count can need.
 
-An operation on two profiles of different forms re-encodes both over the
-colors either counts, at the wider width, first: exact, but slower.
-Whatever its form, a profile speaks the game's colors: its dimension is
-the game's d, and ``counts``, ``str``, ``==`` and ``hash`` read every
-color, a color the form does not count as 0.  All values are immutable
-and safe to share.
+An operation on two profiles of different forms first re-encodes both,
+at the wider width, over the colors at which either has a nonzero count:
+exact, but slower.  Whatever its form, a profile speaks the game's
+colors: its dimension is the game's d, and ``counts`` and ``str`` read
+every color, a color the form does not count as 0.  ``hash`` and the
+operations between forms decode only the digits up to the highest
+nonzero one, so they cost what the profiles count rather than d: a
+game with a color of 10^12 has profiles that compare, add and hash.
+All values are immutable and safe to share.
 
 Inside ``solve`` a valuation is not a mapping of profiles but a list of
 keys indexed by node id, the escape sink last, all in the form of the
@@ -128,13 +131,12 @@ def _encode(value: "ColorProfile", form: tuple) -> int:
         if own_width == b:
             return value._key
         return _pack(value._digits(), b)
-    counted = dict(zip(reversed(own_colors), value._digits()))
+    counted = dict(value._nonzero_digits())
     digits = [counted.pop(c, 0) for c in reversed(colors)]
     for c, f in counted.items():
-        if f:
-            raise DimensionError(
-                "count %d at color %d, which the form does not count"
-                % (-f if c % 2 else f, c))
+        raise DimensionError(
+            "count %d at color %d, which the form does not count"
+            % (-f if c % 2 else f, c))
     return _pack(digits, b)
 
 
@@ -189,6 +191,17 @@ class ColorProfile:
         _, b, colors = self._form
         return _unpack(self._key, len(colors), b)
 
+    def _nonzero_digits(self) -> list[tuple[int, int]]:
+        """(color, signed digit) of every nonzero digit, lowest color
+        first.  Only the low digits the key's bits reach are decoded: a
+        digit is below 2^(b-1) in magnitude, so a key whose highest
+        nonzero digit is digit i has at least b*i bits."""
+        _, b, colors = self._form
+        k = min(len(colors), abs(self._key).bit_length() // b + 1)
+        return [(c, f) for c, f in zip(colors[:k],
+                                       reversed(_unpack(self._key, k, b)))
+                if f]
+
     @property
     def counts(self) -> tuple[int, ...]:
         """Per-color counts, lowest color first.  Finite profiles only."""
@@ -201,7 +214,10 @@ class ColorProfile:
 
     def _aligned(self, other: "ColorProfile") -> tuple[int, int, tuple]:
         """Keys of two finite profiles of one dimension in a common form,
-        and that form: the wider width, over the colors either counts."""
+        and that form: the wider width, over the colors either counts,
+        or, for two different color sets, over the colors at which either
+        has a nonzero count, so that no operation spells out a color
+        both leave at 0."""
         a, b = self._form, other._form
         if a[0] != b[0]:
             raise DimensionError(
@@ -209,10 +225,9 @@ class ColorProfile:
         if a[2] == b[2]:
             form = a if a[1] >= b[1] else b
         else:
-            colors = set(a[2]).union(b[2])
-            colors = (range(a[0]) if len(colors) == a[0]
-                      else tuple(sorted(colors)))
-            form = (a[0], max(a[1], b[1]), colors)
+            colors = {c for c, _ in self._nonzero_digits()}
+            colors.update(c for c, _ in other._nonzero_digits())
+            form = (a[0], max(a[1], b[1]), tuple(sorted(colors)))
         return _encode(self, form), _encode(other, form), form
 
     def __eq__(self, other) -> bool:
@@ -232,8 +247,7 @@ class ColorProfile:
         if self._form is None:
             return hash(self._key)
         # the nonzero digits with their colors, whatever the form
-        return hash(tuple([(c, f) for c, f in zip(reversed(self._form[2]),
-                                                  self._digits()) if f]))
+        return hash(tuple(self._nonzero_digits()))
 
     def __lt__(self, other: "ColorProfile") -> bool:
         form = self._form

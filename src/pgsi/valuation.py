@@ -28,17 +28,20 @@ check of ``solve`` visit only those.
 The player-0 nodes whose choices a step changed are listed once per
 step, by :func:`changed_nodes`; A, the step check of reasonableness and
 the choice of the entries to reclassify all take that list, and A is
-derived once per step and handed to the fast valuation and to the
-checks of ``solve`` that look only at A.
+derived once per step, by the step's one backward walk, and handed to
+the fast valuation, the step check of reasonableness and the checks of
+``solve`` that look only at A.
 
 Reasonableness has two checks too.  :func:`is_reasonable` decomposes the
 whole strategy view; :func:`is_reasonable_step`, given a reasonable
-strategy the new one replaces, decomposes only the region where an added
-edge can close a cycle.  ``solve`` runs the full check on its first
-iteration, on every iteration of the reference backend and on every audit
-iteration, where both must agree, and the step check on the rest.  Audit
-iterations compare the revaluation and the carried-over improvement sets
-with their whole-arena counterparts in the same way.
+strategy the new one replaces, walks forward from the targets of the
+edges the step added, inside A, where every cycle such an edge closes
+lies, and decomposes only the nodes it walks.  ``solve`` runs the full
+check on its first iteration, on every iteration of the reference
+backend and on every audit iteration, where both must agree, and the
+step check on the rest.  Audit iterations compare the revaluation and
+the carried-over improvement sets with their whole-arena counterparts in
+the same way.
 
 Inside ``solve`` a valuation is a list of packed profile keys indexed by
 node id, with the sink at index n and ``INF_KEY`` for +inf (see
@@ -55,7 +58,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import Callable, Collection, Iterable, Mapping
 
-from .arena import EscapeArena, find_one_dominated_cycle_nodes
+from .arena import EscapeArena, GraphView, find_one_dominated_cycle_nodes
 from .arena import attractor  # noqa: F401  (benchmark/layers.py wraps this name)
 from .errors import InvariantViolation, ReasonablenessError
 from .profiles import INF_KEY, ColorProfile
@@ -109,42 +112,36 @@ def is_reasonable(arena: EscapeArena, strategy: Strategy) -> bool:
 
 
 def is_reasonable_step(arena: EscapeArena, old: Strategy, new: Strategy,
-                       changed: Iterable[int]) -> bool:
+                       changed: Iterable[int], region: set[int]) -> bool:
     """``is_reasonable(arena, new)`` for a `new` strategy over the same
     player-0 nodes as a reasonable `old` one, with every edge inside the
-    arena's escape choices; `changed` is ``changed_nodes(old, new)``.
+    arena's escape choices; `changed` is ``changed_nodes(old, new)`` and
+    `region` the switch region A, ``switch_region(arena, new, changed)``.
 
     Every cycle of the new strategy view that keeps to old edges is a
     cycle of the old view and so not odd-dominated.  An odd-dominated
     cycle therefore runs through an added edge (v, t), t kept by `new`
-    but not by `old` and not the sink, which lies on no cycle; each of
-    its nodes is reachable from t and reaches v in the new view.  The
-    check decomposes only the subgraph induced by that region: the nodes
-    that reach an added source, walked backwards along the arena's
-    predecessor table (a player-0 predecessor only where `new` keeps the
-    edge), and of those the ones an added target reaches.  Every node on
-    a path from a target to a source reaches that source, so the second
-    walk never needs to leave the first set.
+    but not by `old`; each of its nodes is reachable from t and reaches
+    v, a changed node, so it lies in A.  The check walks forward from
+    the added targets in A, staying inside A, records each visited
+    node's successors in the new view as it goes and decomposes those
+    nodes alone; the analysis skips the successors they have outside
+    them.  A is all the backward walking a step needs.
     """
-    sink = arena.sink
     prior, choices = old.choices, new.choices
-    added = [(v, t) for v in changed for t in choices[v]
-             if t != sink and t not in prior[v]]
-    if not added:
-        return True
-    reach = _reaching(arena, choices, {v for v, _ in added})
     owner_of = arena.game.owner
     succ = arena.succ
-    region = {t for _, t in added if t in reach}
-    stack = list(region)
+    stack = [t for v in changed for t in choices[v]
+             if t in region and t not in prior[v]]
+    view: dict[int, tuple[int, ...]] = {}
     while stack:
         v = stack.pop()
-        for t in succ[v] if owner_of[v] == 1 else choices[v]:
-            if t in reach and t not in region:
-                region.add(t)
-                stack.append(t)
-    return not region or not find_one_dominated_cycle_nodes(
-        arena.induced_strategy_view(choices, region))
+        if v in view:
+            continue
+        view[v] = targets = succ[v] if owner_of[v] == 1 else choices[v]
+        stack.extend([t for t in targets if t in region and t not in view])
+    return not view or not find_one_dominated_cycle_nodes(
+        GraphView(tuple(view), view, owner_of, arena.game.color))
 
 
 def valuate_bellman_ford(arena: EscapeArena, strategy: Strategy,
@@ -330,25 +327,18 @@ def switch_region(arena: EscapeArena, new: Strategy,
     predecessor table (a player-0 predecessor only where `new` keeps the
     edge).
     """
-    return _reaching(arena, new.choices, set(changed))
-
-
-def _reaching(arena: EscapeArena, choices: Mapping[int, tuple[int, ...]],
-              seeds: set[int]) -> set[int]:
-    """`seeds`, grown in place by every node that reaches one of them in
-    the strategy view of `choices`: walked backwards along the arena's
-    predecessor table, a player-0 predecessor only where `choices` keeps
-    the edge."""
     owner_of = arena.game.owner
     preds = arena.preds
-    stack = list(seeds)
+    choices = new.choices
+    region = set(changed)
+    stack = list(region)
     while stack:
         t = stack.pop()
         for s in preds[t]:
-            if s not in seeds and (owner_of[s] == 1 or t in choices[s]):
-                seeds.add(s)
+            if s not in region and (owner_of[s] == 1 or t in choices[s]):
+                region.add(s)
                 stack.append(s)
-    return seeds
+    return region
 
 
 def valuate_dijkstra(arena: EscapeArena, new: Strategy,

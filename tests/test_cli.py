@@ -1,8 +1,11 @@
 """Command-line behavior: output formats, exit codes, artifacts."""
 
+import argparse
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 
 from pgsi import (ParityGame, parse_pgsolver, policy_by_name,
                   serialize_pgsolver, solve)
-from pgsi.cli import fuzz_game, generate_game, main
+from pgsi.cli import build_parser, fuzz_game, generate_game, main
 from pgsi.errors import FormatError, InvariantViolation
 from pgsi.oracle import CrosscheckReport
 
@@ -172,6 +175,25 @@ def test_help_exits_cleanly(capsys):
     capsys.readouterr()
     assert main(["solve", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_readme_synopsis_lists_every_option():
+    # each subcommand has one synopsis line in README, "pgsi <name> ...",
+    # which names every option the parser defines for it
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        lines = re.findall(r"^pgsi +%s\b.*$" % re.escape(name), readme,
+                           re.MULTILINE)
+        assert len(lines) == 1, name
+        for action in sub._actions:
+            for option in action.option_strings:
+                if option in ("-h", "--help"):
+                    continue
+                assert re.search(r"(?<![\w-])%s(?![\w-])" % re.escape(option),
+                                 lines[0]), (name, option)
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,10 +1,15 @@
 """Color-profile arithmetic and ordering."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pgsi
 from pgsi import NEG_INFINITY, POS_INFINITY, ColorProfile
 from pgsi.errors import DimensionError, ProfileArithmeticError
 from pgsi.profiles import (INF_KEY, ProfileBasis, digit_width, path_value,
@@ -424,3 +429,48 @@ def test_huge_color_keys_stay_small():
     assert value.dimension == d
     assert value + value == basis.from_key(10 * unit)
     assert basis.from_key(0) < value
+
+
+# Run in a child whose address space is capped at 2 GB: a decode of all
+# 10^12 digits, or a set of 10^12 colors, raises MemoryError there
+# instead of filling the machine's memory.
+_HUGE_COLOR_MIX = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from pgsi import parse_pgsolver, solve
+from pgsi.profiles import zero_profile
+
+# the cap bites: spelling out every color of a 10^12-color profile fails
+try:
+    zero_profile(10 ** 12 + 1).counts
+except MemoryError:
+    pass
+else:
+    raise AssertionError("the memory cap does not bite")
+
+# node 0 wins on its even loop through node 1; the sink's value is 0
+result = solve(parse_pgsolver("0 1000000000000 0 1;\\n1 3 1 0;\\n"))
+zero, sink = zero_profile(10 ** 12 + 1), result.valuation[2]
+assert sink == zero and zero == sink
+assert not sink < zero and not zero < sink
+assert sink + zero == zero and zero - sink == sink
+assert hash(zero) == hash(sink)
+
+# node 0 escapes from its odd loop: value -1 at color 10^12 + 1
+result = solve(parse_pgsolver("0 1000000000001 0 1;\\n1 3 1 0;\\n"))
+zero, low = zero_profile(10 ** 12 + 2), result.valuation[0]
+assert low < zero and not zero < low and low != zero
+assert low + zero == low and zero + low == low and low - zero == low
+assert zero - low > zero and low - low == zero
+assert hash(zero + low) == hash(low) and hash(low - low) == hash(zero)
+"""
+
+
+def test_huge_color_profiles_mix_forms_without_decoding_every_color():
+    pytest.importorskip("resource")
+    src = str(Path(pgsi.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    child = subprocess.run([sys.executable, "-c", _HUGE_COLOR_MIX], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr

@@ -135,7 +135,9 @@ def reasonable_steps(draw):
 def test_reasonable_step_agrees_with_the_full_check(step):
     arena, old, new = step
     assert is_reasonable(arena, old)
-    assert is_reasonable_step(arena, old, new, changed_nodes(old, new)) \
+    changed = changed_nodes(old, new)
+    assert is_reasonable_step(arena, old, new, changed,
+                              switch_region(arena, new, changed)) \
         == is_reasonable(arena, new)
 
 
@@ -151,8 +153,45 @@ def test_reasonable_step_finds_the_cycle_an_added_edge_closes(owner, color,
     arena = preprocess(ParityGame(owner, color, succ)).arena
     old, new = initial_strategy(arena), Strategy.of(new)
     assert not is_reasonable(arena, new)
-    assert not is_reasonable_step(arena, old, new,
-                                  changed_nodes(old, new))
+    changed = changed_nodes(old, new)
+    assert not is_reasonable_step(arena, old, new, changed,
+                                  switch_region(arena, new, changed))
+
+
+class _NoLookups(dict):
+    """A mapping whose every lookup fails."""
+
+    def __getitem__(self, key):
+        raise AssertionError("lookup of %r" % (key,))
+
+
+def test_reasonable_step_walks_no_predecessor_table():
+    # the switch region is the one backward walk of a step: given it,
+    # the step check reads no predecessor, and still agrees with the
+    # full check at every step of a single-switch walk
+    arena = preprocess(random_game(random.Random(300), 300, 3, 8)).arena
+    policy = SingleRandom(4)
+    strategy = initial_strategy(arena)
+    valuation = valuate_bellman_ford(arena, strategy)
+    imps = improvements(arena, strategy, valuation)
+    steps = 0
+    while imps.has_strict:
+        step = policy.pick(arena, strategy, valuation, imps)
+        changed = changed_nodes(strategy, step)
+        region = switch_region(arena, step, changed)
+        preds = arena.preds
+        arena.__dict__["preds"] = _NoLookups()
+        try:
+            verdict = is_reasonable_step(arena, strategy, step, changed,
+                                         region)
+        finally:
+            arena.__dict__["preds"] = preds
+        assert verdict == is_reasonable(arena, step)
+        valuation = valuate_dijkstra(arena, step, region, valuation)
+        strategy = step
+        imps = improvements(arena, strategy, valuation)
+        steps += 1
+    assert steps >= 100
 
 
 # ------------------------------------------------- fixpoint valuation
@@ -810,9 +849,10 @@ def test_update_matches_reference_at_scale():
                     changed_nodes(strategy, lazy), imps.reclassified))
                 assert outcome == check_outcome(lazy, imps, lazy.choices)
                 rejected += outcome is None
-                assert is_reasonable_step(arena, strategy, step, changed) \
-                    == is_reasonable(arena, step)
                 region = switch_region(arena, step, changed)
+                assert is_reasonable_step(arena, strategy, step, changed,
+                                          region) \
+                    == is_reasonable(arena, step)
                 fast = valuate_dijkstra(arena, step, region, valuation)
                 assert fast == valuate_bellman_ford(arena, step)
                 assert all(fast[v] == valuation[v]
