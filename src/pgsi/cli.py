@@ -14,8 +14,7 @@ import sys
 
 from .arena import ParityGame, parse_pgsolver, serialize_pgsolver
 from .errors import FormatError, InstanceTooLarge, SolverError
-from .iteration import (BACKEND_BELLMAN_FORD, BACKENDS, POLICY_NAMES,
-                        policy_by_name, solve)
+from .iteration import POLICY_NAMES, policy_by_name, solve
 from .oracle import DEFAULT_CAP, crosscheck
 
 
@@ -79,8 +78,7 @@ def _format_strategy(strategy: dict) -> str:
 def _cmd_solve(args) -> int:
     game = _read_game(args.file)
     policy = policy_by_name(args.policy, args.seed)
-    result = solve(game, policy=policy, backend=args.backend,
-                   audit_every=args.audit_every)
+    result = solve(game, policy=policy, audit_every=args.audit_every)
     if args.json:
         print(json.dumps(result.to_json(), indent=2))
     else:
@@ -126,27 +124,28 @@ def _write_mismatch(label: str, game: ParityGame, report) -> None:
 def _cmd_check(args) -> int:
     cap = _oracle_cap()
     failures = 0
-    jobs = []
     if args.fuzz is not None:
+        if args.files:
+            print("check: give game files or --fuzz, not both",
+                  file=sys.stderr)
+            return 2
         if args.fuzz < 0:
             print("check: --fuzz must be >= 0, got %d" % args.fuzz,
                   file=sys.stderr)
             return 2
-        base = args.seed
-        jobs = [("seed %d" % (base + i), str(base + i),
-                 fuzz_game(base + i)) for i in range(args.fuzz)]
+        seeds = range(args.seed, args.seed + args.fuzz)
+        jobs = (("seed %d" % seed, str(seed), fuzz_game(seed))
+                for seed in seeds)
     else:
         if not args.files:
             print("check: need game files or --fuzz", file=sys.stderr)
             return 2
-        for path in args.files:
-            stem = os.path.splitext(os.path.basename(path))[0]
-            jobs.append((path, stem, _read_game(path)))
+        jobs = [(path, os.path.splitext(os.path.basename(path))[0],
+                 _read_game(path)) for path in args.files]
 
     for label, artifact, game in jobs:
         report = crosscheck(game, policy=policy_by_name(args.policy,
-                                                        args.seed),
-                            backend=args.backend, cap=cap)
+                                                        args.seed), cap=cap)
         print("%s: %s" % (label, report.describe()))
         if not report.ok:
             failures += 1
@@ -158,7 +157,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    """Print every valuation of a `solve` run on the reference backend.
+    """Print every valuation of a `solve` run that audits every iteration.
+
+    Under `audit_every=1` every iteration runs the reference fixpoint
+    sweeps, the ones `on_update` sees, and every iteration after the
+    first compares them bit for bit with the fast route, so `--updates`
+    prints the sweeps of every iteration.
 
     The escape sink is node `game.n`, after every game node, so a sorted
     valuation lists the arena nodes first and the sink ("bot") last.
@@ -188,7 +192,7 @@ def _cmd_trace(args) -> int:
                          % (sweep, label(v), old, new))
 
     try:
-        result = solve(game, policy, backend=BACKEND_BELLMAN_FORD,
+        result = solve(game, policy, audit_every=1,
                        on_iteration=on_iteration, on_update=on_update)
         pre_won = sorted(set(range(game.n)) - result.valuation.keys())
         if pre_won:
@@ -214,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve one game file")
     p_solve.add_argument("file", help="game file in pgsolver format, - for stdin")
     _add_policy_options(p_solve)
-    p_solve.add_argument("--backend", choices=BACKENDS, default=BACKENDS[0])
     p_solve.add_argument("--audit-every", type=int, default=16,
                          help="cross-check the fast valuation every N "
                               "iterations (N >= 0, 0 disables)")
@@ -239,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default=POLICY_NAMES[0])
     p_check.add_argument("--seed", type=int, default=0,
                          help="base seed for --fuzz and the random policy")
-    p_check.add_argument("--backend", choices=BACKENDS, default=BACKENDS[0])
     p_check.set_defaults(func=_cmd_check)
 
     p_trace = sub.add_parser("trace",

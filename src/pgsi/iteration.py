@@ -28,10 +28,6 @@ from .valuation import (ImprovementSets, Strategy, UpdateHook, Valuation,
                         switch_region, to_profiles, valuate_bellman_ford,
                         valuate_dijkstra)
 
-BACKEND_DIJKSTRA = "dijkstra"
-BACKEND_BELLMAN_FORD = "bellman-ford"
-BACKENDS = (BACKEND_DIJKSTRA, BACKEND_BELLMAN_FORD)
-
 IterationHook = Callable[
     [int, Strategy, Mapping[int, ColorProfile], ImprovementSets], None]
 
@@ -287,52 +283,46 @@ def _stale_entries(arena: EscapeArena, changed: Iterable[int],
     return {v for v in stale if v in player0}
 
 
-def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
-          audit_every: int = 16,
+def solve(game: ParityGame, policy=None, audit_every: int = 16,
           on_iteration: IterationHook | None = None,
           on_update: UpdateHook | None = None) -> SolveResult:
     """Solve a parity game: winning sets for both players, a deterministic
     winning strategy each, the final valuation and per-iteration stats.
 
-    `backend` selects how strategies are revalued after the first
-    iteration.  The first iteration and, on the reference backend, every
-    iteration valuate the whole arena by fixpoint sweeps and classify
-    every player-0 node.  Later iterations of the fast path derive once
-    the switch region A, the nodes a switch can reach
-    (``switch_region``), revalue only A (``valuate_dijkstra``), check
-    that values grow only on A (``_check_progress``) and reclassify only
-    the player-0 nodes whose choices, value or successor values changed,
-    found among A (``_stale_entries``), carrying the other
-    improvement-set entries over.  After each pick the player-0 nodes
-    whose choices changed are listed once (``changed_nodes``); that list
-    feeds the step check and A, the reasonableness check and the
-    reclassification of the next iteration.  The step check
-    (``_check_step``) visits every node on the iterations that classify
-    every node, else only the changed nodes and the reclassified
-    entries, so that a step of the fast path costs what it touches.
-    Every `audit_every`-th iteration of the fast path is recomputed by
-    the reference route and compared bit for bit, its growth checked
-    over every node, its improvement sets compared with a
+    The first iteration valuates the whole arena by fixpoint sweeps (the
+    reference route) and classifies every player-0 node.  Later
+    iterations derive once the switch region A, the nodes a switch can
+    reach (``switch_region``), revalue only A (``valuate_dijkstra``),
+    check that values grow only on A (``_check_progress``) and
+    reclassify only the player-0 nodes whose choices, value or successor
+    values changed, found among A (``_stale_entries``), carrying the
+    other improvement-set entries over.  After each pick the player-0
+    nodes whose choices changed are listed once (``changed_nodes``);
+    that list feeds the step check and A, the reasonableness check and
+    the reclassification of the next iteration.  The step check
+    (``_check_step``) of the first pick visits every node, the later
+    ones only the changed nodes and the reclassified entries, so that a
+    step costs what it touches.  Every `audit_every`-th iteration is also
+    recomputed by the reference route and compared bit for bit, its
+    growth checked over every node, its improvement sets compared with a
     classification of every node, and its step check with one over
-    every node (0 disables auditing; a negative value raises
-    ValueError).  Every strategy is checked for reasonableness.  The
-    first iteration and, on the reference backend, every iteration run
-    the full check; other iterations of the fast path walk forward from
-    the targets of the edges the step added, inside A, where every cycle
-    such an edge closes lies, and check only the nodes they walk
-    (``is_reasonable_step``), so finding A is the one backward walk of
-    a fast step; audit iterations run both checks and require the same
-    verdict.
+    every node (1 audits every iteration after the first, 0 disables
+    auditing; a negative value raises ValueError).  Every strategy is
+    checked for reasonableness.  The first iteration runs the full
+    check; the others walk forward from the targets of the edges the
+    step added, inside A, where every cycle such an edge closes lies,
+    and check only the nodes they walk (``is_reasonable_step``), so
+    finding A is the one backward walk of a step; audit iterations run
+    both checks and require the same verdict.
     `on_iteration` sees every (iteration, strategy, valuation,
     improvement sets) tuple as the run unfolds; `on_update` is handed to
-    every reference valuation and sees its single updates.  The loop
-    itself works on key lists (see valuation.py); the hooks and the
-    result still receive values as ColorProfiles: a node -> profile
-    mapping of the arena nodes and the sink, decoded only when a hook is
-    attached, and the old and new profile of each update.
+    every reference valuation, on the first and every audit iteration,
+    and sees its single updates.  The loop itself works on key lists
+    (see valuation.py); the hooks and the result still receive values as
+    ColorProfiles: a node -> profile mapping of the arena nodes and the
+    sink, decoded only when a hook is attached, and the old and new
+    profile of each update.
     """
-    if backend not in BACKENDS:
-        raise ValueError("unknown backend %r" % backend)
     if audit_every < 0:
         raise ValueError("audit_every must be >= 0, got %d" % audit_every)
     if policy is None:
@@ -354,8 +344,7 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
     if arena.nodes:
         current: Valuation | None = None
         while True:
-            incremental = (current is not None
-                           and backend == BACKEND_DIJKSTRA)
+            incremental = current is not None
             audit = (incremental and audit_every
                      and (iterations + 1) % audit_every == 0)
             if incremental:
@@ -382,11 +371,9 @@ def solve(game: ParityGame, policy=None, backend: str = BACKEND_DIJKSTRA,
                 raise InvariantViolation(
                     "iteration %d produced an unreasonable strategy"
                     % (iterations + 1))
-            if current is not None:
-                _check_progress(current, new_vals, switched,
-                                region if incremental and not audit
-                                else None)
             if incremental:
+                _check_progress(current, new_vals, switched,
+                                None if audit else region)
                 imps = improvements(
                     arena, sigma, new_vals, imps,
                     _stale_entries(arena, changed, current, new_vals,

@@ -96,12 +96,12 @@ class CrosscheckReport:
                                                            only_oracle)
 
 
-def crosscheck(game: ParityGame, policy=None, backend: str = "dijkstra",
+def crosscheck(game: ParityGame, policy=None,
                cap: int = DEFAULT_CAP) -> CrosscheckReport:
     """Run both solvers on the same game and compare winning sets."""
     from .iteration import solve
 
-    result = solve(game, policy=policy, backend=backend)
+    result = solve(game, policy=policy)
     reference = oracle_solve(game, cap=cap)
     return CrosscheckReport(result.w0 == reference.w0, result.w0,
                             reference.w0, result.iterations)

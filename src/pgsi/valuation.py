@@ -37,11 +37,10 @@ whole strategy view; :func:`is_reasonable_step`, given a reasonable
 strategy the new one replaces, walks forward from the targets of the
 edges the step added, inside A, where every cycle such an edge closes
 lies, and decomposes only the nodes it walks.  ``solve`` runs the full
-check on its first iteration, on every iteration of the reference
-backend and on every audit iteration, where both must agree, and the
-step check on the rest.  Audit iterations compare the revaluation and
-the carried-over improvement sets with their whole-arena counterparts in
-the same way.
+check on its first iteration and on every audit iteration, where both
+must agree, and the step check on every iteration after the first.
+Audit iterations compare the revaluation and the carried-over
+improvement sets with their whole-arena counterparts in the same way.
 
 Inside ``solve`` a valuation is a list of packed profile keys indexed by
 node id, with the sink at index n and ``INF_KEY`` for +inf (see

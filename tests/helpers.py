@@ -1,6 +1,6 @@
 """Reference routines that only the tests use: one application of the
 valuation operator, the deterministic strategies inside an improving edge
-set, and a determinism predicate."""
+set, a determinism predicate, and the audit cadences to solve under."""
 
 from itertools import product
 from typing import Iterator
@@ -8,6 +8,13 @@ from typing import Iterator
 from pgsi.errors import EnumerationTooLarge
 from pgsi.profiles import INF_KEY
 from pgsi.valuation import Strategy
+
+# The audit cadences the tests solve under, by the valuation route that
+# revalues every iteration after the first: at the default cadence the
+# Dijkstra update does, with the reference fixpoint sweeps on every 16th
+# only; at cadence 1 the reference sweeps run on every iteration too and
+# must agree with the update bit for bit.
+CADENCES = {"dijkstra": 16, "bellman-ford": 1}
 
 
 def is_deterministic(strategy: Strategy) -> bool:

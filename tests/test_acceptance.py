@@ -18,15 +18,14 @@ from pgsi import (SolveResult, oracle_solve, parse_pgsolver, policy_by_name,
 from pgsi.arena import preprocess
 from pgsi.cli import generate_game, main, random_game
 from pgsi.errors import InvariantViolation
-from pgsi.iteration import (BACKENDS, DEG2_BASE, POLICY_NAMES,
-                            extract_deterministic)
+from pgsi.iteration import DEG2_BASE, POLICY_NAMES, extract_deterministic
 from pgsi.profiles import (ColorProfile, NEG_INFINITY, POS_INFINITY,
                            path_value, zero_profile)
 from pgsi.valuation import (changed_nodes, improvements, initial_strategy,
                             is_reasonable, switch_region,
                             valuate_bellman_ford, valuate_dijkstra)
 
-from helpers import enumerate_direct_improvements, is_deterministic
+from helpers import CADENCES, enumerate_direct_improvements, is_deterministic
 
 
 CORPUS_SIZE = 1000
@@ -81,24 +80,25 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def solver_runs(corpus):
-    """Every policy x backend over the whole corpus, with step auditing."""
+    """Every policy x audit cadence over the whole corpus, with step
+    auditing."""
     started = time.perf_counter()
     results = {}
     step_count = 0
     step_failures = 0
     for name in POLICY_NAMES:
-        for backend in BACKENDS:
+        for audit_every in CADENCES.values():
             bucket = []
             for game in corpus["games"]:
                 arena = preprocess(game).arena
                 auditor = StepAuditor(arena)
                 result = solve(game, policy=policy_by_name(
-                    name, RANDOM_POLICY_SEED), backend=backend,
+                    name, RANDOM_POLICY_SEED), audit_every=audit_every,
                     on_iteration=auditor)
                 step_count += auditor.steps
                 step_failures += auditor.failures
                 bucket.append(result)
-            results[(name, backend)] = bucket
+            results[(name, audit_every)] = bucket
     return {"results": results, "steps": step_count,
             "step_failures": step_failures,
             "seconds": time.perf_counter() - started}
@@ -110,7 +110,7 @@ def reference_walks(corpus):
     valuation routes at every iterate, sweep counts of every fixpoint
     run, and the final state for extraction checks."""
     comparisons = 0
-    backend_mismatches = 0
+    route_mismatches = 0
     bf_calls = 0
     sweep_violations = 0
     finals = []
@@ -143,7 +143,7 @@ def reference_walks(corpus):
             reference = checked_bellman_ford(imps.improving)
             comparisons += 1
             if fast != reference:
-                backend_mismatches += 1
+                route_mismatches += 1
             if not imps.has_strict:
                 break
             strategy, valuation = imps.improving, reference
@@ -151,7 +151,7 @@ def reference_walks(corpus):
             raise AssertionError("improvement walk failed to stop")
         finals.append((arena, imps, valuation))
     return {"comparisons": comparisons,
-            "backend_mismatches": backend_mismatches,
+            "route_mismatches": route_mismatches,
             "bf_calls": bf_calls, "sweep_violations": sweep_violations,
             "finals": finals}
 
@@ -170,11 +170,11 @@ def test_acceptance_1_oracle_equivalence(corpus, solver_runs, capsys):
 
 
 def test_acceptance_2_backend_equivalence(reference_walks, capsys):
-    verdict(capsys, 2, reference_walks["backend_mismatches"] == 0
+    verdict(capsys, 2, reference_walks["route_mismatches"] == 0
             and reference_walks["comparisons"] == 1656,
             "%d per-iteration valuation comparisons, %d mismatches"
             % (reference_walks["comparisons"],
-               reference_walks["backend_mismatches"]))
+               reference_walks["route_mismatches"]))
 
 
 def test_acceptance_3_monotone_improvement(solver_runs, capsys):

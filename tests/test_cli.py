@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
-from pgsi import (ParityGame, parse_pgsolver, policy_by_name,
+from pgsi import (ParityGame, crosscheck, parse_pgsolver, policy_by_name,
                   serialize_pgsolver, solve)
 from pgsi.cli import build_parser, fuzz_game, generate_game, main
 from pgsi.errors import FormatError, InvariantViolation
@@ -90,12 +90,19 @@ def test_solve_is_deterministic(tmp_path, capsys):
 
 
 def test_solve_policy_and_backend_flags(tmp_path, capsys):
+    # every policy solves; there is one valuation route, so neither solve
+    # nor check takes a backend: --audit-every 1 runs the reference route
+    # on every iteration instead
     path = write_game(tmp_path, TWO_NODE)
     for policy in ("all-switches", "deterministic-all", "single-random"):
         code, out, _ = run(capsys, "solve", path, "--policy", policy,
-                           "--seed", "3", "--backend", "bellman-ford")
+                           "--seed", "3", "--audit-every", "1")
         assert code == 0
         assert out.splitlines()[0] == "W0: 0 1"
+    for command in ("solve", "check"):
+        code, out, err = run(capsys, command, path, "--backend", "dijkstra")
+        assert code == 2 and out == "", command
+        assert "unrecognized arguments: --backend dijkstra" in err, command
 
 
 def test_solve_rejects_malformed_file(tmp_path, capsys):
@@ -179,7 +186,7 @@ def test_help_exits_cleanly(capsys):
 
 def test_readme_synopsis_lists_every_option():
     # each subcommand has one synopsis line in README, "pgsi <name> ...",
-    # which names every option the parser defines for it
+    # which names every option the parser defines for it and no other
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
         encoding="utf-8")
     subparsers = next(action for action in build_parser()._actions
@@ -188,12 +195,14 @@ def test_readme_synopsis_lists_every_option():
         lines = re.findall(r"^pgsi +%s\b.*$" % re.escape(name), readme,
                            re.MULTILINE)
         assert len(lines) == 1, name
-        for action in sub._actions:
-            for option in action.option_strings:
-                if option in ("-h", "--help"):
-                    continue
-                assert re.search(r"(?<![\w-])%s(?![\w-])" % re.escape(option),
-                                 lines[0]), (name, option)
+        defined = {option for action in sub._actions
+                   for option in action.option_strings
+                   if option not in ("-h", "--help")}
+        for option in defined:
+            assert re.search(r"(?<![\w-])%s(?![\w-])" % re.escape(option),
+                             lines[0]), (name, option)
+        for option in re.findall(r"(?<![\w-])--?[a-z][\w-]*", lines[0]):
+            assert option in defined, (name, option)
 
 
 def test_usage_errors_exit_2(capsys):
@@ -289,6 +298,32 @@ def test_check_needs_input(capsys):
     code, _, err = run(capsys, "check")
     assert code == 2
     assert "need game files or --fuzz" in err
+
+
+def test_check_refuses_files_with_fuzz(tmp_path, capsys):
+    path = write_game(tmp_path, TWO_NODE)
+    code, out, err = run(capsys, "check", path, "--fuzz", "2")
+    assert code == 2 and out == ""
+    assert err == "check: give game files or --fuzz, not both\n"
+
+
+def test_check_fuzz_draws_each_game_in_its_turn(capsys, monkeypatch):
+    # the campaign checks each game as it draws it, so the first verdict
+    # is out before the second game exists
+    drawn = []
+
+    def one_game_only(seed):
+        if drawn:
+            raise RuntimeError("second game drawn")
+        drawn.append(seed)
+        return fuzz_game(seed)
+
+    monkeypatch.setattr("pgsi.cli.fuzz_game", one_game_only)
+    code, out, err = run(capsys, "check", "--fuzz", "3", "--seed", "4")
+    assert code == 3
+    assert out.splitlines() == ["seed 4: %s" % crosscheck(fuzz_game(4))
+                                .describe()]
+    assert err == "internal error: RuntimeError: second game drawn\n"
 
 
 def test_check_honors_oracle_cap(tmp_path, capsys, monkeypatch):
@@ -402,7 +437,7 @@ def test_trace_counts_the_iterations_of_solve(tmp_path, capsys):
                                "--seed", str(seed))
             assert code == 0
             expected = solve(game, policy_by_name(policy, seed),
-                             backend="bellman-ford").iterations
+                             audit_every=1).iterations
             assert out.splitlines()[-1] == "iterations: %d" % expected
 
 

@@ -13,8 +13,7 @@ from pgsi import (AllSwitches, ColorProfile, DeterministicAll, POS_INFINITY,
 from pgsi.arena import EscapeArena, build_escape_arena, preprocess
 from pgsi.cli import random_game
 from pgsi.errors import EnumerationTooLarge, InvariantViolation
-from pgsi.iteration import (BACKEND_BELLMAN_FORD, BACKEND_DIJKSTRA, BACKENDS,
-                            POLICY_NAMES, _check_progress, _step_bound,
+from pgsi.iteration import (POLICY_NAMES, _check_progress, _step_bound,
                             extract_deterministic)
 from pgsi.profiles import INF_KEY, zero_profile
 from pgsi.valuation import (ImprovementSets, Strategy, changed_nodes,
@@ -22,7 +21,7 @@ from pgsi.valuation import (ImprovementSets, Strategy, changed_nodes,
                             valuate_bellman_ford)
 
 from conftest import parity_games, scale_games
-from helpers import enumerate_direct_improvements, is_deterministic
+from helpers import CADENCES, enumerate_direct_improvements, is_deterministic
 
 EVEN_LOOP = ParityGame((0,), (0,), ((0,),))
 ODD_LOOP = ParityGame((0,), (1,), ((0,),))
@@ -32,9 +31,9 @@ TWO_NODE = ParityGame((0, 1), (1, 2), ((1,), (0,)))
 
 # ------------------------------------------------------------ small solves
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_solve_even_self_loop(backend):
-    result = solve(EVEN_LOOP, backend=backend)
+@pytest.mark.parametrize("audit_every", CADENCES.values(), ids=CADENCES)
+def test_solve_even_self_loop(audit_every):
+    result = solve(EVEN_LOOP, audit_every=audit_every)
     assert result.w0 == (0,)
     assert result.w1 == ()
     assert result.strategy0 == {0: 0}
@@ -44,9 +43,9 @@ def test_solve_even_self_loop(backend):
     replay_verify(EVEN_LOOP, result)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_solve_odd_self_loop_escapes(backend):
-    result = solve(ODD_LOOP, backend=backend)
+@pytest.mark.parametrize("audit_every", CADENCES.values(), ids=CADENCES)
+def test_solve_odd_self_loop_escapes(audit_every):
+    result = solve(ODD_LOOP, audit_every=audit_every)
     assert result.w0 == ()
     assert result.w1 == (0,)
     assert result.strategy0 == {}
@@ -55,9 +54,9 @@ def test_solve_odd_self_loop_escapes(backend):
     replay_verify(ODD_LOOP, result)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_solve_odd_player1_loop_is_won_upfront(backend):
-    result = solve(ODD_TRAP, backend=backend)
+@pytest.mark.parametrize("audit_every", CADENCES.values(), ids=CADENCES)
+def test_solve_odd_player1_loop_is_won_upfront(audit_every):
+    result = solve(ODD_TRAP, audit_every=audit_every)
     assert result.w0 == ()
     assert result.w1 == (0,)
     assert result.strategy1 == {0: 0}
@@ -67,9 +66,9 @@ def test_solve_odd_player1_loop_is_won_upfront(backend):
     replay_verify(ODD_TRAP, result)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_solve_two_node_alternation(backend):
-    result = solve(TWO_NODE, backend=backend)
+@pytest.mark.parametrize("audit_every", CADENCES.values(), ids=CADENCES)
+def test_solve_two_node_alternation(audit_every):
+    result = solve(TWO_NODE, audit_every=audit_every)
     assert result.w0 == (0, 1)
     assert result.w1 == ()
     assert result.strategy0 == {0: 1}
@@ -95,11 +94,6 @@ def test_pre_won_attractor_strategy_reaches_the_cycle():
     replay_verify(game, result)
 
 
-def test_solve_rejects_unknown_backend():
-    with pytest.raises(ValueError):
-        solve(EVEN_LOOP, backend="fastest")
-
-
 def test_solve_rejects_negative_audit_every():
     for audit_every in (-1, -16):
         with pytest.raises(ValueError):
@@ -122,9 +116,9 @@ def test_solve_builds_one_escape_arena(monkeypatch):
     # node 2 survives
     trap = ParityGame((1, 1, 0), (1, 0, 2), ((0,), (0, 2), (1, 2)))
     for game in (trap, random_game(random.Random(9), 40, 3, 4)):
-        for backend in BACKENDS:
+        for audit_every in CADENCES.values():
             built.clear()
-            result = solve(game, backend=backend)
+            result = solve(game, audit_every=audit_every)
             assert len(built) == 1
             replay_verify(game, result)
     built.clear()
@@ -148,8 +142,8 @@ def test_all_policies_agree_on_the_winner():
     rng = random.Random(29)
     for _ in range(25):
         game = random_game(rng, rng.randint(1, 8), 3, 4)
-        results = [solve(game, policy=policy, backend=backend)
-                   for backend in BACKENDS
+        results = [solve(game, policy=policy, audit_every=audit_every)
+                   for audit_every in CADENCES.values()
                    for policy in (AllSwitches(), DeterministicAll(),
                                   SingleRandom(3))]
         first = results[0]
@@ -318,13 +312,13 @@ def test_step_keeping_a_stale_edge_is_rejected():
 
 # ------------------------------------------------------------- progression
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_valuations_grow_and_strictly_so_at_switches(backend):
+@pytest.mark.parametrize("audit_every", CADENCES.values(), ids=CADENCES)
+def test_valuations_grow_and_strictly_so_at_switches(audit_every):
     rng = random.Random(37)
     for _ in range(15):
         game = random_game(rng, rng.randint(2, 8), 3, 4)
         trail = []
-        result = solve(game, backend=backend, audit_every=1,
+        result = solve(game, audit_every=audit_every,
                        on_iteration=lambda i, s, v, imps:
                        trail.append((i, dict(v), imps)))
         assert [i for i, _, _ in trail] == list(range(1, result.iterations + 1))
@@ -359,8 +353,8 @@ def test_solve_runs_on_keys_without_profile_operators(monkeypatch):
     game = random_game(random.Random(8), 300, 3, 6)
 
     def runs():
-        return [solve(game, policy=policy, backend=backend, audit_every=4)
-                for backend in BACKENDS
+        return [solve(game, policy=policy, audit_every=audit_every)
+                for audit_every in (4, 1)
                 for policy in (AllSwitches(), DeterministicAll(),
                                SingleRandom(8))]
 
@@ -379,12 +373,13 @@ def test_solve_runs_on_keys_without_profile_operators(monkeypatch):
         assert result.valuation == reference.valuation
 
 
-@pytest.mark.parametrize("backend, audit_every", [
-    (BACKEND_DIJKSTRA, 4), (BACKEND_DIJKSTRA, 0), (BACKEND_BELLMAN_FORD, 4)])
-def test_full_reasonableness_check_runs_on_its_cadence(monkeypatch, backend,
+# ids name the route that revalues every iteration, as in CADENCES
+@pytest.mark.parametrize("audit_every", [4, 0, 1], ids=[
+    "dijkstra-4", "dijkstra-0", "bellman-ford-1"])
+def test_full_reasonableness_check_runs_on_its_cadence(monkeypatch,
                                                         audit_every):
-    # the fast path checks iteration 1 and every audit iteration in full
-    # and the others incrementally; the reference backend checks in full
+    # iteration 1 and every audit iteration are checked in full, every
+    # iteration after the first incrementally, audits doing both
     calls = {"full": 0, "step": 0}
 
     def counted(name, check):
@@ -398,13 +393,11 @@ def test_full_reasonableness_check_runs_on_its_cadence(monkeypatch, backend,
     monkeypatch.setattr(iteration, "is_reasonable_step",
                         counted("step", iteration.is_reasonable_step))
     game = random_game(random.Random(12), 120, 3, 6)
-    n = solve(game, SingleRandom(3), backend, audit_every).iterations
+    n = solve(game, SingleRandom(3), audit_every=audit_every).iterations
     assert n >= 20
-    if backend == BACKEND_BELLMAN_FORD:
-        assert calls == {"full": n, "step": 0}
-    else:
-        audits = n // audit_every if audit_every else 0
-        assert calls == {"full": 1 + audits, "step": n - 1}
+    audits = sum(1 for i in range(2, n + 1)
+                 if audit_every and i % audit_every == 0)
+    assert calls == {"full": 1 + audits, "step": n - 1}
 
 
 def test_audit_catches_a_wrong_incremental_reasonableness_verdict(

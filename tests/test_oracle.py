@@ -9,7 +9,6 @@ from pgsi import ParityGame, crosscheck, oracle_solve, policy_by_name, solve
 from pgsi.arena import GraphView, find_one_dominated_cycle_nodes
 from pgsi.cli import random_game
 from pgsi.errors import InstanceTooLarge
-from pgsi.iteration import BACKENDS
 from pgsi.oracle import CrosscheckReport
 
 from conftest import parity_games
@@ -80,15 +79,14 @@ def test_solver_matches_oracle(game):
     assert report.ok, report.describe()
 
 
-def test_crosscheck_across_policies_and_backends():
+def test_crosscheck_across_policies():
     rng = random.Random(61)
     for _ in range(15):
         game = random_game(rng, rng.randint(1, 7), 3, 4)
-        for backend in BACKENDS:
-            for policy in (None, "deterministic-all", "single-random"):
-                chosen = policy_by_name(policy, seed=1) if policy else None
-                report = crosscheck(game, policy=chosen, backend=backend)
-                assert report.ok, report.describe()
+        for policy in (None, "deterministic-all", "single-random"):
+            chosen = policy_by_name(policy, seed=1) if policy else None
+            report = crosscheck(game, policy=chosen)
+            assert report.ok, report.describe()
 
 
 def test_report_wording():
