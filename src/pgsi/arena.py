@@ -4,12 +4,15 @@ The game graph is a finite directed graph whose nodes carry an owner
 (player 0 or 1) and a non-negative color.  Player 0 wins a play iff the
 maximum color seen infinitely often is even.  The solver works on the
 *escape arena*: the game plus a fresh sink node that every player-0 node
-may move to, ending the play.  `preprocess` first removes, working on
-the game's own tuples, the nodes player 1 wins whatever player 0 does,
-and then builds the one escape arena of a solve over the nodes left.
+may move to, ending the play.  `preprocess` sets a solve up in one
+pass: working on the game's own tuples, it removes the nodes player 1
+wins whatever player 0 does, together with player 1's winning edges on
+them, and then builds the one escape arena of a solve over the nodes
+left, every table of it in one loop over those nodes.
 
 This module also hosts the two graph primitives everything else is built
-on: player attractors (with ranks and an attracting strategy) and the
+on: player attractors (ranks from one FIFO worklist, and an attracting
+strategy), which also give the odd-cycle strategy its edges, and the
 detection of nodes lying on cycles whose maximum color has a given parity.
 The latter is one top-color decomposition: split into strongly connected
 components, keep those whose top color has the wanted parity, and split
@@ -192,10 +195,12 @@ class GraphView:
 
     `succ` gives the successor tuple of every node of `nodes`, and
     `owner` and `color` give each node's owner and color; all three are
-    indexed by node id.  In every view the package builds, `owner` and
-    `color` are the game's own tuples, and `succ` is the game's
-    successor tuple or a dict over the view's nodes.  The escape sink is
-    never a view node: it has no outgoing edges, so it lies on no cycle.
+    indexed by node id.  In every view the package builds, `color` is
+    the game's own tuple, and so is `owner` but in the piece views of
+    `dominated_cycle_strategy`, which count every node as player 1's;
+    `succ` is the game's successor tuple or a dict over the view's
+    nodes.  The escape sink is never a view node: it has no outgoing
+    edges, so it lies on no cycle.
     The cycle analyses skip successors outside `nodes`, such as escape
     edges, so a view may list a node's whole successor tuple: the step
     check of reasonableness relies on that for the part of the strategy
@@ -204,19 +209,25 @@ class GraphView:
 
     nodes: tuple[int, ...]
     succ: Mapping[int, tuple[int, ...]] | tuple[tuple[int, ...], ...]
-    owner: tuple[int, ...]
+    owner: Mapping[int, int] | tuple[int, ...]
     color: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class EscapeArena:
     """A parity game extended with an escape sink, over the game nodes
-    preprocessing keeps.
+    preprocessing keeps.  `build_escape_arena` fills every table in one
+    pass over those nodes.
 
     `nodes` lists the kept game nodes (ascending, original ids) and
     `succ` their successors among them.  The sink has id `game.n`, is
     owned by player 0 and has no outgoing edges; every kept player-0
-    node has an implicit extra edge to it.
+    node has an implicit extra edge to it.  `player0_nodes` and
+    `player1_nodes` split `nodes` by owner, ascending.
+    `escape_choices` gives per player-0 node its successors, ascending,
+    then the sink, whose id is the largest.  `preds` gives per node and
+    the sink the sources of its incoming arena edges, ascending: game
+    edges of kept nodes and escape edges.
 
     `basis` is the key encoding at the digit width this arena's values
     need, with one digit per color its nodes carry; every valuation of
@@ -229,54 +240,16 @@ class EscapeArena:
     sink: int
     nodes: tuple[int, ...]
     succ: dict[int, tuple[int, ...]]
-    basis: ProfileBasis = field(init=False, compare=False, repr=False)
-    unit_keys: list[int] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        # built with the arena, which every solve makes once: a cached
-        # property would cost more than the keys of a tiny arena
-        color = self.game.color
-        basis = ProfileBasis.over(self.game.d, {color[v] for v in self.nodes},
-                                  len(self.nodes))
-        unit_key = basis.unit_key
-        keys = [0] * (self.sink + 1)
-        for v in self.nodes:
-            keys[v] = unit_key(color[v])
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "unit_keys", keys)
+    player0_nodes: tuple[int, ...]
+    player1_nodes: tuple[int, ...]
+    escape_choices: dict[int, tuple[int, ...]] = field(repr=False)
+    preds: dict[int, tuple[int, ...]] = field(repr=False)
+    basis: ProfileBasis = field(compare=False, repr=False)
+    unit_keys: list[int] = field(compare=False, repr=False)
 
     @property
     def d(self) -> int:
         return self.game.d
-
-    @cached_property
-    def player0_nodes(self) -> tuple[int, ...]:
-        return tuple(v for v in self.nodes if self.game.owner[v] == 0)
-
-    @cached_property
-    def player1_nodes(self) -> tuple[int, ...]:
-        return tuple(v for v in self.nodes if self.game.owner[v] == 1)
-
-    @cached_property
-    def escape_choices(self) -> dict[int, tuple[int, ...]]:
-        """Per player-0 node: its game successors, ascending, then the
-        sink, whose id is the largest."""
-        return {v: tuple(sorted(self.succ[v])) + (self.sink,)
-                for v in self.player0_nodes}
-
-    @cached_property
-    def preds(self) -> dict[int, tuple[int, ...]]:
-        """Per node and the sink, the sources of its incoming arena edges,
-        ascending: game edges of kept nodes and escape edges."""
-        preds: dict[int, list[int]] = {v: [] for v in self.nodes}
-        preds[self.sink] = []
-        owner_of = self.game.owner
-        for v in self.nodes:
-            for t in self.succ[v]:
-                preds[t].append(v)
-            if owner_of[v] == 0:
-                preds[self.sink].append(v)
-        return {v: tuple(sources) for v, sources in preds.items()}
 
     def strategy_view(self, choices: Mapping[int, tuple[int, ...]]) -> GraphView:
         """The arena restricted to a player-0 edge set: player-1 nodes keep
@@ -292,11 +265,32 @@ def build_escape_arena(game: ParityGame,
                        removed: Collection[int] = frozenset()) -> EscapeArena:
     """The escape arena of a game without the nodes `removed` and the
     edges into them; the sink gets id `game.n`."""
-    successors = game.successors
-    nodes = tuple(v for v in range(game.n) if v not in removed)
-    succ = {v: tuple([t for t in successors[v] if t not in removed])
-            for v in nodes}
-    return EscapeArena(game, game.n, nodes, succ)
+    sink, owner, color = game.n, game.owner, game.color
+    nodes = tuple(v for v in range(sink) if v not in removed)
+    colors = {color[v] for v in nodes}
+    basis = ProfileBasis.over(game.d, colors, len(nodes))
+    unit = {c: basis.unit_key(c) for c in colors}
+    unit_keys = [0] * (sink + 1)
+    succ = {}
+    player0, player1, escape_choices = [], [], {}
+    preds: dict[int, list[int]] = {v: [] for v in nodes}
+    preds[sink] = []
+    for v in nodes:
+        kept = tuple([t for t in game.successors[v] if t not in removed])
+        succ[v] = kept
+        for t in kept:
+            preds[t].append(v)
+        if owner[v]:
+            player1.append(v)
+        else:
+            player0.append(v)
+            escape_choices[v] = tuple(sorted(kept)) + (sink,)
+            preds[sink].append(v)
+        unit_keys[v] = unit[color[v]]
+    return EscapeArena(game, sink, nodes, succ, tuple(player0),
+                       tuple(player1), escape_choices,
+                       {v: tuple(sources) for v, sources in preds.items()},
+                       basis, unit_keys)
 
 
 def player1_view(game: ParityGame, nodes: Iterable[int]) -> GraphView:
@@ -325,13 +319,15 @@ def attractor(view: GraphView, player: int, target: Iterable[int]) -> AttractorR
 
     Rank 0 is the target itself; rank r+1 adds nodes owned by `player`
     with some successor of rank <= r and opponent nodes whose successors
-    all have rank <= r.  Opponent dead ends count as attracted.  For each
-    attracting-player member of positive rank the strategy picks the
-    smallest-id successor of strictly smaller rank.  It is recorded as
-    the node is attracted: a member of rank r has no successor of rank
-    below r - 1, or it would have been attracted earlier, and each level
-    walks the previous one in ascending order, so the first node that
-    attracts it is that successor.
+    all have rank <= r.  Opponent dead ends count as attracted, at rank
+    1.  One FIFO worklist finds the ranks: a member is queued when it is
+    attracted and, once dequeued, attracts its predecessors, a player
+    node at once and an opponent node when the counter of its unranked
+    successors reaches 0.  Members leave the queue in the order of their
+    ranks, so a player node takes one more than its smallest successor
+    rank and an opponent node one more than its largest.  Once the ranks
+    are known, each attracting-player member of positive rank gets its
+    smallest-id successor of strictly smaller rank as its edge.
     """
     node_set = set(view.nodes)
     rank: dict[int, int] = {}
@@ -340,38 +336,38 @@ def attractor(view: GraphView, player: int, target: Iterable[int]) -> AttractorR
             raise ValueError("target node %d is not in the view" % t)
         rank[t] = 0
 
-    owner = view.owner
+    owner, succ = view.owner, view.succ
     preds: dict[int, list[int]] = {v: [] for v in view.nodes}
     for v in view.nodes:
-        for t in view.succ[v]:
+        for t in succ[v]:
             preds[t].append(v)
-    remaining = {v: len(view.succ[v]) for v in view.nodes
-                 if owner[v] != player and v not in rank}
+    queue = list(rank)
+    remaining: dict[int, int] = {}
+    for v in view.nodes:
+        if owner[v] != player and v not in rank:
+            if succ[v]:
+                remaining[v] = len(succ[v])
+            else:
+                rank[v] = 1
+                queue.append(v)
+    # iterating a list visits what is appended to it meanwhile: a FIFO
+    for u in queue:
+        r = rank[u] + 1
+        for v in preds[u]:
+            if v in rank:
+                continue
+            if owner[v] != player:
+                remaining[v] -= 1
+                if remaining[v]:
+                    continue
+            rank[v] = r
+            queue.append(v)
 
     strategy: dict[int, int] = {}
-    current = sorted(rank)
-    level = 0
-    while True:
-        level += 1
-        fresh: set[int] = set()
-        if level == 1:
-            fresh.update(v for v, k in remaining.items() if k == 0)
-        for u in current:
-            for v in preds[u]:
-                if v in rank or v in fresh:
-                    continue
-                if owner[v] == player:
-                    fresh.add(v)
-                    strategy[v] = u
-                else:
-                    remaining[v] -= 1
-                    if remaining[v] == 0:
-                        fresh.add(v)
-        if not fresh:
-            break
-        for v in fresh:
-            rank[v] = level
-        current = sorted(fresh)
+    for v in queue:
+        r = rank[v]
+        if r and owner[v] == player:
+            strategy[v] = min([t for t in succ[v] if rank.get(t, r) < r])
     return AttractorResult(frozenset(rank), rank, strategy)
 
 
@@ -494,46 +490,38 @@ def dominated_cycle_strategy(view: GraphView) -> dict[int, int]:
     """One edge per odd-cycle node that keeps every resulting cycle odd.
 
     Per piece of the odd top-color decomposition the smallest-id node of
-    the piece's top color is the witness; every other member moves to
+    the piece's top color is the witness.  Every other member moves to
     its smallest-id successor one step closer to the witness along a
-    shortest path inside the piece, and the witness moves to its
-    smallest-id successor in the piece.  Any cycle the chosen edges can
-    form stays in one piece and passes through its witness, so its
-    maximum color is the piece's odd top.  Pieces are disjoint, so the
-    cost is one BFS per piece on top of the decomposition.
+    shortest path inside the piece: its edge in the attractor of the
+    witness within the piece, every member counted as the attracting
+    player's.  The witness moves to its smallest-id successor in the
+    piece.  Any cycle the chosen edges can form stays in one piece and
+    passes through its witness, so its maximum color is the piece's odd
+    top.  Pieces are disjoint, so the cost is one attractor per piece on
+    top of the decomposition.
     """
     strategy: dict[int, int] = {}
     for top, piece in _dominated_pieces(view, 1):
         members = set(piece)
+        inner = {v: tuple([t for t in view.succ[v] if t in members])
+                 for v in piece}
         x = min(v for v in piece if view.color[v] == top)
-        rpred: dict[int, list[int]] = {v: [] for v in piece}
-        for v in piece:
-            for t in view.succ[v]:
-                if t in members:
-                    rpred[t].append(v)
-        dist = {x: 0}
-        queue = deque([x])
-        while queue:
-            u = queue.popleft()
-            for v in rpred[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        for v in piece:
-            strategy[v] = min(t for t in view.succ[v] if t in members
-                              and (v == x or dist[t] == dist[v] - 1))
+        strategy.update(attractor(
+            GraphView(tuple(piece), inner, dict.fromkeys(piece, 1),
+                      view.color), 1, (x,)).strategy)
+        strategy[x] = min(inner[x])
     return strategy
 
 
 @dataclass(frozen=True)
 class PreprocessResult:
-    """The escape arena over the nodes left, plus everything needed to win
-    on the removed part."""
+    """The escape arena over the nodes left, the nodes removed, and
+    player 1's winning edge at each removed player-1 node, keyed in
+    ascending node order."""
 
     arena: EscapeArena
     pre_won: frozenset[int]
-    attractor: AttractorResult
-    dominated_strategy: dict[int, int]
+    strategy1: dict[int, int]
 
 
 def preprocess(game: ParityGame) -> PreprocessResult:
@@ -545,10 +533,11 @@ def preprocess(game: ParityGame) -> PreprocessResult:
     player-1 attractor in the plain game graph.  Escape edges cannot
     save these nodes: escaping ends the play at a finite value, which is
     no win for player 0, so the attractor is taken without them.
-    Player 1 wins the removed part with `dominated_strategy` on the
-    cycle nodes and the attractor's strategy elsewhere.  The one escape
-    arena of a solve is built over the remaining nodes; it has no
-    odd-dominated cycle among player-1 nodes, which the function asserts.
+    Player 1 wins the removed part with `strategy1`: the edges of
+    `dominated_cycle_strategy` on the cycle nodes and the attractor's
+    edges elsewhere.  The one escape arena of a solve is built over the
+    remaining nodes; it has no odd-dominated cycle among player-1 nodes,
+    which the function asserts.
     """
     every = range(game.n)
     dom_strategy = dominated_cycle_strategy(player1_view(game, every))
@@ -561,7 +550,10 @@ def preprocess(game: ParityGame) -> PreprocessResult:
             raise InvariantViolation("surviving player-1 node %d lost all successors" % v)
     if find_one_dominated_cycle_nodes(player1_view(game, arena.nodes)):
         raise InvariantViolation("reduced arena still has an odd player-1 cycle")
-    return PreprocessResult(arena, pre_won, att, dom_strategy)
+    # the cycle nodes have rank 0, so the attractor gives them no edge;
+    # together the two cover every removed player-1 node
+    dom_strategy.update(att.strategy)
+    return PreprocessResult(arena, pre_won, dict(sorted(dom_strategy.items())))
 
 
 def reachable(succ: Mapping[int, tuple[int, ...]], starts: Iterable[int]) -> set[int]:

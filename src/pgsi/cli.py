@@ -11,6 +11,8 @@ import json
 import os
 import random
 import sys
+from collections import Counter
+from typing import Iterator
 
 from .arena import ParityGame, parse_pgsolver, serialize_pgsolver
 from .errors import FormatError, InstanceTooLarge, SolverError
@@ -121,6 +123,23 @@ def _write_mismatch(label: str, game: ParityGame, report) -> None:
                    "w0_oracle": list(report.w0_oracle)}, handle, indent=2)
 
 
+def _artifact_labels(paths: list[str]) -> Iterator[str]:
+    """One mismatch artifact label per file, unique in the run: the
+    file's stem, or, for files that share a stem, ``<stem>_<k>`` with k
+    counting 1, 2, ... in command-line order and skipping every label
+    another file of the run already has."""
+    stems = [os.path.splitext(os.path.basename(path))[0] for path in paths]
+    shared = {stem for stem, count in Counter(stems).items() if count > 1}
+    taken = set(stems)
+    for stem in stems:
+        label, k = stem, 0
+        while stem in shared and label in taken:
+            k += 1
+            label = "%s_%d" % (stem, k)
+        taken.add(label)
+        yield label
+
+
 def _cmd_check(args) -> int:
     cap = _oracle_cap()
     failures = 0
@@ -140,8 +159,8 @@ def _cmd_check(args) -> int:
         if not args.files:
             print("check: need game files or --fuzz", file=sys.stderr)
             return 2
-        jobs = [(path, os.path.splitext(os.path.basename(path))[0],
-                 _read_game(path)) for path in args.files]
+        jobs = [(path, label, _read_game(path)) for path, label
+                in zip(args.files, _artifact_labels(args.files))]
 
     for label, artifact, game in jobs:
         report = crosscheck(game, policy=policy_by_name(args.policy,

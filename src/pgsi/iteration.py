@@ -424,12 +424,7 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
             if v not in won:
                 strategy1[v] = tau[v][0]
         valuation = to_profiles(arena, current)
-    for v in sorted(prep.pre_won):
-        if game.owner[v] == 1:
-            if v in prep.dominated_strategy:
-                strategy1[v] = prep.dominated_strategy[v]
-            else:
-                strategy1[v] = prep.attractor.strategy[v]
+    strategy1.update(prep.strategy1)
 
     w0 = tuple(v for v in arena.nodes if v in won)
     w1 = tuple(sorted(set(prep.pre_won)

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .arena import GraphView, ParityGame, find_one_dominated_cycle_nodes
+from .arena import (GraphView, ParityGame, find_one_dominated_cycle_nodes,
+                    reachable)
 from .errors import InstanceTooLarge
 
 DEFAULT_CAP = 10 ** 6
@@ -30,21 +31,12 @@ class OracleResult:
 def _losers(game: ParityGame, succ: dict[int, tuple[int, ...]]) -> set[int]:
     """Nodes from which the fixed-strategy graph reaches a cycle whose
     top color is odd: player 1 wins exactly these once player 0 commits."""
-    view = GraphView(tuple(range(game.n)), succ, game.owner, game.color)
-    bad = find_one_dominated_cycle_nodes(view)
     preds: dict[int, list[int]] = {v: [] for v in range(game.n)}
     for v in range(game.n):
         for t in succ[v]:
             preds[t].append(v)
-    losers = set(bad)
-    queue = list(bad)
-    while queue:
-        v = queue.pop()
-        for u in preds[v]:
-            if u not in losers:
-                losers.add(u)
-                queue.append(u)
-    return losers
+    return reachable(preds, find_one_dominated_cycle_nodes(
+        GraphView(tuple(range(game.n)), succ, game.owner, game.color)))
 
 
 def oracle_solve(game: ParityGame, cap: int = DEFAULT_CAP) -> OracleResult:

@@ -55,10 +55,12 @@ An operation on two profiles of different forms first re-encodes both,
 at the wider width, over the colors at which either has a nonzero count:
 exact, but slower.  Whatever its form, a profile speaks the game's
 colors: its dimension is the game's d, and ``counts`` and ``str`` read
-every color, a color the form does not count as 0.  ``hash`` and the
-operations between forms decode only the digits up to the highest
-nonzero one, so they cost what the profiles count rather than d: a
-game with a color of 10^12 has profiles that compare, add and hash.
+every color, a color the form does not count as 0.  One decoder reads
+the digits of a key for ``counts``, ``hash`` and every operation
+between forms, and it decodes only the digits up to the highest
+nonzero one, so the last two cost what the profiles count rather than
+d: a game with a color of 10^12 has profiles that compare, add and
+hash.
 All values are immutable and safe to share.
 
 Inside ``solve`` a valuation is not a mapping of profiles but a list of
@@ -125,12 +127,7 @@ def _encode(value: "ColorProfile", form: tuple) -> int:
     """Key of a finite profile in another form of its dimension.
     DimensionError if a count does not fit the form's width or the
     profile counts a visit to a color the form does not count."""
-    _, own_width, own_colors = value._form
     _, b, colors = form
-    if own_colors == colors:
-        if own_width == b:
-            return value._key
-        return _pack(value._digits(), b)
     counted = dict(value._nonzero_digits())
     digits = [counted.pop(c, 0) for c in reversed(colors)]
     for c, f in counted.items():
@@ -187,10 +184,6 @@ class ColorProfile:
         """Number of colors, or None for an infinity."""
         return self._form[0] if self._form is not None else None
 
-    def _digits(self) -> tuple[int, ...]:
-        _, b, colors = self._form
-        return _unpack(self._key, len(colors), b)
-
     def _nonzero_digits(self) -> list[tuple[int, int]]:
         """(color, signed digit) of every nonzero digit, lowest color
         first.  Only the low digits the key's bits reach are decoded: a
@@ -208,26 +201,22 @@ class ColorProfile:
         if self._form is None:
             raise ProfileArithmeticError("an infinite profile has no counts")
         counts = [0] * self._form[0]
-        for c, f in zip(reversed(self._form[2]), self._digits()):
+        for c, f in self._nonzero_digits():
             counts[c] = -f if c % 2 else f
         return tuple(counts)
 
     def _aligned(self, other: "ColorProfile") -> tuple[int, int, tuple]:
         """Keys of two finite profiles of one dimension in a common form,
-        and that form: the wider width, over the colors either counts,
-        or, for two different color sets, over the colors at which either
+        and that form: the wider width, over the colors at which either
         has a nonzero count, so that no operation spells out a color
         both leave at 0."""
         a, b = self._form, other._form
         if a[0] != b[0]:
             raise DimensionError(
                 "profile dimensions differ: %d vs %d" % (a[0], b[0]))
-        if a[2] == b[2]:
-            form = a if a[1] >= b[1] else b
-        else:
-            colors = {c for c, _ in self._nonzero_digits()}
-            colors.update(c for c, _ in other._nonzero_digits())
-            form = (a[0], max(a[1], b[1]), tuple(sorted(colors)))
+        colors = {c for c, _ in self._nonzero_digits()}
+        colors.update(c for c, _ in other._nonzero_digits())
+        form = (a[0], max(a[1], b[1]), tuple(sorted(colors)))
         return _encode(self, form), _encode(other, form), form
 
     def __eq__(self, other) -> bool:

@@ -1,10 +1,14 @@
 """Reference routines that only the tests use: one application of the
 valuation operator, the deterministic strategies inside an improving edge
-set, a determinism predicate, and the audit cadences to solve under."""
+set, a determinism predicate, the audit cadences to solve under, and the
+level-by-level attractor and the per-piece BFS of the odd-cycle strategy
+that the package's worklist versions must reproduce."""
 
+from collections import deque
 from itertools import product
 from typing import Iterator
 
+from pgsi.arena import AttractorResult, _dominated_pieces
 from pgsi.errors import EnumerationTooLarge
 from pgsi.profiles import INF_KEY
 from pgsi.valuation import Strategy
@@ -56,3 +60,76 @@ def enumerate_direct_improvements(improving: Strategy,
             yield Strategy({v: (t,) for v, t in zip(nodes, combo)})
 
     return generate()
+
+
+def level_attractor(view, player: int, target) -> AttractorResult:
+    """The attractor found one BFS level at a time: level r+1 walks the
+    predecessors of level r in ascending order, so the first node that
+    attracts a player member is its smallest-id successor of the
+    previous level."""
+    node_set = set(view.nodes)
+    rank = {}
+    for t in target:
+        if t not in node_set:
+            raise ValueError("target node %d is not in the view" % t)
+        rank[t] = 0
+    owner = view.owner
+    preds = {v: [] for v in view.nodes}
+    for v in view.nodes:
+        for t in view.succ[v]:
+            preds[t].append(v)
+    remaining = {v: len(view.succ[v]) for v in view.nodes
+                 if owner[v] != player and v not in rank}
+    strategy = {}
+    current = sorted(rank)
+    level = 0
+    while True:
+        level += 1
+        fresh = set()
+        if level == 1:
+            fresh.update(v for v, k in remaining.items() if k == 0)
+        for u in current:
+            for v in preds[u]:
+                if v in rank or v in fresh:
+                    continue
+                if owner[v] == player:
+                    fresh.add(v)
+                    strategy[v] = u
+                else:
+                    remaining[v] -= 1
+                    if remaining[v] == 0:
+                        fresh.add(v)
+        if not fresh:
+            break
+        for v in fresh:
+            rank[v] = level
+        current = sorted(fresh)
+    return AttractorResult(frozenset(rank), rank, strategy)
+
+
+def bfs_dominated_cycle_strategy(view) -> dict:
+    """Per odd piece, a BFS towards the smallest-id node of its top
+    color over the piece's reversed edges; each member takes its
+    smallest-id successor one step closer, the witness its smallest-id
+    successor in the piece."""
+    strategy = {}
+    for top, piece in _dominated_pieces(view, 1):
+        members = set(piece)
+        x = min(v for v in piece if view.color[v] == top)
+        rpred = {v: [] for v in piece}
+        for v in piece:
+            for t in view.succ[v]:
+                if t in members:
+                    rpred[t].append(v)
+        dist = {x: 0}
+        queue = deque([x])
+        while queue:
+            u = queue.popleft()
+            for v in rpred[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        for v in piece:
+            strategy[v] = min(t for t in view.succ[v] if t in members
+                              and (v == x or dist[t] == dist[v] - 1))
+    return strategy

@@ -5,8 +5,17 @@ import importlib.util
 from pathlib import Path
 
 import pgsi
+from pgsi.cli import generate_game
+from pgsi.iteration import replay_verify, solve
 
 LAYERS = Path(__file__).resolve().parents[1] / "benchmark" / "layers.py"
+
+
+def _load_layers():
+    spec = importlib.util.spec_from_file_location("benchmark_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return layers
 
 
 def test_public_names_resolve():
@@ -17,10 +26,41 @@ def test_public_names_resolve():
 def test_benchmark_wrapped_attributes_resolve():
     # the benchmark's tracer replaces these module attributes by name; a
     # rename would otherwise surface only as a failed benchmark run
-    spec = importlib.util.spec_from_file_location("benchmark_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = _load_layers()
     assert layers.WRAPPED
     for module_name, attr, _ in layers.WRAPPED:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), (module_name, attr)
+
+
+def test_benchmark_tracer_records_every_wrapped_lookup():
+    # a refactor that moves a call off a wrapped module attribute would
+    # leave its span at 0 in a traced benchmark run; here it fails
+    layers = _load_layers()
+
+    class EntryTracer(layers.Tracer):
+        """Names each span by its WRAPPED entry (module, attribute), in
+        the order `installed` wraps them, since span names repeat."""
+
+        def __init__(self):
+            super().__init__()
+            self._entries = iter(layers.WRAPPED)
+
+        def _wrap(self, name, fn):
+            module_name, attr, _ = next(self._entries)
+            return super()._wrap((module_name, attr), fn)
+
+    tracer = EntryTracer()
+    modules = {name: importlib.import_module(name)
+               for name in {entry[0] for entry in layers.WRAPPED}}
+    # 6 iterations, 16 nodes won by player 1 in preprocessing
+    game = generate_game(60, 3, 6, seed=7)
+    with tracer.installed(modules):
+        result = solve(game, audit_every=1)
+        replay_verify(game, result)
+    assert result.iterations > 2 and result.w1
+    called = {span[0] for span in tracer.spans}
+    entries = {(module_name, attr) for module_name, attr, _ in layers.WRAPPED}
+    # the re-export `pgsi.valuation.attractor` is wrapped but nothing
+    # calls it; ROADMAP item 2 plans to delete it with the wrapping
+    assert called == entries - {("pgsi.valuation", "attractor")}

@@ -15,6 +15,7 @@ from pgsi.arena import (GraphView, _sccs, attractor, build_escape_arena,
 from pgsi.errors import FormatError, InvariantViolation
 
 from conftest import fuzz_texts, parity_games
+from helpers import bfs_dominated_cycle_strategy, level_attractor
 
 
 # ------------------------------------------------------------ construction
@@ -397,6 +398,40 @@ def test_cycle_finder_matches_reachability_oracle(game, many_colors):
                 _dominated_by_closure(view, parity)
 
 
+@st.composite
+def graph_views(draw, max_nodes=8, closed=True):
+    """Views over a few ids of 0..11 in any order, with dead ends, both
+    owners, duplicate successors and, unless `closed`, edges that leave
+    the view."""
+    nodes = draw(st.lists(st.integers(0, 11), unique=True,
+                          max_size=max_nodes))
+    heads = st.sampled_from(nodes) if closed and nodes \
+        else st.integers(0, 11)
+    succ = {v: tuple(draw(st.lists(heads, max_size=3))) for v in nodes}
+    owner = tuple(draw(st.lists(st.integers(0, 1), min_size=12,
+                                max_size=12)))
+    color = tuple(draw(st.lists(st.integers(0, 5), min_size=12,
+                                max_size=12)))
+    return GraphView(tuple(nodes), succ, owner, color)
+
+
+@given(graph_views(), st.integers(0, 1), st.data())
+@settings(max_examples=500)
+def test_attractor_matches_the_level_by_level_reference(view, player, data):
+    target = data.draw(st.lists(st.sampled_from(view.nodes), max_size=4)
+                       if view.nodes else st.just([]))
+    res = attractor(view, player, target)
+    ref = level_attractor(view, player, target)
+    assert (res.members, res.rank, res.strategy) == (ref.members, ref.rank,
+                                                     ref.strategy)
+
+
+@given(graph_views(closed=False))
+@settings(max_examples=500)
+def test_dominated_cycle_strategy_matches_the_bfs_reference(view):
+    assert dominated_cycle_strategy(view) == bfs_dominated_cycle_strategy(view)
+
+
 def test_cycle_finder_handles_nesting_beyond_recursion_limit():
     # spine e_i (even color 2i+2) as a two-way path, tooth t_i (odd color
     # 2i+1) on a two-cycle with e_i; each level's even top must be peeled
@@ -455,7 +490,7 @@ def test_preprocess_removes_odd_player1_loop():
     prep = preprocess(ParityGame((1,), (1,), ((0,),)))
     assert prep.pre_won == frozenset((0,))
     assert prep.arena.nodes == ()
-    assert prep.dominated_strategy == {0: 0}
+    assert prep.strategy1 == {0: 0}
 
 
 def test_preprocess_attracts_committed_predecessor():
@@ -463,7 +498,8 @@ def test_preprocess_attracts_committed_predecessor():
     g = ParityGame((1, 1), (0, 1), ((1,), (1,)))
     prep = preprocess(g)
     assert prep.pre_won == frozenset((0, 1))
-    assert prep.attractor.rank[0] == 1
+    assert prep.strategy1 == {0: 1, 1: 1}
+    assert attractor(game_graph(g), 1, [1]).rank == {1: 0, 0: 1}
 
 
 def test_preprocess_ignores_escape_edges():
@@ -480,7 +516,7 @@ def test_preprocess_builds_the_arena_over_the_nodes_left():
     g = ParityGame((1, 1, 0), (1, 0, 2), ((0,), (0, 2), (1, 2)))
     prep = preprocess(g)
     assert prep.pre_won == frozenset((0, 1))
-    assert prep.attractor.strategy == {1: 0}
+    assert prep.strategy1 == {0: 0, 1: 0}
     assert prep.arena.nodes == (2,)
     assert prep.arena.succ == {2: (2,)}
     assert prep.arena.escape_choices == {2: (2, 3)}

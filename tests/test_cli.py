@@ -361,6 +361,35 @@ def test_check_mismatch_writes_artifacts(tmp_path, capsys, monkeypatch):
     assert details == {"w0_solver": [0], "w0_oracle": [1]}
 
 
+def test_check_mismatches_of_same_stem_files_keep_their_own_artifacts(
+        tmp_path, capsys, monkeypatch):
+    # a/g.gm and b/g.gm share a stem, so they are numbered in command-line
+    # order, skipping g_2, which g_2.gm already has; pair.gm keeps its stem
+    monkeypatch.chdir(tmp_path)
+    games = {"a": TWO_NODE, "b": ODD_LOOP, "c": EVEN_LOOP2, "d": ODD_TRAP}
+    for directory in games:
+        (tmp_path / directory).mkdir()
+    paths = [write_game(tmp_path / "a", games["a"], "g.gm"),
+             write_game(tmp_path / "b", games["b"], "g.gm"),
+             write_game(tmp_path / "c", games["c"], "g_2.gm"),
+             write_game(tmp_path / "d", games["d"], "pair.gm")]
+    monkeypatch.setattr(
+        "pgsi.cli.crosscheck",
+        lambda game, **kw: CrosscheckReport(False, (0,), (), 1))
+    code, _, err = run(capsys, "check", *paths)
+    assert code == 1 and "4 mismatch(es)" in err
+    for label, directory in (("g_1", "a"), ("g_3", "b"), ("g_2", "c"),
+                             ("pair", "d")):
+        dumped = parse_pgsolver((tmp_path / ("mismatch_%s.gm" % label))
+                                .read_text(encoding="utf-8"))
+        assert dumped == games[directory]
+        assert (tmp_path / ("mismatch_%s.json" % label)).exists()
+    assert sorted(p.name for p in tmp_path.glob("mismatch_*")) == sorted(
+        "mismatch_%s.%s" % (label, ext) for label in ("g_1", "g_2", "g_3",
+                                                      "pair")
+        for ext in ("gm", "json"))
+
+
 # ------------------------------------------------------------------- trace
 
 def test_trace_even_self_loop(tmp_path, capsys):

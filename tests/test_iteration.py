@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from pgsi import (AllSwitches, ColorProfile, DeterministicAll, POS_INFINITY,
                   ParityGame, SingleRandom, SolveResult, parse_pgsolver,
                   iteration, policy_by_name, replay_verify, solve)
-from pgsi.arena import EscapeArena, build_escape_arena, preprocess
+from pgsi.arena import build_escape_arena, preprocess
 from pgsi.cli import random_game
 from pgsi.errors import EnumerationTooLarge, InvariantViolation
 from pgsi.iteration import (POLICY_NAMES, _check_progress, _step_bound,
@@ -105,13 +105,13 @@ def test_solve_builds_one_escape_arena(monkeypatch):
     # preprocessing works on the game itself and builds the arena of the
     # solve once, over the nodes it keeps
     built = []
-    init = EscapeArena.__init__
 
-    def counted(self, game, sink, nodes, succ):
-        built.append(nodes)
-        init(self, game, sink, nodes, succ)
+    def counted(game, removed=frozenset()):
+        arena = build_escape_arena(game, removed)
+        built.append(arena.nodes)
+        return arena
 
-    monkeypatch.setattr(EscapeArena, "__init__", counted)
+    monkeypatch.setattr("pgsi.arena.build_escape_arena", counted)
     # node 0 is an odd player-1 self-loop, node 1 is attracted to it,
     # node 2 survives
     trap = ParityGame((1, 1, 0), (1, 0, 2), ((0,), (0, 2), (1, 2)))
