@@ -7,6 +7,7 @@ from pathlib import Path
 import pgsi
 from pgsi.cli import generate_game
 from pgsi.iteration import replay_verify, solve
+from pgsi.profiles import ProfileBasis
 
 LAYERS = Path(__file__).resolve().parents[1] / "benchmark" / "layers.py"
 
@@ -64,3 +65,21 @@ def test_benchmark_tracer_records_every_wrapped_lookup():
     # the re-export `pgsi.valuation.attractor` is wrapped but nothing
     # calls it; ROADMAP item 2 plans to delete it with the wrapping
     assert called == entries - {("pgsi.valuation", "attractor")}
+
+
+def test_benchmark_counts_profile_operators_on_the_class():
+    # the benchmark's counted pass swaps these dunders in the class's own
+    # dict and reads is_finite and dimension of valuation entries; a
+    # mixin or functools.total_ordering would fail the run instead
+    layers = _load_layers()
+    cls = pgsi.ColorProfile
+    assert cls.__mro__ == (cls, object)
+    for _, dunder in layers.PROFILE_OPS:
+        assert cls.__dict__[dunder].__module__ == "pgsi.profiles", dunder
+    basis = ProfileBasis(3, 2)
+    a, b = basis.from_key(basis.unit_key(2)), basis.from_key(basis.unit_key(1))
+    assert a.is_finite and a.dimension == 3
+    counter = layers.OpCounter()
+    with counter.installed(cls):
+        a + b, a < b, a == b, a - b
+    assert counter.counts == {key: 1 for key, _ in layers.PROFILE_OPS}

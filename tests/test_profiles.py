@@ -234,12 +234,25 @@ def test_packed_arithmetic_is_componentwise_at_extreme_digits(pair):
         tuple(x + y for x, y in zip(a, b)), tuple(x - y for x, y in zip(a, b)))
 
 
-def test_finite_refuses_counts_beyond_the_digit_width():
-    top = 2 ** 63 - 1
-    assert fin(top, -top).counts == (top, -top)
-    for count in (top + 1, -top - 1):
+def test_finite_takes_counts_of_any_size():
+    # a public profile holds its counts, not a key, so no digit width
+    # bounds them; a basis key still refuses what its width cannot hold
+    big = (2 ** 63, 2 ** 64, 2 ** 200)
+    for x in big:
+        for y in big + (-x, 1, 0):
+            a, b = fin(x, -y, y), fin(y, x, -x)
+            assert (a + b).counts == (x + y, x - y, y - x)
+            assert (a - b).counts == (x - y, -y - x, y + x)
+            assert a + b - b == a and hash(a + b - b) == hash(a)
+            assert hash(a - a) == hash(zero_profile(3))
+            assert (a > b) - (a < b) == reference_compare(a.counts, b.counts)
+            assert (a == b) == (a.counts == b.counts)
+    for count in (TOP + 1, 2 ** 63):
         with pytest.raises(DimensionError):
-            fin(0, count)
+            SMALL.key(fin(0, 0, 0, count))
+        with pytest.raises(DimensionError):
+            SMALL.key(fin(-count, 0, 0, 0))
+    assert SMALL.key(fin(0, 0, 0, TOP)) == TOP * SMALL.unit_key(3)
 
 
 def test_equal_profiles_of_different_widths():
@@ -333,7 +346,7 @@ GAPPED = ProfileBasis.over(1000, (999, 0, 599, 599), 3)
 
 
 def sparse(d, counts):
-    # a 64-bit-digit profile of dimension d with the given nonzero counts
+    # a public profile of dimension d with the given nonzero counts
     full = [0] * d
     for color, k in counts.items():
         full[color] = k
@@ -410,6 +423,26 @@ def test_basis_key_refuses_a_visit_to_a_color_not_in_use():
     assert GAPPED.key(zero_profile(1000)) == 0
     assert GAPPED.key(sparse(1000, {599: 2})) == 2 * GAPPED.unit_key(599)
     assert GAPPED.from_key(INF_KEY) is POS_INFINITY
+
+
+def test_public_profiles_never_decode_a_key(monkeypatch):
+    def refuse(basis, key):
+        raise AssertionError("decoded key %r" % (key,))
+    monkeypatch.setattr(ProfileBasis, "_decode", refuse)
+    d = 1000
+    for a, b in ((fin(3, -2, 0, 5), fin(1, 4, -7, 5)),
+                 (unit_profile(999, d), path_value((0, 599, 599, 998), d)),
+                 (zero_profile(d), unit_profile(7, d))):
+        for x, y in ((a, b), (b, a), (a, a)):
+            x + y, x - y, x < y, x <= y, x == y, x != y
+            hash(x), str(x), x.counts
+    # profiles of one basis add, subtract and compare as keys; a visit
+    # to the odd color 999 is worth less than anything below it
+    u, v = GAPPED.from_key(GAPPED.unit_key(999)), GAPPED.from_key(5)
+    total = u + v
+    assert total - v == u and u < v and not v < u and u != v
+    assert total == GAPPED.from_key(GAPPED.unit_key(999) + 5)
+    assert SMALL.key(SMALL.from_key(-7)) == -7
 
 
 def test_basis_over_no_colors():
