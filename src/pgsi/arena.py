@@ -196,15 +196,15 @@ class GraphView:
     `succ` gives the successor tuple of every node of `nodes`, and
     `owner` and `color` give each node's owner and color; all three are
     indexed by node id.  In every view the package builds, `color` is
-    the game's own tuple, and so is `owner` but in the piece views of
-    `dominated_cycle_strategy`, which count every node as player 1's;
-    `succ` is the game's successor tuple or a dict over the view's
-    nodes.  The escape sink is never a view node: it has no outgoing
-    edges, so it lies on no cycle.
+    the game's own tuple, and `succ` lists the game's or the arena's own
+    successor tuples, or the dict of a walk; only the union view of the
+    pieces in `dominated_cycle_strategy`, which counts every node as
+    player 1's, has an owner map of its own.  The escape sink is never a
+    view node: it has no outgoing edges, so it lies on no cycle.
     The cycle analyses skip successors outside `nodes`, such as escape
-    edges, so a view may list a node's whole successor tuple: the step
-    check of reasonableness relies on that for the part of the strategy
-    view it walks.  `attractor` needs a view no edge leaves.
+    edges and edges to other players' or removed nodes, so a view lists
+    a node's whole successor tuple and is never filtered first.
+    `attractor` needs a view no edge leaves.
     """
 
     nodes: tuple[int, ...]
@@ -252,13 +252,13 @@ class EscapeArena:
         return self.game.d
 
     def strategy_view(self, choices: Mapping[int, tuple[int, ...]]) -> GraphView:
-        """The arena restricted to a player-0 edge set: player-1 nodes keep
-        all their edges, player-0 nodes keep exactly `choices[v]`, which
-        may include an escape edge."""
-        owner_of = self.game.owner
-        succ = {v: self.succ[v] if owner_of[v] == 1 else tuple(choices[v])
-                for v in self.nodes}
-        return GraphView(self.nodes, succ, owner_of, self.game.color)
+        """The arena restricted to a player-0 edge set whose keys are the
+        player-0 nodes: player-1 nodes keep all their edges, player-0
+        nodes keep exactly `choices[v]`, which may include an escape
+        edge.  Its successors are the arena's and the choices' own
+        tuples, the latter laid over the former."""
+        return GraphView(self.nodes, {**self.succ, **choices},
+                         self.game.owner, self.game.color)
 
 
 def build_escape_arena(game: ParityGame,
@@ -268,7 +268,7 @@ def build_escape_arena(game: ParityGame,
     sink, owner, color = game.n, game.owner, game.color
     nodes = tuple(v for v in range(sink) if v not in removed)
     colors = {color[v] for v in nodes}
-    basis = ProfileBasis.over(game.d, colors, len(nodes))
+    basis = ProfileBasis(game.d, colors, len(nodes))
     unit = {c: basis.unit_key(c) for c in colors}
     unit_keys = [0] * (sink + 1)
     succ = {}
@@ -291,17 +291,6 @@ def build_escape_arena(game: ParityGame,
                        tuple(player1), escape_choices,
                        {v: tuple(sources) for v, sources in preds.items()},
                        basis, unit_keys)
-
-
-def player1_view(game: ParityGame, nodes: Iterable[int]) -> GraphView:
-    """The subgraph of the plain game induced by the player-1 nodes among
-    `nodes`: no sink, no escapes."""
-    owner = game.owner
-    kept = tuple(v for v in nodes if owner[v] == 1)
-    member = set(kept)
-    succ = {v: tuple([t for t in game.successors[v] if t in member])
-            for v in kept}
-    return GraphView(kept, succ, owner, game.color)
 
 
 @dataclass(frozen=True)
@@ -492,23 +481,26 @@ def dominated_cycle_strategy(view: GraphView) -> dict[int, int]:
     Per piece of the odd top-color decomposition the smallest-id node of
     the piece's top color is the witness.  Every other member moves to
     its smallest-id successor one step closer to the witness along a
-    shortest path inside the piece: its edge in the attractor of the
-    witness within the piece, every member counted as the attracting
-    player's.  The witness moves to its smallest-id successor in the
-    piece.  Any cycle the chosen edges can form stays in one piece and
-    passes through its witness, so its maximum color is the piece's odd
-    top.  Pieces are disjoint, so the cost is one attractor per piece on
-    top of the decomposition.
+    shortest path inside the piece: its edge in one attractor of all
+    witnesses over the union of the pieces with their in-piece edges,
+    every member counted as the attracting player's.  Pieces are
+    disjoint and no in-piece edge leaves its piece, so the ranks and
+    edges are those of one attractor per piece.  The witness moves to
+    its smallest-id successor in the piece.  Any cycle the chosen edges
+    can form stays in one piece and passes through its witness, so its
+    maximum color is the piece's odd top.
     """
-    strategy: dict[int, int] = {}
+    inner: dict[int, tuple[int, ...]] = {}
+    witnesses = []
     for top, piece in _dominated_pieces(view, 1):
         members = set(piece)
-        inner = {v: tuple([t for t in view.succ[v] if t in members])
-                 for v in piece}
-        x = min(v for v in piece if view.color[v] == top)
-        strategy.update(attractor(
-            GraphView(tuple(piece), inner, dict.fromkeys(piece, 1),
-                      view.color), 1, (x,)).strategy)
+        for v in piece:
+            inner[v] = tuple([t for t in view.succ[v] if t in members])
+        witnesses.append(min(v for v in piece if view.color[v] == top))
+    strategy = attractor(GraphView(tuple(inner), inner,
+                                   dict.fromkeys(inner, 1), view.color),
+                         1, witnesses).strategy
+    for x in witnesses:
         strategy[x] = min(inner[x])
     return strategy
 
@@ -539,16 +531,18 @@ def preprocess(game: ParityGame) -> PreprocessResult:
     remaining nodes; it has no odd-dominated cycle among player-1 nodes,
     which the function asserts.
     """
-    every = range(game.n)
-    dom_strategy = dominated_cycle_strategy(player1_view(game, every))
-    att = attractor(GraphView(tuple(every), game.successors, game.owner,
-                              game.color), 1, sorted(dom_strategy))
+    owner, color = game.owner, game.color
+    dom_strategy = dominated_cycle_strategy(GraphView(
+        game.player_nodes(1), game.successors, owner, color))
+    att = attractor(GraphView(tuple(range(game.n)), game.successors, owner,
+                              color), 1, sorted(dom_strategy))
     pre_won = att.members
     arena = build_escape_arena(game, pre_won)
     for v in arena.player1_nodes:
         if not arena.succ[v]:
             raise InvariantViolation("surviving player-1 node %d lost all successors" % v)
-    if find_one_dominated_cycle_nodes(player1_view(game, arena.nodes)):
+    if find_one_dominated_cycle_nodes(GraphView(
+            arena.player1_nodes, game.successors, owner, color)):
         raise InvariantViolation("reduced arena still has an odd player-1 cycle")
     # the cycle nodes have rank 0, so the attractor gives them no edge;
     # together the two cover every removed player-1 node

@@ -232,52 +232,43 @@ def _check_step(next_strategy: Strategy, imps: ImprovementSets,
 
 
 def _check_progress(prev: Valuation, new: Valuation, switched: set[int],
-                    nodes: Collection[int] | None = None) -> None:
-    """Values never shrink, +inf included, grow somewhere after a switch
+                    nodes: Collection[int]) -> list[int]:
+    """The nodes of `nodes` whose value changed from `prev` to `new`, in
+    `nodes` order, found in one C-level pass; on the way it checks that
+    values never shrink, +inf included, grow somewhere after a switch
     and grow strictly at every switched node.
 
-    Without `nodes` both lists are compared in full.  Given the switch
-    region A of the step as `nodes`, only A is compared, one C-level
-    pass over it; this is exact because outside A the new list is a copy
-    of the old one, and the switched nodes lie in A.  Growth somewhere
-    follows from strict growth at a switched node, so the whole lists
-    are scanned for growth only to word the error when a switched node
-    did not grow."""
-    if nodes is None:
-        shrank = any(map(operator.gt, prev, new))
-    else:
-        shrank = any(map(operator.gt, map(prev.__getitem__, nodes),
-                         map(new.__getitem__, nodes)))
-    if shrank:
-        v = next(v for v in (range(len(new)) if nodes is None else nodes)
-                 if prev[v] > new[v])
-        raise InvariantViolation("valuation shrank at node %d" % v)
+    `nodes` is the switch region A of the step, or ``range(len(new))``
+    for the whole lists.  A is exact: outside it the new list is a copy
+    of the old one, and the switched nodes lie in it.  Values are
+    totally ordered, so once no changed value shrank, each of them grew,
+    and the valuation grew somewhere iff a value changed."""
+    before, after = prev.__getitem__, new.__getitem__
+    moved = list(compress(nodes, map(operator.ne, map(before, nodes),
+                                     map(after, nodes))))
+    shrank = next(compress(moved, map(operator.gt, map(before, moved),
+                                      map(after, moved))), None)
+    if shrank is not None:
+        raise InvariantViolation("valuation shrank at node %d" % shrank)
     for v in switched:
         if not prev[v] < new[v]:
-            if not any(map(operator.lt, prev, new)):
+            if not moved:
                 raise InvariantViolation(
                     "improvement step did not grow the valuation")
             raise InvariantViolation(
                 "no strict growth at switched node %d" % v)
+    return moved
 
 
 def _stale_entries(arena: EscapeArena, changed: Iterable[int],
-                   before: Valuation, after: Valuation,
-                   nodes: Collection[int]) -> set[int]:
+                   moved: Collection[int]) -> set[int]:
     """The player-0 nodes whose improvement-set entry a step can change:
-    the nodes `changed` whose choices it changed, and those whose value
-    changed from `before` to `after` or one of whose escape successors
-    did.  An entry reads nothing else.  Only the values at `nodes` are
-    compared: every value that changes lies in the switch region A,
-    ``switch_region(arena, new, changed)``, so `nodes` is A, or
-    ``range(len(after))`` for the whole lists, and the result holds
-    player-0 nodes of A and player-0 predecessors of it."""
-    stale = list(changed)
-    preds = arena.preds
-    for v in compress(nodes, map(operator.ne, map(before.__getitem__, nodes),
-                                 map(after.__getitem__, nodes))):
-        stale.append(v)
-        stale.extend(preds[v])
+    the nodes `changed` whose choices it changed, the nodes `moved`
+    whose value changed, as ``_check_progress`` returns them, and their
+    predecessors, whose escape successors they are.  An entry reads
+    nothing else."""
+    stale = chain(changed, moved,
+                  chain.from_iterable(map(arena.preds.__getitem__, moved)))
     # the keys of the escape choices are the player-0 nodes
     player0 = arena.escape_choices
     return {v for v in stale if v in player0}
@@ -290,30 +281,30 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
     winning strategy each, the final valuation and per-iteration stats.
 
     The first iteration valuates the whole arena by fixpoint sweeps (the
-    reference route) and classifies every player-0 node.  Later
-    iterations derive once the switch region A, the nodes a switch can
-    reach (``switch_region``), revalue only A (``valuate_dijkstra``),
-    check that values grow only on A (``_check_progress``) and
-    reclassify only the player-0 nodes whose choices, value or successor
-    values changed, found among A (``_stale_entries``), carrying the
-    other improvement-set entries over.  After each pick the player-0
-    nodes whose choices changed are listed once (``changed_nodes``);
-    that list feeds the step check and A, the reasonableness check and
-    the reclassification of the next iteration.  The step check
-    (``_check_step``) of the first pick visits every node, the later
-    ones only the changed nodes and the reclassified entries, so that a
-    step costs what it touches.  Every `audit_every`-th iteration is also
-    recomputed by the reference route and compared bit for bit, its
+    reference route) and classifies every player-0 node.  Later iterations
+    derive once the switch region A, the nodes a switch can reach
+    (``switch_region``), revalue only A (``valuate_dijkstra``), find in one
+    pass over A the nodes whose value changed, checking that none shrank
+    (``_check_progress``), and reclassify only the player-0 nodes whose
+    choices, value or successor values changed (``_stale_entries``),
+    carrying the other improvement-set entries over.  After each pick the
+    player-0 nodes whose choices changed are listed once
+    (``changed_nodes``); that list feeds the step check and A, the
+    reasonableness check and the reclassification of the next iteration.
+    The step check (``_check_step``) of the first pick visits every node,
+    the later ones only the changed nodes and the reclassified entries, so
+    that a step costs what it touches.  Every `audit_every`-th iteration is
+    also recomputed by the reference route and compared bit for bit, its
     growth checked over every node, its improvement sets compared with a
-    classification of every node, and its step check with one over
-    every node (1 audits every iteration after the first, 0 disables
-    auditing; a negative value raises ValueError).  Every strategy is
-    checked for reasonableness.  The first iteration runs the full
-    check; the others walk forward from the targets of the edges the
-    step added, inside A, where every cycle such an edge closes lies,
-    and check only the nodes they walk (``is_reasonable_step``), so
-    finding A is the one backward walk of a step; audit iterations run
-    both checks and require the same verdict.
+    classification of every node, and its step check with one over every
+    node (1 audits every iteration after the first, 0 disables auditing; a
+    negative value raises ValueError).  Every strategy is checked for
+    reasonableness.  The first iteration runs the full check; the others
+    walk forward from the targets of the edges the step added, inside A,
+    where every cycle such an edge closes lies, and check only the nodes
+    they walk (``is_reasonable_step``), so finding A is the one backward
+    walk of a step; audit iterations run both checks and require the same
+    verdict.
     `on_iteration` sees every (iteration, strategy, valuation,
     improvement sets) tuple as the run unfolds; `on_update` is handed to
     every reference valuation, on the first and every audit iteration,
@@ -372,12 +363,11 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
                     "iteration %d produced an unreasonable strategy"
                     % (iterations + 1))
             if incremental:
-                _check_progress(current, new_vals, switched,
-                                None if audit else region)
-                imps = improvements(
-                    arena, sigma, new_vals, imps,
-                    _stale_entries(arena, changed, current, new_vals,
-                                   region))
+                moved = _check_progress(
+                    current, new_vals, switched,
+                    range(len(new_vals)) if audit else region)
+                imps = improvements(arena, sigma, new_vals, imps,
+                                    _stale_entries(arena, changed, moved))
             else:
                 imps = improvements(arena, sigma, new_vals)
             if audit and improvements(arena, sigma, new_vals) != imps:

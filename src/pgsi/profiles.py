@@ -250,32 +250,20 @@ INF_KEY = math.inf
 
 
 class ProfileBasis:
-    """The key encoding of one arena of n nodes in a d-color game: every
-    key is written at ``digit_width(n)`` bits, one digit per color the
-    basis counts, so the keys of one arena's values add and compare like
-    the profiles they stand for.  ``ProfileBasis(d, n)`` counts the
-    colors 0..d-1; :meth:`over` counts only the colors an arena's nodes
-    carry, which is all any of its values can count.  The solver works
-    on these keys and turns them into profiles, of dimension d, only at
-    its edges."""
+    """The key encoding of an n-node arena of a d-color game whose nodes
+    carry `colors` (repeats allowed): every key is written at
+    ``digit_width(n)`` bits, and digit i counts the i-th color in use in
+    ascending order, so the keys of one arena's values add and compare
+    like the profiles they stand for.  An arena's values count only the
+    colors its nodes carry; ``ProfileBasis(d, range(d), n)`` counts
+    every color of the game.  The solver works on these keys and turns them into profiles,
+    of dimension d, only at its edges."""
 
     __slots__ = ("_d", "_b", "_colors", "_units")
 
-    def __init__(self, d: int, n: int):
-        self._count(d, range(d), n)
-
-    @classmethod
-    def over(cls, d: int, colors: Iterable[int], n: int) -> "ProfileBasis":
-        """The basis of an n-node arena of a d-color game whose nodes
-        carry `colors` (repeats allowed): digit i counts the i-th of them
-        in ascending order."""
-        basis = _new(cls)
-        basis._count(d, tuple(sorted(set(colors))), n)
-        return basis
-
-    def _count(self, d: int, colors: Sequence[int], n: int) -> None:
-        # digit i counts colors[i], which ascend; every unit key is made
-        # here, so unit_key only looks one up
+    def __init__(self, d: int, colors: Iterable[int], n: int):
+        # every unit key is made here, so unit_key only looks one up
+        colors = tuple(sorted(set(colors)))
         if d < 1:
             raise DimensionError("dimension must be at least 1, got %d" % d)
         if colors and not 0 <= colors[0] <= colors[-1] < d:

@@ -76,7 +76,7 @@ def test_benchmark_counts_profile_operators_on_the_class():
     assert cls.__mro__ == (cls, object)
     for _, dunder in layers.PROFILE_OPS:
         assert cls.__dict__[dunder].__module__ == "pgsi.profiles", dunder
-    basis = ProfileBasis(3, 2)
+    basis = ProfileBasis(3, range(3), 2)
     a, b = basis.from_key(basis.unit_key(2)), basis.from_key(basis.unit_key(1))
     assert a.is_finite and a.dimension == 3
     counter = layers.OpCounter()

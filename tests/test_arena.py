@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from pgsi import ParityGame, oracle_solve, parse_pgsolver, serialize_pgsolver
 from pgsi.arena import (GraphView, _sccs, attractor, build_escape_arena,
                         dominated_cycle_strategy, find_dominated_cycle_nodes,
-                        find_one_dominated_cycle_nodes, player1_view,
-                        preprocess)
+                        find_one_dominated_cycle_nodes, preprocess)
 from pgsi.errors import FormatError, InvariantViolation
 
 from conftest import fuzz_texts, parity_games
@@ -455,7 +454,8 @@ def test_cycle_finder_handles_nesting_beyond_recursion_limit():
 @given(parity_games(max_nodes=7))
 def test_dominated_cycle_strategy_is_safe(game):
     # following the assigned edges must never close an even-dominated cycle
-    view = player1_view(game, range(game.n))
+    view = GraphView(game.player_nodes(1), game.successors, game.owner,
+                     game.color)
     marked = find_one_dominated_cycle_nodes(view)
     strat = dominated_cycle_strategy(view)
     assert set(strat) == set(marked)
@@ -522,14 +522,42 @@ def test_preprocess_builds_the_arena_over_the_nodes_left():
     assert prep.arena.escape_choices == {2: (2, 3)}
 
 
+def test_preprocess_runs_one_attractor_per_decomposition(monkeypatch):
+    calls = []
+
+    def counted(view, player, target):
+        calls.append(view)
+        return attractor(view, player, target)
+
+    monkeypatch.setattr("pgsi.arena.attractor", counted)
+    # three odd player-1 two-cycles with interleaved ids, joined one way:
+    # one attractor serves all three pieces, one more the removal
+    joined = ParityGame((1, 1, 1, 1, 1, 1, 0), (1, 3, 5, 0, 2, 4, 6),
+                        ((3, 1), (4, 2), (5,), (0,), (1,), (2,), (0, 6)))
+    prep = preprocess(joined)
+    assert len(calls) == 2
+    assert prep.pre_won == frozenset(range(6))
+    assert prep.strategy1 == {0: 3, 1: 4, 2: 5, 3: 0, 4: 1, 5: 2}
+    view = GraphView(joined.player_nodes(1), joined.successors,
+                     joined.owner, joined.color)
+    assert dominated_cycle_strategy(view) \
+        == bfs_dominated_cycle_strategy(view)
+    # no odd player-1 cycle: the two calls still run, on empty targets
+    calls.clear()
+    assert preprocess(ParityGame((0, 1), (1, 2), ((1,), (0,)))).pre_won \
+        == frozenset()
+    assert len(calls) == 2
+
+
 @given(parity_games())
 @settings(max_examples=300)
 def test_preprocess_soundness(game):
     prep = preprocess(game)
     arena = prep.arena
     # nothing 1-dominated survives among player-1 nodes
-    assert find_one_dominated_cycle_nodes(
-        player1_view(game, arena.nodes)) == frozenset()
+    assert find_one_dominated_cycle_nodes(GraphView(
+        arena.player1_nodes, game.successors, game.owner,
+        game.color)) == frozenset()
     for v in arena.player1_nodes:
         assert arena.succ[v]
     # pre-won nodes are truly lost

@@ -334,17 +334,26 @@ def test_valuations_grow_and_strictly_so_at_switches(audit_every):
 
 
 def test_progress_check_on_unbounded_values():
-    # finite -> +inf is growth, also strict growth at a switched node
-    _check_progress([5, 0], [INF_KEY, 0], {0})
-    _check_progress([INF_KEY, 5, 0], [INF_KEY, INF_KEY, 0], {1})
+    # finite -> +inf is growth, also strict growth at a switched node;
+    # the check returns the nodes whose value changed, in `nodes` order
+    assert _check_progress([5, 0], [INF_KEY, 0], {0}, range(2)) == [0]
+    assert _check_progress([INF_KEY, 5, 0], [INF_KEY, INF_KEY, 0], {1},
+                           range(3)) == [1]
+    # a region holding the changed node finds the same
+    assert _check_progress([INF_KEY, 5, 0], [INF_KEY, INF_KEY, 0], {1},
+                           [2, 1]) == [1]
     # +inf -> finite is a shrink, whatever happens elsewhere
     with pytest.raises(InvariantViolation, match="shrank at node 0"):
-        _check_progress([INF_KEY, 5, 0], [1 << 300, INF_KEY, 0], {1})
+        _check_progress([INF_KEY, 5, 0], [1 << 300, INF_KEY, 0], {1},
+                        range(3))
+    # the first shrunk node in `nodes` order is named
+    with pytest.raises(InvariantViolation, match="shrank at node 2"):
+        _check_progress([INF_KEY, 5, 7], [1 << 300, 6, 0], {1}, [2, 1, 0])
     # +inf -> +inf at the switched node is no strict growth there
     with pytest.raises(InvariantViolation, match="switched node 0"):
-        _check_progress([INF_KEY, 5, 0], [INF_KEY, 6, 0], {0})
+        _check_progress([INF_KEY, 5, 0], [INF_KEY, 6, 0], {0}, range(3))
     with pytest.raises(InvariantViolation, match="did not grow"):
-        _check_progress([INF_KEY, 5, 0], [INF_KEY, 5, 0], {0})
+        _check_progress([INF_KEY, 5, 0], [INF_KEY, 5, 0], {0}, range(3))
 
 
 def test_solve_runs_on_keys_without_profile_operators(monkeypatch):

@@ -183,7 +183,7 @@ def test_cycle_value_sign_matches_top_color_parity(case):
 # --------------------------------------------------------- packed encoding
 
 # The basis of a 4-color, 2-node arena: 6-bit digits, the largest TOP.
-SMALL = ProfileBasis(4, 2)
+SMALL = ProfileBasis(4, range(4), 2)
 TOP = 2 ** (digit_width(2) - 1) - 1
 
 
@@ -342,7 +342,7 @@ def test_infinities_are_singletons_of_any_dimension():
 # ------------------------------------------------- one digit per color in use
 
 # An arena of 3 nodes in a 1000-color game whose nodes carry 0, 599, 999.
-GAPPED = ProfileBasis.over(1000, (999, 0, 599, 599), 3)
+GAPPED = ProfileBasis(1000, (999, 0, 599, 599), 3)
 
 
 def sparse(d, counts):
@@ -362,12 +362,12 @@ def test_basis_over_counts_only_the_colors_in_use():
     for color in (1, 598, 1000):
         with pytest.raises(DimensionError):
             GAPPED.unit_key(color)
-    # every color in use keeps the full basis of ProfileBasis(d, n)
-    full = ProfileBasis.over(4, (3, 1, 0, 2), 2)
+    # every color in use gives the basis over range(d)
+    full = ProfileBasis(4, (3, 1, 0, 2), 2)
     assert list(full.colors) == [0, 1, 2, 3]
     assert all(full.unit_key(c) == SMALL.unit_key(c) for c in range(4))
     with pytest.raises(DimensionError):
-        ProfileBasis.over(4, (4,), 2)
+        ProfileBasis(4, (4,), 2)
 
 
 def test_gapped_keys_decode_to_profiles_in_game_colors():
@@ -395,7 +395,7 @@ def test_gapped_keys_order_and_add_like_profiles_in_game_colors():
         assert (a < b) == (ka < kb) == (reference_compare(a.counts, b.counts)
                                         < 0)
         assert GAPPED.from_key(ka + kb) == a + b
-        # mixed forms: one side at 64-bit digits over every color
+        # mixed: one side decoded from a key, the other a public profile
         wide_b = ColorProfile.finite(b.counts)
         assert (a < wide_b) == (ka < kb) and (wide_b < a) == (kb < ka)
         assert (a + wide_b).counts == (a + b).counts
@@ -404,7 +404,7 @@ def test_gapped_keys_order_and_add_like_profiles_in_game_colors():
 
 
 def test_gapped_profiles_of_two_bases_mix():
-    other = ProfileBasis.over(1000, (5, 599), 3)
+    other = ProfileBasis(1000, (5, 599), 3)
     a = GAPPED.from_key(GAPPED.unit_key(999) + GAPPED.unit_key(599))
     b = other.from_key(other.unit_key(5) + other.unit_key(599))
     total = a + b
@@ -447,7 +447,7 @@ def test_public_profiles_never_decode_a_key(monkeypatch):
 
 def test_basis_over_no_colors():
     # an arena with no node left: only the sink, whose value is 0
-    empty = ProfileBasis.over(3, (), 0)
+    empty = ProfileBasis(3, (), 0)
     assert tuple(empty.colors) == ()
     assert empty.from_key(0) == zero_profile(3)
     assert str(empty.from_key(0)) == "(0,0,0)"
@@ -455,7 +455,7 @@ def test_basis_over_no_colors():
 
 def test_huge_color_keys_stay_small():
     d = 10 ** 12 + 1
-    basis = ProfileBasis.over(d, (10 ** 12,), 1)
+    basis = ProfileBasis(d, (10 ** 12,), 1)
     unit = basis.unit_key(10 ** 12)
     assert unit == 1
     value = basis.from_key(5 * unit)

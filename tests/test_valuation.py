@@ -802,12 +802,12 @@ def check_outcome(step, imps, nodes):
 
 
 def progress_outcome(prev, new, switched, nodes):
-    """The message `_check_progress` raises, or None if it passes."""
+    """The message `_check_progress` raises, or, if it passes, the nodes
+    whose value changed that it returns, sorted."""
     try:
-        _check_progress(prev, new, switched, nodes)
+        return sorted(_check_progress(prev, new, switched, nodes))
     except InvariantViolation as exc:
         return str(exc)
-    return None
 
 
 def test_update_matches_reference_at_scale():
@@ -859,10 +859,12 @@ def test_update_matches_reference_at_scale():
                            for v in range(len(fast)) if v not in region)
                 restricted += len(region) < len(arena.nodes)
                 everything = range(len(fast))
-                stale = _stale_entries(arena, changed, valuation, fast,
-                                       region)
-                assert stale == _stale_entries(arena, changed, valuation,
-                                               fast, everything)
+                moved = _check_progress(valuation, fast, switched, region)
+                assert sorted(moved) == [v for v in everything
+                                         if fast[v] != valuation[v]]
+                stale = _stale_entries(arena, changed, moved)
+                assert stale == _stale_entries(arena, changed, _check_progress(
+                    valuation, fast, switched, everything))
                 # the progress check on A agrees with the whole-list one
                 # on the step, on a value lowered at a switched node and
                 # on the switched nodes held at their old values
@@ -874,8 +876,8 @@ def test_update_matches_reference_at_scale():
                     verdict = progress_outcome(valuation, after, switched,
                                                region)
                     assert verdict == progress_outcome(valuation, after,
-                                                       switched, None)
-                    assert (verdict is None) == (after is fast)
+                                                       switched, everything)
+                    assert isinstance(verdict, list) == (after is fast)
                 imps = improvements(arena, step, fast, imps, stale)
                 assert imps == improvements(arena, step, fast)
                 compared += 1
@@ -910,7 +912,7 @@ def test_update_accepts_a_base_at_the_public_width():
         arena = preprocess(game).arena
         for strategy, valuation in improvement_iterates(arena):
             imps = improvements(arena, strategy, valuation)
-            # the same values built at 64-bit digits, then re-encoded
+            # the same values built as public profiles, then re-encoded
             wide = keys_of(arena, {
                 v: fin(*value.counts) if value.is_finite else value
                 for v, value in to_profiles(arena, valuation).items()})
