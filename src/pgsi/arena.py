@@ -19,7 +19,9 @@ components, keep those whose top color has the wanted parity, and split
 the others again below their top.  Node sets, witness strategies and
 preprocessing all read its pieces; it costs O(depth * (n + m)), where
 depth is how deeply components topped by the other parity nest, instead
-of one pass per color.
+of one pass per color.  Each analysis takes the tables it reads: the
+nodes to look at and the game's or the arena's own successor, owner or
+color tables, or dicts over those nodes.
 """
 
 from __future__ import annotations
@@ -190,30 +192,6 @@ def serialize_pgsolver(game: ParityGame) -> str:
 
 
 @dataclass(frozen=True)
-class GraphView:
-    """A concrete directed-graph slice handed to attractor/cycle analyses.
-
-    `succ` gives the successor tuple of every node of `nodes`, and
-    `owner` and `color` give each node's owner and color; all three are
-    indexed by node id.  In every view the package builds, `color` is
-    the game's own tuple, and `succ` lists the game's or the arena's own
-    successor tuples, or the dict of a walk; only the union view of the
-    pieces in `dominated_cycle_strategy`, which counts every node as
-    player 1's, has an owner map of its own.  The escape sink is never a
-    view node: it has no outgoing edges, so it lies on no cycle.
-    The cycle analyses skip successors outside `nodes`, such as escape
-    edges and edges to other players' or removed nodes, so a view lists
-    a node's whole successor tuple and is never filtered first.
-    `attractor` needs a view no edge leaves.
-    """
-
-    nodes: tuple[int, ...]
-    succ: Mapping[int, tuple[int, ...]] | tuple[tuple[int, ...], ...]
-    owner: Mapping[int, int] | tuple[int, ...]
-    color: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class EscapeArena:
     """A parity game extended with an escape sink, over the game nodes
     preprocessing keeps.  `build_escape_arena` fills every table in one
@@ -251,15 +229,6 @@ class EscapeArena:
     def d(self) -> int:
         return self.game.d
 
-    def strategy_view(self, choices: Mapping[int, tuple[int, ...]]) -> GraphView:
-        """The arena restricted to a player-0 edge set whose keys are the
-        player-0 nodes: player-1 nodes keep all their edges, player-0
-        nodes keep exactly `choices[v]`, which may include an escape
-        edge.  Its successors are the arena's and the choices' own
-        tuples, the latter laid over the former."""
-        return GraphView(self.nodes, {**self.succ, **choices},
-                         self.game.owner, self.game.color)
-
 
 def build_escape_arena(game: ParityGame,
                        removed: Collection[int] = frozenset()) -> EscapeArena:
@@ -293,6 +262,11 @@ def build_escape_arena(game: ParityGame,
                        basis, unit_keys)
 
 
+# successor tuples indexed by node id: the game's or the arena's own
+# table, or a dict over the nodes an analysis is given
+_Successors = Mapping[int, tuple[int, ...]] | tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class AttractorResult:
     """Attractor membership with BFS ranks and one attracting edge per
@@ -303,8 +277,16 @@ class AttractorResult:
     strategy: dict[int, int]
 
 
-def attractor(view: GraphView, player: int, target: Iterable[int]) -> AttractorResult:
-    """Nodes from which `player` can force the play into `target`.
+def attractor(nodes: Collection[int], succ: _Successors,
+              owner: Mapping[int, int] | tuple[int, ...], player: int,
+              target: Iterable[int]) -> AttractorResult:
+    """Nodes of `nodes` from which `player` can force the play into
+    `target`.
+
+    `succ` and `owner` give each node's successor tuple and owner,
+    indexed by node id: the game's or the arena's own tables, or dicts
+    over `nodes`.  No edge may leave `nodes`, and the escape sink is
+    never one of them.
 
     Rank 0 is the target itself; rank r+1 adds nodes owned by `player`
     with some successor of rank <= r and opponent nodes whose successors
@@ -318,21 +300,18 @@ def attractor(view: GraphView, player: int, target: Iterable[int]) -> AttractorR
     are known, each attracting-player member of positive rank gets its
     smallest-id successor of strictly smaller rank as its edge.
     """
-    node_set = set(view.nodes)
+    preds: dict[int, list[int]] = {v: [] for v in nodes}
     rank: dict[int, int] = {}
     for t in target:
-        if t not in node_set:
-            raise ValueError("target node %d is not in the view" % t)
+        if t not in preds:
+            raise ValueError("target node %d is not in the node set" % t)
         rank[t] = 0
-
-    owner, succ = view.owner, view.succ
-    preds: dict[int, list[int]] = {v: [] for v in view.nodes}
-    for v in view.nodes:
+    for v in nodes:
         for t in succ[v]:
             preds[t].append(v)
     queue = list(rank)
     remaining: dict[int, int] = {}
-    for v in view.nodes:
+    for v in nodes:
         if owner[v] != player and v not in rank:
             if succ[v]:
                 remaining[v] = len(succ[v])
@@ -422,10 +401,19 @@ def _sccs(order: Iterable[int], succ: Mapping[int, tuple[int, ...]],
                         lows[-1] = low
 
 
-def _dominated_pieces(view: GraphView,
+def _dominated_pieces(nodes: Iterable[int], succ: _Successors,
+                      color: tuple[int, ...],
                       parity: int) -> Iterator[tuple[int, list[int]]]:
-    """Maximal node sets on which every node lies on a cycle whose top
-    color has the given parity, each paired with that top color.
+    """Maximal sets of `nodes` on which every node lies on a cycle whose
+    top color has the given parity, each paired with that top color.
+
+    `succ` and `color` give each node's successor tuple and color,
+    indexed by node id: the game's or the arena's own tables, or a walk
+    dict over `nodes`.  Successors outside `nodes`, such as escape edges
+    and edges to the other player's or removed nodes, are skipped, so a
+    caller passes whole successor tuples and never filters them first.
+    The escape sink is never one of the nodes: it has no outgoing edges,
+    so it lies on no cycle.
 
     Top-color decomposition with a worklist: a piece is trimmed to the
     nodes at or below its highest color of the wanted parity (a piece
@@ -439,8 +427,7 @@ def _dominated_pieces(view: GraphView,
     deeply components topped by the other parity nest.  A worklist, not
     recursion, because that nesting grows with the node count.
     """
-    color, succ = view.color, view.succ
-    work = [list(view.nodes)]
+    work = [list(nodes)]
     while work:
         piece = work.pop()
         top = max([c for c in map(color.__getitem__, piece)
@@ -458,24 +445,28 @@ def _dominated_pieces(view: GraphView,
                 work.append(comp)
 
 
-def find_dominated_cycle_nodes(view: GraphView, parity: int) -> frozenset[int]:
+def find_dominated_cycle_nodes(nodes: Iterable[int], succ: _Successors,
+                               color: tuple[int, ...],
+                               parity: int) -> frozenset[int]:
     """Nodes lying on some cycle whose maximum color has the given parity:
     the union of the pieces of the top-color decomposition, which costs
     O(depth * (n + m)) for depth the nesting of components topped by the
     other parity.
     """
-    nodes: set[int] = set()
-    for _, piece in _dominated_pieces(view, parity):
-        nodes.update(piece)
-    return frozenset(nodes)
+    found: set[int] = set()
+    for _, piece in _dominated_pieces(nodes, succ, color, parity):
+        found.update(piece)
+    return frozenset(found)
 
 
-def find_one_dominated_cycle_nodes(view: GraphView) -> frozenset[int]:
+def find_one_dominated_cycle_nodes(nodes: Iterable[int], succ: _Successors,
+                                   color: tuple[int, ...]) -> frozenset[int]:
     """Nodes on some cycle whose maximum color is odd."""
-    return find_dominated_cycle_nodes(view, 1)
+    return find_dominated_cycle_nodes(nodes, succ, color, 1)
 
 
-def dominated_cycle_strategy(view: GraphView) -> dict[int, int]:
+def dominated_cycle_strategy(nodes: Iterable[int], succ: _Successors,
+                             color: tuple[int, ...]) -> dict[int, int]:
     """One edge per odd-cycle node that keeps every resulting cycle odd.
 
     Per piece of the odd top-color decomposition the smallest-id node of
@@ -492,14 +483,13 @@ def dominated_cycle_strategy(view: GraphView) -> dict[int, int]:
     """
     inner: dict[int, tuple[int, ...]] = {}
     witnesses = []
-    for top, piece in _dominated_pieces(view, 1):
+    for top, piece in _dominated_pieces(nodes, succ, color, 1):
         members = set(piece)
         for v in piece:
-            inner[v] = tuple([t for t in view.succ[v] if t in members])
-        witnesses.append(min(v for v in piece if view.color[v] == top))
-    strategy = attractor(GraphView(tuple(inner), inner,
-                                   dict.fromkeys(inner, 1), view.color),
-                         1, witnesses).strategy
+            inner[v] = tuple([t for t in succ[v] if t in members])
+        witnesses.append(min(v for v in piece if color[v] == top))
+    strategy = attractor(inner, inner, dict.fromkeys(inner, 1), 1,
+                         witnesses).strategy
     for x in witnesses:
         strategy[x] = min(inner[x])
     return strategy
@@ -531,18 +521,15 @@ def preprocess(game: ParityGame) -> PreprocessResult:
     remaining nodes; it has no odd-dominated cycle among player-1 nodes,
     which the function asserts.
     """
-    owner, color = game.owner, game.color
-    dom_strategy = dominated_cycle_strategy(GraphView(
-        game.player_nodes(1), game.successors, owner, color))
-    att = attractor(GraphView(tuple(range(game.n)), game.successors, owner,
-                              color), 1, sorted(dom_strategy))
+    succ, color = game.successors, game.color
+    dom_strategy = dominated_cycle_strategy(game.player_nodes(1), succ, color)
+    att = attractor(range(game.n), succ, game.owner, 1, dom_strategy)
     pre_won = att.members
     arena = build_escape_arena(game, pre_won)
     for v in arena.player1_nodes:
         if not arena.succ[v]:
             raise InvariantViolation("surviving player-1 node %d lost all successors" % v)
-    if find_one_dominated_cycle_nodes(GraphView(
-            arena.player1_nodes, game.successors, owner, color)):
+    if find_one_dominated_cycle_nodes(arena.player1_nodes, succ, color):
         raise InvariantViolation("reduced arena still has an odd player-1 cycle")
     # the cycle nodes have rank 0, so the attractor gives them no edge;
     # together the two cover every removed player-1 node

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from itertools import chain, compress
 from typing import Callable, Collection, Iterable, Mapping
 
-from .arena import (EscapeArena, GraphView, ParityGame,
-                    find_dominated_cycle_nodes, preprocess, reachable)
+from .arena import (EscapeArena, ParityGame, find_dominated_cycle_nodes,
+                    preprocess, reachable)
 from .errors import InvariantViolation
 from .profiles import INF_KEY, ColorProfile
 from .valuation import (ImprovementSets, Strategy, UpdateHook, Valuation,
@@ -42,16 +42,16 @@ class AllSwitches:
         return imps.improving
 
 
-def _narrowed(strategy: Strategy, imps: ImprovementSets) -> dict:
-    """A copy of the strategy's choices with every entry `imps`
-    reclassified cut down to its improving edges.
+def _narrowed(strategy: Strategy, imps: ImprovementSets) -> Strategy:
+    """A copy of the strategy with every entry `imps` reclassified cut
+    down to its improving edges.
 
     This equals cutting down every entry: a node that was not
     reclassified kept its choices and its improving entry since the
     previous step, whose check found those choices inside that entry.
     """
-    choices = strategy.choices.copy()
-    improving = imps.improving.choices
+    choices = strategy.copy()
+    improving = imps.improving
     for v in imps.reclassified:
         kept = improving[v]
         choices[v] = tuple([t for t in choices[v] if t in kept])
@@ -77,7 +77,7 @@ class DeterministicAll:
                 if valuation[best] < valuation[t]:
                     best = t
             choices[v] = (best,)
-        return Strategy(choices)
+        return choices
 
 
 class SingleRandom:
@@ -98,7 +98,7 @@ class SingleRandom:
         choices = _narrowed(strategy, imps)
         v, t = self._rng.choice(imps.strict_edges())
         choices[v] = (t,)
-        return Strategy(choices)
+        return choices
 
 
 POLICY_NAMES = (AllSwitches.name, DeterministicAll.name, SingleRandom.name)
@@ -180,7 +180,7 @@ def extract_deterministic(arena: EscapeArena, strategy: Strategy,
         here = valuation[v]
         want = here if here == INF_KEY else here - unit[v]
         picked = None
-        for t in strategy.choices[v]:
+        for t in strategy[v]:
             if valuation[t] == want:
                 picked = t
                 break
@@ -188,7 +188,7 @@ def extract_deterministic(arena: EscapeArena, strategy: Strategy,
             raise InvariantViolation(
                 "node %d realizes none of its strategy edges" % v)
         choices[v] = (picked,)
-    return Strategy(choices)
+    return choices
 
 
 def _check_step(next_strategy: Strategy, imps: ImprovementSets,
@@ -207,13 +207,12 @@ def _check_step(next_strategy: Strategy, imps: ImprovementSets,
     changed, because strict edges are never part of the current
     strategy."""
     applied = set()
-    improving, strict = imps.improving.choices, imps.strict
-    choices = next_strategy.choices
+    improving, strict = imps.improving, imps.strict
     for v in nodes:
         kept = improving.get(v)
         if kept is None:
             raise InvariantViolation("policy kept unknown node %d" % v)
-        targets = choices.get(v)
+        targets = next_strategy.get(v)
         if not targets:
             raise InvariantViolation(
                 "policy left player-0 node %d without a move" % v)
@@ -224,7 +223,7 @@ def _check_step(next_strategy: Strategy, imps: ImprovementSets,
                     "policy chose non-improving edge (%d,%d)" % (v, t))
             if t in stricts:
                 applied.add(v)
-    if len(choices) != len(improving):
+    if len(next_strategy) != len(improving):
         raise InvariantViolation("policy dropped a player-0 node")
     if imps.has_strict and not applied:
         raise InvariantViolation("policy applied no strict improvement")
@@ -306,7 +305,10 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
     walk of a step; audit iterations run both checks and require the same
     verdict.
     `on_iteration` sees every (iteration, strategy, valuation,
-    improvement sets) tuple as the run unfolds; `on_update` is handed to
+    improvement sets) tuple as the run unfolds; the strategy, and the
+    improving edges of the sets, are the plain dicts the loop holds,
+    player-0 node -> sorted tuple of successors, which no later step
+    changes and a hook must not change either.  `on_update` is handed to
     every reference valuation, on the first and every audit iteration,
     and sees its single updates.  The loop itself works on key lists
     (see valuation.py); the hooks and the result still receive values as
@@ -391,10 +393,10 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
             next_sigma = policy.pick(arena, sigma, current, imps)
             changed = changed_nodes(sigma, next_sigma)
             checked = (chain(changed, imps.reclassified) if incremental
-                       else next_sigma.choices)
+                       else next_sigma)
             switched = _check_step(next_sigma, imps, checked)
             if audit and _check_step(next_sigma, imps,
-                                     next_sigma.choices) != switched:
+                                     next_sigma) != switched:
                 raise InvariantViolation(
                     "incremental step check disagrees with the full one "
                     "at iteration %d" % iterations)
@@ -404,7 +406,7 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
         extracted = extract_deterministic(arena, imps.improving, current)
         for v in arena.player0_nodes:
             if v in won:
-                target = extracted.choices[v][0]
+                target = extracted[v][0]
                 if target == arena.sink:
                     raise InvariantViolation(
                         "extracted strategy escapes from won node %d" % v)
@@ -453,10 +455,8 @@ def replay_verify(game: ParityGame, result: SolveResult) -> None:
                 succ[v] = (strategy[v],)
             else:
                 succ[v] = game.successors[v]
-        region = reachable(succ, won)
-        view = GraphView(tuple(sorted(region)), succ, game.owner,
-                         game.color)
-        offenders = find_dominated_cycle_nodes(view, bad_parity)
+        offenders = find_dominated_cycle_nodes(reachable(succ, won), succ,
+                                               game.color, bad_parity)
         if offenders:
             raise InvariantViolation(
                 "player-%d strategy admits a losing cycle through %s"

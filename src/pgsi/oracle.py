@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .arena import (GraphView, ParityGame, find_one_dominated_cycle_nodes,
-                    reachable)
+from .arena import ParityGame, find_one_dominated_cycle_nodes, reachable
 from .errors import InstanceTooLarge
 
 DEFAULT_CAP = 10 ** 6
@@ -36,7 +35,7 @@ def _losers(game: ParityGame, succ: dict[int, tuple[int, ...]]) -> set[int]:
         for t in succ[v]:
             preds[t].append(v)
     return reachable(preds, find_one_dominated_cycle_nodes(
-        GraphView(tuple(range(game.n)), succ, game.owner, game.color)))
+        range(game.n), succ, game.color))
 
 
 def oracle_solve(game: ParityGame, cap: int = DEFAULT_CAP) -> OracleResult:

@@ -32,13 +32,14 @@ derived once per step, by the step's one backward walk, and handed to
 the fast valuation, the step check of reasonableness and the checks of
 ``solve`` that look only at A.
 
-Reasonableness has two checks too.  :func:`is_reasonable` decomposes the
-whole strategy view; :func:`is_reasonable_step`, given a reasonable
-strategy the new one replaces, walks forward from the targets of the
-edges the step added, inside A, where every cycle such an edge closes
-lies, and decomposes only the nodes it walks.  ``solve`` runs the full
-check on its first iteration and on every audit iteration, where both
-must agree, and the step check on every iteration after the first.
+Reasonableness has two checks too.  :func:`is_reasonable` decomposes
+the whole arena restricted to the strategy; :func:`is_reasonable_step`,
+given a reasonable strategy the new one replaces, walks forward from the
+targets of the edges the step added, inside A, where every cycle such an
+edge closes lies, and decomposes only the nodes it walks.  ``solve`` runs
+the full check on its first iteration and on every audit iteration,
+where both must agree, and the step check on every iteration after the
+first.
 Audit iterations compare the revaluation and the carried-over
 improvement sets with their whole-arena counterparts in the same way.
 
@@ -55,44 +56,26 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Callable, Collection, Iterable, Mapping
+from typing import Callable, Collection, Iterable
 
-from .arena import EscapeArena, GraphView, find_one_dominated_cycle_nodes
+from .arena import EscapeArena, find_one_dominated_cycle_nodes
 from .arena import attractor  # noqa: F401  (benchmark/layers.py wraps this name)
 from .errors import InvariantViolation, ReasonablenessError
 from .profiles import INF_KEY, ColorProfile
 
 Valuation = list  # node id -> key; sink at index n, INF_KEY for +inf
+# player-0 node -> a sorted non-empty tuple of chosen successors; two
+# strategies are equal iff they keep the same edges
+Strategy = dict
 
 UpdateHook = Callable[[int, int, ColorProfile, ColorProfile], None]
-
-
-@dataclass(frozen=True)
-class Strategy:
-    """Per player-0 node, a sorted non-empty tuple of chosen successors.
-
-    Stored with edge-set semantics: two strategies are equal iff they keep
-    the same edges.  Build with :meth:`of` to normalize raw mappings.
-    """
-
-    choices: dict[int, tuple[int, ...]]
-
-    @classmethod
-    def of(cls, mapping: Mapping[int, tuple[int, ...] | list[int]]) -> "Strategy":
-        choices = {}
-        for v, targets in mapping.items():
-            targets = tuple(sorted(set(targets)))
-            if not targets:
-                raise ValueError("strategy leaves node %d without a move" % v)
-            choices[v] = targets
-        return cls(choices)
 
 
 def changed_nodes(old: Strategy, new: Strategy) -> list[int]:
     """The nodes of `new` whose choices differ from those of `old`, in the
     order of `new`; a node `old` does not have counts as changed."""
-    prior = old.choices.get
-    return [v for v, targets in new.choices.items() if targets != prior(v)]
+    prior = old.get
+    return [v for v, targets in new.items() if targets != prior(v)]
 
 
 def initial_strategy(arena: EscapeArena) -> Strategy:
@@ -101,13 +84,15 @@ def initial_strategy(arena: EscapeArena) -> Strategy:
     It is reasonable on any arena because the only plays it allows either
     end at the sink or stay among player-1 nodes.
     """
-    return Strategy({v: (arena.sink,) for v in arena.player0_nodes})
+    return {v: (arena.sink,) for v in arena.player0_nodes}
 
 
 def is_reasonable(arena: EscapeArena, strategy: Strategy) -> bool:
-    """True iff the strategy-restricted arena has no odd-dominated cycle."""
-    view = arena.strategy_view(strategy.choices)
-    return not find_one_dominated_cycle_nodes(view)
+    """True iff the strategy-restricted arena has no odd-dominated cycle.
+    The strategy's keys are the player-0 nodes, so its tuples laid over
+    the arena's successors give every node its edges in that arena."""
+    return not find_one_dominated_cycle_nodes(
+        arena.nodes, {**arena.succ, **strategy}, arena.game.color)
 
 
 def is_reasonable_step(arena: EscapeArena, old: Strategy, new: Strategy,
@@ -117,30 +102,29 @@ def is_reasonable_step(arena: EscapeArena, old: Strategy, new: Strategy,
     arena's escape choices; `changed` is ``changed_nodes(old, new)`` and
     `region` the switch region A, ``switch_region(arena, new, changed)``.
 
-    Every cycle of the new strategy view that keeps to old edges is a
-    cycle of the old view and so not odd-dominated.  An odd-dominated
+    Every cycle of the arena restricted to `new` that keeps to old edges
+    is a cycle under `old` and so not odd-dominated.  An odd-dominated
     cycle therefore runs through an added edge (v, t), t kept by `new`
     but not by `old`; each of its nodes is reachable from t and reaches
     v, a changed node, so it lies in A.  The check walks forward from
     the added targets in A, staying inside A, records each visited
-    node's successors in the new view as it goes and decomposes those
+    node's successors under `new` as it goes and decomposes those
     nodes alone; the analysis skips the successors they have outside
     them.  A is all the backward walking a step needs.
     """
-    prior, choices = old.choices, new.choices
     owner_of = arena.game.owner
     succ = arena.succ
-    stack = [t for v in changed for t in choices[v]
-             if t in region and t not in prior[v]]
-    view: dict[int, tuple[int, ...]] = {}
+    stack = [t for v in changed for t in new[v]
+             if t in region and t not in old[v]]
+    walk: dict[int, tuple[int, ...]] = {}
     while stack:
         v = stack.pop()
-        if v in view:
+        if v in walk:
             continue
-        view[v] = targets = succ[v] if owner_of[v] == 1 else choices[v]
-        stack.extend([t for t in targets if t in region and t not in view])
-    return not view or not find_one_dominated_cycle_nodes(
-        GraphView(tuple(view), view, owner_of, arena.game.color))
+        walk[v] = targets = succ[v] if owner_of[v] == 1 else new[v]
+        stack.extend([t for t in targets if t in region and t not in walk])
+    return not walk or not find_one_dominated_cycle_nodes(
+        walk, walk, arena.game.color)
 
 
 def valuate_bellman_ford(arena: EscapeArena, strategy: Strategy,
@@ -173,12 +157,11 @@ def valuate_bellman_ford(arena: EscapeArena, strategy: Strategy,
 
     owner_of = arena.game.owner
     succ = arena.succ
-    choices = strategy.choices
     unit = arena.unit_keys
     # per target the rows that read it
     readers: list[list[int]] = [[] for _ in range(sink + 1)]
     for v in arena.nodes:
-        for t in succ[v] if owner_of[v] == 1 else choices[v]:
+        for t in succ[v] if owner_of[v] == 1 else strategy[v]:
             readers[t].append(v)
 
     get = vals.__getitem__
@@ -196,7 +179,7 @@ def valuate_bellman_ford(arena: EscapeArena, strategy: Strategy,
             if owner_of[v] == 1:
                 best = min(map(get, succ[v]))
             else:
-                best = max(map(get, choices[v]))
+                best = max(map(get, strategy[v]))
             new = best if best == INF_KEY else unit[v] + best
             if new != vals[v]:
                 if on_update is not None:
@@ -244,10 +227,6 @@ class ImprovementSets:
     strict: dict[int, tuple[int, ...]]
     reclassified: Collection[int] = field(compare=False, repr=False)
 
-    @property
-    def sources(self) -> tuple[int, ...]:
-        return tuple(sorted(self.strict))
-
     def strict_edges(self) -> list[tuple[int, int]]:
         return [(v, t) for v in sorted(self.strict) for t in self.strict[v]]
 
@@ -280,18 +259,17 @@ def improvements(arena: EscapeArena, strategy: Strategy,
     """
     unit = arena.unit_keys
     escape_choices = arena.escape_choices
-    choices = strategy.choices
     if prior is None:
         improving: dict[int, tuple[int, ...]] = {}
         strict: dict[int, tuple[int, ...]] = {}
         nodes = arena.player0_nodes
     else:
-        improving = dict(prior.improving.choices)
+        improving = dict(prior.improving)
         strict = dict(prior.strict)
     for v in nodes:
         here = valuation[v]
         if here == INF_KEY:
-            keep = tuple(sorted([t for t in choices[v]
+            keep = tuple(sorted([t for t in strategy[v]
                                  if valuation[t] == INF_KEY]))
             better = ()
         else:
@@ -310,7 +288,7 @@ def improvements(arena: EscapeArena, strategy: Strategy,
             strict[v] = better
         else:
             strict.pop(v, None)
-    return ImprovementSets(Strategy(improving), strict, nodes)
+    return ImprovementSets(improving, strict, nodes)
 
 
 def switch_region(arena: EscapeArena, new: Strategy,
@@ -318,23 +296,22 @@ def switch_region(arena: EscapeArena, new: Strategy,
     """The nodes whose value a step to `new` that changes the choices of
     the player-0 nodes `changed` can change.
 
-    A node's value depends only on the part of the strategy view it
-    reaches.  A node that reaches no changed node reaches the same
-    subgraph in the old and the new view, so it keeps its value bit for
-    bit.  The region is the rest: the changed nodes and the nodes that
-    reach one in the new view, walked backwards along the arena's
-    predecessor table (a player-0 predecessor only where `new` keeps the
-    edge).
+    A node's value depends only on the part of the strategy-restricted
+    arena it reaches.  A node that reaches no changed node reaches the
+    same subgraph under the old and the new strategy, so it keeps its
+    value bit for bit.  The region is the rest: the changed nodes and
+    the nodes that reach one under `new`, walked backwards along the
+    arena's predecessor table (a player-0 predecessor only where `new`
+    keeps the edge).
     """
     owner_of = arena.game.owner
     preds = arena.preds
-    choices = new.choices
     region = set(changed)
     stack = list(region)
     while stack:
         t = stack.pop()
         for s in preds[t]:
-            if s not in region and (owner_of[s] == 1 or t in choices[s]):
+            if s not in region and (owner_of[s] == 1 or t in new[s]):
                 region.add(s)
                 stack.append(s)
     return region
@@ -384,7 +361,6 @@ def valuate_dijkstra(arena: EscapeArena, new: Strategy,
         return out
 
     owner_of = arena.game.owner
-    choices = new.choices
     succ = arena.succ
     unit = arena.unit_keys
     preds = arena.preds
@@ -394,7 +370,7 @@ def valuate_dijkstra(arena: EscapeArena, new: Strategy,
     # it becomes eligible
     heap: list[tuple[int, int]] = sorted({
         (0, t) for v in region
-        for t in (succ[v] if owner_of[v] == 1 else choices[v])
+        for t in (succ[v] if owner_of[v] == 1 else new[v])
         if t not in region and base[t] != INF_KEY})
     grown: dict[int, int] = {}
     tentative: dict[int, int] = {}
@@ -421,7 +397,7 @@ def valuate_dijkstra(arena: EscapeArena, new: Strategy,
                     tentative[s] = cand
                     heapq.heappush(heap, (cand, s))
                 continue
-            kept = choices[s]
+            kept = new[s]
             if v not in kept:
                 continue
             left = pending.get(s, len(kept)) - 1
@@ -448,7 +424,7 @@ def valuate_dijkstra(arena: EscapeArena, new: Strategy,
         if g is not None:
             out[v] = base[v] + g
         elif (any(map(settled, succ[v])) if owner_of[v] == 1
-              else all(map(settled, choices[v]))):
+              else all(map(settled, new[v]))):
             raise InvariantViolation(
                 "Dijkstra sweep failed to settle the sink region: node %d "
                 "is attracted to it but unsettled" % v)

@@ -1,12 +1,13 @@
-"""Reference routines that only the tests use: one application of the
-valuation operator, the deterministic strategies inside an improving edge
-set, a determinism predicate, the audit cadences to solve under, and the
-level-by-level attractor and the per-piece BFS of the odd-cycle strategy
-that the package's worklist versions must reproduce."""
+"""Reference routines that only the tests use: a strategy built from a
+raw mapping, one application of the valuation operator, the deterministic
+strategies inside an improving edge set, a determinism predicate, the
+audit cadences to solve under, and the level-by-level attractor and the
+per-piece BFS of the odd-cycle strategy that the package's worklist
+versions must reproduce."""
 
 from collections import deque
 from itertools import product
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from pgsi.arena import AttractorResult, _dominated_pieces
 from pgsi.errors import EnumerationTooLarge
@@ -21,9 +22,15 @@ from pgsi.valuation import Strategy
 CADENCES = {"dijkstra": 16, "bellman-ford": 1}
 
 
+def strategy_of(mapping: Mapping) -> Strategy:
+    """The strategy keeping the edges of `mapping`: per node its targets
+    sorted, duplicates dropped."""
+    return {v: tuple(sorted(set(targets))) for v, targets in mapping.items()}
+
+
 def is_deterministic(strategy: Strategy) -> bool:
     """True iff the strategy keeps exactly one edge per node."""
-    return all(len(ts) == 1 for ts in strategy.choices.values())
+    return all(len(ts) == 1 for ts in strategy.values())
 
 
 def apply_operator(arena, strategy: Strategy, valuation: list) -> list:
@@ -37,7 +44,7 @@ def apply_operator(arena, strategy: Strategy, valuation: list) -> list:
         if owner_of[v] == 1:
             best = min(valuation[t] for t in arena.succ[v])
         else:
-            best = max(valuation[t] for t in strategy.choices[v])
+            best = max(valuation[t] for t in strategy[v])
         out[v] = best if best == INF_KEY else unit[v] + best
     return out
 
@@ -47,38 +54,38 @@ def enumerate_direct_improvements(improving: Strategy,
     """All deterministic strategies inside an improving edge set, in
     lexicographic node/target order.  Raises EnumerationTooLarge before
     yielding anything if there are more than `cap`."""
-    nodes = sorted(improving.choices)
+    nodes = sorted(improving)
     total = 1
     for v in nodes:
-        total *= len(improving.choices[v])
+        total *= len(improving[v])
         if total > cap:
             raise EnumerationTooLarge(
                 "more than %d deterministic selections" % cap)
 
     def generate():
-        for combo in product(*(improving.choices[v] for v in nodes)):
-            yield Strategy({v: (t,) for v, t in zip(nodes, combo)})
+        for combo in product(*(improving[v] for v in nodes)):
+            yield {v: (t,) for v, t in zip(nodes, combo)}
 
     return generate()
 
 
-def level_attractor(view, player: int, target) -> AttractorResult:
+def level_attractor(nodes, succ, owner, player: int,
+                    target) -> AttractorResult:
     """The attractor found one BFS level at a time: level r+1 walks the
     predecessors of level r in ascending order, so the first node that
     attracts a player member is its smallest-id successor of the
     previous level."""
-    node_set = set(view.nodes)
+    node_set = set(nodes)
     rank = {}
     for t in target:
         if t not in node_set:
-            raise ValueError("target node %d is not in the view" % t)
+            raise ValueError("target node %d is not in the node set" % t)
         rank[t] = 0
-    owner = view.owner
-    preds = {v: [] for v in view.nodes}
-    for v in view.nodes:
-        for t in view.succ[v]:
+    preds = {v: [] for v in nodes}
+    for v in nodes:
+        for t in succ[v]:
             preds[t].append(v)
-    remaining = {v: len(view.succ[v]) for v in view.nodes
+    remaining = {v: len(succ[v]) for v in nodes
                  if owner[v] != player and v not in rank}
     strategy = {}
     current = sorted(rank)
@@ -107,18 +114,18 @@ def level_attractor(view, player: int, target) -> AttractorResult:
     return AttractorResult(frozenset(rank), rank, strategy)
 
 
-def bfs_dominated_cycle_strategy(view) -> dict:
+def bfs_dominated_cycle_strategy(nodes, succ, color) -> dict:
     """Per odd piece, a BFS towards the smallest-id node of its top
     color over the piece's reversed edges; each member takes its
     smallest-id successor one step closer, the witness its smallest-id
     successor in the piece."""
     strategy = {}
-    for top, piece in _dominated_pieces(view, 1):
+    for top, piece in _dominated_pieces(nodes, succ, color, 1):
         members = set(piece)
-        x = min(v for v in piece if view.color[v] == top)
+        x = min(v for v in piece if color[v] == top)
         rpred = {v: [] for v in piece}
         for v in piece:
-            for t in view.succ[v]:
+            for t in succ[v]:
                 if t in members:
                     rpred[t].append(v)
         dist = {x: 0}
@@ -130,6 +137,6 @@ def bfs_dominated_cycle_strategy(view) -> dict:
                     dist[v] = dist[u] + 1
                     queue.append(v)
         for v in piece:
-            strategy[v] = min(t for t in view.succ[v] if t in members
+            strategy[v] = min(t for t in succ[v] if t in members
                               and (v == x or dist[t] == dist[v] - 1))
     return strategy

@@ -10,6 +10,7 @@ from pgsi.iteration import replay_verify, solve
 from pgsi.profiles import ProfileBasis
 
 LAYERS = Path(__file__).resolve().parents[1] / "benchmark" / "layers.py"
+CODE_LINES = LAYERS.parents[1] / "tools" / "code_lines.py"
 
 
 def _load_layers():
@@ -83,3 +84,26 @@ def test_benchmark_counts_profile_operators_on_the_class():
     with counter.installed(cls):
         a + b, a < b, a == b, a - b
     assert counter.counts == {key: 1 for key, _ in layers.PROFILE_OPS}
+
+
+def test_code_line_counter_skips_docstrings_comments_and_blanks():
+    # the count ROADMAP and CHANGES.md quote for src/pgsi
+    spec = importlib.util.spec_from_file_location("code_lines", CODE_LINES)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    source = (
+        '"""Module docstring,\n'
+        'over two lines."""\n'
+        '\n'
+        '# a comment line\n'
+        'def f(x):\n'
+        '    """Function docstring."""\n'
+        '    return g(x,\n'
+        '             1,\n'
+        '             2)  # trailing comment\n'
+        '\n'
+        'MESSAGE = "a string" + """inside\n'
+        'an expression"""\n'
+    )
+    # def, the call's three lines and the assignment's two
+    assert tool.code_lines(source) == 6

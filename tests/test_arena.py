@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgsi import ParityGame, oracle_solve, parse_pgsolver, serialize_pgsolver
-from pgsi.arena import (GraphView, _sccs, attractor, build_escape_arena,
+from pgsi.arena import (_sccs, attractor, build_escape_arena,
                         dominated_cycle_strategy, find_dominated_cycle_nodes,
                         find_one_dominated_cycle_nodes, preprocess)
 from pgsi.errors import FormatError, InvariantViolation
@@ -170,11 +170,9 @@ def test_escape_arena_shape():
     assert arena.nodes == (0, 1, 2)
     assert sorted(arena.escape_choices) == [0, 2]  # only player-0 escapes
     assert arena.escape_choices[0] == (1, 3)
-    # the sink lies on no cycle, so no view holds it, not even one whose
-    # choices escape to it
-    view = arena.strategy_view(arena.escape_choices)
-    assert view.nodes == (0, 1, 2) and 3 not in view.succ
-    assert view.succ[0] == (1, 3)
+    # the sink lies on no cycle, so no analysis is given it as a node,
+    # not even under a strategy whose choices escape to it
+    assert arena.sink not in arena.nodes and arena.sink not in arena.succ
     assert arena.succ[1] == (2,)  # base edges untouched
 
 
@@ -185,34 +183,26 @@ def test_escape_arena_player1_gets_no_escape():
 
 # --------------------------------------------------------------- attractor
 
-def _view(nodes, succ, owner, color):
-    return GraphView(tuple(nodes), dict(succ), dict(owner), dict(color))
-
-
 def game_graph(game):
     """The plain game graph: every node, no sink, no escapes."""
-    return GraphView(tuple(range(game.n)), game.successors, game.owner,
-                     game.color)
+    return range(game.n), game.successors, game.owner
 
 
 def test_attractor_of_empty_target():
-    view = _view([0], {0: (0,)}, {0: 1}, {0: 0})
-    res = attractor(view, 1, [])
+    res = attractor([0], {0: (0,)}, {0: 1}, 1, [])
     assert res.members == frozenset()
 
 
 def test_attractor_of_everything():
-    view = _view([0, 1], {0: (1,), 1: (0,)}, {0: 0, 1: 1}, {0: 0, 1: 0})
-    res = attractor(view, 0, [0, 1])
+    res = attractor([0, 1], {0: (1,), 1: (0,)}, {0: 0, 1: 1}, 0, [0, 1])
     assert res.members == frozenset((0, 1))
     assert res.rank == {0: 0, 1: 0}
 
 
 def test_attractor_chain_ranks():
     # v0 -> v1 -> sink, both player 1 attracting toward the sink
-    view = _view([0, 1, 2], {0: (1,), 1: (2,), 2: ()},
-                 {0: 1, 1: 1, 2: 0}, {0: 0, 1: 0, 2: 0})
-    res = attractor(view, 1, [2])
+    res = attractor([0, 1, 2], {0: (1,), 1: (2,), 2: ()},
+                    {0: 1, 1: 1, 2: 0}, 1, [2])
     assert res.members == frozenset((0, 1, 2))
     assert res.rank == {2: 0, 1: 1, 0: 2}
     assert res.strategy == {1: 2, 0: 1}
@@ -220,65 +210,63 @@ def test_attractor_chain_ranks():
 
 def test_attractor_opponent_needs_all_successors():
     # player-0 node with one edge out of the target region stays out
-    view = _view([0, 1, 2], {0: (1, 2), 1: (1,), 2: (2,)},
-                 {0: 0, 1: 1, 2: 1}, {0: 0, 1: 0, 2: 0})
-    res = attractor(view, 1, [1])
+    res = attractor([0, 1, 2], {0: (1, 2), 1: (1,), 2: (2,)},
+                    {0: 0, 1: 1, 2: 1}, 1, [1])
     assert res.members == frozenset((1,))
 
 
 def test_attractor_opponent_dead_end_is_attracted():
-    view = _view([0, 1], {0: (), 1: (1,)}, {0: 0, 1: 1}, {0: 0, 1: 0})
-    res = attractor(view, 1, [1])
+    res = attractor([0, 1], {0: (), 1: (1,)}, {0: 0, 1: 1}, 1, [1])
     assert 0 in res.members and res.rank[0] == 1
 
 
 def test_attractor_rejects_foreign_target():
-    view = _view([0], {0: (0,)}, {0: 0}, {0: 0})
     with pytest.raises(ValueError):
-        attractor(view, 0, [7])
+        attractor([0], {0: (0,)}, {0: 0}, 0, [7])
 
 
 @given(parity_games(max_nodes=6))
 def test_attractor_monotone_and_idempotent(game):
-    view = game_graph(game)
-    half = [v for v in view.nodes if v % 2 == 0]
-    small = attractor(view, 1, half[:1] if half else [])
-    big = attractor(view, 1, half)
+    graph = game_graph(game)
+    half = [v for v in range(game.n) if v % 2 == 0]
+    small = attractor(*graph, 1, half[:1] if half else [])
+    big = attractor(*graph, 1, half)
     assert small.members <= big.members
-    again = attractor(view, 1, sorted(big.members))
+    again = attractor(*graph, 1, sorted(big.members))
     assert again.members == big.members
 
 
 @given(parity_games(max_nodes=6))
 def test_attractor_strategy_decreases_rank(game):
-    view = game_graph(game)
-    res = attractor(view, 0, [v for v in view.nodes if game.color[v] == 0])
+    res = attractor(*game_graph(game), 0,
+                    [v for v in range(game.n) if game.color[v] == 0])
     for v, t in res.strategy.items():
-        assert view.owner[v] == 0 and res.rank[t] < res.rank[v]
+        assert game.owner[v] == 0 and res.rank[t] < res.rank[v]
         # the smallest-id successor of smaller rank
-        assert t == min(u for u in view.succ[v]
+        assert t == min(u for u in game.successors[v]
                         if res.rank.get(u, res.rank[v]) < res.rank[v])
     # one edge for every attracting-player member of positive rank
     assert set(res.strategy) == {v for v, r in res.rank.items()
-                                 if r > 0 and view.owner[v] == 0}
+                                 if r > 0 and game.owner[v] == 0}
 
 
 # ---------------------------------------------------------- cycle analysis
 
 def test_odd_self_loop_is_dominated():
-    view = _view([0], {0: (0,)}, {0: 1}, {0: 1})
-    assert find_one_dominated_cycle_nodes(view) == frozenset((0,))
+    assert find_one_dominated_cycle_nodes([0], {0: (0,)}, {0: 1}) \
+        == frozenset((0,))
 
 
 def test_even_self_loop_is_not_dominated():
-    view = _view([0], {0: (0,)}, {0: 1}, {0: 2})
-    assert find_one_dominated_cycle_nodes(view) == frozenset()
-    assert find_dominated_cycle_nodes(view, 0) == frozenset((0,))
+    assert find_one_dominated_cycle_nodes([0], {0: (0,)}, {0: 2}) \
+        == frozenset()
+    assert find_dominated_cycle_nodes([0], {0: (0,)}, {0: 2}, 0) \
+        == frozenset((0,))
 
 
 def test_two_cycle_max_color_decides():
-    view = _view([0, 1], {0: (1,), 1: (0,)}, {0: 1, 1: 1}, {0: 1, 1: 2})
-    assert find_one_dominated_cycle_nodes(view) == frozenset()
+    assert find_one_dominated_cycle_nodes(
+        [0, 1], {0: (1,), 1: (0,)}, {0: 1, 1: 2}) == frozenset()
 
 
 def two_pass_sccs(order, succ, allowed):
@@ -360,22 +348,23 @@ def _closure_with_step(nodes, succ):
     return reach
 
 
-def _dominated_by_closure(view, parity):
+def _dominated_by_closure(nodes, succ, color, parity):
     # independent route: v lies on a closed walk whose top color c has
     # the wanted parity iff some color-c node x with c >= all walk colors
     # satisfies v ->+ x ->+ v inside the <=c subgraph
     out = set()
-    colors = sorted({view.color[v] for v in view.nodes}, reverse=True)
+    colors = sorted({color[v] for v in nodes}, reverse=True)
     for c in colors:
         if c % 2 != parity:
             continue
-        sub = [v for v in view.nodes if view.color[v] <= c]
+        sub = [v for v in nodes if color[v] <= c]
         member = set(sub)
-        succ = {v: tuple(t for t in view.succ[v] if t in member) for v in sub}
-        reach = _closure_with_step(sub, succ)
+        reach = _closure_with_step(sub, {v: tuple(t for t in succ[v]
+                                                  if t in member)
+                                         for v in sub})
         for v in sub:
             for x in sub:
-                if view.color[x] != c:
+                if color[x] != c:
                     continue
                 if x in reach[v] and v in reach[x]:
                     out.add(v)
@@ -391,17 +380,17 @@ def _dominated_by_closure(view, parity):
 def test_cycle_finder_matches_reachability_oracle(game, many_colors):
     # the second draw spreads colors so that wrong-parity tops nest
     for g in (game, many_colors):
-        view = game_graph(g)
+        tables = range(g.n), g.successors, g.color
         for parity in (0, 1):
-            assert find_dominated_cycle_nodes(view, parity) == \
-                _dominated_by_closure(view, parity)
+            assert find_dominated_cycle_nodes(*tables, parity) == \
+                _dominated_by_closure(*tables, parity)
 
 
 @st.composite
 def graph_views(draw, max_nodes=8, closed=True):
-    """Views over a few ids of 0..11 in any order, with dead ends, both
-    owners, duplicate successors and, unless `closed`, edges that leave
-    the view."""
+    """Nodes, successors, owners and colors over a few ids of 0..11 in any
+    order, with dead ends, both owners, duplicate successors and, unless
+    `closed`, edges that leave the nodes."""
     nodes = draw(st.lists(st.integers(0, 11), unique=True,
                           max_size=max_nodes))
     heads = st.sampled_from(nodes) if closed and nodes \
@@ -411,16 +400,17 @@ def graph_views(draw, max_nodes=8, closed=True):
                                 max_size=12)))
     color = tuple(draw(st.lists(st.integers(0, 5), min_size=12,
                                 max_size=12)))
-    return GraphView(tuple(nodes), succ, owner, color)
+    return nodes, succ, owner, color
 
 
 @given(graph_views(), st.integers(0, 1), st.data())
 @settings(max_examples=500)
 def test_attractor_matches_the_level_by_level_reference(view, player, data):
-    target = data.draw(st.lists(st.sampled_from(view.nodes), max_size=4)
-                       if view.nodes else st.just([]))
-    res = attractor(view, player, target)
-    ref = level_attractor(view, player, target)
+    nodes, succ, owner, _ = view
+    target = data.draw(st.lists(st.sampled_from(nodes), max_size=4)
+                       if nodes else st.just([]))
+    res = attractor(nodes, succ, owner, player, target)
+    ref = level_attractor(nodes, succ, owner, player, target)
     assert (res.members, res.rank, res.strategy) == (ref.members, ref.rank,
                                                      ref.strategy)
 
@@ -428,7 +418,39 @@ def test_attractor_matches_the_level_by_level_reference(view, player, data):
 @given(graph_views(closed=False))
 @settings(max_examples=500)
 def test_dominated_cycle_strategy_matches_the_bfs_reference(view):
-    assert dominated_cycle_strategy(view) == bfs_dominated_cycle_strategy(view)
+    nodes, succ, _, color = view
+    assert dominated_cycle_strategy(nodes, succ, color) \
+        == bfs_dominated_cycle_strategy(nodes, succ, color)
+
+
+def table_forms(game, order, part):
+    """The node and successor tables the package hands the analyses, over
+    the nodes of `part`: node ids with the game's successor tuple, a list
+    with a dict, and a walk dict as both, the last two in `order`."""
+    ids = [v for v in order if v in part]
+    walk = {v: game.successors[v] for v in ids}
+    whole = range(game.n) if len(ids) == game.n else tuple(sorted(ids))
+    return [(whole, game.successors), (ids, dict(walk)), (walk, walk)]
+
+
+@given(parity_games(), st.data())
+@settings(max_examples=300)
+def test_analyses_agree_on_every_table_form(game, data):
+    order = data.draw(st.permutations(range(game.n)))
+    part = data.draw(st.sets(st.sampled_from(order)))
+    player = data.draw(st.integers(0, 1))
+    target = data.draw(st.lists(st.sampled_from(order), max_size=3))
+    for nodes in (set(order), part):
+        answers = [(find_dominated_cycle_nodes(*form, game.color, 0),
+                    find_dominated_cycle_nodes(*form, game.color, 1),
+                    dominated_cycle_strategy(*form, game.color))
+                   for form in table_forms(game, order, nodes)]
+        assert answers[1:] == answers[:1] * 2
+    # the attractor needs a node set no edge leaves: the whole game
+    answers = [(res.members, res.rank, res.strategy) for res in (
+        attractor(*form, game.owner, player, target)
+        for form in table_forms(game, order, set(order)))]
+    assert answers[1:] == answers[:1] * 2
 
 
 def test_cycle_finder_handles_nesting_beyond_recursion_limit():
@@ -446,25 +468,24 @@ def test_cycle_finder_handles_nesting_beyond_recursion_limit():
     succ[tooth[0]] += (tooth[0],)
     color = {**{spine[i]: 2 * i + 2 for i in range(k)},
              **{tooth[i]: 2 * i + 1 for i in range(k)}}
-    view = _view(range(2 * k), succ, {v: 1 for v in succ}, color)
-    assert find_one_dominated_cycle_nodes(view) == frozenset((tooth[0],))
-    assert dominated_cycle_strategy(view) == {tooth[0]: tooth[0]}
+    assert find_one_dominated_cycle_nodes(range(2 * k), succ, color) \
+        == frozenset((tooth[0],))
+    assert dominated_cycle_strategy(range(2 * k), succ, color) \
+        == {tooth[0]: tooth[0]}
 
 
 @given(parity_games(max_nodes=7))
 def test_dominated_cycle_strategy_is_safe(game):
     # following the assigned edges must never close an even-dominated cycle
-    view = GraphView(game.player_nodes(1), game.successors, game.owner,
-                     game.color)
-    marked = find_one_dominated_cycle_nodes(view)
-    strat = dominated_cycle_strategy(view)
+    tables = game.player_nodes(1), game.successors, game.color
+    marked = find_one_dominated_cycle_nodes(*tables)
+    strat = dominated_cycle_strategy(*tables)
     assert set(strat) == set(marked)
     for v, t in strat.items():
-        assert t in view.succ[v] and t in marked
-    restricted = _view(sorted(marked), {v: (strat[v],) for v in marked},
-                       {v: 1 for v in marked},
-                       {v: view.color[v] for v in marked})
-    assert find_dominated_cycle_nodes(restricted, 0) == frozenset()
+        assert t in game.successors[v] and t in marked
+    assert find_dominated_cycle_nodes(
+        sorted(marked), {v: (strat[v],) for v in marked}, game.color,
+        0) == frozenset()
     # out-degree one: each walk ends on a cycle, whose top color must be odd
     for v in marked:
         seen = {}
@@ -474,7 +495,7 @@ def test_dominated_cycle_strategy_is_safe(game):
             walk.append(v)
             v = strat[v]
         cycle = walk[seen[v]:]
-        assert max(view.color[u] for u in cycle) % 2 == 1
+        assert max(game.color[u] for u in cycle) % 2 == 1
 
 
 # ------------------------------------------------------------ preprocessing
@@ -499,7 +520,7 @@ def test_preprocess_attracts_committed_predecessor():
     prep = preprocess(g)
     assert prep.pre_won == frozenset((0, 1))
     assert prep.strategy1 == {0: 1, 1: 1}
-    assert attractor(game_graph(g), 1, [1]).rank == {1: 0, 0: 1}
+    assert attractor(*game_graph(g), 1, [1]).rank == {1: 0, 0: 1}
 
 
 def test_preprocess_ignores_escape_edges():
@@ -525,9 +546,9 @@ def test_preprocess_builds_the_arena_over_the_nodes_left():
 def test_preprocess_runs_one_attractor_per_decomposition(monkeypatch):
     calls = []
 
-    def counted(view, player, target):
-        calls.append(view)
-        return attractor(view, player, target)
+    def counted(nodes, succ, owner, player, target):
+        calls.append(nodes)
+        return attractor(nodes, succ, owner, player, target)
 
     monkeypatch.setattr("pgsi.arena.attractor", counted)
     # three odd player-1 two-cycles with interleaved ids, joined one way:
@@ -538,10 +559,9 @@ def test_preprocess_runs_one_attractor_per_decomposition(monkeypatch):
     assert len(calls) == 2
     assert prep.pre_won == frozenset(range(6))
     assert prep.strategy1 == {0: 3, 1: 4, 2: 5, 3: 0, 4: 1, 5: 2}
-    view = GraphView(joined.player_nodes(1), joined.successors,
-                     joined.owner, joined.color)
-    assert dominated_cycle_strategy(view) \
-        == bfs_dominated_cycle_strategy(view)
+    tables = joined.player_nodes(1), joined.successors, joined.color
+    assert dominated_cycle_strategy(*tables) \
+        == bfs_dominated_cycle_strategy(*tables)
     # no odd player-1 cycle: the two calls still run, on empty targets
     calls.clear()
     assert preprocess(ParityGame((0, 1), (1, 2), ((1,), (0,)))).pre_won \
@@ -555,9 +575,8 @@ def test_preprocess_soundness(game):
     prep = preprocess(game)
     arena = prep.arena
     # nothing 1-dominated survives among player-1 nodes
-    assert find_one_dominated_cycle_nodes(GraphView(
-        arena.player1_nodes, game.successors, game.owner,
-        game.color)) == frozenset()
+    assert find_one_dominated_cycle_nodes(
+        arena.player1_nodes, game.successors, game.color) == frozenset()
     for v in arena.player1_nodes:
         assert arena.succ[v]
     # pre-won nodes are truly lost

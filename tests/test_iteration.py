@@ -16,12 +16,12 @@ from pgsi.errors import EnumerationTooLarge, InvariantViolation
 from pgsi.iteration import (POLICY_NAMES, _check_progress, _step_bound,
                             extract_deterministic)
 from pgsi.profiles import INF_KEY, zero_profile
-from pgsi.valuation import (ImprovementSets, Strategy, changed_nodes,
-                            improvements, initial_strategy,
-                            valuate_bellman_ford)
+from pgsi.valuation import (ImprovementSets, changed_nodes, improvements,
+                            initial_strategy, valuate_bellman_ford)
 
 from conftest import parity_games, scale_games
-from helpers import CADENCES, enumerate_direct_improvements, is_deterministic
+from helpers import (CADENCES, enumerate_direct_improvements,
+                     is_deterministic, strategy_of)
 
 EVEN_LOOP = ParityGame((0,), (0,), ((0,),))
 ODD_LOOP = ParityGame((0,), (1,), ((0,),))
@@ -163,6 +163,30 @@ def test_deterministic_policy_keeps_singleton_strategies():
         assert seen and all(is_deterministic(s) for s in seen)
 
 
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_no_step_changes_a_dict_a_hook_has_seen(name):
+    # the hook receives the loop's own dicts, so `improvements` and the
+    # policies must copy a strategy or an improving dict before writing
+    rng = random.Random(53)
+    longest = 0
+    for _ in range(8):
+        game = random_game(rng, 60, 3, 6)
+        seen = []
+
+        def keep(iteration, strategy, valuation, imps):
+            assert type(strategy) is dict and type(imps.improving) is dict
+            for table in (strategy, imps.improving, imps.strict):
+                seen.append((table, dict(table)))
+
+        result = solve(game, policy_by_name(name, seed=7), audit_every=4,
+                       on_iteration=keep)
+        longest = max(longest, result.iterations)
+        for table, copy in seen:
+            assert table == copy
+    # past two audit iterations on some game
+    assert longest >= 8
+
+
 def test_single_random_is_reproducible():
     game = random_game(random.Random(5), 10, 3, 4)
     a = solve(game, policy=SingleRandom(42))
@@ -179,10 +203,9 @@ def test_deterministic_policy_prefers_an_unbounded_strict_target():
     game = ParityGame((0, 1, 1), (0, 0, 2), ((1, 2), (1,), (2,)))
     arena = build_escape_arena(game)
     valuation = [0, 1 << 200, INF_KEY, 0]
-    imps = ImprovementSets(Strategy({0: (1, 2, 3)}), {0: (1, 2)}, (0,))
-    picked = DeterministicAll().pick(arena, Strategy({0: (3,)}), valuation,
-                                     imps)
-    assert picked.choices == {0: (2,)}
+    imps = ImprovementSets({0: (1, 2, 3)}, {0: (1, 2)}, (0,))
+    picked = DeterministicAll().pick(arena, {0: (3,)}, valuation, imps)
+    assert picked == {0: (2,)}
 
 
 def test_stalling_policy_is_rejected():
@@ -201,7 +224,7 @@ def test_node_dropping_policy_is_rejected():
         name = "drop"
 
         def pick(self, arena, strategy, valuation, imps):
-            return Strategy({})
+            return {}
 
     with pytest.raises(InvariantViolation):
         solve(EVEN_LOOP, policy=Drop())
@@ -212,7 +235,7 @@ def test_node_emptying_policy_is_rejected():
         name = "empty"
 
         def pick(self, arena, strategy, valuation, imps):
-            return Strategy({0: ()})
+            return {0: ()}
 
     with pytest.raises(InvariantViolation,
                        match="left player-0 node 0 without a move"):
@@ -227,7 +250,7 @@ def test_worsening_policy_is_rejected():
         name = "wild"
 
         def pick(self, arena, strategy, valuation, imps):
-            return Strategy.of({0: (0,)})
+            return strategy_of({0: (0,)})
 
     with pytest.raises(InvariantViolation):
         solve(game, policy=Wild())
@@ -252,13 +275,13 @@ class Rogue:
         self.picks += 1
         if self.picks < 3:
             return step
-        choices = dict(step.choices)
+        choices = dict(step)
         for v in arena.player0_nodes:
             if (v not in imps.reclassified and v not in imps.strict
                     and self.tamper(arena, imps, choices, v)):
                 self.tampered.append(v)
                 break
-        return Strategy(choices)
+        return choices
 
 
 def swap_for_unknown(arena, imps, choices, v):
@@ -269,7 +292,7 @@ def swap_for_unknown(arena, imps, choices, v):
 
 def move_off_the_improving_set(arena, imps, choices, v):
     worse = [t for t in arena.escape_choices[v]
-             if t not in imps.improving.choices[v]]
+             if t not in imps.improving[v]]
     if worse:
         choices[v] = (worse[0],)
     return bool(worse)
@@ -301,8 +324,7 @@ def test_step_keeping_a_stale_edge_is_rejected():
 
         def pick(self, arena, strategy, valuation, imps):
             v, t = self.rng.choice(imps.strict_edges())
-            return Strategy.of({**strategy.choices,
-                                v: strategy.choices[v] + (t,)})
+            return strategy_of({**strategy, v: strategy[v] + (t,)})
 
     game = random_game(random.Random(12), 300, 3, 8)
     with pytest.raises(InvariantViolation,
@@ -329,7 +351,7 @@ def test_valuations_grow_and_strictly_so_at_switches(audit_every):
             record = result.stats[k]
             assert record.iteration == k + 1
             assert record.strict_edges == len(imps.strict_edges())
-            assert record.strict_sources == len(imps.sources)
+            assert record.strict_sources == len(imps.strict)
             assert (record.strict_edges == 0) == (k == len(trail) - 1)
 
 
@@ -444,7 +466,7 @@ def test_audit_catches_a_wrong_narrowed_step_check(monkeypatch):
 
     def dropping(next_strategy, imps, nodes):
         switched = real(next_strategy, imps, nodes)
-        if nodes is not next_strategy.choices:
+        if nodes is not next_strategy:
             # the narrowed check, not the full one, loses a switched node
             switched.discard(max(switched))
         return switched
@@ -527,8 +549,8 @@ def test_step_bookkeeping_visits_only_what_the_step_touched(monkeypatch):
 
     def counted_improvements(*args):
         imps = real_improvements(*args)
-        return ImprovementSets(Strategy(Counted(imps.improving.choices)),
-                               imps.strict, imps.reclassified)
+        return ImprovementSets(Counted(imps.improving), imps.strict,
+                               imps.reclassified)
 
     steps = []
 
@@ -544,7 +566,7 @@ def test_step_bookkeeping_visits_only_what_the_step_touched(monkeypatch):
             budget = (len(imps.reclassified)
                       + len(changed_nodes(strategy, step)) + 1)
             steps.append([budget, lookups[0], None,
-                          len(imps.improving.choices)])
+                          len(imps.improving)])
             return step
 
     def counted_check(next_strategy, imps, nodes):
@@ -689,7 +711,7 @@ def test_extracted_strategy_reproduces_the_valuation(game):
 def test_extraction_needs_a_realizing_edge():
     arena = build_escape_arena(EVEN_LOOP)
     with pytest.raises(InvariantViolation):
-        extract_deterministic(arena, Strategy.of({0: (1,)}),
+        extract_deterministic(arena, strategy_of({0: (1,)}),
                               [arena.basis.key(ColorProfile.finite((5,))),
                                arena.basis.key(zero_profile(1))])
 
@@ -697,21 +719,21 @@ def test_extraction_needs_a_realizing_edge():
 # ------------------------------------------------------------- enumeration
 
 def test_enumerate_deterministic_selections():
-    found = list(enumerate_direct_improvements(Strategy.of({0: (1, 2)})))
-    assert [s.choices for s in found] == [{0: (1,)}, {0: (2,)}]
+    found = list(enumerate_direct_improvements(strategy_of({0: (1, 2)})))
+    assert found == [{0: (1,)}, {0: (2,)}]
     found = list(enumerate_direct_improvements(
-        Strategy.of({0: (1, 2), 1: (0, 2, 3)})))
+        strategy_of({0: (1, 2), 1: (0, 2, 3)})))
     assert len(found) == 6
     assert all(is_deterministic(s) for s in found)
-    assert len({tuple(s.choices.items()) for s in found}) == 6
+    assert len({tuple(s.items()) for s in found}) == 6
 
 
 def test_enumerate_honors_the_cap():
     with pytest.raises(EnumerationTooLarge):
-        enumerate_direct_improvements(Strategy.of({0: (1, 2), 1: (2, 3)}),
+        enumerate_direct_improvements(strategy_of({0: (1, 2), 1: (2, 3)}),
                                       cap=3)
     assert len(list(enumerate_direct_improvements(
-        Strategy.of({0: (1, 2), 1: (2, 3)}), cap=4))) == 4
+        strategy_of({0: (1, 2), 1: (2, 3)}), cap=4))) == 4
 
 
 # ------------------------------------------------------------------ replay

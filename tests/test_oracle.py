@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from pgsi import ParityGame, crosscheck, oracle_solve, policy_by_name, solve
-from pgsi.arena import GraphView, find_one_dominated_cycle_nodes
+from pgsi.arena import find_one_dominated_cycle_nodes
 from pgsi.cli import random_game
 from pgsi.errors import InstanceTooLarge
 from pgsi.oracle import CrosscheckReport
@@ -57,10 +57,8 @@ def test_oracle_partitions_and_witness_wins(game):
     succ = {v: game.successors[v] for v in range(game.n)}
     for v, t in result.witness.items():
         succ[v] = (t,)
-    view = GraphView(tuple(range(game.n)), succ,
-                     {v: game.owner[v] for v in range(game.n)},
-                     {v: game.color[v] for v in range(game.n)})
-    bad = find_one_dominated_cycle_nodes(view)
+    bad = find_one_dominated_cycle_nodes(
+        range(game.n), succ, {v: game.color[v] for v in range(game.n)})
     reach = set(result.w0)
     queue = list(reach)
     while queue:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgsi import POS_INFINITY, ColorProfile, ParityGame
-from pgsi.arena import (GraphView, attractor, build_escape_arena,
+from pgsi.arena import (attractor, build_escape_arena,
                         find_one_dominated_cycle_nodes, preprocess)
 from pgsi.cli import random_game
 from pgsi.errors import DimensionError, InvariantViolation, ReasonablenessError
@@ -16,14 +16,13 @@ from pgsi.iteration import (AllSwitches, DeterministicAll, SingleRandom,
                             _check_progress, _check_step, _stale_entries,
                             solve)
 from pgsi.profiles import INF_KEY, digit_width, unit_profile, zero_profile
-from pgsi.valuation import (Strategy, changed_nodes,
-                            improvements, initial_strategy, is_reasonable,
-                            is_reasonable_step, response_strategy,
-                            switch_region, to_profiles, valuate_bellman_ford,
-                            valuate_dijkstra)
+from pgsi.valuation import (changed_nodes, improvements, initial_strategy,
+                            is_reasonable, is_reasonable_step,
+                            response_strategy, switch_region, to_profiles,
+                            valuate_bellman_ford, valuate_dijkstra)
 
 from conftest import parity_games, scale_games
-from helpers import apply_operator, is_deterministic
+from helpers import apply_operator, strategy_of
 
 
 def fin(*counts):
@@ -72,27 +71,15 @@ def improvement_iterates(arena, max_rounds=64):
 
 # -------------------------------------------------------------- strategies
 
-def test_strategy_normalizes_targets():
-    s = Strategy.of({0: [2, 1, 2], 1: (3,)})
-    assert s.choices == {0: (1, 2), 1: (3,)}
-    assert not is_deterministic(s)
-    assert is_deterministic(Strategy.of({0: (1,)}))
-
-
-def test_strategy_rejects_empty_choice():
-    with pytest.raises(ValueError):
-        Strategy.of({0: ()})
-
-
 def test_initial_strategy_moves_every_player0_node_to_sink():
     game = ParityGame((0, 1, 0), (0, 1, 2), ((1,), (2,), (0,)))
     arena = arena_of(game)
-    assert initial_strategy(arena).choices == {0: (3,), 2: (3,)}
+    assert initial_strategy(arena) == {0: (3,), 2: (3,)}
 
 
 def test_initial_strategy_empty_without_player0_nodes():
     game = ParityGame((1, 1), (0, 1), ((1,), (0,)))
-    assert initial_strategy(arena_of(game)).choices == {}
+    assert initial_strategy(arena_of(game)) == {}
 
 
 @settings(max_examples=100, deadline=None)
@@ -104,9 +91,9 @@ def test_initial_strategy_is_reasonable(game):
 
 def test_reasonableness_of_chosen_self_loops():
     odd = self_loop_arena(1)
-    assert not is_reasonable(odd, Strategy.of({0: (0,)}))
+    assert not is_reasonable(odd, strategy_of({0: (0,)}))
     even = self_loop_arena(0)
-    assert is_reasonable(even, Strategy.of({0: (0,)}))
+    assert is_reasonable(even, strategy_of({0: (0,)}))
 
 
 @st.composite
@@ -123,11 +110,12 @@ def reasonable_steps(draw):
     old = {v: pick(v) for v in arena.player0_nodes}
     # every odd cycle has a player-0 node, because preprocessing leaves
     # none among player-1 nodes; moving those nodes to the sink cuts them
-    for v in find_one_dominated_cycle_nodes(arena.strategy_view(old)):
+    for v in find_one_dominated_cycle_nodes(
+            arena.nodes, {**arena.succ, **old}, arena.game.color):
         if v in old:
             old[v] = (arena.sink,)
     new = {v: old[v] if draw(st.booleans()) else pick(v) for v in old}
-    return arena, Strategy(old), Strategy(new)
+    return arena, old, new
 
 
 @settings(max_examples=300, deadline=None)
@@ -151,7 +139,7 @@ def test_reasonable_step_agrees_with_the_full_check(step):
 def test_reasonable_step_finds_the_cycle_an_added_edge_closes(owner, color,
                                                               succ, new):
     arena = preprocess(ParityGame(owner, color, succ)).arena
-    old, new = initial_strategy(arena), Strategy.of(new)
+    old, new = initial_strategy(arena), strategy_of(new)
     assert not is_reasonable(arena, new)
     changed = changed_nodes(old, new)
     assert not is_reasonable_step(arena, old, new, changed,
@@ -211,7 +199,7 @@ def every_row_bellman_ford(arena, strategy, on_update=None):
             if owner_of[v] == 1:
                 best = min(vals[t] for t in arena.succ[v])
             else:
-                best = max(vals[t] for t in strategy.choices[v])
+                best = max(vals[t] for t in strategy[v])
             new = best if best == INF_KEY else unit[v] + best
             if new != vals[v]:
                 if on_update is not None:
@@ -254,7 +242,7 @@ def test_bellman_ford_matches_every_row_sweeps_off_the_arena():
     # a player-0 row reads its strategy's choices, which need not be
     # arena edges: node 1 keeps an edge to node 0 that the game lacks
     arena = arena_of(ParityGame((0, 0), (0, 0), ((1,), (1,))))
-    strategy = Strategy.of({0: (2,), 1: (0,)})
+    strategy = strategy_of({0: (2,), 1: (0,)})
     values, stream = sweep_outcome(valuate_bellman_ford, arena, strategy)
     assert values[1] != INF_KEY and [u[:2] for u in stream] == [(1, 0), (2, 1)]
     assert_same_sweeps(arena, strategy)
@@ -264,7 +252,7 @@ def test_bellman_ford_matches_every_row_sweeps_off_the_arena():
         game = random_game(rng, rng.randint(1, 9), 3, rng.randint(1, 5))
         arena = arena_of(game)
         targets = range(arena.sink + 1)
-        assert_same_sweeps(arena, Strategy.of({
+        assert_same_sweeps(arena, strategy_of({
             v: rng.sample(targets, rng.randint(1, 2))
             for v in arena.player0_nodes}))
 
@@ -298,7 +286,7 @@ def test_bellman_ford_evaluates_only_rows_whose_inputs_changed(monkeypatch):
     readers = dict.fromkeys(range(arena.sink + 1), 0)
     for v in arena.nodes:
         for t in (arena.succ[v] if game.owner[v] == 1
-                  else strategy.choices[v]):
+                  else strategy[v]):
             readers[t] += 1
     assert max(sweep for sweep, _ in sweeps) > 2
     assert len(arena.nodes) <= evaluated[0] \
@@ -340,7 +328,7 @@ def test_valuation_of_escape_only_self_loop():
 
 def test_valuation_of_unforced_even_self_loop():
     arena = self_loop_arena(2)
-    vals = valuate_bellman_ford(arena, Strategy.of({0: (0, 1)}))
+    vals = valuate_bellman_ford(arena, strategy_of({0: (0, 1)}))
     assert to_profiles(arena, vals) == {0: POS_INFINITY, 1: zero_profile(3)}
 
 
@@ -394,7 +382,7 @@ def test_unreasonable_strategy_is_rejected_within_the_digit_width():
         if game.owner[v] == 1:
             best = min(shadow[t] for t in arena.succ[v])
         else:
-            best = max(shadow[t] for t in strategy.choices[v])
+            best = max(shadow[t] for t in strategy[v])
         shadow[v] = wide_unit[v] + best
         assert new == shadow[v]
         peak = max(peak, *map(abs, new.counts))
@@ -456,17 +444,14 @@ def test_finite_value_iff_pulled_to_sink(game):
     arena = prep.arena
     if not arena.nodes:
         return
-    # the strategy view plus the sink, which no GraphView of the package
-    # holds
+    # the arena under the strategy plus the sink, which the package never
+    # hands an analysis as a node
     sink = arena.sink
     nodes = arena.nodes + (sink,)
     owner = game.owner + (0,)
-    color = game.color + (0,)
     for strategy, valuation in improvement_iterates(arena):
-        succ = dict(arena.strategy_view(strategy.choices).succ)
-        succ[sink] = ()
-        region = attractor(GraphView(nodes, succ, owner, color), 1,
-                           (sink,)).members
+        succ = {**arena.succ, **strategy, sink: ()}
+        region = attractor(nodes, succ, owner, 1, (sink,)).members
         for v in arena.nodes:
             assert (valuation[v] != INF_KEY) == (v in region)
 
@@ -478,7 +463,7 @@ def _random_strategy(rng, arena):
     for v in arena.player0_nodes:
         options = arena.escape_choices[v]
         choices[v] = rng.sample(options, rng.randint(1, len(options)))
-    return Strategy.of(choices)
+    return strategy_of(choices)
 
 
 def _in_use(arena, counts):
@@ -527,9 +512,9 @@ def test_operator_is_monotone_in_the_strategy():
         game = random_game(rng, rng.randint(1, 7), 3, 4)
         arena = arena_of(game)
         big = _random_strategy(rng, arena)
-        small = Strategy.of({
+        small = strategy_of({
             v: rng.sample(ts, rng.randint(1, len(ts)))
-            for v, ts in big.choices.items()})
+            for v, ts in big.items()})
         valuation = keys_of(arena, _random_valuation(rng, arena))
         out_small = apply_operator(arena, small, valuation)
         out_big = apply_operator(arena, big, valuation)
@@ -548,9 +533,9 @@ def test_sub_strategy_valuation_is_pointwise_smaller():
             continue
         iterates = list(improvement_iterates(arena))
         big, big_vals = iterates[rng.randrange(len(iterates))]
-        small = Strategy.of({
+        small = strategy_of({
             v: rng.sample(ts, rng.randint(1, len(ts)))
-            for v, ts in big.choices.items()})
+            for v, ts in big.items()})
         # Any sub-strategy of a reasonable strategy restricts the arena
         # further, so it is reasonable as well.
         small_vals = valuate_bellman_ford(arena, small)
@@ -566,9 +551,9 @@ def test_improvements_escape_only_is_already_optimal():
     strategy = initial_strategy(arena)
     vals = valuate_bellman_ford(arena, strategy)
     imps = improvements(arena, strategy, vals)
-    assert imps.improving.choices == {0: (1,)}
+    assert imps.improving == {0: (1,)}
     assert not imps.has_strict
-    assert imps.sources == ()
+    assert tuple(sorted(imps.strict)) == ()
 
 
 def test_improvements_even_self_loop_is_a_strict_gain():
@@ -577,19 +562,19 @@ def test_improvements_even_self_loop_is_a_strict_gain():
     vals = valuate_bellman_ford(arena, strategy)
     assert to_profiles(arena, vals)[0] == fin(0, 0, 1)
     imps = improvements(arena, strategy, vals)
-    assert imps.improving.choices == {0: (0, 1)}
+    assert imps.improving == {0: (0, 1)}
     assert imps.strict == {0: (0,)}
-    assert imps.sources == (0,)
+    assert tuple(sorted(imps.strict)) == (0,)
     assert imps.strict_edges() == [(0, 0)]
 
 
 def test_improvements_at_top_value_keep_only_top_strategy_edges():
     arena = self_loop_arena(2)
-    strategy = Strategy.of({0: (0, 1)})
+    strategy = strategy_of({0: (0, 1)})
     vals = valuate_bellman_ford(arena, strategy)
     assert vals[0] == INF_KEY
     imps = improvements(arena, strategy, vals)
-    assert imps.improving.choices == {0: (0,)}
+    assert imps.improving == {0: (0,)}
     assert not imps.has_strict
 
 
@@ -598,11 +583,11 @@ def test_improvements_edge_to_an_unbounded_target_is_strict():
     # still escapes, so its edge onto node 1 is a strict improvement
     game = ParityGame((0, 0), (0, 2), ((1,), (1,)))
     arena = arena_of(game)
-    strategy = Strategy.of({0: (2,), 1: (1,)})
+    strategy = strategy_of({0: (2,), 1: (1,)})
     vals = valuate_bellman_ford(arena, strategy)
     assert vals[0] != INF_KEY and vals[1] == INF_KEY
     imps = improvements(arena, strategy, vals)
-    assert imps.improving.choices == {0: (1, 2), 1: (1,)}
+    assert imps.improving == {0: (1, 2), 1: (1,)}
     assert imps.strict == {0: (1,)}
 
 
@@ -629,21 +614,21 @@ def test_improvement_sets_are_consistent(game):
         imps = improvements(arena, strategy, valuation)
         valuation = to_profiles(arena, valuation)
         for v in arena.player0_nodes:
-            kept = imps.improving.choices[v]
+            kept = imps.improving[v]
             assert kept
             stricts = imps.strict.get(v, ())
             assert set(stricts) <= set(kept)
             # strict edges are never strategy edges
-            assert not set(stricts) & set(strategy.choices[v])
+            assert not set(stricts) & set(strategy[v])
             if valuation[v] == POS_INFINITY:
                 assert not stricts
-                assert set(kept) <= set(strategy.choices[v])
+                assert set(kept) <= set(strategy[v])
                 assert all(valuation[t] == POS_INFINITY for t in kept)
             else:
                 # the strategy's maximum is realized inside the kept set
-                assert any(t in kept for t in strategy.choices[v])
+                assert any(t in kept for t in strategy[v])
         # every kept edge satisfies the defining inequality
-        for v, targets in imps.improving.choices.items():
+        for v, targets in imps.improving.items():
             for t in targets:
                 assert valuation[v] <= unit[v] + valuation[t]
 
@@ -677,7 +662,7 @@ def test_update_rejects_negative_edge_weight():
     # 0 -> 1 loses value, so the chosen edges are not an improvement
     with pytest.raises(InvariantViolation):
         update(arena, initial_strategy(arena),
-               Strategy.of({0: (1,), 1: (2,)}), base)
+               strategy_of({0: (1,), 1: (2,)}), base)
 
 
 def test_update_rejects_infinite_base_inside_sink_region():
@@ -685,7 +670,7 @@ def test_update_rejects_infinite_base_inside_sink_region():
     arena = self_loop_arena(1)
     base = keys_of(arena, {0: POS_INFINITY, 1: zero_profile(2)})
     with pytest.raises(InvariantViolation):
-        update(arena, Strategy.of({0: (0,)}), Strategy.of({0: (1,)}), base)
+        update(arena, strategy_of({0: (0,)}), strategy_of({0: (1,)}), base)
 
 
 def test_switch_region_walks_kept_edges_back_from_every_changed_node():
@@ -695,8 +680,8 @@ def test_switch_region_walks_kept_edges_back_from_every_changed_node():
     game = ParityGame((0, 1, 0, 0, 0, 1, 0), (0,) * 7,
                       ((1,), (0,), (1,), (1, 6), (5,), (4,), (6,)))
     arena = arena_of(game)
-    old = Strategy.of({0: (7,), 2: (1,), 3: (6,), 4: (7,), 6: (6,)})
-    new = Strategy.of({0: (1,), 2: (1,), 3: (6,), 4: (5,), 6: (6,)})
+    old = strategy_of({0: (7,), 2: (1,), 3: (6,), 4: (7,), 6: (6,)})
+    new = strategy_of({0: (1,), 2: (1,), 3: (6,), 4: (5,), 6: (6,)})
     assert region_of(arena, old, new) == {0, 1, 2, 4, 5}
     assert region_of(arena, new, new) == set()
 
@@ -706,7 +691,7 @@ def test_update_without_a_changed_choice_copies_the_base():
     arena = arena_of(game)
     strategy = initial_strategy(arena)
     base = valuate_bellman_ford(arena, strategy)
-    updated = update(arena, strategy, Strategy(strategy.choices), base)
+    updated = update(arena, strategy, dict(strategy), base)
     assert updated == base
     assert updated is not base
 
@@ -719,7 +704,7 @@ def test_update_sends_a_region_node_and_its_player1_predecessor_to_top():
     old = initial_strategy(arena)
     base = valuate_bellman_ford(arena, old)
     assert INF_KEY not in base
-    new = Strategy.of({0: (0,), 2: (3,)})
+    new = strategy_of({0: (0,), 2: (3,)})
     assert region_of(arena, old, new) == {0, 1}
     updated = update(arena, old, new, base)
     assert updated[0] == updated[1] == INF_KEY
@@ -732,10 +717,10 @@ def test_update_keeps_a_region_node_with_an_unbounded_kept_target_on_top():
     # self-loop stays +inf outside the region
     game = ParityGame((0, 0), (0, 2), ((1,), (1,)))
     arena = arena_of(game)
-    old = Strategy.of({0: (1,), 1: (1,)})
+    old = strategy_of({0: (1,), 1: (1,)})
     base = valuate_bellman_ford(arena, old)
     assert base[0] == base[1] == INF_KEY
-    new = Strategy.of({0: (1, 2), 1: (1,)})
+    new = strategy_of({0: (1, 2), 1: (1,)})
     assert region_of(arena, old, new) == {0}
     updated = update(arena, old, new, base)
     assert updated == base == valuate_bellman_ford(arena, new)
@@ -769,7 +754,7 @@ def test_update_matches_reference_on_random_games():
 def whole_arena_pick(policy, rng, arena, strategy, valuation, imps):
     """What `policy` picks, computed by rebuilding the entry of every
     player-0 node; `rng` draws in step with a SingleRandom's own."""
-    improving = imps.improving.choices
+    improving = imps.improving
     if isinstance(policy, AllSwitches):
         return dict(improving)
     choices = {}
@@ -783,9 +768,9 @@ def whole_arena_pick(policy, rng, arena, strategy, valuation, imps):
             choices[v] = (best,)
         elif isinstance(policy, DeterministicAll):
             choices[v] = (next(t for t in improving[v]
-                               if t in strategy.choices[v]),)
+                               if t in strategy[v]),)
         else:
-            choices[v] = tuple(t for t in strategy.choices[v]
+            choices[v] = tuple(t for t in strategy[v]
                                if t in improving[v])
     if isinstance(policy, SingleRandom):
         v, t = rng.choice(imps.strict_edges())
@@ -835,19 +820,18 @@ def test_update_matches_reference_at_scale():
             while imps.has_strict:
                 policy = turns[compared % len(turns)]
                 step = policy.pick(arena, strategy, valuation, imps)
-                assert step.choices == whole_arena_pick(
+                assert step == whole_arena_pick(
                     policy, rng, arena, strategy, valuation, imps)
                 changed = changed_nodes(strategy, step)
                 assert changed == [v for v in arena.player0_nodes
-                                   if step.choices[v] != strategy.choices[v]]
+                                   if step[v] != strategy[v]]
                 switched = _check_step(step, imps,
                                        chain(changed, imps.reclassified))
-                assert switched == _check_step(step, imps, step.choices)
-                lazy = Strategy({**strategy.choices,
-                                 **{v: step.choices[v] for v in switched}})
+                assert switched == _check_step(step, imps, step)
+                lazy = {**strategy, **{v: step[v] for v in switched}}
                 outcome = check_outcome(lazy, imps, chain(
                     changed_nodes(strategy, lazy), imps.reclassified))
-                assert outcome == check_outcome(lazy, imps, lazy.choices)
+                assert outcome == check_outcome(lazy, imps, lazy)
                 rejected += outcome is None
                 region = switch_region(arena, step, changed)
                 assert is_reasonable_step(arena, strategy, step, changed,
@@ -896,7 +880,7 @@ def test_update_keeps_node_with_a_kept_edge_off_the_region_unbounded():
     game = ParityGame((0, 0, 0), (0, 2, 1), ((1, 2), (1,), (2,)))
     arena = arena_of(game)
     base = valuate_bellman_ford(arena, initial_strategy(arena))
-    strategy = Strategy.of({0: (1, 2), 1: (1,), 2: (3,)})
+    strategy = strategy_of({0: (1, 2), 1: (1,), 2: (3,)})
     updated = update(arena, initial_strategy(arena), strategy, base)
     assert to_profiles(arena, updated) == {
         0: POS_INFINITY, 1: POS_INFINITY, 2: fin(0, 1, 0),
@@ -930,7 +914,7 @@ def test_update_rejects_strategy_edge_outside_the_arena():
     base = valuate_bellman_ford(arena, initial_strategy(arena))
     with pytest.raises(InvariantViolation):
         update(arena, initial_strategy(arena),
-               Strategy.of({0: (2,), 1: (0,)}), base)
+               strategy_of({0: (2,), 1: (0,)}), base)
 
 
 # ---------------------------------------------------------------- response
@@ -949,7 +933,7 @@ def test_response_picks_the_minimal_successor():
 def test_response_keeps_top_valued_edges():
     game = ParityGame((1, 0), (0, 2), ((1,), (1,)))
     arena = arena_of(game)
-    strategy = Strategy.of({1: (1,)})
+    strategy = strategy_of({1: (1,)})
     vals = valuate_bellman_ford(arena, strategy)
     assert vals[0] == INF_KEY and vals[1] == INF_KEY
     assert response_strategy(arena, strategy, vals) == {0: (1,)}
