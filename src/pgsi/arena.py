@@ -14,23 +14,24 @@ This module also hosts the two graph primitives everything else is built
 on: player attractors (ranks from one FIFO worklist, and an attracting
 strategy), which also give the odd-cycle strategy its edges, and the
 detection of nodes lying on cycles whose maximum color has a given parity.
-The latter is one top-color decomposition: split into strongly connected
-components, keep those whose top color has the wanted parity, and split
-the others again below their top.  Node sets, witness strategies and
-preprocessing all read its pieces; it costs O(depth * (n + m)), where
-depth is how deeply components topped by the other parity nest, instead
-of one pass per color.  Each analysis takes the tables it reads: the
-nodes to look at and the game's or the arena's own successor, owner or
-color tables, or dicts over those nodes.
+The latter is one top-color decomposition: peel the nodes on no cycle,
+split the rest into strongly connected components, keep those whose top
+color has the wanted parity, and split the others again below their
+top.  Node sets, witness strategies and preprocessing all read its
+pieces; it costs one O(n + m) peel, then O(depth * (n' + m')) on the n'
+nodes reachable from a cycle, where depth is how deeply components
+topped by the other parity nest, instead of one pass per color.  Each
+analysis takes the tables it reads: the nodes to look at and the game's
+or the arena's own successor, owner or color tables, or dicts over
+those nodes.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import FormatError, InvariantViolation
 from .profiles import ProfileBasis
@@ -263,8 +264,9 @@ def build_escape_arena(game: ParityGame,
 
 
 # successor tuples indexed by node id: the game's or the arena's own
-# table, or a dict over the nodes an analysis is given
-_Successors = Mapping[int, tuple[int, ...]] | tuple[tuple[int, ...], ...]
+# table or a list copy of one, or a dict over the nodes an analysis is
+# given
+_Successors = Mapping[int, tuple[int, ...]] | Sequence[tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -415,19 +417,37 @@ def _dominated_pieces(nodes: Iterable[int], succ: _Successors,
     The escape sink is never one of the nodes: it has no outgoing edges,
     so it lies on no cycle.
 
-    Top-color decomposition with a worklist: a piece is trimmed to the
-    nodes at or below its highest color of the wanted parity (a piece
-    with none is dropped) and split into strongly connected components.
-    A component with at least one edge whose top color has the wanted
-    parity is yielded whole; one topped by the other parity goes back
-    on the worklist, where the trim removes its top.  A yielded piece
-    is the component of the subgraph colored <= its top that contains
-    it.  Pieces on the worklist are disjoint, so every level of nesting
-    costs O(n + m) and the whole O(depth * (n + m)), depth being how
-    deeply components topped by the other parity nest.  A worklist, not
-    recursion, because that nesting grows with the node count.
+    First the nodes on no cycle are peeled, in one O(n + m) pass: each
+    node counts its in-edges from the nodes, and a node whose count is 0
+    leaves and lowers the counts of its successors.  A node left has a
+    predecessor left, so every cycle stays whole and what is left is the
+    n' nodes reachable from a cycle; on an acyclic input it is empty.
+    Then top-color decomposition with a worklist: a piece is trimmed to
+    the nodes at or below its highest color of the wanted parity (a
+    piece with none is dropped) and split into strongly connected
+    components.  A component with at least one edge whose top color has
+    the wanted parity is yielded whole; one topped by the other parity
+    goes back on the worklist, where the trim removes its top.  A
+    yielded piece is the component of the subgraph colored <= its top
+    that contains it.  Pieces on the worklist are disjoint, so every
+    level of nesting costs O(n' + m') and the whole O(depth * (n' + m')),
+    depth being how deeply components topped by the other parity nest.
+    A worklist, not recursion, because that nesting grows with the node
+    count.
     """
-    work = [list(nodes)]
+    indegree = dict.fromkeys(nodes, 0)
+    for v in indegree:
+        for t in succ[v]:
+            if t in indegree:
+                indegree[t] += 1
+    peeled = [v for v, k in indegree.items() if not k]
+    for v in peeled:
+        for t in succ[v]:
+            if t in indegree:
+                indegree[t] -= 1
+                if not indegree[t]:
+                    peeled.append(t)
+    work = [[v for v, k in indegree.items() if k]]
     while work:
         piece = work.pop()
         top = max([c for c in map(color.__getitem__, piece)
@@ -450,8 +470,9 @@ def find_dominated_cycle_nodes(nodes: Iterable[int], succ: _Successors,
                                parity: int) -> frozenset[int]:
     """Nodes lying on some cycle whose maximum color has the given parity:
     the union of the pieces of the top-color decomposition, which costs
-    O(depth * (n + m)) for depth the nesting of components topped by the
-    other parity.
+    one O(n + m) peel, then O(depth * (n' + m')) on the n' nodes
+    reachable from a cycle, for depth the nesting of components topped
+    by the other parity.
     """
     found: set[int] = set()
     for _, piece in _dominated_pieces(nodes, succ, color, parity):
@@ -488,6 +509,8 @@ def dominated_cycle_strategy(nodes: Iterable[int], succ: _Successors,
         for v in piece:
             inner[v] = tuple([t for t in succ[v] if t in members])
         witnesses.append(min(v for v in piece if color[v] == top))
+    if not witnesses:
+        return {}
     strategy = attractor(inner, inner, dict.fromkeys(inner, 1), 1,
                          witnesses).strategy
     for x in witnesses:
@@ -523,26 +546,32 @@ def preprocess(game: ParityGame) -> PreprocessResult:
     """
     succ, color = game.successors, game.color
     dom_strategy = dominated_cycle_strategy(game.player_nodes(1), succ, color)
-    att = attractor(range(game.n), succ, game.owner, 1, dom_strategy)
-    pre_won = att.members
+    pre_won = frozenset()
+    # every game node has a successor, so an empty target attracts
+    # nothing; the skip sits here because `attractor` itself attracts
+    # opponent dead ends
+    if dom_strategy:
+        att = attractor(range(game.n), succ, game.owner, 1, dom_strategy)
+        pre_won = att.members
+        # the cycle nodes have rank 0, so the attractor gives them no
+        # edge; together the two cover every removed player-1 node
+        dom_strategy.update(att.strategy)
     arena = build_escape_arena(game, pre_won)
     for v in arena.player1_nodes:
         if not arena.succ[v]:
             raise InvariantViolation("surviving player-1 node %d lost all successors" % v)
     if find_one_dominated_cycle_nodes(arena.player1_nodes, succ, color):
         raise InvariantViolation("reduced arena still has an odd player-1 cycle")
-    # the cycle nodes have rank 0, so the attractor gives them no edge;
-    # together the two cover every removed player-1 node
-    dom_strategy.update(att.strategy)
     return PreprocessResult(arena, pre_won, dict(sorted(dom_strategy.items())))
 
 
-def reachable(succ: Mapping[int, tuple[int, ...]], starts: Iterable[int]) -> set[int]:
+def reachable(succ: Mapping[int, Sequence[int]] | Sequence[Sequence[int]],
+              starts: Iterable[int]) -> set[int]:
     """Forward closure of `starts` under the successor map."""
     seen = set(starts)
-    queue = deque(sorted(seen))
-    while queue:
-        v = queue.popleft()
+    queue = list(seen)
+    # iterating a list visits what is appended to it meanwhile: a FIFO
+    for v in queue:
         for t in succ[v]:
             if t not in seen:
                 seen.add(t)

@@ -441,9 +441,9 @@ def replay_verify(game: ParityGame, result: SolveResult) -> None:
             (0, result.w0, result.strategy0, 1),
             (1, result.w1, result.strategy1, 0)):
         won = set(won)
-        succ = {}
-        for v in range(game.n):
-            if game.owner[v] == player and v in won:
+        succ = list(game.successors)
+        for v in sorted(won):
+            if game.owner[v] == player:
                 if v not in strategy:
                     raise InvariantViolation(
                         "player-%d strategy misses won node %d" % (player, v))
@@ -453,8 +453,6 @@ def replay_verify(game: ParityGame, result: SolveResult) -> None:
                         "(%d,%r), which is not an edge of the game"
                         % (player, v, v, strategy[v]))
                 succ[v] = (strategy[v],)
-            else:
-                succ[v] = game.successors[v]
         offenders = find_dominated_cycle_nodes(reachable(succ, won), succ,
                                                game.color, bad_parity)
         if offenders:

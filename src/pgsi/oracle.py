@@ -27,15 +27,17 @@ class OracleResult:
     witness: dict[int, int]
 
 
-def _losers(game: ParityGame, succ: dict[int, tuple[int, ...]]) -> set[int]:
+def _losers(game: ParityGame, succ: list[tuple[int, ...]]) -> set[int]:
     """Nodes from which the fixed-strategy graph reaches a cycle whose
     top color is odd: player 1 wins exactly these once player 0 commits."""
-    preds: dict[int, list[int]] = {v: [] for v in range(game.n)}
-    for v in range(game.n):
-        for t in succ[v]:
+    cycles = find_one_dominated_cycle_nodes(range(game.n), succ, game.color)
+    if not cycles:
+        return set()
+    preds: list[list[int]] = [[] for _ in succ]
+    for v, targets in enumerate(succ):
+        for t in targets:
             preds[t].append(v)
-    return reachable(preds, find_one_dominated_cycle_nodes(
-        range(game.n), succ, game.color))
+    return reachable(preds, cycles)
 
 
 def oracle_solve(game: ParityGame, cap: int = DEFAULT_CAP) -> OracleResult:
@@ -49,11 +51,10 @@ def oracle_solve(game: ParityGame, cap: int = DEFAULT_CAP) -> OracleResult:
             raise InstanceTooLarge(
                 "%d player-0 strategies exceed the cap %d" % (count, cap))
 
-    base = {v: game.successors[v] for v in game.player_nodes(1)}
     best_w0: set[int] = set()
     best_sigma: tuple[int, ...] = ()
     for sigma in product(*(game.successors[v] for v in p0)):
-        succ = dict(base)
+        succ = list(game.successors)
         for v, t in zip(p0, sigma):
             succ[v] = (t,)
         winners = set(range(game.n)) - _losers(game, succ)

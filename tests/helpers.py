@@ -1,15 +1,15 @@
 """Reference routines that only the tests use: a strategy built from a
 raw mapping, one application of the valuation operator, the deterministic
 strategies inside an improving edge set, a determinism predicate, the
-audit cadences to solve under, and the level-by-level attractor and the
-per-piece BFS of the odd-cycle strategy that the package's worklist
-versions must reproduce."""
+audit cadences to solve under, and the level-by-level attractor, the
+per-piece BFS of the odd-cycle strategy and the top-color decomposition
+without its peel that the package's versions must reproduce."""
 
 from collections import deque
 from itertools import product
 from typing import Iterator, Mapping
 
-from pgsi.arena import AttractorResult, _dominated_pieces
+from pgsi.arena import AttractorResult, _dominated_pieces, _sccs
 from pgsi.errors import EnumerationTooLarge
 from pgsi.profiles import INF_KEY
 from pgsi.valuation import Strategy
@@ -140,3 +140,26 @@ def bfs_dominated_cycle_strategy(nodes, succ, color) -> dict:
             strategy[v] = min(t for t in succ[v] if t in members
                               and (v == x or dist[t] == dist[v] - 1))
     return strategy
+
+
+def unpeeled_dominated_pieces(nodes, succ, color, parity):
+    """The top-color decomposition run on every node, nodes on no cycle
+    included: a trimmed piece is split into strongly connected
+    components, a component topped by the wanted parity is yielded with
+    its top and one topped by the other goes back on the worklist."""
+    work = [list(nodes)]
+    while work:
+        piece = work.pop()
+        top = max([c for c in map(color.__getitem__, piece)
+                   if c % 2 == parity], default=-1)
+        if top < 0:
+            continue
+        order = [v for v in piece if color[v] <= top]
+        for comp in _sccs(order, succ, set(order)):
+            if len(comp) == 1 and comp[0] not in succ[comp[0]]:
+                continue
+            high = max(map(color.__getitem__, comp))
+            if high % 2 == parity:
+                yield high, comp
+            else:
+                work.append(comp)

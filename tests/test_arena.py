@@ -2,19 +2,22 @@
 
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgsi import ParityGame, oracle_solve, parse_pgsolver, serialize_pgsolver
-from pgsi.arena import (_sccs, attractor, build_escape_arena,
-                        dominated_cycle_strategy, find_dominated_cycle_nodes,
+from pgsi.arena import (_dominated_pieces, _sccs, attractor,
+                        build_escape_arena, dominated_cycle_strategy,
+                        find_dominated_cycle_nodes,
                         find_one_dominated_cycle_nodes, preprocess)
 from pgsi.errors import FormatError, InvariantViolation
 
 from conftest import fuzz_texts, parity_games
-from helpers import bfs_dominated_cycle_strategy, level_attractor
+from helpers import (bfs_dominated_cycle_strategy, level_attractor,
+                     unpeeled_dominated_pieces)
 
 
 # ------------------------------------------------------------ construction
@@ -453,6 +456,75 @@ def test_analyses_agree_on_every_table_form(game, data):
     assert answers[1:] == answers[:1] * 2
 
 
+@st.composite
+def chained_graphs(draw):
+    """Nodes in any order, successors and colors over ids 0..23: a
+    random core with dead ends, duplicate successors and edges that
+    leave the nodes, and chains of fresh nodes that run into the core,
+    out of it, or both."""
+    core = draw(st.lists(st.integers(0, 11), unique=True, max_size=8))
+    succ = {v: draw(st.lists(st.integers(0, 23), max_size=3)) for v in core}
+    fresh = iter(range(12, 24))
+    for _ in range(draw(st.integers(0, 3))):
+        chain = [next(fresh) for _ in range(draw(st.integers(1, 4)))]
+        for v, t in zip(chain, chain[1:]):
+            succ[v] = [t]
+        succ[chain[-1]] = []
+        if core and draw(st.booleans()):
+            succ[chain[-1]].append(draw(st.sampled_from(core)))
+        if core and draw(st.booleans()):
+            succ[draw(st.sampled_from(core))].append(chain[0])
+    nodes = draw(st.permutations(list(succ)))
+    color = tuple(draw(st.lists(st.integers(0, 5), min_size=24,
+                                max_size=24)))
+    return nodes, {v: tuple(ts) for v, ts in succ.items()}, color
+
+
+@given(chained_graphs())
+@settings(max_examples=500)
+def test_peeled_decomposition_matches_the_unpeeled_reference(graph):
+    # peeling the nodes on no cycle must leave the pieces, their tops and
+    # every answer read from them as they were
+    def answers(kernel):
+        with mock.patch("pgsi.arena._dominated_pieces", kernel):
+            return ([sorted((top, sorted(piece)) for top, piece
+                            in kernel(*graph, parity)) for parity in (0, 1)],
+                    find_dominated_cycle_nodes(*graph, 0),
+                    find_dominated_cycle_nodes(*graph, 1),
+                    dominated_cycle_strategy(*graph))
+
+    assert answers(_dominated_pieces) \
+        == answers(unpeeled_dominated_pieces)
+
+
+def test_peel_hands_the_scc_pass_only_what_a_cycle_reaches(monkeypatch):
+    handed = []
+
+    def counted(order, succ, allowed):
+        handed.append(set(order))
+        return _sccs(order, succ, allowed)
+
+    monkeypatch.setattr("pgsi.arena._sccs", counted)
+    # a 20,000-node DAG, every edge to a larger id: nothing is left
+    n = 20_000
+    succ = {v: tuple(t for t in (v + 1, 2 * v + 1, v + 7) if t < n)
+            for v in range(n)}
+    color = tuple(v % 6 for v in range(n)) + (3, 2, 1, 1)
+    for parity in (0, 1):
+        assert find_dominated_cycle_nodes(range(n), succ, color, parity) \
+            == frozenset()
+    assert handed == []
+    # the DAG feeds the odd two-cycle n <-> n+1, which feeds the chain
+    # n+2 -> n+3: only the cycle and the chain reach the SCC pass
+    for v in range(0, n, 1000):
+        succ[v] += (n,)
+    succ.update({n: (n + 1,), n + 1: (n, n + 2), n + 2: (n + 3,),
+                 n + 3: ()})
+    assert find_dominated_cycle_nodes(range(n + 4), succ, color, 1) \
+        == frozenset((n, n + 1))
+    assert handed == [{n, n + 1, n + 2, n + 3}]
+
+
 def test_cycle_finder_handles_nesting_beyond_recursion_limit():
     # spine e_i (even color 2i+2) as a two-way path, tooth t_i (odd color
     # 2i+1) on a two-cycle with e_i; each level's even top must be peeled
@@ -562,11 +634,11 @@ def test_preprocess_runs_one_attractor_per_decomposition(monkeypatch):
     tables = joined.player_nodes(1), joined.successors, joined.color
     assert dominated_cycle_strategy(*tables) \
         == bfs_dominated_cycle_strategy(*tables)
-    # no odd player-1 cycle: the two calls still run, on empty targets
+    # no odd player-1 cycle: no piece and no target, so neither call runs
     calls.clear()
     assert preprocess(ParityGame((0, 1), (1, 2), ((1,), (0,)))).pre_won \
         == frozenset()
-    assert len(calls) == 2
+    assert len(calls) == 0
 
 
 @given(parity_games())

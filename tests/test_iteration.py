@@ -11,7 +11,7 @@ from pgsi import (AllSwitches, ColorProfile, DeterministicAll, POS_INFINITY,
                   ParityGame, SingleRandom, SolveResult, parse_pgsolver,
                   iteration, policy_by_name, replay_verify, solve)
 from pgsi.arena import build_escape_arena, preprocess
-from pgsi.cli import random_game
+from pgsi.cli import generate_game, random_game
 from pgsi.errors import EnumerationTooLarge, InvariantViolation
 from pgsi.iteration import (POLICY_NAMES, _check_progress, _step_bound,
                             extract_deterministic)
@@ -767,6 +767,24 @@ def test_replay_rejects_losing_strategy_edge():
                           result.stats)
     with pytest.raises(InvariantViolation):
         replay_verify(game, broken)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_replay_finds_the_even_cycle_in_a_forfeited_w0(seed):
+    # every w0 node handed to player 1, whose former-w0 nodes take any
+    # game edge: player 0's winning strategy still forces an even cycle
+    # in there, so a cycle kernel that wrongly answers "no cycle" fails
+    game = generate_game(300, 4, 6, 0.5, seed)
+    result = solve(game)
+    assert result.w0
+    strategy1 = dict(result.strategy1)
+    for v in result.w0:
+        if game.owner[v] == 1:
+            strategy1[v] = game.successors[v][0]
+    forged = SolveResult((), tuple(range(game.n)), {}, strategy1, {},
+                         result.iterations, result.policy)
+    with pytest.raises(InvariantViolation, match="player-1 strategy admits"):
+        replay_verify(game, forged)
 
 
 # player 1 wins nodes 0 and 1 through the odd self-loop on 1; player 0
