@@ -24,9 +24,9 @@ from .errors import InvariantViolation
 from .profiles import INF_KEY, ColorProfile
 from .valuation import (ImprovementSets, Strategy, UpdateHook, Valuation,
                         changed_nodes, improvements, initial_strategy,
-                        is_reasonable, is_reasonable_step, response_strategy,
-                        switch_region, to_profiles, valuate_bellman_ford,
-                        valuate_dijkstra)
+                        is_reasonable, is_reasonable_step, region_seeds,
+                        response_strategy, switch_region, to_profiles,
+                        valuate_bellman_ford, valuate_dijkstra)
 
 IterationHook = Callable[
     [int, Strategy, Mapping[int, ColorProfile], ImprovementSets], None]
@@ -281,9 +281,11 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
 
     The first iteration valuates the whole arena by fixpoint sweeps (the
     reference route) and classifies every player-0 node.  Later iterations
-    derive once the switch region A, the nodes a switch can reach
-    (``switch_region``), revalue only A (``valuate_dijkstra``), find in one
-    pass over A the nodes whose value changed, checking that none shrank
+    derive once the switch region A, the nodes that reach a changed node
+    whose value can change (``region_seeds``, ``switch_region``): a
+    changed node at +inf only narrows onto +inf targets and stays there.
+    They revalue only A (``valuate_dijkstra``), find in one pass over A
+    the nodes whose value changed, checking that none shrank
     (``_check_progress``), and reclassify only the player-0 nodes whose
     choices, value or successor values changed (``_stale_entries``),
     carrying the other improvement-set entries over.  After each pick the
@@ -341,7 +343,8 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
             audit = (incremental and audit_every
                      and (iterations + 1) % audit_every == 0)
             if incremental:
-                region = switch_region(arena, sigma, changed)
+                region = switch_region(arena, sigma, region_seeds(
+                    previous, sigma, changed, current))
                 new_vals = valuate_dijkstra(arena, sigma, region, current)
                 reasonable = is_reasonable_step(arena, previous, sigma,
                                                 changed, region)

@@ -16,21 +16,25 @@ non-negative edge weights (the fast path).  The fixpoint sweeps
 re-evaluate, after the first, only the nodes that read a value which
 changed since they were last evaluated.  The Dijkstra sweep revalues
 only the switch region A, the nodes that reach a player-0 node whose
-choices changed (:func:`switch_region`); every other node keeps its
-value.  Inside A it finds the nodes player 1 can still force into the
-sink on its own and checks afterwards that they are closed.  Both routes
-return bit-identical results.  :func:`improvements` likewise classifies
+choices changed in a way that can change its value (:func:`region_seeds`,
+:func:`switch_region`); every other node keeps its value.  A changed
+node at +inf that keeps only old edges, one of them onto +inf, is no
+such seed: it stays at +inf.  The sweep starts from the kept edges that
+leave A, so it reads the predecessor tables of A alone.  Inside A it
+finds the nodes player 1 can still force into the sink on its own and
+checks afterwards that they are closed.  Both routes return
+bit-identical results.  :func:`improvements` likewise classifies
 either every player-0 node or, carrying the rest over from the sets of
 the previous step, only the nodes whose inputs changed, and records
 which entries it classified so that the switch policies and the step
 check of ``solve`` visit only those.
 
 The player-0 nodes whose choices a step changed are listed once per
-step, by :func:`changed_nodes`; A, the step check of reasonableness and
-the choice of the entries to reclassify all take that list, and A is
-derived once per step, by the step's one backward walk, and handed to
-the fast valuation, the step check of reasonableness and the checks of
-``solve`` that look only at A.
+step, by :func:`changed_nodes`; the seeds of A, the step check of
+reasonableness and the choice of the entries to reclassify all take
+that list, and A is derived once per step, by the step's one backward
+walk, and handed to the fast valuation, the step check of
+reasonableness and the checks of ``solve`` that look only at A.
 
 Reasonableness has two checks too.  :func:`is_reasonable` decomposes
 the whole arena restricted to the strategy; :func:`is_reasonable_step`,
@@ -100,17 +104,19 @@ def is_reasonable_step(arena: EscapeArena, old: Strategy, new: Strategy,
     """``is_reasonable(arena, new)`` for a `new` strategy over the same
     player-0 nodes as a reasonable `old` one, with every edge inside the
     arena's escape choices; `changed` is ``changed_nodes(old, new)`` and
-    `region` the switch region A, ``switch_region(arena, new, changed)``.
+    `region` the switch region A, ``switch_region(arena, new, seeds)``
+    for any part `seeds` of `changed` that holds every node which added
+    an edge, as the ``region_seeds`` of the step does.
 
     Every cycle of the arena restricted to `new` that keeps to old edges
     is a cycle under `old` and so not odd-dominated.  An odd-dominated
     cycle therefore runs through an added edge (v, t), t kept by `new`
     but not by `old`; each of its nodes is reachable from t and reaches
-    v, a changed node, so it lies in A.  The check walks forward from
-    the added targets in A, staying inside A, records each visited
-    node's successors under `new` as it goes and decomposes those
-    nodes alone; the analysis skips the successors they have outside
-    them.  A is all the backward walking a step needs.
+    v, a changed node that added an edge, so it lies in A.  The check
+    walks forward from the added targets in A, staying inside A, records
+    each visited node's successors under `new` as it goes and decomposes
+    those nodes alone; the analysis skips the successors they have
+    outside them.  A is all the backward walking a step needs.
     """
     owner_of = arena.game.owner
     succ = arena.succ
@@ -291,10 +297,38 @@ def improvements(arena: EscapeArena, strategy: Strategy,
     return ImprovementSets(improving, strict, nodes)
 
 
+def region_seeds(old: Strategy, new: Strategy, changed: Iterable[int],
+                 base: Valuation) -> list[int]:
+    """The nodes of `changed`, ``changed_nodes(old, new)``, whose value a
+    step from `old`, valued `base`, to `new` can change, in `changed`
+    order: all of them but each node at +inf in `base` that keeps only
+    old edges, one of them onto a node at +inf.
+
+    Such a node stays at +inf and adds no edge, so it closes no cycle.
+    A node that reaches the changed nodes only through such nodes sees,
+    on the part of the arena it reaches, nothing but strategies that
+    lost edges.  There the base values are still a fixpoint of the new
+    strategy's operator, and the fixpoint sweeps, which descend from
+    +inf, stop at or above any fixpoint, so no value falls below its
+    base; a narrower strategy values no node higher, so every value
+    stays.  Any part of `changed` that holds these seeds
+    gives ``switch_region`` a region on which the fast valuation and the
+    step check of reasonableness are exact.  Inside ``solve`` every
+    changed node at +inf is left out, because its improving entry is its
+    own strategy edges onto +inf targets.
+    """
+    prior = old.get
+    return [v for v in changed if base[v] != INF_KEY
+            or not set(new[v]).issubset(prior(v, ()))
+            or all(base[t] != INF_KEY for t in new[v])]
+
+
 def switch_region(arena: EscapeArena, new: Strategy,
                   changed: Iterable[int]) -> set[int]:
     """The nodes whose value a step to `new` that changes the choices of
-    the player-0 nodes `changed` can change.
+    the player-0 nodes `changed` can change.  ``solve`` hands in only
+    the changed nodes ``region_seeds`` keeps; all of them, or any part
+    that holds those, gives a larger region that is just as exact.
 
     A node's value depends only on the part of the strategy-restricted
     arena it reaches.  A node that reaches no changed node reaches the
@@ -328,21 +362,26 @@ def valuate_dijkstra(arena: EscapeArena, new: Strategy,
 
     Only the nodes of A are revalued; every other node keeps its base
     value, so the result is a copy of the base with A overwritten.  The
-    copy is the call's one O(n) pass, at C level.  Relative to the
-    base, every edge the new strategy keeps has a non-negative weight
-    (target value plus the source color, minus the source value).
-    Inside the region, the
-    value growth per node is the min-max distance over those weights
-    from the nodes outside it, whose growth is 0.  One Dijkstra sweep
-    along the arena's reversed edges computes it.  It starts from the
-    frontier: the finite nodes outside the region that a kept edge out of
-    it reaches, the sink included.  It relaxes only predecessors inside
-    the region, and finds on the way the part player 1 can still drag
-    into the sink: a player-1 node is reached from its first settled
-    successor and settles at its minimal tentative growth, while a
-    player-0 node becomes eligible only once all its kept successors are
-    settled, at the maximum over them.  Ties settle the smallest node id
-    first.  Nodes of the region the sweep does not settle are unbounded.
+    copy is the call's one O(n) pass, at C level.  Any region that holds
+    the nodes whose value the step can change gives the same result;
+    ``solve`` hands in the smaller one ``region_seeds`` allows.
+    Relative to the base, every edge the new strategy keeps has a
+    non-negative weight (target value plus the source color, minus the
+    source value).  Inside the region, the value growth per node is the
+    min-max distance over those weights from the nodes outside it, whose
+    growth is 0.  One Dijkstra sweep along the arena's reversed edges
+    computes it.  It starts from the kept edges that leave the region
+    for a finite node: their targets, the sink included, settle at
+    growth 0, and each such edge is relaxed into its source at once, a
+    player-0 source counting only the edges among its escape choices.
+    So the sweep reads the predecessor tables of region nodes alone and
+    its heap holds region nodes alone.  It finds on the way the part
+    player 1 can still drag into the sink: a player-1 node is reached
+    from its first settled successor and settles at its minimal
+    tentative growth, while a player-0 node becomes eligible only once
+    all its kept successors are settled, at the maximum over them.  Ties
+    settle the smallest node id first.  Nodes of the region the sweep
+    does not settle are unbounded.
     A closure pass over the region after the sweep confirms that no
     unsettled player-1 node has a settled successor and no unsettled
     player-0 node has all its kept successors settled.  Values, growths,
@@ -364,17 +403,61 @@ def valuate_dijkstra(arena: EscapeArena, new: Strategy,
     succ = arena.succ
     unit = arena.unit_keys
     preds = arena.preds
+    escape_choices = arena.escape_choices
     # growth over the base value per settled node, the frontier at 0;
     # every weight into a settled node is formed and checked once: for a
     # player-1 source when its target settles, for a player-0 source when
     # it becomes eligible
-    heap: list[tuple[int, int]] = sorted({
-        (0, t) for v in region
-        for t in (succ[v] if owner_of[v] == 1 else new[v])
-        if t not in region and base[t] != INF_KEY})
     grown: dict[int, int] = {}
     tentative: dict[int, int] = {}
     pending: dict[int, int] = {}
+    heap: list[tuple[int, int]] = []
+
+    def eligible(s: int, kept: tuple[int, ...]) -> int:
+        # the growth of a player-0 node whose kept targets all settled
+        here = base[s]
+        if here == INF_KEY:
+            raise _infinite_in_region(s)
+        step = unit[s] - here
+        best = None
+        for t in kept:
+            w = step + base[t]
+            if w < 0:
+                raise _negative_weight(s, t)
+            cand = w + grown[t]
+            if best is None or best < cand:
+                best = cand
+        return best
+
+    # the frontier: each kept edge that leaves the region for a finite
+    # node settles its target and is relaxed into its source at once, so
+    # no frontier node's predecessor table is read and the heap holds
+    # region nodes only
+    for s in region:
+        player1 = owner_of[s] == 1
+        kept = succ[s] if player1 else new[s]
+        for t in kept:
+            if t in region or base[t] == INF_KEY:
+                continue
+            grown[t] = 0
+            if player1:
+                here = base[s]
+                if here == INF_KEY:
+                    raise _infinite_in_region(s)
+                w = unit[s] + base[t] - here
+                if w < 0:
+                    raise _negative_weight(s, t)
+                cur = tentative.get(s)
+                if cur is None or w < cur:
+                    tentative[s] = w
+            # a kept edge that is no arena edge never counts, as in the
+            # sweep below, so the closure pass finds its source
+            elif t in escape_choices[s]:
+                left = pending[s] = pending.get(s, len(kept)) - 1
+                if not left:
+                    heap.append((eligible(s, kept), s))
+    heap.extend([(g, s) for s, g in tentative.items()])
+    heapq.heapify(heap)
     while heap:
         g, v = heapq.heappop(heap)
         if v in grown:
@@ -400,23 +483,9 @@ def valuate_dijkstra(arena: EscapeArena, new: Strategy,
             kept = new[s]
             if v not in kept:
                 continue
-            left = pending.get(s, len(kept)) - 1
-            pending[s] = left
-            if left:
-                continue
-            here = base[s]
-            if here == INF_KEY:
-                raise _infinite_in_region(s)
-            step = unit[s] - here
-            best = None
-            for t in kept:
-                w = step + base[t]
-                if w < 0:
-                    raise _negative_weight(s, t)
-                cand = w + grown[t]
-                if best is None or best < cand:
-                    best = cand
-            heapq.heappush(heap, (best, s))
+            left = pending[s] = pending.get(s, len(kept)) - 1
+            if not left:
+                heapq.heappush(heap, (eligible(s, kept), s))
 
     settled = grown.__contains__
     for v in region:

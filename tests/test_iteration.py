@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -588,10 +589,39 @@ def test_step_bookkeeping_visits_only_what_the_step_touched(monkeypatch):
     assert small >= len(steps) * 9 // 10
 
 
-def test_every_iteration_audited_on_the_scale_games():
+def count_regions(monkeypatch):
+    """Make `solve` count, over its fast steps, the changed nodes its
+    seed rule leaves out, the nodes of the region it walks back from the
+    rest, and those of the region walked back from every changed node,
+    which must hold the first."""
+    counts = Counter()
+    seeds_of, region_of = iteration.region_seeds, iteration.switch_region
+    step_changed = []
+
+    def seeds(old, new, changed, base):
+        kept = seeds_of(old, new, changed, base)
+        counts["left out"] += len(changed) - len(kept)
+        step_changed[:] = changed
+        return kept
+
+    def region(arena, new, seeds):
+        narrow = region_of(arena, new, seeds)
+        full = region_of(arena, new, step_changed)
+        assert narrow <= full
+        counts["region"] += len(narrow)
+        counts["full region"] += len(full)
+        return narrow
+
+    monkeypatch.setattr(iteration, "region_seeds", seeds)
+    monkeypatch.setattr(iteration, "switch_region", region)
+    return counts
+
+
+def test_every_iteration_audited_on_the_scale_games(monkeypatch):
     # with audit_every=1 each step of the fast path compares its
     # valuation, reasonableness verdict and improvement sets with the
     # whole-arena ones
+    counts = count_regions(monkeypatch)
     iterations = 0
     for i, game in enumerate(scale_games()):
         results = [solve(game, policy, audit_every=1) for policy in
@@ -599,6 +629,21 @@ def test_every_iteration_audited_on_the_scale_games():
         assert len({(r.w0, r.w1) for r in results}) == 1
         iterations += sum(r.iterations for r in results)
     assert iterations >= 2500
+    # changed nodes at +inf that only narrowed onto +inf targets
+    assert counts["left out"] == 586
+
+
+def test_every_iteration_audited_on_the_10k_scale_game(monkeypatch):
+    # the random-10k benchmark's games stop before the default audit
+    # cadence, so no default run of that shape compares a fast step
+    # with the reference route; ACCEPTANCE 9's game, of the same shape,
+    # does so here on every step
+    counts = count_regions(monkeypatch)
+    game = generate_game(10_000, 4, 6, 0.5, seed=424242)
+    result = solve(game, audit_every=1)
+    assert (result.iterations, len(result.w0)) == (16, 4669)
+    assert counts == {"left out": 1011, "region": 16242,
+                      "full region": 21366}
 
 
 def test_iteration_count_stays_below_the_step_bound():

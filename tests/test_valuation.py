@@ -1,5 +1,6 @@
 """Strategies, fixpoint valuations, improvement sets, the fast update."""
 
+import dataclasses
 import random
 from itertools import chain
 
@@ -17,7 +18,7 @@ from pgsi.iteration import (AllSwitches, DeterministicAll, SingleRandom,
                             solve)
 from pgsi.profiles import INF_KEY, digit_width, unit_profile, zero_profile
 from pgsi.valuation import (changed_nodes, improvements, initial_strategy,
-                            is_reasonable, is_reasonable_step,
+                            is_reasonable, is_reasonable_step, region_seeds,
                             response_strategy, switch_region, to_profiles,
                             valuate_bellman_ford, valuate_dijkstra)
 
@@ -726,6 +727,104 @@ def test_update_keeps_a_region_node_with_an_unbounded_kept_target_on_top():
     assert updated == base == valuate_bellman_ford(arena, new)
 
 
+def test_region_seeds_leave_out_a_node_at_top_that_narrows_onto_top():
+    # node 0 stays on the even self-loop of node 1 and drops the one of
+    # node 2; player-1 node 3 reaches nothing else that changed, so
+    # neither is revalued, while node 4 leaves the sink for node 2
+    game = ParityGame((0, 0, 0, 1, 0), (0, 2, 2, 0, 0),
+                      ((1, 2), (1,), (2,), (0,), (2,)))
+    arena = arena_of(game)
+    old = strategy_of({0: (1, 2), 1: (1,), 2: (2,), 4: (5,)})
+    new = strategy_of({0: (1,), 1: (1,), 2: (2,), 4: (2,)})
+    base = valuate_bellman_ford(arena, old)
+    assert base[:4] == [INF_KEY] * 4 and base[4] != INF_KEY
+    changed = changed_nodes(old, new)
+    assert changed == [0, 4]
+    assert region_seeds(old, new, changed, base) == [4]
+    assert switch_region(arena, new, changed) == {0, 3, 4}
+    region = switch_region(arena, new, [4])
+    assert region == {4}
+    assert valuate_dijkstra(arena, new, region, base) \
+        == valuate_bellman_ford(arena, new)
+    assert is_reasonable_step(arena, old, new, changed, region)
+
+
+def test_region_seeds_keep_a_node_at_top_that_adds_an_edge():
+    # the step of the test above: node 0 at +inf adds the escape
+    game = ParityGame((0, 0), (0, 2), ((1,), (1,)))
+    arena = arena_of(game)
+    old = strategy_of({0: (1,), 1: (1,)})
+    new = strategy_of({0: (1, 2), 1: (1,)})
+    base = valuate_bellman_ford(arena, old)
+    assert base[0] == INF_KEY
+    assert region_seeds(old, new, [0], base) == [0]
+
+
+def test_region_seeds_keep_a_node_at_top_that_drops_its_last_top_target():
+    # node 0 narrows from the even self-loop of node 1 and the sink to
+    # the sink alone, which no improvement does; the sweep then reaches
+    # it and rejects its +inf base value
+    game = ParityGame((0, 0), (0, 2), ((1,), (1,)))
+    arena = arena_of(game)
+    old = strategy_of({0: (1, 2), 1: (1,)})
+    new = strategy_of({0: (2,), 1: (1,)})
+    base = valuate_bellman_ford(arena, old)
+    assert base[0] == INF_KEY
+    assert region_seeds(old, new, [0], base) == [0]
+    with pytest.raises(InvariantViolation, match="node 0 is infinite"):
+        valuate_dijkstra(arena, new, switch_region(arena, new, [0]), base)
+
+
+class _Recording(dict):
+    """A table that records every key read by subscript."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_update_reads_the_predecessor_tables_of_the_region_alone():
+    game = next(scale_games())
+    arena = preprocess(game).arena
+    strategy = initial_strategy(arena)
+    valuation = valuate_bellman_ford(arena, strategy)
+    imps = improvements(arena, strategy, valuation)
+    steps = 0
+    while imps.has_strict:
+        step = imps.improving
+        changed = changed_nodes(strategy, step)
+        region = switch_region(arena, step, region_seeds(
+            strategy, step, changed, valuation))
+        preds = _Recording(arena.preds)
+        watched = dataclasses.replace(arena, preds=preds)
+        fast = valuate_dijkstra(watched, step, region, valuation)
+        assert fast == valuate_bellman_ford(arena, step)
+        assert preds.read <= region
+        assert arena.sink not in preds.read
+        steps += len(region) < len(arena.nodes)
+        strategy, valuation = step, fast
+        imps = improvements(arena, strategy, valuation)
+    assert steps >= 5
+
+
+def test_update_names_the_cheapest_leaving_edge_of_a_player1_node():
+    # player-1 node 0 is valued at its edge to node 1, above what its
+    # cheaper edge to node 2, whose color is odd, gives; only that edge
+    # has a negative weight
+    game = ParityGame((1, 0, 0), (0, 0, 1), ((1, 2), (1,), (2,)))
+    arena = arena_of(game)
+    strategy = initial_strategy(arena)
+    base = valuate_bellman_ford(arena, strategy)
+    assert base[2] < base[1]
+    base[0] = arena.unit_keys[0] + base[1]
+    with pytest.raises(InvariantViolation, match=r"edge \(0,2\)"):
+        valuate_dijkstra(arena, strategy, {0}, base)
+
+
 def test_update_matches_reference_on_random_games():
     rng = random.Random(53)
     games = 0
@@ -805,10 +904,13 @@ def test_update_matches_reference_at_scale():
     # the switch region, the improvement sets carried over from step to
     # step and the incremental reasonableness check each equal their
     # whole-arena counterpart, and no value outside the switch region
-    # changes.  The step check is also compared on a step that keeps
-    # every old edge outside the switched nodes, which it must reject
-    # wherever a kept edge stopped improving.
-    compared = largest = restricted = rejected = 0
+    # changes.  So do the revaluation and the incremental reasonableness
+    # check on the smaller region walked back from the seeds alone, a
+    # part of the switch region outside which no value changes either.
+    # The step check is also compared on a step that keeps every old
+    # edge outside the switched nodes, which it must reject wherever a
+    # kept edge stopped improving.
+    compared = largest = restricted = rejected = left_out = 0
     for i, game in enumerate(scale_games()):
         arena = preprocess(game).arena
         for turns in ([AllSwitches()], [DeterministicAll()],
@@ -834,13 +936,24 @@ def test_update_matches_reference_at_scale():
                 assert outcome == check_outcome(lazy, imps, lazy)
                 rejected += outcome is None
                 region = switch_region(arena, step, changed)
+                reasonable = is_reasonable(arena, step)
                 assert is_reasonable_step(arena, strategy, step, changed,
-                                          region) \
-                    == is_reasonable(arena, step)
+                                          region) == reasonable
                 fast = valuate_dijkstra(arena, step, region, valuation)
                 assert fast == valuate_bellman_ford(arena, step)
                 assert all(fast[v] == valuation[v]
                            for v in range(len(fast)) if v not in region)
+                # the smaller region solve walks back from the seeds
+                seeds = region_seeds(strategy, step, changed, valuation)
+                narrow = switch_region(arena, step, seeds)
+                assert narrow <= region
+                assert valuate_dijkstra(arena, step, narrow, valuation) \
+                    == fast
+                assert is_reasonable_step(arena, strategy, step, changed,
+                                          narrow) == reasonable
+                assert all(fast[v] == valuation[v]
+                           for v in range(len(fast)) if v not in narrow)
+                left_out += len(changed) - len(seeds)
                 restricted += len(region) < len(arena.nodes)
                 everything = range(len(fast))
                 moved = _check_progress(valuation, fast, switched, region)
@@ -872,6 +985,7 @@ def test_update_matches_reference_at_scale():
     assert largest >= 300
     assert restricted >= compared * 9 // 10
     assert rejected >= 100
+    assert left_out == 1112
 
 
 def test_update_keeps_node_with_a_kept_edge_off_the_region_unbounded():
