@@ -5,14 +5,17 @@ The game graph is a finite directed graph whose nodes carry an owner
 maximum color seen infinitely often is even.  The solver works on the
 *escape arena*: the game plus a fresh sink node that every player-0 node
 may move to, ending the play.  `preprocess` sets a solve up in one
-pass: working on the game's own tuples, it removes the nodes player 1
-wins whatever player 0 does, together with player 1's winning edges on
-them, and then builds the one escape arena of a solve over the nodes
+pass: working on the game's own tuples, it peels off two dominions,
+first the nodes player 1 wins whatever player 0 does, then, among the
+rest, the nodes player 0 wins whatever player 1 does, each with its
+winner's edges on it.  Each is the attractor of the cycles its winner
+keeps alone; both attractors run on the whole game and one predecessor
+table.  It then builds the one escape arena of a solve over the nodes
 left, every table of it in one loop over those nodes.
 
 This module also hosts the two graph primitives everything else is built
 on: player attractors (ranks from one FIFO worklist, and an attracting
-strategy), which also give the odd-cycle strategy its edges, and the
+strategy), which also give the cycle strategies their edges, and the
 detection of nodes lying on cycles whose maximum color has a given parity.
 The latter is one top-color decomposition: peel the nodes on no cycle,
 split the rest into strongly connected components, keep those whose top
@@ -279,16 +282,31 @@ class AttractorResult:
     strategy: dict[int, int]
 
 
+def predecessors(nodes: Iterable[int],
+                 succ: _Successors) -> dict[int, list[int]]:
+    """Per node of `nodes` the sources of its edges, in the order of
+    `nodes`; no edge may leave `nodes`."""
+    preds: dict[int, list[int]] = {v: [] for v in nodes}
+    for v in preds:
+        for t in succ[v]:
+            preds[t].append(v)
+    return preds
+
+
 def attractor(nodes: Collection[int], succ: _Successors,
               owner: Mapping[int, int] | tuple[int, ...], player: int,
-              target: Iterable[int]) -> AttractorResult:
+              target: Iterable[int],
+              preds: Mapping[int, list[int]] | None = None
+              ) -> AttractorResult:
     """Nodes of `nodes` from which `player` can force the play into
     `target`.
 
     `succ` and `owner` give each node's successor tuple and owner,
     indexed by node id: the game's or the arena's own tables, or dicts
     over `nodes`.  No edge may leave `nodes`, and the escape sink is
-    never one of them.
+    never one of them.  `preds` maps each node of `nodes` to the sources
+    of its edges, as `predecessors` builds it; without it the attractor
+    builds its own.
 
     Rank 0 is the target itself; rank r+1 adds nodes owned by `player`
     with some successor of rank <= r and opponent nodes whose successors
@@ -302,15 +320,13 @@ def attractor(nodes: Collection[int], succ: _Successors,
     are known, each attracting-player member of positive rank gets its
     smallest-id successor of strictly smaller rank as its edge.
     """
-    preds: dict[int, list[int]] = {v: [] for v in nodes}
+    if preds is None:
+        preds = predecessors(nodes, succ)
     rank: dict[int, int] = {}
     for t in target:
         if t not in preds:
             raise ValueError("target node %d is not in the node set" % t)
         rank[t] = 0
-    for v in nodes:
-        for t in succ[v]:
-            preds[t].append(v)
     queue = list(rank)
     remaining: dict[int, int] = {}
     for v in nodes:
@@ -487,10 +503,12 @@ def find_one_dominated_cycle_nodes(nodes: Iterable[int], succ: _Successors,
 
 
 def dominated_cycle_strategy(nodes: Iterable[int], succ: _Successors,
-                             color: tuple[int, ...]) -> dict[int, int]:
-    """One edge per odd-cycle node that keeps every resulting cycle odd.
+                             color: tuple[int, ...],
+                             parity: int = 1) -> dict[int, int]:
+    """One edge per node on a cycle whose top color has the given parity,
+    odd by default, that keeps every resulting cycle of that parity.
 
-    Per piece of the odd top-color decomposition the smallest-id node of
+    Per piece of the top-color decomposition the smallest-id node of
     the piece's top color is the witness.  Every other member moves to
     its smallest-id successor one step closer to the witness along a
     shortest path inside the piece: its edge in one attractor of all
@@ -500,11 +518,11 @@ def dominated_cycle_strategy(nodes: Iterable[int], succ: _Successors,
     edges are those of one attractor per piece.  The witness moves to
     its smallest-id successor in the piece.  Any cycle the chosen edges
     can form stays in one piece and passes through its witness, so its
-    maximum color is the piece's odd top.
+    maximum color is the piece's top, of the wanted parity.
     """
     inner: dict[int, tuple[int, ...]] = {}
     witnesses = []
-    for top, piece in _dominated_pieces(nodes, succ, color, 1):
+    for top, piece in _dominated_pieces(nodes, succ, color, parity):
         members = set(piece)
         for v in piece:
             inner[v] = tuple([t for t in succ[v] if t in members])
@@ -520,49 +538,90 @@ def dominated_cycle_strategy(nodes: Iterable[int], succ: _Successors,
 
 @dataclass(frozen=True)
 class PreprocessResult:
-    """The escape arena over the nodes left, the nodes removed, and
-    player 1's winning edge at each removed player-1 node, keyed in
-    ascending node order."""
+    """The escape arena over the nodes left and the two peels: the nodes
+    player 1 wins before the loop, `pre_won`, with player 1's winning
+    edge at each player-1 node of them, and the nodes player 0 wins
+    before the loop, `pre_won0`, with player 0's winning edge at each
+    player-0 node of them.  Both strategies are keyed in ascending node
+    order."""
 
     arena: EscapeArena
     pre_won: frozenset[int]
     strategy1: dict[int, int]
+    pre_won0: frozenset[int]
+    strategy0: dict[int, int]
 
 
 def preprocess(game: ParityGame) -> PreprocessResult:
-    """Remove the part of the game player 1 wins without seeing a single
-    player-0 choice, and build the escape arena over the rest.
+    """Remove the part of the game either player wins without seeing a
+    single choice of the other, and build the escape arena over the
+    rest.
 
-    Both steps work on the game's own tuples.  Nodes on odd-dominated
-    cycles of the player-1 subgraph are removed, together with their
-    player-1 attractor in the plain game graph.  Escape edges cannot
-    save these nodes: escaping ends the play at a finite value, which is
-    no win for player 0, so the attractor is taken without them.
-    Player 1 wins the removed part with `strategy1`: the edges of
-    `dominated_cycle_strategy` on the cycle nodes and the attractor's
-    edges elsewhere.  The one escape arena of a solve is built over the
-    remaining nodes; it has no odd-dominated cycle among player-1 nodes,
-    which the function asserts.
+    Every step works on the game's own tuples.  First player 1's peel:
+    nodes on odd-dominated cycles of the player-1 subgraph are removed,
+    together with their player-1 attractor in the plain game graph.
+    Escape edges cannot save these nodes: escaping ends the play at a
+    finite value, which is no win for player 0, so the attractor is
+    taken without them.  Player 1 wins the removed part, `pre_won`,
+    with `strategy1`: the edges of `dominated_cycle_strategy` on the
+    cycle nodes and the attractor's edges elsewhere.
+
+    Then player 0's peel, the same two steps with the players swapped:
+    nodes on even-dominated cycles among the player-0 nodes left, and
+    their player-0 attractor, form `pre_won0`, which player 0 wins with
+    `strategy0`.  The rest C of the game after player 1's peel is a trap
+    for player 1: a player-1 node of C has no edge into `pre_won`.  So
+    player 0 wins the cycles inside C by keeping to them, and the
+    player-0 attractor of those cycles inside C.  That attractor is
+    taken on the whole game's tables, with no filtered subgame, and
+    still is the one inside C: `pre_won` is a trap for player 0, since
+    each of its player-0 nodes has every edge and each of its player-1
+    nodes some edge inside it, so player 0 attracts none of its nodes,
+    and a player-1 node of C has every edge inside C.  So the two
+    attractors never overlap, which the function asserts.  What is left
+    after both peels is a trap for player 0 inside C, whose solution is
+    the whole game's there (the attractor decomposition of Zielonka,
+    TCS 1998).  Both attractors read one predecessor table of the game,
+    built at most once.
+
+    The one escape arena of a solve is built over the nodes neither peel
+    removes; it has no odd-dominated cycle among player-1 nodes, which
+    the function asserts.
     """
-    succ, color = game.successors, game.color
-    dom_strategy = dominated_cycle_strategy(game.player_nodes(1), succ, color)
-    pre_won = frozenset()
-    # every game node has a successor, so an empty target attracts
-    # nothing; the skip sits here because `attractor` itself attracts
-    # opponent dead ends
-    if dom_strategy:
-        att = attractor(range(game.n), succ, game.owner, 1, dom_strategy)
-        pre_won = att.members
-        # the cycle nodes have rank 0, so the attractor gives them no
-        # edge; together the two cover every removed player-1 node
-        dom_strategy.update(att.strategy)
-    arena = build_escape_arena(game, pre_won)
+    succ, owner, color = game.successors, game.owner, game.color
+    preds = None
+    removed: frozenset[int] = frozenset()
+    peels = []
+    # a player wins the cycles of its own nodes whose top has its parity
+    for player in (1, 0):
+        strategy = dominated_cycle_strategy(
+            [v for v in game.player_nodes(player) if v not in removed],
+            succ, color, player)
+        won = frozenset()
+        # every game node has a successor, so an empty target attracts
+        # nothing; the skip sits here because `attractor` itself
+        # attracts opponent dead ends
+        if strategy:
+            if preds is None:
+                preds = predecessors(range(game.n), succ)
+            att = attractor(range(game.n), succ, owner, player, strategy,
+                            preds)
+            won = att.members
+            if not won.isdisjoint(removed):
+                raise InvariantViolation("player 0's peel overlaps player 1's")
+            # the cycle nodes have rank 0, so the attractor gives them no
+            # edge; together the two cover every removed node of `player`
+            strategy.update(att.strategy)
+        removed |= won
+        peels.append((won, dict(sorted(strategy.items()))))
+    (pre_won, strategy1), (pre_won0, strategy0) = peels
+    arena = build_escape_arena(game, removed)
     for v in arena.player1_nodes:
         if not arena.succ[v]:
             raise InvariantViolation("surviving player-1 node %d lost all successors" % v)
     if find_one_dominated_cycle_nodes(arena.player1_nodes, succ, color):
         raise InvariantViolation("reduced arena still has an odd player-1 cycle")
-    return PreprocessResult(arena, pre_won, dict(sorted(dom_strategy.items())))
+    return PreprocessResult(arena, pre_won, strategy1, pre_won0, strategy0)
 
 
 def reachable(succ: Mapping[int, Sequence[int]] | Sequence[Sequence[int]],

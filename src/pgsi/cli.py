@@ -14,7 +14,8 @@ import sys
 from collections import Counter
 from typing import Iterator
 
-from .arena import ParityGame, parse_pgsolver, serialize_pgsolver
+from .arena import (ParityGame, parse_pgsolver, preprocess,
+                    serialize_pgsolver)
 from .errors import FormatError, InstanceTooLarge, SolverError
 from .iteration import POLICY_NAMES, policy_by_name, solve
 from .oracle import DEFAULT_CAP, crosscheck
@@ -176,50 +177,50 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    """Print every valuation of a `solve` run that audits every iteration.
+    """Print the two peels of preprocessing, then every valuation of a
+    `solve` run that audits every iteration.
 
+    The peels come from `preprocess`, which `solve` then runs again on
+    the same game: one line for the nodes player 1 wins before the loop
+    and one for those player 0 wins, each only when it is not empty.
     Under `audit_every=1` every iteration runs the reference fixpoint
     sweeps, the ones `on_update` sees, and every iteration after the
     first compares them bit for bit with the fast route, so `--updates`
-    prints the sweeps of every iteration.
+    prints the sweeps of every iteration.  Lines are printed as the run
+    unfolds, so a run `solve` rejects leaves the iterations it
+    completed.
 
     The escape sink is node `game.n`, after every game node, so a sorted
     valuation lists the arena nodes first and the sink ("bot") last.
-    Lines are buffered because the pre-won line, known only once `solve`
-    returns, comes first; they are printed even if `solve` fails.
     """
     game = _read_game(args.file)
     policy = policy_by_name(args.policy, args.seed)
     sink = game.n
-    lines: list[str] = []
 
     def label(v: int) -> str:
         return "bot" if v == sink else str(v)
 
     def on_iteration(iteration, strategy, vals, imps):
-        lines.append("iteration %d" % iteration)
+        print("iteration %d" % iteration)
         for v in sorted(vals):
-            lines.append("  %s: %s" % (label(v), vals[v]))
+            print("  %s: %s" % (label(v), vals[v]))
         strict = " ".join("%d->%s" % (v, label(t))
                           for v, t in imps.strict_edges())
-        lines.append("  strict: %s" % (strict or "(none)"))
+        print("  strict: %s" % (strict or "(none)"))
 
     on_update = None
     if args.updates:
         def on_update(sweep, v, old, new):
-            lines.append("  sweep %d: %s: %s -> %s"
-                         % (sweep, label(v), old, new))
+            print("  sweep %d: %s: %s -> %s" % (sweep, label(v), old, new))
 
-    try:
-        result = solve(game, policy, audit_every=1,
-                       on_iteration=on_iteration, on_update=on_update)
-        pre_won = sorted(set(range(game.n)) - result.valuation.keys())
-        if pre_won:
-            lines.insert(0, "pre-won by player 1: %s" % _format_ids(pre_won))
-        lines.append("iterations: %d" % result.iterations)
-    finally:
-        for line in lines:
-            print(line)
+    prep = preprocess(game)
+    for player, won in ((1, prep.pre_won), (0, prep.pre_won0)):
+        if won:
+            print("pre-won by player %d: %s" % (player,
+                                                _format_ids(sorted(won))))
+    result = solve(game, policy, audit_every=1, on_iteration=on_iteration,
+                   on_update=on_update)
+    print("iterations: %d" % result.iterations)
     return 0
 
 

@@ -279,6 +279,13 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
     """Solve a parity game: winning sets for both players, a deterministic
     winning strategy each, the final valuation and per-iteration stats.
 
+    `preprocess` first peels off the nodes player 1 wins without a
+    player-0 choice and then those player 0 wins without a player-1
+    choice, each with its winner's edges, which the result copies into
+    the winning sets and strategies.  The loop runs on the escape arena
+    over the nodes left; on a game the peels solve outright it runs no
+    iteration, and the valuation is empty.
+
     The first iteration valuates the whole arena by fixpoint sweeps (the
     reference route) and classifies every player-0 node.  Later iterations
     derive once the switch region A, the nodes that reach a changed node
@@ -419,11 +426,12 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
             if v not in won:
                 strategy1[v] = tau[v][0]
         valuation = to_profiles(arena, current)
+    strategy0.update(prep.strategy0)
     strategy1.update(prep.strategy1)
 
-    w0 = tuple(v for v in arena.nodes if v in won)
-    w1 = tuple(sorted(set(prep.pre_won)
-                      | {v for v in arena.nodes if v not in won}))
+    w0 = tuple(sorted(prep.pre_won0.union(won)))
+    w1 = tuple(sorted(prep.pre_won.union(
+        [v for v in arena.nodes if v not in won])))
     return SolveResult(w0, w1, strategy0, strategy1, valuation, iterations,
                        policy.name, stats)
 

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from pgsi import ParityGame
 from pgsi.cli import random_game
 
+from helpers import loop_game
+
 
 @st.composite
 def parity_games(draw, max_nodes=8, max_colors=4, max_degree=3):
@@ -23,13 +25,14 @@ def parity_games(draw, max_nodes=8, max_colors=4, max_degree=3):
 
 def scale_games():
     """30 seeded games of 100-400 nodes whose sink regions reach hundreds
-    of nodes; the first has 240 colours."""
+    of nodes; the first has 240 colours.  Player 0's peel leaves each
+    whole (`loop_game`), so the improvement loop sees all of them."""
     rng = random.Random(2718)
     for i in range(30):
         nodes = (250, 400)[i] if i < 2 else rng.randint(100, 200)
         colors = 240 if i == 0 else rng.randint(2, 12)
-        yield random_game(rng, nodes, rng.randint(2, 4), colors,
-                          0.7 if i == 0 else 0.5)
+        yield loop_game(random_game(rng, nodes, rng.randint(2, 4), colors,
+                                    0.7 if i == 0 else 0.5))
 
 
 # numbers a file may hold: past CPython's default int-conversion limit,

@@ -1,15 +1,17 @@
 """Reference routines that only the tests use: a strategy built from a
 raw mapping, one application of the valuation operator, the deterministic
 strategies inside an improving edge set, a determinism predicate, the
-audit cadences to solve under, and the level-by-level attractor, the
-per-piece BFS of the odd-cycle strategy and the top-color decomposition
-without its peel that the package's versions must reproduce."""
+audit cadences to solve under, a game that player 0's peel leaves
+whole, and the level-by-level attractor, the per-piece BFS of the
+cycle strategy and the top-color decomposition without its peel that
+the package's versions must reproduce."""
 
 from collections import deque
 from itertools import product
 from typing import Iterator, Mapping
 
-from pgsi.arena import AttractorResult, _dominated_pieces, _sccs
+from pgsi.arena import (AttractorResult, ParityGame, _dominated_pieces,
+                        _sccs, find_dominated_cycle_nodes)
 from pgsi.errors import EnumerationTooLarge
 from pgsi.profiles import INF_KEY
 from pgsi.valuation import Strategy
@@ -31,6 +33,21 @@ def strategy_of(mapping: Mapping) -> Strategy:
 def is_deterministic(strategy: Strategy) -> bool:
     """True iff the strategy keeps exactly one edge per node."""
     return all(len(ts) == 1 for ts in strategy.values())
+
+
+def loop_game(game: ParityGame) -> ParityGame:
+    """The game with the even color of each player-0 node on an even-topped
+    cycle among player-0 nodes raised by one: the same graph and owners,
+    and no such cycle left, so player 0's peel removes nothing and the
+    improvement loop sees every node player 1's peel leaves.
+
+    One pass suffices: a cycle through a node on no even-topped cycle
+    has an odd top m, and a raised color c < m becomes c + 1 <= m."""
+    raised = find_dominated_cycle_nodes(game.player_nodes(0),
+                                        game.successors, game.color, 0)
+    color = tuple(c + 1 if v in raised and c % 2 == 0 else c
+                  for v, c in enumerate(game.color))
+    return ParityGame(game.owner, color, game.successors, game.names)
 
 
 def apply_operator(arena, strategy: Strategy, valuation: list) -> list:
@@ -114,13 +131,13 @@ def level_attractor(nodes, succ, owner, player: int,
     return AttractorResult(frozenset(rank), rank, strategy)
 
 
-def bfs_dominated_cycle_strategy(nodes, succ, color) -> dict:
-    """Per odd piece, a BFS towards the smallest-id node of its top
-    color over the piece's reversed edges; each member takes its
-    smallest-id successor one step closer, the witness its smallest-id
-    successor in the piece."""
+def bfs_dominated_cycle_strategy(nodes, succ, color, parity=1) -> dict:
+    """Per piece of the given parity, a BFS towards the smallest-id node
+    of its top color over the piece's reversed edges; each member takes
+    its smallest-id successor one step closer, the witness its
+    smallest-id successor in the piece."""
     strategy = {}
-    for top, piece in _dominated_pieces(nodes, succ, color, 1):
+    for top, piece in _dominated_pieces(nodes, succ, color, parity):
         members = set(piece)
         x = min(v for v in piece if color[v] == top)
         rpred = {v: [] for v in piece}

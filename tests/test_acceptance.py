@@ -169,9 +169,22 @@ def test_acceptance_1_oracle_equivalence(corpus, solver_runs, capsys):
             % (CORPUS_SIZE, combos, mismatches, seconds))
 
 
+def test_player0_peel_is_won_by_player0_on_the_oracle_corpus(corpus):
+    # player 0's peel removes only nodes of the oracle's W0, and player
+    # 1's only nodes of its W1; the seeded counts pin how much each takes
+    peeled = [0, 0]
+    for game, oracle in zip(corpus["games"], corpus["oracles"]):
+        prep = preprocess(game)
+        assert prep.pre_won0 <= set(oracle.w0)
+        assert prep.pre_won <= set(oracle.w1)
+        peeled[0] += len(prep.pre_won0)
+        peeled[1] += len(prep.pre_won)
+    assert peeled == [1243, 789]
+
+
 def test_acceptance_2_backend_equivalence(reference_walks, capsys):
     verdict(capsys, 2, reference_walks["route_mismatches"] == 0
-            and reference_walks["comparisons"] == 1656,
+            and reference_walks["comparisons"] == 1015,
             "%d per-iteration valuation comparisons, %d mismatches"
             % (reference_walks["comparisons"],
                reference_walks["route_mismatches"]))
@@ -179,7 +192,7 @@ def test_acceptance_2_backend_equivalence(reference_walks, capsys):
 
 def test_acceptance_3_monotone_improvement(solver_runs, capsys):
     verdict(capsys, 3, solver_runs["step_failures"] == 0
-            and solver_runs["steps"] == 6422,
+            and solver_runs["steps"] == 2676,
             "%d improvement steps audited for growth and reasonableness, "
             "%d violations"
             % (solver_runs["steps"], solver_runs["step_failures"]))
@@ -187,7 +200,7 @@ def test_acceptance_3_monotone_improvement(solver_runs, capsys):
 
 def test_acceptance_4_convergence_bound(reference_walks, capsys):
     verdict(capsys, 4, reference_walks["sweep_violations"] == 0
-            and reference_walks["bf_calls"] == 2555,
+            and reference_walks["bf_calls"] == 1685,
             "%d fixpoint runs, %d exceeded one sweep per node"
             % (reference_walks["bf_calls"],
                reference_walks["sweep_violations"]))
@@ -220,7 +233,7 @@ def test_acceptance_5_local_optimality(capsys):
             strategy = imps.improving
         else:
             raise AssertionError("improvement walk failed to stop")
-    verdict(capsys, 5, failures == 0 and comparisons == 1487,
+    verdict(capsys, 5, failures == 0 and comparisons == 611,
             "%d deterministic selections vs their full improvement set "
             "on %d games, %d above" % (comparisons, games_done, failures))
 
@@ -278,7 +291,7 @@ def test_acceptance_7_extraction_and_replay(corpus, solver_runs,
         if valuate_bellman_ford(arena, extracted) != valuation:
             failures += 1
     verdict(capsys, 7, failures == 0 and replays == 6000
-            and extractions == 899,
+            and extractions == 670,
             "%d strategy replays, %d extraction revaluations, %d failures"
             % (replays, extractions, failures))
 

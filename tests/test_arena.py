@@ -1,5 +1,6 @@
 """Game representation, file format, attractors, cycle analysis."""
 
+import random
 import sys
 import time
 from unittest import mock
@@ -13,6 +14,7 @@ from pgsi.arena import (_dominated_pieces, _sccs, attractor,
                         build_escape_arena, dominated_cycle_strategy,
                         find_dominated_cycle_nodes,
                         find_one_dominated_cycle_nodes, preprocess)
+from pgsi.cli import random_game
 from pgsi.errors import FormatError, InvariantViolation
 
 from conftest import fuzz_texts, parity_games
@@ -418,12 +420,12 @@ def test_attractor_matches_the_level_by_level_reference(view, player, data):
                                                      ref.strategy)
 
 
-@given(graph_views(closed=False))
+@given(graph_views(closed=False), st.integers(0, 1))
 @settings(max_examples=500)
-def test_dominated_cycle_strategy_matches_the_bfs_reference(view):
+def test_dominated_cycle_strategy_matches_the_bfs_reference(view, parity):
     nodes, succ, _, color = view
-    assert dominated_cycle_strategy(nodes, succ, color) \
-        == bfs_dominated_cycle_strategy(nodes, succ, color)
+    assert dominated_cycle_strategy(nodes, succ, color, parity) \
+        == bfs_dominated_cycle_strategy(nodes, succ, color, parity)
 
 
 def table_forms(game, order, part):
@@ -604,9 +606,9 @@ def test_preprocess_ignores_escape_edges():
 
 
 def test_preprocess_builds_the_arena_over_the_nodes_left():
-    # 0 is an odd player-1 loop and 1 may move into it; 2 survives and
-    # loses its edge into 1, but keeps its escape
-    g = ParityGame((1, 1, 0), (1, 0, 2), ((0,), (0, 2), (1, 2)))
+    # 0 is an odd player-1 loop and 1 may move into it; 2 survives on
+    # its odd loop and loses its edge into 1, but keeps its escape
+    g = ParityGame((1, 1, 0), (1, 0, 3), ((0,), (0, 2), (1, 2)))
     prep = preprocess(g)
     assert prep.pre_won == frozenset((0, 1))
     assert prep.strategy1 == {0: 0, 1: 0}
@@ -618,27 +620,54 @@ def test_preprocess_builds_the_arena_over_the_nodes_left():
 def test_preprocess_runs_one_attractor_per_decomposition(monkeypatch):
     calls = []
 
-    def counted(nodes, succ, owner, player, target):
-        calls.append(nodes)
-        return attractor(nodes, succ, owner, player, target)
+    def counted(nodes, succ, owner, player, target, preds=None):
+        calls.append((player, preds))
+        return attractor(nodes, succ, owner, player, target, preds)
 
     monkeypatch.setattr("pgsi.arena.attractor", counted)
     # three odd player-1 two-cycles with interleaved ids, joined one way:
-    # one attractor serves all three pieces, one more the removal
-    joined = ParityGame((1, 1, 1, 1, 1, 1, 0), (1, 3, 5, 0, 2, 4, 6),
-                        ((3, 1), (4, 2), (5,), (0,), (1,), (2,), (0, 6)))
+    # one attractor serves all three pieces, one more the removal; then
+    # the same two for the even player-0 loop at 6 and node 7 feeding it
+    joined = ParityGame((1, 1, 1, 1, 1, 1, 0, 0), (1, 3, 5, 0, 2, 4, 6, 1),
+                        ((3, 1), (4, 2), (5,), (0,), (1,), (2,), (0, 6),
+                         (6,)))
     prep = preprocess(joined)
-    assert len(calls) == 2
+    assert [player for player, _ in calls] == [1, 1, 1, 0]
+    # both removals read one predecessor table of the whole game
+    assert calls[0][1] is None and calls[2][1] is None
+    assert calls[1][1] is calls[3][1]
+    assert sorted(calls[1][1]) == list(range(8))
     assert prep.pre_won == frozenset(range(6))
     assert prep.strategy1 == {0: 3, 1: 4, 2: 5, 3: 0, 4: 1, 5: 2}
+    assert prep.pre_won0 == frozenset((6, 7))
+    assert prep.strategy0 == {6: 6, 7: 6}
     tables = joined.player_nodes(1), joined.successors, joined.color
     assert dominated_cycle_strategy(*tables) \
         == bfs_dominated_cycle_strategy(*tables)
-    # no odd player-1 cycle: no piece and no target, so neither call runs
+    # no odd player-1 cycle and no even player-0 one: no piece and no
+    # target, so no call runs
     calls.clear()
-    assert preprocess(ParityGame((0, 1), (1, 2), ((1,), (0,)))).pre_won \
-        == frozenset()
+    prep = preprocess(ParityGame((0, 1), (1, 2), ((1,), (0,))))
+    assert prep.pre_won == prep.pre_won0 == frozenset()
     assert len(calls) == 0
+
+
+def test_preprocess_peels_player0_cycles_and_their_attractor():
+    # 0 <-> 1 is an even player-0 cycle; player-1 node 2 must enter it
+    # and player-0 node 3 may; 4 is an odd player-1 loop that 5 must
+    # enter; player-1 node 6 keeps its own loop, so player 0 attracts
+    # neither it nor node 7, whose odd loop leaves it in the arena
+    g = ParityGame((0, 0, 1, 0, 1, 0, 1, 0), (2, 1, 3, 5, 1, 0, 4, 3),
+                   ((1,), (0, 4), (0,), (2, 5), (4, 5), (4,), (1, 6),
+                    (7, 6)))
+    prep = preprocess(g)
+    assert prep.pre_won == frozenset((4, 5))
+    assert prep.strategy1 == {4: 4}
+    assert prep.pre_won0 == frozenset((0, 1, 2, 3))
+    assert prep.strategy0 == {0: 1, 1: 0, 3: 2}
+    assert prep.arena.nodes == (6, 7)
+    assert prep.arena.succ == {6: (6,), 7: (7, 6)}
+    assert prep.arena.escape_choices == {7: (6, 7, 8)}
 
 
 @given(parity_games())
@@ -646,10 +675,44 @@ def test_preprocess_runs_one_attractor_per_decomposition(monkeypatch):
 def test_preprocess_soundness(game):
     prep = preprocess(game)
     arena = prep.arena
-    # nothing 1-dominated survives among player-1 nodes
+    # nothing 1-dominated survives among player-1 nodes, nothing
+    # 0-dominated among player-0 nodes
     assert find_one_dominated_cycle_nodes(
         arena.player1_nodes, game.successors, game.color) == frozenset()
+    assert find_dominated_cycle_nodes(
+        arena.player0_nodes, game.successors, game.color, 0) == frozenset()
     for v in arena.player1_nodes:
         assert arena.succ[v]
-    # pre-won nodes are truly lost
-    assert prep.pre_won <= set(oracle_solve(game).w1)
+    # pre-won nodes are truly won, each by its player
+    oracle = oracle_solve(game)
+    assert prep.pre_won <= set(oracle.w1)
+    assert prep.pre_won0 <= set(oracle.w0)
+
+
+def test_player0_attractor_on_the_whole_game_is_the_one_without_pre_won():
+    # player 0's peel attracts on the game's own tables: outside player
+    # 1's peel no player-1 node has an edge into it, and inside it
+    # player 0 attracts nothing, so the attractor is the one of the game
+    # without those nodes, ranks and edges included
+    rng = random.Random(61)
+    peeled = 0
+    for _ in range(300):
+        game = random_game(rng, rng.randint(1, 60), rng.randint(1, 4),
+                           rng.randint(1, 8))
+        prep = preprocess(game)
+        left = [v for v in range(game.n) if v not in prep.pre_won]
+        inner = {v: tuple(t for t in game.successors[v]
+                          if t not in prep.pre_won) for v in left}
+        cycles = dominated_cycle_strategy(
+            [v for v in left if game.owner[v] == 0], game.successors,
+            game.color, 0)
+        whole = attractor(range(game.n), game.successors, game.owner, 0,
+                          cycles)
+        part = attractor(left, inner, game.owner, 0, cycles)
+        assert (whole.members, whole.rank, whole.strategy) \
+            == (part.members, part.rank, part.strategy)
+        assert whole.members == prep.pre_won0
+        assert prep.pre_won0.isdisjoint(prep.pre_won)
+        peeled += bool(prep.pre_won) and bool(whole.members)
+    # both peels remove nodes from 66 of the games
+    assert peeled >= 50

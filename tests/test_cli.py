@@ -23,10 +23,11 @@ TWO_NODE = ParityGame((0, 1), (1, 2), ((1,), (0,)))
 ODD_LOOP = ParityGame((0,), (1,), ((0,),))
 EVEN_LOOP2 = ParityGame((0,), (2,), ((0,),))
 ODD_TRAP = ParityGame((1,), (1,), ((0,),))
-# node 0 is a player-1 odd loop, won before iterating; player-0 node 1
-# escapes the trap by its even loop, 2 follows it, 3 is stuck on an odd loop
-TRAP_AND_LOOPS = ParityGame((1, 0, 0, 0), (1, 2, 0, 1),
-                            ((0,), (0, 1), (1,), (3,)))
+# node 0 is a player-1 odd loop and node 5 a player-0 even loop, both won
+# before iterating; player-0 node 1 escapes the trap by its even cycle
+# through player-1 node 4, 2 follows it, 3 is stuck on an odd loop
+TRAP_AND_LOOPS = ParityGame((1, 0, 0, 0, 1, 0), (1, 2, 0, 1, 0, 2),
+                            ((0,), (0, 4), (1,), (3,), (1,), (5,)))
 
 
 def write_game(tmp_path, game, name="game.gm"):
@@ -393,15 +394,26 @@ def test_check_mismatches_of_same_stem_files_keep_their_own_artifacts(
 # ------------------------------------------------------------------- trace
 
 def test_trace_even_self_loop(tmp_path, capsys):
+    # player 0's peel wins the loop, so no iteration runs
     path = write_game(tmp_path, EVEN_LOOP2)
     code, out, _ = run(capsys, "trace", path)
     assert code == 0
+    assert out == ("pre-won by player 0: 0\n"
+                   "iterations: 0\n")
+
+
+def test_trace_two_node_alternation(tmp_path, capsys):
+    path = write_game(tmp_path, TWO_NODE)
+    code, out, _ = run(capsys, "trace", path)
+    assert code == 0
     assert out == ("iteration 1\n"
-                   "  0: (0,0,1)\n"
+                   "  0: (0,1,0)\n"
+                   "  1: (0,1,1)\n"
                    "  bot: (0,0,0)\n"
-                   "  strict: 0->0\n"
+                   "  strict: 0->1\n"
                    "iteration 2\n"
                    "  0: +inf\n"
+                   "  1: +inf\n"
                    "  bot: (0,0,0)\n"
                    "  strict: (none)\n"
                    "iterations: 2\n")
@@ -427,10 +439,10 @@ def test_trace_pre_won_game(tmp_path, capsys):
 
 
 def test_trace_updates_flag_shows_sweeps(tmp_path, capsys):
-    path = write_game(tmp_path, EVEN_LOOP2)
+    path = write_game(tmp_path, TWO_NODE)
     code, out, _ = run(capsys, "trace", path, "--updates")
     assert code == 0
-    assert "  sweep 1: 0: +inf -> (0,0,1)\n" in out
+    assert "  sweep 1: 0: +inf -> (0,1,0)\n" in out
 
 
 def test_trace_pre_won_then_iterations(tmp_path, capsys):
@@ -438,20 +450,24 @@ def test_trace_pre_won_then_iterations(tmp_path, capsys):
     code, out, err = run(capsys, "trace", path, "--updates")
     assert code == 0 and err == ""
     assert out == ("pre-won by player 1: 0\n"
+                   "pre-won by player 0: 5\n"
                    "  sweep 1: 3: +inf -> (0,1,0)\n"
                    "  sweep 1: 2: +inf -> (1,0,0)\n"
                    "  sweep 1: 1: +inf -> (0,0,1)\n"
+                   "  sweep 2: 4: +inf -> (1,0,1)\n"
                    "iteration 1\n"
                    "  1: (0,0,1)\n"
                    "  2: (1,0,0)\n"
                    "  3: (0,1,0)\n"
+                   "  4: (1,0,1)\n"
                    "  bot: (0,0,0)\n"
-                   "  strict: 1->1 2->1\n"
+                   "  strict: 1->4 2->1\n"
                    "  sweep 1: 3: +inf -> (0,1,0)\n"
                    "iteration 2\n"
                    "  1: +inf\n"
                    "  2: +inf\n"
                    "  3: (0,1,0)\n"
+                   "  4: +inf\n"
                    "  bot: (0,0,0)\n"
                    "  strict: (none)\n"
                    "iterations: 2\n")
@@ -475,13 +491,14 @@ def test_trace_prints_iterations_of_a_rejected_run(tmp_path, capsys,
     # a policy that switches nothing is rejected after the first iteration
     monkeypatch.setattr("pgsi.iteration.AllSwitches.pick",
                         lambda self, arena, strategy, vals, imps: strategy)
-    path = write_game(tmp_path, EVEN_LOOP2)
+    path = write_game(tmp_path, TWO_NODE)
     code, out, err = run(capsys, "trace", path)
     assert code == 3
     assert out == ("iteration 1\n"
-                   "  0: (0,0,1)\n"
+                   "  0: (0,1,0)\n"
+                   "  1: (0,1,1)\n"
                    "  bot: (0,0,0)\n"
-                   "  strict: 0->0\n")
+                   "  strict: 0->1\n")
     assert err == "internal error: policy applied no strict improvement\n"
 
 
