@@ -10,13 +10,15 @@ first the nodes player 1 wins whatever player 0 does, then, among the
 rest, the nodes player 0 wins whatever player 1 does, each with its
 winner's edges on it.  Each is the attractor of the cycles its winner
 keeps alone; both attractors run on the whole game and one predecessor
-table.  It then builds the one escape arena of a solve over the nodes
-left, every table of it in one loop over those nodes.
+list indexed by node id.  It then builds the one escape arena of a
+solve over the nodes left, every table of it in one loop over those
+nodes.
 
 This module also hosts the two graph primitives everything else is built
-on: player attractors (ranks from one FIFO worklist, and an attracting
-strategy), which also give the cycle strategies their edges, and the
-detection of nodes lying on cycles whose maximum color has a given parity.
+on: player attractors (ranks from one FIFO worklist, kept with its
+counters in lists indexed by node id, and an attracting strategy), which
+also give the cycle strategies their edges, and the detection of nodes
+lying on cycles whose maximum color has a given parity.
 The latter is one top-color decomposition: peel the nodes on no cycle,
 split the rest into strongly connected components, keep those whose top
 color has the wanted parity, and split the others again below their
@@ -282,12 +284,16 @@ class AttractorResult:
     strategy: dict[int, int]
 
 
-def predecessors(nodes: Iterable[int],
-                 succ: _Successors) -> dict[int, list[int]]:
-    """Per node of `nodes` the sources of its edges, in the order of
-    `nodes`; no edge may leave `nodes`."""
-    preds: dict[int, list[int]] = {v: [] for v in nodes}
-    for v in preds:
+def predecessors(nodes: Collection[int],
+                 succ: _Successors) -> list[list[int] | None]:
+    """The sources of the edges into each node of `nodes`, in the order
+    of `nodes`: one list indexed by node id up to the largest of
+    `nodes`, None at the ids between that are not nodes; no edge may
+    leave `nodes`."""
+    preds: list[list[int] | None] = [None] * (max(nodes, default=-1) + 1)
+    for v in nodes:
+        preds[v] = []
+    for v in nodes:
         for t in succ[v]:
             preds[t].append(v)
     return preds
@@ -296,7 +302,7 @@ def predecessors(nodes: Iterable[int],
 def attractor(nodes: Collection[int], succ: _Successors,
               owner: Mapping[int, int] | tuple[int, ...], player: int,
               target: Iterable[int],
-              preds: Mapping[int, list[int]] | None = None
+              preds: Sequence[list[int] | None] | None = None
               ) -> AttractorResult:
     """Nodes of `nodes` from which `player` can force the play into
     `target`.
@@ -304,9 +310,8 @@ def attractor(nodes: Collection[int], succ: _Successors,
     `succ` and `owner` give each node's successor tuple and owner,
     indexed by node id: the game's or the arena's own tables, or dicts
     over `nodes`.  No edge may leave `nodes`, and the escape sink is
-    never one of them.  `preds` maps each node of `nodes` to the sources
-    of its edges, as `predecessors` builds it; without it the attractor
-    builds its own.
+    never one of them.  `preds` is the list `predecessors` builds from
+    `nodes` and `succ`; without it the attractor builds its own.
 
     Rank 0 is the target itself; rank r+1 adds nodes owned by `player`
     with some successor of rank <= r and opponent nodes whose successors
@@ -316,45 +321,56 @@ def attractor(nodes: Collection[int], succ: _Successors,
     node at once and an opponent node when the counter of its unranked
     successors reaches 0.  Members leave the queue in the order of their
     ranks, so a player node takes one more than its smallest successor
-    rank and an opponent node one more than its largest.  Once the ranks
-    are known, each attracting-player member of positive rank gets its
-    smallest-id successor of strictly smaller rank as its edge.
+    rank and an opponent node one more than its largest.  Ranks and
+    counters live in lists indexed by node id, as long as the
+    predecessor list; an opponent's counter is set to its successor
+    count when the node is first reached, so only the dead ends are
+    looked at up front.  When a player node is attracted at rank r,
+    every rank below r is known, and its edge is its smallest-id
+    successor of rank below r.
     """
     if preds is None:
         preds = predecessors(nodes, succ)
-    rank: dict[int, int] = {}
+    size = len(preds)
+    # no rank exceeds the number of ids
+    unranked = size + 1
+    rank = [unranked] * size
+    queue = []
     for t in target:
-        if t not in preds:
+        if t not in nodes:
             raise ValueError("target node %d is not in the node set" % t)
-        rank[t] = 0
-    queue = list(rank)
-    remaining: dict[int, int] = {}
+        if rank[t]:
+            rank[t] = 0
+            queue.append(t)
     for v in nodes:
-        if owner[v] != player and v not in rank:
-            if succ[v]:
-                remaining[v] = len(succ[v])
-            else:
-                rank[v] = 1
-                queue.append(v)
+        if not succ[v] and owner[v] != player and rank[v]:
+            rank[v] = 1
+            queue.append(v)
+    remaining = [0] * size
+    strategy: dict[int, int] = {}
     # iterating a list visits what is appended to it meanwhile: a FIFO
     for u in queue:
         r = rank[u] + 1
         for v in preds[u]:
-            if v in rank:
+            if rank[v] != unranked:
                 continue
             if owner[v] != player:
-                remaining[v] -= 1
-                if remaining[v]:
+                left = (remaining[v] or len(succ[v])) - 1
+                remaining[v] = left
+                if left:
                     continue
+            else:
+                # every rank below r is known by now
+                edge = u
+                for t in succ[v]:
+                    if t < edge and rank[t] < r:
+                        edge = t
+                strategy[v] = edge
             rank[v] = r
             queue.append(v)
-
-    strategy: dict[int, int] = {}
-    for v in queue:
-        r = rank[v]
-        if r and owner[v] == player:
-            strategy[v] = min([t for t in succ[v] if rank.get(t, r) < r])
-    return AttractorResult(frozenset(rank), rank, strategy)
+    return AttractorResult(frozenset(queue),
+                           dict(zip(queue, map(rank.__getitem__, queue))),
+                           strategy)
 
 
 def _sccs(order: Iterable[int], succ: Mapping[int, tuple[int, ...]],
@@ -581,8 +597,8 @@ def preprocess(game: ParityGame) -> PreprocessResult:
     attractors never overlap, which the function asserts.  What is left
     after both peels is a trap for player 0 inside C, whose solution is
     the whole game's there (the attractor decomposition of Zielonka,
-    TCS 1998).  Both attractors read one predecessor table of the game,
-    built at most once.
+    TCS 1998).  Both attractors read one predecessor list of the game,
+    indexed by node id and built at most once.
 
     The one escape arena of a solve is built over the nodes neither peel
     removes; it has no odd-dominated cycle among player-1 nodes, which
@@ -595,7 +611,8 @@ def preprocess(game: ParityGame) -> PreprocessResult:
     # a player wins the cycles of its own nodes whose top has its parity
     for player in (1, 0):
         strategy = dominated_cycle_strategy(
-            [v for v in game.player_nodes(player) if v not in removed],
+            [v for v in range(game.n) if owner[v] == player
+             and v not in removed],
             succ, color, player)
         won = frozenset()
         # every game node has a successor, so an empty target attracts
@@ -613,7 +630,7 @@ def preprocess(game: ParityGame) -> PreprocessResult:
             # edge; together the two cover every removed node of `player`
             strategy.update(att.strategy)
         removed |= won
-        peels.append((won, dict(sorted(strategy.items()))))
+        peels.append((won, {v: strategy[v] for v in sorted(strategy)}))
     (pre_won, strategy1), (pre_won0, strategy0) = peels
     arena = build_escape_arena(game, removed)
     for v in arena.player1_nodes:

@@ -439,26 +439,28 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
 def replay_verify(game: ParityGame, result: SolveResult) -> None:
     """Check the winning strategies by replay on the plain game graph.
 
-    Every strategy edge must be an edge of the game, and restricting won
-    player-0 nodes to their strategy edge must leave no odd-dominated
-    cycle reachable from the player-0 winning set, and symmetrically for
-    player 1.  Raises InvariantViolation otherwise.
+    The winning sets must partition the game: `w0` and `w1` together,
+    sorted, are 0..n-1.  Every strategy edge must be an edge of the
+    game, and restricting won player-0 nodes to their strategy edge must
+    leave no odd-dominated cycle reachable from the player-0 winning
+    set, and symmetrically for player 1.  Each winning set is walked in
+    ascending order, with no set made of it.  Raises InvariantViolation
+    otherwise.
     """
-    if set(result.w0) | set(result.w1) != set(range(game.n)) \
-            or set(result.w0) & set(result.w1):
+    if sorted([*result.w0, *result.w1]) != list(range(game.n)):
         raise InvariantViolation("winning sets do not partition the game")
 
+    owner, successors = game.owner, game.successors
     for player, won, strategy, bad_parity in (
             (0, result.w0, result.strategy0, 1),
             (1, result.w1, result.strategy1, 0)):
-        won = set(won)
-        succ = list(game.successors)
+        succ = list(successors)
         for v in sorted(won):
-            if game.owner[v] == player:
+            if owner[v] == player:
                 if v not in strategy:
                     raise InvariantViolation(
                         "player-%d strategy misses won node %d" % (player, v))
-                if strategy[v] not in game.successors[v]:
+                if strategy[v] not in successors[v]:
                     raise InvariantViolation(
                         "player-%d strategy moves from node %d along "
                         "(%d,%r), which is not an edge of the game"

@@ -13,7 +13,8 @@ from pgsi import ParityGame, oracle_solve, parse_pgsolver, serialize_pgsolver
 from pgsi.arena import (_dominated_pieces, _sccs, attractor,
                         build_escape_arena, dominated_cycle_strategy,
                         find_dominated_cycle_nodes,
-                        find_one_dominated_cycle_nodes, preprocess)
+                        find_one_dominated_cycle_nodes, predecessors,
+                        preprocess)
 from pgsi.cli import random_game
 from pgsi.errors import FormatError, InvariantViolation
 
@@ -420,6 +421,60 @@ def test_attractor_matches_the_level_by_level_reference(view, player, data):
                                                      ref.strategy)
 
 
+@st.composite
+def sparse_views(draw):
+    """Nodes with ids in a stepped range, successors among them with
+    duplicates and dead ends, owners over every id up to the last, and
+    targets with duplicates."""
+    ids = range(draw(st.integers(0, 3)), draw(st.integers(0, 20)),
+                draw(st.integers(1, 3)))
+    heads = st.sampled_from(ids) if ids else st.nothing()
+    succ = {v: tuple(draw(st.lists(heads, max_size=3))) for v in ids}
+    owner = tuple(draw(st.lists(st.integers(0, 1), min_size=20,
+                                max_size=20)))
+    target = draw(st.lists(heads, max_size=4)) if ids else []
+    return ids, succ, owner, target
+
+
+@given(sparse_views(), st.integers(0, 1))
+@settings(max_examples=300)
+def test_attractor_on_sparse_ids_matches_the_reference(view, player):
+    # the same ids as a range, a list in any order and a dict: ranks,
+    # counters and edges indexed by id must not depend on the form
+    ids, succ, owner, target = view
+    ref = level_attractor(ids, succ, owner, player, target)
+    shuffled = list(ids)
+    random.Random(len(shuffled)).shuffle(shuffled)
+    for nodes in (ids, shuffled, succ):
+        for preds in (None, predecessors(nodes, succ)):
+            res = attractor(nodes, succ, owner, player, target, preds)
+            assert (res.members, res.rank, res.strategy) \
+                == (ref.members, ref.rank, ref.strategy)
+    # an id in a gap, past the last node or negative is no node
+    for outside in {-1, ids.stop, *(v for v in range(ids.stop)
+                                    if v not in ids)}:
+        for nodes in (ids, shuffled, succ):
+            with pytest.raises(ValueError, match="not in the node set"):
+                attractor(nodes, succ, owner, player, [*target, outside])
+
+
+def test_attractor_on_sparse_ids_by_hand():
+    # player 1 attracts towards 3, given twice: player-0 node 1 has its
+    # only edge into 3 and 9 is a player-0 dead end, both at rank 1;
+    # player-1 node 7 is first reached from 9 and takes 1, its
+    # smallest-id successor of smaller rank, not 9, its first; player-0
+    # node 5 waits for 7, and 11 keeps its own loop
+    succ = {1: (3,), 3: (3,), 5: (3, 7), 7: (9, 1), 9: (), 11: (11, 7)}
+    owner = (0,) * 7 + (1, 0, 0, 0, 0)
+    for nodes in (range(1, 12, 2), [11, 9, 7, 5, 3, 1], succ):
+        res = attractor(nodes, succ, owner, 1, [3, 3])
+        assert res.rank == {3: 0, 9: 1, 1: 1, 7: 2, 5: 3}
+        assert res.strategy == {7: 1}
+        assert res == level_attractor(nodes, succ, owner, 1, [3, 3])
+        with pytest.raises(ValueError, match="target node 4 is not"):
+            attractor(nodes, succ, owner, 1, [3, 4])
+
+
 @given(graph_views(closed=False), st.integers(0, 1))
 @settings(max_examples=500)
 def test_dominated_cycle_strategy_matches_the_bfs_reference(view, parity):
@@ -636,7 +691,12 @@ def test_preprocess_runs_one_attractor_per_decomposition(monkeypatch):
     # both removals read one predecessor table of the whole game
     assert calls[0][1] is None and calls[2][1] is None
     assert calls[1][1] is calls[3][1]
-    assert sorted(calls[1][1]) == list(range(8))
+    # one entry per game node, entry t the sources of t's game edges
+    table = calls[1][1]
+    assert len(table) == 8
+    for t in range(8):
+        assert table[t] == [v for v in range(8)
+                            if t in joined.successors[v]]
     assert prep.pre_won == frozenset(range(6))
     assert prep.strategy1 == {0: 3, 1: 4, 2: 5, 3: 0, 4: 1, 5: 2}
     assert prep.pre_won0 == frozenset((6, 7))

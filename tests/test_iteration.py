@@ -796,6 +796,22 @@ def test_replay_rejects_bad_partition():
         replay_verify(TWO_NODE, broken)
 
 
+@pytest.mark.parametrize("w0, w1", [
+    ((2, 2), (0, 1)),       # a duplicate in w0
+    ((1, 2), (0, 1)),       # node 1 in both sets
+    ((2,), (0,)),           # node 1 in neither
+    ((3,), (0, 1)),         # id n in place of node 2
+    ((-1,), (0, 1)),        # id -1 in place of node 2
+], ids=["duplicate", "in-both", "missing", "id-n", "id-minus-one"])
+def test_replay_rejects_sets_that_do_not_partition(w0, w1):
+    # the strategies would certify the true partition (2,) / (0, 1)
+    assert solve(NON_EDGE_GAME).w0 == (2,)
+    forged = SolveResult(w0, w1, {2: 2}, {1: 1}, {}, 1, "x")
+    with pytest.raises(InvariantViolation,
+                       match="winning sets do not partition the game"):
+        replay_verify(NON_EDGE_GAME, forged)
+
+
 def test_replay_rejects_missing_strategy():
     result = solve(TWO_NODE)
     broken = type(result)(result.w0, result.w1, {}, result.strategy1,
