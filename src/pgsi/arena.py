@@ -368,8 +368,7 @@ def attractor(nodes: Collection[int], succ: _Successors,
                 strategy[v] = edge
             rank[v] = r
             queue.append(v)
-    return AttractorResult(frozenset(queue),
-                           dict(zip(queue, map(rank.__getitem__, queue))),
+    return AttractorResult(frozenset(queue), {v: rank[v] for v in queue},
                            strategy)
 
 
