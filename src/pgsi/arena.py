@@ -25,7 +25,10 @@ color has the wanted parity, and split the others again below their
 top.  Node sets, witness strategies and preprocessing all read its
 pieces; it costs one O(n + m) peel, then O(depth * (n' + m')) on the n'
 nodes reachable from a cycle, where depth is how deeply components
-topped by the other parity nest, instead of one pass per color.  Each
+topped by the other parity nest, instead of one pass per color.  Its
+state, the peel's in-degree counts, each piece's mark and Tarjan's
+preorder numbers, lives in one list of ints indexed by node id, one
+entry per id of the color table and one for the escape sink.  Each
 analysis takes the tables it reads: the nodes to look at and the game's
 or the arena's own successor, owner or color tables, or dicts over
 those nodes.
@@ -372,61 +375,64 @@ def attractor(nodes: Collection[int], succ: _Successors,
                            strategy)
 
 
-def _sccs(order: Iterable[int], succ: Mapping[int, tuple[int, ...]],
-          allowed: set[int]) -> Iterator[list[int]]:
-    """Strongly connected components of the subgraph induced by `allowed`,
-    explored in the given root order.  Iterative Tarjan variant that reads
-    each allowed edge once: an edge to an unvisited node descends, and the
-    child's low-link is folded into its parent's when the child returns;
-    an edge to a visited node whose component is still open lowers the
-    low-link to that node's preorder number.  A node is pushed on the
-    component stack when it returns without being a root, so a component
-    lists its root first, then its other members in reverse return order.
+def _sccs(order: Iterable[int], succ: _Successors, state: list[int],
+          mark: int) -> Iterator[list[int]]:
+    """Strongly connected components of the subgraph induced by the ids
+    whose entry in `state` is `mark`, explored in the given root order.
+
+    `state` is indexed by node id and holds an entry for every id a
+    successor tuple names; the roots are marked ids.  The mark is above
+    the number of marked ids, and no other entry lies between 1 and that
+    number: the search overwrites the mark of each id it visits with the
+    id's preorder number, counted from 1, and sets the entries of a
+    component to 0 when it yields it.  So a successor whose entry is the
+    mark is unvisited, one whose entry lies between 1 and the low-link
+    so far is in a component still open and lowers it, and every other
+    successor is skipped.  Iterative Tarjan variant that reads each edge
+    once: an edge to an unvisited node descends, and the child's
+    low-link is folded into its parent's when the child returns; an edge
+    to a node whose component is still open lowers the low-link to that
+    node's preorder number.  A node is pushed on the component stack
+    when it returns without being a root, so a component lists its root
+    first, then its other members in reverse return order.
     """
-    preorder: dict[int, int] = {}
-    seen_at = preorder.get
-    done: set[int] = set()
-    component_stack: list[int] = []
-    # the DFS path and, per node on it, its low-link so far and the
-    # iterator over its successors
-    path: list[int] = []
-    lows: list[int] = []
-    pending: list[Iterator[int]] = []
+    # the component stack, the DFS path and, per node on the path, its
+    # low-link so far and the iterator over its successors
+    component_stack, path, lows, pending = [], [], [], []
     counter = 0
     for source in order:
-        if source in done:
+        if state[source] != mark:
             continue
         counter += 1
-        preorder[source] = counter
+        state[source] = counter
         path.append(source)
         lows.append(counter)
         pending.append(iter(succ[source]))
         while path:
             low = lows[-1]
             for t in pending[-1]:
-                if t not in allowed:
-                    continue
-                seen = seen_at(t)
-                if seen is None:
+                seen = state[t]
+                if seen == mark:
                     lows[-1] = low
                     counter += 1
-                    preorder[t] = counter
+                    state[t] = counter
                     path.append(t)
                     lows.append(counter)
                     pending.append(iter(succ[t]))
                     break
-                if seen < low and t not in done:
+                if 0 < seen < low:
                     low = seen
             else:
                 v = path.pop()
                 lows.pop()
                 pending.pop()
-                if low == preorder[v]:
+                if low == state[v]:
                     comp = [v]
                     while component_stack \
-                            and preorder[component_stack[-1]] > low:
+                            and state[component_stack[-1]] > low:
                         comp.append(component_stack.pop())
-                    done.update(comp)
+                    for u in comp:
+                        state[u] = 0
                     yield comp
                 else:
                     component_stack.append(v)
@@ -434,8 +440,8 @@ def _sccs(order: Iterable[int], succ: Mapping[int, tuple[int, ...]],
                         lows[-1] = low
 
 
-def _dominated_pieces(nodes: Iterable[int], succ: _Successors,
-                      color: tuple[int, ...],
+def _dominated_pieces(nodes: Collection[int], succ: _Successors,
+                      color: Sequence[int] | Mapping[int, int],
                       parity: int) -> Iterator[tuple[int, list[int]]]:
     """Maximal sets of `nodes` on which every node lies on a cycle whose
     top color has the given parity, each paired with that top color.
@@ -448,37 +454,52 @@ def _dominated_pieces(nodes: Iterable[int], succ: _Successors,
     The escape sink is never one of the nodes: it has no outgoing edges,
     so it lies on no cycle.
 
+    All per-node state lives in one list of ``len(color) + 1`` ints
+    indexed by node id, allocated once per call, so every node and
+    every id a successor tuple names must be below that length: with
+    the game's or the arena's color table, every game node and the
+    escape sink ``len(color)`` are.  Ids that are not nodes hold the
+    length itself, a sentinel above every preorder number and never a
+    count, since counts are at most 0; the marks lie above it.
+
     First the nodes on no cycle are peeled, in one O(n + m) pass: each
-    node counts its in-edges from the nodes, and a node whose count is 0
-    leaves and lowers the counts of its successors.  A node left has a
-    predecessor left, so every cycle stays whole and what is left is the
-    n' nodes reachable from a cycle; on an acyclic input it is empty.
-    Then top-color decomposition with a worklist: a piece is trimmed to
-    the nodes at or below its highest color of the wanted parity (a
-    piece with none is dropped) and split into strongly connected
-    components.  A component with at least one edge whose top color has
-    the wanted parity is yielded whole; one topped by the other parity
-    goes back on the worklist, where the trim removes its top.  A
-    yielded piece is the component of the subgraph colored <= its top
-    that contains it.  Pieces on the worklist are disjoint, so every
-    level of nesting costs O(n' + m') and the whole O(depth * (n' + m')),
-    depth being how deeply components topped by the other parity nest.
-    A worklist, not recursion, because that nesting grows with the node
-    count.
+    node counts its in-edges from the nodes, as a negative entry, and a
+    node whose count is 0 leaves and lowers the counts of its
+    successors.  A node left has a predecessor left, so every cycle
+    stays whole and what is left is the n' nodes reachable from a cycle;
+    on an acyclic input it is empty.  Then top-color decomposition with
+    a worklist: a piece is trimmed to the nodes at or below its highest
+    color of the wanted parity (a piece with none is dropped), its
+    trimmed nodes are stamped with a fresh mark above the sentinel, and
+    `_sccs` splits them into strongly connected components, leaving 0 at
+    every node it yields; a node the trim leaves out keeps its count or
+    that 0, which `_sccs` skips.  A component with at least one edge
+    whose top color has the wanted parity is yielded whole; one topped
+    by the other parity goes back on the worklist, where the trim
+    removes its top.  A yielded piece is the component of the subgraph
+    colored <= its top that contains it.  Pieces on the worklist are
+    disjoint, so every level of nesting costs O(n' + m') and the whole
+    O(depth * (n' + m')), depth being how deeply components topped by
+    the other parity nest.  A worklist, not recursion, because that
+    nesting grows with the node count.
     """
-    indegree = dict.fromkeys(nodes, 0)
-    for v in indegree:
+    size = len(color) + 1
+    state = [size] * size
+    for v in nodes:
+        state[v] = 0
+    for v in nodes:
         for t in succ[v]:
-            if t in indegree:
-                indegree[t] += 1
-    peeled = [v for v, k in indegree.items() if not k]
+            if state[t] <= 0:
+                state[t] -= 1
+    peeled = [v for v in nodes if not state[v]]
     for v in peeled:
         for t in succ[v]:
-            if t in indegree:
-                indegree[t] -= 1
-                if not indegree[t]:
+            if state[t] < 0:
+                state[t] += 1
+                if not state[t]:
                     peeled.append(t)
-    work = [[v for v, k in indegree.items() if k]]
+    work = [[v for v in nodes if state[v] < 0]]
+    mark = size
     while work:
         piece = work.pop()
         top = max([c for c in map(color.__getitem__, piece)
@@ -486,7 +507,10 @@ def _dominated_pieces(nodes: Iterable[int], succ: _Successors,
         if top < 0:
             continue
         order = [v for v in piece if color[v] <= top]
-        for comp in _sccs(order, succ, set(order)):
+        mark += 1
+        for v in order:
+            state[v] = mark
+        for comp in _sccs(order, succ, state, mark):
             if len(comp) == 1 and comp[0] not in succ[comp[0]]:
                 continue
             high = max(map(color.__getitem__, comp))
@@ -496,7 +520,7 @@ def _dominated_pieces(nodes: Iterable[int], succ: _Successors,
                 work.append(comp)
 
 
-def find_dominated_cycle_nodes(nodes: Iterable[int], succ: _Successors,
+def find_dominated_cycle_nodes(nodes: Collection[int], succ: _Successors,
                                color: tuple[int, ...],
                                parity: int) -> frozenset[int]:
     """Nodes lying on some cycle whose maximum color has the given parity:
@@ -511,13 +535,13 @@ def find_dominated_cycle_nodes(nodes: Iterable[int], succ: _Successors,
     return frozenset(found)
 
 
-def find_one_dominated_cycle_nodes(nodes: Iterable[int], succ: _Successors,
+def find_one_dominated_cycle_nodes(nodes: Collection[int], succ: _Successors,
                                    color: tuple[int, ...]) -> frozenset[int]:
     """Nodes on some cycle whose maximum color is odd."""
     return find_dominated_cycle_nodes(nodes, succ, color, 1)
 
 
-def dominated_cycle_strategy(nodes: Iterable[int], succ: _Successors,
+def dominated_cycle_strategy(nodes: Collection[int], succ: _Successors,
                              color: tuple[int, ...],
                              parity: int = 1) -> dict[int, int]:
     """One edge per node on a cycle whose top color has the given parity,

@@ -3,15 +3,16 @@ raw mapping, one application of the valuation operator, the deterministic
 strategies inside an improving edge set, a determinism predicate, the
 audit cadences to solve under, a game that player 0's peel leaves
 whole, and the level-by-level attractor, the per-piece BFS of the
-cycle strategy and the top-color decomposition without its peel that
-the package's versions must reproduce."""
+cycle strategy, a two-pass Tarjan and the top-color decomposition
+without its peel run on it, which share no code with the package's
+versions they must reproduce."""
 
 from collections import deque
 from itertools import product
 from typing import Iterator, Mapping
 
 from pgsi.arena import (AttractorResult, ParityGame, _dominated_pieces,
-                        _sccs, find_dominated_cycle_nodes)
+                        find_dominated_cycle_nodes)
 from pgsi.errors import EnumerationTooLarge
 from pgsi.profiles import INF_KEY
 from pgsi.valuation import Strategy
@@ -159,11 +160,59 @@ def bfs_dominated_cycle_strategy(nodes, succ, color, parity=1) -> dict:
     return strategy
 
 
+def two_pass_sccs(order, succ, allowed):
+    """Reference Tarjan: descend along unvisited allowed successors, and
+    once a node has none left read its successors a second time for the
+    low-link; components as `_sccs` yields them."""
+    preorder, lowlink, done = {}, {}, set()
+    component_stack, pending = [], {}
+    counter = 0
+    for source in order:
+        if source in done:
+            continue
+        stack = [source]
+        while stack:
+            v = stack[-1]
+            if v not in preorder:
+                counter += 1
+                preorder[v] = counter
+                pending[v] = iter(succ[v])
+            child = next((t for t in pending[v]
+                          if t in allowed and t not in preorder), None)
+            if child is not None:
+                stack.append(child)
+                continue
+            low = preorder[v]
+            for t in succ[v]:
+                if t in allowed and t not in done:
+                    low = min(low, lowlink[t] if preorder[t] > preorder[v]
+                              else preorder[t])
+            lowlink[v] = low
+            stack.pop()
+            if low == preorder[v]:
+                comp = [v]
+                while component_stack \
+                        and preorder[component_stack[-1]] > preorder[v]:
+                    comp.append(component_stack.pop())
+                done.update(comp)
+                yield comp
+            else:
+                component_stack.append(v)
+
+
+def marked(allowed, size: int) -> tuple[list[int], int]:
+    """The state list `_sccs` reads over ids 0..size-1 and its mark:
+    the mark, one past `size`, at the ids of `allowed` and 0 elsewhere."""
+    mark = size + 1
+    return [mark if v in allowed else 0 for v in range(size)], mark
+
+
 def unpeeled_dominated_pieces(nodes, succ, color, parity):
     """The top-color decomposition run on every node, nodes on no cycle
-    included: a trimmed piece is split into strongly connected
-    components, a component topped by the wanted parity is yielded with
-    its top and one topped by the other goes back on the worklist."""
+    included, on dicts and sets alone: a trimmed piece is split into
+    strongly connected components by `two_pass_sccs`, a component
+    topped by the wanted parity is yielded with its top and one topped
+    by the other goes back on the worklist."""
     work = [list(nodes)]
     while work:
         piece = work.pop()
@@ -172,7 +221,7 @@ def unpeeled_dominated_pieces(nodes, succ, color, parity):
         if top < 0:
             continue
         order = [v for v in piece if color[v] <= top]
-        for comp in _sccs(order, succ, set(order)):
+        for comp in two_pass_sccs(order, succ, set(order)):
             if len(comp) == 1 and comp[0] not in succ[comp[0]]:
                 continue
             high = max(map(color.__getitem__, comp))

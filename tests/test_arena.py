@@ -19,8 +19,8 @@ from pgsi.cli import random_game
 from pgsi.errors import FormatError, InvariantViolation
 
 from conftest import fuzz_texts, parity_games
-from helpers import (bfs_dominated_cycle_strategy, level_attractor,
-                     unpeeled_dominated_pieces)
+from helpers import (bfs_dominated_cycle_strategy, level_attractor, marked,
+                     two_pass_sccs, unpeeled_dominated_pieces)
 
 
 # ------------------------------------------------------------ construction
@@ -275,46 +275,6 @@ def test_two_cycle_max_color_decides():
         [0, 1], {0: (1,), 1: (0,)}, {0: 1, 1: 2}) == frozenset()
 
 
-def two_pass_sccs(order, succ, allowed):
-    """Reference Tarjan: descend along unvisited allowed successors, and
-    once a node has none left read its successors a second time for the
-    low-link; components as `_sccs` yields them."""
-    preorder, lowlink, done = {}, {}, set()
-    component_stack, pending = [], {}
-    counter = 0
-    for source in order:
-        if source in done:
-            continue
-        stack = [source]
-        while stack:
-            v = stack[-1]
-            if v not in preorder:
-                counter += 1
-                preorder[v] = counter
-                pending[v] = iter(succ[v])
-            child = next((t for t in pending[v]
-                          if t in allowed and t not in preorder), None)
-            if child is not None:
-                stack.append(child)
-                continue
-            low = preorder[v]
-            for t in succ[v]:
-                if t in allowed and t not in done:
-                    low = min(low, lowlink[t] if preorder[t] > preorder[v]
-                              else preorder[t])
-            lowlink[v] = low
-            stack.pop()
-            if low == preorder[v]:
-                comp = [v]
-                while component_stack \
-                        and preorder[component_stack[-1]] > preorder[v]:
-                    comp.append(component_stack.pop())
-                done.update(comp)
-                yield comp
-            else:
-                component_stack.append(v)
-
-
 @st.composite
 def rooted_graphs(draw):
     """A digraph on 0..n-1 with self-loops and edges to nodes outside
@@ -335,7 +295,7 @@ def test_sccs_match_the_two_pass_reference(graph):
     # the same component lists, members in the same order, yielded in
     # the same order
     order, succ, allowed = graph
-    assert list(_sccs(order, succ, allowed)) \
+    assert list(_sccs(order, succ, *marked(allowed, len(succ)))) \
         == list(two_pass_sccs(order, succ, allowed))
 
 
@@ -557,9 +517,9 @@ def test_peeled_decomposition_matches_the_unpeeled_reference(graph):
 def test_peel_hands_the_scc_pass_only_what_a_cycle_reaches(monkeypatch):
     handed = []
 
-    def counted(order, succ, allowed):
+    def counted(order, succ, state, mark):
         handed.append(set(order))
-        return _sccs(order, succ, allowed)
+        return _sccs(order, succ, state, mark)
 
     monkeypatch.setattr("pgsi.arena._sccs", counted)
     # a 20,000-node DAG, every edge to a larger id: nothing is left
@@ -580,6 +540,72 @@ def test_peel_hands_the_scc_pass_only_what_a_cycle_reaches(monkeypatch):
     assert find_dominated_cycle_nodes(range(n + 4), succ, color, 1) \
         == frozenset((n, n + 1))
     assert handed == [{n, n + 1, n + 2, n + 3}]
+
+
+@st.composite
+def state_list_bounds(draw):
+    """A color table over ids 0..size-1, a tuple or a dict, for size up
+    to 12 or 10,000; node ids in a stepped range or a few picked ones;
+    successors among the nodes, at other ids of the table and at the
+    sink id ``size``, with duplicates and dead ends."""
+    size = draw(st.one_of(st.integers(1, 12), st.just(10_000)))
+    palette = draw(st.lists(st.integers(0, 5), min_size=12, max_size=12))
+    color = tuple(palette[v % 12] for v in range(size))
+    if draw(st.booleans()):
+        color = dict(enumerate(color))
+    start, step = draw(st.integers(0, size - 1)), draw(st.integers(1, 3))
+    ids = draw(st.one_of(
+        st.just(range(start, min(size, start + 8 * step), step)),
+        st.lists(st.integers(0, size - 1), unique=True, max_size=5)))
+    heads = st.one_of(st.sampled_from(ids), st.integers(0, size),
+                      st.just(size)) if ids else st.integers(0, size)
+    succ = {v: tuple(draw(st.lists(heads, max_size=4))) for v in ids}
+    return ids, succ, color
+
+
+def _decomposition_answers(kernel, nodes, succ, color):
+    # the pieces, the node sets and the cycle strategies at both
+    # parities, all read through `kernel`
+    with mock.patch("pgsi.arena._dominated_pieces", kernel):
+        return [(sorted((top, sorted(piece)) for top, piece
+                        in kernel(nodes, succ, color, parity)),
+                 find_dominated_cycle_nodes(nodes, succ, color, parity),
+                 dominated_cycle_strategy(nodes, succ, color, parity))
+                for parity in (0, 1)]
+
+
+@given(state_list_bounds())
+@settings(max_examples=300, deadline=None)
+def test_state_list_bounds_match_the_unpeeled_reference(graph):
+    # the state list is sized by the color table: every node form the
+    # package passes, with a successor at the sink id and at ids that
+    # are no nodes, in a small table and in a 10,000-id one, must give
+    # the reference's answers and never index past the list
+    ids, succ, color = graph
+    table = [succ.get(v, ()) for v in range(len(color) + 1)]
+    expected = _decomposition_answers(unpeeled_dominated_pieces, list(ids),
+                                      succ, color)
+    for nodes, successors in ((ids, succ), (ids, table),
+                              (list(reversed(ids)), succ), (set(ids), succ),
+                              (succ, succ)):
+        assert _decomposition_answers(_dominated_pieces, nodes, successors,
+                                      color) == expected
+
+
+def test_state_list_keeps_in_edges_of_non_nodes_out_of_the_counts():
+    # a two-entry color table gives a three-entry state list, whose last
+    # id is the sink; however many edges run into it, it is no node.  A
+    # count kept at its entry would, after two edges, read as preorder
+    # number 1 and merge the self-loops at 0 and 1 into one piece
+    color = {0: 2, 1: 0}
+    for k in range(7):
+        succ = {0: (1, 0), 1: (2,) * k + (1,)}
+        assert _decomposition_answers(_dominated_pieces, [0, 1], succ,
+                                      color) \
+            == _decomposition_answers(unpeeled_dominated_pieces, [0, 1],
+                                      succ, color)
+        assert list(_dominated_pieces([0, 1], succ, color, 0)) \
+            == [(0, [1]), (2, [0])]
 
 
 def test_cycle_finder_handles_nesting_beyond_recursion_limit():

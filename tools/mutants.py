@@ -1,0 +1,207 @@
+"""Mutation checks for src/pgsi.
+
+Each mutant is a small source patch: a module of the package, a piece of
+its text that must occur exactly once, the text that replaces it, and the
+tests that should fail once it does.  For each mutant the tool copies
+src/ and tests/ with pyproject.toml to a temporary directory, applies the
+patch there, runs the named tests against the mutated copy in one pytest
+process, and reports the mutant killed when they fail, alive when they
+pass.  Mutants run one after another, one pytest process at a time.
+Run from anywhere:
+
+    python3 tools/mutants.py             # every mutant
+    python3 tools/mutants.py NAME ...    # the named mutants
+    python3 tools/mutants.py --list      # names and what each breaks
+
+It prints one line per mutant and exits with status 0 when every mutant
+it ran was killed, 1 otherwise.  A surviving mutant is mended by a test
+that kills it, never by dropping the mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+# a mutant whose tests run longer than this counts as killed by timeout
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    what: str
+    module: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+ARENA = "arena.py"
+A = "tests/test_arena.py::"
+
+MUTANTS = (
+    Mutant(
+        "marks-from-the-sentinel",
+        "the first piece's mark equals the sentinel of the ids that are no "
+        "nodes, so the decomposition walks into them",
+        ARENA, "    mark = size\n", "    mark = size - 1\n",
+        (A + "test_state_list_bounds_match_the_unpeeled_reference",
+         A + "test_analyses_agree_on_every_table_form")),
+    Mutant(
+        "tarjan-keeps-yielded-components",
+        "Tarjan leaves a yielded component's preorder numbers in place, so "
+        "a later edge into it lowers a low-link",
+        ARENA,
+        "                    for u in comp:\n"
+        "                        state[u] = 0\n"
+        "                    yield comp\n",
+        "                    yield comp\n",
+        (A + "test_sccs_match_the_two_pass_reference",
+         A + "test_cycle_finder_matches_reachability_oracle")),
+    Mutant(
+        "peel-counts-non-nodes",
+        "the peel counts the in-edges of ids that are no nodes as well",
+        ARENA,
+        "            if state[t] <= 0:\n"
+        "                state[t] -= 1\n",
+        "            state[t] -= 1\n",
+        (A + "test_state_list_keeps_in_edges_of_non_nodes_out_of_the_counts",
+         A + "test_state_list_bounds_match_the_unpeeled_reference")),
+    Mutant(
+        "peel-takes-one-in-edge",
+        "the peel also removes the nodes with one in-edge left",
+        ARENA,
+        "    peeled = [v for v in nodes if not state[v]]\n",
+        "    peeled = [v for v in nodes if state[v] >= -1]\n",
+        (A + "test_peeled_decomposition_matches_the_unpeeled_reference",
+         A + "test_cycle_finder_matches_reachability_oracle")),
+    Mutant(
+        "blind-to-even-tops",
+        "the decomposition yields no piece whose top is even",
+        ARENA,
+        "                yield high, comp\n",
+        "                if parity:\n"
+        "                    yield high, comp\n",
+        (A + "test_cycle_finder_matches_reachability_oracle",)),
+    Mutant(
+        "never-finds-a-cycle",
+        "the decomposition starts from an empty worklist",
+        ARENA,
+        "    work = [[v for v in nodes if state[v] < 0]]\n",
+        "    work = []\n",
+        (A + "test_cycle_finder_matches_reachability_oracle",)),
+    Mutant(
+        "counters-from-zero",
+        "an opponent's counter in `attractor` starts at 0 instead of its "
+        "successor count",
+        ARENA,
+        "                left = (remaining[v] or len(succ[v])) - 1\n",
+        "                left = remaining[v] - 1\n",
+        (A + "test_attractor_matches_the_level_by_level_reference",)),
+    Mutant(
+        "first-smaller-rank-edge",
+        "`attractor` gives a player node its first successor of smaller "
+        "rank instead of the smallest-id one",
+        ARENA,
+        "                edge = u\n"
+        "                for t in succ[v]:\n"
+        "                    if t < edge and rank[t] < r:\n"
+        "                        edge = t\n",
+        "                edge = next(t for t in succ[v] if rank[t] < r)\n",
+        (A + "test_attractor_on_sparse_ids_by_hand",
+         A + "test_attractor_matches_the_level_by_level_reference")),
+    Mutant(
+        "partition-check-drops-duplicates",
+        "`replay_verify` sorts a set of both winning sets, so a duplicate "
+        "passes the partition check",
+        "iteration.py",
+        "    if sorted([*result.w0, *result.w1]) != list(range(game.n)):\n",
+        "    if sorted({*result.w0, *result.w1}) != list(range(game.n)):\n",
+        ("tests/test_iteration.py::"
+         "test_replay_rejects_sets_that_do_not_partition",)),
+    Mutant(
+        "narrowed-without-copy",
+        "`_narrowed` cuts down the strategy a hook has seen instead of a "
+        "copy",
+        "iteration.py",
+        "    choices = strategy.copy()\n",
+        "    choices = strategy\n",
+        ("tests/test_iteration.py::"
+         "test_no_step_changes_a_dict_a_hook_has_seen",)),
+    Mutant(
+        "improvements-share-prior",
+        "`improvements` writes into the improving sets of its `prior`",
+        "valuation.py",
+        "        improving = dict(prior.improving)\n",
+        "        improving = prior.improving\n",
+        ("tests/test_iteration.py::"
+         "test_no_step_changes_a_dict_a_hook_has_seen",)),
+)
+
+
+def patched(mutant: Mutant, source: str) -> str:
+    """`source` with the mutant's patch applied; ValueError unless its
+    text occurs exactly once."""
+    found = source.count(mutant.old)
+    if found != 1:
+        raise ValueError("mutant %s: its text occurs %d times in %s"
+                         % (mutant.name, found, mutant.module))
+    return source.replace(mutant.old, mutant.new)
+
+
+def run(mutant: Mutant) -> str:
+    """'killed' or 'alive': the named tests run against a mutated copy."""
+    with tempfile.TemporaryDirectory(prefix="pgsi-mutant-") as tmp:
+        work = Path(tmp)
+        shutil.copytree(ROOT / "src", work / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "tests", work / "tests",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", work)
+        target = work / "src" / "pgsi" / mutant.module
+        target.write_text(patched(mutant, target.read_text(encoding="utf-8")),
+                          encoding="utf-8")
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x",
+                 "-p", "no:cacheprovider", *mutant.tests],
+                cwd=work, capture_output=True, text=True, timeout=TIMEOUT_S,
+                env={**os.environ, "PYTHONPATH": str(work / "src")})
+        except subprocess.TimeoutExpired:
+            return "killed (timeout)"
+    if done.returncode == 0:
+        return "alive"
+    if done.returncode == 1:
+        return "killed"
+    # 2-5: interrupted, internal error, usage error or no tests collected
+    raise RuntimeError("mutant %s: pytest exited with %d\n%s"
+                       % (mutant.name, done.returncode,
+                          done.stdout[-2000:] + done.stderr[-2000:]))
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--list"]:
+        for m in MUTANTS:
+            print("%-34s %s" % (m.name, m.what))
+        return 0
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [name for name in argv if name not in by_name]
+    if unknown:
+        print("unknown mutant(s): %s" % ", ".join(unknown), file=sys.stderr)
+        return 2
+    alive = 0
+    for mutant in [by_name[name] for name in argv] if argv else MUTANTS:
+        verdict = run(mutant)
+        alive += verdict == "alive"
+        print("%-34s %s" % (mutant.name, verdict), flush=True)
+    return 1 if alive else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
