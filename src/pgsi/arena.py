@@ -12,7 +12,10 @@ winner's edges on it.  Each is the attractor of the cycles its winner
 keeps alone; both attractors run on the whole game and one predecessor
 list indexed by node id.  It then builds the one escape arena of a
 solve over the nodes left, every table of it in one loop over those
-nodes.
+nodes but its predecessor list.  `predecessors` is the set-up's one
+reverse-edge builder: it gives the attractors, the arena and the oracle
+their lists, each indexed by node id over the id space the caller
+names.
 
 This module also hosts the two graph primitives everything else is built
 on: player attractors (ranks from one FIFO worklist, kept with its
@@ -203,8 +206,8 @@ def serialize_pgsolver(game: ParityGame) -> str:
 @dataclass(frozen=True)
 class EscapeArena:
     """A parity game extended with an escape sink, over the game nodes
-    preprocessing keeps.  `build_escape_arena` fills every table in one
-    pass over those nodes.
+    preprocessing keeps.  `build_escape_arena` fills every table but
+    `preds` in one pass over those nodes.
 
     `nodes` lists the kept game nodes (ascending, original ids) and
     `succ` their successors among them.  The sink has id `game.n`, is
@@ -212,9 +215,12 @@ class EscapeArena:
     node has an implicit extra edge to it.  `player0_nodes` and
     `player1_nodes` split `nodes` by owner, ascending.
     `escape_choices` gives per player-0 node its successors, ascending,
-    then the sink, whose id is the largest.  `preds` gives per node and
-    the sink the sources of its incoming arena edges, ascending: game
-    edges of kept nodes and escape edges.
+    then the sink, whose id is the largest.  `preds` is the list
+    `predecessors` builds over the kept game edges, `game.n` entries
+    indexed by node id: per kept node the sources of its incoming
+    edges, ascending, and None at the removed ids.  It has no entry for
+    the sink, whose escape edges no reader walks back, so reading the
+    sink's entry raises IndexError.
 
     `basis` is the key encoding at the digit width this arena's values
     need, with one digit per color its nodes carry; every valuation of
@@ -230,7 +236,7 @@ class EscapeArena:
     player0_nodes: tuple[int, ...]
     player1_nodes: tuple[int, ...]
     escape_choices: dict[int, tuple[int, ...]] = field(repr=False)
-    preds: dict[int, tuple[int, ...]] = field(repr=False)
+    preds: list[list[int] | None] = field(repr=False)
     basis: ProfileBasis = field(compare=False, repr=False)
     unit_keys: list[int] = field(compare=False, repr=False)
 
@@ -251,24 +257,18 @@ def build_escape_arena(game: ParityGame,
     unit_keys = [0] * (sink + 1)
     succ = {}
     player0, player1, escape_choices = [], [], {}
-    preds: dict[int, list[int]] = {v: [] for v in nodes}
-    preds[sink] = []
     for v in nodes:
         kept = tuple([t for t in game.successors[v] if t not in removed])
         succ[v] = kept
-        for t in kept:
-            preds[t].append(v)
         if owner[v]:
             player1.append(v)
         else:
             player0.append(v)
             escape_choices[v] = tuple(sorted(kept)) + (sink,)
-            preds[sink].append(v)
         unit_keys[v] = unit[color[v]]
     return EscapeArena(game, sink, nodes, succ, tuple(player0),
                        tuple(player1), escape_choices,
-                       {v: tuple(sources) for v, sources in preds.items()},
-                       basis, unit_keys)
+                       predecessors(nodes, succ, game.n), basis, unit_keys)
 
 
 # successor tuples indexed by node id: the game's or the arena's own
@@ -287,13 +287,16 @@ class AttractorResult:
     strategy: dict[int, int]
 
 
-def predecessors(nodes: Collection[int],
-                 succ: _Successors) -> list[list[int] | None]:
+def predecessors(nodes: Collection[int], succ: _Successors,
+                 size: int) -> list[list[int] | None]:
     """The sources of the edges into each node of `nodes`, in the order
-    of `nodes`: one list indexed by node id up to the largest of
-    `nodes`, None at the ids between that are not nodes; no edge may
-    leave `nodes`."""
-    preds: list[list[int] | None] = [None] * (max(nodes, default=-1) + 1)
+    of `nodes`: one list of `size` entries indexed by node id, None at
+    the ids that are not nodes.  `size` is the length of the id space
+    the caller indexes, the game's node count in the set-up, so every
+    node lies below it; no edge may leave `nodes`.  The set-up's one
+    reverse-edge builder: the whole-game attractors, the escape arena
+    and the oracle all take their tables from it."""
+    preds: list[list[int] | None] = [None] * size
     for v in nodes:
         preds[v] = []
     for v in nodes:
@@ -314,7 +317,8 @@ def attractor(nodes: Collection[int], succ: _Successors,
     indexed by node id: the game's or the arena's own tables, or dicts
     over `nodes`.  No edge may leave `nodes`, and the escape sink is
     never one of them.  `preds` is the list `predecessors` builds from
-    `nodes` and `succ`; without it the attractor builds its own.
+    `nodes` and `succ`, at any size above the largest node; without it
+    the attractor builds one sized by that node.
 
     Rank 0 is the target itself; rank r+1 adds nodes owned by `player`
     with some successor of rank <= r and opponent nodes whose successors
@@ -333,7 +337,7 @@ def attractor(nodes: Collection[int], succ: _Successors,
     successor of rank below r.
     """
     if preds is None:
-        preds = predecessors(nodes, succ)
+        preds = predecessors(nodes, succ, max(nodes, default=-1) + 1)
     size = len(preds)
     # no rank exceeds the number of ids
     unranked = size + 1
@@ -643,7 +647,7 @@ def preprocess(game: ParityGame) -> PreprocessResult:
         # attracts opponent dead ends
         if strategy:
             if preds is None:
-                preds = predecessors(range(game.n), succ)
+                preds = predecessors(range(game.n), succ, game.n)
             att = attractor(range(game.n), succ, owner, player, strategy,
                             preds)
             won = att.members

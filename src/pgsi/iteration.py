@@ -424,7 +424,7 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
         tau = response_strategy(arena, sigma, current)
         for v in arena.player1_nodes:
             if v not in won:
-                strategy1[v] = tau[v][0]
+                strategy1[v] = tau[v]
         valuation = to_profiles(arena, current)
     strategy0.update(prep.strategy0)
     strategy1.update(prep.strategy1)

@@ -4,7 +4,9 @@ Enumerates every deterministic player-0 strategy and checks, per plain
 graph reachability, which nodes player 1 can then steer into an
 odd-dominated cycle.  Positional determinacy makes the best enumerated
 strategy exact, so this is a trustworthy cross-check for the iterative
-solver; it shares none of its machinery (no valuations, no escape sink).
+solver.  It shares the solver's graph primitives, the odd-cycle
+decomposition and the predecessor builder, but none of its strategy
+iteration: no valuations and no escape sink.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .arena import ParityGame, find_one_dominated_cycle_nodes, reachable
+from .arena import (ParityGame, find_one_dominated_cycle_nodes,
+                    predecessors, reachable)
 from .errors import InstanceTooLarge
 
 DEFAULT_CAP = 10 ** 6
@@ -33,11 +36,7 @@ def _losers(game: ParityGame, succ: list[tuple[int, ...]]) -> set[int]:
     cycles = find_one_dominated_cycle_nodes(range(game.n), succ, game.color)
     if not cycles:
         return set()
-    preds: list[list[int]] = [[] for _ in succ]
-    for v, targets in enumerate(succ):
-        for t in targets:
-            preds[t].append(v)
-    return reachable(preds, cycles)
+    return reachable(predecessors(range(game.n), succ, game.n), cycles)
 
 
 def oracle_solve(game: ParityGame, cap: int = DEFAULT_CAP) -> OracleResult:

@@ -515,19 +515,19 @@ def _negative_weight(s: int, t: int) -> InvariantViolation:
 
 
 def response_strategy(arena: EscapeArena, strategy: Strategy,
-                      valuation: Valuation) -> dict[int, tuple[int, ...]]:
-    """Player-1 edges that realize the valuation: for each player-1 node
-    the targets whose value plus the node's color equals the node's value.
-    Every player-1 node keeps at least one such edge."""
+                      valuation: Valuation) -> dict[int, int]:
+    """One player-1 edge per player-1 node that realizes the valuation:
+    the smallest-id target whose value plus the node's color equals the
+    node's value.  Every player-1 node has at least one such edge."""
     unit = arena.unit_keys
-    tau: dict[int, tuple[int, ...]] = {}
+    tau: dict[int, int] = {}
     for v in arena.player1_nodes:
         here = valuation[v]
         want = here if here == INF_KEY else here - unit[v]
-        picks = tuple(t for t in arena.succ[v] if valuation[t] == want)
+        picks = [t for t in arena.succ[v] if valuation[t] == want]
         if not picks:
             raise InvariantViolation(
                 "player-1 node %d realizes none of its edges; the valuation "
                 "is not a fixpoint" % v)
-        tau[v] = tuple(sorted(picks))
+        tau[v] = min(picks)
     return tau

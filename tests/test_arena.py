@@ -406,7 +406,7 @@ def test_attractor_on_sparse_ids_matches_the_reference(view, player):
     shuffled = list(ids)
     random.Random(len(shuffled)).shuffle(shuffled)
     for nodes in (ids, shuffled, succ):
-        for preds in (None, predecessors(nodes, succ)):
+        for preds in (None, predecessors(nodes, succ, ids.stop)):
             res = attractor(nodes, succ, owner, player, target, preds)
             assert (res.members, res.rank, res.strategy) \
                 == (ref.members, ref.rank, ref.strategy)
@@ -696,6 +696,29 @@ def test_preprocess_builds_the_arena_over_the_nodes_left():
     assert prep.arena.nodes == (2,)
     assert prep.arena.succ == {2: (2,)}
     assert prep.arena.escape_choices == {2: (2, 3)}
+
+
+def _assert_arena_predecessor_table(arena):
+    # one entry per game node: None at a removed id, and at a kept id
+    # the kept sources of its game edges, ascending; none for the sink
+    game = arena.game
+    assert len(arena.preds) == game.n
+    kept = set(arena.nodes)
+    for t in range(game.n):
+        if t in kept:
+            assert arena.preds[t] == [v for v in arena.nodes
+                                      if t in game.successors[v]]
+        else:
+            assert arena.preds[t] is None
+
+
+@given(parity_games(), st.data())
+@settings(max_examples=300)
+def test_arena_predecessor_table_holds_the_kept_edges(game, data):
+    # the peels' removals, then any removal at all
+    _assert_arena_predecessor_table(preprocess(game).arena)
+    removed = data.draw(st.sets(st.integers(0, game.n - 1)))
+    _assert_arena_predecessor_table(build_escape_arena(game, removed))
 
 
 def test_preprocess_runs_one_attractor_per_decomposition(monkeypatch):

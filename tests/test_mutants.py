@@ -26,6 +26,14 @@ def test_every_mutant_patch_applies_once():
         source = (package / mutant.module).read_text(encoding="utf-8")
         assert tool.patched(mutant, source) != source, mutant.name
         assert mutant.tests, mutant.name
+        # a renamed test fails here rather than as a usage error of the
+        # slow run
+        for test in mutant.tests:
+            path, _, name = test.partition("::")
+            module = TOOL.parents[1] / path
+            assert module.is_file(), test
+            assert "def %s(" % name in module.read_text(encoding="utf-8"), \
+                test
 
 
 @pytest.mark.slow

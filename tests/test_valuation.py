@@ -778,7 +778,7 @@ def test_region_seeds_keep_a_node_at_top_that_drops_its_last_top_target():
         valuate_dijkstra(arena, new, switch_region(arena, new, [0]), base)
 
 
-class _Recording(dict):
+class _Recording(list):
     """A table that records every key read by subscript."""
 
     def __init__(self, table):
@@ -1044,7 +1044,7 @@ def test_response_picks_the_minimal_successor():
     values = to_profiles(arena, vals)
     assert values[1] == fin(0, 1) and values[2] == fin(1, 0)
     assert values[0] == fin(1, 1)
-    assert response_strategy(arena, strategy, vals) == {0: (1,)}
+    assert response_strategy(arena, strategy, vals) == {0: 1}
 
 
 def test_response_keeps_top_valued_edges():
@@ -1053,7 +1053,7 @@ def test_response_keeps_top_valued_edges():
     strategy = strategy_of({1: (1,)})
     vals = valuate_bellman_ford(arena, strategy)
     assert vals[0] == INF_KEY and vals[1] == INF_KEY
-    assert response_strategy(arena, strategy, vals) == {0: (1,)}
+    assert response_strategy(arena, strategy, vals) == {0: 1}
 
 
 def test_response_empty_without_player1_nodes():
@@ -1075,8 +1075,10 @@ def test_response_realizes_the_valuation(game):
         tau = response_strategy(arena, strategy, valuation)
         valuation = to_profiles(arena, valuation)
         assert set(tau) == set(arena.player1_nodes)
-        for v, ts in tau.items():
-            assert ts
+        for v, t in tau.items():
+            assert t in arena.succ[v]
             unit = unit_profile(arena.game.color[v], arena.d)
-            for t in ts:
-                assert valuation[v] == unit + valuation[t]
+            assert valuation[v] == unit + valuation[t]
+            # the smallest-id realizing edge
+            assert all(valuation[v] != unit + valuation[s]
+                       for s in arena.succ[v] if s < t)

@@ -117,6 +117,37 @@ MUTANTS = (
         (A + "test_attractor_on_sparse_ids_by_hand",
          A + "test_attractor_matches_the_level_by_level_reference")),
     Mutant(
+        "arena-preds-over-game-edges",
+        "the arena's predecessor table is built over the game's successors "
+        "instead of the kept edges",
+        ARENA,
+        "predecessors(nodes, succ, game.n)",
+        "predecessors(nodes, game.successors, game.n)",
+        (A + "test_arena_predecessor_table_holds_the_kept_edges",
+         A + "test_preprocess_builds_the_arena_over_the_nodes_left")),
+    Mutant(
+        "predecessors-skip-the-first-node",
+        "`predecessors` leaves out the edges of the first node",
+        ARENA,
+        "    for v in nodes:\n"
+        "        for t in succ[v]:\n"
+        "            preds[t].append(v)\n",
+        "    for v in list(nodes)[1:]:\n"
+        "        for t in succ[v]:\n"
+        "            preds[t].append(v)\n",
+        (A + "test_arena_predecessor_table_holds_the_kept_edges",
+         A + "test_attractor_matches_the_level_by_level_reference")),
+    Mutant(
+        "oracle-reads-every-edge",
+        "the oracle walks back over every game edge instead of the edges "
+        "the enumerated strategy keeps",
+        "oracle.py",
+        "predecessors(range(game.n), succ, game.n)",
+        "predecessors(range(game.n), game.successors, game.n)",
+        ("tests/test_oracle.py::test_solver_matches_oracle",
+         "tests/test_oracle.py::"
+         "test_oracle_witness_matches_solver_strategy_region")),
+    Mutant(
         "partition-check-drops-duplicates",
         "`replay_verify` sorts a set of both winning sets, so a duplicate "
         "passes the partition check",
