@@ -22,10 +22,12 @@ on: player attractors (ranks from one FIFO worklist, kept with its
 counters in lists indexed by node id, and an attracting strategy), which
 also give the cycle strategies their edges, and the detection of nodes
 lying on cycles whose maximum color has a given parity.
-The latter is one top-color decomposition: peel the nodes on no cycle,
-split the rest into strongly connected components, keep those whose top
-color has the wanted parity, and split the others again below their
-top.  Node sets, witness strategies and preprocessing all read its
+The latter is one top-color decomposition: peel the nodes on no cycle
+(and stop there when none is left, as on an acyclic input), split the
+rest into strongly connected components, keep those whose top color
+has the wanted parity, and split the others again below their top,
+each piece's top of that parity found in one loop over the piece.
+Node sets, witness strategies and preprocessing all read its
 pieces; it costs one O(n + m) peel, then O(depth * (n' + m')) on the n'
 nodes reachable from a cycle, where depth is how deeply components
 topped by the other parity nest, instead of one pass per color.  Its
@@ -471,9 +473,10 @@ def _dominated_pieces(nodes: Collection[int], succ: _Successors,
     node whose count is 0 leaves and lowers the counts of its
     successors.  A node left has a predecessor left, so every cycle
     stays whole and what is left is the n' nodes reachable from a cycle;
-    on an acyclic input it is empty.  Then top-color decomposition with
-    a worklist: a piece is trimmed to the nodes at or below its highest
-    color of the wanted parity (a piece with none is dropped), its
+    on an acyclic input it is empty, and the call returns at once.  Then
+    top-color decomposition with a worklist: one loop over a piece finds
+    its highest color of the wanted parity, the piece is trimmed to the
+    nodes at or below it (a piece with none is dropped), its
     trimmed nodes are stamped with a fresh mark above the sentinel, and
     `_sccs` splits them into strongly connected components, leaving 0 at
     every node it yields; a node the trim leaves out keeps its count or
@@ -502,12 +505,17 @@ def _dominated_pieces(nodes: Collection[int], succ: _Successors,
                 state[t] += 1
                 if not state[t]:
                     peeled.append(t)
-    work = [[v for v in nodes if state[v] < 0]]
+    left = [v for v in nodes if state[v] < 0]
+    if not left:
+        return
+    work = [left]
     mark = size
     while work:
         piece = work.pop()
-        top = max([c for c in map(color.__getitem__, piece)
-                   if c % 2 == parity], default=-1)
+        top = -1
+        for c in map(color.__getitem__, piece):
+            if c > top and c % 2 == parity:
+                top = c
         if top < 0:
             continue
         order = [v for v in piece if color[v] <= top]

@@ -6,7 +6,10 @@ odd-dominated cycle.  Positional determinacy makes the best enumerated
 strategy exact, so this is a trustworthy cross-check for the iterative
 solver.  It shares the solver's graph primitives, the odd-cycle
 decomposition and the predecessor builder, but none of its strategy
-iteration: no valuations and no escape sink.
+iteration: no valuations and no escape sink.  The one-edge tuples of
+each player-0 node are built once per game and a strategy is a choice
+among them; a winning set is built only for the best strategy, the
+first that loses the fewest nodes.
 """
 
 from __future__ import annotations
@@ -30,18 +33,27 @@ class OracleResult:
     witness: dict[int, int]
 
 
-def _losers(game: ParityGame, succ: list[tuple[int, ...]]) -> set[int]:
+def _losers(game: ParityGame, ids: range,
+            succ: list[tuple[int, ...]]) -> set[int]:
     """Nodes from which the fixed-strategy graph reaches a cycle whose
-    top color is odd: player 1 wins exactly these once player 0 commits."""
-    cycles = find_one_dominated_cycle_nodes(range(game.n), succ, game.color)
+    top color is odd: player 1 wins exactly these once player 0 commits.
+    `ids` is ``range(game.n)``."""
+    cycles = find_one_dominated_cycle_nodes(ids, succ, game.color)
     if not cycles:
         return set()
-    return reachable(predecessors(range(game.n), succ, game.n), cycles)
+    return reachable(predecessors(ids, succ, len(ids)), cycles)
 
 
 def oracle_solve(game: ParityGame, cap: int = DEFAULT_CAP) -> OracleResult:
     """Solve by strategy enumeration; raises InstanceTooLarge when more
-    than `cap` deterministic player-0 strategies would be tried."""
+    than `cap` deterministic player-0 strategies would be tried.
+
+    Each player-0 node's one-edge tuples are built once, and every
+    strategy is a choice of one tuple per node, laid over the game's
+    successors in one list that each strategy overwrites.  The first
+    strategy that loses the fewest nodes is the witness; a winning set
+    is built for it alone, after the loop."""
+    ids = range(game.n)
     p0 = game.player_nodes(0)
     count = 1
     for v in p0:
@@ -50,22 +62,25 @@ def oracle_solve(game: ParityGame, cap: int = DEFAULT_CAP) -> OracleResult:
             raise InstanceTooLarge(
                 "%d player-0 strategies exceed the cap %d" % (count, cap))
 
-    best_w0: set[int] = set()
-    best_sigma: tuple[int, ...] = ()
-    for sigma in product(*(game.successors[v] for v in p0)):
-        succ = list(game.successors)
-        for v, t in zip(p0, sigma):
-            succ[v] = (t,)
-        winners = set(range(game.n)) - _losers(game, succ)
-        if len(winners) > len(best_w0):
-            best_w0 = winners
-            best_sigma = sigma
-            if len(winners) == game.n:
+    edges = [[(t,) for t in game.successors[v]] for v in p0]
+    succ = list(game.successors)
+    best: tuple[tuple[int], ...] = ()
+    best_losers: set[int] = set(ids)
+    for sigma in product(*edges):
+        for v, edge in zip(p0, sigma):
+            succ[v] = edge
+        losers = _losers(game, ids, succ)
+        # the first strategy that loses the fewest nodes is the witness
+        if len(losers) < len(best_losers):
+            best = sigma
+            best_losers = losers
+            if not losers:
                 break
 
-    witness = {v: t for v, t in zip(p0, best_sigma) if v in best_w0}
-    w1 = tuple(v for v in range(game.n) if v not in best_w0)
-    return OracleResult(tuple(sorted(best_w0)), w1, witness)
+    witness = {v: t for v, (t,) in zip(p0, best) if v not in best_losers}
+    w0 = tuple(v for v in ids if v not in best_losers)
+    w1 = tuple(v for v in ids if v in best_losers)
+    return OracleResult(w0, w1, witness)
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,10 @@ def valuate_bellman_ford(arena: EscapeArena, strategy: Strategy,
     if it comes later in the descending order, else (v itself included)
     into the next.  A player-1 row reads its arena successors, a
     player-0 row the strategy's choices, which need not be arena edges.
+    Only arena nodes change value, so only they get a list of the rows
+    that read them, and a choice of the sink or of an id the arena does
+    not keep is read but never queues a row; the due flags are kept per
+    place in the sweep order, so a sweep costs nothing per removed id.
     Updates, their order and their sweep numbers are those of sweeps
     that evaluate every row.
 
@@ -164,24 +168,30 @@ def valuate_bellman_ford(arena: EscapeArena, strategy: Strategy,
     owner_of = arena.game.owner
     succ = arena.succ
     unit = arena.unit_keys
-    # per target the rows that read it
-    readers: list[list[int]] = [[] for _ in range(sink + 1)]
-    for v in arena.nodes:
+    # the rows in sweep order; per node id the places in that order of
+    # the rows that read it.  The sink and the ids the arena does not
+    # keep never change value, so they hold None, not a list
+    order = arena.nodes[::-1]
+    readers: list[list[int] | None] = [None] * (sink + 1)
+    for v in order:
+        readers[v] = []
+    for p, v in enumerate(order):
         for t in succ[v] if owner_of[v] == 1 else strategy[v]:
-            readers[t].append(v)
+            row = readers[t]
+            if row is not None:
+                row.append(p)
 
     get = vals.__getitem__
     from_key = arena.basis.from_key
-    descending = range(sink - 1, -1, -1)
     # the first sweep evaluates every row, so the flags it sets in `due`
-    # go unread; after it, `due` holds per node id whether its row is due
+    # go unread; after it, `due` holds per place whether its row is due
     # in this sweep
-    rows = reversed(arena.nodes)
-    due = bytearray(sink)
-    for sweep in range(1, len(arena.nodes) + 2):
+    rows = enumerate(order)
+    due = bytearray(len(order))
+    for sweep in range(1, len(order) + 2):
         changed = False
-        later = bytearray(sink)
-        for v in rows:
+        later = bytearray(len(order))
+        for p, v in rows:
             if owner_of[v] == 1:
                 best = min(map(get, succ[v]))
             else:
@@ -193,7 +203,7 @@ def valuate_bellman_ford(arena: EscapeArena, strategy: Strategy,
                 vals[v] = new
                 changed = True
                 for r in readers[v]:
-                    if r < v:
+                    if r > p:
                         due[r] = 1
                     else:
                         later[r] = 1
@@ -202,7 +212,7 @@ def valuate_bellman_ford(arena: EscapeArena, strategy: Strategy,
         due = later
         # compress reads `due` one flag at a time, so a row queued into
         # this sweep after the walk started is still visited
-        rows = compress(descending, reversed(due))
+        rows = compress(enumerate(order), due)
     raise ReasonablenessError(
         "valuation did not stabilize within %d sweeps; the strategy admits "
         "an odd-dominated cycle" % len(arena.nodes))

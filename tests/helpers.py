@@ -2,7 +2,8 @@
 raw mapping, one application of the valuation operator, the deterministic
 strategies inside an improving edge set, a determinism predicate, the
 audit cadences to solve under, a game that player 0's peel leaves
-whole, and the level-by-level attractor, the per-piece BFS of the
+whole, the strategy enumerator as the oracle first wrote it, and the
+level-by-level attractor, the per-piece BFS of the
 cycle strategy, a two-pass Tarjan and the top-color decomposition
 without its peel run on it, which share no code with the package's
 versions they must reproduce."""
@@ -12,7 +13,9 @@ from itertools import product
 from typing import Iterator, Mapping
 
 from pgsi.arena import (AttractorResult, ParityGame, _dominated_pieces,
-                        find_dominated_cycle_nodes)
+                        find_dominated_cycle_nodes,
+                        find_one_dominated_cycle_nodes, predecessors,
+                        reachable)
 from pgsi.errors import EnumerationTooLarge
 from pgsi.profiles import INF_KEY
 from pgsi.valuation import Strategy
@@ -85,6 +88,33 @@ def enumerate_direct_improvements(improving: Strategy,
             yield {v: (t,) for v, t in zip(nodes, combo)}
 
     return generate()
+
+
+def enumerated_oracle(game: ParityGame):
+    """(w0, w1, witness) of the best deterministic player-0 strategy:
+    every strategy gets a fresh successor list, its winners are all
+    nodes but those that reach an odd-topped cycle, and a strategy
+    replaces the best so far only with a strictly larger winning set."""
+    p0 = game.player_nodes(0)
+    best_w0: set[int] = set()
+    best_sigma: tuple[int, ...] = ()
+    for sigma in product(*(game.successors[v] for v in p0)):
+        succ = list(game.successors)
+        for v, t in zip(p0, sigma):
+            succ[v] = (t,)
+        cycles = find_one_dominated_cycle_nodes(range(game.n), succ,
+                                                game.color)
+        losers = reachable(predecessors(range(game.n), succ, game.n),
+                           cycles) if cycles else set()
+        winners = set(range(game.n)) - losers
+        if len(winners) > len(best_w0):
+            best_w0 = winners
+            best_sigma = sigma
+            if len(winners) == game.n:
+                break
+    witness = {v: t for v, t in zip(p0, best_sigma) if v in best_w0}
+    w1 = tuple(v for v in range(game.n) if v not in best_w0)
+    return tuple(sorted(best_w0)), w1, witness
 
 
 def level_attractor(nodes, succ, owner, player: int,

@@ -542,6 +542,28 @@ def test_peel_hands_the_scc_pass_only_what_a_cycle_reaches(monkeypatch):
     assert handed == [{n, n + 1, n + 2, n + 3}]
 
 
+@given(chained_graphs())
+@settings(max_examples=300)
+def test_no_piece_reaches_the_scc_pass_twice(graph):
+    # a piece topped by the other parity goes back trimmed below its top
+    # of the wanted parity, so it is split smaller than it came: a node
+    # set handed to `_sccs` twice means a worklist that never ends
+    handed = set()
+
+    def counted(order, succ, state, mark):
+        piece = frozenset(order)
+        assert piece not in handed, sorted(piece)
+        handed.add(piece)
+        return _sccs(order, succ, state, mark)
+
+    with mock.patch("pgsi.arena._sccs", counted):
+        for parity in (0, 1):
+            handed.clear()
+            tops = [top for top, _ in _dominated_pieces(*graph, parity)]
+            assert sorted(tops) == sorted(
+                top for top, _ in unpeeled_dominated_pieces(*graph, parity))
+
+
 @st.composite
 def state_list_bounds(draw):
     """A color table over ids 0..size-1, a tuple or a dict, for size up

@@ -12,6 +12,7 @@ from pgsi.errors import InstanceTooLarge
 from pgsi.oracle import CrosscheckReport
 
 from conftest import parity_games
+from helpers import enumerated_oracle
 
 
 def test_oracle_two_node_alternation():
@@ -68,6 +69,17 @@ def test_oracle_partitions_and_witness_wins(game):
                 reach.add(t)
                 queue.append(t)
     assert not reach & bad
+
+
+@settings(max_examples=300, deadline=None)
+@given(parity_games())
+def test_oracle_keeps_the_first_best_strategy(game):
+    # the partition and the witness, edge for edge and in key order, of
+    # the enumerator that builds every strategy and winning set anew
+    result = oracle_solve(game)
+    w0, w1, witness = enumerated_oracle(game)
+    assert (result.w0, result.w1) == (w0, w1)
+    assert list(result.witness.items()) == list(witness.items())
 
 
 @settings(max_examples=150, deadline=None)

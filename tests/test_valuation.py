@@ -259,6 +259,31 @@ def test_bellman_ford_matches_every_row_sweeps_off_the_arena():
         assert_same_sweeps(arena, strategy_of({
             v: rng.sample(targets, rng.randint(1, 2))
             for v in arena.player0_nodes}))
+    # arenas without some nodes: a row may read a removed id, whose
+    # value stays +inf, or the sink, whose value stays 0
+    reads_removed = reads_sink = 0
+    for _ in range(300):
+        game = random_game(rng, rng.randint(2, 9), 3, rng.randint(1, 5))
+        removed = set(rng.sample(range(game.n), rng.randint(1, game.n - 1)))
+        # a player-1 node left must keep a successor
+        while True:
+            stuck = {v for v in range(game.n) if v not in removed
+                     and game.owner[v] == 1
+                     and set(game.successors[v]) <= removed}
+            if not stuck:
+                break
+            removed |= stuck
+        arena = build_escape_arena(game, removed)
+        targets = sorted(removed) + [arena.sink]
+        strategy = strategy_of({
+            v: rng.sample(targets, rng.randint(1, min(2, len(targets))))
+            + rng.sample(arena.escape_choices[v], rng.randint(0, 1))
+            for v in arena.player0_nodes})
+        chosen = set(chain.from_iterable(strategy.values()))
+        reads_removed += bool(chosen & removed)
+        reads_sink += arena.sink in chosen
+        assert_same_sweeps(arena, strategy)
+    assert reads_removed > 100 and reads_sink > 100
 
 
 def test_bellman_ford_evaluates_only_rows_whose_inputs_changed(monkeypatch):

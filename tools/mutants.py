@@ -93,9 +93,24 @@ MUTANTS = (
         "never-finds-a-cycle",
         "the decomposition starts from an empty worklist",
         ARENA,
-        "    work = [[v for v in nodes if state[v] < 0]]\n",
+        "    work = [left]\n",
         "    work = []\n",
         (A + "test_cycle_finder_matches_reachability_oracle",)),
+    Mutant(
+        "early-exit-on-small-residue",
+        "the decomposition returns when the peel leaves fewer than 3 nodes",
+        ARENA,
+        "    if not left:\n",
+        "    if len(left) < 3:\n",
+        (A + "test_cycle_finder_matches_reachability_oracle",)),
+    Mutant(
+        "top-ignores-parity",
+        "a piece's top is its highest color of either parity, so a piece "
+        "topped by the other parity goes back on the worklist whole",
+        ARENA,
+        "            if c > top and c % 2 == parity:\n",
+        "            if c > top:\n",
+        (A + "test_no_piece_reaches_the_scc_pass_twice",)),
     Mutant(
         "counters-from-zero",
         "an opponent's counter in `attractor` starts at 0 instead of its "
@@ -142,11 +157,19 @@ MUTANTS = (
         "the oracle walks back over every game edge instead of the edges "
         "the enumerated strategy keeps",
         "oracle.py",
-        "predecessors(range(game.n), succ, game.n)",
-        "predecessors(range(game.n), game.successors, game.n)",
+        "predecessors(ids, succ, len(ids))",
+        "predecessors(ids, game.successors, len(ids))",
         ("tests/test_oracle.py::test_solver_matches_oracle",
          "tests/test_oracle.py::"
          "test_oracle_witness_matches_solver_strategy_region")),
+    Mutant(
+        "oracle-keeps-the-last-best",
+        "the oracle replaces its best strategy with any that loses no more "
+        "nodes, so the last of the best is the witness",
+        "oracle.py",
+        "        if len(losers) < len(best_losers):\n",
+        "        if len(losers) <= len(best_losers):\n",
+        ("tests/test_oracle.py::test_oracle_keeps_the_first_best_strategy",)),
     Mutant(
         "partition-check-drops-duplicates",
         "`replay_verify` sorts a set of both winning sets, so a duplicate "
