@@ -13,14 +13,14 @@ from .errors import (DimensionError, EnumerationTooLarge, FormatError,
 from .iteration import (AllSwitches, DeterministicAll, SingleRandom,
                         SolveResult, policy_by_name, replay_verify, solve)
 from .oracle import crosscheck, oracle_solve
-from .profiles import NEG_INFINITY, POS_INFINITY, ColorProfile
+from .profiles import POS_INFINITY, ColorProfile
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AllSwitches", "ColorProfile", "DeterministicAll", "DimensionError",
     "EnumerationTooLarge", "FormatError", "InstanceTooLarge",
-    "InvariantViolation", "NEG_INFINITY", "POS_INFINITY", "ParityGame",
+    "InvariantViolation", "POS_INFINITY", "ParityGame",
     "ProfileArithmeticError", "ReasonablenessError", "SingleRandom",
     "SolveResult", "SolverError", "crosscheck", "oracle_solve",
     "parse_pgsolver", "policy_by_name", "replay_verify",

@@ -14,7 +14,7 @@ class DimensionError(SolverError):
 
 
 class ProfileArithmeticError(SolverError):
-    """Profile arithmetic with no defined result, e.g. +inf plus -inf."""
+    """Profile arithmetic with no defined result, e.g. +inf plus a value."""
 
 
 class ReasonablenessError(SolverError):

@@ -1,4 +1,5 @@
-"""Reference routines that only the tests use: a strategy built from a
+"""Reference routines that only the tests use: the key of a count
+vector and the game order on count vectors, a strategy built from a
 raw mapping, one application of the valuation operator, the deterministic
 strategies inside an improving edge set, a determinism predicate, the
 audit cadences to solve under, a game that player 0's peel leaves
@@ -19,6 +20,27 @@ from pgsi.arena import (AttractorResult, ParityGame, _dominated_pieces,
 from pgsi.errors import EnumerationTooLarge
 from pgsi.profiles import INF_KEY
 from pgsi.valuation import Strategy
+
+
+def key_of(basis, counts) -> int:
+    """The key `basis` gives the per-color counts, lowest color first."""
+    return sum(k * basis.unit_key(c) for c, k in enumerate(counts) if k)
+
+
+def reference_compare(a: tuple, b: tuple) -> int:
+    """-1, 0 or 1 as count vector `a` is worth less than, as much as or
+    more than `b`, written from the game order alone: decide at the
+    highest color where the counts differ, preferring fewer visits to an
+    odd color and more to an even one."""
+    assert len(a) == len(b)
+    for k in reversed(range(len(a))):
+        if a[k] == b[k]:
+            continue
+        if k % 2 == 0:
+            return -1 if a[k] < b[k] else 1
+        return -1 if a[k] > b[k] else 1
+    return 0
+
 
 # The audit cadences the tests solve under, by the valuation route that
 # revalues every iteration after the first: at the default cadence the

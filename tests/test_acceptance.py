@@ -19,13 +19,13 @@ from pgsi.arena import preprocess
 from pgsi.cli import generate_game, main, random_game
 from pgsi.errors import InvariantViolation
 from pgsi.iteration import DEG2_BASE, POLICY_NAMES, extract_deterministic
-from pgsi.profiles import (ColorProfile, NEG_INFINITY, POS_INFINITY,
-                           path_value, zero_profile)
+from pgsi.profiles import POS_INFINITY, ProfileBasis
 from pgsi.valuation import (changed_nodes, improvements, initial_strategy,
                             is_reasonable, switch_region,
                             valuate_bellman_ford, valuate_dijkstra)
 
-from helpers import CADENCES, enumerate_direct_improvements, is_deterministic
+from helpers import (CADENCES, enumerate_direct_improvements,
+                     is_deterministic, key_of, reference_compare)
 
 
 CORPUS_SIZE = 1000
@@ -297,54 +297,88 @@ def test_acceptance_7_extraction_and_replay(corpus, solver_runs,
 
 
 def test_acceptance_8_profile_algebra(capsys):
+    # the values the solver hands out: keys of one basis per dimension,
+    # each case checked against arithmetic and reference_compare on the
+    # count vectors they stand for, with +inf on top
     rng = random.Random(31337)
     cases = 0
     failures = 0
+    bases = {d: ProfileBasis(d, range(d), 8) for d in range(1, 7)}
+
+    def finite(d):
+        counts = tuple(rng.randint(0, 4) for _ in range(d))
+        return bases[d].from_key(key_of(bases[d], counts)), counts
 
     def profile(d):
-        roll = rng.random()
-        if roll < 0.05:
-            return POS_INFINITY
-        if roll < 0.1:
-            return NEG_INFINITY
-        return ColorProfile.finite([rng.randint(0, 4) for _ in range(d)])
+        # +inf in one draw of ten
+        if rng.random() < 0.1:
+            return POS_INFINITY, None
+        return finite(d)
+
+    def reference(x, y):
+        # reference_compare, with +inf (counts None) above every vector
+        if x is None or y is None:
+            return (x is None) - (y is None)
+        return reference_compare(x, y)
+
+    def order(a, b):
+        return (a > b) - (a < b)
+
+    def plus(a, c):
+        # + with +inf absorbing the finite summand, as the solver's keys
+        return a if a == POS_INFINITY else a + c
+
+    def add(x, y):
+        return None if x is None else tuple(map(int.__add__, x, y))
 
     for _ in range(4000):
         d = rng.randint(1, 6)
-        a, b, c = profile(d), profile(d), profile(d)
-        if not ((a <= b or b <= a) and (b <= c or c <= b)):
-            failures += 1
-        if a <= b and b <= a and a != b:
-            failures += 1
-        lo, mid, hi = sorted([a, b, c])
-        if not (lo <= mid <= hi and lo <= hi):
+        drawn = [profile(d), profile(d), profile(d)]
+        for (a, x), (b, y) in ((drawn[0], drawn[1]), (drawn[1], drawn[2]),
+                               (drawn[0], drawn[2])):
+            if order(a, b) != reference(x, y) or (a == b) != (x == y):
+                failures += 1
+        lo, mid, hi = sorted(drawn, key=lambda pair: pair[0])
+        if not (reference(lo[1], mid[1]) <= 0 <= reference(hi[1], mid[1])
+                and lo[0] <= mid[0] <= hi[0]):
             failures += 1
         cases += 3
 
     for _ in range(3000):
         d = rng.randint(1, 6)
-        a, b = profile(d), profile(d)
-        c = ColorProfile.finite([rng.randint(0, 4) for _ in range(d)])
-        if a <= b and not a + c <= b + c:
+        (a, x), (b, y) = profile(d), profile(d)
+        c, z = finite(d)
+        ac, bc = plus(a, c), plus(b, c)
+        if a <= b and not ac <= bc:
+            failures += 1
+        if (ac.counts if ac.is_finite else None) != add(x, z) \
+                or order(ac, bc) != reference(add(x, z), add(y, z)):
             failures += 1
         cases += 1
 
     for _ in range(3000):
         d = rng.randint(1, 6)
-        a = ColorProfile.finite([rng.randint(0, 4) for _ in range(d)])
-        b = ColorProfile.finite([rng.randint(0, 4) for _ in range(d)])
-        if (a + b) - b != a:
+        (a, x), (b, y) = finite(d), finite(d)
+        if (a + b) - b != a or (a + b).counts != add(x, y) \
+                or (a - b).counts != tuple(map(int.__sub__, x, y)):
             failures += 1
         cases += 1
 
     for _ in range(3000):
         d = rng.randint(1, 6)
         colors = [rng.randrange(d) for _ in range(rng.randint(1, 8))]
-        value = path_value(colors, d)
+        basis = bases[d]
+        value, zero = basis.from_key(sum(map(basis.unit_key, colors))), \
+            basis.from_key(0)
+        counts = tuple(colors.count(c) for c in range(d))
         top_even = max(colors) % 2 == 0
-        if (value > zero_profile(d)) != top_even:
+        if value.counts != counts \
+                or reference_compare(counts, (0,) * d) != (1 if top_even
+                                                           else -1):
             failures += 1
-        if (value < zero_profile(d)) != (not top_even):
+        if (value > zero) != top_even:
+            failures += 1
+        if (value < zero) != (not top_even):
             failures += 1
         cases += 2
 

@@ -16,13 +16,13 @@ from pgsi.cli import generate_game, random_game
 from pgsi.errors import EnumerationTooLarge, InvariantViolation
 from pgsi.iteration import (POLICY_NAMES, _check_progress, _step_bound,
                             extract_deterministic)
-from pgsi.profiles import INF_KEY, zero_profile
+from pgsi.profiles import INF_KEY
 from pgsi.valuation import (ImprovementSets, changed_nodes, improvements,
                             initial_strategy, valuate_bellman_ford)
 
 from conftest import parity_games, scale_games
 from helpers import (CADENCES, enumerate_direct_improvements,
-                     is_deterministic, loop_game, strategy_of)
+                     is_deterministic, key_of, loop_game, strategy_of)
 
 EVEN_LOOP = ParityGame((0,), (0,), ((0,),))
 ODD_LOOP = ParityGame((0,), (1,), ((0,),))
@@ -761,8 +761,7 @@ def test_extraction_needs_a_realizing_edge():
     arena = build_escape_arena(EVEN_LOOP)
     with pytest.raises(InvariantViolation):
         extract_deterministic(arena, strategy_of({0: (1,)}),
-                              [arena.basis.key(ColorProfile.finite((5,))),
-                               arena.basis.key(zero_profile(1))])
+                              [key_of(arena.basis, (5,)), 0])
 
 
 # ------------------------------------------------------------- enumeration

@@ -1,43 +1,50 @@
-"""Color-profile arithmetic and ordering."""
+"""Play values: the game order on color profiles, the keys of a basis,
+and the values that solves hand out."""
 
+import importlib.util
 import os
 import random
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import pgsi
-from pgsi import NEG_INFINITY, POS_INFINITY, ColorProfile
+from pgsi import POS_INFINITY, parse_pgsolver, solve
 from pgsi.errors import DimensionError, ProfileArithmeticError
-from pgsi.profiles import (INF_KEY, ProfileBasis, digit_width, path_value,
-                           unit_profile, zero_profile)
+from pgsi.profiles import INF_KEY, ProfileBasis, digit_width
+
+from helpers import key_of, reference_compare
+
+
+@lru_cache(maxsize=None)
+def basis_of(d):
+    # one basis per dimension counting every color, wide enough for the
+    # sums and differences of the counts drawn below
+    return ProfileBasis(d, range(d), 64)
 
 
 def fin(*counts):
-    return ColorProfile.finite(counts)
+    basis = basis_of(len(counts))
+    return basis.from_key(key_of(basis, counts))
 
 
-def reference_compare(a: tuple, b: tuple) -> int:
-    # order definition, written independently of the folded-key encoding:
-    # decide at the highest index where the counts differ, preferring
-    # fewer occurrences of an odd color and more of an even one
-    assert len(a) == len(b)
-    for k in reversed(range(len(a))):
-        if a[k] == b[k]:
-            continue
-        if k % 2 == 0:
-            return -1 if a[k] < b[k] else 1
-        return -1 if a[k] > b[k] else 1
-    return 0
+def zero(d):
+    return basis_of(d).from_key(0)
+
+
+def path(colors, d):
+    # the value of a finite path: its colors' unit keys added up
+    basis = basis_of(d)
+    return basis.from_key(sum(map(basis.unit_key, colors)))
 
 
 finite_counts = st.lists(st.integers(-50, 50), min_size=3, max_size=3)
 profiles3 = st.one_of(
-    st.just(NEG_INFINITY), st.just(POS_INFINITY),
-    finite_counts.map(lambda c: fin(*c)))
+    st.just(POS_INFINITY), finite_counts.map(lambda c: fin(*c)))
 
 
 # ---------------------------------------------------------------- ordering
@@ -50,9 +57,10 @@ def test_compare_decides_at_odd_index_reversed():
     assert fin(0, 1, 0) < fin(0, 0, 0)
 
 
-def test_negative_infinity_below_everything():
-    assert NEG_INFINITY < fin(-5, -5, -5)
-    assert NEG_INFINITY < POS_INFINITY
+def test_positive_infinity_above_everything():
+    assert fin(5, -5, 5) < POS_INFINITY and not POS_INFINITY < fin(5, -5, 5)
+    assert POS_INFINITY > fin(0) and POS_INFINITY >= fin(0, 9)
+    assert not POS_INFINITY < POS_INFINITY and POS_INFINITY <= POS_INFINITY
 
 
 def test_equal_profiles():
@@ -64,6 +72,7 @@ def test_equal_profiles():
 def test_compare_mismatched_dimensions_rejected():
     with pytest.raises(DimensionError):
         fin(1, 2) < fin(1, 2, 3)
+    assert fin(1, 2) != fin(1, 2, 0)
 
 
 @given(finite_counts, finite_counts)
@@ -89,17 +98,14 @@ def test_add_componentwise():
 
 def test_add_zero_is_identity():
     p = fin(4, -1, 7)
-    assert zero_profile(3) + p == p
+    assert zero(3) + p == p and p + zero(3) == p
 
 
-def test_add_absorbs_infinity():
-    assert POS_INFINITY + fin(5, 5, 5) == POS_INFINITY
-    assert fin(5, 5, 5) + NEG_INFINITY == NEG_INFINITY
-
-
-def test_add_opposite_infinities_undefined():
-    with pytest.raises(ProfileArithmeticError):
-        POS_INFINITY + NEG_INFINITY
+def test_add_rejects_infinity():
+    for a, b in ((POS_INFINITY, fin(5, 5, 5)), (fin(5, 5, 5), POS_INFINITY),
+                 (POS_INFINITY, POS_INFINITY)):
+        with pytest.raises(ProfileArithmeticError):
+            a + b
 
 
 def test_subtract_componentwise():
@@ -108,20 +114,20 @@ def test_subtract_componentwise():
 
 def test_subtract_self_is_zero():
     p = fin(3, 9, -2)
-    assert p - p == zero_profile(3)
+    assert p - p == zero(3)
 
 
 def test_subtract_crossing_zero():
     diff = fin(0, 1, 0) - fin(0, 0, 1)
     assert diff == fin(0, 1, -1)
-    assert diff < zero_profile(3)  # decided at index 2 (even), -1 < 0
+    assert diff < zero(3)  # decided at index 2 (even), -1 < 0
 
 
 def test_subtract_rejects_infinities():
-    with pytest.raises(ProfileArithmeticError):
-        POS_INFINITY - fin(0, 0, 0)
-    with pytest.raises(ProfileArithmeticError):
-        fin(0, 0, 0) - NEG_INFINITY
+    for a, b in ((POS_INFINITY, fin(0, 0, 0)), (fin(0, 0, 0), POS_INFINITY),
+                 (POS_INFINITY, POS_INFINITY)):
+        with pytest.raises(ProfileArithmeticError):
+            a - b
 
 
 @given(finite_counts, finite_counts)
@@ -139,30 +145,32 @@ def test_addition_monotone(a, b, c):
 # ------------------------------------------------- units, paths and cycles
 
 def test_unit_profile_examples():
-    assert unit_profile(1, 3) == fin(0, 1, 0)
-    assert unit_profile(0, 1) == fin(1)
-    assert unit_profile(3, 4) == fin(0, 0, 0, 1)
+    assert path((1,), 3) == fin(0, 1, 0)
+    assert path((0,), 1) == fin(1)
+    assert path((3,), 4) == fin(0, 0, 0, 1)
 
 
 def test_unit_profile_rejects_bad_inputs():
     with pytest.raises(DimensionError):
-        unit_profile(3, 3)
+        basis_of(3).unit_key(3)
     with pytest.raises(DimensionError):
-        unit_profile(-1, 3)
+        basis_of(3).unit_key(-1)
     with pytest.raises(DimensionError):
-        unit_profile(0, 0)
+        ProfileBasis(0, (), 1)
 
 
 def test_path_value_examples():
-    assert path_value((), 3) == zero_profile(3)
-    assert path_value((0, 1, 1), 2) == fin(1, 2)
-    assert path_value((2,), 3) == fin(0, 0, 1)
-    assert path_value((2,), 3) > zero_profile(3)
+    assert path((), 3) == zero(3)
+    assert path((0, 1, 1), 2) == fin(1, 2)
+    assert path((2,), 3) == fin(0, 0, 1)
+    assert path((2,), 3) > zero(3)
 
 
 def test_path_value_rejects_out_of_range_color():
     with pytest.raises(DimensionError):
-        path_value((0, 5), 3)
+        path((0, 5), 3)
+    with pytest.raises(DimensionError):
+        ProfileBasis(3, (0, 5), 2)
 
 
 @given(st.integers(1, 6).flatmap(
@@ -173,11 +181,12 @@ def test_cycle_value_sign_matches_top_color_parity(case):
     # a cycle is worth more than the empty profile exactly when its
     # highest color is even, less when it is odd
     d, colors = case
-    value = path_value(colors, d)
+    value = path(colors, d)
+    assert value.counts == tuple(colors.count(c) for c in range(d))
     if max(colors) % 2 == 0:
-        assert value > zero_profile(d)
+        assert value > zero(d)
     else:
-        assert value < zero_profile(d)
+        assert value < zero(d)
 
 
 # --------------------------------------------------------- packed encoding
@@ -234,25 +243,39 @@ def test_packed_arithmetic_is_componentwise_at_extreme_digits(pair):
         tuple(x + y for x, y in zip(a, b)), tuple(x - y for x, y in zip(a, b)))
 
 
-def test_finite_takes_counts_of_any_size():
-    # a public profile holds its counts, not a key, so no digit width
-    # bounds them; a basis key still refuses what its width cannot hold
-    big = (2 ** 63, 2 ** 64, 2 ** 200)
-    for x in big:
-        for y in big + (-x, 1, 0):
-            a, b = fin(x, -y, y), fin(y, x, -x)
-            assert (a + b).counts == (x + y, x - y, y - x)
-            assert (a - b).counts == (x - y, -y - x, y + x)
-            assert a + b - b == a and hash(a + b - b) == hash(a)
-            assert hash(a - a) == hash(zero_profile(3))
-            assert (a > b) - (a < b) == reference_compare(a.counts, b.counts)
-            assert (a == b) == (a.counts == b.counts)
-    for count in (TOP + 1, 2 ** 63):
-        with pytest.raises(DimensionError):
-            SMALL.key(fin(0, 0, 0, count))
-        with pytest.raises(DimensionError):
-            SMALL.key(fin(-count, 0, 0, 0))
-    assert SMALL.key(fin(0, 0, 0, TOP)) == TOP * SMALL.unit_key(3)
+@st.composite
+def keyed_pairs(draw):
+    """A basis counting every color of a d-color game on n nodes, and two
+    count vectors whose sum and difference fit its digits."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.one_of(st.integers(1, 12),
+                       st.sampled_from((2 ** 20, 2 ** 64))))
+    limit = ((1 << digit_width(n) - 1) - 1) // 2
+    counts = st.lists(st.one_of(st.sampled_from((-limit, limit)),
+                                st.integers(-limit, limit)),
+                      min_size=d, max_size=d)
+    return ProfileBasis(d, range(d), n), tuple(draw(counts)), \
+        tuple(draw(counts))
+
+
+@given(keyed_pairs())
+def test_basis_keys_add_subtract_and_order_like_count_tuples(case):
+    basis, a, b = case
+    ka, kb = key_of(basis, a), key_of(basis, b)
+    total = tuple(x + y for x, y in zip(a, b))
+    diff = tuple(x - y for x, y in zip(a, b))
+    assert basis.from_key(ka).counts == a
+    assert basis.from_key(ka + kb).counts == total
+    assert basis.from_key(ka - kb).counts == diff
+    assert (ka > kb) - (ka < kb) == reference_compare(a, b)
+    assert (ka + kb > ka - kb) - (ka + kb < ka - kb) \
+        == reference_compare(total, diff)
+    pa, pb = basis.from_key(ka), basis.from_key(kb)
+    assert (pa + pb).counts == total and (pa - pb).counts == diff
+    assert (pa > pb) - (pa < pb) == reference_compare(a, b)
+    assert (pa == pb) == (a == b)
+    assert hash(pa + pb - pb) == hash(pa)
+    assert pa - pa == basis.from_key(0) and hash(pa - pa) == hash(zero(3))
 
 
 def test_equal_profiles_of_different_widths():
@@ -264,43 +287,33 @@ def test_equal_profiles_of_different_widths():
     assert len({narrow, wide}) == 1
     assert narrow != at_small_width([3, -2, 0, 4])
     assert narrow != fin(3, -2, 5)
-    assert narrow + wide == fin(6, -4, 0, 10)
-    assert wide - narrow == zero_profile(4)
-    assert narrow < wide + unit_profile(0, 4)
-    assert not narrow < wide and narrow <= wide
+    # only values of one basis add, subtract and order
+    with pytest.raises(ProfileArithmeticError):
+        narrow + wide
+    with pytest.raises(ProfileArithmeticError):
+        wide - narrow
     with pytest.raises(DimensionError):
-        narrow < fin(3, -2, 5)
+        narrow < wide
+    with pytest.raises(DimensionError):
+        narrow <= wide
+    assert narrow < POS_INFINITY and wide < POS_INFINITY
 
 
 def test_unit_profiles_at_the_solver_width():
-    assert SMALL.from_key(SMALL.unit_key(0)) == unit_profile(0, 4)
-    assert SMALL.from_key(SMALL.unit_key(3)) == unit_profile(3, 4)
-    assert SMALL.from_key(0) == zero_profile(4)
+    assert SMALL.from_key(SMALL.unit_key(0)) == path((0,), 4)
+    assert SMALL.from_key(SMALL.unit_key(3)) == path((3,), 4)
+    assert SMALL.from_key(0) == zero(4)
     with pytest.raises(DimensionError):
         SMALL.unit_key(4)
 
 
 def test_basis_keys_add_and_order_like_profiles():
     a, b = at_small_width([3, -2, 0, 5]), at_small_width([1, 4, -7, 5])
-    ka, kb = SMALL.key(a), SMALL.key(b)
-    assert SMALL.key(zero_profile(4)) == 0
+    ka, kb = key_of(SMALL, [3, -2, 0, 5]), key_of(SMALL, [1, 4, -7, 5])
     assert SMALL.from_key(ka) == a
     assert SMALL.from_key(ka + kb) == a + b
     assert SMALL.from_key(ka - kb) == a - b
     assert (ka < kb) == (a < b) and (kb < ka) == (b < a)
-
-
-def test_basis_key_re_encodes_other_widths_exactly():
-    wide = fin(3, -2, 0, 5)
-    assert SMALL.key(wide) == SMALL.key(at_small_width([3, -2, 0, 5]))
-    assert SMALL.key(POS_INFINITY) == INF_KEY
-    assert SMALL.key(NEG_INFINITY) == -INF_KEY
-    assert SMALL.from_key(INF_KEY) is POS_INFINITY
-    assert SMALL.from_key(-INF_KEY) is NEG_INFINITY
-    with pytest.raises(DimensionError):
-        SMALL.key(fin(3, -2, 5))
-    with pytest.raises(DimensionError):
-        SMALL.key(fin(0, 0, 0, TOP + 1))
 
 
 def test_inf_key_is_exactly_above_every_key():
@@ -308,7 +321,6 @@ def test_inf_key_is_exactly_above_every_key():
     # min and max must treat it as the top value without rounding
     for key in (0, 1, -1, TOP, 1 << 48000, -(1 << 48000), (1 << 48000) - 1):
         assert key < INF_KEY and not INF_KEY < key and key != INF_KEY
-        assert -INF_KEY < key
         assert max(key, INF_KEY) == INF_KEY == max(INF_KEY, key)
         assert min(key, INF_KEY) == key == min(INF_KEY, key)
     assert (1 << 48000) - 1 < 1 << 48000 < INF_KEY
@@ -318,8 +330,8 @@ def test_inf_key_is_exactly_above_every_key():
 
 def test_rendering():
     assert str(fin(0, 2, 1)) == "(0,2,1)"
+    assert repr(fin(0, -2)) == "ColorProfile((0,-2))"
     assert str(POS_INFINITY) == "+inf"
-    assert str(NEG_INFINITY) == "-inf"
 
 
 def test_counts_round_trip():
@@ -330,27 +342,27 @@ def test_counts_round_trip():
 
 def test_profiles_hashable():
     assert len({fin(1, 0), fin(1, 0), fin(0, 1)}) == 2
-    assert len({POS_INFINITY, NEG_INFINITY}) == 2
+    assert len({POS_INFINITY, fin(0, 0)}) == 2
 
 
 def test_infinities_are_singletons_of_any_dimension():
-    assert POS_INFINITY + fin(1, 1) == POS_INFINITY + fin(1, 1, 1, 1)
-    assert not POS_INFINITY.is_finite
-    assert fin(0, 0).is_finite
+    assert SMALL.from_key(INF_KEY) is POS_INFINITY
+    assert basis_of(2).from_key(INF_KEY) is POS_INFINITY
+    assert POS_INFINITY.dimension is None and not POS_INFINITY.is_finite
+    assert fin(0, 0).is_finite and fin(0, 0).dimension == 2
 
 
 # ------------------------------------------------- one digit per color in use
 
 # An arena of 3 nodes in a 1000-color game whose nodes carry 0, 599, 999.
 GAPPED = ProfileBasis(1000, (999, 0, 599, 599), 3)
+# The same game's basis over every color.
+FULL = ProfileBasis(1000, range(1000), 3)
 
 
-def sparse(d, counts):
-    # a public profile of dimension d with the given nonzero counts
-    full = [0] * d
-    for color, k in counts.items():
-        full[color] = k
-    return ColorProfile.finite(full)
+def sparse(counts):
+    # a value of the 1000-color game with the given nonzero counts
+    return FULL.from_key(sum(k * FULL.unit_key(c) for c, k in counts.items()))
 
 
 def test_basis_over_counts_only_the_colors_in_use():
@@ -375,14 +387,13 @@ def test_gapped_keys_decode_to_profiles_in_game_colors():
         - GAPPED.unit_key(599)
     value = GAPPED.from_key(key)
     assert value.dimension == 1000
-    expected = sparse(1000, {0: 3, 599: -1, 999: 2})
+    expected = sparse({0: 3, 599: -1, 999: 2})
     assert value.counts == expected.counts
     assert str(value) == str(expected)
     assert value == expected and expected == value
     assert hash(value) == hash(expected)
     assert len({value, expected}) == 1
-    assert GAPPED.key(expected) == key
-    assert GAPPED.key(value) == key
+    assert key_of(GAPPED, expected.counts) == key
 
 
 def test_gapped_keys_order_and_add_like_profiles_in_game_colors():
@@ -395,61 +406,68 @@ def test_gapped_keys_order_and_add_like_profiles_in_game_colors():
         assert (a < b) == (ka < kb) == (reference_compare(a.counts, b.counts)
                                         < 0)
         assert GAPPED.from_key(ka + kb) == a + b
-        # mixed: one side decoded from a key, the other a public profile
-        wide_b = ColorProfile.finite(b.counts)
-        assert (a < wide_b) == (ka < kb) and (wide_b < a) == (kb < ka)
-        assert (a + wide_b).counts == (a + b).counts
-        assert (a - wide_b).counts == (a - b).counts
-        assert (a == wide_b) == (ka == kb)
+        assert (a - b).counts == tuple(
+            x - y for x, y in zip(a.counts, b.counts))
+        # the same value in the basis over every color
+        wide_b = sparse({c: k for c, k in enumerate(b.counts) if k})
+        assert (a == wide_b) == (ka == kb) and wide_b == b
+        assert hash(wide_b) == hash(b)
 
 
 def test_gapped_profiles_of_two_bases_mix():
     other = ProfileBasis(1000, (5, 599), 3)
     a = GAPPED.from_key(GAPPED.unit_key(999) + GAPPED.unit_key(599))
     b = other.from_key(other.unit_key(5) + other.unit_key(599))
-    total = a + b
-    assert total.counts == sparse(1000, {5: 1, 599: 2, 999: 1}).counts
-    assert total - b == a
-    # they differ highest at the odd color 999, which only a visits
-    assert a < b and not b < a
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(ProfileArithmeticError):
+            op(a, b)
+    for op in (lambda x, y: x < y, lambda x, y: x > y,
+               lambda x, y: x >= y):
+        with pytest.raises(DimensionError):
+            op(a, b)
     assert a != b and hash(a) != hash(b)
+    # a visit to 599 is one value, whichever arena counted it
+    assert GAPPED.from_key(GAPPED.unit_key(599)) \
+        == other.from_key(other.unit_key(599)) == sparse({599: 1})
 
 
 def test_basis_key_refuses_a_visit_to_a_color_not_in_use():
-    with pytest.raises(DimensionError):
-        GAPPED.key(sparse(1000, {1: 1}))
-    with pytest.raises(DimensionError):
-        GAPPED.key(fin(1, 0, 0))
-    assert GAPPED.key(zero_profile(1000)) == 0
-    assert GAPPED.key(sparse(1000, {599: 2})) == 2 * GAPPED.unit_key(599)
+    for counts in ({1: 1}, {598: 3}, {0: 1, 1000: 1}):
+        with pytest.raises(DimensionError):
+            key_of(GAPPED, [counts.get(c, 0) for c in range(1001)])
+    assert key_of(GAPPED, [0] * 1000) == 0
+    assert key_of(GAPPED, sparse({599: 2}).counts) \
+        == 2 * GAPPED.unit_key(599)
     assert GAPPED.from_key(INF_KEY) is POS_INFINITY
 
 
-def test_public_profiles_never_decode_a_key(monkeypatch):
+def test_one_basis_operators_never_decode_a_key(monkeypatch):
     def refuse(basis, key):
         raise AssertionError("decoded key %r" % (key,))
     monkeypatch.setattr(ProfileBasis, "_decode", refuse)
-    d = 1000
-    for a, b in ((fin(3, -2, 0, 5), fin(1, 4, -7, 5)),
-                 (unit_profile(999, d), path_value((0, 599, 599, 998), d)),
-                 (zero_profile(d), unit_profile(7, d))):
-        for x, y in ((a, b), (b, a), (a, a)):
-            x + y, x - y, x < y, x <= y, x == y, x != y
-            hash(x), str(x), x.counts
     # profiles of one basis add, subtract and compare as keys; a visit
     # to the odd color 999 is worth less than anything below it
     u, v = GAPPED.from_key(GAPPED.unit_key(999)), GAPPED.from_key(5)
     total = u + v
     assert total - v == u and u < v and not v < u and u != v
+    assert u <= u and v >= u and v > u and not u > v
     assert total == GAPPED.from_key(GAPPED.unit_key(999) + 5)
-    assert SMALL.key(SMALL.from_key(-7)) == -7
+    assert u < POS_INFINITY and u != POS_INFINITY and POS_INFINITY != u
+    # so do the values of one solve, and a second basis is refused as such
+    values = solve(parse_pgsolver("0 1 0 1;\n1 3 1 0,2;\n2 2 0 1;\n")) \
+        .valuation
+    for x in values.values():
+        for y in values.values():
+            x < y, x <= y, x == y, x != y
+        with pytest.raises(DimensionError):
+            x < u
 
 
 def test_basis_over_no_colors():
     # an arena with no node left: only the sink, whose value is 0
     empty = ProfileBasis(3, (), 0)
     assert tuple(empty.colors) == ()
-    assert empty.from_key(0) == zero_profile(3)
+    assert empty.from_key(0) == zero(3)
     assert str(empty.from_key(0)) == "(0,0,0)"
 
 
@@ -464,6 +482,51 @@ def test_huge_color_keys_stay_small():
     assert basis.from_key(0) < value
 
 
+# ------------------------------------------------- the values of two solves
+
+# node 0 escapes its odd loop through node 1 to the sink; node 2 enters
+# it; every value is finite and the four differ
+TWO_ESCAPES = "0 1 0 1;\n1 3 1 0,2;\n2 2 0 1;\n"
+
+
+def test_values_of_two_solves_are_equal_but_do_not_mix():
+    game = parse_pgsolver(TWO_ESCAPES)
+    first, second = solve(game).valuation, solve(game).valuation
+    assert len(set(first.values())) == len(first) == 4
+    won = solve(parse_pgsolver("0 2 0 0;\n1 1 0 1,0;\n")).valuation
+    for u, x in first.items():
+        assert x.is_finite and x == second[u] and hash(x) == hash(second[u])
+        for v, y in second.items():
+            assert (x == y) == (u == v)
+            with pytest.raises(DimensionError):
+                x < y
+            with pytest.raises(ProfileArithmeticError):
+                x + y
+            with pytest.raises(ProfileArithmeticError):
+                x - y
+            # within one solve the order is the count-vector order
+            assert (x > first[v]) - (x < first[v]) \
+                == reference_compare(x.counts, first[v].counts)
+        assert all(x < top for top in won.values())
+
+
+def test_benchmark_times_operators_on_pairs_of_one_valuation():
+    # the benchmark times +, < and == on neighbouring finite entries of
+    # one valuation, which share its solve's basis, so none of them raises
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "layers.py"
+    spec = importlib.util.spec_from_file_location("benchmark_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    seen = []
+    game = parse_pgsolver(TWO_ESCAPES)
+    solve(game, on_iteration=lambda i, s, valuation, imps:
+          seen.append(valuation))
+    timings = layers.profile_timings(seen + [solve(game).valuation])
+    assert timings["profiles.dim"] == 4
+    assert all(timings["profiles.%s_ns" % op] > 0
+               for op in ("add", "lt", "eq"))
+
+
 # Run in a child whose address space is capped at 2 GB: a decode of all
 # 10^12 digits, or a set of 10^12 colors, raises MemoryError there
 # instead of filling the machine's memory.
@@ -471,31 +534,47 @@ _HUGE_COLOR_MIX = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 from pgsi import parse_pgsolver, solve
-from pgsi.profiles import zero_profile
+from pgsi.errors import DimensionError, ProfileArithmeticError
+from pgsi.profiles import ProfileBasis
+
+def refused(op, a, b):
+    try:
+        op(a, b)
+    except (DimensionError, ProfileArithmeticError):
+        return True
+    return False
 
 # the cap bites: spelling out every color of a 10^12-color profile fails
 try:
-    zero_profile(10 ** 12 + 1).counts
+    ProfileBasis(10 ** 12 + 1, (), 0).from_key(0).counts
 except MemoryError:
     pass
 else:
     raise AssertionError("the memory cap does not bite")
 
 # node 0 wins on its even loop through node 1; the sink's value is 0
-result = solve(parse_pgsolver("0 1000000000000 0 1;\\n1 3 1 0;\\n"))
-zero, sink = zero_profile(10 ** 12 + 1), result.valuation[2]
-assert sink == zero and zero == sink
-assert not sink < zero and not zero < sink
-assert sink + zero == zero and zero - sink == sink
-assert hash(zero) == hash(sink)
+game = parse_pgsolver("0 1000000000000 0 1;\\n1 3 1 0;\\n")
+sink, again = solve(game).valuation[2], solve(game).valuation[2]
+zero = ProfileBasis(10 ** 12 + 1, (), 0).from_key(0)
+assert sink == zero and zero == sink and sink == again
+assert hash(zero) == hash(sink) == hash(again)
+assert sink + sink == sink and sink - sink == sink and not sink < sink
+assert refused(lambda a, b: a < b, sink, zero)
+assert refused(lambda a, b: a + b, again, sink)
 
 # node 0 escapes from its odd loop: value -1 at color 10^12 + 1
-result = solve(parse_pgsolver("0 1000000000001 0 1;\\n1 3 1 0;\\n"))
-zero, low = zero_profile(10 ** 12 + 2), result.valuation[0]
-assert low < zero and not zero < low and low != zero
-assert low + zero == low and zero + low == low and low - zero == low
-assert zero - low > zero and low - low == zero
-assert hash(zero + low) == hash(low) and hash(low - low) == hash(zero)
+game = parse_pgsolver("0 1000000000001 0 1;\\n1 3 1 0;\\n")
+first, second = solve(game).valuation, solve(game).valuation
+low, sink = first[0], first[2]
+assert low < sink and not sink < low and low != sink
+assert low + sink == low and sink + low == low and low - sink == low
+assert sink - low > sink and low - low == sink
+assert hash(sink + low) == hash(low) and hash(low - low) == hash(sink)
+zero = ProfileBasis(10 ** 12 + 2, (), 0).from_key(0)
+assert low == second[0] and hash(low) == hash(second[0]) and low != zero
+assert sink == second[2] == zero and hash(zero) == hash(sink)
+for op in (lambda a, b: a < b, lambda a, b: a + b, lambda a, b: a - b):
+    assert refused(op, low, second[2]) and refused(op, zero, low)
 """
 
 

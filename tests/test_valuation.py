@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgsi import POS_INFINITY, ColorProfile, ParityGame
+from pgsi import POS_INFINITY, ParityGame
 from pgsi.arena import (attractor, build_escape_arena,
                         find_one_dominated_cycle_nodes, preprocess)
 from pgsi.cli import random_game
@@ -16,18 +16,30 @@ from pgsi.errors import DimensionError, InvariantViolation, ReasonablenessError
 from pgsi.iteration import (AllSwitches, DeterministicAll, SingleRandom,
                             _check_progress, _check_step, _stale_entries,
                             solve)
-from pgsi.profiles import INF_KEY, digit_width, unit_profile, zero_profile
+from pgsi.profiles import INF_KEY, ProfileBasis, digit_width
 from pgsi.valuation import (changed_nodes, improvements, initial_strategy,
                             is_reasonable, is_reasonable_step, region_seeds,
                             response_strategy, switch_region, to_profiles,
                             valuate_bellman_ford, valuate_dijkstra)
 
 from conftest import parity_games, scale_games
-from helpers import apply_operator, loop_game, strategy_of
+from helpers import apply_operator, key_of, loop_game, strategy_of
 
 
 def fin(*counts):
-    return ColorProfile.finite(counts)
+    """The value that visits color c counts[c] times, in a basis of its
+    own; it equals the arena's value of the same counts."""
+    basis = ProfileBasis(len(counts), range(len(counts)), 64)
+    return basis.from_key(key_of(basis, counts))
+
+
+def plus_unit(arena, v, value):
+    """The unit of node v plus `value`, a profile of the arena's basis;
+    +inf absorbs it."""
+    if value == POS_INFINITY:
+        return value
+    basis = arena.basis
+    return basis.from_key(basis.unit_key(arena.game.color[v])) + value
 
 
 def arena_of(game):
@@ -45,10 +57,12 @@ def update(arena, old, new, base):
 
 
 def keys_of(arena, values):
-    """The key list of a node -> profile mapping; absent nodes are +inf."""
+    """The key list of a node -> profile mapping, the profiles of any
+    basis; absent nodes are +inf."""
     keys = [INF_KEY] * (arena.sink + 1)
     for v, value in values.items():
-        keys[v] = arena.basis.key(value)
+        if value.is_finite:
+            keys[v] = key_of(arena.basis, value.counts)
     return keys
 
 
@@ -352,13 +366,13 @@ def test_keys_have_one_digit_per_color_in_use(monkeypatch):
 def test_valuation_of_escape_only_self_loop():
     arena = self_loop_arena(1)
     vals = valuate_bellman_ford(arena, initial_strategy(arena))
-    assert to_profiles(arena, vals) == {0: fin(0, 1), 1: zero_profile(2)}
+    assert to_profiles(arena, vals) == {0: fin(0, 1), 1: fin(0, 0)}
 
 
 def test_valuation_of_unforced_even_self_loop():
     arena = self_loop_arena(2)
     vals = valuate_bellman_ford(arena, strategy_of({0: (0, 1)}))
-    assert to_profiles(arena, vals) == {0: POS_INFINITY, 1: zero_profile(3)}
+    assert to_profiles(arena, vals) == {0: POS_INFINITY, 1: fin(0, 0, 0)}
 
 
 def test_valuation_of_two_node_escape():
@@ -366,7 +380,7 @@ def test_valuation_of_two_node_escape():
     arena = arena_of(game)
     vals = valuate_bellman_ford(arena, initial_strategy(arena))
     assert to_profiles(arena, vals) == {0: fin(0, 1, 0), 1: fin(0, 1, 1),
-                                        2: zero_profile(3)}
+                                        2: fin(0, 0, 0)}
 
 
 def test_sink_value_is_always_empty():
@@ -375,7 +389,7 @@ def test_sink_value_is_always_empty():
         game = random_game(rng, rng.randint(1, 7), 3, 4)
         arena = preprocess(game).arena
         vals = valuate_bellman_ford(arena, initial_strategy(arena))
-        assert to_profiles(arena, vals)[arena.sink] == zero_profile(arena.d)
+        assert to_profiles(arena, vals)[arena.sink] == fin(*[0] * arena.d)
 
 
 def test_unreasonable_strategy_is_rejected():
@@ -393,16 +407,17 @@ def test_unreasonable_strategy_is_rejected_within_the_digit_width():
     # A player-1 cycle of color 1 whose edges all lead to higher ids but
     # one: each descending sweep carries the decrease once around the
     # whole cycle, so the color-1 count nears the n(n + 1) that the
-    # arena's digit width is sized for.  A wide-digit shadow run checks
-    # every update.
+    # arena's digit width is sized for.  A shadow run in a basis of far
+    # wider digits checks every update.
     k = 40
     game = ParityGame((1,) * k + (0,), (1,) * k + (0,),
                       tuple(((i + 1) % k, k) for i in range(k)) + ((0,),))
     arena = arena_of(game)
     strategy = initial_strategy(arena)
-    wide_unit = {v: unit_profile(arena.game.color[v], arena.d)
+    wide = ProfileBasis(arena.d, range(arena.d), 2 ** 20)
+    wide_unit = {v: wide.from_key(wide.unit_key(arena.game.color[v]))
                  for v in arena.nodes}
-    shadow = {arena.sink: zero_profile(arena.d)}
+    shadow = {arena.sink: wide.from_key(0)}
     shadow.update((v, POS_INFINITY) for v in arena.nodes)
     peak = 0
 
@@ -412,7 +427,7 @@ def test_unreasonable_strategy_is_rejected_within_the_digit_width():
             best = min(shadow[t] for t in arena.succ[v])
         else:
             best = max(shadow[t] for t in strategy[v])
-        shadow[v] = wide_unit[v] + best
+        shadow[v] = best if best == POS_INFINITY else wide_unit[v] + best
         assert new == shadow[v]
         peak = max(peak, *map(abs, new.counts))
 
@@ -498,11 +513,12 @@ def _random_strategy(rng, arena):
 def _in_use(arena, counts):
     # the arena's keys count only the colors its nodes carry
     carried = {arena.game.color[v] for v in arena.nodes}
-    return fin(*(k if c in carried else 0 for c, k in enumerate(counts)))
+    return arena.basis.from_key(key_of(
+        arena.basis, [k if c in carried else 0 for c, k in enumerate(counts)]))
 
 
 def _random_valuation(rng, arena):
-    vals = {arena.sink: zero_profile(arena.d)}
+    vals = {arena.sink: arena.basis.from_key(0)}
     for v in arena.nodes:
         if rng.random() < 0.2:
             vals[v] = POS_INFINITY
@@ -625,10 +641,10 @@ def test_improvements_reject_foreign_valuation():
     # a value above every play of the arena
     with pytest.raises(InvariantViolation):
         improvements(arena, initial_strategy(arena),
-                     keys_of(arena, {0: fin(0, -5), 1: zero_profile(2)}))
+                     keys_of(arena, {0: fin(0, -5), 1: fin(0, 0)}))
     # a visit to a color no node of the arena carries has no key
     with pytest.raises(DimensionError):
-        keys_of(arena, {0: fin(5, 0), 1: zero_profile(2)})
+        keys_of(arena, {0: fin(5, 0), 1: fin(0, 0)})
 
 
 @settings(max_examples=150, deadline=None)
@@ -638,7 +654,6 @@ def test_improvement_sets_are_consistent(game):
     arena = prep.arena
     if not arena.nodes:
         return
-    unit = {v: unit_profile(arena.game.color[v], arena.d) for v in arena.nodes}
     for strategy, valuation in improvement_iterates(arena):
         imps = improvements(arena, strategy, valuation)
         valuation = to_profiles(arena, valuation)
@@ -659,7 +674,7 @@ def test_improvement_sets_are_consistent(game):
         # every kept edge satisfies the defining inequality
         for v, targets in imps.improving.items():
             for t in targets:
-                assert valuation[v] <= unit[v] + valuation[t]
+                assert valuation[v] <= plus_unit(arena, v, valuation[t])
 
 
 # ------------------------------------------------------------- fast update
@@ -679,7 +694,7 @@ def test_update_moves_unforced_node_to_top():
     imps = improvements(arena, strategy, vals)
     updated = update(arena, strategy, imps.improving, vals)
     assert to_profiles(arena, updated) == {0: POS_INFINITY,
-                                           1: zero_profile(3)}
+                                           1: fin(0, 0, 0)}
 
 
 def test_update_rejects_negative_edge_weight():
@@ -687,7 +702,7 @@ def test_update_rejects_negative_edge_weight():
     arena = arena_of(game)
     base = valuate_bellman_ford(arena, initial_strategy(arena))
     assert to_profiles(arena, base) == {0: fin(1, 0), 1: fin(0, 1),
-                                        2: zero_profile(2)}
+                                        2: fin(0, 0)}
     # 0 -> 1 loses value, so the chosen edges are not an improvement
     with pytest.raises(InvariantViolation):
         update(arena, initial_strategy(arena),
@@ -697,7 +712,7 @@ def test_update_rejects_negative_edge_weight():
 def test_update_rejects_infinite_base_inside_sink_region():
     # node 0 leaves a self-loop the base values at +inf for the sink
     arena = self_loop_arena(1)
-    base = keys_of(arena, {0: POS_INFINITY, 1: zero_profile(2)})
+    base = keys_of(arena, {0: POS_INFINITY, 1: fin(0, 0)})
     with pytest.raises(InvariantViolation):
         update(arena, strategy_of({0: (0,)}), strategy_of({0: (1,)}), base)
 
@@ -1026,7 +1041,7 @@ def test_update_keeps_node_with_a_kept_edge_off_the_region_unbounded():
     updated = update(arena, initial_strategy(arena), strategy, base)
     assert to_profiles(arena, updated) == {
         0: POS_INFINITY, 1: POS_INFINITY, 2: fin(0, 1, 0),
-        3: zero_profile(3)}
+        3: fin(0, 0, 0)}
     assert updated == valuate_bellman_ford(arena, strategy)
 
 
@@ -1038,7 +1053,8 @@ def test_update_accepts_a_base_at_the_public_width():
         arena = preprocess(game).arena
         for strategy, valuation in improvement_iterates(arena):
             imps = improvements(arena, strategy, valuation)
-            # the same values built as public profiles, then re-encoded
+            # the same values built from their counts in another
+            # basis, then re-encoded from the counts
             wide = keys_of(arena, {
                 v: fin(*value.counts) if value.is_finite else value
                 for v, value in to_profiles(arena, valuation).items()})
@@ -1102,8 +1118,7 @@ def test_response_realizes_the_valuation(game):
         assert set(tau) == set(arena.player1_nodes)
         for v, t in tau.items():
             assert t in arena.succ[v]
-            unit = unit_profile(arena.game.color[v], arena.d)
-            assert valuation[v] == unit + valuation[t]
+            assert valuation[v] == plus_unit(arena, v, valuation[t])
             # the smallest-id realizing edge
-            assert all(valuation[v] != unit + valuation[s]
+            assert all(valuation[v] != plus_unit(arena, v, valuation[s])
                        for s in arena.succ[v] if s < t)

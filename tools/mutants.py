@@ -44,6 +44,8 @@ class Mutant(NamedTuple):
 
 ARENA = "arena.py"
 A = "tests/test_arena.py::"
+PROFILES = "profiles.py"
+P = "tests/test_profiles.py::"
 
 MUTANTS = (
     Mutant(
@@ -196,6 +198,47 @@ MUTANTS = (
         "        improving = prior.improving\n",
         ("tests/test_iteration.py::"
          "test_no_step_changes_a_dict_a_hook_has_seen",)),
+    Mutant(
+        "lt-across-bases",
+        "`<` compares the keys of two bases instead of refusing them",
+        PROFILES,
+        "            if basis is other._basis or basis is None "
+        "or other._basis is None:\n",
+        "            if other._basis is other._basis:\n",
+        (P + "test_values_of_two_solves_are_equal_but_do_not_mix",
+         P + "test_gapped_profiles_of_two_bases_mix")),
+    Mutant(
+        "add-across-bases",
+        "`+` adds the keys of two bases instead of refusing them",
+        PROFILES,
+        "            if basis is other._basis and basis is not None:\n"
+        "                out = _new(ColorProfile)\n"
+        "                out._d, out._pairs, out._key, out._basis = \\\n"
+        "                    self._d, None, self._key + other._key, basis\n",
+        "            if basis is not None and other._basis is not None:\n"
+        "                out = _new(ColorProfile)\n"
+        "                out._d, out._pairs, out._key, out._basis = \\\n"
+        "                    self._d, None, self._key + other._key, basis\n",
+        (P + "test_values_of_two_solves_are_equal_but_do_not_mix",
+         P + "test_gapped_profiles_of_two_bases_mix")),
+    Mutant(
+        "hash-of-the-key",
+        "`hash` reads the key, so equal values of two bases hash apart",
+        PROFILES,
+        "        return hash(self._key if self._d is None "
+        "else self._nonzero())\n",
+        "        return hash(self._key)\n",
+        (P + "test_equal_profiles_of_different_widths",
+         P + "test_gapped_keys_decode_to_profiles_in_game_colors")),
+    Mutant(
+        "decode-drops-the-borrow",
+        "`_decode` shifts the key without taking a negative digit off "
+        "first, so the digit above it reads one too high",
+        PROFILES,
+        "            key = (key - f) >> b\n",
+        "            key = key >> b\n",
+        (P + "test_packed_order_matches_reference_at_extreme_digits",
+         P + "test_basis_keys_add_subtract_and_order_like_count_tuples")),
 )
 
 
