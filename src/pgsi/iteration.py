@@ -33,29 +33,32 @@ IterationHook = Callable[
 
 
 class AllSwitches:
-    """Switch to the full improving edge set in one step."""
+    """Switch to the full improving edge set in one step.
+
+    The step returns the improving entries `imps` reclassified.  Inside
+    ``solve`` every other entry of the strategy it is handed is already
+    its improving entry: that strategy is the improving set of the
+    previous step, and an entry not reclassified was carried over."""
 
     name = "all-switches"
 
     def pick(self, arena: EscapeArena, strategy: Strategy,
              valuation: Valuation, imps: ImprovementSets) -> Strategy:
-        return imps.improving
+        improving = imps.improving
+        return {v: improving[v] for v in imps.reclassified}
 
 
 def _narrowed(strategy: Strategy, imps: ImprovementSets) -> Strategy:
-    """A copy of the strategy with every entry `imps` reclassified cut
-    down to its improving edges.
+    """The entries `imps` reclassified, each cut down to its improving
+    edges.
 
-    This equals cutting down every entry: a node that was not
-    reclassified kept its choices and its improving entry since the
-    previous step, whose check found those choices inside that entry.
+    Every other entry needs no cut: it kept its choices and its
+    improving entry since the previous step, whose check found those
+    choices inside that entry.
     """
-    choices = strategy.copy()
     improving = imps.improving
-    for v in imps.reclassified:
-        kept = improving[v]
-        choices[v] = tuple([t for t in choices[v] if t in kept])
-    return choices
+    return {v: tuple([t for t in strategy[v] if t in improving[v]])
+            for v in imps.reclassified}
 
 
 class DeterministicAll:
@@ -64,8 +67,9 @@ class DeterministicAll:
     realizes the current value.  Deterministic strategies go in and come
     out, starting from the always-escape one.
 
-    Only the reclassified entries (see `_narrowed`) and the strict
-    sources are visited; every other node keeps its edge unchanged."""
+    The step returns the reclassified entries, cut down (see
+    `_narrowed`), and the strict sources; every other node keeps its
+    edge unchanged."""
 
     name = "deterministic-all"
 
@@ -84,9 +88,12 @@ class SingleRandom:
     """Apply exactly one strict improvement per step, chosen by a seeded
     generator; all other nodes keep their value-realizing edges.
 
-    Only the reclassified entries are cut down to their improving edges
-    (see `_narrowed`), so a step costs what the last one changed rather
-    than the number of player-0 nodes."""
+    The step returns the reclassified entries, cut down to their
+    improving edges (see `_narrowed`), and the switched source, so it
+    costs what the last step changed rather than the number of player-0
+    nodes.  The draw is that of ``choice(imps.strict_edges())``, the
+    same generator call on the same count, but it walks the sorted
+    strict sources to the drawn edge instead of listing every edge."""
 
     name = "single-random"
 
@@ -96,8 +103,14 @@ class SingleRandom:
 
     def pick(self, arena, strategy, valuation, imps):
         choices = _narrowed(strategy, imps)
-        v, t = self._rng.choice(imps.strict_edges())
-        choices[v] = (t,)
+        strict = imps.strict
+        k = self._rng.randrange(sum(map(len, strict.values())))
+        for v in sorted(strict):
+            stricts = strict[v]
+            if k < len(stricts):
+                break
+            k -= len(stricts)
+        choices[v] = (stricts[k],)
         return choices
 
 
@@ -199,13 +212,13 @@ def _check_step(next_strategy: Strategy, imps: ImprovementSets,
     least one strict edge.  Returns the switched source nodes.
 
     Given every entry of `next_strategy` as `nodes`, this is the full
-    check.  Between steps it suffices to give the nodes whose choices
-    changed, ``changed_nodes(strategy, next_strategy)``, followed by the
-    entries `imps` reclassified, by induction over the steps: every other
-    node kept its choices and its improving entry since the previous
-    step, whose check passed; and a node that takes a strict edge has
-    changed, because strict edges are never part of the current
-    strategy."""
+    check.  Between steps it suffices to give the entries the policy
+    returned and the entries `imps` reclassified: ``solve`` lays the
+    returned entries over a copy of the current strategy, so every other
+    node kept its choices, which the previous step's check found inside
+    its improving entry, and kept that entry too.  A node that takes a
+    strict edge was returned, because strict edges are never part of
+    the current strategy."""
     applied = set()
     improving, strict = imps.improving, imps.strict
     for v in nodes:
@@ -295,18 +308,21 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
     the nodes whose value changed, checking that none shrank
     (``_check_progress``), and reclassify only the player-0 nodes whose
     choices, value or successor values changed (``_stale_entries``),
-    carrying the other improvement-set entries over.  After each pick the
-    player-0 nodes whose choices changed are listed once
-    (``changed_nodes``); that list feeds the step check and A, the
+    carrying the other improvement-set entries over.  A policy's `pick`
+    returns only the entries it sets (a whole strategy also works); the
+    loop lays them over one copy of the strategy, so no entry it does not
+    return can change.  The returned nodes whose choices changed are
+    listed once (``changed_nodes``); that list feeds A, the
     reasonableness check and the reclassification of the next iteration.
     The step check (``_check_step``) of the first pick visits every node,
-    the later ones only the changed nodes and the reclassified entries, so
-    that a step costs what it touches.  Every `audit_every`-th iteration is
-    also recomputed by the reference route and compared bit for bit, its
-    growth checked over every node, its improvement sets compared with a
-    classification of every node, and its step check with one over every
-    node (1 audits every iteration after the first, 0 disables auditing; a
-    negative value raises ValueError).  Every strategy is checked for
+    the later ones only the returned and the reclassified entries, which
+    is exact by construction, so that a step costs what it touches.
+    Every `audit_every`-th iteration is also recomputed by the reference
+    route and compared bit for bit, its growth checked over every node,
+    its improvement sets compared with a classification of every node,
+    and its step check with one over every node (1 audits every
+    iteration after the first, 0 disables auditing; a negative value
+    raises ValueError).  Every strategy is checked for
     reasonableness.  The first iteration runs the full check; the others
     walk forward from the targets of the edges the step added, inside A,
     where every cycle such an edge closes lies, and check only the nodes
@@ -400,9 +416,11 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
                 raise InvariantViolation(
                     "improvement steps exceeded the termination bound %.0f"
                     % bound)
-            next_sigma = policy.pick(arena, sigma, current, imps)
-            changed = changed_nodes(sigma, next_sigma)
-            checked = (chain(changed, imps.reclassified) if incremental
+            step = policy.pick(arena, sigma, current, imps)
+            changed = changed_nodes(sigma, step)
+            next_sigma = sigma.copy()
+            next_sigma.update(step)
+            checked = (step.keys() | imps.reclassified if incremental
                        else next_sigma)
             switched = _check_step(next_sigma, imps, checked)
             if audit and _check_step(next_sigma, imps,

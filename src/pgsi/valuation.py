@@ -26,15 +26,16 @@ checks afterwards that they are closed.  Both routes return
 bit-identical results.  :func:`improvements` likewise classifies
 either every player-0 node or, carrying the rest over from the sets of
 the previous step, only the nodes whose inputs changed, and records
-which entries it classified so that the switch policies and the step
-check of ``solve`` visit only those.
+which entries it classified, so that a switch policy returns only
+those and the sources it switches, and the step check of ``solve``
+visits only what the policy returned and those.
 
-The player-0 nodes whose choices a step changed are listed once per
-step, by :func:`changed_nodes`; the seeds of A, the step check of
-reasonableness and the choice of the entries to reclassify all take
-that list, and A is derived once per step, by the step's one backward
-walk, and handed to the fast valuation, the step check of
-reasonableness and the checks of ``solve`` that look only at A.
+The player-0 nodes whose choices a step changed are listed once per step,
+by :func:`changed_nodes` over the entries the policy returned; the seeds of
+A, the step check of reasonableness and the choice of the entries to
+reclassify all take that list, and A is derived once per step, by the
+step's one backward walk, and handed to the fast valuation, the step check
+of reasonableness and the checks of ``solve`` that look only at A.
 
 Reasonableness has two checks too.  :func:`is_reasonable` decomposes
 the whole arena restricted to the strategy; :func:`is_reasonable_step`,
@@ -77,7 +78,8 @@ UpdateHook = Callable[[int, int, ColorProfile, ColorProfile], None]
 
 def changed_nodes(old: Strategy, new: Strategy) -> list[int]:
     """The nodes of `new` whose choices differ from those of `old`, in the
-    order of `new`; a node `old` does not have counts as changed."""
+    order of `new`; a node `old` does not have counts as changed.  `new`
+    may be a whole strategy or only the entries a step sets."""
     prior = old.get
     return [v for v, targets in new.items() if targets != prior(v)]
 
@@ -285,23 +287,28 @@ def improvements(arena: EscapeArena, strategy: Strategy,
     for v in nodes:
         here = valuation[v]
         if here == INF_KEY:
-            keep = tuple(sorted([t for t in strategy[v]
-                                 if valuation[t] == INF_KEY]))
+            keep = sorted([t for t in strategy[v] if valuation[t] == INF_KEY])
             better = ()
         else:
-            # edge (v, t) improves iff unit[v] + valuation[t] >= here;
-            # escape choices are ascending, so both tuples are too
+            # edge (v, t) improves iff unit[v] + valuation[t] >= here,
+            # strictly iff also unit[v] + valuation[t] != here; escape
+            # choices are ascending, so both lists are too
             need = here - unit[v]
-            keep = tuple([t for t in escape_choices[v]
-                          if valuation[t] >= need])
-            better = tuple([t for t in keep if valuation[t] != need])
+            keep = []
+            better = []
+            for t in escape_choices[v]:
+                x = valuation[t]
+                if x >= need:
+                    keep.append(t)
+                    if x != need:
+                        better.append(t)
         if not keep:
             raise InvariantViolation(
                 "node %d has no improving edge; the valuation does not "
                 "belong to the given strategy" % v)
-        improving[v] = keep
+        improving[v] = tuple(keep)
         if better:
-            strict[v] = better
+            strict[v] = tuple(better)
         else:
             strict.pop(v, None)
     return ImprovementSets(improving, strict, nodes)

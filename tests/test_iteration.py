@@ -17,8 +17,8 @@ from pgsi.errors import EnumerationTooLarge, InvariantViolation
 from pgsi.iteration import (POLICY_NAMES, _check_progress, _step_bound,
                             extract_deterministic)
 from pgsi.profiles import INF_KEY
-from pgsi.valuation import (ImprovementSets, changed_nodes, improvements,
-                            initial_strategy, valuate_bellman_ford)
+from pgsi.valuation import (ImprovementSets, improvements, initial_strategy,
+                            valuate_bellman_ford)
 
 from conftest import parity_games, scale_games
 from helpers import (CADENCES, enumerate_direct_improvements,
@@ -200,6 +200,46 @@ def test_single_random_is_reproducible():
     assert c.w0 == a.w0
 
 
+def test_single_random_draws_what_choice_over_the_strict_edges_draws():
+    # the walk to the k-th edge draws k as `choice` draws its index, so
+    # every pick, and the generator state after it, is that of `choice`
+    # over the flattened edges in sorted source order
+    rng = random.Random(61)
+    for seed in range(300):
+        sources = rng.sample(range(200), rng.randint(1, 60))
+        strict = {v: tuple(sorted(rng.sample(range(300), rng.randint(1, 8))))
+                  for v in sources}
+        imps = ImprovementSets(dict(strict), strict, ())
+        policy, reference = SingleRandom(seed), random.Random(seed)
+        for _ in range(3):
+            v, t = reference.choice(imps.strict_edges())
+            assert policy.pick(None, {}, [], imps) == {v: (t,)}
+            assert policy._rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_a_policy_returning_a_whole_strategy_solves_alike(name):
+    # a pick may return every entry instead of the ones it sets
+    class Whole:
+        def __init__(self):
+            self.inner = policy_by_name(name, seed=7)
+            self.name = self.inner.name
+
+        def pick(self, arena, strategy, valuation, imps):
+            return {**strategy,
+                    **self.inner.pick(arena, strategy, valuation, imps)}
+
+    rng = random.Random(67)
+    for _ in range(4):
+        game = loop_game(random_game(rng, 100, 3, 6))
+        for audit_every in CADENCES.values():
+            whole = solve(game, Whole(), audit_every=audit_every)
+            own = solve(game, policy_by_name(name, seed=7),
+                        audit_every=audit_every)
+            assert whole.to_json() == own.to_json()
+            assert whole.valuation == own.valuation
+
+
 def test_deterministic_policy_prefers_an_unbounded_strict_target():
     # node 0 may switch to node 1 (finite, far above the rest) or to
     # node 2 (+inf); the larger id must win because +inf is the top
@@ -261,9 +301,9 @@ def test_worsening_policy_is_rejected():
 
 class Rogue:
     """SingleRandom, except that from the third pick on `tamper` may
-    rewrite the choices of the first node that the last classification
-    did not visit and that has no strict edge; `tampered` records each
-    node it rewrote."""
+    return an entry for the first node that the last classification did
+    not visit and that has no strict edge; `tampered` records each node
+    it did that for."""
 
     name = "rogue"
 
@@ -288,8 +328,14 @@ class Rogue:
 
 
 def swap_for_unknown(arena, imps, choices, v):
-    # same dict size: node v goes, an id the arena does not have comes
-    choices[arena.sink + 7] = choices.pop(v)
+    # node v's improving entry, returned under an id the arena does not
+    # have
+    choices[arena.sink + 7] = imps.improving[v]
+    return True
+
+
+def empty_the_entry(arena, imps, choices, v):
+    choices[v] = ()
     return True
 
 
@@ -304,10 +350,12 @@ def move_off_the_improving_set(arena, imps, choices, v):
 @pytest.mark.parametrize("tamper, message", [
     (swap_for_unknown, "policy kept unknown node"),
     (move_off_the_improving_set, "policy chose non-improving edge"),
-], ids=["unknown-node", "non-improving-edge"])
+    (empty_the_entry, "without a move"),
+], ids=["unknown-node", "non-improving-edge", "empty-entry"])
 def test_rogue_step_caught_by_the_narrowed_check(tamper, message):
-    # with audits off only the step check at the changed and reclassified
-    # entries stands between the rogue step and the valuation
+    # with audits off only the step check at the returned and
+    # reclassified entries stands between the rogue step and the
+    # valuation
     game = random_game(random.Random(12), 300, 3, 8)
     policy = Rogue(tamper)
     with pytest.raises(InvariantViolation, match=message):
@@ -531,7 +579,8 @@ def test_narrowed_progress_check_catches_a_value_lowered_in_the_region(
 def test_step_bookkeeping_visits_only_what_the_step_touched(monkeypatch):
     # a guard against whole-arena work per step: on a long-walk-shaped
     # game, pick and the step check each look up at most one improving
-    # entry per reclassified entry and per changed node, plus one
+    # entry per reclassified entry and per returned entry, plus one; the
+    # pick returns at most the reclassified entries and the switched node
     lookups = [0]
 
     class Counted(dict):
@@ -566,8 +615,8 @@ def test_step_bookkeeping_visits_only_what_the_step_touched(monkeypatch):
         def pick(self, arena, strategy, valuation, imps):
             lookups[0] = 0
             step = self.inner.pick(arena, strategy, valuation, imps)
-            budget = (len(imps.reclassified)
-                      + len(changed_nodes(strategy, step)) + 1)
+            assert len(step) <= len(imps.reclassified) + 1
+            budget = len(imps.reclassified) + len(step) + 1
             steps.append([budget, lookups[0], None,
                           len(imps.improving)])
             return step

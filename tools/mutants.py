@@ -182,14 +182,33 @@ MUTANTS = (
         ("tests/test_iteration.py::"
          "test_replay_rejects_sets_that_do_not_partition",)),
     Mutant(
-        "narrowed-without-copy",
-        "`_narrowed` cuts down the strategy a hook has seen instead of a "
-        "copy",
+        "step-without-copy",
+        "`solve` writes the entries a policy returns into the strategy a "
+        "hook has seen instead of a copy",
         "iteration.py",
-        "    choices = strategy.copy()\n",
-        "    choices = strategy\n",
+        "            next_sigma = sigma.copy()\n",
+        "            next_sigma = sigma\n",
         ("tests/test_iteration.py::"
          "test_no_step_changes_a_dict_a_hook_has_seen",)),
+    Mutant(
+        "draw-walks-one-edge-too-far",
+        "`SingleRandom` stops its walk at the source whose edges end just "
+        "before the drawn one",
+        "iteration.py",
+        "            if k < len(stricts):\n",
+        "            if k <= len(stricts):\n",
+        ("tests/test_iteration.py::"
+         "test_single_random_draws_what_choice_over_the_strict_edges_draws",)),
+    Mutant(
+        "step-check-on-reclassified-only",
+        "the step check of a fast step visits the reclassified entries "
+        "alone, not the entries the policy returned",
+        "iteration.py",
+        "            checked = (step.keys() | imps.reclassified"
+        " if incremental\n",
+        "            checked = (imps.reclassified if incremental\n",
+        ("tests/test_iteration.py::"
+         "test_rogue_step_caught_by_the_narrowed_check",)),
     Mutant(
         "improvements-share-prior",
         "`improvements` writes into the improving sets of its `prior`",
@@ -198,6 +217,17 @@ MUTANTS = (
         "        improving = prior.improving\n",
         ("tests/test_iteration.py::"
          "test_no_step_changes_a_dict_a_hook_has_seen",)),
+    Mutant(
+        "every-improving-edge-strict",
+        "`improvements` counts an edge that only realizes the current "
+        "value as strict",
+        "valuation.py",
+        "                    if x != need:\n"
+        "                        better.append(t)\n",
+        "                    better.append(t)\n",
+        ("tests/test_valuation.py::"
+         "test_improvements_escape_only_is_already_optimal",
+         "tests/test_valuation.py::test_improvement_sets_are_consistent")),
     Mutant(
         "lt-across-bases",
         "`<` compares the keys of two bases instead of refusing them",
