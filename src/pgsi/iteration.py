@@ -35,17 +35,16 @@ IterationHook = Callable[
 class AllSwitches:
     """Switch to the full improving edge set in one step.
 
-    The step returns the improving entries `imps` reclassified.  Inside
-    ``solve`` every other entry of the strategy it is handed is already
-    its improving entry: that strategy is the improving set of the
-    previous step, and an entry not reclassified was carried over."""
+    The step returns the improving entries that differ from the entries
+    of the strategy it is handed, whichever policy made that strategy;
+    finding them compares every player-0 entry once."""
 
     name = "all-switches"
 
     def pick(self, arena: EscapeArena, strategy: Strategy,
              valuation: Valuation, imps: ImprovementSets) -> Strategy:
         improving = imps.improving
-        return {v: improving[v] for v in imps.reclassified}
+        return {v: improving[v] for v in changed_nodes(strategy, improving)}
 
 
 def _narrowed(strategy: Strategy, imps: ImprovementSets) -> Strategy:

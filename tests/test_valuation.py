@@ -920,15 +920,6 @@ def whole_arena_pick(policy, rng, arena, strategy, valuation, imps):
     return choices
 
 
-class WholeSwitch(AllSwitches):
-    """AllSwitches on any strategy: it returns every improving entry.
-    AllSwitches itself returns the reclassified ones, which is the same
-    only on a strategy that its own previous step made."""
-
-    def pick(self, arena, strategy, valuation, imps):
-        return dict(imps.improving)
-
-
 def check_outcome(step, imps, nodes):
     """The switched nodes `_check_step` returns, or None if it rejects."""
     try:
@@ -948,14 +939,14 @@ def progress_outcome(prev, new, switched, nodes):
 
 def test_update_matches_reference_at_scale():
     # sink regions of hundreds of nodes, many colours in the first game;
-    # at every step of the three policies, and of a whole-strategy
-    # AllSwitches and SingleRandom taking turns (so that SingleRandom
-    # starts from strategies that are not deterministic), the narrowed
-    # pick laid over the strategy, the changed list, the narrowed step
-    # check, the revaluation on the switch region, the stale entries and
-    # the progress check found on the switch region, the improvement
-    # sets carried over from step to step and the incremental
-    # reasonableness check each equal their
+    # at every step of the three policies, and of AllSwitches and
+    # SingleRandom taking turns (so that SingleRandom starts from
+    # strategies that are not deterministic, and AllSwitches from ones
+    # that SingleRandom made), the pick laid over the strategy, the
+    # changed list, the narrowed step check, the revaluation on the
+    # switch region, the stale entries and the progress check found on
+    # the switch region, the improvement sets carried over from step to
+    # step and the incremental reasonableness check each equal their
     # whole-arena counterpart, and no value outside the switch region
     # changes.  So do the revaluation and the incremental reasonableness
     # check on the smaller region walked back from the seeds alone, a
@@ -967,7 +958,7 @@ def test_update_matches_reference_at_scale():
     for i, game in enumerate(scale_games()):
         arena = preprocess(game).arena
         for turns in ([AllSwitches()], [DeterministicAll()],
-                      [SingleRandom(i)], [WholeSwitch(), SingleRandom(i)]):
+                      [SingleRandom(i)], [AllSwitches(), SingleRandom(i)]):
             rng = random.Random(i)
             strategy = initial_strategy(arena)
             valuation = valuate_bellman_ford(arena, strategy)

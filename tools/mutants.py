@@ -182,6 +182,15 @@ MUTANTS = (
         ("tests/test_iteration.py::"
          "test_replay_rejects_sets_that_do_not_partition",)),
     Mutant(
+        "all-switches-reclassified-only",
+        "`AllSwitches` returns the reclassified improving entries alone, "
+        "which misses the entries of a strategy another policy made",
+        "iteration.py",
+        "        return {v: improving[v] for v in changed_nodes(strategy, "
+        "improving)}\n",
+        "        return {v: improving[v] for v in imps.reclassified}\n",
+        ("tests/test_valuation.py::test_update_matches_reference_at_scale",)),
+    Mutant(
         "step-without-copy",
         "`solve` writes the entries a policy returns into the strategy a "
         "hook has seen instead of a copy",
