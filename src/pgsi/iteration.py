@@ -88,11 +88,13 @@ class SingleRandom:
     generator; all other nodes keep their value-realizing edges.
 
     The step returns the reclassified entries, cut down to their
-    improving edges (see `_narrowed`), and the switched source, so it
-    costs what the last step changed rather than the number of player-0
-    nodes.  The draw is that of ``choice(imps.strict_edges())``, the
-    same generator call on the same count, but it walks the sorted
-    strict sources to the drawn edge instead of listing every edge."""
+    improving edges (see `_narrowed`), and the switched source, so
+    outside the draw it costs what the last step changed rather than the
+    number of player-0 nodes.  The draw is that of
+    ``choice(imps.strict_edges())``, the same generator call on the same
+    count, but it walks the sorted strict sources to the drawn edge
+    instead of listing every edge; it still sorts the strict sources and
+    counts their edges."""
 
     name = "single-random"
 
