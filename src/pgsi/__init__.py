@@ -7,9 +7,9 @@ are then exactly player 0's winning set.
 """
 
 from .arena import ParityGame, parse_pgsolver, serialize_pgsolver
-from .errors import (DimensionError, EnumerationTooLarge, FormatError,
-                     InstanceTooLarge, InvariantViolation,
-                     ProfileArithmeticError, ReasonablenessError, SolverError)
+from .errors import (DimensionError, FormatError, InstanceTooLarge,
+                     InvariantViolation, ProfileArithmeticError,
+                     ReasonablenessError, SolverError)
 from .iteration import (AllSwitches, DeterministicAll, SingleRandom,
                         SolveResult, policy_by_name, replay_verify, solve)
 from .oracle import crosscheck, oracle_solve
@@ -19,10 +19,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllSwitches", "ColorProfile", "DeterministicAll", "DimensionError",
-    "EnumerationTooLarge", "FormatError", "InstanceTooLarge",
-    "InvariantViolation", "POS_INFINITY", "ParityGame",
-    "ProfileArithmeticError", "ReasonablenessError", "SingleRandom",
-    "SolveResult", "SolverError", "crosscheck", "oracle_solve",
-    "parse_pgsolver", "policy_by_name", "replay_verify",
+    "FormatError", "InstanceTooLarge", "InvariantViolation", "POS_INFINITY",
+    "ParityGame", "ProfileArithmeticError", "ReasonablenessError",
+    "SingleRandom", "SolveResult", "SolverError", "crosscheck",
+    "oracle_solve", "parse_pgsolver", "policy_by_name", "replay_verify",
     "serialize_pgsolver", "solve",
 ]

@@ -25,9 +25,5 @@ class InvariantViolation(SolverError):
     """An internal invariant the algorithm guarantees was observed broken."""
 
 
-class EnumerationTooLarge(SolverError):
-    """Improvement enumeration would exceed the configured cap."""
-
-
 class InstanceTooLarge(SolverError):
     """Instance too big for the brute-force oracle."""

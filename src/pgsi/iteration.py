@@ -24,9 +24,9 @@ from .errors import InvariantViolation
 from .profiles import INF_KEY, ColorProfile
 from .valuation import (ImprovementSets, Strategy, UpdateHook, Valuation,
                         changed_nodes, improvements, initial_strategy,
-                        is_reasonable, is_reasonable_step, region_seeds,
-                        response_strategy, switch_region, to_profiles,
-                        valuate_bellman_ford, valuate_dijkstra)
+                        is_reasonable, is_reasonable_step, realizing_edges,
+                        region_seeds, response_strategy, switch_region,
+                        to_profiles, valuate_bellman_ford, valuate_dijkstra)
 
 IterationHook = Callable[
     [int, Strategy, Mapping[int, ColorProfile], ImprovementSets], None]
@@ -188,21 +188,8 @@ def extract_deterministic(arena: EscapeArena, strategy: Strategy,
                           valuation: Valuation) -> Strategy:
     """Pick, per player-0 node, one strategy edge realizing the valuation
     (smallest target id).  Revaluating the result reproduces `valuation`."""
-    unit = arena.unit_keys
-    choices = {}
-    for v in arena.player0_nodes:
-        here = valuation[v]
-        want = here if here == INF_KEY else here - unit[v]
-        picked = None
-        for t in strategy[v]:
-            if valuation[t] == want:
-                picked = t
-                break
-        if picked is None:
-            raise InvariantViolation(
-                "node %d realizes none of its strategy edges" % v)
-        choices[v] = (picked,)
-    return choices
+    return {v: (t,) for v, t in realizing_edges(
+        arena, arena.player0_nodes, strategy, valuation).items()}
 
 
 def _check_step(next_strategy: Strategy, imps: ImprovementSets,
@@ -440,7 +427,7 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
                     raise InvariantViolation(
                         "extracted strategy escapes from won node %d" % v)
                 strategy0[v] = target
-        tau = response_strategy(arena, sigma, current)
+        tau = response_strategy(arena, current)
         for v in arena.player1_nodes:
             if v not in won:
                 strategy1[v] = tau[v]

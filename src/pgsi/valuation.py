@@ -19,8 +19,9 @@ only the switch region A, the nodes that reach a player-0 node whose
 choices changed in a way that can change its value (:func:`region_seeds`,
 :func:`switch_region`); every other node keeps its value.  A changed
 node at +inf that keeps only old edges, one of them onto +inf, is no
-such seed: it stays at +inf.  The sweep starts from the kept edges that
-leave A, so it reads the predecessor tables of A alone.  Inside A it
+such seed: it stays at +inf.  The sweep starts from the finite targets
+of the kept edges that leave A, each of which relaxes only the sources of
+those edges, so it reads the predecessor tables of A alone.  Inside A it
 finds the nodes player 1 can still force into the sink on its own and
 checks afterwards that they are closed.  Both routes return
 bit-identical results.  :func:`improvements` likewise classifies
@@ -387,18 +388,19 @@ def valuate_dijkstra(arena: EscapeArena, new: Strategy,
     source value).  Inside the region, the value growth per node is the
     min-max distance over those weights from the nodes outside it, whose
     growth is 0.  One Dijkstra sweep along the arena's reversed edges
-    computes it.  It starts from the kept edges that leave the region
-    for a finite node: their targets, the sink included, settle at
-    growth 0, and each such edge is relaxed into its source at once, a
-    player-0 source counting only the edges among its escape choices.
-    So the sweep reads the predecessor tables of region nodes alone and
-    its heap holds region nodes alone.  It finds on the way the part
-    player 1 can still drag into the sink: a player-1 node is reached
-    from its first settled successor and settles at its minimal
-    tentative growth, while a player-0 node becomes eligible only once
-    all its kept successors are settled, at the maximum over them.  Ties
-    settle the smallest node id first.  Nodes of the region the sweep
-    does not settle are unbounded.
+    computes it.  Its heap starts with the frontier at growth 0: the
+    finite targets, the sink included, of the kept edges that leave the
+    region.  One pass over the region lists per frontier node the
+    sources of those edges, a player-0 source only for an edge among its
+    escape choices.  A settled frontier node relaxes its listed sources,
+    a settled region node those of its predecessor table, so the sweep
+    reads the predecessor tables of region nodes alone.  It finds on the
+    way the part player 1 can still drag into the sink: a player-1 node
+    is reached from its first settled successor and settles at its
+    minimal tentative growth, while a player-0 node becomes eligible
+    only once all its kept successors are settled, at the maximum over
+    them.  Ties settle the smallest node id first.  Nodes of the region
+    the sweep does not settle are unbounded.
     A closure pass over the region after the sweep confirms that no
     unsettled player-1 node has a settled successor and no unsettled
     player-0 node has all its kept successors settled.  Values, growths,
@@ -421,88 +423,63 @@ def valuate_dijkstra(arena: EscapeArena, new: Strategy,
     unit = arena.unit_keys
     preds = arena.preds
     escape_choices = arena.escape_choices
-    # growth over the base value per settled node, the frontier at 0;
-    # every weight into a settled node is formed and checked once: for a
-    # player-1 source when its target settles, for a player-0 source when
-    # it becomes eligible
+    # per frontier node the region sources of the kept edges into it; a
+    # kept edge that is no arena edge lists no source, as no predecessor
+    # table does, so the closure pass finds its source
+    into: dict[int, list[int]] = {}
+    for s in region:
+        player1 = owner_of[s] == 1
+        for t in succ[s] if player1 else new[s]:
+            if t in region or base[t] == INF_KEY:
+                continue
+            sources = into.setdefault(t, [])
+            if player1 or t in escape_choices[s]:
+                sources.append(s)
+    # growth over the base value per settled node; every weight into a
+    # settled node is formed and checked once: for a player-1 source when
+    # its target settles, for a player-0 source when it becomes eligible
     grown: dict[int, int] = {}
     tentative: dict[int, int] = {}
     pending: dict[int, int] = {}
-    heap: list[tuple[int, int]] = []
-
-    def eligible(s: int, kept: tuple[int, ...]) -> int:
-        # the growth of a player-0 node whose kept targets all settled
-        here = base[s]
-        if here == INF_KEY:
-            raise _infinite_in_region(s)
-        step = unit[s] - here
-        best = None
-        for t in kept:
-            w = step + base[t]
-            if w < 0:
-                raise _negative_weight(s, t)
-            cand = w + grown[t]
-            if best is None or best < cand:
-                best = cand
-        return best
-
-    # the frontier: each kept edge that leaves the region for a finite
-    # node settles its target and is relaxed into its source at once, so
-    # no frontier node's predecessor table is read and the heap holds
-    # region nodes only
-    for s in region:
-        player1 = owner_of[s] == 1
-        kept = succ[s] if player1 else new[s]
-        for t in kept:
-            if t in region or base[t] == INF_KEY:
-                continue
-            grown[t] = 0
-            if player1:
-                here = base[s]
-                if here == INF_KEY:
-                    raise _infinite_in_region(s)
-                w = unit[s] + base[t] - here
-                if w < 0:
-                    raise _negative_weight(s, t)
-                cur = tentative.get(s)
-                if cur is None or w < cur:
-                    tentative[s] = w
-            # a kept edge that is no arena edge never counts, as in the
-            # sweep below, so the closure pass finds its source
-            elif t in escape_choices[s]:
-                left = pending[s] = pending.get(s, len(kept)) - 1
-                if not left:
-                    heap.append((eligible(s, kept), s))
-    heap.extend([(g, s) for s, g in tentative.items()])
+    heap = [(0, t) for t in into]
     heapq.heapify(heap)
     while heap:
         g, v = heapq.heappop(heap)
         if v in grown:
             continue
         grown[v] = g
-        there = base[v]
-        for s in preds[v]:
+        for s in into[v] if v in into else preds[v]:
             if s not in region:
                 continue
-            if owner_of[s] == 1:
-                here = base[s]
-                if here == INF_KEY:
-                    raise _infinite_in_region(s)
-                w = unit[s] + there - here
+            player1 = owner_of[s] == 1
+            # a player-1 source relaxes the edge to v, a player-0 source
+            # all its kept edges once they all settled
+            if player1:
+                targets = (v,)
+            else:
+                targets = new[s]
+                if v not in targets:
+                    continue
+                left = pending[s] = pending.get(s, len(targets)) - 1
+                if left:
+                    continue
+            here = base[s]
+            if here == INF_KEY:
+                raise _infinite_in_region(s)
+            cur = best = tentative.get(s)
+            for t in targets:
+                w = unit[s] + base[t] - here
                 if w < 0:
-                    raise _negative_weight(s, v)
-                cand = w + g
-                cur = tentative.get(s)
-                if cur is None or cand < cur:
-                    tentative[s] = cand
-                    heapq.heappush(heap, (cand, s))
-                continue
-            kept = new[s]
-            if v not in kept:
-                continue
-            left = pending[s] = pending.get(s, len(kept)) - 1
-            if not left:
-                heapq.heappush(heap, (eligible(s, kept), s))
+                    raise InvariantViolation(
+                        "edge (%d,%d) has negative weight; the strategy is "
+                        "not a direct improvement over the base valuation"
+                        % (s, t))
+                cand = w + grown[t]
+                if best is None or (cand < best if player1 else best < cand):
+                    best = cand
+            if best != cur:
+                tentative[s] = best
+                heapq.heappush(heap, (best, s))
 
     settled = grown.__contains__
     for v in region:
@@ -525,26 +502,28 @@ def _infinite_in_region(v: int) -> InvariantViolation:
         "region of the improved strategy" % v)
 
 
-def _negative_weight(s: int, t: int) -> InvariantViolation:
-    return InvariantViolation(
-        "edge (%d,%d) has negative weight; the strategy is not a direct "
-        "improvement over the base valuation" % (s, t))
+def realizing_edges(arena: EscapeArena, nodes: Iterable[int],
+                    choices: Strategy, valuation: Valuation) -> dict[int, int]:
+    """Per node of `nodes` the smallest-id target among its `choices`
+    whose value plus the node's color equals the node's value.  Raises
+    InvariantViolation where no choice realizes the value."""
+    unit = arena.unit_keys
+    picked: dict[int, int] = {}
+    for v in nodes:
+        here = valuation[v]
+        want = here if here == INF_KEY else here - unit[v]
+        picks = [t for t in choices[v] if valuation[t] == want]
+        if not picks:
+            raise InvariantViolation(
+                "node %d realizes none of its choices; the valuation is "
+                "not a fixpoint of them" % v)
+        picked[v] = min(picks)
+    return picked
 
 
-def response_strategy(arena: EscapeArena, strategy: Strategy,
+def response_strategy(arena: EscapeArena,
                       valuation: Valuation) -> dict[int, int]:
     """One player-1 edge per player-1 node that realizes the valuation:
     the smallest-id target whose value plus the node's color equals the
     node's value.  Every player-1 node has at least one such edge."""
-    unit = arena.unit_keys
-    tau: dict[int, int] = {}
-    for v in arena.player1_nodes:
-        here = valuation[v]
-        want = here if here == INF_KEY else here - unit[v]
-        picks = [t for t in arena.succ[v] if valuation[t] == want]
-        if not picks:
-            raise InvariantViolation(
-                "player-1 node %d realizes none of its edges; the valuation "
-                "is not a fixpoint" % v)
-        tau[v] = min(picks)
-    return tau
+    return realizing_edges(arena, arena.player1_nodes, arena.succ, valuation)

@@ -17,7 +17,6 @@ from pgsi.arena import (AttractorResult, ParityGame, _dominated_pieces,
                         find_dominated_cycle_nodes,
                         find_one_dominated_cycle_nodes, predecessors,
                         reachable)
-from pgsi.errors import EnumerationTooLarge
 from pgsi.profiles import INF_KEY
 from pgsi.valuation import Strategy
 
@@ -90,6 +89,11 @@ def apply_operator(arena, strategy: Strategy, valuation: list) -> list:
             best = max(valuation[t] for t in strategy[v])
         out[v] = best if best == INF_KEY else unit[v] + best
     return out
+
+
+class EnumerationTooLarge(Exception):
+    """The deterministic strategies inside an improving edge set are more
+    than the enumeration's cap."""
 
 
 def enumerate_direct_improvements(improving: Strategy,

@@ -1,0 +1,21 @@
+"""The pinned result digest of `tools/digest.py`: one sha256 over the
+solver's results and valuations on the 8010 seed-1 benchmark instances.
+A change that alters a trajectory on purpose re-pins the digest here and
+says why, as it does the counts of the acceptance tests."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+DIGEST = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
+
+SEED_1 = ("8010 instances, sha256 "
+          "eee11fac863dae0cb04577506ba3eb3415a3e664e0c05ce01544fb64b3b6f310")
+
+
+def test_seed1_digest_is_pinned():
+    # a process of its own, so that the script's path set-up and the
+    # benchmark's modules stay out of this one
+    done = subprocess.run([sys.executable, str(DIGEST), "1"],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == SEED_1

@@ -13,7 +13,7 @@ from pgsi import (AllSwitches, ColorProfile, DeterministicAll, POS_INFINITY,
                   iteration, policy_by_name, replay_verify, solve)
 from pgsi.arena import build_escape_arena, preprocess
 from pgsi.cli import generate_game, random_game
-from pgsi.errors import EnumerationTooLarge, InvariantViolation
+from pgsi.errors import InvariantViolation
 from pgsi.iteration import (POLICY_NAMES, _check_progress, _step_bound,
                             extract_deterministic)
 from pgsi.profiles import INF_KEY
@@ -21,8 +21,9 @@ from pgsi.valuation import (ImprovementSets, improvements, initial_strategy,
                             valuate_bellman_ford)
 
 from conftest import parity_games, scale_games
-from helpers import (CADENCES, enumerate_direct_improvements,
-                     is_deterministic, key_of, loop_game, strategy_of)
+from helpers import (CADENCES, EnumerationTooLarge, apply_operator,
+                     enumerate_direct_improvements, is_deterministic, key_of,
+                     loop_game, strategy_of)
 
 EVEN_LOOP = ParityGame((0,), (0,), ((0,),))
 ODD_LOOP = ParityGame((0,), (1,), ((0,),))
@@ -804,6 +805,13 @@ def test_extracted_strategy_reproduces_the_valuation(game):
     extracted = extract_deterministic(arena, imps.improving, valuation)
     assert is_deterministic(extracted)
     assert valuate_bellman_ford(arena, extracted) == valuation
+    # each extracted edge is the smallest-id improving edge that realizes
+    # the node's value: an edge realizes it iff the valuation operator,
+    # given that edge alone, reproduces the node's value
+    for v, (t,) in extracted.items():
+        realizing = [s for s in imps.improving[v] if apply_operator(
+            arena, {**extracted, v: (s,)}, valuation)[v] == valuation[v]]
+        assert t == min(realizing)
 
 
 def test_extraction_needs_a_realizing_edge():

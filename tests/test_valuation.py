@@ -1087,7 +1087,14 @@ def test_response_picks_the_minimal_successor():
     values = to_profiles(arena, vals)
     assert values[1] == fin(0, 1) and values[2] == fin(1, 0)
     assert values[0] == fin(1, 1)
-    assert response_strategy(arena, strategy, vals) == {0: 1}
+    assert response_strategy(arena, vals) == {0: 1}
+    # node 0 lists node 2 before node 1, and both edges realize its
+    # value: the smallest id wins, not the first
+    game = ParityGame((1, 0, 0), (0, 0, 0), ((2, 1), (1,), (2,)))
+    arena = arena_of(game)
+    vals = valuate_bellman_ford(arena, initial_strategy(arena))
+    assert vals[1] == vals[2] != INF_KEY
+    assert response_strategy(arena, vals) == {0: 1}
 
 
 def test_response_keeps_top_valued_edges():
@@ -1096,7 +1103,7 @@ def test_response_keeps_top_valued_edges():
     strategy = strategy_of({1: (1,)})
     vals = valuate_bellman_ford(arena, strategy)
     assert vals[0] == INF_KEY and vals[1] == INF_KEY
-    assert response_strategy(arena, strategy, vals) == {0: 1}
+    assert response_strategy(arena, vals) == {0: 1}
 
 
 def test_response_empty_without_player1_nodes():
@@ -1104,7 +1111,7 @@ def test_response_empty_without_player1_nodes():
     arena = arena_of(game)
     strategy = initial_strategy(arena)
     vals = valuate_bellman_ford(arena, strategy)
-    assert response_strategy(arena, strategy, vals) == {}
+    assert response_strategy(arena, vals) == {}
 
 
 @settings(max_examples=100, deadline=None)
@@ -1115,7 +1122,7 @@ def test_response_realizes_the_valuation(game):
     if not arena.nodes:
         return
     for strategy, valuation in improvement_iterates(arena):
-        tau = response_strategy(arena, strategy, valuation)
+        tau = response_strategy(arena, valuation)
         valuation = to_profiles(arena, valuation)
         assert set(tau) == set(arena.player1_nodes)
         for v, t in tau.items():

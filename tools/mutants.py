@@ -238,6 +238,54 @@ MUTANTS = (
          "test_improvements_escape_only_is_already_optimal",
          "tests/test_valuation.py::test_improvement_sets_are_consistent")),
     Mutant(
+        "frontier-lists-non-arena-edges",
+        "the frontier pass lists a player-0 source for a kept edge that is "
+        "no arena edge, so the sweep settles that source",
+        "valuation.py",
+        "            if player1 or t in escape_choices[s]:\n"
+        "                sources.append(s)\n",
+        "            sources.append(s)\n",
+        ("tests/test_valuation.py::"
+         "test_update_rejects_strategy_edge_outside_the_arena",)),
+    Mutant(
+        "relaxation-skips-the-weight-check",
+        "the Dijkstra relaxation takes an edge of negative weight",
+        "valuation.py",
+        "                if w < 0:\n",
+        "                if False:\n",
+        ("tests/test_valuation.py::test_update_rejects_negative_edge_weight",
+         "tests/test_valuation.py::"
+         "test_update_names_the_cheapest_leaving_edge_of_a_player1_node")),
+    Mutant(
+        "frontier-relaxes-its-preds",
+        "a settled frontier node relaxes its predecessor table instead of "
+        "the region sources listed for it",
+        "valuation.py",
+        "        for s in into[v] if v in into else preds[v]:\n",
+        "        for s in preds[v]:\n",
+        ("tests/test_valuation.py::"
+         "test_update_reads_the_predecessor_tables_of_the_region_alone",)),
+    Mutant(
+        "realizing-takes-the-largest-id",
+        "the realizing-edge rule takes the largest realizing id",
+        "valuation.py",
+        "        picked[v] = min(picks)\n",
+        "        picked[v] = max(picks)\n",
+        ("tests/test_valuation.py::"
+         "test_response_picks_the_minimal_successor",
+         "tests/test_iteration.py::"
+         "test_extracted_strategy_reproduces_the_valuation")),
+    Mutant(
+        "realizing-takes-the-first",
+        "the realizing-edge rule takes the first realizing choice, which "
+        "for player 1 need not have the smallest id",
+        "valuation.py",
+        "        picked[v] = min(picks)\n",
+        "        picked[v] = picks[0]\n",
+        ("tests/test_valuation.py::"
+         "test_response_picks_the_minimal_successor",
+         "tests/test_valuation.py::test_response_realizes_the_valuation")),
+    Mutant(
         "lt-across-bases",
         "`<` compares the keys of two bases instead of refusing them",
         PROFILES,
