@@ -1,5 +1,6 @@
 """The pinned result digest of `tools/digest.py`: one sha256 over the
-solver's results and valuations on the 8010 seed-1 benchmark instances.
+solver's results and valuations under two policies and the answers of
+the dominated-cycle analysis on the 8010 seed-1 benchmark instances.
 A change that alters a trajectory on purpose re-pins the digest here and
 says why, as it does the counts of the acceptance tests."""
 
@@ -10,7 +11,7 @@ from pathlib import Path
 DIGEST = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
 
 SEED_1 = ("8010 instances, sha256 "
-          "eee11fac863dae0cb04577506ba3eb3415a3e664e0c05ce01544fb64b3b6f310")
+          "393b43df159039e5a6e1ca83ddc937b14de829c688fe21cd5fa5fdb5b807e8d9")
 
 
 def test_seed1_digest_is_pinned():

@@ -2,12 +2,17 @@
 
 For every instance that `benchmark/games.py` builds for the given seed,
 in the order random-10k, many-colours, long-walk, tiny-batch, the game is
-solved by the policy the benchmark gives it (SingleRandom with the
-instance's policy seed, else AllSwitches) and certified by
-`replay_verify`.  The digest takes, per instance, the line
-``json.dumps(result.to_json(), sort_keys=True)`` and then one line
-``"%d %s" % (node, profile)`` per valuation entry in node order.  Two
-trees that solve alike print the same digest.  Run from anywhere:
+solved twice, each result certified by `replay_verify`: by the policy the
+benchmark gives it (SingleRandom with the instance's policy seed, else
+AllSwitches), then by DeterministicAll.  The digest takes, per result,
+the line ``json.dumps(result.to_json(), sort_keys=True)`` and then one
+line ``"%d %s" % (node, profile)`` per valuation entry in node order;
+after both results, per parity p in 0 and 1, one line
+``json.dumps(sorted(find_dominated_cycle_nodes(range(n), successors,
+color, p)))`` over the whole game.  The last two lines cover the
+analysis that every correct solve only ever asks for "no such cycle",
+so that one answering "none" to every input changes the digest too.
+Two trees that solve alike print the same digest.  Run from anywhere:
 
     python3 tools/digest.py [SEED]      # SEED defaults to 1
 
@@ -26,6 +31,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
 
 import games  # noqa: E402
 import pgsi  # noqa: E402
+from pgsi.arena import find_dominated_cycle_nodes  # noqa: E402
 
 ORDER = ("random-10k", "many-colours", "long-walk", "tiny-batch")
 
@@ -39,11 +45,16 @@ def digest(seed: int) -> tuple[int, str]:
             game = pgsi.parse_pgsolver(inst.text)
             policy = (pgsi.AllSwitches() if inst.policy_seed is None
                       else pgsi.SingleRandom(inst.policy_seed))
-            result = pgsi.solve(game, policy=policy)
-            pgsi.replay_verify(game, result)
-            lines = [json.dumps(result.to_json(), sort_keys=True)]
-            lines += ["%d %s" % (v, result.valuation[v])
-                      for v in sorted(result.valuation)]
+            lines = []
+            for pol in (policy, pgsi.DeterministicAll()):
+                result = pgsi.solve(game, policy=pol)
+                pgsi.replay_verify(game, result)
+                lines.append(json.dumps(result.to_json(), sort_keys=True))
+                lines += ["%d %s" % (v, result.valuation[v])
+                          for v in sorted(result.valuation)]
+            lines += [json.dumps(sorted(find_dominated_cycle_nodes(
+                range(game.n), game.successors, game.color, p)))
+                for p in (0, 1)]
             sha.update(("\n".join(lines) + "\n").encode())
             count += 1
     return count, sha.hexdigest()
