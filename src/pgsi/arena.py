@@ -55,7 +55,9 @@ class ParityGame:
     """Immutable parity game with nodes indexed 0..n-1.
 
     Successor lists keep their input order but duplicates are collapsed,
-    so edges form a set.  Every node has at least one successor.  A name
+    so edges form a set.  Every node has at least one successor.  Owners
+    (0 or 1), colors (non-negative) and successors are ints, of type int
+    itself, as the parser makes them.  A name
     holds no ``"`` and no line break, so that it survives PGSolver text;
     an empty name is stored as None, as the parser reads it.
     """
@@ -84,14 +86,18 @@ class ParityGame:
                 name if name else None for name in self.names))
         deduped = []
         for v in range(n):
-            if self.owner[v] not in (0, 1):
+            if type(self.owner[v]) is not int or self.owner[v] not in (0, 1):
                 raise ValueError("node %d has owner %r" % (v, self.owner[v]))
+            if type(self.color[v]) is not int:
+                raise ValueError("node %d has color %r, which is not an int"
+                                 % (v, self.color[v]))
             if self.color[v] < 0:
                 raise ValueError("node %d has negative color" % v)
             seen, keep = set(), []
             for t in self.successors[v]:
-                if not 0 <= t < n:
-                    raise ValueError("node %d has successor %d outside the game" % (v, t))
+                if type(t) is not int or not 0 <= t < n:
+                    raise ValueError("node %d has successor %r, which is no "
+                                     "node of the game" % (v, t))
                 if t not in seen:
                     seen.add(t)
                     keep.append(t)

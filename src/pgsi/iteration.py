@@ -25,8 +25,8 @@ from .profiles import INF_KEY, ColorProfile
 from .valuation import (ImprovementSets, Strategy, UpdateHook, Valuation,
                         changed_nodes, improvements, initial_strategy,
                         is_reasonable, is_reasonable_step, realizing_edges,
-                        region_seeds, response_strategy, switch_region,
-                        to_profiles, valuate_bellman_ford, valuate_dijkstra)
+                        response_strategy, switch_region, to_profiles,
+                        valuate_bellman_ford, valuate_dijkstra)
 
 IterationHook = Callable[
     [int, Strategy, Mapping[int, ColorProfile], ImprovementSets], None]
@@ -75,11 +75,8 @@ class DeterministicAll:
     def pick(self, arena, strategy, valuation, imps):
         choices = _narrowed(strategy, imps)
         for v, stricts in imps.strict.items():
-            best = stricts[0]
-            for t in stricts[1:]:
-                if valuation[best] < valuation[t]:
-                    best = t
-            choices[v] = (best,)
+            # targets are ascending, and max keeps the first maximum
+            choices[v] = (max(stricts, key=valuation.__getitem__),)
         return choices
 
 
@@ -90,11 +87,8 @@ class SingleRandom:
     The step returns the reclassified entries, cut down to their
     improving edges (see `_narrowed`), and the switched source, so
     outside the draw it costs what the last step changed rather than the
-    number of player-0 nodes.  The draw is that of
-    ``choice(imps.strict_edges())``, the same generator call on the same
-    count, but it walks the sorted strict sources to the drawn edge
-    instead of listing every edge; it still sorts the strict sources and
-    counts their edges."""
+    number of player-0 nodes.  The draw lists every strict edge, in
+    sorted source order, and picks one by ``choice``."""
 
     name = "single-random"
 
@@ -104,14 +98,8 @@ class SingleRandom:
 
     def pick(self, arena, strategy, valuation, imps):
         choices = _narrowed(strategy, imps)
-        strict = imps.strict
-        k = self._rng.randrange(sum(map(len, strict.values())))
-        for v in sorted(strict):
-            stricts = strict[v]
-            if k < len(stricts):
-                break
-            k -= len(stricts)
-        choices[v] = (stricts[k],)
+        v, t = self._rng.choice(imps.strict_edges())
+        choices[v] = (t,)
         return choices
 
 
@@ -176,8 +164,6 @@ def _step_bound(n: int, d: int) -> float:
     each step strictly raises one of at most n node values, each of which
     climbs through at most (n/d + 1)^d distinct finite profiles.  The
     bound saturates to infinity where it overflows a float."""
-    if not n:
-        return 0.0
     try:
         return n * (n / d + 1.0) ** d
     except OverflowError:
@@ -200,13 +186,15 @@ def _check_step(next_strategy: Strategy, imps: ImprovementSets,
     least one strict edge.  Returns the switched source nodes.
 
     Given every entry of `next_strategy` as `nodes`, this is the full
-    check.  Between steps it suffices to give the entries the policy
-    returned and the entries `imps` reclassified: ``solve`` lays the
-    returned entries over a copy of the current strategy, so every other
-    node kept its choices, which the previous step's check found inside
-    its improving entry, and kept that entry too.  A node that takes a
-    strict edge was returned, because strict edges are never part of
-    the current strategy."""
+    check.  It suffices to give the entries the policy returned and the
+    entries `imps` reclassified, which after a full classification are
+    every player-0 node: ``solve`` lays the returned entries over a copy
+    of the current strategy, so every other node kept its choices, which
+    the previous step's check found inside its improving entry, and kept
+    that entry too.  A node that takes a strict edge was returned,
+    because strict edges are never part of the current strategy.  A node
+    at +inf that passes keeps only its own strategy edges onto +inf
+    targets, its improving entry, which ``solve`` relies on."""
     applied = set()
     improving, strict = imps.improving, imps.strict
     for v in nodes:
@@ -266,7 +254,9 @@ def _stale_entries(arena: EscapeArena, changed: Iterable[int],
     the nodes `changed` whose choices it changed, the nodes `moved`
     whose value changed, as ``_check_progress`` returns them, and their
     predecessors, whose escape successors they are.  An entry reads
-    nothing else."""
+    nothing else.  `changed` holds the changed nodes at +inf too, which
+    seed no switch region: a policy may narrow such a node to part of
+    its entry, which then narrows with it."""
     stale = chain(changed, moved,
                   chain.from_iterable(map(arena.preds.__getitem__, moved)))
     # the keys of the escape choices are the player-0 nodes
@@ -290,21 +280,24 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
     The first iteration valuates the whole arena by fixpoint sweeps (the
     reference route) and classifies every player-0 node.  Later iterations
     derive once the switch region A, the nodes that reach a changed node
-    whose value can change (``region_seeds``, ``switch_region``): a
-    changed node at +inf only narrows onto +inf targets and stays there.
-    They revalue only A (``valuate_dijkstra``), find in one pass over A
-    the nodes whose value changed, checking that none shrank
-    (``_check_progress``), and reclassify only the player-0 nodes whose
-    choices, value or successor values changed (``_stale_entries``),
-    carrying the other improvement-set entries over.  A policy's `pick`
+    with a finite value (``switch_region``): the step check holds a
+    changed node at +inf to its own edges onto +inf targets, so it stays
+    there and adds no edge.  They revalue only A (``valuate_dijkstra``),
+    find in one pass over A the nodes whose value changed, checking that
+    none shrank (``_check_progress``), and reclassify only the player-0
+    nodes whose choices, value or successor values changed
+    (``_stale_entries``), carrying the other improvement-set entries
+    over.  A policy's `pick`
     returns only the entries it sets (a whole strategy also works); the
     loop lays them over one copy of the strategy, so no entry it does not
     return can change.  The returned nodes whose choices changed are
-    listed once (``changed_nodes``); that list feeds A, the
-    reasonableness check and the reclassification of the next iteration.
-    The step check (``_check_step``) of the first pick visits every node,
-    the later ones only the returned and the reclassified entries, which
-    is exact by construction, so that a step costs what it touches.
+    listed once (``changed_nodes``), after the step check; those with a
+    finite value seed A and the reasonableness check of the next
+    iteration, which reclassifies all of them.  The step check
+    (``_check_step``) visits the returned and the reclassified entries,
+    which is exact by construction (the first classification
+    reclassifies every player-0 node), so that a step costs what it
+    touches.
     Every `audit_every`-th iteration is also recomputed by the reference
     route and compared bit for bit, its growth checked over every node,
     its improvement sets compared with a classification of every node,
@@ -354,11 +347,10 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
             audit = (incremental and audit_every
                      and (iterations + 1) % audit_every == 0)
             if incremental:
-                region = switch_region(arena, sigma, region_seeds(
-                    previous, sigma, changed, current))
+                region = switch_region(arena, sigma, seeds)
                 new_vals = valuate_dijkstra(arena, sigma, region, current)
                 reasonable = is_reasonable_step(arena, previous, sigma,
-                                                changed, region)
+                                                seeds, region)
             else:
                 new_vals = valuate_bellman_ford(arena, sigma,
                                                 on_update=on_update)
@@ -405,17 +397,19 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
                     "improvement steps exceeded the termination bound %.0f"
                     % bound)
             step = policy.pick(arena, sigma, current, imps)
-            changed = changed_nodes(sigma, step)
             next_sigma = sigma.copy()
             next_sigma.update(step)
-            checked = (step.keys() | imps.reclassified if incremental
-                       else next_sigma)
-            switched = _check_step(next_sigma, imps, checked)
+            switched = _check_step(next_sigma, imps,
+                                   step.keys() | imps.reclassified)
             if audit and _check_step(next_sigma, imps,
                                      next_sigma) != switched:
                 raise InvariantViolation(
                     "incremental step check disagrees with the full one "
                     "at iteration %d" % iterations)
+            changed = changed_nodes(sigma, step)
+            # the check held a changed node at +inf to its own edges onto
+            # +inf targets, so it stays at +inf, adds no edge and seeds no A
+            seeds = [v for v in changed if current[v] != INF_KEY]
             previous, sigma = sigma, next_sigma
 
         won = {v for v in arena.nodes if current[v] == INF_KEY}

@@ -16,10 +16,8 @@ non-negative edge weights (the fast path).  The fixpoint sweeps
 re-evaluate, after the first, only the nodes that read a value which
 changed since they were last evaluated.  The Dijkstra sweep revalues
 only the switch region A, the nodes that reach a player-0 node whose
-choices changed in a way that can change its value (:func:`region_seeds`,
-:func:`switch_region`); every other node keeps its value.  A changed
-node at +inf that keeps only old edges, one of them onto +inf, is no
-such seed: it stays at +inf.  The sweep starts from the finite targets
+choices changed, at a finite value (:func:`switch_region`); every other
+node keeps its value.  The sweep starts from the finite targets
 of the kept edges that leave A, each of which relaxes only the sources of
 those edges, so it reads the predecessor tables of A alone.  Inside A it
 finds the nodes player 1 can still force into the sink on its own and
@@ -32,9 +30,9 @@ those and the sources it switches, and the step check of ``solve``
 visits only what the policy returned and those.
 
 The player-0 nodes whose choices a step changed are listed once per step,
-by :func:`changed_nodes` over the entries the policy returned; the seeds of
-A, the step check of reasonableness and the choice of the entries to
-reclassify all take that list, and A is derived once per step, by the
+by :func:`changed_nodes` over the entries the policy returned; those at a
+finite value seed A and the step check of reasonableness, and all of
+them are reclassified.  A is derived once per step, by the
 step's one backward walk, and handed to the fast valuation, the step check
 of reasonableness and the checks of ``solve`` that look only at A.
 
@@ -106,10 +104,9 @@ def is_reasonable_step(arena: EscapeArena, old: Strategy, new: Strategy,
                        changed: Iterable[int], region: set[int]) -> bool:
     """``is_reasonable(arena, new)`` for a `new` strategy over the same
     player-0 nodes as a reasonable `old` one, with every edge inside the
-    arena's escape choices; `changed` is ``changed_nodes(old, new)`` and
-    `region` the switch region A, ``switch_region(arena, new, seeds)``
-    for any part `seeds` of `changed` that holds every node which added
-    an edge, as the ``region_seeds`` of the step does.
+    arena's escape choices; `changed` is ``changed_nodes(old, new)``, or
+    any part of it that holds every node which added an edge, and
+    `region` the switch region A, ``switch_region(arena, new, changed)``.
 
     Every cycle of the arena restricted to `new` that keeps to old edges
     is a cycle under `old` and so not odd-dominated.  An odd-dominated
@@ -315,38 +312,12 @@ def improvements(arena: EscapeArena, strategy: Strategy,
     return ImprovementSets(improving, strict, nodes)
 
 
-def region_seeds(old: Strategy, new: Strategy, changed: Iterable[int],
-                 base: Valuation) -> list[int]:
-    """The nodes of `changed`, ``changed_nodes(old, new)``, whose value a
-    step from `old`, valued `base`, to `new` can change, in `changed`
-    order: all of them but each node at +inf in `base` that keeps only
-    old edges, one of them onto a node at +inf.
-
-    Such a node stays at +inf and adds no edge, so it closes no cycle.
-    A node that reaches the changed nodes only through such nodes sees,
-    on the part of the arena it reaches, nothing but strategies that
-    lost edges.  There the base values are still a fixpoint of the new
-    strategy's operator, and the fixpoint sweeps, which descend from
-    +inf, stop at or above any fixpoint, so no value falls below its
-    base; a narrower strategy values no node higher, so every value
-    stays.  Any part of `changed` that holds these seeds
-    gives ``switch_region`` a region on which the fast valuation and the
-    step check of reasonableness are exact.  Inside ``solve`` every
-    changed node at +inf is left out, because its improving entry is its
-    own strategy edges onto +inf targets.
-    """
-    prior = old.get
-    return [v for v in changed if base[v] != INF_KEY
-            or not set(new[v]).issubset(prior(v, ()))
-            or all(base[t] != INF_KEY for t in new[v])]
-
-
 def switch_region(arena: EscapeArena, new: Strategy,
                   changed: Iterable[int]) -> set[int]:
     """The nodes whose value a step to `new` that changes the choices of
     the player-0 nodes `changed` can change.  ``solve`` hands in only
-    the changed nodes ``region_seeds`` keeps; all of them, or any part
-    that holds those, gives a larger region that is just as exact.
+    the changed nodes at a finite value; all of them give a larger
+    region that is just as exact.
 
     A node's value depends only on the part of the strategy-restricted
     arena it reaches.  A node that reaches no changed node reaches the
@@ -354,7 +325,12 @@ def switch_region(arena: EscapeArena, new: Strategy,
     value bit for bit.  The region is the rest: the changed nodes and
     the nodes that reach one under `new`, walked backwards along the
     arena's predecessor table (a player-0 predecessor only where `new`
-    keeps the edge).
+    keeps the edge).  A changed node at +inf that keeps only old edges,
+    one of them onto +inf, stays at +inf; a node that reaches changed
+    nodes only through such nodes sees there only strategies that lost
+    edges, under which the old values are still a fixpoint.  The
+    fixpoint sweeps stop at or above any fixpoint and a narrower
+    strategy values no node higher, so those values stay too.
     """
     owner_of = arena.game.owner
     preds = arena.preds
@@ -381,8 +357,7 @@ def valuate_dijkstra(arena: EscapeArena, new: Strategy,
     Only the nodes of A are revalued; every other node keeps its base
     value, so the result is a copy of the base with A overwritten.  The
     copy is the call's one O(n) pass, at C level.  Any region that holds
-    the nodes whose value the step can change gives the same result;
-    ``solve`` hands in the smaller one ``region_seeds`` allows.
+    the nodes whose value the step can change gives the same result.
     Relative to the base, every edge the new strategy keeps has a
     non-negative weight (target value plus the source color, minus the
     source value).  Inside the region, the value growth per node is the
@@ -415,8 +390,6 @@ def valuate_dijkstra(arena: EscapeArena, new: Strategy,
     if base[sink] == INF_KEY:
         raise _infinite_in_region(sink)
     out: Valuation = list(base)
-    if not region:
-        return out
 
     owner_of = arena.game.owner
     succ = arena.succ

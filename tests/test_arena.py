@@ -36,6 +36,20 @@ def test_game_validates_owner_color_targets():
         ParityGame((0,), (0,), ((),))
 
 
+@pytest.mark.parametrize("owner, color, successors, message", [
+    ((1.0,), (0,), ((0,),), "^node 0 has owner 1.0$"),
+    ((0,), (1.5,), ((0,),), "^node 0 has color 1.5, which is not an int$"),
+    ((0, 0), (0, 0), ((1,), (0.0,)),
+     "^node 1 has successor 0.0, which is no node of the game$"),
+], ids=["owner", "color", "successor"])
+def test_game_refuses_values_that_are_not_ints(owner, color, successors,
+                                               message):
+    # a colour 1.5 would count as neither parity and serialize as 1, a
+    # successor 0.0 would fail inside the solver
+    with pytest.raises(ValueError, match=message):
+        ParityGame(owner, color, successors)
+
+
 def test_game_collapses_duplicate_edges():
     g = ParityGame((0,), (0,), ((0, 0),))
     assert g.successors == ((0,),)

@@ -17,8 +17,8 @@ from pgsi.errors import InvariantViolation
 from pgsi.iteration import (POLICY_NAMES, _check_progress, _step_bound,
                             extract_deterministic)
 from pgsi.profiles import INF_KEY
-from pgsi.valuation import (ImprovementSets, improvements, initial_strategy,
-                            valuate_bellman_ford)
+from pgsi.valuation import (ImprovementSets, changed_nodes, improvements,
+                            initial_strategy, valuate_bellman_ford)
 
 from conftest import parity_games, scale_games
 from helpers import (CADENCES, EnumerationTooLarge, apply_operator,
@@ -201,23 +201,6 @@ def test_single_random_is_reproducible():
     assert c.w0 == a.w0
 
 
-def test_single_random_draws_what_choice_over_the_strict_edges_draws():
-    # the walk to the k-th edge draws k as `choice` draws its index, so
-    # every pick, and the generator state after it, is that of `choice`
-    # over the flattened edges in sorted source order
-    rng = random.Random(61)
-    for seed in range(300):
-        sources = rng.sample(range(200), rng.randint(1, 60))
-        strict = {v: tuple(sorted(rng.sample(range(300), rng.randint(1, 8))))
-                  for v in sources}
-        imps = ImprovementSets(dict(strict), strict, ())
-        policy, reference = SingleRandom(seed), random.Random(seed)
-        for _ in range(3):
-            v, t = reference.choice(imps.strict_edges())
-            assert policy.pick(None, {}, [], imps) == {v: (t,)}
-            assert policy._rng.getstate() == reference.getstate()
-
-
 @pytest.mark.parametrize("name", POLICY_NAMES)
 def test_a_policy_returning_a_whole_strategy_solves_alike(name):
     # a pick may return every entry instead of the ones it sets
@@ -239,6 +222,39 @@ def test_a_policy_returning_a_whole_strategy_solves_alike(name):
                         audit_every=audit_every)
             assert whole.to_json() == own.to_json()
             assert whole.valuation == own.valuation
+
+
+def test_a_policy_narrowing_nodes_at_top_solves_alike():
+    # a step may cut a node at +inf down to part of its improving entry;
+    # the node seeds no switch region, yet its entry must be
+    # reclassified, which the audit of every iteration checks.  Only
+    # AllSwitches keeps several edges at +inf nodes
+    class Narrowing:
+        name = "narrowing"
+
+        def __init__(self):
+            self.narrowed = 0
+
+        def pick(self, arena, strategy, valuation, imps):
+            step = AllSwitches().pick(arena, strategy, valuation, imps)
+            for v, kept in imps.improving.items():
+                if (valuation[v] == INF_KEY and len(kept) > 1
+                        and v not in step):
+                    step[v] = kept[:1]
+                    self.narrowed += 1
+            return step
+
+    narrowed = 0
+    for seed in range(20):
+        game = loop_game(random_game(random.Random(seed), 200, 3, 8))
+        policy = Narrowing()
+        cut = solve(game, policy, audit_every=1)
+        plain = solve(game)
+        assert (cut.w0, cut.w1, cut.iterations, cut.valuation) \
+            == (plain.w0, plain.w1, plain.iterations, plain.valuation)
+        replay_verify(game, cut)
+        narrowed += policy.narrowed
+    assert narrowed >= 20
 
 
 def test_deterministic_policy_prefers_an_unbounded_strict_target():
@@ -322,25 +338,25 @@ class Rogue:
         choices = dict(step)
         for v in arena.player0_nodes:
             if (v not in imps.reclassified and v not in imps.strict
-                    and self.tamper(arena, imps, choices, v)):
+                    and self.tamper(arena, imps, valuation, choices, v)):
                 self.tampered.append(v)
                 break
         return choices
 
 
-def swap_for_unknown(arena, imps, choices, v):
+def swap_for_unknown(arena, imps, valuation, choices, v):
     # node v's improving entry, returned under an id the arena does not
     # have
     choices[arena.sink + 7] = imps.improving[v]
     return True
 
 
-def empty_the_entry(arena, imps, choices, v):
+def empty_the_entry(arena, imps, valuation, choices, v):
     choices[v] = ()
     return True
 
 
-def move_off_the_improving_set(arena, imps, choices, v):
+def move_off_the_improving_set(arena, imps, valuation, choices, v):
     worse = [t for t in arena.escape_choices[v]
              if t not in imps.improving[v]]
     if worse:
@@ -348,15 +364,36 @@ def move_off_the_improving_set(arena, imps, choices, v):
     return bool(worse)
 
 
+def add_a_finite_target_at_top(arena, imps, valuation, choices, v):
+    # a node at +inf, which seeds no switch region, takes a finite
+    # target besides its entry, the sink only where it has no other
+    finite = [t for t in arena.escape_choices[v] if valuation[t] != INF_KEY]
+    if valuation[v] == INF_KEY and finite:
+        choices[v] = tuple(sorted(imps.improving[v] + (finite[0],)))
+        return True
+    return False
+
+
+def escape_from_top(arena, imps, valuation, choices, v):
+    if valuation[v] == INF_KEY:
+        choices[v] = (arena.sink,)
+        return True
+    return False
+
+
 @pytest.mark.parametrize("tamper, message", [
     (swap_for_unknown, "policy kept unknown node"),
     (move_off_the_improving_set, "policy chose non-improving edge"),
     (empty_the_entry, "without a move"),
-], ids=["unknown-node", "non-improving-edge", "empty-entry"])
+    (add_a_finite_target_at_top, "policy chose non-improving edge"),
+    (escape_from_top, "policy chose non-improving edge"),
+], ids=["unknown-node", "non-improving-edge", "empty-entry",
+        "finite-target-at-top", "escape-from-top"])
 def test_rogue_step_caught_by_the_narrowed_check(tamper, message):
     # with audits off only the step check at the returned and
     # reclassified entries stands between the rogue step and the
-    # valuation
+    # valuation; `solve` leaves a changed node at +inf out of the seeds
+    # of the switch region because this check holds it to its entry
     game = random_game(random.Random(12), 300, 3, 8)
     policy = Rogue(tamper)
     with pytest.raises(InvariantViolation, match=message):
@@ -642,30 +679,23 @@ def test_step_bookkeeping_visits_only_what_the_step_touched(monkeypatch):
 
 
 def count_regions(monkeypatch):
-    """Make `solve` count, over its fast steps, the changed nodes its
-    seed rule leaves out, the nodes of the region it walks back from the
-    rest, and those of the region walked back from every changed node,
-    which must hold the first."""
+    """Make `solve` count, over its fast steps, the changed nodes it
+    leaves out of the seeds of the switch region, the nodes of the
+    region it walks back from the rest, and those of the region walked
+    back from every changed node, which must hold the first."""
     counts = Counter()
-    seeds_of, region_of = iteration.region_seeds, iteration.switch_region
-    step_changed = []
+    region_of, check_of = iteration.switch_region, iteration.is_reasonable_step
 
-    def seeds(old, new, changed, base):
-        kept = seeds_of(old, new, changed, base)
-        counts["left out"] += len(changed) - len(kept)
-        step_changed[:] = changed
-        return kept
-
-    def region(arena, new, seeds):
-        narrow = region_of(arena, new, seeds)
-        full = region_of(arena, new, step_changed)
-        assert narrow <= full
-        counts["region"] += len(narrow)
+    def check(arena, old, new, changed, region):
+        every = changed_nodes(old, new)
+        full = region_of(arena, new, every)
+        assert region <= full
+        counts["left out"] += len(every) - len(changed)
+        counts["region"] += len(region)
         counts["full region"] += len(full)
-        return narrow
+        return check_of(arena, old, new, changed, region)
 
-    monkeypatch.setattr(iteration, "region_seeds", seeds)
-    monkeypatch.setattr(iteration, "switch_region", region)
+    monkeypatch.setattr(iteration, "is_reasonable_step", check)
     return counts
 
 

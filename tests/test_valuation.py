@@ -18,7 +18,7 @@ from pgsi.iteration import (AllSwitches, DeterministicAll, SingleRandom,
                             solve)
 from pgsi.profiles import INF_KEY, ProfileBasis, digit_width
 from pgsi.valuation import (changed_nodes, improvements, initial_strategy,
-                            is_reasonable, is_reasonable_step, region_seeds,
+                            is_reasonable, is_reasonable_step,
                             response_strategy, switch_region, to_profiles,
                             valuate_bellman_ford, valuate_dijkstra)
 
@@ -770,40 +770,7 @@ def test_update_keeps_a_region_node_with_an_unbounded_kept_target_on_top():
     assert updated == base == valuate_bellman_ford(arena, new)
 
 
-def test_region_seeds_leave_out_a_node_at_top_that_narrows_onto_top():
-    # node 0 stays on the even self-loop of node 1 and drops the one of
-    # node 2; player-1 node 3 reaches nothing else that changed, so
-    # neither is revalued, while node 4 leaves the sink for node 2
-    game = ParityGame((0, 0, 0, 1, 0), (0, 2, 2, 0, 0),
-                      ((1, 2), (1,), (2,), (0,), (2,)))
-    arena = arena_of(game)
-    old = strategy_of({0: (1, 2), 1: (1,), 2: (2,), 4: (5,)})
-    new = strategy_of({0: (1,), 1: (1,), 2: (2,), 4: (2,)})
-    base = valuate_bellman_ford(arena, old)
-    assert base[:4] == [INF_KEY] * 4 and base[4] != INF_KEY
-    changed = changed_nodes(old, new)
-    assert changed == [0, 4]
-    assert region_seeds(old, new, changed, base) == [4]
-    assert switch_region(arena, new, changed) == {0, 3, 4}
-    region = switch_region(arena, new, [4])
-    assert region == {4}
-    assert valuate_dijkstra(arena, new, region, base) \
-        == valuate_bellman_ford(arena, new)
-    assert is_reasonable_step(arena, old, new, changed, region)
-
-
-def test_region_seeds_keep_a_node_at_top_that_adds_an_edge():
-    # the step of the test above: node 0 at +inf adds the escape
-    game = ParityGame((0, 0), (0, 2), ((1,), (1,)))
-    arena = arena_of(game)
-    old = strategy_of({0: (1,), 1: (1,)})
-    new = strategy_of({0: (1, 2), 1: (1,)})
-    base = valuate_bellman_ford(arena, old)
-    assert base[0] == INF_KEY
-    assert region_seeds(old, new, [0], base) == [0]
-
-
-def test_region_seeds_keep_a_node_at_top_that_drops_its_last_top_target():
+def test_update_rejects_a_node_at_top_that_drops_its_last_top_target():
     # node 0 narrows from the even self-loop of node 1 and the sink to
     # the sink alone, which no improvement does; the sweep then reaches
     # it and rejects its +inf base value
@@ -813,7 +780,6 @@ def test_region_seeds_keep_a_node_at_top_that_drops_its_last_top_target():
     new = strategy_of({0: (2,), 1: (1,)})
     base = valuate_bellman_ford(arena, old)
     assert base[0] == INF_KEY
-    assert region_seeds(old, new, [0], base) == [0]
     with pytest.raises(InvariantViolation, match="node 0 is infinite"):
         valuate_dijkstra(arena, new, switch_region(arena, new, [0]), base)
 
@@ -839,9 +805,9 @@ def test_update_reads_the_predecessor_tables_of_the_region_alone():
     steps = 0
     while imps.has_strict:
         step = imps.improving
-        changed = changed_nodes(strategy, step)
-        region = switch_region(arena, step, region_seeds(
-            strategy, step, changed, valuation))
+        region = switch_region(arena, step, [
+            v for v in changed_nodes(strategy, step)
+            if valuation[v] != INF_KEY])
         preds = _Recording(arena.preds)
         watched = dataclasses.replace(arena, preds=preds)
         fast = valuate_dijkstra(watched, step, region, valuation)
@@ -949,8 +915,9 @@ def test_update_matches_reference_at_scale():
     # step and the incremental reasonableness check each equal their
     # whole-arena counterpart, and no value outside the switch region
     # changes.  So do the revaluation and the incremental reasonableness
-    # check on the smaller region walked back from the seeds alone, a
-    # part of the switch region outside which no value changes either.
+    # check on the smaller region walked back from the changed nodes at
+    # a finite value alone, a part of the switch region outside which no
+    # value changes either.
     # The step check is also compared on a step that keeps every old
     # edge outside the switched nodes, which it must reject wherever a
     # kept edge stopped improving.
@@ -988,13 +955,14 @@ def test_update_matches_reference_at_scale():
                 assert fast == valuate_bellman_ford(arena, step)
                 assert all(fast[v] == valuation[v]
                            for v in range(len(fast)) if v not in region)
-                # the smaller region solve walks back from the seeds
-                seeds = region_seeds(strategy, step, changed, valuation)
+                # the smaller region solve walks back from the changed
+                # nodes at a finite value
+                seeds = [v for v in changed if valuation[v] != INF_KEY]
                 narrow = switch_region(arena, step, seeds)
                 assert narrow <= region
                 assert valuate_dijkstra(arena, step, narrow, valuation) \
                     == fast
-                assert is_reasonable_step(arena, strategy, step, changed,
+                assert is_reasonable_step(arena, strategy, step, seeds,
                                           narrow) == reasonable
                 assert all(fast[v] == valuation[v]
                            for v in range(len(fast)) if v not in narrow)

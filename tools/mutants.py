@@ -200,24 +200,43 @@ MUTANTS = (
         ("tests/test_iteration.py::"
          "test_no_step_changes_a_dict_a_hook_has_seen",)),
     Mutant(
-        "draw-walks-one-edge-too-far",
-        "`SingleRandom` stops its walk at the source whose edges end just "
-        "before the drawn one",
-        "iteration.py",
-        "            if k < len(stricts):\n",
-        "            if k <= len(stricts):\n",
-        ("tests/test_iteration.py::"
-         "test_single_random_draws_what_choice_over_the_strict_edges_draws",)),
-    Mutant(
         "step-check-on-reclassified-only",
-        "the step check of a fast step visits the reclassified entries "
-        "alone, not the entries the policy returned",
+        "the step check visits the reclassified entries alone, not the "
+        "entries the policy returned",
         "iteration.py",
-        "            checked = (step.keys() | imps.reclassified"
-        " if incremental\n",
-        "            checked = (imps.reclassified if incremental\n",
+        "                                   step.keys() | imps.reclassified)\n",
+        "                                   imps.reclassified)\n",
         ("tests/test_iteration.py::"
          "test_rogue_step_caught_by_the_narrowed_check",)),
+    Mutant(
+        "seed-filter-before-step-check",
+        "`solve` reads the values of the changed nodes before the step "
+        "check has found them known",
+        "iteration.py",
+        "            step = policy.pick(arena, sigma, current, imps)\n",
+        "            step = policy.pick(arena, sigma, current, imps)\n"
+        "            seeds = [v for v in changed_nodes(sigma, step)\n"
+        "                     if current[v] != INF_KEY]\n",
+        ("tests/test_iteration.py::"
+         "test_rogue_step_caught_by_the_narrowed_check[unknown-node]",)),
+    Mutant(
+        "seed-filter-inverted",
+        "the switch region grows from the changed nodes at +inf instead of "
+        "those at a finite value",
+        "iteration.py",
+        "            seeds = [v for v in changed if current[v] != INF_KEY]\n",
+        "            seeds = [v for v in changed if current[v] == INF_KEY]\n",
+        ("tests/test_iteration.py::"
+         "test_every_iteration_audited_on_the_scale_games",)),
+    Mutant(
+        "stale-entries-from-seeds",
+        "`solve` reclassifies only the changed nodes at a finite value, so "
+        "a node at +inf cut down to part of its entry keeps the whole entry",
+        "iteration.py",
+        "_stale_entries(arena, changed, moved)",
+        "_stale_entries(arena, seeds, moved)",
+        ("tests/test_iteration.py::"
+         "test_a_policy_narrowing_nodes_at_top_solves_alike",)),
     Mutant(
         "improvements-share-prior",
         "`improvements` writes into the improving sets of its `prior`",
