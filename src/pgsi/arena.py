@@ -57,9 +57,9 @@ class ParityGame:
     Successor lists keep their input order but duplicates are collapsed,
     so edges form a set.  Every node has at least one successor.  Owners
     (0 or 1), colors (non-negative) and successors are ints, of type int
-    itself, as the parser makes them.  A name
-    holds no ``"`` and no line break, so that it survives PGSolver text;
-    an empty name is stored as None, as the parser reads it.
+    itself, as the parser makes them.  A name holds no ``"`` and no line
+    break, so that it survives PGSolver text; an empty name is stored as
+    None, as the parser reads it.
     """
 
     owner: tuple[int, ...]
@@ -88,11 +88,9 @@ class ParityGame:
         for v in range(n):
             if type(self.owner[v]) is not int or self.owner[v] not in (0, 1):
                 raise ValueError("node %d has owner %r" % (v, self.owner[v]))
-            if type(self.color[v]) is not int:
-                raise ValueError("node %d has color %r, which is not an int"
-                                 % (v, self.color[v]))
-            if self.color[v] < 0:
-                raise ValueError("node %d has negative color" % v)
+            if type(self.color[v]) is not int or self.color[v] < 0:
+                raise ValueError("node %d has color %r, which is not a "
+                                 "non-negative int" % (v, self.color[v]))
             seen, keep = set(), []
             for t in self.successors[v]:
                 if type(t) is not int or not 0 <= t < n:

@@ -38,7 +38,8 @@ def test_game_validates_owner_color_targets():
 
 @pytest.mark.parametrize("owner, color, successors, message", [
     ((1.0,), (0,), ((0,),), "^node 0 has owner 1.0$"),
-    ((0,), (1.5,), ((0,),), "^node 0 has color 1.5, which is not an int$"),
+    ((0,), (1.5,), ((0,),),
+     "^node 0 has color 1.5, which is not a non-negative int$"),
     ((0, 0), (0, 0), ((1,), (0.0,)),
      "^node 1 has successor 0.0, which is no node of the game$"),
 ], ids=["owner", "color", "successor"])
