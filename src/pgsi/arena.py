@@ -44,13 +44,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from itertools import chain
+from typing import (Collection, Iterable, Iterator, Mapping, NoReturn,
+                    Sequence)
 
 from .errors import FormatError, InvariantViolation
 from .profiles import ProfileBasis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ParityGame:
     """Immutable parity game with nodes indexed 0..n-1.
 
@@ -59,50 +61,60 @@ class ParityGame:
     (0 or 1), colors (non-negative) and successors are ints, of type int
     itself, as the parser makes them.  A name holds no ``"`` and no line
     break, so that it survives PGSolver text; an empty name is stored as
-    None, as the parser reads it.
+    None, as the parser reads it.  Every field is stored as a tuple, so a
+    game built from lists equals the one its text parses to.
+
+    Validation is one loop over the nodes, which checks a node's owner,
+    color and successors in that order, the first flaw in id order
+    raising ValueError; only a node whose successors repeat one
+    (``len(set(ts)) != len(ts)``) has them rebuilt without repeats.
     """
 
     owner: tuple[int, ...]
     color: tuple[int, ...]
     successors: tuple[tuple[int, ...], ...]
-    names: tuple[str | None, ...] | None = None
+    names: tuple[str | None, ...]
 
-    def __post_init__(self):
-        n = len(self.owner)
-        if len(self.color) != n or len(self.successors) != n:
+    def __init__(self, owner: Sequence[int], color: Sequence[int],
+                 successors: Sequence[Sequence[int]],
+                 names: Sequence[str | None] | None = None):
+        owner, color = tuple(owner), tuple(color)
+        n = len(owner)
+        if len(color) != n or len(successors) != n:
             raise ValueError("owner, color and successors must have equal length")
-        if self.names is None:
-            object.__setattr__(self, "names", (None,) * n)
-        elif len(self.names) != n:
+        names = (None,) * n if names is None else tuple(names)
+        if len(names) != n:
             raise ValueError("names must have one entry per node")
-        elif self.names.count(None) < n:
-            for v, name in enumerate(self.names):
+        if names.count(None) < n:
+            for v, name in enumerate(names):
                 if name and ('"' in name
                              or "".join(name.splitlines()) != name):
                     raise ValueError(
                         "node %d has name %r, which holds a quote or a line "
                         "break" % (v, name))
-            object.__setattr__(self, "names", tuple(
-                name if name else None for name in self.names))
+            names = tuple(name if name else None for name in names)
         deduped = []
-        for v in range(n):
-            if type(self.owner[v]) is not int or self.owner[v] not in (0, 1):
-                raise ValueError("node %d has owner %r" % (v, self.owner[v]))
-            if type(self.color[v]) is not int or self.color[v] < 0:
+        keep = deduped.append
+        for v, (o, c, ts) in enumerate(zip(owner, color, successors)):
+            if type(o) is not int or o not in (0, 1):
+                raise ValueError("node %d has owner %r" % (v, o))
+            if type(c) is not int or c < 0:
                 raise ValueError("node %d has color %r, which is not a "
-                                 "non-negative int" % (v, self.color[v]))
-            seen, keep = set(), []
-            for t in self.successors[v]:
+                                 "non-negative int" % (v, c))
+            for t in ts:
                 if type(t) is not int or not 0 <= t < n:
                     raise ValueError("node %d has successor %r, which is no "
                                      "node of the game" % (v, t))
-                if t not in seen:
-                    seen.add(t)
-                    keep.append(t)
-            if not keep:
+            if not ts:
                 raise ValueError("node %d has no successors" % v)
-            deduped.append(tuple(keep))
-        object.__setattr__(self, "successors", tuple(deduped))
+            keep(tuple(ts) if len(set(ts)) == len(ts)
+                 else tuple(dict.fromkeys(ts)))
+        # the dataclass is frozen: each field is set once, past its guard
+        set_field = object.__setattr__
+        set_field(self, "owner", owner)
+        set_field(self, "color", color)
+        set_field(self, "successors", tuple(deduped))
+        set_field(self, "names", names)
 
     @property
     def n(self) -> int:
@@ -138,6 +150,23 @@ def _number(text: str, lineno: int) -> int:
                           % (lineno, text)) from None
 
 
+def _refuse_numbers(groups: tuple, lineno: int,
+                    entries: Collection[int]) -> NoReturn:
+    """Raise the FormatError for a node line whose numbers did not all
+    convert: the id's, a duplicate id's, the first empty or unconvertible
+    successor's, then the color's, in that order.  One of them raises,
+    as a conversion that failed fails again here."""
+    node = _number(groups[0], lineno)
+    if node in entries:
+        raise FormatError("line %d: duplicate node id %d" % (lineno, node))
+    for piece in groups[3].split(","):
+        piece = piece.strip()
+        if not piece:
+            raise FormatError("line %d: empty successor entry" % lineno)
+        _number(piece, lineno)
+    _number(groups[1], lineno)
+
+
 def parse_pgsolver(text: str) -> ParityGame:
     """Parse PGSolver game text.
 
@@ -147,48 +176,54 @@ def parse_pgsolver(text: str) -> ParityGame:
     skipped.  Numbers are ASCII digits; the header's is not read.  Raises
     FormatError on malformed lines, numbers with more digits than CPython
     converts to int, duplicate or gapped node ids, and successors that
-    name no declared node.
+    name no declared node.  A text with several flaws is refused at its
+    first flawed line, in file order; if every line reads, at the first
+    id out of 0..n-1 in file order, then at the first undeclared
+    successor in id order.
+
+    One pass reads the lines: a node line costs one match, plain int
+    conversions of its id, color and successor field and one dict
+    insert.  Only when a conversion fails are its pieces converted one
+    by one, to name the first bad one and its line.  The ids and the
+    successors are then checked at once, node by node only to name a
+    flaw, and ParityGame checks each node in one loop.
     """
     entries: dict[int, tuple[int, int, tuple[int, ...], str | None]] = {}
+    match = _NODE_RE.match
     header_allowed = True
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if header_allowed and _HEADER_RE.match(line):
-            header_allowed = False
-            continue
-        header_allowed = False
-        m = _NODE_RE.match(line)
-        if not m:
+        m = match(line)
+        if m is None:
+            # a blank line or the header: neither matches a node line
+            if not line or line.isspace():
+                continue
+            if header_allowed and not entries and _HEADER_RE.match(line):
+                header_allowed = False
+                continue
             raise FormatError("line %d: malformed node line: %r" % (lineno, line.strip()))
-        node = _number(m.group(1), lineno)
+        groups = node, color, owner, targets, name = m.groups()
+        try:
+            node = int(node)
+            entry = (int(color), int(owner),
+                     tuple(map(int, targets.split(","))), name)
+        except ValueError:
+            _refuse_numbers(groups, lineno, entries)
         if node in entries:
             raise FormatError("line %d: duplicate node id %d" % (lineno, node))
-        succs = []
-        for piece in m.group(4).split(","):
-            piece = piece.strip()
-            if not piece:
-                raise FormatError("line %d: empty successor entry" % lineno)
-            succs.append(_number(piece, lineno))
-        name = m.group(5) or None
-        entries[node] = (_number(m.group(2), lineno), int(m.group(3)),
-                         tuple(succs), name)
+        entries[node] = entry
 
     n = len(entries)
-    for node in entries:
-        if not 0 <= node < n:
-            raise FormatError("node ids must form 0..%d, found %d" % (n - 1, node))
-    colors, owners, succs, names = [], [], [], []
-    for node in range(n):
-        color, owner, targets, name = entries[node]
-        for t in targets:
-            if t not in entries:
-                raise FormatError("node %d lists undeclared successor %d" % (node, t))
-        colors.append(color)
-        owners.append(owner)
-        succs.append(targets)
-        names.append(name)
-    return ParityGame(tuple(owners), tuple(colors), tuple(succs), tuple(names))
+    if not n:
+        return ParityGame((), (), ())
+    if max(entries) >= n:
+        found = next(node for node in entries if node >= n)
+        raise FormatError("node ids must form 0..%d, found %d" % (n - 1, found))
+    colors, owners, succs, names = zip(*map(entries.__getitem__, range(n)))
+    if max(chain.from_iterable(succs)) >= n:
+        node, found = next((v, t) for v, targets in enumerate(succs)
+                           for t in targets if t >= n)
+        raise FormatError("node %d lists undeclared successor %d" % (node, found))
+    return ParityGame(owners, colors, succs, names)
 
 
 def serialize_pgsolver(game: ParityGame) -> str:

@@ -144,19 +144,20 @@ def valuate_bellman_ford(arena: EscapeArena, strategy: Strategy,
     is exceeded the strategy admits an odd-dominated cycle and
     ReasonablenessError is raised.
 
-    The first sweep evaluates every node's row; later ones evaluate only
-    the rows that read a value which changed since their last
-    evaluation, because any other row would recompute its current value.
-    After an update to v each row reading v is queued: into this sweep
-    if it comes later in the descending order, else (v itself included)
-    into the next.  A player-1 row reads its arena successors, a
-    player-0 row the strategy's choices, which need not be arena edges.
-    Only arena nodes change value, so only they get a list of the rows
-    that read them, and a choice of the sink or of an id the arena does
-    not keep is read but never queues a row; the due flags are kept per
-    place in the sweep order, so a sweep costs nothing per removed id.
-    Updates, their order and their sweep numbers are those of sweeps
-    that evaluate every row.
+    A sweep evaluates only the rows that read a value which changed
+    since their last evaluation, because any other row would recompute
+    its current value; the first sweep's are the rows that read the
+    sink, the one value not unbounded at the start.  After an update to
+    v each row reading v is queued: into this sweep if it comes later in
+    the descending order, else (v itself included) into the next.  A
+    player-1 row reads its arena successors, a player-0 row the
+    strategy's choices, which need not be arena edges.  Only arena nodes
+    change value, so only they get a list of the rows that read them,
+    and a choice of the sink or of an id the arena does not keep is
+    read but never queues a row; the due flags are kept per place in the
+    sweep order, so a sweep costs nothing per removed id.  Updates,
+    their order and their sweep numbers are those of sweeps that
+    evaluate every row.
 
     `on_update` receives (sweep number, node, old value, new value) for
     every change, in the order they are applied, the values as profiles.
@@ -175,23 +176,24 @@ def valuate_bellman_ford(arena: EscapeArena, strategy: Strategy,
     readers: list[list[int] | None] = [None] * (sink + 1)
     for v in order:
         readers[v] = []
+    # per place in the sweep order whether its row is due in this sweep
+    due = bytearray(len(order))
     for p, v in enumerate(order):
         for t in succ[v] if owner_of[v] == 1 else strategy[v]:
             row = readers[t]
             if row is not None:
                 row.append(p)
+            elif t == sink:
+                due[p] = 1
 
     get = vals.__getitem__
     from_key = arena.basis.from_key
-    # the first sweep evaluates every row, so the flags it sets in `due`
-    # go unread; after it, `due` holds per place whether its row is due
-    # in this sweep
-    rows = enumerate(order)
-    due = bytearray(len(order))
     for sweep in range(1, len(order) + 2):
         changed = False
         later = bytearray(len(order))
-        for p, v in rows:
+        # compress reads `due` one flag at a time, so a row queued into
+        # this sweep after the walk started is still visited
+        for p, v in compress(enumerate(order), due):
             if owner_of[v] == 1:
                 best = min(map(get, succ[v]))
             else:
@@ -210,9 +212,6 @@ def valuate_bellman_ford(arena: EscapeArena, strategy: Strategy,
         if not changed:
             return vals
         due = later
-        # compress reads `due` one flag at a time, so a row queued into
-        # this sweep after the walk started is still visited
-        rows = compress(enumerate(order), due)
     raise ReasonablenessError(
         "valuation did not stabilize within %d sweeps; the strategy admits "
         "an odd-dominated cycle" % len(arena.nodes))

@@ -6,9 +6,11 @@ audit cadences to solve under, a game that player 0's peel leaves
 whole, the strategy enumerator as the oracle first wrote it, and the
 level-by-level attractor, the per-piece BFS of the
 cycle strategy, a two-pass Tarjan and the top-color decomposition
-without its peel run on it, which share no code with the package's
-versions they must reproduce."""
+without its peel run on it, and the PGSolver reader as the seed wrote
+it, which share no code with the package's versions they must
+reproduce."""
 
+import re
 from collections import deque
 from itertools import product
 from typing import Iterator, Mapping
@@ -17,6 +19,7 @@ from pgsi.arena import (AttractorResult, ParityGame, _dominated_pieces,
                         find_dominated_cycle_nodes,
                         find_one_dominated_cycle_nodes, predecessors,
                         reachable)
+from pgsi.errors import FormatError
 from pgsi.profiles import INF_KEY
 from pgsi.valuation import Strategy
 
@@ -285,3 +288,64 @@ def unpeeled_dominated_pieces(nodes, succ, color, parity):
                 yield high, comp
             else:
                 work.append(comp)
+
+
+_HEADER_RE = re.compile(r"^\s*parity\s+([0-9]+)\s*;\s*$")
+_NODE_RE = re.compile(
+    r'^\s*([0-9]+)\s+([0-9]+)\s+([01])\s+([0-9](?:[0-9,\s]*[0-9])?)'
+    r'\s*(?:"([^"]*)"\s*)?;\s*$'
+)
+
+
+def _number(text: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError("line %d: malformed or oversized number %.40r"
+                          % (lineno, text)) from None
+
+
+def reference_parse_pgsolver(text: str) -> ParityGame:
+    """The PGSolver reader as the seed wrote it: every piece converted
+    on its own, checked as it is read, the ids and the successors
+    checked in loops of their own after the last line."""
+    entries: dict[int, tuple[int, int, tuple[int, ...], str | None]] = {}
+    header_allowed = True
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        if header_allowed and _HEADER_RE.match(line):
+            header_allowed = False
+            continue
+        header_allowed = False
+        m = _NODE_RE.match(line)
+        if not m:
+            raise FormatError("line %d: malformed node line: %r" % (lineno, line.strip()))
+        node = _number(m.group(1), lineno)
+        if node in entries:
+            raise FormatError("line %d: duplicate node id %d" % (lineno, node))
+        succs = []
+        for piece in m.group(4).split(","):
+            piece = piece.strip()
+            if not piece:
+                raise FormatError("line %d: empty successor entry" % lineno)
+            succs.append(_number(piece, lineno))
+        name = m.group(5) or None
+        entries[node] = (_number(m.group(2), lineno), int(m.group(3)),
+                         tuple(succs), name)
+
+    n = len(entries)
+    for node in entries:
+        if not 0 <= node < n:
+            raise FormatError("node ids must form 0..%d, found %d" % (n - 1, node))
+    colors, owners, succs, names = [], [], [], []
+    for node in range(n):
+        color, owner, targets, name = entries[node]
+        for t in targets:
+            if t not in entries:
+                raise FormatError("node %d lists undeclared successor %d" % (node, t))
+        colors.append(color)
+        owners.append(owner)
+        succs.append(targets)
+        names.append(name)
+    return ParityGame(tuple(owners), tuple(colors), tuple(succs), tuple(names))

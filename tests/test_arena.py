@@ -1,12 +1,14 @@
 """Game representation, file format, attractors, cycle analysis."""
 
+import importlib.util
 import random
 import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgsi import ParityGame, oracle_solve, parse_pgsolver, serialize_pgsolver
@@ -20,7 +22,10 @@ from pgsi.errors import FormatError, InvariantViolation
 
 from conftest import fuzz_texts, parity_games
 from helpers import (bfs_dominated_cycle_strategy, level_attractor, marked,
-                     two_pass_sccs, unpeeled_dominated_pieces)
+                     reference_parse_pgsolver, two_pass_sccs,
+                     unpeeled_dominated_pieces)
+
+GAMES = Path(__file__).resolve().parents[1] / "benchmark" / "games.py"
 
 
 # ------------------------------------------------------------ construction
@@ -54,6 +59,9 @@ def test_game_refuses_values_that_are_not_ints(owner, color, successors,
 def test_game_collapses_duplicate_edges():
     g = ParityGame((0,), (0,), ((0, 0),))
     assert g.successors == ((0,),)
+    # the first of each repeated successor keeps its place
+    g = ParityGame((0, 1), (0, 0), ((1, 0, 1, 0), (1,)))
+    assert g.successors == ((1, 0), (1,))
 
 
 def test_color_count():
@@ -137,6 +145,54 @@ def test_parse_refuses_numbers_past_the_digit_limit(line, int_digit_limit):
     assert game.color == (int(widest),)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0 1 0 0;\n1 1 x 0;\n", "line 2: malformed node line: '1 1 x 0;'"),
+    ("0 1 0 0;\nparity 1;\n", "line 2: malformed node line: 'parity 1;'"),
+    ("0 1 0 0,,0;\n", "line 1: empty successor entry"),
+    ("0 1 0 0, ,0;\n", "line 1: empty successor entry"),
+    ("0 1 0 0 0;\n", "line 1: malformed or oversized number '0 0'"),
+    ("{id} 1 0 0;\n", "line 1: malformed or oversized number {id!r:.40}"),
+    ("0 {color} 0 0;\n",
+     "line 1: malformed or oversized number {color!r:.40}"),
+    ("0 1 0 0,{succ};\n",
+     "line 1: malformed or oversized number {succ!r:.40}"),
+    ("0 1 0 0;\n0 1 0 0;\n", "line 2: duplicate node id 0"),
+    ("0 1 0 0;\n2 1 0 0;\n", "node ids must form 0..1, found 2"),
+    ("5 1 0 0;\n0 1 0 0;\n3 1 0 0;\n", "node ids must form 0..2, found 5"),
+    ("0 1 0 1;\n1 1 0 0,2;\n", "node 1 lists undeclared successor 2"),
+    # two flaws: the one reported stays the one reported
+    ("0 1 0 0;\n1 1 0 0,{succ};\n2 1 0 0;\n3 1 0 0;\nnonsense\n",
+     "line 2: malformed or oversized number {succ!r:.40}"),
+    ("0 1 0 0;\n0 1 0 0,,1;\n", "line 2: duplicate node id 0"),
+    ("0 1 0 0;\n0 1 0 {succ};\n", "line 2: duplicate node id 0"),
+    ("{id} 1 0 0;\n{id} 1 0 0;\n",
+     "line 1: malformed or oversized number {id!r:.40}"),
+    ("0 {color} 0 {succ};\n",
+     "line 1: malformed or oversized number {succ!r:.40}"),
+    ("0 {color} 0 0,,1;\n", "line 1: empty successor entry"),
+    ("0 1 0 0,,{succ};\n", "line 1: empty successor entry"),
+    ("0 1 0 {succ},,0;\n",
+     "line 1: malformed or oversized number {succ!r:.40}"),
+    ("0 1 0 5;\n2 1 0 0;\n", "node ids must form 0..1, found 2"),
+    ("1 1 0 9;\n0 1 0 8;\n", "node 0 lists undeclared successor 8"),
+], ids=["malformed", "late-header", "empty-entry", "blank-entry",
+        "spaced-successors", "oversized-id", "oversized-color",
+        "oversized-successor", "duplicate-id", "gapped-ids",
+        "gapped-ids-in-file-order", "undeclared-successor",
+        "oversized-successor-then-malformed", "duplicate-and-empty-entry",
+        "duplicate-and-oversized-successor", "oversized-duplicate-ids",
+        "oversized-color-and-successor", "oversized-color-and-empty-entry",
+        "empty-entry-then-oversized", "oversized-then-empty-entry",
+        "gapped-and-undeclared", "undeclared-in-id-order"])
+def test_parse_refusal_messages(text, message, int_digit_limit):
+    # a distinct oversized number per field names the piece reported
+    big = {key: digit * (int_digit_limit + 1)
+           for key, digit in (("id", "8"), ("color", "7"), ("succ", "6"))}
+    with pytest.raises(FormatError) as refused:
+        parse_pgsolver(text.format(**big))
+    assert str(refused.value) == message.format(**big)
+
+
 def test_serialize_canonical_form():
     g = ParityGame((0, 1), (2, 0), ((1, 0), (0,)), names=("start", None))
     assert serialize_pgsolver(g) == 'parity 1;\n0 2 0 1,0 "start";\n1 0 1 0;\n'
@@ -166,8 +222,12 @@ def test_game_refuses_names_that_text_cannot_hold(name):
 
 
 @given(parity_games())
+@example(ParityGame([0, 1], [1, 2], [[1], [0]]))
 def test_round_trip_random_games(game):
+    # a game built from lists stores tuples, so it is hashable and equal
+    # to its parse
     assert parse_pgsolver(serialize_pgsolver(game)) == game
+    assert hash(parse_pgsolver(serialize_pgsolver(game))) == hash(game)
 
 
 @settings(max_examples=300, deadline=None)
@@ -180,6 +240,34 @@ def test_parse_fuzz_gives_a_game_or_format_error(text):
     canonical = serialize_pgsolver(game)
     assert parse_pgsolver(canonical) == game
     assert serialize_pgsolver(parse_pgsolver(canonical)) == canonical
+
+
+def parse_outcome(parse, text):
+    """The game `parse` reads from `text`, or the message it refuses
+    the text with."""
+    try:
+        return parse(text)
+    except FormatError as refused:
+        return str(refused)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_texts)
+def test_parse_matches_the_reference_on_fuzz_texts(text):
+    assert parse_outcome(parse_pgsolver, text) \
+        == parse_outcome(reference_parse_pgsolver, text)
+
+
+def test_parse_matches_the_reference_on_the_benchmark_texts(monkeypatch):
+    spec = importlib.util.spec_from_file_location("benchmark_games", GAMES)
+    games = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, games)
+    spec.loader.exec_module(games)
+    for workload in games.WORKLOADS.values():
+        for inst in workload.build(1):
+            assert parse_pgsolver(inst.text) \
+                == reference_parse_pgsolver(inst.text), inst.label
 
 
 # ------------------------------------------------------------ escape arena

@@ -46,6 +46,7 @@ ARENA = "arena.py"
 A = "tests/test_arena.py::"
 PROFILES = "profiles.py"
 P = "tests/test_profiles.py::"
+R = A + "test_parse_refusal_messages"
 
 MUTANTS = (
     Mutant(
@@ -345,6 +346,103 @@ MUTANTS = (
         "            key = key >> b\n",
         (P + "test_packed_order_matches_reference_at_extreme_digits",
          P + "test_basis_keys_add_subtract_and_order_like_count_tuples")),
+    Mutant(
+        "parse-header-after-node-lines",
+        "a header line after a node line is skipped instead of refused",
+        ARENA,
+        "            if header_allowed and not entries and "
+        "_HEADER_RE.match(line):\n",
+        "            if header_allowed and _HEADER_RE.match(line):\n",
+        (R + "[late-header]",)),
+    Mutant(
+        "parse-duplicate-unchecked",
+        "a node line whose numbers convert overwrites an earlier line "
+        "with its id",
+        ARENA,
+        "        if node in entries:\n"
+        "            raise FormatError(\"line %d: duplicate node id %d\" "
+        "% (lineno, node))\n"
+        "        entries[node] = entry\n",
+        "        entries[node] = entry\n",
+        (R + "[duplicate-id]", A + "test_parse_rejects_malformed")),
+    Mutant(
+        "parse-gapped-ids-off-by-one",
+        "the id check lets the id n through, so a gap reaches the columns",
+        ARENA, "    if max(entries) >= n:\n", "    if max(entries) > n:\n",
+        (R + "[gapped-ids]",)),
+    Mutant(
+        "parse-undeclared-off-by-one",
+        "the successor range check lets the successor n through to "
+        "ParityGame, which refuses it with ValueError",
+        ARENA,
+        "    if max(chain.from_iterable(succs)) >= n:\n",
+        "    if max(chain.from_iterable(succs)) > n:\n",
+        (R + "[undeclared-successor]",)),
+    Mutant(
+        "refusal-color-before-successors",
+        "the error path converts the color before the successors, so it "
+        "names the color of a line with both oversized",
+        ARENA,
+        "    for piece in groups[3].split(\",\"):\n"
+        "        piece = piece.strip()\n"
+        "        if not piece:\n"
+        "            raise FormatError(\"line %d: empty successor entry\" "
+        "% lineno)\n"
+        "        _number(piece, lineno)\n"
+        "    _number(groups[1], lineno)\n",
+        "    _number(groups[1], lineno)\n"
+        "    for piece in groups[3].split(\",\"):\n"
+        "        piece = piece.strip()\n"
+        "        if not piece:\n"
+        "            raise FormatError(\"line %d: empty successor entry\" "
+        "% lineno)\n"
+        "        _number(piece, lineno)\n",
+        (R + "[oversized-color-and-successor]",
+         R + "[oversized-color-and-empty-entry]")),
+    Mutant(
+        "refusal-skips-the-duplicate-id",
+        "the error path names a bad number on a line whose id repeats an "
+        "earlier one",
+        ARENA,
+        "    node = _number(groups[0], lineno)\n"
+        "    if node in entries:\n"
+        "        raise FormatError(\"line %d: duplicate node id %d\" "
+        "% (lineno, node))\n",
+        "    node = _number(groups[0], lineno)\n",
+        (R + "[duplicate-and-empty-entry]",
+         R + "[duplicate-and-oversized-successor]")),
+    Mutant(
+        "game-keeps-repeated-successors",
+        "the dedup branch is gone, so repeated successors stay",
+        ARENA,
+        "            keep(tuple(ts) if len(set(ts)) == len(ts)\n"
+        "                 else tuple(dict.fromkeys(ts)))\n",
+        "            keep(tuple(ts))\n",
+        (A + "test_game_collapses_duplicate_edges",)),
+    Mutant(
+        "game-sorts-repeated-successors",
+        "the dedup branch sorts the successors it keeps",
+        ARENA,
+        "                 else tuple(dict.fromkeys(ts)))\n",
+        "                 else tuple(sorted(set(ts))))\n",
+        (A + "test_game_collapses_duplicate_edges",)),
+    Mutant(
+        "game-keeps-caller-lists",
+        "a game keeps the owner and color lists it is given",
+        ARENA,
+        "        owner, color = tuple(owner), tuple(color)\n",
+        "        owner, color = owner, color\n",
+        (A + "test_round_trip_random_games",)),
+    Mutant(
+        "bellman-ford-first-sweep-empty",
+        "no row reading the sink is due in the first sweep, so nothing is "
+        "ever evaluated",
+        "valuation.py",
+        "            elif t == sink:\n"
+        "                due[p] = 1\n",
+        "            elif t == sink:\n"
+        "                pass\n",
+        ("tests/test_valuation.py::test_bellman_ford_matches_every_row_sweeps",)),
 )
 
 
