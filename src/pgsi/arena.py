@@ -101,14 +101,14 @@ class ParityGame:
             if type(c) is not int or c < 0:
                 raise ValueError("node %d has color %r, which is not a "
                                  "non-negative int" % (v, c))
+            ts = tuple(ts)
             for t in ts:
                 if type(t) is not int or not 0 <= t < n:
                     raise ValueError("node %d has successor %r, which is no "
                                      "node of the game" % (v, t))
             if not ts:
                 raise ValueError("node %d has no successors" % v)
-            keep(tuple(ts) if len(set(ts)) == len(ts)
-                 else tuple(dict.fromkeys(ts)))
+            keep(ts if len(set(ts)) == len(ts) else tuple(dict.fromkeys(ts)))
         # the dataclass is frozen: each field is set once, past its guard
         set_field = object.__setattr__
         set_field(self, "owner", owner)

@@ -59,8 +59,9 @@ def test_game_refuses_values_that_are_not_ints(owner, color, successors,
 def test_game_collapses_duplicate_edges():
     g = ParityGame((0,), (0,), ((0, 0),))
     assert g.successors == ((0,),)
-    # the first of each repeated successor keeps its place
-    g = ParityGame((0, 1), (0, 0), ((1, 0, 1, 0), (1,)))
+    # the first of each repeated successor keeps its place, whatever
+    # iterable holds them
+    g = ParityGame((0, 1), (0, 0), ((1, 0, 1, 0), iter([1])))
     assert g.successors == ((1, 0), (1,))
 
 

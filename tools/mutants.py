@@ -415,16 +415,16 @@ MUTANTS = (
         "game-keeps-repeated-successors",
         "the dedup branch is gone, so repeated successors stay",
         ARENA,
-        "            keep(tuple(ts) if len(set(ts)) == len(ts)\n"
-        "                 else tuple(dict.fromkeys(ts)))\n",
-        "            keep(tuple(ts))\n",
+        "            keep(ts if len(set(ts)) == len(ts) else "
+        "tuple(dict.fromkeys(ts)))\n",
+        "            keep(ts)\n",
         (A + "test_game_collapses_duplicate_edges",)),
     Mutant(
         "game-sorts-repeated-successors",
         "the dedup branch sorts the successors it keeps",
         ARENA,
-        "                 else tuple(dict.fromkeys(ts)))\n",
-        "                 else tuple(sorted(set(ts))))\n",
+        " else tuple(dict.fromkeys(ts)))\n",
+        " else tuple(sorted(set(ts))))\n",
         (A + "test_game_collapses_duplicate_edges",)),
     Mutant(
         "game-keeps-caller-lists",
