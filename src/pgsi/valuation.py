@@ -13,11 +13,12 @@ order-maximum over the strategy's edges.  Two routes compute it: repeated
 fixpoint sweeps (the reference) and, given a strategy the new one
 directly improves and its valuation, a Dijkstra-style sweep over
 non-negative edge weights (the fast path).  The fixpoint sweeps
-re-evaluate, after the first, only the nodes that read a value which
-changed since they were last evaluated.  The Dijkstra sweep revalues
-only the switch region A, the nodes that reach a player-0 node whose
-choices changed, at a finite value (:func:`switch_region`); every other
-node keeps its value.  The sweep starts from the finite targets
+evaluate only the nodes that read a value which changed since they were
+last evaluated, the first only those that read the sink.  The Dijkstra
+sweep revalues only the switch region A, the nodes that reach a
+player-0 node whose choices changed, at a finite value
+(:func:`switch_region`); every other node keeps its value.  The sweep
+starts from the finite targets
 of the kept edges that leave A, each of which relaxes only the sources of
 those edges, so it reads the predecessor tables of A alone.  Inside A it
 finds the nodes player 1 can still force into the sink on its own and
