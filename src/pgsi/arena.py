@@ -18,10 +18,11 @@ their lists, each indexed by node id over the id space the caller
 names.
 
 This module also hosts the two graph primitives everything else is built
-on: player attractors (ranks from one FIFO worklist, kept with its
-counters in lists indexed by node id, and an attracting strategy), which
-also give the cycle strategies their edges, and the detection of nodes
-lying on cycles whose maximum color has a given parity.
+on: player attractors on node sets where every node has a move (one
+FIFO worklist, its ranks and counters internal lists indexed by node
+id, returning the members and an attracting strategy), which also give
+the cycle strategies their edges, and the detection of nodes lying on
+cycles whose maximum color has a given parity.
 The latter is one top-color decomposition: peel the nodes on no cycle
 (and stop there when none is left, as on an acyclic input), split the
 rest into strongly connected components, keep those whose top color
@@ -281,10 +282,6 @@ class EscapeArena:
     basis: ProfileBasis = field(compare=False, repr=False)
     unit_keys: list[int] = field(compare=False, repr=False)
 
-    @property
-    def d(self) -> int:
-        return self.game.d
-
 
 def build_escape_arena(game: ParityGame,
                        removed: Collection[int] = frozenset()) -> EscapeArena:
@@ -320,11 +317,11 @@ _Successors = Mapping[int, tuple[int, ...]] | Sequence[tuple[int, ...]]
 
 @dataclass(frozen=True)
 class AttractorResult:
-    """Attractor membership with BFS ranks and one attracting edge per
-    attracting-player member of positive rank."""
+    """The members of an attractor and one attracting edge per
+    attracting-player member outside the target, towards a member
+    attracted earlier; see `attractor` for its precondition."""
 
     members: frozenset[int]
-    rank: dict[int, int]
     strategy: dict[int, int]
 
 
@@ -356,26 +353,30 @@ def attractor(nodes: Collection[int], succ: _Successors,
 
     `succ` and `owner` give each node's successor tuple and owner,
     indexed by node id: the game's or the arena's own tables, or dicts
-    over `nodes`.  No edge may leave `nodes`, and the escape sink is
-    never one of them.  `preds` is the list `predecessors` builds from
-    `nodes` and `succ`, at any size above the largest node; without it
-    the attractor builds one sized by that node.
+    over `nodes`.  No edge may leave `nodes`, and every node has a
+    successor among them: the whole game, which `ParityGame` checks, and
+    the pieces of cycles of `dominated_cycle_strategy`, each a component
+    with an edge, are the two node sets the package hands it.  So no
+    opponent node is stuck, and nothing is looked at up front.  The
+    escape sink is never one of the nodes.  `preds` is the list
+    `predecessors` builds from `nodes` and `succ`, at any size above the
+    largest node; without it the attractor builds one sized by that
+    node.
 
     Rank 0 is the target itself; rank r+1 adds nodes owned by `player`
     with some successor of rank <= r and opponent nodes whose successors
-    all have rank <= r.  Opponent dead ends count as attracted, at rank
-    1.  One FIFO worklist finds the ranks: a member is queued when it is
-    attracted and, once dequeued, attracts its predecessors, a player
-    node at once and an opponent node when the counter of its unranked
-    successors reaches 0.  Members leave the queue in the order of their
-    ranks, so a player node takes one more than its smallest successor
-    rank and an opponent node one more than its largest.  Ranks and
-    counters live in lists indexed by node id, as long as the
-    predecessor list; an opponent's counter is set to its successor
-    count when the node is first reached, so only the dead ends are
-    looked at up front.  When a player node is attracted at rank r,
-    every rank below r is known, and its edge is its smallest-id
-    successor of rank below r.
+    all have rank <= r.  One FIFO worklist finds the ranks, which stay
+    internal: a member is queued when it is attracted and, once
+    dequeued, attracts its predecessors, a player node at once and an
+    opponent node when the counter of its unranked successors reaches 0.
+    Members leave the queue in the order of their ranks, so a player
+    node takes one more than its smallest successor rank and an opponent
+    node one more than its largest.  Ranks and counters live in lists
+    indexed by node id, as long as the predecessor list; an opponent's
+    counter is set to its successor count when the node is first
+    reached.  When a player node is attracted at rank r, every rank
+    below r is known, and its edge is its smallest-id successor of rank
+    below r.
     """
     if preds is None:
         preds = predecessors(nodes, succ, max(nodes, default=-1) + 1)
@@ -390,10 +391,6 @@ def attractor(nodes: Collection[int], succ: _Successors,
         if rank[t]:
             rank[t] = 0
             queue.append(t)
-    for v in nodes:
-        if not succ[v] and owner[v] != player and rank[v]:
-            rank[v] = 1
-            queue.append(v)
     remaining = [0] * size
     strategy: dict[int, int] = {}
     # iterating a list visits what is appended to it meanwhile: a FIFO
@@ -416,8 +413,7 @@ def attractor(nodes: Collection[int], succ: _Successors,
                 strategy[v] = edge
             rank[v] = r
             queue.append(v)
-    return AttractorResult(frozenset(queue), {v: rank[v] for v in queue},
-                           strategy)
+    return AttractorResult(frozenset(queue), strategy)
 
 
 def _sccs(order: Iterable[int], succ: _Successors, state: list[int],
@@ -689,9 +685,8 @@ def preprocess(game: ParityGame) -> PreprocessResult:
              and v not in removed],
             succ, color, player)
         won = frozenset()
-        # every game node has a successor, so an empty target attracts
-        # nothing; the skip sits here because `attractor` itself
-        # attracts opponent dead ends
+        # an empty target attracts nothing, and without a cycle no
+        # predecessor table of the game is built
         if strategy:
             if preds is None:
                 preds = predecessors(range(game.n), succ, game.n)
@@ -700,8 +695,8 @@ def preprocess(game: ParityGame) -> PreprocessResult:
             won = att.members
             if not won.isdisjoint(removed):
                 raise InvariantViolation("player 0's peel overlaps player 1's")
-            # the cycle nodes have rank 0, so the attractor gives them no
-            # edge; together the two cover every removed node of `player`
+            # the cycle nodes are the target, so the attractor gives them
+            # no edge; together the two cover every removed node of `player`
             strategy.update(att.strategy)
         removed |= won
         peels.append((won, {v: strategy[v] for v in sorted(strategy)}))

@@ -116,22 +116,11 @@ def policy_by_name(name: str, seed: int | None = None):
     raise ValueError("unknown policy %r" % name)
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """Per-iteration statistics of one solver run."""
-
-    iteration: int
-    strict_edges: int
-    strict_sources: int
-
-    def to_json(self) -> dict:
-        return {"iteration": self.iteration, "strict_edges": self.strict_edges,
-                "strict_sources": self.strict_sources}
-
-
 @dataclass
 class SolveResult:
-    """Winning partition, winning strategies and run statistics."""
+    """Winning partition, winning strategies and run statistics: `stats`
+    holds one dict per iteration, with the keys ``"iteration"``,
+    ``"strict_edges"`` and ``"strict_sources"`` in that order."""
 
     w0: tuple[int, ...]
     w1: tuple[int, ...]
@@ -140,7 +129,7 @@ class SolveResult:
     valuation: dict[int, ColorProfile]
     iterations: int
     policy: str
-    stats: list[IterationRecord] = field(default_factory=list)
+    stats: list[dict[str, int]] = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
@@ -150,13 +139,8 @@ class SolveResult:
             "strategy1": dict(self.strategy1),
             "iterations": self.iterations,
             "policy": self.policy,
-            "stats": [r.to_json() for r in self.stats],
+            "stats": [dict(r) for r in self.stats],
         }
-
-
-# Observed growth base for the all-switches policy on out-degree-2 games:
-# acceptance 6 checks that runs stay below `3 * DEG2_BASE ** |V0|`.
-DEG2_BASE = 1.724
 
 
 def _step_bound(n: int, d: int) -> float:
@@ -214,7 +198,7 @@ def _check_step(next_strategy: Strategy, imps: ImprovementSets,
                 applied.add(v)
     if len(next_strategy) != len(improving):
         raise InvariantViolation("policy dropped a player-0 node")
-    if imps.has_strict and not applied:
+    if imps.strict and not applied:
         raise InvariantViolation("policy applied no strict improvement")
     return applied
 
@@ -329,12 +313,12 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
 
     prep = preprocess(game)
     arena = prep.arena
-    stats: list[IterationRecord] = []
+    stats: list[dict[str, int]] = []
     iterations = 0
     imps = None
     sigma = initial_strategy(arena)
     switched: set[int] = set()
-    bound = _step_bound(len(arena.nodes), arena.d)
+    bound = _step_bound(len(arena.nodes), arena.game.d)
     strategy0: dict[int, int] = {}
     strategy1: dict[int, int] = {}
     valuation: dict[int, ColorProfile] = {}
@@ -384,13 +368,13 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
                     "ones at iteration %d" % (iterations + 1))
             current = new_vals
             iterations += 1
-            stats.append(IterationRecord(
-                iterations, sum(map(len, imps.strict.values())),
-                len(imps.strict)))
+            stats.append({"iteration": iterations,
+                          "strict_edges": sum(map(len, imps.strict.values())),
+                          "strict_sources": len(imps.strict)})
             if on_iteration is not None:
                 on_iteration(iterations, sigma, to_profiles(arena, current),
                              imps)
-            if not imps.has_strict:
+            if not imps.strict:
                 break
             if iterations - 1 > bound:
                 raise InvariantViolation(

@@ -82,8 +82,9 @@ class ColorProfile:
     first.  ``==`` and ``hash`` compare the counts, so the values of two
     solves, each with its own basis, are equal when they count the same
     visits.  ``<``, ``<=``, ``>`` and ``>=`` are the strict and weak game
-    order between values of one basis and against +inf; between two bases
-    ``<`` raises :class:`DimensionError`.  ``+`` and ``-`` add and
+    order between values of one basis and against +inf, ``>`` and ``>=``
+    through the reflected ``<`` and ``<=``; between two bases they raise
+    :class:`DimensionError`.  ``+`` and ``-`` add and
     subtract the keys of two finite values of one basis, and raise
     :class:`ProfileArithmeticError` on any other pair.
     """
@@ -146,12 +147,6 @@ class ColorProfile:
         if not isinstance(other, ColorProfile):
             return NotImplemented
         return not other < self
-
-    def __gt__(self, other: "ColorProfile") -> bool:
-        return other.__lt__(self)
-
-    def __ge__(self, other: "ColorProfile") -> bool:
-        return other.__le__(self)
 
     def __add__(self, other: "ColorProfile") -> "ColorProfile":
         basis = self._basis

@@ -246,10 +246,6 @@ class ImprovementSets:
     def strict_edges(self) -> list[tuple[int, int]]:
         return [(v, t) for v in sorted(self.strict) for t in self.strict[v]]
 
-    @property
-    def has_strict(self) -> bool:
-        return bool(self.strict)
-
 
 def improvements(arena: EscapeArena, strategy: Strategy,
                  valuation: Valuation, prior: ImprovementSets | None = None,

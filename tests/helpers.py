@@ -147,11 +147,13 @@ def enumerated_oracle(game: ParityGame):
 
 
 def level_attractor(nodes, succ, owner, player: int,
-                    target) -> AttractorResult:
-    """The attractor found one BFS level at a time: level r+1 walks the
-    predecessors of level r in ascending order, so the first node that
-    attracts a player member is its smallest-id successor of the
-    previous level."""
+                    target) -> tuple[AttractorResult, dict[int, int]]:
+    """The attractor found one BFS level at a time, with its members'
+    levels as ranks: level r+1 walks the predecessors of level r in
+    ascending order, so the first node that attracts a player member is
+    its smallest-id successor of the previous level.  Like `attractor`
+    it needs every node to have a successor among `nodes`: a dead end
+    is never attracted."""
     node_set = set(nodes)
     rank = {}
     for t in target:
@@ -170,8 +172,6 @@ def level_attractor(nodes, succ, owner, player: int,
     while True:
         level += 1
         fresh = set()
-        if level == 1:
-            fresh.update(v for v, k in remaining.items() if k == 0)
         for u in current:
             for v in preds[u]:
                 if v in rank or v in fresh:
@@ -188,7 +188,7 @@ def level_attractor(nodes, succ, owner, player: int,
         for v in fresh:
             rank[v] = level
         current = sorted(fresh)
-    return AttractorResult(frozenset(rank), rank, strategy)
+    return AttractorResult(frozenset(rank), strategy), rank
 
 
 def bfs_dominated_cycle_strategy(nodes, succ, color, parity=1) -> dict:

@@ -1,5 +1,7 @@
-"""Names that other code looks up in the package must resolve."""
+"""Names that other code looks up in the package must resolve, and the
+tools that read the package work."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -11,15 +13,21 @@ from pgsi.profiles import ProfileBasis
 
 from helpers import loop_game
 
-LAYERS = Path(__file__).resolve().parents[1] / "benchmark" / "layers.py"
-CODE_LINES = LAYERS.parents[1] / "tools" / "code_lines.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS = ROOT / "benchmark" / "layers.py"
+CODE_LINES = ROOT / "tools" / "code_lines.py"
+UNREACHED = ROOT / "tools" / "unreached.py"
+
+
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _load_layers():
-    spec = importlib.util.spec_from_file_location("benchmark_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
-    return layers
+    return _load(LAYERS, "benchmark_layers")
 
 
 def test_public_names_resolve():
@@ -91,9 +99,7 @@ def test_benchmark_counts_profile_operators_on_the_class():
 
 def test_code_line_counter_skips_docstrings_comments_and_blanks():
     # the count ROADMAP and CHANGES.md quote for src/pgsi
-    spec = importlib.util.spec_from_file_location("code_lines", CODE_LINES)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _load(CODE_LINES, "code_lines")
     source = (
         '"""Module docstring,\n'
         'over two lines."""\n'
@@ -110,3 +116,20 @@ def test_code_line_counter_skips_docstrings_comments_and_blanks():
     )
     # def, the call's three lines and the assignment's two
     assert tool.code_lines(source) == 6
+
+
+def test_unreached_lists_the_statements_one_solve_skips():
+    tool = _load(UNREACHED, "unreached")
+    game = loop_game(generate_game(60, 3, 6, seed=7))
+    report = tool.unreached(lambda: solve(game))
+    path = ROOT / "src" / "pgsi" / "iteration.py"
+    functions = {node.name: node for node in ast.parse(
+        path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)}
+    # the float overflow of the step bound, and solve's first statement
+    # after its docstring
+    overflow = functions["_step_bound"].body[-1].handlers[0].body[0].lineno
+    first = functions["solve"].body[1].lineno
+    listed = dict(report["iteration.py"])
+    assert listed[overflow] == "return math.inf"
+    assert first not in listed

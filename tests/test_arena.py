@@ -11,19 +11,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pgsi import ParityGame, oracle_solve, parse_pgsolver, serialize_pgsolver
+from pgsi import (ParityGame, oracle_solve, parse_pgsolver, policy_by_name,
+                  replay_verify, serialize_pgsolver, solve)
 from pgsi.arena import (_dominated_pieces, _sccs, attractor,
                         build_escape_arena, dominated_cycle_strategy,
                         find_dominated_cycle_nodes,
                         find_one_dominated_cycle_nodes, predecessors,
                         preprocess)
-from pgsi.cli import random_game
+from pgsi.cli import fuzz_game, generate_game, random_game
 from pgsi.errors import FormatError, InvariantViolation
+from pgsi.iteration import POLICY_NAMES
 
 from conftest import fuzz_texts, parity_games
-from helpers import (bfs_dominated_cycle_strategy, level_attractor, marked,
-                     reference_parse_pgsolver, two_pass_sccs,
-                     unpeeled_dominated_pieces)
+from helpers import (bfs_dominated_cycle_strategy, level_attractor,
+                     loop_game, marked, reference_parse_pgsolver,
+                     two_pass_sccs, unpeeled_dominated_pieces)
 
 GAMES = Path(__file__).resolve().parents[1] / "benchmark" / "games.py"
 
@@ -300,16 +302,17 @@ def test_attractor_of_empty_target():
 def test_attractor_of_everything():
     res = attractor([0, 1], {0: (1,), 1: (0,)}, {0: 0, 1: 1}, 0, [0, 1])
     assert res.members == frozenset((0, 1))
-    assert res.rank == {0: 0, 1: 0}
+    assert res.strategy == {}
 
 
 def test_attractor_chain_ranks():
-    # v0 -> v1 -> sink, both player 1 attracting toward the sink
-    res = attractor([0, 1, 2], {0: (1,), 1: (2,), 2: ()},
-                    {0: 1, 1: 1, 2: 0}, 1, [2])
+    # v0 -> v1 -> v2, both player 1 attracting toward v2, which loops
+    succ, owner = {0: (1,), 1: (2,), 2: (2,)}, {0: 1, 1: 1, 2: 0}
+    res = attractor([0, 1, 2], succ, owner, 1, [2])
     assert res.members == frozenset((0, 1, 2))
-    assert res.rank == {2: 0, 1: 1, 0: 2}
     assert res.strategy == {1: 2, 0: 1}
+    assert level_attractor([0, 1, 2], succ, owner, 1, [2]) \
+        == (res, {2: 0, 1: 1, 0: 2})
 
 
 def test_attractor_opponent_needs_all_successors():
@@ -319,14 +322,39 @@ def test_attractor_opponent_needs_all_successors():
     assert res.members == frozenset((1,))
 
 
-def test_attractor_opponent_dead_end_is_attracted():
-    res = attractor([0, 1], {0: (), 1: (1,)}, {0: 0, 1: 1}, 1, [1])
-    assert 0 in res.members and res.rank[0] == 1
-
-
 def test_attractor_rejects_foreign_target():
     with pytest.raises(ValueError):
         attractor([0], {0: (0,)}, {0: 0}, 0, [7])
+
+
+def test_every_attractor_call_meets_the_precondition(monkeypatch):
+    # `attractor` attracts no opponent dead end, so each caller must hand
+    # it a node set that no edge leaves and where every node has a
+    # successor: the whole game, or the pieces of cycles
+    calls = []
+
+    def checked(nodes, succ, owner, player, target, preds=None):
+        for v in nodes:
+            assert succ[v], "node %d has no successor" % v
+            assert all(t in nodes for t in succ[v]), \
+                "an edge leaves the nodes at %d" % v
+        calls.append(len(nodes))
+        return attractor(nodes, succ, owner, player, target, preds)
+
+    monkeypatch.setattr("pgsi.arena.attractor", checked)
+    for seed in range(10):
+        game = loop_game(generate_game(60, 3, 6, seed=seed))
+        for name in POLICY_NAMES:
+            for audit_every in (0, 1, 16):
+                result = solve(game, policy_by_name(name, seed), audit_every)
+                replay_verify(game, result)
+    looped = len(calls)
+    for seed in range(500):
+        game = fuzz_game(seed)
+        replay_verify(game, solve(game))
+    # both callers, on the loop games and on the fuzz games
+    assert looped and len(calls) > looped
+    assert any(size < 60 for size in calls[:looped])
 
 
 @given(parity_games(max_nodes=6))
@@ -340,17 +368,25 @@ def test_attractor_monotone_and_idempotent(game):
     assert again.members == big.members
 
 
+def assert_smallest_id_edges(res, succ, rank):
+    """Each edge of `res` is its source's smallest-id successor of
+    smaller rank in `rank`, the reference's ranks."""
+    for v, t in res.strategy.items():
+        assert t == min(u for u in succ[v]
+                        if rank.get(u, rank[v]) < rank[v])
+
+
 @given(parity_games(max_nodes=6))
 def test_attractor_strategy_decreases_rank(game):
-    res = attractor(*game_graph(game), 0,
-                    [v for v in range(game.n) if game.color[v] == 0])
+    graph = game_graph(game)
+    target = [v for v in range(game.n) if game.color[v] == 0]
+    res = attractor(*graph, 0, target)
+    _, rank = level_attractor(*graph, 0, target)
     for v, t in res.strategy.items():
-        assert game.owner[v] == 0 and res.rank[t] < res.rank[v]
-        # the smallest-id successor of smaller rank
-        assert t == min(u for u in game.successors[v]
-                        if res.rank.get(u, res.rank[v]) < res.rank[v])
+        assert game.owner[v] == 0 and rank[t] < rank[v]
+    assert_smallest_id_edges(res, game.successors, rank)
     # one edge for every attracting-player member of positive rank
-    assert set(res.strategy) == {v for v, r in res.rank.items()
+    assert set(res.strategy) == {v for v, r in rank.items()
                                  if r > 0 and game.owner[v] == 0}
 
 
@@ -453,13 +489,16 @@ def test_cycle_finder_matches_reachability_oracle(game, many_colors):
 @st.composite
 def graph_views(draw, max_nodes=8, closed=True):
     """Nodes, successors, owners and colors over a few ids of 0..11 in any
-    order, with dead ends, both owners, duplicate successors and, unless
-    `closed`, edges that leave the nodes."""
+    order, with both owners and duplicate successors.  A `closed` view
+    meets the attractor's precondition: every node has a successor among
+    the nodes and no edge leaves them.  Otherwise there are dead ends
+    and edges that leave the nodes."""
     nodes = draw(st.lists(st.integers(0, 11), unique=True,
                           max_size=max_nodes))
-    heads = st.sampled_from(nodes) if closed and nodes \
-        else st.integers(0, 11)
-    succ = {v: tuple(draw(st.lists(heads, max_size=3))) for v in nodes}
+    closed = closed and bool(nodes)
+    heads = st.sampled_from(nodes) if closed else st.integers(0, 11)
+    succ = {v: tuple(draw(st.lists(heads, min_size=int(closed),
+                                   max_size=3))) for v in nodes}
     owner = tuple(draw(st.lists(st.integers(0, 1), min_size=12,
                                 max_size=12)))
     color = tuple(draw(st.lists(st.integers(0, 5), min_size=12,
@@ -474,20 +513,22 @@ def test_attractor_matches_the_level_by_level_reference(view, player, data):
     target = data.draw(st.lists(st.sampled_from(nodes), max_size=4)
                        if nodes else st.just([]))
     res = attractor(nodes, succ, owner, player, target)
-    ref = level_attractor(nodes, succ, owner, player, target)
-    assert (res.members, res.rank, res.strategy) == (ref.members, ref.rank,
-                                                     ref.strategy)
+    ref, rank = level_attractor(nodes, succ, owner, player, target)
+    assert (res.members, res.strategy) == (ref.members, ref.strategy)
+    assert_smallest_id_edges(res, succ, rank)
 
 
 @st.composite
 def sparse_views(draw):
-    """Nodes with ids in a stepped range, successors among them with
-    duplicates and dead ends, owners over every id up to the last, and
-    targets with duplicates."""
+    """Nodes with ids in a stepped range, one to three successors among
+    them with duplicates, owners over every id up to the last, and
+    targets with duplicates: views that meet the attractor's
+    precondition."""
     ids = range(draw(st.integers(0, 3)), draw(st.integers(0, 20)),
                 draw(st.integers(1, 3)))
     heads = st.sampled_from(ids) if ids else st.nothing()
-    succ = {v: tuple(draw(st.lists(heads, max_size=3))) for v in ids}
+    succ = {v: tuple(draw(st.lists(heads, min_size=1, max_size=3)))
+            for v in ids}
     owner = tuple(draw(st.lists(st.integers(0, 1), min_size=20,
                                 max_size=20)))
     target = draw(st.lists(heads, max_size=4)) if ids else []
@@ -500,14 +541,15 @@ def test_attractor_on_sparse_ids_matches_the_reference(view, player):
     # the same ids as a range, a list in any order and a dict: ranks,
     # counters and edges indexed by id must not depend on the form
     ids, succ, owner, target = view
-    ref = level_attractor(ids, succ, owner, player, target)
+    ref, rank = level_attractor(ids, succ, owner, player, target)
     shuffled = list(ids)
     random.Random(len(shuffled)).shuffle(shuffled)
     for nodes in (ids, shuffled, succ):
         for preds in (None, predecessors(nodes, succ, ids.stop)):
             res = attractor(nodes, succ, owner, player, target, preds)
-            assert (res.members, res.rank, res.strategy) \
-                == (ref.members, ref.rank, ref.strategy)
+            assert (res.members, res.strategy) \
+                == (ref.members, ref.strategy)
+            assert_smallest_id_edges(res, succ, rank)
     # an id in a gap, past the last node or negative is no node
     for outside in {-1, ids.stop, *(v for v in range(ids.stop)
                                     if v not in ids)}:
@@ -517,18 +559,19 @@ def test_attractor_on_sparse_ids_matches_the_reference(view, player):
 
 
 def test_attractor_on_sparse_ids_by_hand():
-    # player 1 attracts towards 3, given twice: player-0 node 1 has its
-    # only edge into 3 and 9 is a player-0 dead end, both at rank 1;
-    # player-1 node 7 is first reached from 9 and takes 1, its
+    # player 1 attracts towards 3, given twice: player-0 nodes 1 and 9
+    # have their only edge into 3, both at rank 1; in the descending
+    # order player-1 node 7 is first reached from 9 and takes 1, its
     # smallest-id successor of smaller rank, not 9, its first; player-0
     # node 5 waits for 7, and 11 keeps its own loop
-    succ = {1: (3,), 3: (3,), 5: (3, 7), 7: (9, 1), 9: (), 11: (11, 7)}
+    succ = {1: (3,), 3: (3,), 5: (3, 7), 7: (9, 1), 9: (3,), 11: (11, 7)}
     owner = (0,) * 7 + (1, 0, 0, 0, 0)
     for nodes in (range(1, 12, 2), [11, 9, 7, 5, 3, 1], succ):
         res = attractor(nodes, succ, owner, 1, [3, 3])
-        assert res.rank == {3: 0, 9: 1, 1: 1, 7: 2, 5: 3}
+        assert res.members == frozenset((3, 9, 1, 7, 5))
         assert res.strategy == {7: 1}
-        assert res == level_attractor(nodes, succ, owner, 1, [3, 3])
+        assert level_attractor(nodes, succ, owner, 1, [3, 3]) \
+            == (res, {3: 0, 9: 1, 1: 1, 7: 2, 5: 3})
         with pytest.raises(ValueError, match="target node 4 is not"):
             attractor(nodes, succ, owner, 1, [3, 4])
 
@@ -565,7 +608,7 @@ def test_analyses_agree_on_every_table_form(game, data):
                    for form in table_forms(game, order, nodes)]
         assert answers[1:] == answers[:1] * 2
     # the attractor needs a node set no edge leaves: the whole game
-    answers = [(res.members, res.rank, res.strategy) for res in (
+    answers = [(res.members, res.strategy) for res in (
         attractor(*form, game.owner, player, target)
         for form in table_forms(game, order, set(order)))]
     assert answers[1:] == answers[:1] * 2
@@ -795,7 +838,8 @@ def test_preprocess_attracts_committed_predecessor():
     prep = preprocess(g)
     assert prep.pre_won == frozenset((0, 1))
     assert prep.strategy1 == {0: 1, 1: 1}
-    assert attractor(*game_graph(g), 1, [1]).rank == {1: 0, 0: 1}
+    res = attractor(*game_graph(g), 1, [1])
+    assert (res.members, res.strategy) == ({0, 1}, {0: 1})
 
 
 def test_preprocess_ignores_escape_edges():
@@ -922,7 +966,7 @@ def test_player0_attractor_on_the_whole_game_is_the_one_without_pre_won():
     # player 0's peel attracts on the game's own tables: outside player
     # 1's peel no player-1 node has an edge into it, and inside it
     # player 0 attracts nothing, so the attractor is the one of the game
-    # without those nodes, ranks and edges included
+    # without those nodes, edges included
     rng = random.Random(61)
     peeled = 0
     for _ in range(300):
@@ -938,8 +982,7 @@ def test_player0_attractor_on_the_whole_game_is_the_one_without_pre_won():
         whole = attractor(range(game.n), game.successors, game.owner, 0,
                           cycles)
         part = attractor(left, inner, game.owner, 0, cycles)
-        assert (whole.members, whole.rank, whole.strategy) \
-            == (part.members, part.rank, part.strategy)
+        assert whole == part
         assert whole.members == prep.pre_won0
         assert prep.pre_won0.isdisjoint(prep.pre_won)
         peeled += bool(prep.pre_won) and bool(whole.members)

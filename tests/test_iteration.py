@@ -438,10 +438,12 @@ def test_valuations_grow_and_strictly_so_at_switches(audit_every):
             assert any(before[v] < after[v] for v in before)
         for k, (_, _, imps) in enumerate(trail):
             record = result.stats[k]
-            assert record.iteration == k + 1
-            assert record.strict_edges == len(imps.strict_edges())
-            assert record.strict_sources == len(imps.strict)
-            assert (record.strict_edges == 0) == (k == len(trail) - 1)
+            assert record == {"iteration": k + 1,
+                              "strict_edges": len(imps.strict_edges()),
+                              "strict_sources": len(imps.strict)}
+            assert list(record) == ["iteration", "strict_edges",
+                                    "strict_sources"]
+            assert (record["strict_edges"] == 0) == (k == len(trail) - 1)
 
 
 def test_progress_check_on_unbounded_values():
@@ -737,7 +739,7 @@ def test_iteration_count_stays_below_the_step_bound():
         arena = preprocess(game).arena
         if arena.nodes:
             assert result.iterations - 1 <= _step_bound(len(arena.nodes),
-                                                        arena.d)
+                                                        game.d)
 
 
 def test_step_bound_values():
@@ -750,7 +752,7 @@ def test_step_bound_values():
 def test_solve_where_the_step_bound_overflows_a_float():
     game = loop_game(random_game(random.Random(2), 1200, 4, 1200, 0.6))
     arena = preprocess(game).arena
-    assert _step_bound(len(arena.nodes), arena.d) == math.inf
+    assert _step_bound(len(arena.nodes), game.d) == math.inf
     result = solve(game)
     assert result.w0 and result.w1
     replay_verify(game, result)
@@ -827,7 +829,7 @@ def test_extracted_strategy_reproduces_the_valuation(game):
     for _ in range(64):
         valuation = valuate_bellman_ford(arena, strategy)
         imps = improvements(arena, strategy, valuation)
-        if not imps.has_strict:
+        if not imps.strict:
             break
         strategy = imps.improving
     else:

@@ -78,7 +78,7 @@ def improvement_iterates(arena, max_rounds=64):
         valuation = valuate_bellman_ford(arena, strategy)
         yield strategy, valuation
         imps = improvements(arena, strategy, valuation)
-        if not imps.has_strict:
+        if not imps.strict:
             return
         strategy = imps.improving
     raise AssertionError("improvement iteration failed to stop")
@@ -181,7 +181,7 @@ def test_reasonable_step_walks_no_predecessor_table():
     valuation = valuate_bellman_ford(arena, strategy)
     imps = improvements(arena, strategy, valuation)
     steps = 0
-    while imps.has_strict:
+    while imps.strict:
         step = {**strategy, **policy.pick(arena, strategy, valuation, imps)}
         changed = changed_nodes(strategy, step)
         region = switch_region(arena, step, changed)
@@ -389,7 +389,7 @@ def test_sink_value_is_always_empty():
         game = random_game(rng, rng.randint(1, 7), 3, 4)
         arena = preprocess(game).arena
         vals = valuate_bellman_ford(arena, initial_strategy(arena))
-        assert to_profiles(arena, vals)[arena.sink] == fin(*[0] * arena.d)
+        assert to_profiles(arena, vals)[arena.sink] == fin(*[0] * game.d)
 
 
 def test_unreasonable_strategy_is_rejected():
@@ -414,7 +414,7 @@ def test_unreasonable_strategy_is_rejected_within_the_digit_width():
                       tuple(((i + 1) % k, k) for i in range(k)) + ((0,),))
     arena = arena_of(game)
     strategy = initial_strategy(arena)
-    wide = ProfileBasis(arena.d, range(arena.d), 2 ** 20)
+    wide = ProfileBasis(game.d, range(game.d), 2 ** 20)
     wide_unit = {v: wide.from_key(wide.unit_key(arena.game.color[v]))
                  for v in arena.nodes}
     shadow = {arena.sink: wide.from_key(0)}
@@ -462,7 +462,7 @@ def test_valuation_stabilizes_within_node_count_sweeps(game):
             arena, strategy, on_update=lambda s, v, old, new: sweeps.append(s))
         assert not sweeps or max(sweeps) <= len(arena.nodes)
         imps = improvements(arena, strategy, valuation)
-        if not imps.has_strict:
+        if not imps.strict:
             break
         strategy = imps.improving
     else:
@@ -524,14 +524,15 @@ def _random_valuation(rng, arena):
             vals[v] = POS_INFINITY
         else:
             vals[v] = _in_use(arena, [rng.randint(0, 3)
-                                      for _ in range(arena.d)])
+                                      for _ in range(arena.game.d)])
     return vals
 
 
 def _nonnegative_bump(rng, arena):
     # Positive entries only at even indices keep the profile at or above
     # the empty play, so adding it can only raise a value.
-    counts = [rng.randint(0, 2) if k % 2 == 0 else 0 for k in range(arena.d)]
+    counts = [rng.randint(0, 2) if k % 2 == 0 else 0
+              for k in range(arena.game.d)]
     return _in_use(arena, counts)
 
 
@@ -597,7 +598,7 @@ def test_improvements_escape_only_is_already_optimal():
     vals = valuate_bellman_ford(arena, strategy)
     imps = improvements(arena, strategy, vals)
     assert imps.improving == {0: (1,)}
-    assert not imps.has_strict
+    assert not imps.strict
     assert tuple(sorted(imps.strict)) == ()
 
 
@@ -620,7 +621,7 @@ def test_improvements_at_top_value_keep_only_top_strategy_edges():
     assert vals[0] == INF_KEY
     imps = improvements(arena, strategy, vals)
     assert imps.improving == {0: (0,)}
-    assert not imps.has_strict
+    assert not imps.strict
 
 
 def test_improvements_edge_to_an_unbounded_target_is_strict():
@@ -803,7 +804,7 @@ def test_update_reads_the_predecessor_tables_of_the_region_alone():
     valuation = valuate_bellman_ford(arena, strategy)
     imps = improvements(arena, strategy, valuation)
     steps = 0
-    while imps.has_strict:
+    while imps.strict:
         step = imps.improving
         region = switch_region(arena, step, [
             v for v in changed_nodes(strategy, step)
@@ -852,7 +853,7 @@ def test_update_matches_reference_on_random_games():
             fast = update(arena, strategy, imps.improving, valuation)
             reference = valuate_bellman_ford(arena, imps.improving)
             assert fast == reference
-            if not imps.has_strict:
+            if not imps.strict:
                 break
             strategy, valuation = imps.improving, reference
         else:
@@ -930,7 +931,7 @@ def test_update_matches_reference_at_scale():
             strategy = initial_strategy(arena)
             valuation = valuate_bellman_ford(arena, strategy)
             imps = improvements(arena, strategy, valuation)
-            while imps.has_strict:
+            while imps.strict:
                 policy = turns[compared % len(turns)]
                 step = {**strategy,
                         **policy.pick(arena, strategy, valuation, imps)}

@@ -135,6 +135,16 @@ MUTANTS = (
         (A + "test_attractor_on_sparse_ids_by_hand",
          A + "test_attractor_matches_the_level_by_level_reference")),
     Mutant(
+        "cycle-pieces-drop-self-loops",
+        "`dominated_cycle_strategy` leaves each piece node's self-loop out "
+        "of its in-piece edges, so a one-node piece reaches the attractor "
+        "as a dead end",
+        ARENA,
+        "            inner[v] = tuple([t for t in succ[v] if t in members])\n",
+        "            inner[v] = tuple([t for t in succ[v]\n"
+        "                              if t in members and t != v])\n",
+        (A + "test_every_attractor_call_meets_the_precondition",)),
+    Mutant(
         "arena-preds-over-game-edges",
         "the arena's predecessor table is built over the game's successors "
         "instead of the kept edges",
