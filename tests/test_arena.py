@@ -67,6 +67,22 @@ def test_game_collapses_duplicate_edges():
     assert g.successors == ((1, 0), (1,))
 
 
+def test_game_is_an_immutable_hashable_value():
+    game = ParityGame([0, 1], [2, 1], [[1], [0, 0]])
+    assert repr(game) == ("ParityGame(owner=(0, 1), color=(2, 1), "
+                          "successors=((1,), (0,)), names=(None, None))")
+    same = ParityGame((0, 1), (2, 1), ((1,), (0,)), (None, None))
+    assert game == same and not game != same and hash(game) == hash(same)
+    assert game != ParityGame((0, 1), (2, 1), ((1,), (0,)), ("a", None))
+    assert game != (game.owner, game.color, game.successors, game.names)
+    with pytest.raises(AttributeError):
+        game.owner = (1, 1)
+    with pytest.raises(AttributeError):
+        del game.owner
+    # the cached colour count is written past the refusal
+    assert game.d == 3 and game.owner == (0, 1)
+
+
 def test_color_count():
     assert ParityGame((0, 1), (0, 5), ((1,), (0,))).d == 6
     assert ParityGame((0,), (0,), ((0,),)).d == 1
@@ -280,6 +296,17 @@ def test_escape_arena_shape():
     # not even under a strategy whose choices escape to it
     assert arena.sink not in arena.nodes and arena.sink not in arena.succ
     assert arena.succ[1] == (2,)  # base edges untouched
+
+
+def test_escape_arenas_compare_by_their_tables():
+    game = ParityGame((0, 1, 0), (0, 1, 2), ((1,), (2,), (0, 1)))
+    arena = build_escape_arena(game)
+    # each arena has a basis of its own, which takes no part in ==
+    assert arena == build_escape_arena(game)
+    assert not arena != build_escape_arena(game)
+    other = build_escape_arena(game)
+    other.preds[1] = [0]
+    assert arena != other and not arena == other
 
 
 def test_escape_arena_player1_gets_no_escape():

@@ -257,6 +257,13 @@ def test_a_policy_narrowing_nodes_at_top_solves_alike():
     assert narrowed >= 20
 
 
+def test_results_do_not_share_a_stats_list():
+    game = loop_game(generate_game(60, 3, 6, seed=7))
+    first, second = solve(game), solve(game)
+    assert first.stats and first.stats == second.stats
+    assert first.stats is not second.stats
+
+
 def test_deterministic_policy_prefers_an_unbounded_strict_target():
     # node 0 may switch to node 1 (finite, far above the rest) or to
     # node 2 (+inf); the larger id must win because +inf is the top

@@ -17,10 +17,11 @@ from pgsi.iteration import (AllSwitches, DeterministicAll, SingleRandom,
                             _check_progress, _check_step, _stale_entries,
                             solve)
 from pgsi.profiles import INF_KEY, ProfileBasis, digit_width
-from pgsi.valuation import (changed_nodes, improvements, initial_strategy,
-                            is_reasonable, is_reasonable_step,
-                            response_strategy, switch_region, to_profiles,
-                            valuate_bellman_ford, valuate_dijkstra)
+from pgsi.valuation import (ImprovementSets, changed_nodes, improvements,
+                            initial_strategy, is_reasonable,
+                            is_reasonable_step, response_strategy,
+                            switch_region, to_profiles, valuate_bellman_ford,
+                            valuate_dijkstra)
 
 from conftest import parity_games, scale_games
 from helpers import apply_operator, key_of, loop_game, strategy_of
@@ -635,6 +636,15 @@ def test_improvements_edge_to_an_unbounded_target_is_strict():
     imps = improvements(arena, strategy, vals)
     assert imps.improving == {0: (1, 2), 1: (1,)}
     assert imps.strict == {0: (1,)}
+
+
+def test_improvement_sets_compare_by_their_sets_alone():
+    imps = ImprovementSets({0: (1, 2)}, {0: (2,)}, (0,))
+    # which entries were classified takes no part in ==
+    carried = ImprovementSets({0: (1, 2)}, {0: (2,)}, ())
+    assert imps == carried and not imps != carried
+    fewer = ImprovementSets({0: (1, 2)}, {}, (0,))
+    assert imps != fewer and not imps == fewer
 
 
 def test_improvements_reject_foreign_valuation():
