@@ -43,17 +43,15 @@ those nodes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import (Collection, Iterable, Iterator, Mapping, NoReturn,
-                    Sequence)
+from typing import (Collection, Iterable, Iterator, Mapping, NamedTuple,
+                    NoReturn, Sequence)
 
 from .errors import FormatError, InvariantViolation
 from .profiles import ProfileBasis
 
 
-@dataclass(frozen=True, init=False)
 class ParityGame:
     """Immutable parity game with nodes indexed 0..n-1.
 
@@ -69,6 +67,10 @@ class ParityGame:
     color and successors in that order, the first flaw in id order
     raising ValueError; only a node whose successors repeat one
     (``len(set(ts)) != len(ts)``) has them rebuilt without repeats.
+
+    A game is a value: equal to a game with the same four fields,
+    hashed by them, and refusing to set or delete an attribute with
+    AttributeError.
     """
 
     owner: tuple[int, ...]
@@ -110,12 +112,30 @@ class ParityGame:
             if not ts:
                 raise ValueError("node %d has no successors" % v)
             keep(ts if len(set(ts)) == len(ts) else tuple(dict.fromkeys(ts)))
-        # the dataclass is frozen: each field is set once, past its guard
+        # __setattr__ refuses: each field is set once, past its guard
         set_field = object.__setattr__
         set_field(self, "owner", owner)
         set_field(self, "color", color)
         set_field(self, "successors", tuple(deduped))
         set_field(self, "names", names)
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__
+                and self.owner == other.owner and self.color == other.color
+                and self.successors == other.successors
+                and self.names == other.names)
+
+    def __hash__(self):
+        return hash((self.owner, self.color, self.successors, self.names))
+
+    def __repr__(self):
+        return "ParityGame(owner=%r, color=%r, successors=%r, names=%r)" % (
+            self.owner, self.color, self.successors, self.names)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot set or delete %r of a game" % name)
+
+    __delattr__ = __setattr__
 
     @property
     def n(self) -> int:
@@ -245,8 +265,7 @@ def serialize_pgsolver(game: ParityGame) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class EscapeArena:
+class EscapeArena(NamedTuple):
     """A parity game extended with an escape sink, over the game nodes
     preprocessing keeps.  `build_escape_arena` fills every table but
     `preds` in one pass over those nodes.
@@ -268,7 +287,7 @@ class EscapeArena:
     need, with one digit per color its nodes carry; every valuation of
     the arena is a list of its keys.  `unit_keys` holds per node id the
     key of one visit to its color, 0 at the sink and at nodes the arena
-    does not keep.
+    does not keep.  ``==`` and ``!=`` compare the other tables alone.
     """
 
     game: ParityGame
@@ -277,10 +296,16 @@ class EscapeArena:
     succ: dict[int, tuple[int, ...]]
     player0_nodes: tuple[int, ...]
     player1_nodes: tuple[int, ...]
-    escape_choices: dict[int, tuple[int, ...]] = field(repr=False)
-    preds: list[list[int] | None] = field(repr=False)
-    basis: ProfileBasis = field(compare=False, repr=False)
-    unit_keys: list[int] = field(compare=False, repr=False)
+    escape_choices: dict[int, tuple[int, ...]]
+    preds: list[list[int] | None]
+    basis: ProfileBasis
+    unit_keys: list[int]
+
+    def __eq__(self, other):
+        return type(other) is EscapeArena and self[:8] == other[:8]
+
+    def __ne__(self, other):
+        return not self == other
 
 
 def build_escape_arena(game: ParityGame,
@@ -315,8 +340,7 @@ def build_escape_arena(game: ParityGame,
 _Successors = Mapping[int, tuple[int, ...]] | Sequence[tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class AttractorResult:
+class AttractorResult(NamedTuple):
     """The members of an attractor and one attracting edge per
     attracting-player member outside the target, towards a member
     attracted earlier; see `attractor` for its precondition."""
@@ -622,8 +646,7 @@ def dominated_cycle_strategy(nodes: Collection[int], succ: _Successors,
     return strategy
 
 
-@dataclass(frozen=True)
-class PreprocessResult:
+class PreprocessResult(NamedTuple):
     """The escape arena over the nodes left and the two peels: the nodes
     player 1 wins before the loop, `pre_won`, with player 1's winning
     edge at each player-1 node of them, and the nodes player 0 wins
@@ -702,8 +725,9 @@ def preprocess(game: ParityGame) -> PreprocessResult:
         peels.append((won, {v: strategy[v] for v in sorted(strategy)}))
     (pre_won, strategy1), (pre_won0, strategy0) = peels
     arena = build_escape_arena(game, removed)
+    kept = arena.succ
     for v in arena.player1_nodes:
-        if not arena.succ[v]:
+        if not kept[v]:
             raise InvariantViolation("surviving player-1 node %d lost all successors" % v)
     if find_one_dominated_cycle_nodes(arena.player1_nodes, succ, color):
         raise InvariantViolation("reduced arena still has an odd player-1 cycle")

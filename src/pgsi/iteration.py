@@ -14,9 +14,8 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, field
 from itertools import chain, compress
-from typing import Callable, Collection, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple
 
 from .arena import (EscapeArena, ParityGame, find_dominated_cycle_nodes,
                     preprocess, reachable)
@@ -116,8 +115,7 @@ def policy_by_name(name: str, seed: int | None = None):
     raise ValueError("unknown policy %r" % name)
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     """Winning partition, winning strategies and run statistics: `stats`
     holds one dict per iteration, with the keys ``"iteration"``,
     ``"strict_edges"`` and ``"strict_sources"`` in that order."""
@@ -129,7 +127,7 @@ class SolveResult:
     valuation: dict[int, ColorProfile]
     iterations: int
     policy: str
-    stats: list[dict[str, int]] = field(default_factory=list)
+    stats: list[dict[str, int]]
 
     def to_json(self) -> dict:
         return {
@@ -398,10 +396,11 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
 
         won = {v for v in arena.nodes if current[v] == INF_KEY}
         extracted = extract_deterministic(arena, imps.improving, current)
+        sink = arena.sink
         for v in arena.player0_nodes:
             if v in won:
                 target = extracted[v][0]
-                if target == arena.sink:
+                if target == sink:
                     raise InvariantViolation(
                         "extracted strategy escapes from won node %d" % v)
                 strategy0[v] = target

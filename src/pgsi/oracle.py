@@ -14,8 +14,8 @@ first that loses the fewest nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .arena import (ParityGame, find_one_dominated_cycle_nodes,
                     predecessors, reachable)
@@ -24,8 +24,7 @@ from .errors import InstanceTooLarge
 DEFAULT_CAP = 10 ** 6
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Winning partition plus one witness edge per won player-0 node."""
 
     w0: tuple[int, ...]
@@ -83,8 +82,7 @@ def oracle_solve(game: ParityGame, cap: int = DEFAULT_CAP) -> OracleResult:
     return OracleResult(w0, w1, witness)
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
+class CrosscheckReport(NamedTuple):
     """Agreement record between the iterative solver and the oracle."""
 
     ok: bool

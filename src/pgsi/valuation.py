@@ -59,9 +59,8 @@ mapping that results and hooks speak.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from itertools import compress
-from typing import Callable, Collection, Iterable
+from typing import Callable, Collection, Iterable, NamedTuple
 
 from .arena import EscapeArena, find_one_dominated_cycle_nodes
 from .arena import attractor  # noqa: F401  (benchmark/layers.py wraps this name)
@@ -228,20 +227,25 @@ def to_profiles(arena: EscapeArena,
     return out
 
 
-@dataclass(frozen=True)
-class ImprovementSets:
+class ImprovementSets(NamedTuple):
     """Player-0 edges at least as good as the current valuation (a strategy
     in its own right) and the strictly better subset, per source node.
 
     `reclassified` names the entries the building :func:`improvements`
     call classified: every player-0 node on a full classification, else
     the nodes it was given; every other entry was carried over unchanged.
-    It takes no part in ``==``, which compares the sets alone.
+    It takes no part in ``==`` and ``!=``, which compare the sets alone.
     """
 
     improving: Strategy
     strict: dict[int, tuple[int, ...]]
-    reclassified: Collection[int] = field(compare=False, repr=False)
+    reclassified: Collection[int]
+
+    def __eq__(self, other):
+        return type(other) is ImprovementSets and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        return not self == other
 
     def strict_edges(self) -> list[tuple[int, int]]:
         return [(v, t) for v in sorted(self.strict) for t in self.strict[v]]

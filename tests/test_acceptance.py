@@ -404,7 +404,7 @@ def test_acceptance_9_scale_smoke(tmp_path, capsys):
         tuple(data["w0"]), tuple(data["w1"]),
         {int(v): t for v, t in data["strategy0"].items()},
         {int(v): t for v, t in data["strategy1"].items()},
-        {}, data["iterations"], data["policy"])
+        {}, data["iterations"], data["policy"], data["stats"])
     try:
         replay_verify(game, printed)
         replayed = "ok"

@@ -4,6 +4,9 @@ tools that read the package work."""
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pgsi
@@ -33,6 +36,20 @@ def _load_layers():
 def test_public_names_resolve():
     for name in pgsi.__all__:
         assert hasattr(pgsi, name), name
+
+
+def test_import_loads_no_source_introspection_modules():
+    # `dataclasses` pulls in inspect, ast, dis and tokenize, a quarter of
+    # the import time of a fresh interpreter; the package needs none
+    code = ("import sys\n"
+            "heavy = {'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}\n"
+            "before = heavy & sys.modules.keys()\n"
+            "import pgsi\n"
+            "print(sorted(heavy & sys.modules.keys() - before))\n")
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.stdout == "[]\n"
 
 
 def test_benchmark_wrapped_attributes_resolve():

@@ -901,7 +901,7 @@ def test_replay_rejects_bad_partition():
 def test_replay_rejects_sets_that_do_not_partition(w0, w1):
     # the strategies would certify the true partition (2,) / (0, 1)
     assert solve(NON_EDGE_GAME).w0 == (2,)
-    forged = SolveResult(w0, w1, {2: 2}, {1: 1}, {}, 1, "x")
+    forged = SolveResult(w0, w1, {2: 2}, {1: 1}, {}, 1, "x", [])
     with pytest.raises(InvariantViolation,
                        match="winning sets do not partition the game"):
         replay_verify(NON_EDGE_GAME, forged)
@@ -942,7 +942,7 @@ def test_replay_finds_the_even_cycle_in_a_forfeited_w0(seed):
         if game.owner[v] == 1:
             strategy1[v] = game.successors[v][0]
     forged = SolveResult((), tuple(range(game.n)), {}, strategy1, {},
-                         result.iterations, result.policy)
+                         result.iterations, result.policy, result.stats)
     with pytest.raises(InvariantViolation, match="player-1 strategy admits"):
         replay_verify(game, forged)
 
@@ -963,7 +963,7 @@ NON_EDGE_GAME = parse_pgsolver("0 0 0 1;\n1 1 1 1;\n2 2 0 2;\n")
 def test_replay_rejects_strategy_edges_outside_the_game(w0, w1, strategy0,
                                                        strategy1):
     assert solve(NON_EDGE_GAME).w0 == (2,)
-    forged = SolveResult(w0, w1, strategy0, strategy1, {}, 1, "x")
+    forged = SolveResult(w0, w1, strategy0, strategy1, {}, 1, "x", [])
     with pytest.raises(InvariantViolation, match="not an edge of the game"):
         replay_verify(NON_EDGE_GAME, forged)
 

@@ -1,6 +1,5 @@
 """Strategies, fixpoint valuations, improvement sets, the fast update."""
 
-import dataclasses
 import random
 from itertools import chain
 
@@ -186,13 +185,8 @@ def test_reasonable_step_walks_no_predecessor_table():
         step = {**strategy, **policy.pick(arena, strategy, valuation, imps)}
         changed = changed_nodes(strategy, step)
         region = switch_region(arena, step, changed)
-        preds = arena.preds
-        arena.__dict__["preds"] = _NoLookups()
-        try:
-            verdict = is_reasonable_step(arena, strategy, step, changed,
-                                         region)
-        finally:
-            arena.__dict__["preds"] = preds
+        verdict = is_reasonable_step(arena._replace(preds=_NoLookups()),
+                                     strategy, step, changed, region)
         assert verdict == is_reasonable(arena, step)
         valuation = valuate_dijkstra(arena, step, region, valuation)
         strategy = step
@@ -820,7 +814,7 @@ def test_update_reads_the_predecessor_tables_of_the_region_alone():
             v for v in changed_nodes(strategy, step)
             if valuation[v] != INF_KEY])
         preds = _Recording(arena.preds)
-        watched = dataclasses.replace(arena, preds=preds)
+        watched = arena._replace(preds=preds)
         fast = valuate_dijkstra(watched, step, region, valuation)
         assert fast == valuate_bellman_ford(arena, step)
         assert preds.read <= region

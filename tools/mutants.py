@@ -453,6 +453,31 @@ MUTANTS = (
         "            elif t == sink:\n"
         "                pass\n",
         ("tests/test_valuation.py::test_bellman_ford_matches_every_row_sweeps",)),
+    Mutant(
+        "game-equality-ignores-names",
+        "two games that differ only in their node names compare equal",
+        ARENA,
+        "            and self.successors == other.successors\n"
+        "                and self.names == other.names)\n",
+        "            and self.successors == other.successors)\n",
+        (A + "test_game_is_an_immutable_hashable_value",)),
+    Mutant(
+        "arena-equality-skips-two-tables",
+        "arena == and != compare the first six fields, so the escape "
+        "choices and the predecessor tables take no part",
+        ARENA,
+        "self[:8] == other[:8]",
+        "self[:6] == other[:6]",
+        (A + "test_escape_arenas_compare_by_their_tables",)),
+    Mutant(
+        "improvement-sets-skip-strict",
+        "improvement sets == and != compare the improving edges alone, so "
+        "the audit misses a wrong strict set",
+        "valuation.py",
+        "self[:2] == other[:2]",
+        "self[:1] == other[:1]",
+        ("tests/test_valuation.py::"
+         "test_improvement_sets_compare_by_their_sets_alone",)),
 )
 
 
