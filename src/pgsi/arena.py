@@ -287,7 +287,7 @@ class EscapeArena(NamedTuple):
     need, with one digit per color its nodes carry; every valuation of
     the arena is a list of its keys.  `unit_keys` holds per node id the
     key of one visit to its color, 0 at the sink and at nodes the arena
-    does not keep.  ``==`` and ``!=`` compare the other tables alone.
+    does not keep.  ``==`` and ``!=`` leave `basis` and `unit_keys` out.
     """
 
     game: ParityGame

@@ -457,9 +457,9 @@ MUTANTS = (
         "game-equality-ignores-names",
         "two games that differ only in their node names compare equal",
         ARENA,
-        "            and self.successors == other.successors\n"
+        "                and self.successors == other.successors\n"
         "                and self.names == other.names)\n",
-        "            and self.successors == other.successors)\n",
+        "                and self.successors == other.successors)\n",
         (A + "test_game_is_an_immutable_hashable_value",)),
     Mutant(
         "arena-equality-skips-two-tables",
