@@ -1,11 +1,15 @@
 """The enumerating reference solver and the solver-vs-oracle crosscheck."""
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from pgsi import ParityGame, crosscheck, oracle_solve, policy_by_name, solve
+from pgsi import (ParityGame, crosscheck, oracle_solve, parse_pgsolver,
+                  policy_by_name, solve)
 from pgsi.arena import find_one_dominated_cycle_nodes
 from pgsi.cli import random_game
 from pgsi.errors import InstanceTooLarge
@@ -13,6 +17,8 @@ from pgsi.oracle import CrosscheckReport
 
 from conftest import parity_games
 from helpers import enumerated_oracle
+
+GAMES = Path(__file__).resolve().parents[1] / "benchmark" / "games.py"
 
 
 def test_oracle_two_node_alternation():
@@ -80,6 +86,25 @@ def test_oracle_keeps_the_first_best_strategy(game):
     w0, w1, witness = enumerated_oracle(game)
     assert (result.w0, result.w1) == (w0, w1)
     assert list(result.witness.items()) == list(witness.items())
+
+
+def test_oracle_matches_the_enumerator_on_the_tiny_batch_games(monkeypatch):
+    # every seed-1 tiny-batch game of the benchmark: the partition and the
+    # witness, edge for edge and in key order
+    spec = importlib.util.spec_from_file_location("benchmark_games", GAMES)
+    games = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, games)
+    spec.loader.exec_module(games)
+    instances = games.WORKLOADS["tiny-batch"].build(1)
+    assert len(instances) == 8000
+    for inst in instances:
+        game = parse_pgsolver(inst.text)
+        result = oracle_solve(game)
+        w0, w1, witness = enumerated_oracle(game)
+        assert (result.w0, result.w1) == (w0, w1), inst.label
+        assert list(result.witness.items()) == list(witness.items()), \
+            inst.label
 
 
 @settings(max_examples=150, deadline=None)
