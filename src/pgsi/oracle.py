@@ -7,9 +7,14 @@ strategy exact, so this is a trustworthy cross-check for the iterative
 solver.  It shares the solver's graph primitives, the odd-cycle
 decomposition and the predecessor builder, but none of its strategy
 iteration: no valuations and no escape sink.  The one-edge tuples of
-each player-0 node are built once per game and a strategy is a choice
-among them; a winning set is built only for the best strategy, the
-first that loses the fewest nodes.
+each player-0 node and the game's predecessor table are built once per
+game; a strategy is a choice among the tuples, and its losers are found
+by walking that table back from its odd-topped cycles, a player-0
+predecessor only along the edge the strategy gives it.  A strategy is
+left as soon as its cycle nodes, or its walk so far, number as many as
+the best strategy's losers: it cannot lose fewer, so the best strategy
+is still the first that loses the fewest nodes, and a winning set is
+built for it alone.
 """
 
 from __future__ import annotations
@@ -17,8 +22,7 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple
 
-from .arena import (ParityGame, find_one_dominated_cycle_nodes,
-                    predecessors, reachable)
+from .arena import ParityGame, find_one_dominated_cycle_nodes, predecessors
 from .errors import InstanceTooLarge
 
 DEFAULT_CAP = 10 ** 6
@@ -32,45 +36,68 @@ class OracleResult(NamedTuple):
     witness: dict[int, int]
 
 
-def _losers(game: ParityGame, ids: range,
-            succ: list[tuple[int, ...]]) -> set[int]:
-    """Nodes from which the fixed-strategy graph reaches a cycle whose
-    top color is odd: player 1 wins exactly these once player 0 commits.
-    `ids` is ``range(game.n)``."""
-    cycles = find_one_dominated_cycle_nodes(ids, succ, game.color)
-    if not cycles:
-        return set()
-    return reachable(predecessors(ids, succ, len(ids)), cycles)
+def _losers(cycles: frozenset[int], preds: list[list[int] | None],
+            succ: list[tuple[int, ...]], bound: int) -> set[int] | None:
+    """Nodes from which the fixed-strategy graph `succ` reaches one of
+    `cycles`, the nodes on its cycles whose top color is odd: player 1
+    wins exactly these once player 0 commits.  `preds` is the game's
+    predecessor table; a predecessor is followed only along an edge of
+    `succ`, so a player-0 node only along the edge its strategy keeps.
+    None as soon as the nodes found number `bound`."""
+    if len(cycles) >= bound:
+        return None
+    seen = set(cycles)
+    queue = list(cycles)
+    # iterating a list visits what is appended to it meanwhile: a FIFO
+    for v in queue:
+        for u in preds[v]:
+            if u not in seen and v in succ[u]:
+                seen.add(u)
+                queue.append(u)
+                if len(queue) >= bound:
+                    return None
+    return seen
 
 
 def oracle_solve(game: ParityGame, cap: int = DEFAULT_CAP) -> OracleResult:
     """Solve by strategy enumeration; raises InstanceTooLarge when more
-    than `cap` deterministic player-0 strategies would be tried.
+    than `cap` deterministic player-0 strategies would be tried, also on
+    a game without player-0 nodes, which has one.
 
-    Each player-0 node's one-edge tuples are built once, and every
-    strategy is a choice of one tuple per node, laid over the game's
-    successors in one list that each strategy overwrites.  The first
-    strategy that loses the fewest nodes is the witness; a winning set
-    is built for it alone, after the loop."""
+    Each player-0 node's one-edge tuples and the game's predecessor
+    table are built once, and every strategy is a choice of one tuple
+    per node, laid over the game's successors in one list that each
+    strategy overwrites.  A strategy's losers are walked back from its
+    odd-topped cycles over the table, following a player-0 predecessor
+    only along its chosen edge.  The walk is left, and the strategy
+    with it, once it holds as many nodes as the best strategy's losers:
+    it cannot lose fewer, and only a strategy that loses fewer replaces
+    the best, so the first strategy that loses the fewest nodes is the
+    witness.  A winning set is built for it alone, after the loop."""
     ids = range(game.n)
     p0 = game.player_nodes(0)
     count = 1
     for v in p0:
         count *= len(game.successors[v])
         if count > cap:
-            raise InstanceTooLarge(
-                "%d player-0 strategies exceed the cap %d" % (count, cap))
+            break
+    if count > cap:
+        raise InstanceTooLarge(
+            "%d player-0 strategies exceed the cap %d" % (count, cap))
 
     edges = [[(t,) for t in game.successors[v]] for v in p0]
+    preds = predecessors(ids, game.successors, game.n)
     succ = list(game.successors)
     best: tuple[tuple[int], ...] = ()
     best_losers: set[int] = set(ids)
     for sigma in product(*edges):
         for v, edge in zip(p0, sigma):
             succ[v] = edge
-        losers = _losers(game, ids, succ)
-        # the first strategy that loses the fewest nodes is the witness
-        if len(losers) < len(best_losers):
+        cycles = find_one_dominated_cycle_nodes(ids, succ, game.color)
+        # the first strategy that loses the fewest nodes is the witness,
+        # so one that loses as many as the best so far is left
+        losers = _losers(cycles, preds, succ, len(best_losers))
+        if losers is not None:
             best = sigma
             best_losers = losers
             if not losers:

@@ -50,6 +50,13 @@ def test_oracle_cap_is_enforced():
     with pytest.raises(InstanceTooLarge):
         oracle_solve(game, cap=8)
     assert oracle_solve(game, cap=27).w0 == (0, 1, 2)
+    # a game without player-0 nodes has one strategy, the empty one
+    alone = ParityGame((1,), (0,), ((0,),))
+    with pytest.raises(InstanceTooLarge):
+        oracle_solve(alone, cap=0)
+    assert oracle_solve(alone, cap=1).w0 == (0,)
+    with pytest.raises(InstanceTooLarge):
+        oracle_solve(ParityGame((0,), (0,), ((0,),)), cap=0)
 
 
 @settings(max_examples=150, deadline=None)

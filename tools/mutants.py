@@ -47,6 +47,7 @@ A = "tests/test_arena.py::"
 PROFILES = "profiles.py"
 P = "tests/test_profiles.py::"
 R = A + "test_parse_refusal_messages"
+O = "tests/test_oracle.py::"
 
 MUTANTS = (
     Mutant(
@@ -167,22 +168,33 @@ MUTANTS = (
          A + "test_attractor_matches_the_level_by_level_reference")),
     Mutant(
         "oracle-reads-every-edge",
-        "the oracle walks back over every game edge instead of the edges "
-        "the enumerated strategy keeps",
+        "the oracle's walk follows every player-0 predecessor, whatever "
+        "edge the enumerated strategy gives it",
         "oracle.py",
-        "predecessors(ids, succ, len(ids))",
-        "predecessors(ids, game.successors, len(ids))",
-        ("tests/test_oracle.py::test_solver_matches_oracle",
-         "tests/test_oracle.py::"
-         "test_oracle_witness_matches_solver_strategy_region")),
+        "            if u not in seen and v in succ[u]:\n",
+        "            if u not in seen:\n",
+        (O + "test_oracle_matches_the_enumerator_on_the_tiny_batch_games",
+         O + "test_solver_matches_oracle",
+         O + "test_oracle_witness_matches_solver_strategy_region")),
     Mutant(
         "oracle-keeps-the-last-best",
-        "the oracle replaces its best strategy with any that loses no more "
-        "nodes, so the last of the best is the witness",
+        "the oracle keeps a strategy that loses as many nodes as the best "
+        "so far, so the last of the best is the witness",
         "oracle.py",
-        "        if len(losers) < len(best_losers):\n",
-        "        if len(losers) <= len(best_losers):\n",
-        ("tests/test_oracle.py::test_oracle_keeps_the_first_best_strategy",)),
+        "_losers(cycles, preds, succ, len(best_losers))",
+        "_losers(cycles, preds, succ, len(best_losers) + 1)",
+        (O + "test_oracle_matches_the_enumerator_on_the_tiny_batch_games",
+         O + "test_oracle_keeps_the_first_best_strategy")),
+    Mutant(
+        "oracle-drops-one-node-early",
+        "the oracle's walk leaves a strategy once it holds one node fewer "
+        "than the best strategy's losers, so a strategy that loses fewer "
+        "can be passed over",
+        "oracle.py",
+        "                if len(queue) >= bound:\n",
+        "                if len(queue) >= bound - 1:\n",
+        (O + "test_oracle_matches_the_enumerator_on_the_tiny_batch_games",
+         O + "test_oracle_keeps_the_first_best_strategy")),
     Mutant(
         "partition-check-drops-duplicates",
         "`replay_verify` sorts a set of both winning sets, so a duplicate "
