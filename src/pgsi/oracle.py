@@ -7,14 +7,14 @@ strategy exact, so this is a trustworthy cross-check for the iterative
 solver.  It shares the solver's graph primitives, the odd-cycle
 decomposition and the predecessor builder, but none of its strategy
 iteration: no valuations and no escape sink.  The one-edge tuples of
-each player-0 node and the game's predecessor table are built once per
-game; a strategy is a choice among the tuples, and its losers are found
-by walking that table back from its odd-topped cycles, a player-0
-predecessor only along the edge the strategy gives it.  A strategy is
-left as soon as its cycle nodes, or its walk so far, number as many as
-the best strategy's losers: it cannot lose fewer, so the best strategy
-is still the first that loses the fewest nodes, and a winning set is
-built for it alone.
+each player-0 node and the game's predecessor table are built at most
+once per game; a strategy is a choice among the tuples, and its losers
+are found by walking that table back from its odd-topped cycles, a
+player-0 predecessor only along the edge the strategy gives it.  A
+strategy is left as soon as its cycle nodes, or its walk so far, number
+as many as the best strategy's losers: it cannot lose fewer, so the best
+strategy is still the first that loses the fewest nodes, and a winning
+set is built for it alone.
 """
 
 from __future__ import annotations
@@ -64,16 +64,19 @@ def oracle_solve(game: ParityGame, cap: int = DEFAULT_CAP) -> OracleResult:
     than `cap` deterministic player-0 strategies would be tried, also on
     a game without player-0 nodes, which has one.
 
-    Each player-0 node's one-edge tuples and the game's predecessor
-    table are built once, and every strategy is a choice of one tuple
-    per node, laid over the game's successors in one list that each
-    strategy overwrites.  A strategy's losers are walked back from its
-    odd-topped cycles over the table, following a player-0 predecessor
-    only along its chosen edge.  The walk is left, and the strategy
-    with it, once it holds as many nodes as the best strategy's losers:
-    it cannot lose fewer, and only a strategy that loses fewer replaces
-    the best, so the first strategy that loses the fewest nodes is the
-    witness.  A winning set is built for it alone, after the loop."""
+    Each player-0 node's one-edge tuples are built once, and every
+    strategy is a choice of one tuple per node, laid over the game's
+    successors in one list that each strategy overwrites.  The game's
+    predecessor table is built once too, for the first strategy that
+    has an odd-topped cycle; a game whose first strategy has none, and
+    so loses no node, builds no table.  A strategy's losers are walked
+    back from its odd-topped cycles over the table, following a player-0
+    predecessor only along its chosen edge.  The walk is left, and the
+    strategy with it, once it holds as many nodes as the best strategy's
+    losers: it cannot lose fewer, and only a strategy that loses fewer
+    replaces the best, so the first strategy that loses the fewest nodes
+    is the witness.  A winning set is built for it alone, after the
+    loop."""
     ids = range(game.n)
     p0 = game.player_nodes(0)
     count = 1
@@ -86,7 +89,7 @@ def oracle_solve(game: ParityGame, cap: int = DEFAULT_CAP) -> OracleResult:
             "%d player-0 strategies exceed the cap %d" % (count, cap))
 
     edges = [[(t,) for t in game.successors[v]] for v in p0]
-    preds = predecessors(ids, game.successors, game.n)
+    preds = None
     succ = list(game.successors)
     best: tuple[tuple[int], ...] = ()
     best_losers: set[int] = set(ids)
@@ -94,6 +97,9 @@ def oracle_solve(game: ParityGame, cap: int = DEFAULT_CAP) -> OracleResult:
         for v, edge in zip(p0, sigma):
             succ[v] = edge
         cycles = find_one_dominated_cycle_nodes(ids, succ, game.color)
+        if cycles and preds is None:
+            # once per game, when a strategy first has a cycle to walk from
+            preds = predecessors(ids, game.successors, game.n)
         # the first strategy that loses the fewest nodes is the witness,
         # so one that loses as many as the best so far is left
         losers = _losers(cycles, preds, succ, len(best_losers))
