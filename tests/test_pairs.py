@@ -48,8 +48,8 @@ def test_rows_hold_medians_wins_quartiles_and_verdicts():
     rows = {spec["name"]: tool.compare(spec, _pairs(tool, parent, change))
             for spec in _specs()}
     p99 = rows["verified_s.p99"]
-    assert p99.parent == 504.5e-6
-    assert abs(p99.change - 444.5e-6) < 1e-12
+    assert round(p99.parent * 1e6, 6) == 504.5
+    assert round(p99.change * 1e6, 6) == 444.5
     assert (p99.wins, p99.pairs) == (9, 10)
     # the exclusive method: positions 2.75 and 8.25 of the ten values
     assert [round(q * 1e6, 6) for q in p99.quartiles] == [501.75, 507.25]

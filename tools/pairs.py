@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -163,6 +164,8 @@ def main(argv: list[str]) -> int:
     else:
         print("bytecode is written: the first run of each tree compiles "
               "src/pgsi and later runs load its .pyc")
+    # a terminated tool still kills its benchmark run and removes its trees
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     with tempfile.TemporaryDirectory(prefix="pgsi-pairs-") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         export(args.parent, trees["parent"])
