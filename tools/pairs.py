@@ -167,9 +167,10 @@ def main(argv: list[str]) -> int:
     # a terminated tool still kills its benchmark run and removes its trees
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     with tempfile.TemporaryDirectory(prefix="pgsi-pairs-") as tmp:
-        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
-        export(args.parent, trees["parent"])
-        export(change, trees["change"])
+        trees = {}
+        for side, revision in (("parent", args.parent), ("change", change)):
+            trees[side] = Path(tmp) / side
+            export(revision, trees[side])
         print("parent %s, change %s%s; %s"
               % (args.parent, change, " (A/A)" if args.aa else "",
                  " ".join(command)), flush=True)
