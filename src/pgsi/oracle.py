@@ -15,6 +15,13 @@ strategy is left as soon as its cycle nodes, or its walk so far, number
 as many as the best strategy's losers: it cannot lose fewer, so the best
 strategy is still the first that loses the fewest nodes, and a winning
 set is built for it alone.
+
+A strategy is left before its decomposition, too, when the odd-topped
+pieces of the last strategy decomposed whose player-0 nodes all keep
+their edge already lose that many.  Player-1 nodes keep every edge, so
+such a piece keeps every edge inside it: it is still strongly connected
+with the same odd top color, every node of it lies on an odd-topped
+cycle, and what reaches it is a subset of the strategy's losers.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple
 
-from .arena import ParityGame, find_one_dominated_cycle_nodes, predecessors
+from .arena import ParityGame, _dominated_pieces, predecessors
 from .errors import InstanceTooLarge
 
 DEFAULT_CAP = 10 ** 6
@@ -36,11 +43,12 @@ class OracleResult(NamedTuple):
     witness: dict[int, int]
 
 
-def _losers(cycles: frozenset[int], preds: list[list[int] | None],
+def _losers(cycles: list[int], preds: list[list[int] | None],
             succ: list[tuple[int, ...]], bound: int) -> set[int] | None:
     """Nodes from which the fixed-strategy graph `succ` reaches one of
-    `cycles`, the nodes on its cycles whose top color is odd: player 1
-    wins exactly these once player 0 commits.  `preds` is the game's
+    `cycles`, distinct nodes on its cycles whose top color is odd: player
+    1 wins these once player 0 commits, and exactly these when `cycles`
+    are all such nodes.  `preds` is the game's
     predecessor table; a predecessor is followed only along an edge of
     `succ`, so a player-0 node only along the edge its strategy keeps.
     None as soon as the nodes found number `bound`."""
@@ -76,7 +84,18 @@ def oracle_solve(game: ParityGame, cap: int = DEFAULT_CAP) -> OracleResult:
     losers: it cannot lose fewer, and only a strategy that loses fewer
     replaces the best, so the first strategy that loses the fewest nodes
     is the witness.  A winning set is built for it alone, after the
-    loop."""
+    loop.
+
+    The odd-topped pieces of the one top-color decomposition are kept
+    for the last strategy decomposed, with its edges.  `product` changes
+    the last nodes' edges first, so most pieces of a strategy are still
+    whole in the next ones: a piece whose player-0 nodes all keep their
+    edge keeps every edge inside it, player-1 nodes keeping all theirs,
+    so it is still strongly connected with the same odd top, and its
+    closure is a subset of the strategy's losers.  A strategy is
+    therefore walked from these pieces first and left, undecomposed,
+    when that walk holds as many nodes as the best's losers; otherwise
+    it is decomposed, and its pieces replace the kept ones."""
     ids = range(game.n)
     p0 = game.player_nodes(0)
     count = 1
@@ -93,16 +112,30 @@ def oracle_solve(game: ParityGame, cap: int = DEFAULT_CAP) -> OracleResult:
     succ = list(game.successors)
     best: tuple[tuple[int], ...] = ()
     best_losers: set[int] = set(ids)
+    # the odd-topped pieces of the last strategy decomposed, and its edges
+    pieces: list[list[int]] = []
+    decomposed: tuple[tuple[int], ...] = ()
     for sigma in product(*edges):
         for v, edge in zip(p0, sigma):
             succ[v] = edge
-        cycles = find_one_dominated_cycle_nodes(ids, succ, game.color)
+        # the first strategy that loses the fewest nodes is the witness,
+        # so one that loses as many as the best so far is left
+        bound = len(best_losers)
+        if pieces:
+            changed = {v for v, edge, old in zip(p0, sigma, decomposed)
+                       if edge is not old}
+            kept = [v for piece in pieces if changed.isdisjoint(piece)
+                    for v in piece]
+            if kept and _losers(kept, preds, succ, bound) is None:
+                continue
+        pieces = [piece for _, piece in
+                  _dominated_pieces(ids, succ, game.color, 1)]
+        decomposed = sigma
+        cycles = [v for piece in pieces for v in piece]
         if cycles and preds is None:
             # once per game, when a strategy first has a cycle to walk from
             preds = predecessors(ids, game.successors, game.n)
-        # the first strategy that loses the fewest nodes is the witness,
-        # so one that loses as many as the best so far is left
-        losers = _losers(cycles, preds, succ, len(best_losers))
+        losers = _losers(cycles, preds, succ, bound)
         if losers is not None:
             best = sigma
             best_losers = losers

@@ -1,6 +1,7 @@
 """The enumerating reference solver and the solver-vs-oracle crosscheck."""
 
 import importlib.util
+import math
 import random
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 
 from pgsi import (ParityGame, crosscheck, oracle_solve, parse_pgsolver,
                   policy_by_name, solve)
+from pgsi import oracle
 from pgsi.arena import find_one_dominated_cycle_nodes
 from pgsi.cli import random_game
 from pgsi.errors import InstanceTooLarge
@@ -112,6 +114,40 @@ def test_oracle_matches_the_enumerator_on_the_tiny_batch_games(monkeypatch):
         assert (result.w0, result.w1) == (w0, w1), inst.label
         assert list(result.witness.items()) == list(witness.items()), \
             inst.label
+
+
+def test_oracle_skips_the_strategies_its_kept_pieces_rule_out(monkeypatch):
+    # the seed-1 tiny-batch games with 50 or more strategies: a strategy
+    # whose kept pieces already lose as many nodes as the best strategy
+    # is left without a decomposition, which no result shows
+    spec = importlib.util.spec_from_file_location("benchmark_games", GAMES)
+    games = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, games)
+    spec.loader.exec_module(games)
+    found = decompositions = strategies = 0
+    pieces, product = oracle._dominated_pieces, oracle.product
+
+    def counted_pieces(*args):
+        nonlocal decompositions
+        decompositions += 1
+        return pieces(*args)
+
+    def counted_product(*edges):
+        nonlocal strategies
+        for sigma in product(*edges):
+            strategies += 1
+            yield sigma
+
+    monkeypatch.setattr(oracle, "_dominated_pieces", counted_pieces)
+    monkeypatch.setattr(oracle, "product", counted_product)
+    for inst in games.WORKLOADS["tiny-batch"].build(1):
+        game = parse_pgsolver(inst.text)
+        if math.prod(len(game.successors[v])
+                     for v in game.player_nodes(0)) >= 50:
+            found += 1
+            oracle_solve(game)
+    assert decompositions < strategies
+    assert (found, strategies, decompositions) == (86, 3090, 1011)
 
 
 @settings(max_examples=150, deadline=None)

@@ -181,8 +181,8 @@ MUTANTS = (
         "the oracle keeps a strategy that loses as many nodes as the best "
         "so far, so the last of the best is the witness",
         "oracle.py",
-        "_losers(cycles, preds, succ, len(best_losers))",
-        "_losers(cycles, preds, succ, len(best_losers) + 1)",
+        "        bound = len(best_losers)\n",
+        "        bound = len(best_losers) + 1\n",
         (O + "test_oracle_matches_the_enumerator_on_the_tiny_batch_games",
          O + "test_oracle_keeps_the_first_best_strategy")),
     Mutant(
@@ -195,6 +195,26 @@ MUTANTS = (
         "                if len(queue) >= bound - 1:\n",
         (O + "test_oracle_matches_the_enumerator_on_the_tiny_batch_games",
          O + "test_oracle_keeps_the_first_best_strategy")),
+    Mutant(
+        "oracle-keeps-changed-pieces",
+        "the oracle walks from every piece of the last strategy decomposed, "
+        "also one whose player-0 node changed its edge, so it can leave a "
+        "strategy that loses fewer nodes than the best",
+        "oracle.py",
+        "            kept = [v for piece in pieces if changed.isdisjoint(piece)\n"
+        "                    for v in piece]\n",
+        "            kept = [v for piece in pieces for v in piece]\n",
+        (O + "test_oracle_matches_the_enumerator_on_the_tiny_batch_games",
+         O + "test_oracle_keeps_the_first_best_strategy")),
+    Mutant(
+        "oracle-never-skips",
+        "the oracle decomposes every strategy, also one its kept pieces "
+        "already rule out; the results stay the same",
+        "oracle.py",
+        "            if kept and _losers(kept, preds, succ, bound) is None:\n"
+        "                continue\n",
+        "",
+        (O + "test_oracle_skips_the_strategies_its_kept_pieces_rule_out",)),
     Mutant(
         "partition-check-drops-duplicates",
         "`replay_verify` sorts a set of both winning sets, so a duplicate "
