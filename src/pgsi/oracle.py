@@ -48,10 +48,10 @@ def _losers(cycles: list[int], preds: list[list[int] | None],
     """Nodes from which the fixed-strategy graph `succ` reaches one of
     `cycles`, distinct nodes on its cycles whose top color is odd: player
     1 wins these once player 0 commits, and exactly these when `cycles`
-    are all such nodes.  `preds` is the game's
-    predecessor table; a predecessor is followed only along an edge of
-    `succ`, so a player-0 node only along the edge its strategy keeps.
-    None as soon as the nodes found number `bound`."""
+    are all such nodes.  `preds` is the game's predecessor table; a
+    predecessor is followed only along an edge of `succ`, so a player-0
+    node only along the edge its strategy keeps.  None as soon as the
+    nodes found number `bound`."""
     if len(cycles) >= bound:
         return None
     seen = set(cycles)
