@@ -9,19 +9,19 @@ pass: working on the game's own tuples, it peels off two dominions,
 first the nodes player 1 wins whatever player 0 does, then, among the
 rest, the nodes player 0 wins whatever player 1 does, each with its
 winner's edges on it.  Each is the attractor of the cycles its winner
-keeps alone; both attractors run on the whole game and one predecessor
-list indexed by node id.  It then builds the one escape arena of a
-solve over the nodes left, every table of it in one loop over those
-nodes but its predecessor list.  `predecessors` is the set-up's one
-reverse-edge builder: it gives the attractors, the arena and the oracle
-their lists, each indexed by node id over the id space the caller
-names.
+keeps alone; both attractors, and the BFS that gives each cycle piece
+its edges, run on the whole game and one predecessor list indexed by
+node id.  It then builds the one escape arena of a solve over the nodes
+left, every table of it in one loop over those nodes but its
+predecessor list.  `predecessors` is the set-up's one reverse-edge
+builder: it gives the attractors, the cycle pieces, the arena and the
+oracle their lists, each indexed by node id over the id space the
+caller names.
 
 This module also hosts the two graph primitives everything else is built
-on: player attractors on node sets where every node has a move (one
-FIFO worklist, its ranks and counters internal lists indexed by node
-id, returning the members and an attracting strategy), which also give
-the cycle strategies their edges, and the detection of nodes lying on
+on: player attractors on the whole game (one FIFO worklist, its ranks
+and counters internal lists indexed by node id, returning the members
+and an attracting strategy), and the detection of nodes lying on
 cycles whose maximum color has a given parity.
 The latter is one top-color decomposition: peel the nodes on no cycle
 (and stop there when none is left, as on an acyclic input), split the
@@ -45,8 +45,8 @@ from __future__ import annotations
 import re
 from functools import cached_property
 from itertools import chain
-from typing import (Collection, Iterable, Iterator, Mapping, NamedTuple,
-                    NoReturn, Sequence)
+from typing import (Collection, Iterable, Mapping, NamedTuple, NoReturn,
+                    Sequence)
 
 from .errors import FormatError, InvariantViolation
 from .profiles import ProfileBasis
@@ -312,16 +312,16 @@ def build_escape_arena(game: ParityGame,
                        removed: Collection[int] = frozenset()) -> EscapeArena:
     """The escape arena of a game without the nodes `removed` and the
     edges into them; the sink gets id `game.n`."""
-    sink, owner, color = game.n, game.owner, game.color
-    nodes = tuple(v for v in range(sink) if v not in removed)
-    colors = {color[v] for v in nodes}
-    basis = ProfileBasis(game.d, colors, len(nodes))
-    unit = {c: basis.unit_key(c) for c in colors}
+    owner, color, successors = game.owner, game.color, game.successors
+    sink = len(owner)
+    nodes = tuple([v for v in range(sink) if v not in removed])
+    basis = ProfileBasis(game.d, {color[v] for v in nodes}, len(nodes))
+    unit = basis.units
     unit_keys = [0] * (sink + 1)
     succ = {}
     player0, player1, escape_choices = [], [], {}
     for v in nodes:
-        kept = tuple([t for t in game.successors[v] if t not in removed])
+        kept = tuple([t for t in successors[v] if t not in removed])
         succ[v] = kept
         if owner[v]:
             player1.append(v)
@@ -331,7 +331,7 @@ def build_escape_arena(game: ParityGame,
         unit_keys[v] = unit[color[v]]
     return EscapeArena(game, sink, nodes, succ, tuple(player0),
                        tuple(player1), escape_choices,
-                       predecessors(nodes, succ, game.n), basis, unit_keys)
+                       predecessors(nodes, succ, sink), basis, unit_keys)
 
 
 # successor tuples indexed by node id: the game's or the arena's own
@@ -378,14 +378,12 @@ def attractor(nodes: Collection[int], succ: _Successors,
     `succ` and `owner` give each node's successor tuple and owner,
     indexed by node id: the game's or the arena's own tables, or dicts
     over `nodes`.  No edge may leave `nodes`, and every node has a
-    successor among them: the whole game, which `ParityGame` checks, and
-    the pieces of cycles of `dominated_cycle_strategy`, each a component
-    with an edge, are the two node sets the package hands it.  So no
-    opponent node is stuck, and nothing is looked at up front.  The
-    escape sink is never one of the nodes.  `preds` is the list
-    `predecessors` builds from `nodes` and `succ`, at any size above the
-    largest node; without it the attractor builds one sized by that
-    node.
+    successor among them: the whole game, which `ParityGame` checks, is
+    the one node set the package hands it.  So no opponent node is
+    stuck, and nothing is looked at up front.  The escape sink is never
+    one of the nodes.  `preds` is the list `predecessors` builds from
+    `nodes` and `succ`, at any size above the largest node; without it
+    the attractor builds one sized by that node.
 
     Rank 0 is the target itself; rank r+1 adds nodes owned by `player`
     with some successor of rank <= r and opponent nodes whose successors
@@ -441,7 +439,7 @@ def attractor(nodes: Collection[int], succ: _Successors,
 
 
 def _sccs(order: Iterable[int], succ: _Successors, state: list[int],
-          mark: int) -> Iterator[list[int]]:
+          mark: int) -> list[list[int]]:
     """Strongly connected components of the subgraph induced by the ids
     whose entry in `state` is `mark`, explored in the given root order.
 
@@ -450,7 +448,7 @@ def _sccs(order: Iterable[int], succ: _Successors, state: list[int],
     the number of marked ids, and no other entry lies between 1 and that
     number: the search overwrites the mark of each id it visits with the
     id's preorder number, counted from 1, and sets the entries of a
-    component to 0 when it yields it.  So a successor whose entry is the
+    component to 0 when it closes it.  So a successor whose entry is the
     mark is unvisited, one whose entry lies between 1 and the low-link
     so far is in a component still open and lowers it, and every other
     successor is skipped.  Iterative Tarjan variant that reads each edge
@@ -459,11 +457,12 @@ def _sccs(order: Iterable[int], succ: _Successors, state: list[int],
     to a node whose component is still open lowers the low-link to that
     node's preorder number.  A node is pushed on the component stack
     when it returns without being a root, so a component lists its root
-    first, then its other members in reverse return order.
+    first, then its other members in reverse return order.  The
+    components come back in one list, in the order they close.
     """
     # the component stack, the DFS path and, per node on the path, its
     # low-link so far and the iterator over its successors
-    component_stack, path, lows, pending = [], [], [], []
+    components, component_stack, path, lows, pending = [], [], [], [], []
     counter = 0
     for source in order:
         if state[source] != mark:
@@ -498,18 +497,20 @@ def _sccs(order: Iterable[int], succ: _Successors, state: list[int],
                         comp.append(component_stack.pop())
                     for u in comp:
                         state[u] = 0
-                    yield comp
+                    components.append(comp)
                 else:
                     component_stack.append(v)
                     if low < lows[-1]:
                         lows[-1] = low
+    return components
 
 
 def _dominated_pieces(nodes: Collection[int], succ: _Successors,
                       color: Sequence[int] | Mapping[int, int],
-                      parity: int) -> Iterator[tuple[int, list[int]]]:
+                      parity: int) -> list[tuple[int, list[int]]]:
     """Maximal sets of `nodes` on which every node lies on a cycle whose
-    top color has the given parity, each paired with that top color.
+    top color has the given parity, each paired with that top color, in
+    one list: empty, and made at once, for an empty node set.
 
     `succ` and `color` give each node's successor tuple and color,
     indexed by node id: the game's or the arena's own tables, or a walk
@@ -538,17 +539,19 @@ def _dominated_pieces(nodes: Collection[int], succ: _Successors,
     nodes at or below it (a piece with none is dropped), its
     trimmed nodes are stamped with a fresh mark above the sentinel, and
     `_sccs` splits them into strongly connected components, leaving 0 at
-    every node it yields; a node the trim leaves out keeps its count or
+    every node of them; a node the trim leaves out keeps its count or
     that 0, which `_sccs` skips.  A component with at least one edge
-    whose top color has the wanted parity is yielded whole; one topped
-    by the other parity goes back on the worklist, where the trim
-    removes its top.  A yielded piece is the component of the subgraph
-    colored <= its top that contains it.  Pieces on the worklist are
+    whose top color has the wanted parity is a piece, kept whole; one
+    topped by the other parity goes back on the worklist, where the trim
+    removes its top.  A piece is the component of the subgraph colored
+    <= its top that contains it.  Pieces on the worklist are
     disjoint, so every level of nesting costs O(n' + m') and the whole
     O(depth * (n' + m')), depth being how deeply components topped by
     the other parity nest.  A worklist, not recursion, because that
     nesting grows with the node count.
     """
+    if not nodes:
+        return []
     size = len(color) + 1
     state = [size] * size
     for v in nodes:
@@ -565,30 +568,35 @@ def _dominated_pieces(nodes: Collection[int], succ: _Successors,
                 if not state[t]:
                     peeled.append(t)
     left = [v for v in nodes if state[v] < 0]
+    pieces: list[tuple[int, list[int]]] = []
     if not left:
-        return
+        return pieces
     work = [left]
     mark = size
     while work:
         piece = work.pop()
         top = -1
-        for c in map(color.__getitem__, piece):
+        for v in piece:
+            c = color[v]
             if c > top and c % 2 == parity:
                 top = c
         if top < 0:
             continue
-        order = [v for v in piece if color[v] <= top]
         mark += 1
-        for v in order:
-            state[v] = mark
+        order = []
+        for v in piece:
+            if color[v] <= top:
+                state[v] = mark
+                order.append(v)
         for comp in _sccs(order, succ, state, mark):
             if len(comp) == 1 and comp[0] not in succ[comp[0]]:
                 continue
             high = max(map(color.__getitem__, comp))
             if high % 2 == parity:
-                yield high, comp
+                pieces.append((high, comp))
             else:
                 work.append(comp)
+    return pieces
 
 
 def find_dominated_cycle_nodes(nodes: Collection[int], succ: _Successors,
@@ -612,6 +620,46 @@ def find_one_dominated_cycle_nodes(nodes: Collection[int], succ: _Successors,
     return find_dominated_cycle_nodes(nodes, succ, color, 1)
 
 
+def _witness_edges(pieces: Iterable[tuple[int, list[int]]],
+                   succ: _Successors, color: Sequence[int] | Mapping[int, int],
+                   preds: Sequence[list[int] | None]) -> dict[int, int]:
+    """The edges of `dominated_cycle_strategy` on the (top, piece) pairs
+    of the decomposition, by one BFS per piece.  `preds` is a list
+    `predecessors` builds over a node set that holds the pieces and the
+    edges among their nodes, the game's own or one over fewer nodes:
+    the BFS follows only the predecessors inside the piece, so edges
+    into it from elsewhere are skipped."""
+    strategy: dict[int, int] = {}
+    for top, piece in pieces:
+        x = -1
+        for v in piece:
+            if color[v] == top and (x < 0 or v < x):
+                x = v
+        # per member its distance to the witness, -1 until the BFS
+        # reaches it; its keys are the piece, so the BFS stays inside
+        dist = dict.fromkeys(piece, -1)
+        dist[x] = 0
+        queue = [x]
+        # iterating a list visits what is appended to it meanwhile: a FIFO
+        for u in queue:
+            r = dist[u] + 1
+            for w in preds[u]:
+                if dist.get(w, 0) < 0:
+                    dist[w] = r
+                    queue.append(w)
+        size = len(piece)
+        for v in piece:
+            # no distance reaches the piece's size, so the witness may
+            # take any successor in the piece; one outside is never closer
+            closer = dist[v] or size
+            edge = -1
+            for t in succ[v]:
+                if dist.get(t, closer) < closer and (edge < 0 or t < edge):
+                    edge = t
+            strategy[v] = edge
+    return strategy
+
+
 def dominated_cycle_strategy(nodes: Collection[int], succ: _Successors,
                              color: tuple[int, ...],
                              parity: int = 1) -> dict[int, int]:
@@ -621,29 +669,25 @@ def dominated_cycle_strategy(nodes: Collection[int], succ: _Successors,
     Per piece of the top-color decomposition the smallest-id node of
     the piece's top color is the witness.  Every other member moves to
     its smallest-id successor one step closer to the witness along a
-    shortest path inside the piece: its edge in one attractor of all
-    witnesses over the union of the pieces with their in-piece edges,
-    every member counted as the attracting player's.  Pieces are
-    disjoint and no in-piece edge leaves its piece, so the ranks and
-    edges are those of one attractor per piece.  The witness moves to
-    its smallest-id successor in the piece.  Any cycle the chosen edges
-    can form stays in one piece and passes through its witness, so its
+    shortest path inside the piece, which one BFS from the witness over
+    the piece's own predecessors finds.  The witness moves to its
+    smallest-id successor in the piece.  Any cycle the chosen edges can
+    form stays in one piece and passes through its witness, so its
     maximum color is the piece's top, of the wanted parity.
+
+    The BFS reads a list `predecessors` builds, here over the pieces'
+    nodes and the edges among them, once a piece is found; `preprocess`
+    hands the pieces the game's own list, which its attractors read.
+    A piece's BFS costs the in-edges of its nodes, and no table of it is
+    sized by the largest id.
     """
-    inner: dict[int, tuple[int, ...]] = {}
-    witnesses = []
-    for top, piece in _dominated_pieces(nodes, succ, color, parity):
-        members = set(piece)
-        for v in piece:
-            inner[v] = tuple([t for t in succ[v] if t in members])
-        witnesses.append(min(v for v in piece if color[v] == top))
-    if not witnesses:
+    pieces = _dominated_pieces(nodes, succ, color, parity)
+    if not pieces:
         return {}
-    strategy = attractor(inner, inner, dict.fromkeys(inner, 1), 1,
-                         witnesses).strategy
-    for x in witnesses:
-        strategy[x] = min(inner[x])
-    return strategy
+    members = set(chain.from_iterable(piece for _, piece in pieces))
+    among = {v: [t for t in succ[v] if t in members] for v in members}
+    return _witness_edges(pieces, succ, color,
+                          predecessors(members, among, len(color) + 1))
 
 
 class PreprocessResult(NamedTuple):
@@ -672,8 +716,8 @@ def preprocess(game: ParityGame) -> PreprocessResult:
     Escape edges cannot save these nodes: escaping ends the play at a
     finite value, which is no win for player 0, so the attractor is
     taken without them.  Player 1 wins the removed part, `pre_won`,
-    with `strategy1`: the edges of `dominated_cycle_strategy` on the
-    cycle nodes and the attractor's edges elsewhere.
+    with `strategy1`: the edges `dominated_cycle_strategy` would give on
+    the cycle nodes and the attractor's edges elsewhere.
 
     Then player 0's peel, the same two steps with the players swapped:
     nodes on even-dominated cycles among the player-0 nodes left, and
@@ -690,46 +734,50 @@ def preprocess(game: ParityGame) -> PreprocessResult:
     attractors never overlap, which the function asserts.  What is left
     after both peels is a trap for player 0 inside C, whose solution is
     the whole game's there (the attractor decomposition of Zielonka,
-    TCS 1998).  Both attractors read one predecessor list of the game,
-    indexed by node id and built at most once.
+    TCS 1998).  One predecessor list of the game, indexed by node id
+    and built at most once, serves both attractors and the BFS of each
+    cycle piece's edges.
 
     The one escape arena of a solve is built over the nodes neither peel
     removes; it has no odd-dominated cycle among player-1 nodes, which
     the function asserts.
     """
     succ, owner, color = game.successors, game.owner, game.color
+    n = len(owner)
+    ids = range(n)
     preds = None
     removed: frozenset[int] = frozenset()
     peels = []
     # a player wins the cycles of its own nodes whose top has its parity
     for player in (1, 0):
-        strategy = dominated_cycle_strategy(
-            [v for v in range(game.n) if owner[v] == player
-             and v not in removed],
+        pieces = _dominated_pieces(
+            [v for v in ids if owner[v] == player and v not in removed],
             succ, color, player)
-        won = frozenset()
-        # an empty target attracts nothing, and without a cycle no
-        # predecessor table of the game is built
-        if strategy:
+        won: frozenset[int] = frozenset()
+        strategy: dict[int, int] = {}
+        # without a cycle nothing is attracted, and no predecessor table
+        # of the game is built
+        if pieces:
             if preds is None:
-                preds = predecessors(range(game.n), succ, game.n)
-            att = attractor(range(game.n), succ, owner, player, strategy,
-                            preds)
+                preds = predecessors(ids, succ, n)
+            cycles = _witness_edges(pieces, succ, color, preds)
+            att = attractor(ids, succ, owner, player, cycles, preds)
             won = att.members
             if not won.isdisjoint(removed):
                 raise InvariantViolation("player 0's peel overlaps player 1's")
             # the cycle nodes are the target, so the attractor gives them
             # no edge; together the two cover every removed node of `player`
-            strategy.update(att.strategy)
+            cycles.update(att.strategy)
+            strategy = {v: cycles[v] for v in sorted(cycles)}
         removed |= won
-        peels.append((won, {v: strategy[v] for v in sorted(strategy)}))
+        peels.append((won, strategy))
     (pre_won, strategy1), (pre_won0, strategy0) = peels
     arena = build_escape_arena(game, removed)
     kept = arena.succ
     for v in arena.player1_nodes:
         if not kept[v]:
             raise InvariantViolation("surviving player-1 node %d lost all successors" % v)
-    if find_one_dominated_cycle_nodes(arena.player1_nodes, succ, color):
+    if _dominated_pieces(arena.player1_nodes, succ, color, 1):
         raise InvariantViolation("reduced arena still has an odd player-1 cycle")
     return PreprocessResult(arena, pre_won, strategy1, pre_won0, strategy0)
 

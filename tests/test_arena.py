@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from pgsi import (ParityGame, oracle_solve, parse_pgsolver, policy_by_name,
                   replay_verify, serialize_pgsolver, solve)
-from pgsi.arena import (_dominated_pieces, _sccs, attractor,
+from pgsi.arena import (_dominated_pieces, _sccs, _witness_edges, attractor,
                         build_escape_arena, dominated_cycle_strategy,
                         find_dominated_cycle_nodes,
                         find_one_dominated_cycle_nodes, predecessors,
@@ -357,7 +357,7 @@ def test_attractor_rejects_foreign_target():
 def test_every_attractor_call_meets_the_precondition(monkeypatch):
     # `attractor` attracts no opponent dead end, so each caller must hand
     # it a node set that no edge leaves and where every node has a
-    # successor: the whole game, or the pieces of cycles
+    # successor: the whole game, the one node set the package hands it
     calls = []
 
     def checked(nodes, succ, owner, player, target, preds=None):
@@ -379,9 +379,9 @@ def test_every_attractor_call_meets_the_precondition(monkeypatch):
     for seed in range(500):
         game = fuzz_game(seed)
         replay_verify(game, solve(game))
-    # both callers, on the loop games and on the fuzz games
+    # the peels' attractors, on the loop games and on the fuzz games
     assert looped and len(calls) > looped
-    assert any(size < 60 for size in calls[:looped])
+    assert set(calls[:looped]) == {60}
 
 
 @given(parity_games(max_nodes=6))
@@ -819,6 +819,43 @@ def test_cycle_finder_handles_nesting_beyond_recursion_limit():
         == {tooth[0]: tooth[0]}
 
 
+def test_cycle_kernels_match_the_references_on_the_tiny_batch_games(
+        monkeypatch):
+    # both player subgraphs of every seed-1 tiny-batch game at both
+    # parities, and the empty node set: the decomposition is one list
+    # with the unpeeled reference's pieces, and the cycle strategy is
+    # the per-piece BFS reference's, also where the pieces' BFS reads the
+    # game's own predecessor table, as `preprocess` hands it
+    spec = importlib.util.spec_from_file_location("benchmark_games", GAMES)
+    games = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, games)
+    spec.loader.exec_module(games)
+
+    def normal(pieces):
+        return sorted((top, sorted(piece)) for top, piece in pieces)
+
+    found = 0
+    for inst in games.WORKLOADS["tiny-batch"].build(1):
+        game = parse_pgsolver(inst.text)
+        succ, color = game.successors, game.color
+        table = predecessors(range(game.n), succ, game.n)
+        for nodes in (game.player_nodes(0), game.player_nodes(1), ()):
+            for parity in (0, 1):
+                pieces = _dominated_pieces(nodes, succ, color, parity)
+                assert type(pieces) is list, inst.label
+                assert normal(pieces) == normal(unpeeled_dominated_pieces(
+                    nodes, succ, color, parity)), inst.label
+                expected = bfs_dominated_cycle_strategy(nodes, succ, color,
+                                                        parity)
+                assert dominated_cycle_strategy(nodes, succ, color,
+                                                parity) == expected, \
+                    inst.label
+                assert _witness_edges(pieces, succ, color, table) \
+                    == expected, inst.label
+                found += len(pieces)
+    assert found > 8000
+
+
 @given(parity_games(max_nodes=7))
 def test_dominated_cycle_strategy_is_safe(game):
     # following the assigned edges must never close an even-dominated cycle
@@ -921,18 +958,18 @@ def test_preprocess_runs_one_attractor_per_decomposition(monkeypatch):
 
     monkeypatch.setattr("pgsi.arena.attractor", counted)
     # three odd player-1 two-cycles with interleaved ids, joined one way:
-    # one attractor serves all three pieces, one more the removal; then
-    # the same two for the even player-0 loop at 6 and node 7 feeding it
+    # one attractor does the removal, and the pieces' edges come from a
+    # BFS each; then the same for the even player-0 loop at 6 and node 7
+    # feeding it
     joined = ParityGame((1, 1, 1, 1, 1, 1, 0, 0), (1, 3, 5, 0, 2, 4, 6, 1),
                         ((3, 1), (4, 2), (5,), (0,), (1,), (2,), (0, 6),
                          (6,)))
     prep = preprocess(joined)
-    assert [player for player, _ in calls] == [1, 1, 1, 0]
+    assert [player for player, _ in calls] == [1, 0]
     # both removals read one predecessor table of the whole game
-    assert calls[0][1] is None and calls[2][1] is None
-    assert calls[1][1] is calls[3][1]
+    assert calls[0][1] is calls[1][1]
     # one entry per game node, entry t the sources of t's game edges
-    table = calls[1][1]
+    table = calls[0][1]
     assert len(table) == 8
     for t in range(8):
         assert table[t] == [v for v in range(8)

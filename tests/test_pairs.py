@@ -86,3 +86,34 @@ def test_report_fails_on_a_bound_a_wrong_run_or_more_failures():
     assert not ok and "NOT correct" in table
     failing = [(500e-6, 7000.0, 1)] * 4
     assert not tool.report(_specs(), _pairs(tool, parent, failing))[1]
+
+
+def test_wins_are_split_by_the_tree_that_ran_first():
+    # the parent runs first in pairs 0, 2, 4, ...: a change that wins
+    # only when it runs first shows 0 of 5 and 5 of 5
+    tool = _load_tool()
+    assert [tool.parent_first(i) for i in range(4)] \
+        == [True, False, True, False]
+    parent = [(500e-6 + i * 1e-6, 7000.0) for i in range(10)]
+    change = [(520e-6 if i % 2 == 0 else 490e-6, 7000.0 + i % 2)
+              for i in range(10)]
+    pairs = _pairs(tool, parent, change)
+    rows = {spec["name"]: tool.compare(spec, pairs) for spec in _specs()}
+    assert (rows["verified_s.p99"].wins,
+            rows["verified_s.p99"].wins_by_first) == (5, (0, 5))
+    assert rows["games_per_s"].wins_by_first == (0, 5)
+    assert rows["certified_frac"].wins_by_first == (0, 0)
+    table, _ = tool.report(_specs(), pairs)
+    header, *lines = table.splitlines()
+    assert header.split()[5:9] == ["P", "first", "C", "first"]
+    p99 = next(line for line in lines if line.startswith("verified_s.p99"))
+    assert p99.split()[4:7] == ["5/10", "0/5", "5/5"]
+    # nine pairs: the parent ran first in five, the change in four
+    row = tool.compare(next(s for s in _specs()
+                            if s["name"] == "verified_s.p99"),
+                       pairs[:9])
+    assert row.wins_by_first == (0, 4)
+    table, _ = tool.report(_specs(), pairs[:9])
+    p99 = next(line for line in table.splitlines()
+               if line.startswith("verified_s.p99"))
+    assert p99.split()[4:7] == ["4/9", "0/5", "4/4"]

@@ -59,13 +59,13 @@ MUTANTS = (
          A + "test_analyses_agree_on_every_table_form")),
     Mutant(
         "tarjan-keeps-yielded-components",
-        "Tarjan leaves a yielded component's preorder numbers in place, so "
+        "Tarjan leaves a closed component's preorder numbers in place, so "
         "a later edge into it lowers a low-link",
         ARENA,
         "                    for u in comp:\n"
         "                        state[u] = 0\n"
-        "                    yield comp\n",
-        "                    yield comp\n",
+        "                    components.append(comp)\n",
+        "                    components.append(comp)\n",
         (A + "test_sccs_match_the_two_pass_reference",
          A + "test_cycle_finder_matches_reachability_oracle")),
     Mutant(
@@ -89,9 +89,9 @@ MUTANTS = (
         "blind-to-even-tops",
         "the decomposition yields no piece whose top is even",
         ARENA,
-        "                yield high, comp\n",
+        "                pieces.append((high, comp))\n",
         "                if parity:\n"
-        "                    yield high, comp\n",
+        "                    pieces.append((high, comp))\n",
         (A + "test_cycle_finder_matches_reachability_oracle",)),
     Mutant(
         "never-finds-a-cycle",
@@ -137,21 +137,38 @@ MUTANTS = (
          A + "test_attractor_matches_the_level_by_level_reference")),
     Mutant(
         "cycle-pieces-drop-self-loops",
-        "`dominated_cycle_strategy` leaves each piece node's self-loop out "
-        "of its in-piece edges, so a one-node piece reaches the attractor "
-        "as a dead end",
+        "the cycle strategy leaves each piece node's self-loop out of the "
+        "in-piece edges it chooses from, so a one-node piece's witness "
+        "gets no edge",
         ARENA,
-        "            inner[v] = tuple([t for t in succ[v] if t in members])\n",
-        "            inner[v] = tuple([t for t in succ[v]\n"
-        "                              if t in members and t != v])\n",
-        (A + "test_every_attractor_call_meets_the_precondition",)),
+        "                if dist.get(t, closer) < closer and ",
+        "                if t != v and dist.get(t, closer) < closer and ",
+        (A + "test_cycle_kernels_match_the_references_on_the_tiny_batch_games",
+         A + "test_dominated_cycle_strategy_matches_the_bfs_reference")),
+    Mutant(
+        "piece-bfs-largest-id-edge",
+        "a cycle piece's member takes its largest-id successor one step "
+        "closer to the witness, the witness its largest-id one in the piece",
+        ARENA,
+        "(edge < 0 or t < edge)",
+        "(edge < 0 or t > edge)",
+        (A + "test_cycle_kernels_match_the_references_on_the_tiny_batch_games",
+         A + "test_dominated_cycle_strategy_matches_the_bfs_reference")),
+    Mutant(
+        "piece-bfs-leaves-the-piece",
+        "the BFS of a cycle piece also follows a predecessor outside the "
+        "piece, so a member may move out of it",
+        ARENA,
+        "                if dist.get(w, 0) < 0:\n",
+        "                if dist.get(w, -1) < 0:\n",
+        (A + "test_cycle_kernels_match_the_references_on_the_tiny_batch_games",)),
     Mutant(
         "arena-preds-over-game-edges",
         "the arena's predecessor table is built over the game's successors "
         "instead of the kept edges",
         ARENA,
-        "predecessors(nodes, succ, game.n)",
-        "predecessors(nodes, game.successors, game.n)",
+        "predecessors(nodes, succ, sink)",
+        "predecessors(nodes, successors, sink)",
         (A + "test_arena_predecessor_table_holds_the_kept_edges",
          A + "test_preprocess_builds_the_arena_over_the_nodes_left")),
     Mutant(

@@ -5,13 +5,18 @@ temporary directory, so the worktree is left as it is, and runs each
 tree's `benchmark/run.py` with the command, limits and run length of
 `BENCHMARK.json` and ``--trace 0``, in an environment passed through
 unchanged.  The trees alternate, and the one that runs first swaps on
-every pair.  Run from anywhere:
+every pair: the parent runs first in the first pair and every other one
+after it.  With ``--aa`` the parent is the first export of the revision
+and the change the second, which the tool names with their directories.
+Run from anywhere:
 
     python3 tools/pairs.py PARENT CHANGE --workload W [--pairs N] [--seed S]
     python3 tools/pairs.py PARENT --aa --workload W    # PARENT against itself
 
 For each end-to-end metric of `BENCHMARK.json` it prints the medians of
-both trees, the pairs the change won, the parent's quartiles, whether the
+both trees, the pairs the change won, those wins split by the tree that
+ran first (parent first, then change first), the parent's quartiles,
+whether the
 gap between the medians exceeds the distance between those quartiles,
 whether the change reads a gain (better in at least nine pairs of ten and
 past the quartile distance) and whether it is worse than the parent by
@@ -48,10 +53,18 @@ class Row(NamedTuple):
     change: float
     wins: int
     pairs: int
+    # the change's wins in the pairs the parent ran first, and in those
+    # the change ran first
+    wins_by_first: tuple[int, int]
     quartiles: tuple[float, float]
     beyond_spread: bool
     gain: bool
     past_bound: bool
+
+
+def parent_first(pair: int) -> bool:
+    """True iff the parent ran first in pair number `pair`, from 0."""
+    return pair % 2 == 0
 
 
 def last_result(stdout: str) -> dict:
@@ -71,15 +84,17 @@ def compare(spec: dict, pairs: list[tuple[dict, dict]]) -> Row:
     new = [c["metrics"][name]["value"] for _, c in pairs]
     low, _, high = statistics.quantiles(old, n=4)
     parent, change = statistics.median(old), statistics.median(new)
-    wins = sum(better(spec, c, p) for p, c in zip(old, new))
+    won = [better(spec, c, p) for p, c in zip(old, new)]
+    wins = sum(won)
+    by_parent = sum(w for i, w in enumerate(won) if parent_first(i))
     beyond = abs(change - parent) > high - low
     # the bound is a share of the parent's median, in the worse direction
     worse = change - parent if spec["better"] == "lower" else parent - change
     past = parent != 0 and worse / abs(parent) > spec["bound"]
     gain = (wins >= WIN_SHARE * len(pairs) and beyond
             and better(spec, change, parent))
-    return Row(name, parent, change, wins, len(pairs), (low, high), beyond,
-               gain, past)
+    return Row(name, parent, change, wins, len(pairs),
+               (by_parent, wins - by_parent), (low, high), beyond, gain, past)
 
 
 def failed_share(results: list[dict]) -> float:
@@ -92,15 +107,18 @@ def report(specs: list[dict], pairs: list[tuple[dict, dict]]) -> tuple[str, bool
     rows = [compare(spec, pairs) for spec in specs
             if all(spec["name"] in r["metrics"] for pair in pairs
                    for r in pair)]
-    lines = ["%-16s %12s %12s %8s %6s %25s %7s %5s %6s"
-             % ("metric", "parent", "change", "change", "wins",
-                "parent quartiles", ">iqr", "gain", "bound")]
+    firsts = [parent_first(i) for i in range(len(pairs))]
+    lines = ["%-16s %12s %12s %8s %6s %7s %7s %25s %7s %5s %6s"
+             % ("metric", "parent", "change", "change", "wins", "P first",
+                "C first", "parent quartiles", ">iqr", "gain", "bound")]
     for row in rows:
         move = (row.change / row.parent - 1) * 100 if row.parent else 0.0
-        lines.append("%-16s %12.6g %12.6g %+7.1f%% %3d/%-2d %12.6g-%-12.6g "
-                     "%7s %5s %6s"
+        lines.append("%-16s %12.6g %12.6g %+7.1f%% %3d/%-2d %4d/%-2d %4d/%-2d "
+                     "%12.6g-%-12.6g %7s %5s %6s"
                      % (row.name, row.parent, row.change, move, row.wins,
-                        row.pairs, row.quartiles[0], row.quartiles[1],
+                        row.pairs, row.wins_by_first[0], firsts.count(True),
+                        row.wins_by_first[1], firsts.count(False),
+                        row.quartiles[0], row.quartiles[1],
                         "yes" if row.beyond_spread else "no",
                         "yes" if row.gain else "no",
                         "PAST" if row.past_bound else "within"))
@@ -174,9 +192,13 @@ def main(argv: list[str]) -> int:
         print("parent %s, change %s%s; %s"
               % (args.parent, change, " (A/A)" if args.aa else "",
                  " ".join(command)), flush=True)
+        if args.aa:
+            print("A/A: parent is the first export (%s), change the second "
+                  "(%s)" % (trees["parent"], trees["change"]), flush=True)
         pairs = []
         for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            order = (("parent", "change") if parent_first(i)
+                     else ("change", "parent"))
             got = {}
             for side in order:
                 done = subprocess.run(command, cwd=trees[side],
