@@ -316,7 +316,7 @@ def build_escape_arena(game: ParityGame,
     sink = len(owner)
     nodes = tuple([v for v in range(sink) if v not in removed])
     basis = ProfileBasis(game.d, {color[v] for v in nodes}, len(nodes))
-    unit = basis.units
+    unit_key = basis.unit_key
     unit_keys = [0] * (sink + 1)
     succ = {}
     player0, player1, escape_choices = [], [], {}
@@ -328,7 +328,7 @@ def build_escape_arena(game: ParityGame,
         else:
             player0.append(v)
             escape_choices[v] = tuple(sorted(kept)) + (sink,)
-        unit_keys[v] = unit[color[v]]
+        unit_keys[v] = unit_key(color[v])
     return EscapeArena(game, sink, nodes, succ, tuple(player0),
                        tuple(player1), escape_choices,
                        predecessors(nodes, succ, sink), basis, unit_keys)

@@ -61,7 +61,7 @@ treat it as the top value, and the solver never adds anything to it.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionError, ProfileArithmeticError
 
@@ -220,12 +220,6 @@ class ProfileBasis:
         """The game colors the digits count, ascending: digit i counts
         ``colors[i]``."""
         return self._colors
-
-    @property
-    def units(self) -> Mapping[int, int]:
-        """The key of one visit to each color the basis counts, by
-        color: ``units[c] == unit_key(c)``."""
-        return self._units
 
     def from_key(self, key: int | float) -> ColorProfile:
         """The profile of this basis with the given key; INF_KEY gives

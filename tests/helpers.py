@@ -270,8 +270,9 @@ def unpeeled_dominated_pieces(nodes, succ, color, parity):
     """The top-color decomposition run on every node, nodes on no cycle
     included, on dicts and sets alone: a trimmed piece is split into
     strongly connected components by `two_pass_sccs`, a component
-    topped by the wanted parity is yielded with its top and one topped
-    by the other goes back on the worklist."""
+    topped by the wanted parity is listed with its top and one topped
+    by the other goes back on the worklist.  One list, as the kernel's."""
+    pieces = []
     work = [list(nodes)]
     while work:
         piece = work.pop()
@@ -285,9 +286,10 @@ def unpeeled_dominated_pieces(nodes, succ, color, parity):
                 continue
             high = max(map(color.__getitem__, comp))
             if high % 2 == parity:
-                yield high, comp
+                pieces.append((high, comp))
             else:
                 work.append(comp)
+    return pieces
 
 
 _HEADER_RE = re.compile(r"^\s*parity\s+([0-9]+)\s*;\s*$")
