@@ -367,23 +367,20 @@ def predecessors(nodes: Collection[int], succ: _Successors,
     return preds
 
 
-def attractor(nodes: Collection[int], succ: _Successors,
-              owner: Mapping[int, int] | tuple[int, ...], player: int,
-              target: Iterable[int],
-              preds: Sequence[list[int] | None] | None = None
-              ) -> AttractorResult:
-    """Nodes of `nodes` from which `player` can force the play into
-    `target`.
+def attractor(succ: _Successors, owner: Mapping[int, int] | tuple[int, ...],
+              player: int, target: Iterable[int],
+              preds: Sequence[list[int] | None]) -> AttractorResult:
+    """Nodes from which `player` can force the play into `target`.
 
-    `succ` and `owner` give each node's successor tuple and owner,
-    indexed by node id: the game's or the arena's own tables, or dicts
-    over `nodes`.  No edge may leave `nodes`, and every node has a
-    successor among them: the whole game, which `ParityGame` checks, is
-    the one node set the package hands it.  So no opponent node is
-    stuck, and nothing is looked at up front.  The escape sink is never
-    one of the nodes.  `preds` is the list `predecessors` builds from
-    `nodes` and `succ`, at any size above the largest node; without it
-    the attractor builds one sized by that node.
+    `preds` is the list `predecessors` builds, and the nodes are the ids
+    whose entry in it is a list; a target id outside them, negative,
+    past the list or at a None entry, raises ValueError.  `succ` and
+    `owner` give each node's successor tuple and owner, indexed by node
+    id: the game's or the arena's own tables, or dicts over the nodes.
+    No edge may leave the nodes, and every node has a successor among
+    them: the whole game, which `ParityGame` checks, is the one node set
+    the package hands it.  So no opponent node is stuck, and nothing is
+    looked at up front.  The escape sink is never one of the nodes.
 
     Rank 0 is the target itself; rank r+1 adds nodes owned by `player`
     with some successor of rank <= r and opponent nodes whose successors
@@ -400,15 +397,13 @@ def attractor(nodes: Collection[int], succ: _Successors,
     below r is known, and its edge is its smallest-id successor of rank
     below r.
     """
-    if preds is None:
-        preds = predecessors(nodes, succ, max(nodes, default=-1) + 1)
     size = len(preds)
     # no rank exceeds the number of ids
     unranked = size + 1
     rank = [unranked] * size
     queue = []
     for t in target:
-        if t not in nodes:
+        if not 0 <= t < size or preds[t] is None:
             raise ValueError("target node %d is not in the node set" % t)
         if rank[t]:
             rank[t] = 0
@@ -623,12 +618,26 @@ def find_one_dominated_cycle_nodes(nodes: Collection[int], succ: _Successors,
 def _witness_edges(pieces: Iterable[tuple[int, list[int]]],
                    succ: _Successors, color: Sequence[int] | Mapping[int, int],
                    preds: Sequence[list[int] | None]) -> dict[int, int]:
-    """The edges of `dominated_cycle_strategy` on the (top, piece) pairs
-    of the decomposition, by one BFS per piece.  `preds` is a list
-    `predecessors` builds over a node set that holds the pieces and the
-    edges among their nodes, the game's own or one over fewer nodes:
-    the BFS follows only the predecessors inside the piece, so edges
-    into it from elsewhere are skipped."""
+    """One edge per node of the (top, piece) pairs `_dominated_pieces`
+    gives at a parity, that keeps every cycle the edges close of that
+    parity: a player's strategy on the cycles it keeps alone.
+
+    Per piece the smallest-id node of the piece's top color is the
+    witness.  Every other member moves to its smallest-id successor one
+    step closer to the witness along a shortest path inside the piece,
+    which one BFS from the witness over the piece's own predecessors
+    finds.  The witness moves to its smallest-id successor in the piece.
+    So every edge stays in its piece, and every edge but the witness's
+    comes closer to it: any cycle the edges close lies in one piece and
+    passes through its witness, so its top color is the piece's, of the
+    wanted parity.
+
+    `preds` is a list `predecessors` builds over a node set that holds
+    the pieces and the edges among their nodes, in the set-up the
+    game's own: the BFS follows only the predecessors inside the piece,
+    so edges into it from elsewhere are skipped.  A piece's BFS costs
+    the in-edges of its nodes, and no table of it is sized by the
+    largest id."""
     strategy: dict[int, int] = {}
     for top, piece in pieces:
         x = -1
@@ -660,36 +669,6 @@ def _witness_edges(pieces: Iterable[tuple[int, list[int]]],
     return strategy
 
 
-def dominated_cycle_strategy(nodes: Collection[int], succ: _Successors,
-                             color: tuple[int, ...],
-                             parity: int = 1) -> dict[int, int]:
-    """One edge per node on a cycle whose top color has the given parity,
-    odd by default, that keeps every resulting cycle of that parity.
-
-    Per piece of the top-color decomposition the smallest-id node of
-    the piece's top color is the witness.  Every other member moves to
-    its smallest-id successor one step closer to the witness along a
-    shortest path inside the piece, which one BFS from the witness over
-    the piece's own predecessors finds.  The witness moves to its
-    smallest-id successor in the piece.  Any cycle the chosen edges can
-    form stays in one piece and passes through its witness, so its
-    maximum color is the piece's top, of the wanted parity.
-
-    The BFS reads a list `predecessors` builds, here over the pieces'
-    nodes and the edges among them, once a piece is found; `preprocess`
-    hands the pieces the game's own list, which its attractors read.
-    A piece's BFS costs the in-edges of its nodes, and no table of it is
-    sized by the largest id.
-    """
-    pieces = _dominated_pieces(nodes, succ, color, parity)
-    if not pieces:
-        return {}
-    members = set(chain.from_iterable(piece for _, piece in pieces))
-    among = {v: [t for t in succ[v] if t in members] for v in members}
-    return _witness_edges(pieces, succ, color,
-                          predecessors(members, among, len(color) + 1))
-
-
 class PreprocessResult(NamedTuple):
     """The escape arena over the nodes left and the two peels: the nodes
     player 1 wins before the loop, `pre_won`, with player 1's winning
@@ -716,8 +695,8 @@ def preprocess(game: ParityGame) -> PreprocessResult:
     Escape edges cannot save these nodes: escaping ends the play at a
     finite value, which is no win for player 0, so the attractor is
     taken without them.  Player 1 wins the removed part, `pre_won`,
-    with `strategy1`: the edges `dominated_cycle_strategy` would give on
-    the cycle nodes and the attractor's edges elsewhere.
+    with `strategy1`: on the cycle nodes the edges `_witness_edges` gives
+    their pieces, and the attractor's edges elsewhere.
 
     Then player 0's peel, the same two steps with the players swapped:
     nodes on even-dominated cycles among the player-0 nodes left, and
@@ -761,7 +740,7 @@ def preprocess(game: ParityGame) -> PreprocessResult:
             if preds is None:
                 preds = predecessors(ids, succ, n)
             cycles = _witness_edges(pieces, succ, color, preds)
-            att = attractor(ids, succ, owner, player, cycles, preds)
+            att = attractor(succ, owner, player, cycles, preds)
             won = att.members
             if not won.isdisjoint(removed):
                 raise InvariantViolation("player 0's peel overlaps player 1's")

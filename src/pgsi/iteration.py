@@ -313,16 +313,16 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
     arena = prep.arena
     stats: list[dict[str, int]] = []
     iterations = 0
-    imps = None
-    sigma = initial_strategy(arena)
-    switched: set[int] = set()
-    bound = _step_bound(len(arena.nodes), arena.game.d)
     strategy0: dict[int, int] = {}
     strategy1: dict[int, int] = {}
     valuation: dict[int, ColorProfile] = {}
     won: set[int] = set()
 
     if arena.nodes:
+        imps = None
+        sigma = initial_strategy(arena)
+        switched: set[int] = set()
+        bound = _step_bound(len(arena.nodes), arena.game.d)
         current: Valuation | None = None
         while True:
             incremental = current is not None

@@ -7,8 +7,28 @@ whole, the strategy enumerator as the oracle first wrote it, and the
 level-by-level attractor, the per-piece BFS of the
 cycle strategy, a two-pass Tarjan and the top-color decomposition
 without its peel run on it, and the PGSolver reader as the seed wrote
-it, which share no code with the package's versions they must
-reproduce."""
+it.
+
+The level-by-level attractor, the two-pass Tarjan and the unpeeled
+decomposition share no code with the package's versions they must
+reproduce.  The others do, and a fault in what they share reaches
+both sides of a comparison alike:
+
+- `enumerated_oracle` finds each strategy's odd-topped cycles with the
+  package's `find_one_dominated_cycle_nodes`, so with
+  `_dominated_pieces`, and walks them back with its `predecessors` and
+  `reachable`;
+- `bfs_dominated_cycle_strategy` takes its pieces from
+  `_dominated_pieces`, so it checks only the edges chosen in them;
+- `loop_game` finds the cycles whose colors it raises with
+  `find_dominated_cycle_nodes`;
+- `key_of` and `apply_operator` read the package's keys, the basis's
+  `unit_key` and the arena's `unit_keys`;
+- `reference_parse_pgsolver` builds its game with `ParityGame`, whose
+  validation it shares.
+
+The decomposition itself is checked against the unpeeled one and a
+reachability closure, which share none of it."""
 
 import re
 from collections import deque

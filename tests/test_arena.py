@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from pgsi import (ParityGame, oracle_solve, parse_pgsolver, policy_by_name,
                   replay_verify, serialize_pgsolver, solve)
 from pgsi.arena import (_dominated_pieces, _sccs, _witness_edges, attractor,
-                        build_escape_arena, dominated_cycle_strategy,
-                        find_dominated_cycle_nodes,
+                        build_escape_arena, find_dominated_cycle_nodes,
                         find_one_dominated_cycle_nodes, predecessors,
                         preprocess)
 from pgsi.cli import fuzz_game, generate_game, random_game
@@ -321,13 +320,23 @@ def game_graph(game):
     return range(game.n), game.successors, game.owner
 
 
+def game_attractor(game, player, target):
+    """`attractor` on the plain game graph, with the game's predecessor
+    table, as `preprocess` calls it."""
+    table = predecessors(range(game.n), game.successors, game.n)
+    return attractor(game.successors, game.owner, player, target, table)
+
+
 def test_attractor_of_empty_target():
-    res = attractor([0], {0: (0,)}, {0: 1}, 1, [])
+    succ = {0: (0,)}
+    res = attractor(succ, {0: 1}, 1, [], predecessors([0], succ, 1))
     assert res.members == frozenset()
 
 
 def test_attractor_of_everything():
-    res = attractor([0, 1], {0: (1,), 1: (0,)}, {0: 0, 1: 1}, 0, [0, 1])
+    succ = {0: (1,), 1: (0,)}
+    res = attractor(succ, {0: 0, 1: 1}, 0, [0, 1],
+                    predecessors([0, 1], succ, 2))
     assert res.members == frozenset((0, 1))
     assert res.strategy == {}
 
@@ -335,7 +344,7 @@ def test_attractor_of_everything():
 def test_attractor_chain_ranks():
     # v0 -> v1 -> v2, both player 1 attracting toward v2, which loops
     succ, owner = {0: (1,), 1: (2,), 2: (2,)}, {0: 1, 1: 1, 2: 0}
-    res = attractor([0, 1, 2], succ, owner, 1, [2])
+    res = attractor(succ, owner, 1, [2], predecessors([0, 1, 2], succ, 3))
     assert res.members == frozenset((0, 1, 2))
     assert res.strategy == {1: 2, 0: 1}
     assert level_attractor([0, 1, 2], succ, owner, 1, [2]) \
@@ -344,14 +353,21 @@ def test_attractor_chain_ranks():
 
 def test_attractor_opponent_needs_all_successors():
     # player-0 node with one edge out of the target region stays out
-    res = attractor([0, 1, 2], {0: (1, 2), 1: (1,), 2: (2,)},
-                    {0: 0, 1: 1, 2: 1}, 1, [1])
+    succ = {0: (1, 2), 1: (1,), 2: (2,)}
+    res = attractor(succ, {0: 0, 1: 1, 2: 1}, 1, [1],
+                    predecessors([0, 1, 2], succ, 3))
     assert res.members == frozenset((1,))
 
 
 def test_attractor_rejects_foreign_target():
-    with pytest.raises(ValueError):
-        attractor([0], {0: (0,)}, {0: 0}, 0, [7])
+    # the nodes are 0, 1 and 3 of a four-entry table: 2 is no node, and
+    # -1 would read the entry of 3 from the end of the list, 4 past it
+    succ = {0: (1,), 1: (0,), 3: (3,)}
+    preds = predecessors([0, 1, 3], succ, 4)
+    for outside in (-1, 2, 4, 7):
+        with pytest.raises(ValueError, match="^target node %d is not in "
+                                             "the node set$" % outside):
+            attractor(succ, (0, 0, 0, 1), 0, [0, outside], preds)
 
 
 def test_every_attractor_call_meets_the_precondition(monkeypatch):
@@ -360,13 +376,15 @@ def test_every_attractor_call_meets_the_precondition(monkeypatch):
     # successor: the whole game, the one node set the package hands it
     calls = []
 
-    def checked(nodes, succ, owner, player, target, preds=None):
+    def checked(succ, owner, player, target, preds):
+        nodes = {v for v, sources in enumerate(preds) if sources is not None}
         for v in nodes:
             assert succ[v], "node %d has no successor" % v
             assert all(t in nodes for t in succ[v]), \
                 "an edge leaves the nodes at %d" % v
+        assert preds == predecessors(sorted(nodes), succ, len(preds))
         calls.append(len(nodes))
-        return attractor(nodes, succ, owner, player, target, preds)
+        return attractor(succ, owner, player, target, preds)
 
     monkeypatch.setattr("pgsi.arena.attractor", checked)
     for seed in range(10):
@@ -386,12 +404,11 @@ def test_every_attractor_call_meets_the_precondition(monkeypatch):
 
 @given(parity_games(max_nodes=6))
 def test_attractor_monotone_and_idempotent(game):
-    graph = game_graph(game)
     half = [v for v in range(game.n) if v % 2 == 0]
-    small = attractor(*graph, 1, half[:1] if half else [])
-    big = attractor(*graph, 1, half)
+    small = game_attractor(game, 1, half[:1] if half else [])
+    big = game_attractor(game, 1, half)
     assert small.members <= big.members
-    again = attractor(*graph, 1, sorted(big.members))
+    again = game_attractor(game, 1, sorted(big.members))
     assert again.members == big.members
 
 
@@ -405,10 +422,9 @@ def assert_smallest_id_edges(res, succ, rank):
 
 @given(parity_games(max_nodes=6))
 def test_attractor_strategy_decreases_rank(game):
-    graph = game_graph(game)
     target = [v for v in range(game.n) if game.color[v] == 0]
-    res = attractor(*graph, 0, target)
-    _, rank = level_attractor(*graph, 0, target)
+    res = game_attractor(game, 0, target)
+    _, rank = level_attractor(*game_graph(game), 0, target)
     for v, t in res.strategy.items():
         assert game.owner[v] == 0 and rank[t] < rank[v]
     assert_smallest_id_edges(res, game.successors, rank)
@@ -539,7 +555,8 @@ def test_attractor_matches_the_level_by_level_reference(view, player, data):
     nodes, succ, owner, _ = view
     target = data.draw(st.lists(st.sampled_from(nodes), max_size=4)
                        if nodes else st.just([]))
-    res = attractor(nodes, succ, owner, player, target)
+    res = attractor(succ, owner, player, target,
+                    predecessors(nodes, succ, 12))
     ref, rank = level_attractor(nodes, succ, owner, player, target)
     assert (res.members, res.strategy) == (ref.members, ref.strategy)
     assert_smallest_id_edges(res, succ, rank)
@@ -571,18 +588,20 @@ def test_attractor_on_sparse_ids_matches_the_reference(view, player):
     ref, rank = level_attractor(ids, succ, owner, player, target)
     shuffled = list(ids)
     random.Random(len(shuffled)).shuffle(shuffled)
-    for nodes in (ids, shuffled, succ):
-        for preds in (None, predecessors(nodes, succ, ids.stop)):
-            res = attractor(nodes, succ, owner, player, target, preds)
+    # tables that end at the last node, at the range's stop and at the
+    # last owner
+    for size in {max(ids, default=-1) + 1, ids.stop, len(owner)}:
+        for nodes in (ids, shuffled, succ):
+            preds = predecessors(nodes, succ, size)
+            res = attractor(succ, owner, player, target, preds)
             assert (res.members, res.strategy) \
                 == (ref.members, ref.strategy)
             assert_smallest_id_edges(res, succ, rank)
-    # an id in a gap, past the last node or negative is no node
-    for outside in {-1, ids.stop, *(v for v in range(ids.stop)
-                                    if v not in ids)}:
-        for nodes in (ids, shuffled, succ):
-            with pytest.raises(ValueError, match="not in the node set"):
-                attractor(nodes, succ, owner, player, [*target, outside])
+            # an id in a gap, past the table or negative is no node
+            for outside in {-1, size, *(v for v in range(size)
+                                        if v not in ids)}:
+                with pytest.raises(ValueError, match="not in the node set"):
+                    attractor(succ, owner, player, [*target, outside], preds)
 
 
 def test_attractor_on_sparse_ids_by_hand():
@@ -594,20 +613,36 @@ def test_attractor_on_sparse_ids_by_hand():
     succ = {1: (3,), 3: (3,), 5: (3, 7), 7: (9, 1), 9: (3,), 11: (11, 7)}
     owner = (0,) * 7 + (1, 0, 0, 0, 0)
     for nodes in (range(1, 12, 2), [11, 9, 7, 5, 3, 1], succ):
-        res = attractor(nodes, succ, owner, 1, [3, 3])
+        preds = predecessors(nodes, succ, 12)
+        res = attractor(succ, owner, 1, [3, 3], preds)
         assert res.members == frozenset((3, 9, 1, 7, 5))
         assert res.strategy == {7: 1}
         assert level_attractor(nodes, succ, owner, 1, [3, 3]) \
             == (res, {3: 0, 9: 1, 1: 1, 7: 2, 5: 3})
         with pytest.raises(ValueError, match="target node 4 is not"):
-            attractor(nodes, succ, owner, 1, [3, 4])
+            attractor(succ, owner, 1, [3, 4], preds)
+
+
+def cycle_strategy(nodes, succ, color, parity=1,
+                   decompose=_dominated_pieces):
+    """The cycle strategy as `preprocess` gets it: `_witness_edges` on the
+    pieces of the decomposition, over a predecessor table of the whole
+    id space the color table names with the sink, as the game's table
+    covers every game node, holding the edges of `nodes`: they may
+    leave the nodes."""
+    size = len(color) + 1
+    edges = [()] * size
+    for v in nodes:
+        edges[v] = succ[v]
+    return _witness_edges(decompose(nodes, succ, color, parity), succ, color,
+                          predecessors(range(size), edges, size))
 
 
 @given(graph_views(closed=False), st.integers(0, 1))
 @settings(max_examples=500)
 def test_dominated_cycle_strategy_matches_the_bfs_reference(view, parity):
     nodes, succ, _, color = view
-    assert dominated_cycle_strategy(nodes, succ, color, parity) \
+    assert cycle_strategy(nodes, succ, color, parity) \
         == bfs_dominated_cycle_strategy(nodes, succ, color, parity)
 
 
@@ -631,13 +666,14 @@ def test_analyses_agree_on_every_table_form(game, data):
     for nodes in (set(order), part):
         answers = [(find_dominated_cycle_nodes(*form, game.color, 0),
                     find_dominated_cycle_nodes(*form, game.color, 1),
-                    dominated_cycle_strategy(*form, game.color))
+                    cycle_strategy(*form, game.color))
                    for form in table_forms(game, order, nodes)]
         assert answers[1:] == answers[:1] * 2
     # the attractor needs a node set no edge leaves: the whole game
     answers = [(res.members, res.strategy) for res in (
-        attractor(*form, game.owner, player, target)
-        for form in table_forms(game, order, set(order)))]
+        attractor(succ, game.owner, player, target,
+                  predecessors(nodes, succ, game.n))
+        for nodes, succ in table_forms(game, order, set(order)))]
     assert answers[1:] == answers[:1] * 2
 
 
@@ -676,7 +712,7 @@ def test_peeled_decomposition_matches_the_unpeeled_reference(graph):
                             in kernel(*graph, parity)) for parity in (0, 1)],
                     find_dominated_cycle_nodes(*graph, 0),
                     find_dominated_cycle_nodes(*graph, 1),
-                    dominated_cycle_strategy(*graph))
+                    cycle_strategy(*graph, 1, kernel))
 
     assert answers(_dominated_pieces) \
         == answers(unpeeled_dominated_pieces)
@@ -760,7 +796,7 @@ def _decomposition_answers(kernel, nodes, succ, color):
         return [(sorted((top, sorted(piece)) for top, piece
                         in kernel(nodes, succ, color, parity)),
                  find_dominated_cycle_nodes(nodes, succ, color, parity),
-                 dominated_cycle_strategy(nodes, succ, color, parity))
+                 cycle_strategy(nodes, succ, color, parity, kernel))
                 for parity in (0, 1)]
 
 
@@ -815,7 +851,7 @@ def test_cycle_finder_handles_nesting_beyond_recursion_limit():
              **{tooth[i]: 2 * i + 1 for i in range(k)}}
     assert find_one_dominated_cycle_nodes(range(2 * k), succ, color) \
         == frozenset((tooth[0],))
-    assert dominated_cycle_strategy(range(2 * k), succ, color) \
+    assert cycle_strategy(range(2 * k), succ, color) \
         == {tooth[0]: tooth[0]}
 
 
@@ -824,7 +860,7 @@ def test_cycle_kernels_match_the_references_on_the_tiny_batch_games(
     # both player subgraphs of every seed-1 tiny-batch game at both
     # parities, and the empty node set: the decomposition is one list
     # with the unpeeled reference's pieces, and the cycle strategy is
-    # the per-piece BFS reference's, also where the pieces' BFS reads the
+    # the per-piece BFS reference's where the pieces' BFS reads the
     # game's own predecessor table, as `preprocess` hands it
     spec = importlib.util.spec_from_file_location("benchmark_games", GAMES)
     games = importlib.util.module_from_spec(spec)
@@ -845,13 +881,9 @@ def test_cycle_kernels_match_the_references_on_the_tiny_batch_games(
                 assert type(pieces) is list, inst.label
                 assert normal(pieces) == normal(unpeeled_dominated_pieces(
                     nodes, succ, color, parity)), inst.label
-                expected = bfs_dominated_cycle_strategy(nodes, succ, color,
-                                                        parity)
-                assert dominated_cycle_strategy(nodes, succ, color,
-                                                parity) == expected, \
-                    inst.label
                 assert _witness_edges(pieces, succ, color, table) \
-                    == expected, inst.label
+                    == bfs_dominated_cycle_strategy(nodes, succ, color,
+                                                    parity), inst.label
                 found += len(pieces)
     assert found > 8000
 
@@ -861,7 +893,9 @@ def test_dominated_cycle_strategy_is_safe(game):
     # following the assigned edges must never close an even-dominated cycle
     tables = game.player_nodes(1), game.successors, game.color
     marked = find_one_dominated_cycle_nodes(*tables)
-    strat = dominated_cycle_strategy(*tables)
+    strat = _witness_edges(_dominated_pieces(*tables, 1), *tables[1:],
+                           predecessors(range(game.n), game.successors,
+                                        game.n))
     assert set(strat) == set(marked)
     for v, t in strat.items():
         assert t in game.successors[v] and t in marked
@@ -902,7 +936,7 @@ def test_preprocess_attracts_committed_predecessor():
     prep = preprocess(g)
     assert prep.pre_won == frozenset((0, 1))
     assert prep.strategy1 == {0: 1, 1: 1}
-    res = attractor(*game_graph(g), 1, [1])
+    res = game_attractor(g, 1, [1])
     assert (res.members, res.strategy) == ({0, 1}, {0: 1})
 
 
@@ -952,9 +986,9 @@ def test_arena_predecessor_table_holds_the_kept_edges(game, data):
 def test_preprocess_runs_one_attractor_per_decomposition(monkeypatch):
     calls = []
 
-    def counted(nodes, succ, owner, player, target, preds=None):
+    def counted(succ, owner, player, target, preds):
         calls.append((player, preds))
-        return attractor(nodes, succ, owner, player, target, preds)
+        return attractor(succ, owner, player, target, preds)
 
     monkeypatch.setattr("pgsi.arena.attractor", counted)
     # three odd player-1 two-cycles with interleaved ids, joined one way:
@@ -979,8 +1013,8 @@ def test_preprocess_runs_one_attractor_per_decomposition(monkeypatch):
     assert prep.pre_won0 == frozenset((6, 7))
     assert prep.strategy0 == {6: 6, 7: 6}
     tables = joined.player_nodes(1), joined.successors, joined.color
-    assert dominated_cycle_strategy(*tables) \
-        == bfs_dominated_cycle_strategy(*tables)
+    assert _witness_edges(_dominated_pieces(*tables, 1), *tables[1:],
+                          table) == bfs_dominated_cycle_strategy(*tables)
     # no odd player-1 cycle and no even player-0 one: no piece and no
     # target, so no call runs
     calls.clear()
@@ -1040,12 +1074,13 @@ def test_player0_attractor_on_the_whole_game_is_the_one_without_pre_won():
         left = [v for v in range(game.n) if v not in prep.pre_won]
         inner = {v: tuple(t for t in game.successors[v]
                           if t not in prep.pre_won) for v in left}
-        cycles = dominated_cycle_strategy(
+        table = predecessors(range(game.n), game.successors, game.n)
+        cycles = _witness_edges(_dominated_pieces(
             [v for v in left if game.owner[v] == 0], game.successors,
-            game.color, 0)
-        whole = attractor(range(game.n), game.successors, game.owner, 0,
-                          cycles)
-        part = attractor(left, inner, game.owner, 0, cycles)
+            game.color, 0), game.successors, game.color, table)
+        whole = attractor(game.successors, game.owner, 0, cycles, table)
+        part = attractor(inner, game.owner, 0, cycles,
+                         predecessors(left, inner, game.n))
         assert whole == part
         assert whole.members == prep.pre_won0
         assert prep.pre_won0.isdisjoint(prep.pre_won)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from pgsi import POS_INFINITY, ParityGame
 from pgsi.arena import (attractor, build_escape_arena,
-                        find_one_dominated_cycle_nodes, preprocess)
+                        find_one_dominated_cycle_nodes, predecessors,
+                        preprocess)
 from pgsi.cli import random_game
 from pgsi.errors import DimensionError, InvariantViolation, ReasonablenessError
 from pgsi.iteration import (AllSwitches, DeterministicAll, SingleRandom,
@@ -490,7 +491,8 @@ def test_finite_value_iff_pulled_to_sink(game):
     owner = game.owner + (0,)
     for strategy, valuation in improvement_iterates(arena):
         succ = {**arena.succ, **strategy, sink: ()}
-        region = attractor(nodes, succ, owner, 1, (sink,)).members
+        region = attractor(succ, owner, 1, (sink,),
+                           predecessors(nodes, succ, sink + 1)).members
         for v in arena.nodes:
             assert (valuation[v] != INF_KEY) == (v in region)
 

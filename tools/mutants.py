@@ -136,6 +136,15 @@ MUTANTS = (
         (A + "test_attractor_on_sparse_ids_by_hand",
          A + "test_attractor_matches_the_level_by_level_reference")),
     Mutant(
+        "attractor-target-unbounded",
+        "`attractor` checks a target id against `preds` without its range "
+        "test, so a negative id reads an entry from the end of the list",
+        ARENA,
+        "        if not 0 <= t < size or preds[t] is None:\n",
+        "        if preds[t] is None:\n",
+        (A + "test_attractor_rejects_foreign_target",
+         A + "test_attractor_on_sparse_ids_matches_the_reference")),
+    Mutant(
         "cycle-pieces-drop-self-loops",
         "the cycle strategy leaves each piece node's self-loop out of the "
         "in-piece edges it chooses from, so a one-node piece's witness "
