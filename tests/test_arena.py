@@ -625,11 +625,10 @@ def test_attractor_on_sparse_ids_by_hand():
 
 def cycle_strategy(nodes, succ, color, parity=1,
                    decompose=_dominated_pieces):
-    """The cycle strategy as `preprocess` gets it: `_witness_edges` on the
-    pieces of the decomposition, over a predecessor table of the whole
-    id space the color table names with the sink, as the game's table
-    covers every game node, holding the edges of `nodes`: they may
-    leave the nodes."""
+    """`_witness_edges` on the pieces `decompose` gives, as `preprocess`
+    calls it: with a predecessor table over every id of the color table
+    and the sink, as the game's covers every game node.  The table holds
+    the edges of `nodes`, which may leave them; other ids get none."""
     size = len(color) + 1
     edges = [()] * size
     for v in nodes:
