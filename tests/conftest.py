@@ -1,11 +1,22 @@
 import random
 
+import pytest
 from hypothesis import strategies as st
 
-from pgsi import ParityGame
+from pgsi import ParityGame, parse_pgsolver
 from pgsi.cli import random_game
 
-from helpers import loop_game
+from helpers import load_file, loop_game
+
+
+@pytest.fixture(scope="session")
+def seed1_instances():
+    """Per benchmark workload, its seed-1 instances, each with the game
+    its text parses to; built once per session."""
+    games = load_file("benchmark/games.py")
+    return {name: [(inst, parse_pgsolver(inst.text))
+                   for inst in workload.build(1)]
+            for name, workload in games.WORKLOADS.items()}
 
 
 @st.composite

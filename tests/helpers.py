@@ -1,4 +1,5 @@
-"""Reference routines that only the tests use: the key of a count
+"""Reference routines that only the tests use: a loader for the
+repository's scripts outside the package, the key of a count
 vector and the game order on count vectors, a strategy built from a
 raw mapping, one application of the valuation operator, the deterministic
 strategies inside an improving edge set, a determinism predicate, the
@@ -30,9 +31,12 @@ both sides of a comparison alike:
 The decomposition itself is checked against the unpeeled one and a
 reachability closure, which share none of it."""
 
+import importlib.util
 import re
+import sys
 from collections import deque
 from itertools import product
+from pathlib import Path
 from typing import Iterator, Mapping
 
 from pgsi.arena import (AttractorResult, ParityGame, _dominated_pieces,
@@ -42,6 +46,23 @@ from pgsi.arena import (AttractorResult, ParityGame, _dominated_pieces,
 from pgsi.errors import FormatError
 from pgsi.profiles import INF_KEY
 from pgsi.valuation import Strategy
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_file(path: str):
+    """The module of the file at `path`, a path relative to the
+    repository root such as "benchmark/games.py", imported once per
+    process as "benchmark_games" and kept in `sys.modules`: the
+    dataclasses of `benchmark/games.py` look their module up there."""
+    name = path.removesuffix(".py").replace("/", "_")
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.spec_from_file_location(name, ROOT / path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
 
 
 def key_of(basis, counts) -> int:

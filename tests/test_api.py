@@ -3,34 +3,18 @@ tools that read the package work."""
 
 import ast
 import importlib
-import importlib.util
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pgsi
 from pgsi.cli import generate_game
 from pgsi.iteration import replay_verify, solve
 from pgsi.profiles import ProfileBasis
 
-from helpers import loop_game
+from helpers import ROOT, load_file, loop_game
 
-ROOT = Path(__file__).resolve().parents[1]
-LAYERS = ROOT / "benchmark" / "layers.py"
-CODE_LINES = ROOT / "tools" / "code_lines.py"
-UNREACHED = ROOT / "tools" / "unreached.py"
-
-
-def _load(path: Path, name: str):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _load_layers():
-    return _load(LAYERS, "benchmark_layers")
+layers = load_file("benchmark/layers.py")
 
 
 def test_public_names_resolve():
@@ -55,7 +39,6 @@ def test_import_loads_no_source_introspection_modules():
 def test_benchmark_wrapped_attributes_resolve():
     # the benchmark's tracer replaces these module attributes by name; a
     # rename would otherwise surface only as a failed benchmark run
-    layers = _load_layers()
     assert layers.WRAPPED
     for module_name, attr, _ in layers.WRAPPED:
         module = importlib.import_module(module_name)
@@ -65,8 +48,6 @@ def test_benchmark_wrapped_attributes_resolve():
 def test_benchmark_tracer_records_every_wrapped_lookup():
     # a refactor that moves a call off a wrapped module attribute would
     # leave its span at 0 in a traced benchmark run; here it fails
-    layers = _load_layers()
-
     class EntryTracer(layers.Tracer):
         """Names each span by its WRAPPED entry (module, attribute), in
         the order `installed` wraps them, since span names repeat."""
@@ -100,7 +81,6 @@ def test_benchmark_counts_profile_operators_on_the_class():
     # the benchmark's counted pass swaps these dunders in the class's own
     # dict and reads is_finite and dimension of valuation entries; a
     # mixin or functools.total_ordering would fail the run instead
-    layers = _load_layers()
     cls = pgsi.ColorProfile
     assert cls.__mro__ == (cls, object)
     for _, dunder in layers.PROFILE_OPS:
@@ -114,9 +94,10 @@ def test_benchmark_counts_profile_operators_on_the_class():
     assert counter.counts == {key: 1 for key, _ in layers.PROFILE_OPS}
 
 
-def test_code_line_counter_skips_docstrings_comments_and_blanks():
-    # the count ROADMAP and CHANGES.md quote for src/pgsi
-    tool = _load(CODE_LINES, "code_lines")
+def test_code_line_counter_skips_docstrings_comments_and_blanks(capsys):
+    # the counts ROADMAP and CHANGES.md quote for src/pgsi, tests/ and
+    # tools/
+    tool = load_file("tools/code_lines.py")
     source = (
         '"""Module docstring,\n'
         'over two lines."""\n'
@@ -133,10 +114,17 @@ def test_code_line_counter_skips_docstrings_comments_and_blanks():
     )
     # def, the call's three lines and the assignment's two
     assert tool.code_lines(source) == 6
+    # after the package's total, one line each for tests/ and tools/
+    assert tool.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3].startswith("total ")
+    for line, tree in zip(lines[-2:], ("tests", "tools")):
+        assert line.split() == [tree + "/", str(sum(
+            map(tool.file_lines, (ROOT / tree).glob("*.py"))))]
 
 
 def test_unreached_lists_the_statements_one_solve_skips():
-    tool = _load(UNREACHED, "unreached")
+    tool = load_file("tools/unreached.py")
     game = loop_game(generate_game(60, 3, 6, seed=7))
     report = tool.unreached(lambda: solve(game))
     path = ROOT / "src" / "pgsi" / "iteration.py"

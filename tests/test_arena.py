@@ -1,10 +1,8 @@
 """Game representation, file format, attractors, cycle analysis."""
 
-import importlib.util
 import random
 import sys
 import time
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -18,15 +16,13 @@ from pgsi.arena import (_dominated_pieces, _sccs, _witness_edges, attractor,
                         find_one_dominated_cycle_nodes, predecessors,
                         preprocess)
 from pgsi.cli import fuzz_game, generate_game, random_game
-from pgsi.errors import FormatError, InvariantViolation
+from pgsi.errors import FormatError
 from pgsi.iteration import POLICY_NAMES
 
 from conftest import fuzz_texts, parity_games
 from helpers import (bfs_dominated_cycle_strategy, level_attractor,
                      loop_game, marked, reference_parse_pgsolver,
                      two_pass_sccs, unpeeled_dominated_pieces)
-
-GAMES = Path(__file__).resolve().parents[1] / "benchmark" / "games.py"
 
 
 # ------------------------------------------------------------ construction
@@ -270,16 +266,11 @@ def test_parse_fuzz_gives_a_game_or_format_error(text):
     assert serialize_pgsolver(parse_pgsolver(canonical)) == canonical
 
 
-def test_parse_matches_the_reference_on_the_benchmark_texts(monkeypatch):
-    spec = importlib.util.spec_from_file_location("benchmark_games", GAMES)
-    games = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up by name
-    monkeypatch.setitem(sys.modules, spec.name, games)
-    spec.loader.exec_module(games)
-    for workload in games.WORKLOADS.values():
-        for inst in workload.build(1):
-            assert parse_pgsolver(inst.text) \
-                == reference_parse_pgsolver(inst.text), inst.label
+def test_parse_matches_the_reference_on_the_benchmark_texts(
+        seed1_instances):
+    for instances in seed1_instances.values():
+        for inst, game in instances:
+            assert game == reference_parse_pgsolver(inst.text), inst.label
 
 
 # ------------------------------------------------------------ escape arena
@@ -625,16 +616,14 @@ def test_attractor_on_sparse_ids_by_hand():
 
 def cycle_strategy(nodes, succ, color, parity=1,
                    decompose=_dominated_pieces):
-    """`_witness_edges` on the pieces `decompose` gives, as `preprocess`
-    calls it: with a predecessor table over every id of the color table
-    and the sink, as the game's covers every game node.  The table holds
-    the edges of `nodes`, which may leave them; other ids get none."""
-    size = len(color) + 1
-    edges = [()] * size
-    for v in nodes:
-        edges[v] = succ[v]
+    """`_witness_edges` on the pieces `decompose` gives, with the table
+    its contract asks for: the predecessors over `nodes` of the edges
+    among them, since these views have edges that leave the nodes."""
+    members = set(nodes)
+    among = {v: [t for t in succ[v] if t in members] for v in members}
     return _witness_edges(decompose(nodes, succ, color, parity), succ, color,
-                          predecessors(range(size), edges, size))
+                          predecessors(members, among,
+                                       max(members, default=-1) + 1))
 
 
 @given(graph_views(closed=False), st.integers(0, 1))
@@ -855,23 +844,17 @@ def test_cycle_finder_handles_nesting_beyond_recursion_limit():
 
 
 def test_cycle_kernels_match_the_references_on_the_tiny_batch_games(
-        monkeypatch):
+        seed1_instances):
     # both player subgraphs of every seed-1 tiny-batch game at both
     # parities, and the empty node set: the decomposition is one list
     # with the unpeeled reference's pieces, and the cycle strategy is
     # the per-piece BFS reference's where the pieces' BFS reads the
     # game's own predecessor table, as `preprocess` hands it
-    spec = importlib.util.spec_from_file_location("benchmark_games", GAMES)
-    games = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, games)
-    spec.loader.exec_module(games)
-
     def normal(pieces):
         return sorted((top, sorted(piece)) for top, piece in pieces)
 
     found = 0
-    for inst in games.WORKLOADS["tiny-batch"].build(1):
-        game = parse_pgsolver(inst.text)
+    for inst, game in seed1_instances["tiny-batch"]:
         succ, color = game.successors, game.color
         table = predecessors(range(game.n), succ, game.n)
         for nodes in (game.player_nodes(0), game.player_nodes(1), ()):

@@ -5,7 +5,6 @@ import io
 import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -18,6 +17,7 @@ from pgsi.errors import FormatError, InvariantViolation
 from pgsi.oracle import CrosscheckReport
 
 from conftest import fuzz_texts
+from helpers import ROOT
 
 TWO_NODE = ParityGame((0, 1), (1, 2), ((1,), (0,)))
 ODD_LOOP = ParityGame((0,), (1,), ((0,),))
@@ -188,8 +188,7 @@ def test_help_exits_cleanly(capsys):
 def test_readme_synopsis_lists_every_option():
     # each subcommand has one synopsis line in README, "pgsi <name> ...",
     # which names every option the parser defines for it and no other
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
-        encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     subparsers = next(action for action in build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction))
     for name, sub in subparsers.choices.items():

@@ -6,9 +6,10 @@ says why, as it does the counts of the acceptance tests."""
 
 import subprocess
 import sys
-from pathlib import Path
 
-DIGEST = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
+from helpers import ROOT
+
+DIGEST = ROOT / "tools" / "digest.py"
 
 SEED_1 = ("8010 instances, sha256 "
           "393b43df159039e5a6e1ca83ddc937b14de829c688fe21cd5fa5fdb5b807e8d9")

@@ -1,16 +1,13 @@
 """The enumerating reference solver and the solver-vs-oracle crosscheck."""
 
-import importlib.util
 import math
 import random
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from pgsi import (ParityGame, crosscheck, oracle_solve, parse_pgsolver,
-                  policy_by_name, solve)
+from pgsi import (ParityGame, crosscheck, oracle_solve, policy_by_name,
+                  solve)
 from pgsi import oracle
 from pgsi.arena import find_one_dominated_cycle_nodes
 from pgsi.cli import random_game
@@ -19,8 +16,6 @@ from pgsi.oracle import CrosscheckReport
 
 from conftest import parity_games
 from helpers import enumerated_oracle
-
-GAMES = Path(__file__).resolve().parents[1] / "benchmark" / "games.py"
 
 
 def test_oracle_two_node_alternation():
@@ -97,18 +92,13 @@ def test_oracle_keeps_the_first_best_strategy(game):
     assert list(result.witness.items()) == list(witness.items())
 
 
-def test_oracle_matches_the_enumerator_on_the_tiny_batch_games(monkeypatch):
+def test_oracle_matches_the_enumerator_on_the_tiny_batch_games(
+        seed1_instances):
     # every seed-1 tiny-batch game of the benchmark: the partition and the
     # witness, edge for edge and in key order
-    spec = importlib.util.spec_from_file_location("benchmark_games", GAMES)
-    games = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up by name
-    monkeypatch.setitem(sys.modules, spec.name, games)
-    spec.loader.exec_module(games)
-    instances = games.WORKLOADS["tiny-batch"].build(1)
+    instances = seed1_instances["tiny-batch"]
     assert len(instances) == 8000
-    for inst in instances:
-        game = parse_pgsolver(inst.text)
+    for inst, game in instances:
         result = oracle_solve(game)
         w0, w1, witness = enumerated_oracle(game)
         assert (result.w0, result.w1) == (w0, w1), inst.label
@@ -116,14 +106,11 @@ def test_oracle_matches_the_enumerator_on_the_tiny_batch_games(monkeypatch):
             inst.label
 
 
-def test_oracle_skips_the_strategies_its_kept_pieces_rule_out(monkeypatch):
+def test_oracle_skips_the_strategies_its_kept_pieces_rule_out(
+        monkeypatch, seed1_instances):
     # the seed-1 tiny-batch games with 50 or more strategies: a strategy
     # whose kept pieces already lose as many nodes as the best strategy
     # is left without a decomposition, which no result shows
-    spec = importlib.util.spec_from_file_location("benchmark_games", GAMES)
-    games = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, games)
-    spec.loader.exec_module(games)
     found = decompositions = strategies = 0
     pieces, product = oracle._dominated_pieces, oracle.product
 
@@ -140,8 +127,7 @@ def test_oracle_skips_the_strategies_its_kept_pieces_rule_out(monkeypatch):
 
     monkeypatch.setattr(oracle, "_dominated_pieces", counted_pieces)
     monkeypatch.setattr(oracle, "product", counted_product)
-    for inst in games.WORKLOADS["tiny-batch"].build(1):
-        game = parse_pgsolver(inst.text)
+    for _, game in seed1_instances["tiny-batch"]:
         if math.prod(len(game.successors[v])
                      for v in game.player_nodes(0)) >= 50:
             found += 1

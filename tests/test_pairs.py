@@ -1,19 +1,11 @@
 """The statistics and verdicts of `tools/pairs.py` on canned result lines
 of `benchmark/run.py`; no benchmark runs."""
 
-import importlib.util
 import json
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-TOOL = ROOT / "tools" / "pairs.py"
+from helpers import ROOT, load_file
 
-
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("pairs", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
+tool = load_file("tools/pairs.py")
 
 
 def _specs():
@@ -40,7 +32,6 @@ def _pairs(tool, parent, change):
 
 
 def test_rows_hold_medians_wins_quartiles_and_verdicts():
-    tool = _load_tool()
     parent = [(500e-6 + i * 1e-6, 7000.0) for i in range(10)]
     # the change: p99 lower in nine pairs of ten, games_per_s 28% lower
     change = [(440e-6 + i * 1e-6, 5000.0) for i in range(9)] \
@@ -63,7 +54,6 @@ def test_rows_hold_medians_wins_quartiles_and_verdicts():
 
 
 def test_eight_wins_of_ten_are_no_gain():
-    tool = _load_tool()
     parent = [(500e-6 + i * 1e-6, 7000.0) for i in range(10)]
     change = [(440e-6, 7000.0)] * 8 + [(600e-6, 7000.0)] * 2
     spec = next(s for s in _specs() if s["name"] == "verified_s.p99")
@@ -72,7 +62,6 @@ def test_eight_wins_of_ten_are_no_gain():
 
 
 def test_report_fails_on_a_bound_a_wrong_run_or_more_failures():
-    tool = _load_tool()
     parent = [(500e-6 + i * 1e-6, 7000.0) for i in range(4)]
     same = [(500e-6 + i * 1e-6, 7000.0 + i) for i in range(4)]
     table, ok = tool.report(_specs(), _pairs(tool, parent, same))
@@ -91,7 +80,6 @@ def test_report_fails_on_a_bound_a_wrong_run_or_more_failures():
 def test_wins_are_split_by_the_tree_that_ran_first():
     # the parent runs first in pairs 0, 2, 4, ...: a change that wins
     # only when it runs first shows 0 of 5 and 5 of 5
-    tool = _load_tool()
     assert [tool.parent_first(i) for i in range(4)] \
         == [True, False, True, False]
     parent = [(500e-6 + i * 1e-6, 7000.0) for i in range(10)]

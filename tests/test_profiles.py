@@ -1,7 +1,6 @@
 """Play values: the game order on color profiles, the keys of a basis,
 and the values that solves hand out."""
 
-import importlib.util
 import os
 import random
 import subprocess
@@ -17,7 +16,7 @@ from pgsi import POS_INFINITY, parse_pgsolver, solve
 from pgsi.errors import DimensionError, ProfileArithmeticError
 from pgsi.profiles import INF_KEY, ProfileBasis, digit_width
 
-from helpers import key_of, reference_compare
+from helpers import key_of, load_file, reference_compare
 
 
 @lru_cache(maxsize=None)
@@ -513,10 +512,7 @@ def test_values_of_two_solves_are_equal_but_do_not_mix():
 def test_benchmark_times_operators_on_pairs_of_one_valuation():
     # the benchmark times +, < and == on neighbouring finite entries of
     # one valuation, which share its solve's basis, so none of them raises
-    path = Path(__file__).resolve().parents[1] / "benchmark" / "layers.py"
-    spec = importlib.util.spec_from_file_location("benchmark_layers", path)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = load_file("benchmark/layers.py")
     seen = []
     game = parse_pgsolver(TWO_ESCAPES)
     solve(game, on_iteration=lambda i, s, valuation, imps:

@@ -4,9 +4,8 @@ run per workload of `BENCHMARK.json` and trace mode.  Only the shape is
 checked, not the values."""
 
 import json
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from helpers import ROOT
 
 
 def test_every_bench_file_parses_and_names_every_workload():

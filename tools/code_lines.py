@@ -1,4 +1,5 @@
-"""Count the code lines of the modules of src/pgsi.
+"""Count the code lines of the modules of src/pgsi, of tests/ and of
+tools/.
 
 A line counts when a token of code starts or continues on it.  Blank
 lines, comment-only lines and statements that are only a string literal
@@ -6,7 +7,8 @@ lines, comment-only lines and statements that are only a string literal
 
     python3 tools/code_lines.py
 
-prints one line per module and the total.
+prints one line per module of src/pgsi and their total, then one total
+for tests/ and one for tools/.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import sys
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pgsi"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "pgsi"
 
 # tokens that carry no code of their own
 LAYOUT = {tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT, tokenize.INDENT,
@@ -38,13 +41,20 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def file_lines(path: Path) -> int:
+    return code_lines(path.read_text(encoding="utf-8"))
+
+
 def main() -> int:
     total = 0
     for path in sorted(PACKAGE.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
+        count = file_lines(path)
         total += count
         print("%-16s %5d" % (path.name, count))
     print("%-16s %5d" % ("total", total))
+    for tree in ("tests", "tools"):
+        print("%-16s %5d" % (tree + "/", sum(
+            map(file_lines, (ROOT / tree).glob("*.py")))))
     return 0
 
 

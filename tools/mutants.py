@@ -3,10 +3,13 @@
 Each mutant is a small source patch: a module of the package, a piece of
 its text that must occur exactly once, the text that replaces it, and the
 tests that should fail once it does.  For each mutant the tool copies
-src/ and tests/ with pyproject.toml to a temporary directory, applies the
+what the tests read (src/, tests/, tools/, benchmark/ without its out/,
+pyproject.toml and BENCHMARK.json) to a temporary directory, applies the
 patch there, runs the named tests against the mutated copy in one pytest
 process, and reports the mutant killed when they fail, alive when they
 pass.  Mutants run one after another, one pytest process at a time.
+A kill counts only if the named tests pass in an unmutated copy built
+the same way, which `baseline` runs.
 Run from anywhere:
 
     python3 tools/mutants.py             # every mutant
@@ -549,26 +552,44 @@ def patched(mutant: Mutant, source: str) -> str:
     return source.replace(mutant.old, mutant.new)
 
 
-def run(mutant: Mutant) -> str:
-    """'killed' or 'alive': the named tests run against a mutated copy."""
+def run_tests(tests: tuple[str, ...],
+              mutant: Mutant | None = None) -> subprocess.CompletedProcess:
+    """One pytest process that runs `tests` in a copy of what they read,
+    with `mutant`'s patch applied when one is given; TimeoutExpired past
+    TIMEOUT_S."""
     with tempfile.TemporaryDirectory(prefix="pgsi-mutant-") as tmp:
         work = Path(tmp)
-        shutil.copytree(ROOT / "src", work / "src",
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copytree(ROOT / "tests", work / "tests",
-                        ignore=shutil.ignore_patterns("__pycache__"))
+        for tree in ("src", "tests", "tools", "benchmark"):
+            shutil.copytree(ROOT / tree, work / tree,
+                            ignore=shutil.ignore_patterns("__pycache__",
+                                                          "out"))
         shutil.copy(ROOT / "pyproject.toml", work)
-        target = work / "src" / "pgsi" / mutant.module
-        target.write_text(patched(mutant, target.read_text(encoding="utf-8")),
-                          encoding="utf-8")
-        try:
-            done = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-x",
-                 "-p", "no:cacheprovider", *mutant.tests],
-                cwd=work, capture_output=True, text=True, timeout=TIMEOUT_S,
-                env={**os.environ, "PYTHONPATH": str(work / "src")})
-        except subprocess.TimeoutExpired:
-            return "killed (timeout)"
+        shutil.copy(ROOT / "BENCHMARK.json", work)
+        if mutant is not None:
+            target = work / "src" / "pgsi" / mutant.module
+            target.write_text(
+                patched(mutant, target.read_text(encoding="utf-8")),
+                encoding="utf-8")
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x",
+             "-p", "no:cacheprovider", *tests],
+            cwd=work, capture_output=True, text=True, timeout=TIMEOUT_S,
+            env={**os.environ, "PYTHONPATH": str(work / "src")})
+
+
+def baseline() -> subprocess.CompletedProcess:
+    """Every test a mutant names, run once in an unmutated copy: a
+    named test that fails there, say on a file the copy lacks, would
+    count every mutant naming it as killed."""
+    return run_tests(tuple(sorted({t for m in MUTANTS for t in m.tests})))
+
+
+def run(mutant: Mutant) -> str:
+    """'killed' or 'alive': the named tests run against a mutated copy."""
+    try:
+        done = run_tests(mutant.tests, mutant)
+    except subprocess.TimeoutExpired:
+        return "killed (timeout)"
     if done.returncode == 0:
         return "alive"
     if done.returncode == 1:
