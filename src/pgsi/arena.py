@@ -63,10 +63,16 @@ class ParityGame:
     None, as the parser reads it.  Every field is stored as a tuple, so a
     game built from lists equals the one its text parses to.
 
-    Validation is one loop over the nodes, which checks a node's owner,
-    color and successors in that order, the first flaw in id order
-    raising ValueError; only a node whose successors repeat one
-    (``len(set(ts)) != len(ts)``) has them rebuilt without repeats.
+    A game is built by checks, then one storing step.  `__init__` checks
+    what its caller hands it: the lengths, then the names, then one loop
+    over the nodes, which checks a node's owner, color and successors in
+    that order, the first flaw in id order raising ValueError.  `_store`
+    keeps the checked columns: it rebuilds without repeats only a
+    successor tuple of two or more whose ``len(set(ts)) != len(ts)``,
+    first occurrences in place, stores a falsy name as None and sets the
+    four fields.  `parse_pgsolver` hands its columns to `_store` alone,
+    because its grammar and its bounds already make every check of
+    `__init__`.
 
     A game is a value: equal to a game with the same four fields,
     hashed by them, and refusing to set or delete an attribute with
@@ -95,9 +101,8 @@ class ParityGame:
                     raise ValueError(
                         "node %d has name %r, which holds a quote or a line "
                         "break" % (v, name))
-            names = tuple(name if name else None for name in names)
-        deduped = []
-        keep = deduped.append
+        rows = []
+        keep = rows.append
         for v, (o, c, ts) in enumerate(zip(owner, color, successors)):
             if type(o) is not int or o not in (0, 1):
                 raise ValueError("node %d has owner %r" % (v, o))
@@ -111,12 +116,23 @@ class ParityGame:
                                      "node of the game" % (v, t))
             if not ts:
                 raise ValueError("node %d has no successors" % v)
-            keep(ts if len(set(ts)) == len(ts) else tuple(dict.fromkeys(ts)))
-        # __setattr__ refuses: each field is set once, past its guard
+            keep(ts)
+        self._store(owner, color, rows, names)
+
+    def _store(self, owner: tuple[int, ...], color: tuple[int, ...],
+               successors: Iterable[tuple[int, ...]],
+               names: tuple[str | None, ...]) -> None:
+        """Set the four fields from checked columns: one owner, color,
+        successor tuple and name or None per node, each value valid."""
+        # __setattr__ refuses: each field is set once, past its checks
         set_field = object.__setattr__
         set_field(self, "owner", owner)
         set_field(self, "color", color)
-        set_field(self, "successors", tuple(deduped))
+        set_field(self, "successors", tuple([
+            ts if len(ts) < 2 or len(set(ts)) == len(ts)
+            else tuple(dict.fromkeys(ts)) for ts in successors]))
+        if names.count(None) < len(names):
+            names = tuple([name or None for name in names])
         set_field(self, "names", names)
 
     def __eq__(self, other):
@@ -203,11 +219,20 @@ def parse_pgsolver(text: str) -> ParityGame:
     successor in id order.
 
     One pass reads the lines: a node line costs one match, plain int
-    conversions of its id, color and successor field and one dict
-    insert.  Only when a conversion fails are its pieces converted one
-    by one, to name the first bad one and its line.  The ids and the
-    successors are then checked at once, node by node only to name a
-    flaw, and ParityGame checks each node in one loop.
+    conversions of its id, color and successor field (one `int` call
+    for a field without a comma) and one dict insert.  Only when a
+    conversion fails are its pieces converted one by one, to name the
+    first bad one and its line.  The ids and the successors are then
+    checked at once, node by node only to name a flaw.
+
+    The columns go to `ParityGame._store` alone, since the text has
+    passed every check `ParityGame.__init__` makes: one entry per node
+    in each column; owners 0 or 1 and colors and successors of ASCII
+    digits, which `_NODE_RE` admits and `int` makes non-negative ints of
+    type int; a successor field that starts and ends with a digit, so
+    no node lacks a successor; every successor below n, by the check
+    above; and a name that matches ``[^"]*`` inside one line of
+    `str.splitlines`, so it holds no quote and no line break.
     """
     entries: dict[int, tuple[int, int, tuple[int, ...], str | None]] = {}
     match = _NODE_RE.match
@@ -226,7 +251,8 @@ def parse_pgsolver(text: str) -> ParityGame:
         try:
             node = int(node)
             entry = (int(color), int(owner),
-                     tuple(map(int, targets.split(","))), name)
+                     tuple(map(int, targets.split(","))) if "," in targets
+                     else (int(targets),), name)
         except ValueError:
             _refuse_numbers(groups, lineno, entries)
         if node in entries:
@@ -244,7 +270,9 @@ def parse_pgsolver(text: str) -> ParityGame:
         node, found = next((v, t) for v, targets in enumerate(succs)
                            for t in targets if t >= n)
         raise FormatError("node %d lists undeclared successor %d" % (node, found))
-    return ParityGame(owners, colors, succs, names)
+    game = object.__new__(ParityGame)
+    game._store(owners, colors, succs, names)
+    return game
 
 
 def serialize_pgsolver(game: ParityGame) -> str:
@@ -453,7 +481,9 @@ def _sccs(order: Iterable[int], succ: _Successors, state: list[int],
     node's preorder number.  A node is pushed on the component stack
     when it returns without being a root, so a component lists its root
     first, then its other members in reverse return order.  The
-    components come back in one list, in the order they close.
+    components that hold an edge come back in one list, in the order
+    they close: a one-node component without a self-loop lies on no
+    cycle, so it is closed, its entry set to 0, but not listed.
     """
     # the component stack, the DFS path and, per node on the path, its
     # low-link so far and the iterator over its successors
@@ -492,7 +522,8 @@ def _sccs(order: Iterable[int], succ: _Successors, state: list[int],
                         comp.append(component_stack.pop())
                     for u in comp:
                         state[u] = 0
-                    components.append(comp)
+                    if len(comp) > 1 or v in succ[v]:
+                        components.append(comp)
                 else:
                     component_stack.append(v)
                     if low < lows[-1]:
@@ -533,17 +564,17 @@ def _dominated_pieces(nodes: Collection[int], succ: _Successors,
     its highest color of the wanted parity, the piece is trimmed to the
     nodes at or below it (a piece with none is dropped), its
     trimmed nodes are stamped with a fresh mark above the sentinel, and
-    `_sccs` splits them into strongly connected components, leaving 0 at
-    every node of them; a node the trim leaves out keeps its count or
-    that 0, which `_sccs` skips.  A component with at least one edge
-    whose top color has the wanted parity is a piece, kept whole; one
-    topped by the other parity goes back on the worklist, where the trim
-    removes its top.  A piece is the component of the subgraph colored
-    <= its top that contains it.  Pieces on the worklist are
-    disjoint, so every level of nesting costs O(n' + m') and the whole
-    O(depth * (n' + m')), depth being how deeply components topped by
-    the other parity nest.  A worklist, not recursion, because that
-    nesting grows with the node count.
+    `_sccs` splits them into the strongly connected components that
+    hold an edge, leaving 0 at every node it visits; a node the trim
+    leaves out keeps its count or that 0, which `_sccs` skips.  A
+    component whose top color has the wanted parity is a piece, kept
+    whole; one topped by the other parity goes back on the worklist,
+    where the trim removes its top.  A piece is the component of the
+    subgraph colored <= its top that contains it.  Pieces on the
+    worklist are disjoint, so every level of nesting costs O(n' + m')
+    and the whole O(depth * (n' + m')), depth being how deeply
+    components topped by the other parity nest.  A worklist, not
+    recursion, because that nesting grows with the node count.
     """
     if not nodes:
         return []
@@ -584,8 +615,6 @@ def _dominated_pieces(nodes: Collection[int], succ: _Successors,
                 state[v] = mark
                 order.append(v)
         for comp in _sccs(order, succ, state, mark):
-            if len(comp) == 1 and comp[0] not in succ[comp[0]]:
-                continue
             high = max(map(color.__getitem__, comp))
             if high % 2 == parity:
                 pieces.append((high, comp))

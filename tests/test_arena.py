@@ -103,6 +103,23 @@ def test_parse_names_and_whitespace():
     assert g.successors[1] == (0, 1)  # header value is not trusted anyway
 
 
+@pytest.mark.parametrize("text, successors, names", [
+    ("0 1 0 0,0,0;\n", ((0,),), (None,)),
+    ("0 1 0 1,1;\n1 0 1 1 , 0,1 ;\n", ((1,), (1, 0)), (None, None)),
+    ('0 1 0 0 "";\n', ((0,),), (None,)),
+    ('0 1 0 1 "";\n1 0 1 0 "b";\n', ((1,), (0,)), (None, "b")),
+    ("".join("%d 0 0 %d;\n" % (v, (v + 10) % 11) for v in range(11)),
+     tuple(((v + 10) % 11,) for v in range(11)), (None,) * 11),
+], ids=["repeats", "repeated-pair", "empty-name", "empty-and-set-names",
+        "two-digit-single-successors"])
+def test_parse_stores_what_the_game_would(text, successors, names):
+    # repeated successors collapse, first occurrences in place, and an
+    # empty quoted name is no name, as ParityGame stores them
+    game = parse_pgsolver(text)
+    assert game.successors == successors and game.names == names
+    assert ParityGame(game.owner, game.color, successors, names) == game
+
+
 @pytest.mark.parametrize("text", [
     "0 1 0 ;\n",            # no successors
     "0 1 0 1;\n",           # dangling target
@@ -253,6 +270,16 @@ def parse_outcome(parse, text):
         return str(refused)
 
 
+def assert_admitted(game):
+    """`game` holds only what ParityGame admits: the checked constructor
+    rebuilds it equal, and every owner, color and successor is of type
+    int, which ``==`` alone would not tell from True."""
+    assert ParityGame(game.owner, game.color, game.successors,
+                      game.names) == game
+    assert all(type(x) is int for x in game.owner + game.color)
+    assert all(type(t) is int for ts in game.successors for t in ts)
+
+
 @settings(max_examples=300, deadline=None)
 @given(fuzz_texts)
 def test_parse_fuzz_gives_a_game_or_format_error(text):
@@ -261,6 +288,7 @@ def test_parse_fuzz_gives_a_game_or_format_error(text):
     assert game == parse_outcome(reference_parse_pgsolver, text)
     if isinstance(game, str):
         return
+    assert_admitted(game)
     canonical = serialize_pgsolver(game)
     assert parse_pgsolver(canonical) == game
     assert serialize_pgsolver(parse_pgsolver(canonical)) == canonical
@@ -271,6 +299,7 @@ def test_parse_matches_the_reference_on_the_benchmark_texts(
     for instances in seed1_instances.values():
         for inst, game in instances:
             assert game == reference_parse_pgsolver(inst.text), inst.label
+            assert_admitted(game)
 
 
 # ------------------------------------------------------------ escape arena
@@ -460,11 +489,13 @@ def rooted_graphs(draw):
 @settings(max_examples=500, deadline=None)
 @given(rooted_graphs())
 def test_sccs_match_the_two_pass_reference(graph):
-    # the same component lists, members in the same order, yielded in
-    # the same order
+    # the same component lists, members in the same order, listed in
+    # the same order, but for the one-node components without a
+    # self-loop, which lie on no cycle and which `_sccs` leaves out
     order, succ, allowed = graph
-    assert list(_sccs(order, succ, *marked(allowed, len(succ)))) \
-        == list(two_pass_sccs(order, succ, allowed))
+    assert _sccs(order, succ, *marked(allowed, len(succ))) \
+        == [comp for comp in two_pass_sccs(order, succ, allowed)
+            if len(comp) > 1 or comp[0] in succ[comp[0]]]
 
 
 def _closure_with_step(nodes, succ):

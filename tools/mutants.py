@@ -67,10 +67,19 @@ MUTANTS = (
         ARENA,
         "                    for u in comp:\n"
         "                        state[u] = 0\n"
-        "                    components.append(comp)\n",
-        "                    components.append(comp)\n",
+        "                    if len(comp) > 1",
+        "                    if len(comp) > 1",
         (A + "test_sccs_match_the_two_pass_reference",
          A + "test_cycle_finder_matches_reachability_oracle")),
+    Mutant(
+        "sccs-drop-self-loop-nodes",
+        "`_sccs` leaves out every one-node component, so a node whose "
+        "only cycle is its self-loop is in no piece",
+        ARENA,
+        "                    if len(comp) > 1 or v in succ[v]:\n",
+        "                    if len(comp) > 1:\n",
+        (A + "test_sccs_match_the_two_pass_reference",
+         A + "test_odd_self_loop_is_dominated")),
     Mutant(
         "peel-counts-non-nodes",
         "the peel counts the in-edges of ids that are no nodes as well",
@@ -484,19 +493,40 @@ MUTANTS = (
          R + "[duplicate-and-oversized-successor]")),
     Mutant(
         "game-keeps-repeated-successors",
-        "the dedup branch is gone, so repeated successors stay",
+        "the storing step keeps every successor tuple as it comes, so "
+        "repeated successors stay",
         ARENA,
-        "            keep(ts if len(set(ts)) == len(ts) else "
-        "tuple(dict.fromkeys(ts)))\n",
-        "            keep(ts)\n",
-        (A + "test_game_collapses_duplicate_edges",)),
+        "            ts if len(ts) < 2 or len(set(ts)) == len(ts)\n"
+        "            else tuple(dict.fromkeys(ts)) for ts in successors]))\n",
+        "            ts for ts in successors]))\n",
+        (A + "test_game_collapses_duplicate_edges",
+         A + "test_parse_stores_what_the_game_would")),
     Mutant(
         "game-sorts-repeated-successors",
-        "the dedup branch sorts the successors it keeps",
+        "the storing step sorts the successors it rebuilds without repeats",
         ARENA,
-        " else tuple(dict.fromkeys(ts)))\n",
-        " else tuple(sorted(set(ts))))\n",
-        (A + "test_game_collapses_duplicate_edges",)),
+        "            else tuple(dict.fromkeys(ts)) for ts in successors]))\n",
+        "            else tuple(sorted(set(ts))) for ts in successors]))\n",
+        (A + "test_game_collapses_duplicate_edges",
+         A + "test_parse_stores_what_the_game_would")),
+    Mutant(
+        "repeat-test-skips-pairs",
+        "the storing step takes the repeat test's shortcut for a tuple of "
+        "two successors too, so a repeated pair stays",
+        ARENA,
+        "            ts if len(ts) < 2 or len(set(ts)) == len(ts)\n",
+        "            ts if len(ts) < 3 or len(set(ts)) == len(ts)\n",
+        (A + "test_game_is_an_immutable_hashable_value",
+         A + "test_parse_stores_what_the_game_would")),
+    Mutant(
+        "one-successor-digit-by-digit",
+        "the parser's one-call conversion of a field without a comma "
+        "converts it digit by digit, so the successor 10 reads as 1, 0",
+        ARENA,
+        "                     else (int(targets),), name)\n",
+        "                     else tuple(map(int, targets)), name)\n",
+        (A + "test_parse_stores_what_the_game_would",
+         A + "test_parse_matches_the_reference_on_the_benchmark_texts")),
     Mutant(
         "game-keeps-caller-lists",
         "a game keeps the owner and color lists it is given",
