@@ -117,7 +117,7 @@ def test_parse_stores_what_the_game_would(text, successors, names):
     # empty quoted name is no name, as ParityGame stores them
     game = parse_pgsolver(text)
     assert game.successors == successors and game.names == names
-    assert ParityGame(game.owner, game.color, successors, names) == game
+    assert_admitted(game)
 
 
 @pytest.mark.parametrize("text", [
