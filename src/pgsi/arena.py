@@ -315,7 +315,7 @@ class EscapeArena(NamedTuple):
     need, with one digit per color its nodes carry; every valuation of
     the arena is a list of its keys.  `unit_keys` holds per node id the
     key of one visit to its color, 0 at the sink and at nodes the arena
-    does not keep.  ``==`` and ``!=`` leave `basis` and `unit_keys` out.
+    does not keep.
     """
 
     game: ParityGame
@@ -328,12 +328,6 @@ class EscapeArena(NamedTuple):
     preds: list[list[int] | None]
     basis: ProfileBasis
     unit_keys: list[int]
-
-    def __eq__(self, other):
-        return type(other) is EscapeArena and self[:8] == other[:8]
-
-    def __ne__(self, other):
-        return not self == other
 
 
 def build_escape_arena(game: ParityGame,

@@ -3,6 +3,8 @@
 Starting from the always-escape strategy the solver alternates valuation
 and switching: edges strictly better than the current valuation are
 switched to (the policy decides which), edges realizing it may be kept.
+A policy returns only the entries it switches, each inside its
+improving entry, and the loop lays them over a copy of the strategy.
 Values only ever grow, so the loop terminates; when no strict improvement
 is left, the nodes with unbounded value are exactly the ones player 0
 wins, and winning strategies for both players fall out of the final
@@ -46,48 +48,30 @@ class AllSwitches:
         return {v: improving[v] for v in changed_nodes(strategy, improving)}
 
 
-def _narrowed(strategy: Strategy, imps: ImprovementSets) -> Strategy:
-    """The entries `imps` reclassified, each cut down to its improving
-    edges.
-
-    Every other entry needs no cut: it kept its choices and its
-    improving entry since the previous step, whose check found those
-    choices inside that entry.
-    """
-    improving = imps.improving
-    return {v: tuple([t for t in strategy[v] if t in improving[v]])
-            for v in imps.reclassified}
-
-
 class DeterministicAll:
     """Per improvable node the single best strict target (largest target
     value, then smallest id); other nodes keep their one edge, which
     realizes the current value.  Deterministic strategies go in and come
     out, starting from the always-escape one.
 
-    The step returns the reclassified entries, cut down (see
-    `_narrowed`), and the strict sources; every other node keeps its
-    edge unchanged."""
+    The step returns the strict sources alone; every other node keeps
+    its edge unchanged."""
 
     name = "deterministic-all"
 
     def pick(self, arena, strategy, valuation, imps):
-        choices = _narrowed(strategy, imps)
-        for v, stricts in imps.strict.items():
-            # targets are ascending, and max keeps the first maximum
-            choices[v] = (max(stricts, key=valuation.__getitem__),)
-        return choices
+        # targets are ascending, and max keeps the first maximum
+        return {v: (max(stricts, key=valuation.__getitem__),)
+                for v, stricts in imps.strict.items()}
 
 
 class SingleRandom:
     """Apply exactly one strict improvement per step, chosen by a seeded
     generator; all other nodes keep their value-realizing edges.
 
-    The step returns the reclassified entries, cut down to their
-    improving edges (see `_narrowed`), and the switched source, so
-    outside the draw it costs what the last step changed rather than the
-    number of player-0 nodes.  The draw lists every strict edge, in
-    sorted source order, and picks one by ``choice``."""
+    The step returns the switched source alone, so outside the draw it
+    costs nothing per player-0 node.  The draw lists every strict edge,
+    in sorted source order, and picks one by ``choice``."""
 
     name = "single-random"
 
@@ -96,10 +80,8 @@ class SingleRandom:
         self._rng = random.Random(seed)
 
     def pick(self, arena, strategy, valuation, imps):
-        choices = _narrowed(strategy, imps)
         v, t = self._rng.choice(imps.strict_edges())
-        choices[v] = (t,)
-        return choices
+        return {v: (t,)}
 
 
 POLICY_NAMES = (AllSwitches.name, DeterministicAll.name, SingleRandom.name)
@@ -169,11 +151,11 @@ def _check_step(next_strategy: Strategy, imps: ImprovementSets,
 
     Given every entry of `next_strategy` as `nodes`, this is the full
     check.  It suffices to give the entries the policy returned and the
-    entries `imps` reclassified, which after a full classification are
-    every player-0 node: ``solve`` lays the returned entries over a copy
-    of the current strategy, so every other node kept its choices, which
-    the previous step's check found inside its improving entry, and kept
-    that entry too.  A node that takes a strict edge was returned,
+    entries the classification that built `imps` visited, which after a
+    full classification are every player-0 node: ``solve`` lays the
+    returned entries over a copy of the current strategy, so every other
+    node kept its choices, which the previous step's check found inside
+    its improving entry, and kept that entry too.  A node that takes a strict edge was returned,
     because strict edges are never part of the current strategy.  A node
     at +inf that passes keeps only its own strategy edges onto +inf
     targets, its improving entry, which ``solve`` relies on."""
@@ -269,17 +251,16 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
     none shrank (``_check_progress``), and reclassify only the player-0
     nodes whose choices, value or successor values changed
     (``_stale_entries``), carrying the other improvement-set entries
-    over.  A policy's `pick`
-    returns only the entries it sets (a whole strategy also works); the
-    loop lays them over one copy of the strategy, so no entry it does not
-    return can change.  The returned nodes whose choices changed are
-    listed once (``changed_nodes``), after the step check; those with a
-    finite value seed A and the reasonableness check of the next
-    iteration, which reclassifies all of them.  The step check
-    (``_check_step``) visits the returned and the reclassified entries,
-    which is exact by construction (the first classification
-    reclassifies every player-0 node), so that a step costs what it
-    touches.
+    over.  A policy's `pick` returns the entries it switches (a whole
+    strategy also works); the loop lays them over one copy of the
+    strategy, so no entry it does not return can change.  The returned
+    nodes whose choices changed are listed once (``changed_nodes``),
+    after the step check; those with a finite value seed A and the
+    reasonableness check of the next iteration, which reclassifies all
+    of them.  The step check (``_check_step``) visits the returned
+    entries and the entries the last classification visited, which is
+    exact by construction (the first classification visits every
+    player-0 node), so that a step costs what it touches.
     Every `audit_every`-th iteration is also recomputed by the reference
     route and compared bit for bit, its growth checked over every node,
     its improvement sets compared with a classification of every node,
@@ -356,9 +337,11 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
                 moved = _check_progress(
                     current, new_vals, switched,
                     range(len(new_vals)) if audit else region)
+                reclassified = _stale_entries(arena, changed, moved)
                 imps = improvements(arena, sigma, new_vals, imps,
-                                    _stale_entries(arena, changed, moved))
+                                    reclassified)
             else:
+                reclassified = arena.player0_nodes
                 imps = improvements(arena, sigma, new_vals)
             if audit and improvements(arena, sigma, new_vals) != imps:
                 raise InvariantViolation(
@@ -382,7 +365,7 @@ def solve(game: ParityGame, policy=None, audit_every: int = 16,
             next_sigma = sigma.copy()
             next_sigma.update(step)
             switched = _check_step(next_sigma, imps,
-                                   step.keys() | imps.reclassified)
+                                   step.keys() | reclassified)
             if audit and _check_step(next_sigma, imps,
                                      next_sigma) != switched:
                 raise InvariantViolation(

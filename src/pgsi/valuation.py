@@ -25,10 +25,10 @@ finds the nodes player 1 can still force into the sink on its own and
 checks afterwards that they are closed.  Both routes return
 bit-identical results.  :func:`improvements` likewise classifies
 either every player-0 node or, carrying the rest over from the sets of
-the previous step, only the nodes whose inputs changed, and records
-which entries it classified, so that a switch policy returns only
-those and the sources it switches, and the step check of ``solve``
-visits only what the policy returned and those.
+the previous step, only the nodes whose inputs changed.  A switch
+policy returns only the entries it switches, and the step check of
+``solve`` visits only those and the entries the last classification
+visited.
 
 The player-0 nodes whose choices a step changed are listed once per step,
 by :func:`changed_nodes` over the entries the policy returned; those at a
@@ -230,22 +230,10 @@ def to_profiles(arena: EscapeArena,
 class ImprovementSets(NamedTuple):
     """Player-0 edges at least as good as the current valuation (a strategy
     in its own right) and the strictly better subset, per source node.
-
-    `reclassified` names the entries the building :func:`improvements`
-    call classified: every player-0 node on a full classification, else
-    the nodes it was given; every other entry was carried over unchanged.
-    It takes no part in ``==`` and ``!=``, which compare the sets alone.
     """
 
     improving: Strategy
     strict: dict[int, tuple[int, ...]]
-    reclassified: Collection[int]
-
-    def __eq__(self, other):
-        return type(other) is ImprovementSets and self[:2] == other[:2]
-
-    def __ne__(self, other):
-        return not self == other
 
     def strict_edges(self) -> list[tuple[int, int]]:
         return [(v, t) for v in sorted(self.strict) for t in self.strict[v]]
@@ -270,8 +258,7 @@ def improvements(arena: EscapeArena, strategy: Strategy,
     an earlier strategy and valuation as `prior`, only the player-0 nodes
     in `nodes` are; every other entry is carried over unchanged, which is
     exact when their choices, own values and successor values are the
-    same as then.  The result records the nodes classified as its
-    `reclassified`.
+    same as then.
     """
     unit = arena.unit_keys
     escape_choices = arena.escape_choices
@@ -309,7 +296,7 @@ def improvements(arena: EscapeArena, strategy: Strategy,
             strict[v] = tuple(better)
         else:
             strict.pop(v, None)
-    return ImprovementSets(improving, strict, nodes)
+    return ImprovementSets(improving, strict)
 
 
 def switch_region(arena: EscapeArena, new: Strategy,

@@ -16,7 +16,7 @@ import pytest
 from pgsi import (SolveResult, oracle_solve, parse_pgsolver, policy_by_name,
                   replay_verify, serialize_pgsolver, solve)
 from pgsi.arena import preprocess
-from pgsi.cli import generate_game, main, random_game
+from pgsi.cli import fuzz_game, generate_game, main, random_game
 from pgsi.errors import InvariantViolation
 from pgsi.iteration import POLICY_NAMES, extract_deterministic
 from pgsi.profiles import POS_INFINITY, ProfileBasis
@@ -33,14 +33,6 @@ RANDOM_POLICY_SEED = 5
 # Observed growth base for the all-switches policy on out-degree-2 games:
 # acceptance 6 checks that runs stay below `3 * DEG2_BASE ** |V0|`.
 DEG2_BASE = 1.724
-
-
-def corpus_game(seed):
-    rng = random.Random(77_000 + seed)
-    nodes = rng.randint(1, 8)
-    colors = rng.randint(1, 4)
-    degree = rng.randint(1, 3)
-    return random_game(rng, nodes, degree, colors, 0.5)
 
 
 def verdict(capsys, number, ok, detail):
@@ -75,7 +67,7 @@ class StepAuditor:
 @pytest.fixture(scope="module")
 def corpus():
     started = time.perf_counter()
-    games = [corpus_game(seed) for seed in range(CORPUS_SIZE)]
+    games = [fuzz_game(77_000 + seed) for seed in range(CORPUS_SIZE)]
     oracles = [oracle_solve(game) for game in games]
     return {"games": games, "oracles": oracles,
             "seconds": time.perf_counter() - started}

@@ -157,14 +157,33 @@ def test_all_policies_agree_on_the_winner():
             replay_verify(game, result)
 
 
-def test_deterministic_policy_keeps_singleton_strategies():
+@pytest.mark.parametrize("name", [DeterministicAll.name, SingleRandom.name])
+def test_deterministic_policy_keeps_singleton_strategies(name):
+    # each entry's one edge then realizes its node's value and so lies
+    # inside its improving entry, which lets a step return its switches
+    # alone
     rng = random.Random(31)
     for _ in range(10):
         game = loop_game(random_game(rng, rng.randint(2, 8), 3, 4))
         seen = []
-        solve(game, policy=DeterministicAll(),
+        solve(game, policy=policy_by_name(name, seed=31),
               on_iteration=lambda i, s, v, imps: seen.append(s))
         assert seen and all(is_deterministic(s) for s in seen)
+
+
+def test_all_switches_steps_to_the_improving_edges():
+    # every strategy after the first is the previous improving set
+    rng = random.Random(31)
+    steps = 0
+    for _ in range(10):
+        game = loop_game(random_game(rng, 60, 3, 6))
+        seen = []
+        solve(game, policy=AllSwitches(),
+              on_iteration=lambda i, s, v, imps: seen.append((s, imps)))
+        for (_, imps), (strategy, _) in zip(seen, seen[1:]):
+            assert strategy == imps.improving
+            steps += 1
+    assert steps >= 30
 
 
 @pytest.mark.parametrize("name", POLICY_NAMES)
@@ -270,7 +289,7 @@ def test_deterministic_policy_prefers_an_unbounded_strict_target():
     game = ParityGame((0, 1, 1), (0, 0, 2), ((1, 2), (1,), (2,)))
     arena = build_escape_arena(game)
     valuation = [0, 1 << 200, INF_KEY, 0]
-    imps = ImprovementSets({0: (1, 2, 3)}, {0: (1, 2)}, (0,))
+    imps = ImprovementSets({0: (1, 2, 3)}, {0: (1, 2)})
     picked = DeterministicAll().pick(arena, {0: (3,)}, valuation, imps)
     assert picked == {0: (2,)}
 
@@ -323,17 +342,34 @@ def test_worsening_policy_is_rejected():
         solve(game, policy=Wild())
 
 
+def record_classifications(monkeypatch):
+    """Make `solve` record the player-0 nodes each `improvements` call
+    classifies; returns the list it appends them to.  On an audit
+    iteration the audit's full classification comes after the step's
+    own."""
+    real = iteration.improvements
+    classified = []
+
+    def recording(arena, strategy, valuation, prior=None, nodes=()):
+        classified.append(arena.player0_nodes if prior is None else nodes)
+        return real(arena, strategy, valuation, prior, nodes)
+
+    monkeypatch.setattr(iteration, "improvements", recording)
+    return classified
+
+
 class Rogue:
     """SingleRandom, except that from the third pick on `tamper` may
-    return an entry for the first node that the last classification did
-    not visit and that has no strict edge; `tampered` records each node
-    it did that for."""
+    return an entry for the first node that the last classification,
+    the last of `classified`, did not visit and that has no strict edge;
+    `tampered` records each node it did that for."""
 
     name = "rogue"
 
-    def __init__(self, tamper):
+    def __init__(self, tamper, classified):
         self.inner = SingleRandom(1)
         self.tamper = tamper
+        self.classified = classified
         self.picks = 0
         self.tampered = []
 
@@ -344,7 +380,7 @@ class Rogue:
             return step
         choices = dict(step)
         for v in arena.player0_nodes:
-            if (v not in imps.reclassified and v not in imps.strict
+            if (v not in self.classified[-1] and v not in imps.strict
                     and self.tamper(arena, imps, valuation, choices, v)):
                 self.tampered.append(v)
                 break
@@ -396,13 +432,14 @@ def escape_from_top(arena, imps, valuation, choices, v):
     (escape_from_top, "policy chose non-improving edge"),
 ], ids=["unknown-node", "non-improving-edge", "empty-entry",
         "finite-target-at-top", "escape-from-top"])
-def test_rogue_step_caught_by_the_narrowed_check(tamper, message):
+def test_rogue_step_caught_by_the_narrowed_check(monkeypatch, tamper,
+                                                 message):
     # with audits off only the step check at the returned and
     # reclassified entries stands between the rogue step and the
     # valuation; `solve` leaves a changed node at +inf out of the seeds
     # of the switch region because this check holds it to its entry
     game = random_game(random.Random(12), 300, 3, 8)
-    policy = Rogue(tamper)
+    policy = Rogue(tamper, record_classifications(monkeypatch))
     with pytest.raises(InvariantViolation, match=message):
         solve(game, policy, audit_every=0)
     assert len(policy.tampered) == 1
@@ -426,6 +463,30 @@ def test_step_keeping_a_stale_edge_is_rejected():
     with pytest.raises(InvariantViolation,
                        match="policy chose non-improving edge"):
         solve(game, Lazy(), audit_every=0)
+
+
+def test_step_check_visits_reclassified_entries_the_step_left_out():
+    # each step adds one strict edge at a node it never switched before
+    # and returns that entry alone, old edges kept; a kept edge that
+    # stops improving then lies at a node the next step leaves out but
+    # the classification visits, so only the check of the reclassified
+    # entries stands between it and the fast valuation
+    class Hoarding:
+        name = "hoarding"
+
+        def __init__(self):
+            self.switched = set()
+
+        def pick(self, arena, strategy, valuation, imps):
+            v, t = next((v, t) for v, t in imps.strict_edges()
+                        if v not in self.switched)
+            self.switched.add(v)
+            return {v: tuple(sorted(strategy[v] + (t,)))}
+
+    game = random_game(random.Random(12), 300, 3, 8)
+    with pytest.raises(InvariantViolation,
+                       match="policy chose non-improving edge"):
+        solve(game, Hoarding(), audit_every=0)
 
 
 # ------------------------------------------------------------- progression
@@ -625,9 +686,9 @@ def test_narrowed_progress_check_catches_a_value_lowered_in_the_region(
 
 def test_step_bookkeeping_visits_only_what_the_step_touched(monkeypatch):
     # a guard against whole-arena work per step: on a long-walk-shaped
-    # game, pick and the step check each look up at most one improving
-    # entry per reclassified entry and per returned entry, plus one; the
-    # pick returns at most the reclassified entries and the switched node
+    # game, pick looks up no improving entry and returns the switched
+    # node alone, and the step check looks up at most one improving
+    # entry per reclassified entry and per returned entry, plus one
     lookups = [0]
 
     class Counted(dict):
@@ -643,13 +704,13 @@ def test_step_bookkeeping_visits_only_what_the_step_touched(monkeypatch):
             lookups[0] += 1
             return dict.__contains__(self, key)
 
+    classified = record_classifications(monkeypatch)
     real_improvements = iteration.improvements
     real_check = iteration._check_step
 
     def counted_improvements(*args):
         imps = real_improvements(*args)
-        return ImprovementSets(Counted(imps.improving), imps.strict,
-                               imps.reclassified)
+        return imps._replace(improving=Counted(imps.improving))
 
     steps = []
 
@@ -662,16 +723,15 @@ def test_step_bookkeeping_visits_only_what_the_step_touched(monkeypatch):
         def pick(self, arena, strategy, valuation, imps):
             lookups[0] = 0
             step = self.inner.pick(arena, strategy, valuation, imps)
-            assert len(step) <= len(imps.reclassified) + 1
-            budget = len(imps.reclassified) + len(step) + 1
-            steps.append([budget, lookups[0], None,
-                          len(imps.improving)])
+            assert len(step) == 1 and lookups[0] == 0
+            budget = len(classified[-1]) + len(step) + 1
+            steps.append([budget, None, len(imps.improving)])
             return step
 
     def counted_check(next_strategy, imps, nodes):
         lookups[0] = 0
         switched = real_check(next_strategy, imps, nodes)
-        steps[-1][2] = lookups[0]
+        steps[-1][1] = lookups[0]
         return switched
 
     monkeypatch.setattr(iteration, "improvements", counted_improvements)
@@ -679,11 +739,10 @@ def test_step_bookkeeping_visits_only_what_the_step_touched(monkeypatch):
     game = loop_game(random_game(random.Random(300), 300, 3, 8))
     solve(game, Counting(), audit_every=0)
     assert len(steps) >= 50
-    for budget, picked, checked, _ in steps:
-        assert 0 < picked <= budget
+    for budget, checked, _ in steps:
         assert 0 < checked <= budget
     # the bound is far below a walk over every player-0 node
-    small = sum(budget * 4 < player0 for budget, _, _, player0 in steps)
+    small = sum(budget * 4 < player0 for budget, _, player0 in steps)
     assert small >= len(steps) * 9 // 10
 
 

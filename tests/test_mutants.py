@@ -1,6 +1,7 @@
 """The committed mutation checks of `tools/mutants.py`: every patch still
-applies to the package, and, in the slow run, the named tests pass in an
-unmutated copy and every mutant is killed by the tests named for it."""
+applies to the package and leaves valid Python, and, in the slow run,
+the named tests pass in an unmutated copy and every mutant is killed by
+the tests named for it."""
 
 import pytest
 
@@ -15,7 +16,11 @@ def test_every_mutant_patch_applies_once():
     package = ROOT / "src" / "pgsi"
     for mutant in tool.MUTANTS:
         source = (package / mutant.module).read_text(encoding="utf-8")
-        assert tool.patched(mutant, source) != source, mutant.name
+        mutated = tool.patched(mutant, source)
+        assert mutated != source, mutant.name
+        # a patch that breaks the syntax fails here rather than in the
+        # slow run
+        compile(mutated, mutant.module, "exec")
         assert mutant.tests, mutant.name
         # a renamed test fails here rather than as a usage error of the
         # slow run

@@ -17,11 +17,10 @@ from pgsi.iteration import (AllSwitches, DeterministicAll, SingleRandom,
                             _check_progress, _check_step, _stale_entries,
                             solve)
 from pgsi.profiles import INF_KEY, ProfileBasis, digit_width
-from pgsi.valuation import (ImprovementSets, changed_nodes, improvements,
-                            initial_strategy, is_reasonable,
-                            is_reasonable_step, response_strategy,
-                            switch_region, to_profiles, valuate_bellman_ford,
-                            valuate_dijkstra)
+from pgsi.valuation import (changed_nodes, improvements, initial_strategy,
+                            is_reasonable, is_reasonable_step,
+                            response_strategy, switch_region, to_profiles,
+                            valuate_bellman_ford, valuate_dijkstra)
 
 from conftest import parity_games, scale_games
 from helpers import apply_operator, key_of, loop_game, strategy_of
@@ -634,15 +633,6 @@ def test_improvements_edge_to_an_unbounded_target_is_strict():
     assert imps.strict == {0: (1,)}
 
 
-def test_improvement_sets_compare_by_their_sets_alone():
-    imps = ImprovementSets({0: (1, 2)}, {0: (2,)}, (0,))
-    # which entries were classified takes no part in ==
-    carried = ImprovementSets({0: (1, 2)}, {0: (2,)}, ())
-    assert imps == carried and not imps != carried
-    fewer = ImprovementSets({0: (1, 2)}, {}, (0,))
-    assert imps != fewer and not imps == fewer
-
-
 def test_improvements_reject_foreign_valuation():
     arena = self_loop_arena(1)
     # a value above every play of the arena
@@ -867,8 +857,11 @@ def test_update_matches_reference_on_random_games():
 
 
 def whole_arena_pick(policy, rng, arena, strategy, valuation, imps):
-    """What `policy` picks, computed by rebuilding the entry of every
-    player-0 node; `rng` draws in step with a SingleRandom's own."""
+    """The strategy a step of `policy` makes, computed by rebuilding the
+    entry of every player-0 node; `rng` draws in step with a
+    SingleRandom's own.  Every entry SingleRandom does not switch is cut
+    down to its improving edges, which changes only the entries
+    AllSwitches left."""
     improving = imps.improving
     if isinstance(policy, AllSwitches):
         return dict(improving)
@@ -937,21 +930,30 @@ def test_update_matches_reference_at_scale():
             strategy = initial_strategy(arena)
             valuation = valuate_bellman_ford(arena, strategy)
             imps = improvements(arena, strategy, valuation)
+            reclassified = arena.player0_nodes
             while imps.strict:
                 policy = turns[compared % len(turns)]
-                step = {**strategy,
-                        **policy.pick(arena, strategy, valuation, imps)}
+                step = dict(strategy)
+                if len(turns) > 1 and isinstance(policy, SingleRandom):
+                    # SingleRandom returns its switch alone, so the entries
+                    # AllSwitches left are first cut down to their
+                    # improving edges; only reclassified entries need it
+                    improving = imps.improving
+                    step.update({v: tuple([t for t in strategy[v]
+                                           if t in improving[v]])
+                                 for v in reclassified})
+                step.update(policy.pick(arena, strategy, valuation, imps))
                 assert step == whole_arena_pick(
                     policy, rng, arena, strategy, valuation, imps)
                 changed = changed_nodes(strategy, step)
                 assert changed == [v for v in arena.player0_nodes
                                    if step[v] != strategy[v]]
                 switched = _check_step(step, imps,
-                                       chain(changed, imps.reclassified))
+                                       chain(changed, reclassified))
                 assert switched == _check_step(step, imps, step)
                 lazy = {**strategy, **{v: step[v] for v in switched}}
                 outcome = check_outcome(lazy, imps, chain(
-                    changed_nodes(strategy, lazy), imps.reclassified))
+                    changed_nodes(strategy, lazy), reclassified))
                 assert outcome == check_outcome(lazy, imps, lazy)
                 rejected += outcome is None
                 region = switch_region(arena, step, changed)
@@ -996,6 +998,7 @@ def test_update_matches_reference_at_scale():
                                                        switched, everything)
                     assert isinstance(verdict, list) == (after is fast)
                 imps = improvements(arena, step, fast, imps, stale)
+                reclassified = stale
                 assert imps == improvements(arena, step, fast)
                 compared += 1
                 largest = max(largest, sum(

@@ -264,13 +264,16 @@ MUTANTS = (
          "test_replay_rejects_sets_that_do_not_partition",)),
     Mutant(
         "all-switches-reclassified-only",
-        "`AllSwitches` returns the reclassified improving entries alone, "
-        "which misses the entries of a strategy another policy made",
+        "`AllSwitches` returns the improving entries of its strict sources "
+        "alone, so an entry whose improving edges changed keeps its old "
+        "edges",
         "iteration.py",
         "        return {v: improving[v] for v in changed_nodes(strategy, "
         "improving)}\n",
-        "        return {v: improving[v] for v in imps.reclassified}\n",
-        ("tests/test_valuation.py::test_update_matches_reference_at_scale",)),
+        "        return {v: improving[v] for v in imps.strict}\n",
+        ("tests/test_valuation.py::test_update_matches_reference_at_scale",
+         "tests/test_iteration.py::"
+         "test_all_switches_steps_to_the_improving_edges")),
     Mutant(
         "step-without-copy",
         "`solve` writes the entries a policy returns into the strategy a "
@@ -285,10 +288,19 @@ MUTANTS = (
         "the step check visits the reclassified entries alone, not the "
         "entries the policy returned",
         "iteration.py",
-        "                                   step.keys() | imps.reclassified)\n",
-        "                                   imps.reclassified)\n",
+        "                                   step.keys() | reclassified)\n",
+        "                                   reclassified)\n",
         ("tests/test_iteration.py::"
          "test_rogue_step_caught_by_the_narrowed_check",)),
+    Mutant(
+        "step-check-skips-reclassified",
+        "the step check visits the entries the policy returned alone, not "
+        "the reclassified entries it left out",
+        "iteration.py",
+        "                                   step.keys() | reclassified)\n",
+        "                                   step.keys())\n",
+        ("tests/test_iteration.py::"
+         "test_step_check_visits_reclassified_entries_the_step_left_out",)),
     Mutant(
         "seed-filter-before-step-check",
         "`solve` reads the values of the changed nodes before the step "
@@ -552,23 +564,6 @@ MUTANTS = (
         "                and self.names == other.names)\n",
         "                and self.successors == other.successors)\n",
         (A + "test_game_is_an_immutable_hashable_value",)),
-    Mutant(
-        "arena-equality-skips-two-tables",
-        "arena == and != compare the first six fields, so the escape "
-        "choices and the predecessor tables take no part",
-        ARENA,
-        "self[:8] == other[:8]",
-        "self[:6] == other[:6]",
-        (A + "test_escape_arenas_compare_by_their_tables",)),
-    Mutant(
-        "improvement-sets-skip-strict",
-        "improvement sets == and != compare the improving edges alone, so "
-        "the audit misses a wrong strict set",
-        "valuation.py",
-        "self[:2] == other[:2]",
-        "self[:1] == other[:1]",
-        ("tests/test_valuation.py::"
-         "test_improvement_sets_compare_by_their_sets_alone",)),
 )
 
 
