@@ -1,7 +1,8 @@
 """Command-line front end: solve, gen, check, trace.
 
 Exit codes: 0 success, 1 cross-check mismatch, 2 usage or input errors,
-3 internal errors (never a traceback).
+3 internal errors (never a traceback).  `solve` prints only an answer
+`replay_verify` accepts; a rejected one is an internal error.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Iterator
 from .arena import (ParityGame, parse_pgsolver, preprocess,
                     serialize_pgsolver)
 from .errors import FormatError, InstanceTooLarge, SolverError
-from .iteration import POLICY_NAMES, policy_by_name, solve
-from .oracle import DEFAULT_CAP, crosscheck
+from .iteration import POLICY_NAMES, policy_by_name, replay_verify, solve
+from .oracle import crosscheck
 
 
 def random_game(rng: random.Random, nodes: int, degree: int, colors: int,
@@ -82,6 +83,7 @@ def _cmd_solve(args) -> int:
     game = _read_game(args.file)
     policy = policy_by_name(args.policy, args.seed)
     result = solve(game, policy=policy, audit_every=args.audit_every)
+    replay_verify(game, result)
     if args.json:
         print(json.dumps(result.to_json(), indent=2))
     else:
@@ -103,17 +105,6 @@ def _cmd_gen(args) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _oracle_cap() -> int:
-    text = os.environ.get("SOLVER_ORACLE_CAP")
-    if text is None:
-        return DEFAULT_CAP
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError("SOLVER_ORACLE_CAP must be an integer, got %r"
-                         % text) from None
 
 
 def _write_mismatch(label: str, game: ParityGame, report) -> None:
@@ -142,7 +133,6 @@ def _artifact_labels(paths: list[str]) -> Iterator[str]:
 
 
 def _cmd_check(args) -> int:
-    cap = _oracle_cap()
     failures = 0
     if args.fuzz is not None:
         if args.files:
@@ -165,7 +155,7 @@ def _cmd_check(args) -> int:
 
     for label, artifact, game in jobs:
         report = crosscheck(game, policy=policy_by_name(args.policy,
-                                                        args.seed), cap=cap)
+                                                        args.seed))
         print("%s: %s" % (label, report.describe()))
         if not report.ok:
             failures += 1

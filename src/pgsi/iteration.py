@@ -146,8 +146,8 @@ def _check_step(next_strategy: Strategy, imps: ImprovementSets,
                 nodes: Iterable[int]) -> set[int]:
     """Validate a policy's output at `nodes`: each is a known player-0
     node that keeps a move and every edge it keeps lies in the improving
-    set.  The strategy must have one entry per player-0 node and take at
-    least one strict edge.  Returns the switched source nodes.
+    set.  The strategy must take at least one strict edge.  Returns the
+    switched source nodes.
 
     Given every entry of `next_strategy` as `nodes`, this is the full
     check.  It suffices to give the entries the policy returned and the
@@ -155,10 +155,13 @@ def _check_step(next_strategy: Strategy, imps: ImprovementSets,
     full classification are every player-0 node: ``solve`` lays the
     returned entries over a copy of the current strategy, so every other
     node kept its choices, which the previous step's check found inside
-    its improving entry, and kept that entry too.  A node that takes a strict edge was returned,
-    because strict edges are never part of the current strategy.  A node
-    at +inf that passes keeps only its own strategy edges onto +inf
-    targets, its improving entry, which ``solve`` relies on."""
+    its improving entry, and kept that entry too.  The copy also keeps
+    an entry per player-0 node, so only a returned entry of an unknown
+    node could add one, and that fails as an unknown node.  A node that
+    takes a strict edge was returned, because strict edges are never
+    part of the current strategy.  A node at +inf that passes keeps only
+    its own strategy edges onto +inf targets, its improving entry, which
+    ``solve`` relies on."""
     applied = set()
     improving, strict = imps.improving, imps.strict
     for v in nodes:
@@ -176,8 +179,6 @@ def _check_step(next_strategy: Strategy, imps: ImprovementSets,
                     "policy chose non-improving edge (%d,%d)" % (v, t))
             if t in stricts:
                 applied.add(v)
-    if len(next_strategy) != len(improving):
-        raise InvariantViolation("policy dropped a player-0 node")
     if imps.strict and not applied:
         raise InvariantViolation("policy applied no strict improvement")
     return applied

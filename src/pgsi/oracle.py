@@ -166,12 +166,12 @@ class CrosscheckReport(NamedTuple):
                                                            only_oracle)
 
 
-def crosscheck(game: ParityGame, policy=None,
-               cap: int = DEFAULT_CAP) -> CrosscheckReport:
-    """Run both solvers on the same game and compare winning sets."""
+def crosscheck(game: ParityGame, policy=None) -> CrosscheckReport:
+    """Run both solvers on the same game and compare winning sets; raises
+    InstanceTooLarge past the oracle's `DEFAULT_CAP` strategies."""
     from .iteration import solve
 
     result = solve(game, policy=policy)
-    reference = oracle_solve(game, cap=cap)
+    reference = oracle_solve(game)
     return CrosscheckReport(result.w0 == reference.w0, result.w0,
                             reference.w0, result.iterations)

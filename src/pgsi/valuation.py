@@ -14,7 +14,9 @@ fixpoint sweeps (the reference) and, given a strategy the new one
 directly improves and its valuation, a Dijkstra-style sweep over
 non-negative edge weights (the fast path).  The fixpoint sweeps
 evaluate only the nodes that read a value which changed since they were
-last evaluated, the first only those that read the sink.  The Dijkstra
+last evaluated, the first only those that read the sink, and find the
+readers of a node in the arena's predecessor table, so they take
+strategies whose choices are escape choices or removed ids.  The Dijkstra
 sweep revalues only the switch region A, the nodes that reach a
 player-0 node whose choices changed, at a finite value
 (:func:`switch_region`); every other node keeps its value.  The sweep
@@ -144,20 +146,22 @@ def valuate_bellman_ford(arena: EscapeArena, strategy: Strategy,
     is exceeded the strategy admits an odd-dominated cycle and
     ReasonablenessError is raised.
 
-    A sweep evaluates only the rows that read a value which changed
-    since their last evaluation, because any other row would recompute
-    its current value; the first sweep's are the rows that read the
-    sink, the one value not unbounded at the start.  After an update to
-    v each row reading v is queued: into this sweep if it comes later in
-    the descending order, else (v itself included) into the next.  A
-    player-1 row reads its arena successors, a player-0 row the
-    strategy's choices, which need not be arena edges.  Only arena nodes
-    change value, so only they get a list of the rows that read them,
-    and a choice of the sink or of an id the arena does not keep is
-    read but never queues a row; the due flags are kept per place in the
-    sweep order, so a sweep costs nothing per removed id.  Updates,
-    their order and their sweep numbers are those of sweeps that
-    evaluate every row.
+    Every player-0 choice must be one of the node's escape choices or an
+    id the arena does not keep; inside ``solve`` the initial strategy
+    and the step check guarantee it.  A sweep evaluates only the rows
+    that read a value which changed since their last evaluation, because
+    any other row would recompute its current value; the first sweep's
+    are the player-0 rows that choose the sink, the one value not
+    unbounded at the start.  After an update to v each row reading v is
+    queued: into this sweep if it comes later in the descending order,
+    else (v itself included) into the next.  By the precondition those
+    rows are the sources in the arena's predecessor table of v: a
+    player-1 source always, a player-0 source when the strategy keeps
+    the edge.  The sink and the ids the arena does not keep never change
+    value, so reading them queues no row; the due flags are kept per
+    place in the sweep order, and one list maps each node to its place.
+    Updates, their order and their sweep numbers are those of sweeps
+    that evaluate every row.
 
     `on_update` receives (sweep number, node, old value, new value) for
     every change, in the order they are applied, the values as profiles.
@@ -169,22 +173,16 @@ def valuate_bellman_ford(arena: EscapeArena, strategy: Strategy,
     owner_of = arena.game.owner
     succ = arena.succ
     unit = arena.unit_keys
-    # the rows in sweep order; per node id the places in that order of
-    # the rows that read it.  The sink and the ids the arena does not
-    # keep never change value, so they hold None, not a list
+    preds = arena.preds
+    # the rows in sweep order, per node id its place in that order, and
+    # per place whether its row is due in this sweep
     order = arena.nodes[::-1]
-    readers: list[list[int] | None] = [None] * (sink + 1)
-    for v in order:
-        readers[v] = []
-    # per place in the sweep order whether its row is due in this sweep
+    place = [0] * sink
     due = bytearray(len(order))
     for p, v in enumerate(order):
-        for t in succ[v] if owner_of[v] == 1 else strategy[v]:
-            row = readers[t]
-            if row is not None:
-                row.append(p)
-            elif t == sink:
-                due[p] = 1
+        place[v] = p
+        if owner_of[v] == 0 and sink in strategy[v]:
+            due[p] = 1
 
     get = vals.__getitem__
     from_key = arena.basis.from_key
@@ -204,11 +202,13 @@ def valuate_bellman_ford(arena: EscapeArena, strategy: Strategy,
                     on_update(sweep, v, from_key(vals[v]), from_key(new))
                 vals[v] = new
                 changed = True
-                for r in readers[v]:
-                    if r > p:
-                        due[r] = 1
-                    else:
-                        later[r] = 1
+                for s in preds[v]:
+                    if owner_of[s] == 1 or v in strategy[s]:
+                        r = place[s]
+                        if r > p:
+                            due[r] = 1
+                        else:
+                            later[r] = 1
         if not changed:
             return vals
         due = later

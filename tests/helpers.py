@@ -7,13 +7,15 @@ audit cadences to solve under, a game that player 0's peel leaves
 whole, the strategy enumerator as the oracle first wrote it, and the
 level-by-level attractor, the per-piece BFS of the
 cycle strategy, a two-pass Tarjan and the top-color decomposition
-without its peel run on it, and the PGSolver reader as the seed wrote
-it.
+without its peel run on it, the PGSolver reader as the seed wrote
+it, and a second solver, Zielonka's recursive algorithm, with the dual
+game it is also compared on.
 
-The level-by-level attractor, the two-pass Tarjan and the unpeeled
-decomposition share no code with the package's versions they must
-reproduce.  The others do, and a fault in what they share reaches
-both sides of a comparison alike:
+The level-by-level attractor, the two-pass Tarjan, the unpeeled
+decomposition and Zielonka's algorithm share no code with the
+package's versions they must reproduce: the last reads only the fields
+of a `ParityGame` and walks its own attractors.  The others do, and a
+fault in what they share reaches both sides of a comparison alike:
 
 - `enumerated_oracle` finds each strategy's odd-topped cycles with the
   package's `find_one_dominated_cycle_nodes`, so with
@@ -392,3 +394,80 @@ def reference_parse_pgsolver(text: str) -> ParityGame:
         succs.append(targets)
         names.append(name)
     return ParityGame(tuple(owners), tuple(colors), tuple(succs), tuple(names))
+
+
+def _zielonka_attractor(nodes: set[int], player: int, target: set[int],
+                        owner, successors, preds) -> set[int]:
+    """The nodes of the subgame `nodes` from which `player` forces the
+    play into `target`, a part of it; every node of the subgame keeps a
+    successor in it."""
+    attracted = set(target)
+    # per opponent node the successors in the subgame not yet attracted
+    left: dict[int, int] = {}
+    queue = list(target)
+    for t in queue:
+        for v in preds[t]:
+            if v not in nodes or v in attracted:
+                continue
+            if owner[v] != player:
+                count = left.get(v)
+                if count is None:
+                    count = sum(1 for u in successors[v] if u in nodes)
+                left[v] = count = count - 1
+                if count:
+                    continue
+            attracted.add(v)
+            queue.append(v)
+    return attracted
+
+
+def zielonka_w0(game: ParityGame) -> tuple[int, ...]:
+    """Player 0's winning set, ascending, by Zielonka's recursive
+    algorithm (TCS 1998), written from the game's owners, colors and
+    successors alone.
+
+    A subgame whose top color m has parity p is split by p's attractor A
+    of the nodes colored m.  If the opponent wins nothing of the subgame
+    without A, p wins the whole subgame; otherwise the opponent's
+    attractor B of what it wins there is the opponent's, and the rest is
+    solved again.  That second solve is this function's loop, so the
+    recursion goes one level per top color, at most one per node; the
+    recursion limit is raised by the node count for the call."""
+    owner, color, successors = game.owner, game.color, game.successors
+    preds: list[list[int]] = [[] for _ in range(game.n)]
+    for v in range(game.n):
+        for t in successors[v]:
+            preds[t].append(v)
+
+    def solve(nodes: set[int]) -> tuple[set[int], set[int]]:
+        won: tuple[set[int], set[int]] = (set(), set())
+        while nodes:
+            top = max(color[v] for v in nodes)
+            p = top % 2
+            a = _zielonka_attractor(
+                nodes, p, {v for v in nodes if color[v] == top}, owner,
+                successors, preds)
+            lost = solve(nodes - a)[1 - p]
+            if not lost:
+                won[p].update(nodes)
+                break
+            b = _zielonka_attractor(nodes, 1 - p, lost, owner, successors,
+                                    preds)
+            won[1 - p].update(b)
+            nodes = nodes - b
+        return won
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + game.n)
+    try:
+        return tuple(sorted(solve(set(range(game.n)))[0]))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def dual(game: ParityGame) -> ParityGame:
+    """The game with the owners swapped and every color raised by one:
+    each player wins there what the other wins in `game`."""
+    return ParityGame(tuple(1 - o for o in game.owner),
+                      tuple(c + 1 for c in game.color), game.successors,
+                      game.names)

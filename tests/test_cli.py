@@ -149,6 +149,23 @@ def test_internal_failures_exit_3(tmp_path, capsys, monkeypatch):
     assert err == "internal error: OverflowError: too big\n"
 
 
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_solve_prints_nothing_replay_rejects(tmp_path, capsys, monkeypatch,
+                                             fmt):
+    # a result whose winning sets are swapped is no partition player 0's
+    # strategy wins: the replay rejects it before a line is printed
+    def swapped(game, **kwargs):
+        result = solve(game, **kwargs)
+        return result._replace(w0=result.w1, w1=result.w0)
+
+    monkeypatch.setattr("pgsi.cli.solve", swapped)
+    code, out, err = run(capsys, "solve", write_game(tmp_path, TWO_NODE),
+                         *fmt)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: player-1 strategy misses won "
+                          "node 1")
+
+
 def test_solve_a_game_with_a_huge_color(tmp_path, capsys):
     # keys count only the colors in use, so color 10^12 takes one digit
     path = tmp_path / "huge.gm"
@@ -327,20 +344,16 @@ def test_check_fuzz_draws_each_game_in_its_turn(capsys, monkeypatch):
 
 
 def test_check_honors_oracle_cap(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SOLVER_ORACLE_CAP", "1")
-    game = ParityGame((0, 1), (0, 1), ((0, 1), (0,)))
-    path = write_game(tmp_path, game)
-    code, _, err = run(capsys, "check", path)
-    assert code == 2
-    assert "error:" in err and "cap" in err
-
-
-def test_check_rejects_an_oracle_cap_that_is_no_integer(tmp_path, capsys,
-                                                        monkeypatch):
-    monkeypatch.setenv("SOLVER_ORACLE_CAP", "x")
-    code, out, err = run(capsys, "check", write_game(tmp_path, TWO_NODE))
-    assert code == 2 and out == ""
-    assert err == "error: SOLVER_ORACLE_CAP must be an integer, got 'x'\n"
+    # 20 player-0 nodes of two edges each give 2^20 strategies, past the
+    # oracle's fixed cap of 10^6, which no environment variable moves;
+    # the oracle counts them before it tries one
+    monkeypatch.setenv("SOLVER_ORACLE_CAP", str(2 ** 30))
+    game = ParityGame((0,) * 20, (0,) * 20,
+                      tuple((v, (v + 1) % 20) for v in range(20)))
+    code, out, err = run(capsys, "check", write_game(tmp_path, game))
+    assert (code, out) == (2, "")
+    assert err == ("error: %d player-0 strategies exceed the cap %d\n"
+                   % (2 ** 20, 10 ** 6))
 
 
 def test_check_mismatch_writes_artifacts(tmp_path, capsys, monkeypatch):

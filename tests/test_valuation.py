@@ -252,24 +252,11 @@ def test_bellman_ford_matches_every_row_sweeps(game):
 
 
 def test_bellman_ford_matches_every_row_sweeps_off_the_arena():
-    # a player-0 row reads its strategy's choices, which need not be
-    # arena edges: node 1 keeps an edge to node 0 that the game lacks
-    arena = arena_of(ParityGame((0, 0), (0, 0), ((1,), (1,))))
-    strategy = strategy_of({0: (2,), 1: (0,)})
-    values, stream = sweep_outcome(valuate_bellman_ford, arena, strategy)
-    assert values[1] != INF_KEY and [u[:2] for u in stream] == [(1, 0), (2, 1)]
-    assert_same_sweeps(arena, strategy)
-    # strategies over any targets, reasonable or not, on random games
+    # a player-0 row may read, besides its escape choices, ids the arena
+    # does not keep: on arenas without some nodes, strategies over
+    # removed ids, the sink and the escape choices, reasonable or not.
+    # A removed id's value stays +inf and the sink's stays 0
     rng = random.Random(71)
-    for _ in range(300):
-        game = random_game(rng, rng.randint(1, 9), 3, rng.randint(1, 5))
-        arena = arena_of(game)
-        targets = range(arena.sink + 1)
-        assert_same_sweeps(arena, strategy_of({
-            v: rng.sample(targets, rng.randint(1, 2))
-            for v in arena.player0_nodes}))
-    # arenas without some nodes: a row may read a removed id, whose
-    # value stays +inf, or the sink, whose value stays 0
     reads_removed = reads_sink = 0
     for _ in range(300):
         game = random_game(rng, rng.randint(2, 9), 3, rng.randint(1, 5))

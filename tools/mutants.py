@@ -551,11 +551,26 @@ MUTANTS = (
         "no row reading the sink is due in the first sweep, so nothing is "
         "ever evaluated",
         "valuation.py",
-        "            elif t == sink:\n"
-        "                due[p] = 1\n",
-        "            elif t == sink:\n"
-        "                pass\n",
+        "        if owner_of[v] == 0 and sink in strategy[v]:\n"
+        "            due[p] = 1\n",
+        "        if owner_of[v] == 0 and sink in strategy[v]:\n"
+        "            pass\n",
         ("tests/test_valuation.py::test_bellman_ford_matches_every_row_sweeps",)),
+    Mutant(
+        "bellman-ford-skips-player1-readers",
+        "an update queues only the player-0 rows that read it, so a "
+        "player-1 row keeps a minimum over stale values",
+        "valuation.py",
+        "                    if owner_of[s] == 1 or v in strategy[s]:\n",
+        "                    if owner_of[s] == 0 and v in strategy[s]:\n",
+        ("tests/test_valuation.py::test_bellman_ford_matches_every_row_sweeps",)),
+    Mutant(
+        "cli-solve-skips-replay",
+        "`pgsi solve` prints the result of `solve` without replaying it",
+        "cli.py",
+        "    replay_verify(game, result)\n",
+        "",
+        ("tests/test_cli.py::test_solve_prints_nothing_replay_rejects",)),
     Mutant(
         "game-equality-ignores-names",
         "two games that differ only in their node names compare equal",
